@@ -83,13 +83,11 @@ def _odd_curve_model(r: int, d: int, mult: int) -> CoverModel:
 
 
 def _triple_model(r: int, degrees: tuple[int, int, int]) -> CoverModel:
-    a, b, c = degrees
-    comps = [
-        ("A", a, {"p": a - 1} if a > 1 else {}),
-        ("B", b, {"p": b - 1} if b > 1 else {}),
-        ("C", c, {"p": c - 1} if c > 1 else {}),
-    ]
-    if r == 3:
+    """Three curves with (degree-1)-fold points at p, plus r-2 pencil-line elements."""
+    comps = [(cid, d, {"p": d - 1} if d > 1 else {}) for cid, d in zip("ABC", degrees)]
+    if r == 2:
+        branch = {"10": [("A", 1)], "01": [("B", 1)], "11": [("C", 1)]}
+    elif r == 3:
         comps += [("K1", 1, {"p": 1}), ("K2", 1, {"p": 1})]
         branch = {
             "100": [("A", 1)],
@@ -110,17 +108,6 @@ def _triple_model(r: int, degrees: tuple[int, int, int]) -> CoverModel:
     return plane_cover(r, comps, branch, marked=[("p", None)], pencil="p")
 
 
-def _r2_triple_model(degrees: tuple[int, int, int]) -> CoverModel:
-    a, b, c = degrees
-    comps = [
-        ("A", a, {"p": a - 1} if a > 1 else {}),
-        ("B", b, {"p": b - 1} if b > 1 else {}),
-        ("C", c, {"p": c - 1} if c > 1 else {}),
-    ]
-    branch = {"10": [("A", 1)], "01": [("B", 1)], "11": [("C", 1)]}
-    return plane_cover(2, comps, branch, marked=[("p", None)], pencil="p")
-
-
 def _candidates(r: int, max_degree: int):
     if r == 2:
         yield "three pencil lines", _pencil_lines_model()
@@ -130,7 +117,7 @@ def _candidates(r: int, max_degree: int):
         for degrees in _parity_triples(max_degree):
             if degrees == (1, 1, 1):
                 continue  # three general lines: already the reduced d=1 pattern
-            yield f"three curves degrees={degrees}", _r2_triple_model(degrees)
+            yield f"three curves degrees={degrees}", _triple_model(2, degrees)
     elif r == 3:
         for d in range(1, max_degree + 1, 2):
             for mult in sorted({max(d - 2, 0), d - 1}):
@@ -171,16 +158,15 @@ def census(r: int, max_degree: int) -> CensusTable:
     for pattern, model in _candidates(r, max_degree):
         if not is_totally_ramified(model):
             raise InconsistencyError(f"census generated an invalid pattern: {pattern}")
-        derive_building_data(model)
-        report = check_prod_relations(model)
+        report = check_prod_relations(model, derive_building_data(model))
         if not report.ok:
             raise InconsistencyError(f"census pattern violates product relations: {pattern}")
-        reduced, _ = classify_mod.cremona_reduce(model)
+        label = classify_mod.classify(model)
+        reduced, _ = classify_mod._replay_reduction(model, model.pencil, label)
         key = _shape_key(reduced)
         if key in seen:
             continue
         seen.add(key)
-        label = classify_mod.classify(model)
         resolved = resolve(model)
         chi = invariants_mod.euler_characteristic(resolved.cover)
         k2 = invariants_mod.canonical_square(resolved.cover)

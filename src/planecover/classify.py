@@ -684,12 +684,19 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
 def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):
     """Replay the reduction recipe for the matched family.
 
-    Families already in normal form reduce to themselves with an empty
-    trail.  Returns the reduced model and the move records.
+    This is match + replay: normalize and match the cover once, then replay
+    the recipe of the matched label.  Families already in normal form
+    reduce to themselves with an empty trail.  Returns the reduced model
+    and the move records.
     """
     p = pencil_point if pencil_point is not None else cover.pencil
     work = normalize(cover)
     label = match_conic_bundle(work, p) if p is not None else match_del_pezzo(work)
+    return _replay_reduction(work, p, label)
+
+
+def _replay_reduction(work: CoverModel, p: str | None, label: CaseLabel):
+    """The recipe of ``label`` applied to the normalized cover it was matched on."""
     moves: list[MoveRecord] = []
 
     if label.proposition in ("4.4", "4.8") and "needs-reduction" in label.flags:
@@ -715,7 +722,7 @@ def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):
     elif label.proposition == "5.1" and not label.flags:
         params = dict(label.params)
         x = params["tacnode"]
-        y = cover.children_of_point(x)[0]
+        y = work.children_of_point(x)[0]
         quartic = next(c for c in work.components if c.cls.degree == 4)
         conic = next(c for c in work.components if c.cls.degree == 2)
         zn = _fresh_name(work, "aux")

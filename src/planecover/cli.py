@@ -12,7 +12,7 @@ from . import classify as classify_mod
 from . import config
 from . import invariants as invariants_mod
 from .cover import check_prod_relations, derive_building_data, is_totally_ramified
-from .errors import CoverError, MatchError
+from .errors import ConfigError, CoverError, MatchError
 from .normalize import normalize, resolve
 
 EXIT_CODES = {
@@ -31,11 +31,17 @@ EXIT_CODES = {
 
 
 def _read_document(path: str) -> config.ConfigDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            # a surrogateescape stdin passes undecodable bytes on as lone surrogates
+            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]
+        line, col = before.count(b"\n") + 1, exc.start - before.rfind(b"\n")
+        raise ConfigError([(line, col, f"input is not UTF-8 text: {exc.reason}")]) from exc
     return config.parse(text)
 
 
@@ -46,9 +52,9 @@ def _cmd_validate(doc: config.ConfigDocument, fmt: str) -> int:
     if not ramified:
         print("\n".join(lines))
         raise MatchError("not totally ramified")
-    derive_building_data(model)
+    building = derive_building_data(model)
     lines.append("parity = ok")
-    report = check_prod_relations(model)
+    report = check_prod_relations(model, building)
     lines.append(f"prod_relations = ok ({report.pairs_checked} pairs)")
     print("\n".join(lines))
     return 0
@@ -61,7 +67,7 @@ def _cmd_normalize(doc: config.ConfigDocument, fmt: str) -> int:
 
 
 def _cmd_resolve(doc: config.ConfigDocument, fmt: str) -> int:
-    result = resolve(normalize(doc.to_cover()))
+    result = resolve(doc.to_cover())
     for record in result.trail:
         payload = {
             "round": record.round,
@@ -77,7 +83,7 @@ def _cmd_resolve(doc: config.ConfigDocument, fmt: str) -> int:
 
 
 def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
-    result = resolve(normalize(doc.to_cover()))
+    result = resolve(doc.to_cover())
     report = invariants_mod.invariant_report(result.cover)
     if fmt == "tsv":
         print("chi\tk2\tbicanonical\tverdict")
@@ -100,7 +106,7 @@ def _cmd_classify(doc: config.ConfigDocument, fmt: str) -> int:
 
 
 def _cmd_reduce(doc: config.ConfigDocument, fmt: str) -> int:
-    reduced, moves = classify_mod.cremona_reduce(normalize(doc.to_cover()))
+    reduced, moves = classify_mod.cremona_reduce(doc.to_cover())
     for i, move in enumerate(moves, start=1):
         print(f"# move {i}: {move.serialize()}")
     sys.stdout.write(config.from_cover(reduced).serialize())

@@ -1,16 +1,18 @@
 """Algebra of the Galois group G = (Z/2)^r and its character group.
 
-Both groups are modelled as length-r bit vectors under componentwise XOR,
-identified through the standard mod-2 dot product pairing.  The epsilon
-functions defined here drive every building-data relation in the rest of
-the package: ``epsilon(chi, g)`` is the pairing bit for nonzero ``g`` and
+Elements and characters are one type: r bits packed into an int, added by
+XOR.  The bit string b_1...b_r is stored as the integer it spells in base
+two, so for equal r the order of the ints is the lexicographic order of
+the bit strings.  Characters are identified with elements through the
+mod-2 dot product, a popcount of the common bits.  The epsilon functions
+defined here drive every building-data relation in the rest of the
+package: ``epsilon(chi, g)`` is the pairing bit for nonzero ``g`` and
 ``epsilon2(chi, chi2, g)`` is 1 exactly when both pairings are 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, DomainError
@@ -19,115 +21,102 @@ from .errors import DimensionError, DomainError
 MAX_RANK = 4
 
 
-def _validate_bits(bits: tuple[int, ...]) -> None:
-    if not 1 <= len(bits) <= MAX_RANK:
-        raise DomainError(f"rank must be between 1 and {MAX_RANK}, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise DomainError(f"bit vector entries must be 0 or 1, got {bits}")
+def _check_rank(r: int) -> None:
+    if not 1 <= r <= MAX_RANK:
+        raise DomainError(f"rank must be between 1 and {MAX_RANK}, got {r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False, repr=False, slots=True)
 class GroupElement:
-    """An element of (Z/2)^r as a bit vector; addition is XOR."""
+    """An element of (Z/2)^r, or a character of it, as an r-bit mask; addition is XOR."""
 
-    bits: tuple[int, ...]
+    r: int
+    mask: int
 
-    def __post_init__(self):
-        _validate_bits(self.bits)
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
+        _check_rank(len(bits))
+        if any(b not in (0, 1) for b in bits):
+            raise DomainError(f"bit vector entries must be 0 or 1, got {bits}")
+        mask = 0
+        for b in bits:
+            mask = mask << 1 | b
+        object.__setattr__(self, "r", len(bits))
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _of(cls, r: int, mask: int) -> "GroupElement":
+        self = object.__new__(cls)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mask", mask)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "GroupElement":
         if not text or any(c not in "01" for c in text):
             raise DomainError(f"non-binary group element {text!r}")
-        return cls(tuple(int(c) for c in text))
+        _check_rank(len(text))
+        return cls._of(len(text), int(text, 2))
 
     @property
-    def r(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.mask >> i & 1 for i in reversed(range(self.r)))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return not self.mask
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if len(self.bits) != len(other.bits):
+        if self.r != other.r:
             raise DimensionError("cannot add group elements of different rank")
-        return GroupElement(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return GroupElement._of(self.r, self.mask ^ other.mask)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.mask, f"0{self.r}b")
+
+    def __repr__(self) -> str:
+        return f"GroupElement({self.bits})"
 
 
-@dataclass(frozen=True, order=True)
-class Character:
-    """A character of (Z/2)^r, also a bit vector; chi(g) is the dot product mod 2."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        _validate_bits(self.bits)
-
-    @classmethod
-    def parse(cls, text: str) -> "Character":
-        if not text or any(c not in "01" for c in text):
-            raise DomainError(f"non-binary character {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @property
-    def r(self) -> int:
-        return len(self.bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-    def __add__(self, other: "Character") -> "Character":
-        if len(self.bits) != len(other.bits):
-            raise DimensionError("cannot add characters of different rank")
-        return Character(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+#: Characters are bit vectors paired with elements by the dot product.
+Character = GroupElement
 
 
 def zero(r: int) -> GroupElement:
-    return GroupElement((0,) * r)
+    _check_rank(r)
+    return GroupElement._of(r, 0)
 
 
 def elements(r: int) -> Iterator[GroupElement]:
     """All 2^r group elements, in lexicographic order."""
-    for bits in product((0, 1), repeat=r):
-        yield GroupElement(bits)
+    _check_rank(r)
+    for mask in range(1 << r):
+        yield GroupElement._of(r, mask)
 
 
 def nonzero_elements(r: int) -> Iterator[GroupElement]:
     return (g for g in elements(r) if not g.is_zero)
 
 
-def characters(r: int) -> Iterator[Character]:
-    for bits in product((0, 1), repeat=r):
-        yield Character(bits)
+characters = elements
+nonzero_characters = nonzero_elements
 
 
-def nonzero_characters(r: int) -> Iterator[Character]:
-    return (c for c in characters(r) if not c.is_zero)
-
-
-def pair(chi: Character, g: GroupElement) -> int:
+def pair(chi: GroupElement, g: GroupElement) -> int:
     """The pairing chi(g) = sum(chi_i * g_i) mod 2."""
     if chi.r != g.r:
         raise DimensionError(f"character rank {chi.r} does not match element rank {g.r}")
-    return sum(a * b for a, b in zip(chi.bits, g.bits)) % 2
+    return (chi.mask & g.mask).bit_count() & 1
 
 
-def epsilon(chi: Character, g: GroupElement) -> int:
+def epsilon(chi: GroupElement, g: GroupElement) -> int:
     """0 when chi(g) = 0, 1 otherwise; defined only for nonzero g."""
     if g.is_zero:
         raise DomainError("epsilon is defined for nonzero group elements only")
     return pair(chi, g)
 
 
-def epsilon2(chi: Character, chi2: Character, g: GroupElement) -> int:
+def epsilon2(chi: GroupElement, chi2: GroupElement, g: GroupElement) -> int:
     """1 exactly when epsilon(chi, g) and epsilon(chi2, g) are both 1."""
     if g.is_zero:
         raise DomainError("epsilon2 is defined for nonzero group elements only")
@@ -191,7 +180,7 @@ def complement_basis(subgroup: Iterable[GroupElement], r: int) -> list[GroupElem
     chosen: list[GroupElement] = []
     spanned = span(list(sub) + chosen, r)
     for i in range(r):
-        e = GroupElement(tuple(1 if j == i else 0 for j in range(r)))
+        e = GroupElement._of(r, 1 << (r - 1 - i))
         if e not in spanned:
             chosen.append(e)
             spanned = span(list(sub) + chosen, r)

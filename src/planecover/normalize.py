@@ -117,7 +117,11 @@ def normalize(cover: CoverModel, rng: random.Random | None = None) -> CoverModel
 
 
 def is_normalized(cover: CoverModel) -> bool:
-    return normalize(cover) == cover
+    """True when ``normalize`` would return the cover unchanged: every branch
+    entry has multiplicity 1 and every component lies in exactly one D_g."""
+    entries = [entry for _, bucket in cover.branch for entry in bucket]
+    cids = {cid for cid, _ in entries}
+    return all(k == 1 for _, k in entries) and len(entries) == len(cids) == len(cover.components)
 
 
 # -- pullback ----------------------------------------------------------------

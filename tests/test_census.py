@@ -12,9 +12,10 @@ def test_census_r2_degree1_is_exactly_the_two_line_patterns():
     assert labels == ["Prop4.2/P1.221&P1.22.1", "Prop4.4/0.22[d=1]"]
 
 
-def test_census_matches_golden_file():
-    golden = (GOLDEN_DIR / "census_r2_maxdeg3.txt").read_text(encoding="utf-8")
-    assert census(2, 3).to_text() == golden
+@pytest.mark.parametrize("r, max_degree", [(2, 3), (3, 7), (4, 7)])
+def test_census_matches_golden_file(r, max_degree):
+    golden = (GOLDEN_DIR / f"census_r{r}_maxdeg{max_degree}.txt").read_text(encoding="utf-8")
+    assert census(r, max_degree).to_text() == golden
 
 
 def test_census_is_deterministic():

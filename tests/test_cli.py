@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from planecover.cli import main
 
@@ -142,3 +145,23 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "--input", "/nonexistent/file.cfg")
     assert code == 2
     assert "error[io]" in err
+
+
+UNDECODABLE = b"\xff\xfe[cover]\n"
+
+
+def test_undecodable_file_is_a_config_error(capsys, tmp_path):
+    doc = tmp_path / "bad.cfg"
+    doc.write_bytes(UNDECODABLE)
+    code, _, err = run(capsys, "validate", "--input", str(doc))
+    assert code == 2
+    assert err.startswith("error[config]: 1:1: input is not UTF-8 text")
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_undecodable_stdin_is_a_config_error(capsys, monkeypatch, errors):
+    stdin = io.TextIOWrapper(io.BytesIO(b"[cover]\nr = 2\n" + UNDECODABLE), "utf-8", errors)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, "validate", "--input", "-")
+    assert code == 2
+    assert err.startswith("error[config]: 3:1: input is not UTF-8 text")

@@ -122,3 +122,21 @@ def test_serialization_round_trip():
     assert GroupElement.parse("110") == GroupElement((1, 1, 0))
     with pytest.raises(DomainError):
         GroupElement.parse("1a0")
+
+
+def test_pair_is_the_dot_product_mod_two():
+    for r in (1, 2, 3, 4):
+        for c, h in itertools.product(group.characters(r), group.elements(r)):
+            assert group.pair(c, h) == sum(a * b for a, b in zip(c.bits, h.bits)) % 2
+
+
+def test_order_is_lexicographic_bit_string_order():
+    for r in (1, 2, 3, 4):
+        backwards = list(group.elements(r))[::-1]
+        assert sorted(backwards) == sorted(backwards, key=str)
+
+
+def test_characters_and_elements_are_one_type():
+    assert Character is GroupElement
+    assert list(group.characters(3)) == list(group.elements(3))
+    assert [h.bits for h in group.elements(2)] == [(0, 0), (0, 1), (1, 0), (1, 1)]

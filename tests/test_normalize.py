@@ -19,7 +19,8 @@ from planecover.normalize import (
     step2_disjoin,
 )
 
-from conftest import load_cover
+from conftest import FIXTURE_DIR, load_cover
+from test_cover import random_valid_cover
 
 
 def branch_ids(model):
@@ -337,3 +338,16 @@ def test_pull_back_rejects_existing_center():
 def test_is_normalized_flag():
     assert is_normalized(load_cover("prop53"))
     assert not is_normalized(pull_back(load_cover("prop51"), "x"))
+    # oracle: the direct predicate agrees with running normalize to its fixpoint
+    models = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        cover = load_cover(path.stem)
+        models.append(cover)
+        models += [pull_back(cover, m.name) for m in cover.marked if cover.point_is_ripe(m.name)]
+    rng = random.Random(5150)
+    models += [random_valid_cover(rng) for _ in range(50)]
+    lines = [(name, 1, {}) for name in "ABCD"]
+    models.append(plane_cover(2, lines, {"10": [("A", 1)], "01": [("B", 1)], "11": [("C", 1)]}))
+    assert any(not is_normalized(c) for c in models)
+    for c in models:
+        assert is_normalized(c) == (normalize(c) == c)
