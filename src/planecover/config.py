@@ -82,13 +82,18 @@ class ConfigDocument:
 
 
 def _topo_sorted(centers: list[tuple[str, str | None]]) -> list[tuple[str, str | None]]:
+    """Centers by (depth below a plane point, name), found without recursion."""
     by_name = dict(centers)
-
-    def depth(name: str) -> int:
-        parent = by_name.get(name)
-        return 0 if parent is None else 1 + depth(parent)
-
-    return sorted(centers, key=lambda item: (depth(item[0]), item[0]))
+    depth: dict[str | None, int] = {None: -1}
+    for name, _ in centers:
+        chain = []
+        while name not in depth and len(chain) <= len(by_name):
+            chain.append(name)
+            name = by_name.get(name)
+        for link in reversed(chain):
+            depth[link] = depth.get(name, -1) + 1
+            name = link
+    return sorted(centers, key=lambda item: (depth[item[0]], item[0]))
 
 
 def from_cover(model: CoverModel) -> ConfigDocument:

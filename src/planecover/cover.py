@@ -156,29 +156,13 @@ class CoverModel:
 
     def branch_class(self, g: GroupElement) -> DivisorClass:
         total = lattice.zero_class(self.surface)
-        for h, entries in self.branch:
-            if h == g:
-                for cid, k in entries:
-                    total = total + k * self.component(cid).cls
+        for cid, k in self.branch_map().get(g, ()):
+            total = total + k * self.component(cid).cls
         return total
-
-    def branch_total(self) -> DivisorClass:
-        total = lattice.zero_class(self.surface)
-        for g, _ in self.branch:
-            total = total + self.branch_class(g)
-        return total
-
-    def assignments_of(self, cid: str) -> list[tuple[GroupElement, int]]:
-        out = []
-        for g, entries in self.branch:
-            for name, k in entries:
-                if name == cid:
-                    out.append((g, k))
-        return out
 
     def inertia_of(self, cid: str) -> GroupElement:
         """The unique g with cid in D_g; requires a normalized model."""
-        assigned = self.assignments_of(cid)
+        assigned = [(g, k) for g, entries in self.branch for name, k in entries if name == cid]
         if len(assigned) != 1 or assigned[0][1] != 1:
             raise InconsistencyError(
                 f"component {cid!r} is not reduced/uniquely assigned; normalize first"
@@ -270,6 +254,16 @@ def is_totally_ramified(cover: CoverModel) -> bool:
     return len(group.span(carriers, cover.r)) == 2**cover.r
 
 
+def _branch_sums(cover: CoverModel) -> dict[Character, DivisorClass]:
+    """sum over nonzero g of eps_chi(g) * [D_g], for every character chi."""
+    classes = {g: cover.branch_class(g) for g, _ in cover.branch}
+    zero = lattice.zero_class(cover.surface)
+    return {
+        chi: sum((cls for g, cls in classes.items() if group.epsilon(chi, g)), zero)
+        for chi in group.characters(cover.r)
+    }
+
+
 def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
     """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g].
 
@@ -278,15 +272,7 @@ def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
     the three branch degrees must share their parity).
     """
     out: dict[Character, DivisorClass] = {}
-    classes = {g: cover.branch_class(g) for g, _ in cover.branch}
-    for chi in group.characters(cover.r):
-        if chi.is_zero:
-            out[chi] = lattice.zero_class(cover.surface)
-            continue
-        total = lattice.zero_class(cover.surface)
-        for g, cls in classes.items():
-            if group.epsilon(chi, g):
-                total = total + cls
+    for chi, total in _branch_sums(cover).items():
         if any(c % 2 for c in total.coeffs):
             raise ParityError(
                 f"branch data sum for character {chi} is not divisible by two",
@@ -311,24 +297,28 @@ class ProdReport:
 def check_prod_relations(
     cover: CoverModel, building: Mapping[Character, DivisorClass] | None = None
 ) -> ProdReport:
-    """Verify the product relations for every ordered pair of characters."""
+    """Verify the product relations for every ordered pair of characters.
+
+    With M_chi = 2 L_chi - sum eps_chi(g) D_g, and eps_chi + eps_chi' -
+    eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for (chi, chi') reads
+    M_chi + M_chi' = M_{chi+chi'}; the lattice is torsion-free, so that decides it.
+    """
     if building is None:
         building = derive_building_data(cover)
-    classes = {g: cover.branch_class(g) for g, _ in cover.branch}
-    violations = []
-    chars = list(group.characters(cover.r))
-    count = 0
-    for chi in chars:
-        for chi2 in chars:
-            count += 1
-            lhs = building[chi] + building[chi2]
-            rhs = building[chi + chi2]
-            for g, cls in classes.items():
-                if group.epsilon2(chi, chi2, g):
-                    rhs = rhs + cls
-            if lhs != rhs:
-                violations.append((chi, chi2))
-    return ProdReport(count, tuple(violations))
+    defect: dict[Character, list[int]] = {}
+    for chi, total in _branch_sums(cover).items():
+        if chi not in building:
+            raise DomainError(f"building data have no class for character {chi}")
+        if building[chi].surface != cover.surface:
+            raise DimensionError(f"building class for character {chi} lives on another surface")
+        defect[chi] = [2 * a - b for a, b in zip(building[chi].coeffs, total.coeffs)]
+    violations = [
+        (chi, chi2)
+        for chi in defect
+        for chi2 in defect
+        if [a + b for a, b in zip(defect[chi], defect[chi2])] != defect[chi + chi2]
+    ]
+    return ProdReport(len(defect) ** 2, tuple(violations))
 
 
 def quotient_cover(cover: CoverModel, subgroup: Iterable[GroupElement]) -> CoverModel:

@@ -52,13 +52,13 @@ class InvariantReport:
 def euler_characteristic(cover: CoverModel) -> int:
     """chi(O) of the covering surface; the model must be smooth."""
     assert_smooth(cover)
-    building = derive_building_data(cover)
+    return _chi_of_smooth(cover)
+
+
+def _chi_of_smooth(cover: CoverModel) -> int:
     k = lattice.canonical(cover.surface)
-    total = 0
-    for chi, cls in building.items():
-        if chi.is_zero:
-            continue
-        total += lattice.intersect(cls, cls) + lattice.intersect(cls, k)
+    # L_0 = 0 adds nothing to the sum
+    total = sum(lattice.intersect(cls, cls + k) for cls in derive_building_data(cover).values())
     if total % 2:
         raise InconsistencyError("building data give a non-integral Euler characteristic")
     return 2**cover.r + total // 2
@@ -66,8 +66,11 @@ def euler_characteristic(cover: CoverModel) -> int:
 
 def canonical_square(cover: CoverModel) -> int:
     """K^2 of the covering surface over the current model."""
-    doubled = 2 * lattice.canonical(cover.surface) + cover.branch_total()
-    value = 2**cover.r * lattice.intersect(doubled, doubled)
+    return _k_squared(cover.r, bicanonical_pullback(cover))
+
+
+def _k_squared(r: int, bicanonical: DivisorClass) -> int:
+    value = 2**r * lattice.intersect(bicanonical, bicanonical)
     if value % 4:
         raise InconsistencyError("branch data give a non-integral K^2; check the branch classes")
     return value // 4
@@ -75,7 +78,8 @@ def canonical_square(cover: CoverModel) -> int:
 
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
-    return 2 * lattice.canonical(cover.surface) + cover.branch_total()
+    classes = (cover.branch_class(g) for g, _ in cover.branch)
+    return sum(classes, 2 * lattice.canonical(cover.surface))
 
 
 def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
@@ -85,32 +89,33 @@ def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
     return len(nonzero) == 1 and nonzero[0] < 0
 
 
-def rationality_verdict(cover: CoverModel) -> tuple[str, tuple[str, ...]]:
-    """Conservative verdict: "rational" or "inconclusive", never "irrational"."""
-    notes: list[str] = []
-    if not smoothness_report(cover):
+def _verdict(chi: int | None, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]:
+    """The verdict from chi (None for a model that is not smooth) and 2K + sum D_g."""
+    if chi is None:
         return "inconclusive", ("model not smooth; resolve before asking for a verdict",)
-    chi = euler_characteristic(cover)
     if chi != 1:
         return "inconclusive", (f"chi = {chi} != 1",)
-    cls = bicanonical_pullback(cover)
-    if cls.degree < 0:
-        notes.append("bicanonical pullback has negative degree, so P2 = 0")
-        return "rational", tuple(notes)
-    if _negative_exceptional_multiple(cls):
-        notes.append("bicanonical pullback is a negative exceptional multiple, so P2 = 0")
-        return "rational", tuple(notes)
+    if bicanonical.degree < 0:
+        return "rational", ("bicanonical pullback has negative degree, so P2 = 0",)
+    if _negative_exceptional_multiple(bicanonical):
+        return "rational", ("bicanonical pullback is a negative exceptional multiple, so P2 = 0",)
     return "inconclusive", ("bicanonical pullback class may be effective",)
 
 
+def rationality_verdict(cover: CoverModel) -> tuple[str, tuple[str, ...]]:
+    """Conservative verdict: "rational" or "inconclusive", never "irrational"."""
+    chi = _chi_of_smooth(cover) if smoothness_report(cover) else None
+    return _verdict(chi, bicanonical_pullback(cover))
+
+
 def invariant_report(cover: CoverModel) -> InvariantReport:
-    smooth = bool(smoothness_report(cover))
-    chi = euler_characteristic(cover) if smooth else None
-    verdict, notes = rationality_verdict(cover)
+    chi = _chi_of_smooth(cover) if smoothness_report(cover) else None
+    bicanonical = bicanonical_pullback(cover)
+    verdict, notes = _verdict(chi, bicanonical)
     return InvariantReport(
         chi=chi,
-        k_squared=canonical_square(cover),
-        bicanonical_pullback=bicanonical_pullback(cover),
+        k_squared=_k_squared(cover.r, bicanonical),
+        bicanonical_pullback=bicanonical,
         rationality_verdict=verdict,
         surface_centers=cover.surface.names,
         notes=notes,

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .group import GroupElement
-from .lattice import Center
+from .lattice import Center, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def pull_back(cover: CoverModel, point: str) -> CoverModel:
 
     Each D_g gains mult(D_g at the point) copies of the new exceptional
     component and component classes become strict transforms, so the branch
-    divisor classes are total transforms.  The result is NOT normalized.
+    divisor classes are total transforms.  The new center is the last
+    coordinate, so a strict transform is the old coefficient tuple followed
+    by minus the multiplicity at the point.  The result is NOT normalized.
     """
     known = {m.name for m in cover.marked}
     if point in known:
@@ -156,21 +158,19 @@ def pull_back(cover: CoverModel, point: str) -> CoverModel:
         eid = f"E_{point}{serial}"
 
     new_comps = []
-    mult_in_g: dict[GroupElement, int] = {}
+    comp_mult: dict[str, int] = {}
     for comp in cover.components:
-        m = comp.mult_at(point)
-        cls = lattice.strict_transform(lattice.embed(comp.cls, surface), point, m)
+        m = comp_mult[comp.cid] = comp.mult_at(point)
+        cls = DivisorClass(surface, comp.cls.coeffs + (-m,))
         mults = tuple((n, k) for n, k in comp.mults if n != point)
         new_comps.append(replace(comp, cls=cls, mults=mults))
-    comp_mult = {c.cid: c.mult_at(point) for c in cover.components}
+    mult_in_g: dict[GroupElement, int] = {}
     for g, entries in cover.branch:
         total = sum(k * comp_mult[cid] for cid, k in entries)
         if total:
             mult_in_g[g] = total
 
-    new_branch = [
-        (g, tuple((cid, k) for cid, k in entries)) for g, entries in cover.branch
-    ]
+    new_branch = list(cover.branch)
     if mult_in_g:
         children = tuple(m.name for m in cover.marked if m.parent == point)
         exc = CurveComponent(
@@ -181,8 +181,7 @@ def pull_back(cover: CoverModel, point: str) -> CoverModel:
             exceptional_of=point,
         )
         new_comps.append(exc)
-        for g in sorted(mult_in_g):
-            new_branch.append((g, ((eid, mult_in_g[g]),)))
+        new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
 
     marked = tuple(m for m in cover.marked if m.name != point)
     return CoverModel(cover.r, surface, tuple(new_comps), tuple(new_branch), marked, cover.pencil)

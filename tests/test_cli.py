@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from planecover import config
 from planecover.cli import main
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
@@ -165,3 +166,18 @@ def test_undecodable_stdin_is_a_config_error(capsys, monkeypatch, errors):
     code, _, err = run(capsys, "validate", "--input", "-")
     assert code == 2
     assert err.startswith("error[config]: 3:1: input is not UTF-8 text")
+
+
+def test_normalize_deep_chain_of_near_points(capsys, tmp_path):
+    centers = ["x0 = point"] + [f"x{i} = near x{i - 1}" for i in range(1, 1100)]
+    lines = ["A = degree 1", "B = degree 1", "C = degree 1"]
+    branch = ["10 = A", "01 = B", "11 = C"]
+    text = "\n".join(["[cover]", "r = 2", "[centers]", *centers, "[components]", *lines,
+                      "[branch]", *branch]) + "\n"
+    doc = tmp_path / "deep.cfg"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "--input", str(doc))
+    assert (code, err) == (0, "")
+    assert len(config.parse(out).centers) == 1100
+    doc.write_text(out, encoding="utf-8")
+    assert run(capsys, "normalize", "--input", str(doc)) == (0, out, "")

@@ -12,8 +12,10 @@ from planecover.cover import (
     plane_cover,
     quotient_cover,
 )
-from planecover.errors import DomainError, ParityError
+from planecover.errors import DimensionError, DomainError, ParityError
 from planecover.group import Character, GroupElement
+from planecover.lattice import Center, DivisorClass
+from planecover.normalize import pull_back
 
 from conftest import load_cover
 
@@ -220,6 +222,57 @@ def test_prod_relations_random_valid_configurations():
     for _ in range(200):
         model = random_valid_cover(rng)
         assert check_prod_relations(model).ok
+
+
+def prod_violations_oracle(model, building):
+    """Each relation on its own: L_chi + L_chi' = L_{chi+chi'} + sum eps_{chi,chi'}(g) D_g."""
+    violations = []
+    for chi, chi2 in itertools.product(group.characters(model.r), repeat=2):
+        rhs = building[chi + chi2]
+        for g, _ in model.branch:
+            if group.epsilon2(chi, chi2, g):
+                rhs = rhs + model.branch_class(g)
+        if building[chi] + building[chi2] != rhs:
+            violations.append((chi, chi2))
+    return violations
+
+
+def test_prod_relations_match_pairwise_oracle():
+    rng = random.Random(2718)
+    failing = 0
+    for i in range(100):
+        model = random_valid_cover(rng)
+        if i % 2:
+            # a second coordinate, so perturbations need not be multiples of H
+            model = pull_back(model, "fresh")
+        building = derive_building_data(model)
+        for chi in rng.sample(list(group.characters(model.r)), rng.randint(1, 2)):
+            shift = tuple(rng.randint(-2, 2) for _ in range(model.surface.rank))
+            building[chi] = building[chi] + DivisorClass(model.surface, shift)
+        report = check_prod_relations(model, building)
+        assert report.pairs_checked == 4**model.r
+        assert list(report.violations) == prod_violations_oracle(model, building)
+        failing += not report.ok
+    assert failing >= 50
+
+
+def test_prod_relations_missing_character():
+    model = load_cover("prop53")
+    building = derive_building_data(model)
+    del building[Character((0, 1))]
+    with pytest.raises(DomainError, match="character 01"):
+        check_prod_relations(model, building)
+
+
+def test_prod_relations_class_on_another_surface():
+    # same rank, different center: only the surface tells the classes apart
+    model = pull_back(load_cover("prop51"), "x")
+    building = derive_building_data(model)
+    other = cov.lattice.PLANE.blow_up(Center("z"))
+    hh = Character((1, 1))
+    building[hh] = DivisorClass(other, building[hh].coeffs)
+    with pytest.raises(DimensionError):
+        check_prod_relations(model, building)
 
 
 def test_component_validation():

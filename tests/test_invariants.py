@@ -13,9 +13,9 @@ from planecover.invariants import (
     rationality_verdict,
     riemann_hurwitz_genus,
 )
-from planecover.normalize import normalize, pull_back, resolve
+from planecover.normalize import normalize, pull_back, resolve, smoothness_report
 
-from conftest import PROPOSITION_FIXTURES, load_cover
+from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover
 
 
 def test_chi_two_lines_and_cubic():
@@ -174,3 +174,32 @@ def test_plane_branch_degree_formula():
         model = plane_cover(r, comps, branch)
         assert canonical_square(model) == 2**r * (total // 2 - 3) ** 2
         count += 1
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.cfg")))
+def test_report_agrees_with_the_single_invariants(name):
+    cover = load_cover(name)
+    for c in (cover, normalize(cover), resolve(cover).cover):
+        report = invariant_report(c)
+        assert rationality_verdict(c) == (report.rationality_verdict, report.notes)
+        assert report.k_squared == canonical_square(c)
+        assert report.bicanonical_pullback == bicanonical_pullback(c)
+        assert report.chi == (euler_characteristic(c) if smoothness_report(c) else None)
+
+
+def line_arrangement(k):
+    """3k lines, k in each D_g of an r=2 cover, and k declared triple points.
+
+    Triple point i carries line i of each D_g; every other crossing is general.
+    """
+    comps = [(f"L{j}_{i}", 1, {f"t{i}": 1}) for j in range(3) for i in range(k)]
+    branch = {g: [(f"L{j}_{i}", 1) for i in range(k)] for j, g in enumerate(("10", "01", "11"))}
+    return plane_cover(2, comps, branch, marked=[(f"t{i}", None) for i in range(k)])
+
+
+@pytest.mark.parametrize("k, expected", [(4, (10, 32, 2, 23)), (8, (64, 316, 2, 93))])
+def test_line_arrangement_invariants(k, expected):
+    # rank 1 + k + 3 * C(k, 2): the triple points, then every general crossing
+    result = resolve(line_arrangement(k))
+    report = invariant_report(result.cover)
+    assert (report.chi, report.k_squared, result.rounds, result.cover.surface.rank) == expected

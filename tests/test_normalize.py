@@ -322,6 +322,23 @@ def test_resolve_handles_residual_same_inertia_points():
     assert smoothness_report(result.cover).smooth
 
 
+def test_pull_back_classes_are_strict_transforms():
+    # oracle: embed each class in the blown-up surface, then subtract m * E_point
+    cases = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        cover = load_cover(path.stem)
+        cases += [(cover, m.name) for m in cover.marked if cover.point_is_ripe(m.name)]
+    cases.append((pull_back(load_cover("prop51"), "x"), "y"))  # infinitely near child
+    for cover, point in cases:
+        pulled = pull_back(cover, point)
+        assert pulled.surface.names[-1] == point
+        for comp in cover.components:
+            embedded = lattice.embed(comp.cls, pulled.surface)
+            expected = lattice.strict_transform(embedded, point, comp.mult_at(point))
+            assert pulled.component(comp.cid).cls == expected
+    assert cases[-1][0].component("E_x").mult_at("y") == 1
+
+
 def test_pull_back_requires_ripe_point():
     with pytest.raises(PreconditionError):
         pull_back(load_cover("prop51"), "y")
