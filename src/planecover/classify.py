@@ -580,10 +580,7 @@ def quadratic_move(
                 f"that the move would orphan"
             )
     order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
-    work = cover
-    for name in order:
-        work = pull_back(work, name)
-    work = normalize(work)
+    work = normalize(pull_back(cover, *order))
 
     survivors: list[CurveComponent] = []
     dropped: set[str] = set()

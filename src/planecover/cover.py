@@ -18,6 +18,7 @@ from .errors import (
     DanglingReferenceError,
     DimensionError,
     DomainError,
+    GeometryError,
     InconsistencyError,
     ParityError,
 )
@@ -198,22 +199,37 @@ def plane_cover(
     pencil: str | None = None,
     reducible: Iterable[str] = (),
 ) -> CoverModel:
-    """Build a plane configuration from degrees and declared multiplicities."""
+    """Build a plane configuration from degrees and declared multiplicities.
+
+    Raises GeometryError for a point of multiplicity m > d on a curve of
+    degree d, and for m = d >= 2 on a curve not declared reducible: such a
+    curve is d lines through the point.
+    """
     reducible = set(reducible)
-    comps = tuple(
-        CurveComponent(
+    comps = []
+    for cid, degree, mults in components:
+        comp = CurveComponent(
             cid,
             DivisorClass(lattice.PLANE, (degree,)),
             irreducible=cid not in reducible,
             mults=tuple(mults.items()),
         )
-        for cid, degree, mults in components
-    )
+        for point, m in comp.mults:
+            if m > degree:
+                raise GeometryError(
+                    f"component {cid!r} of degree {degree} cannot have multiplicity {m} at {point!r}"
+                )
+            if m == degree >= 2 and comp.irreducible:
+                raise GeometryError(
+                    f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
+                    f"so it is {degree} lines; declare it reducible"
+                )
+        comps.append(comp)
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
     )
     marks = tuple(MarkedPoint(name, parent) for name, parent in marked)
-    return CoverModel(r, lattice.PLANE, comps, branch_data, marks, pencil)
+    return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
 
 
 def add_marked_point(
@@ -223,26 +239,46 @@ def add_marked_point(
     mults: Mapping[str, int] | None = None,
 ) -> CoverModel:
     """Declare a new marked point lying on the given components."""
-    if any(m.name == name for m in cover.marked) or cover.surface.has_center(name):
-        raise DomainError(f"point name {name!r} is already in use")
-    mults = dict(mults or {})
-    new_comps = []
-    for comp in cover.components:
-        extra = dict(comp.mults)
-        if comp.cid in mults:
-            extra[name] = mults.pop(comp.cid)
-        if parent is not None and comp.exceptional_of == parent:
-            # the exceptional curve of the parent passes through every
-            # direction marked on it
-            extra[name] = extra.get(name, 1)
-        new_comps.append(replace(comp, mults=tuple(extra.items())))
-    if mults:
-        raise DanglingReferenceError(f"unknown components in mults: {sorted(mults)}")
-    return replace(
-        cover,
-        components=tuple(new_comps),
-        marked=cover.marked + (MarkedPoint(name, parent),),
+    return add_marked_points(cover, [(name, parent, mults)])
+
+
+def add_marked_points(
+    cover: CoverModel,
+    points: Iterable[tuple[str, str | None, Mapping[str, int] | None]],
+) -> CoverModel:
+    """Declare new marked points ``(name, parent, mults)`` in one rebuild.
+
+    Each name must be new, also against the names before it in ``points``,
+    and each ``mults`` may name only existing components.  The exceptional
+    curve of a parent passes through every direction marked on it.
+    """
+    extra = {c.cid: dict(c.mults) for c in cover.components}
+    exceptional: dict[str, list[str]] = {}
+    for c in cover.components:
+        if c.exceptional_of is not None:
+            exceptional.setdefault(c.exceptional_of, []).append(c.cid)
+    marked = list(cover.marked)
+    in_use = {m.name for m in marked} | set(cover.surface.names)
+    touched: set[str] = set()
+    for name, parent, mults in points:
+        if name in in_use:
+            raise DomainError(f"point name {name!r} is already in use")
+        mults = dict(mults or {})
+        unknown = sorted(cid for cid in mults if cid not in extra)
+        if unknown:
+            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+        for cid in exceptional.get(parent, ()):
+            mults.setdefault(cid, 1)
+        for cid, m in mults.items():
+            extra[cid][name] = m
+        touched.update(mults)
+        in_use.add(name)
+        marked.append(MarkedPoint(name, parent))
+    components = tuple(
+        replace(c, mults=tuple(extra[c.cid].items())) if c.cid in touched else c
+        for c in cover.components
     )
+    return replace(cover, components=components, marked=tuple(marked))
 
 
 # -- operations ------------------------------------------------------------

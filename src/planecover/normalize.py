@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import lattice
-from .cover import CoverModel, CurveComponent, add_marked_point
+from .cover import CoverModel, CurveComponent, add_marked_points
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .group import GroupElement
-from .lattice import Center, DivisorClass
+from .lattice import BlownPlane, Center, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -127,64 +127,103 @@ def is_normalized(cover: CoverModel) -> bool:
 # -- pullback ----------------------------------------------------------------
 
 
-def pull_back(cover: CoverModel, point: str) -> CoverModel:
-    """Pull the cover back along the blow-up at a marked (or fresh) point.
+def pull_back(cover: CoverModel, *points: str) -> CoverModel:
+    """Pull the cover back along the blow-ups at marked (or fresh) points.
 
-    Each D_g gains mult(D_g at the point) copies of the new exceptional
-    component and component classes become strict transforms, so the branch
-    divisor classes are total transforms.  The new center is the last
-    coordinate, so a strict transform is the old coefficient tuple followed
-    by minus the multiplicity at the point.  The result is NOT normalized.
+    The points are blown up in the order given, so a child point may follow
+    its parent in the same call (the parent's exceptional curve then passes
+    through it), and the result equals pulling back one point at a time:
+    ``pull_back(c, a, b) == pull_back(pull_back(c, a), b)``.
+
+    At each point, every D_g gains mult(D_g at the point) copies of the new
+    exceptional component and component classes become strict transforms,
+    so the branch divisor classes are total transforms.  Each new center is
+    appended as the last coordinate, so a strict transform is the old
+    coefficient tuple followed by minus the multiplicity at the point.  The
+    surface, the components and the model are built once, after the last
+    point.  The result is NOT normalized.
     """
-    known = {m.name for m in cover.marked}
-    if point in known:
-        mp = cover.marked_point(point)
-        if not cover.point_is_ripe(point):
-            raise PreconditionError(
-                f"point {point!r} is infinitely near unblown point {mp.parent!r}"
-            )
-        parent = mp.parent
-    elif cover.surface.has_center(point):
-        raise DomainError(f"point {point!r} is already a center")
-    else:
-        parent = None
-
-    surface = cover.surface.blow_up(Center(point, parent))
-    taken = {c.cid for c in cover.components}
-    eid = f"E_{point}"
-    serial = 1
-    while eid in taken:
-        serial += 1
-        eid = f"E_{point}{serial}"
-
-    new_comps = []
-    comp_mult: dict[str, int] = {}
-    for comp in cover.components:
-        m = comp_mult[comp.cid] = comp.mult_at(point)
-        cls = DivisorClass(surface, comp.cls.coeffs + (-m,))
-        mults = tuple((n, k) for n, k in comp.mults if n != point)
-        new_comps.append(replace(comp, cls=cls, mults=mults))
-    mult_in_g: dict[GroupElement, int] = {}
+    if not points:
+        raise DomainError("pull_back needs at least one point")
+    marked = {m.name: m for m in cover.marked}
+    children: dict[str, list[str]] = {}
+    for m in cover.marked:
+        children.setdefault(m.parent, []).append(m.name)
+    centers = list(cover.surface.centers)
+    center_names = set(cover.surface.names)
+    # work per incidence, not per (component, point): each component keeps its
+    # coefficients before this call plus the (slot, -m) it gains, the D_g it
+    # lies in and its unchanged constructor arguments; each point maps to the
+    # components through it
+    coeffs = {c.cid: list(c.cls.coeffs) for c in cover.components}
+    appended: dict[str, list[tuple[int, int]]] = {cid: [] for cid in coeffs}
+    carriers: dict[str, list[tuple[GroupElement, int]]] = {cid: [] for cid in coeffs}
     for g, entries in cover.branch:
-        total = sum(k * comp_mult[cid] for cid, k in entries)
-        if total:
-            mult_in_g[g] = total
-
+        for cid, k in entries:
+            carriers[cid].append((g, k))
+    kept = {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components}
+    through: dict[str, dict[str, int]] = {}
+    for c in cover.components:
+        for name, m in c.mults:
+            through.setdefault(name, {})[c.cid] = m
     new_branch = list(cover.branch)
-    if mult_in_g:
-        children = tuple(m.name for m in cover.marked if m.parent == point)
-        exc = CurveComponent(
-            eid,
-            lattice.exceptional(surface, point),
-            irreducible=True,
-            mults=tuple((child, 1) for child in children),
-            exceptional_of=point,
-        )
-        new_comps.append(exc)
+    for point in points:
+        if point in marked:
+            parent = marked.pop(point).parent
+            if parent is not None and parent not in center_names:
+                raise PreconditionError(
+                    f"point {point!r} is infinitely near unblown point {parent!r}"
+                )
+        elif point in center_names:
+            raise DomainError(f"point {point!r} is already a center")
+        else:
+            parent = None
+        centers.append(Center(point, parent))
+        center_names.add(point)
+        slot = len(centers)
+
+        mult_in_g: dict[GroupElement, int] = {}
+        for cid, m in through.pop(point, {}).items():
+            appended[cid].append((slot, -m))
+            for g, k in carriers[cid]:
+                mult_in_g[g] = mult_in_g.get(g, 0) + k * m
+        if not mult_in_g:
+            continue
+        eid = f"E_{point}"
+        serial = 1
+        while eid in coeffs:
+            serial += 1
+            eid = f"E_{point}{serial}"
+        coeffs[eid] = [0] * slot + [1]
+        appended[eid] = []
+        carriers[eid] = list(mult_in_g.items())
+        kept[eid] = (True, point)
+        for child in children.get(point, ()):
+            through.setdefault(child, {})[eid] = 1
         new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
 
-    marked = tuple(m for m in cover.marked if m.name != point)
-    return CoverModel(cover.r, surface, tuple(new_comps), tuple(new_branch), marked, cover.pencil)
+    surface = BlownPlane(tuple(centers))
+    mults: dict[str, list[tuple[str, int]]] = {cid: [] for cid in coeffs}
+    for name, at in through.items():
+        for cid, m in at.items():
+            mults[cid].append((name, m))
+    comps = []
+    for cid, coeff in coeffs.items():
+        coeff += [0] * (surface.rank - len(coeff))
+        for slot, value in appended[cid]:
+            coeff[slot] = value
+        comps.append(
+            CurveComponent(
+                cid,
+                DivisorClass(surface, tuple(coeff)),
+                irreducible=kept[cid][0],
+                mults=tuple(mults[cid]),
+                exceptional_of=kept[cid][1],
+            )
+        )
+    return CoverModel(
+        cover.r, surface, tuple(comps), tuple(new_branch), tuple(marked.values()), cover.pencil
+    )
 
 
 # -- smoothness --------------------------------------------------------------
@@ -324,14 +363,14 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
         ]
         if not singulars:
             pairs = singular_residual_pairs(current)
-            if pairs:
-                for cid1, cid2 in pairs:
-                    auto += 1
-                    name = f"sing{auto}"
-                    current = add_marked_point(current, name, mults={cid1: 1, cid2: 1})
-                    singulars.append(name)
-            else:
+            if not pairs:
                 break
+            names = [f"sing{auto + i}" for i in range(1, len(pairs) + 1)]
+            auto += len(pairs)
+            current = add_marked_points(
+                current, [(name, None, {a: 1, b: 1}) for name, (a, b) in zip(names, pairs)]
+            )
+            singulars = names
         if rounds >= max_rounds:
             raise NonTerminationError(
                 f"resolution did not finish within {max_rounds} rounds; "
@@ -340,8 +379,7 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
             )
         rounds += 1
         before = current
-        for name in sorted(singulars):
-            current = pull_back(current, name)
-        current = normalize(current)
-        trail.append(RoundRecord(rounds, tuple(sorted(singulars)), _branch_diff(before, current)))
+        blown = tuple(sorted(singulars))
+        current = normalize(pull_back(current, *blown))
+        trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
     return ResolveResult(current, rounds, tuple(trail))

@@ -127,13 +127,15 @@ def test_match_nonconcurrent_variants():
 
 
 def test_match_b1_subcase_flag():
-    # one of the three curves may pass through the pencil point once more
+    # one of the three curves may pass through the pencil point once more;
+    # a cubic with a triple point is three lines, so it is declared reducible
     model = plane_cover(
         2,
         [("A", 3, {"p": 3}), ("B", 3, {"p": 2}), ("Cc", 3, {"p": 2})],
         {"10": [("A", 1)], "01": [("B", 1)], "11": [("Cc", 1)]},
         marked=[("p", None)],
         pencil="p",
+        reducible=["A"],
     )
     label = match_conic_bundle(model, "p")
     assert label.proposition == "4.6"
@@ -149,6 +151,7 @@ def test_match_b1_subcase_rank3_and_rank4():
          "001": [("K1", 1), ("K2", 1)]},
         marked=[("p", None)],
         pencil="p",
+        reducible=["A"],
     )
     label = match_conic_bundle(b1_r3, "p")
     assert label.proposition == "4.10" and "b1" in label.flags

@@ -181,3 +181,37 @@ def test_normalize_deep_chain_of_near_points(capsys, tmp_path):
     assert len(config.parse(out).centers) == 1100
     doc.write_text(out, encoding="utf-8")
     assert run(capsys, "normalize", "--input", str(doc)) == (0, out, "")
+
+
+IMPOSSIBLE_MULTIPLICITY = (
+    "[cover]\nr = 2\n\n[centers]\nx = point\n\n[components]\n"
+    "lineA = degree 1, mult(x) = 3\nlineB = degree 1\nlineC = degree 1\n\n"
+    "[branch]\n10 = lineA\n01 = lineB\n11 = lineC\n"
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_multiplicity_above_degree_is_a_geometry_error(capsys, tmp_path, command):
+    doc = tmp_path / "mult3.cfg"
+    doc.write_text(IMPOSSIBLE_MULTIPLICITY, encoding="utf-8")
+    code, out, err = run(capsys, command, "--input", str(doc))
+    assert (code, out) == (4, "")
+    assert err == "error[geometry]: component 'lineA' of degree 1 cannot have multiplicity 3 at 'x'\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_full_multiplicity_needs_a_reducible_curve(capsys, tmp_path, command):
+    conic = "conic = degree 2, mult(x) = 2"
+    text = (
+        "[cover]\nr = 2\n\n[centers]\nx = point\n\n[components]\n"
+        f"{conic}\nlineA = degree 1\nlineB = degree 1\nlineC = degree 1\nlineD = degree 1\n\n"
+        "[branch]\n10 = lineA, lineB\n01 = conic\n11 = lineC, lineD\n"
+    )
+    doc = tmp_path / "conic.cfg"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--input", str(doc))
+    assert (code, out) == (4, "")
+    assert err.startswith("error[geometry]: component 'conic' of degree 2 has multiplicity 2 at 'x'")
+    doc.write_text(text.replace(conic, conic + ", reducible"), encoding="utf-8")
+    code, _, err = run(capsys, command, "--input", str(doc))
+    assert code == 0 and err == ""

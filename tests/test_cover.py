@@ -6,13 +6,15 @@ import pytest
 from planecover import cover as cov
 from planecover import group
 from planecover.cover import (
+    add_marked_point,
+    add_marked_points,
     check_prod_relations,
     derive_building_data,
     is_totally_ramified,
     plane_cover,
     quotient_cover,
 )
-from planecover.errors import DimensionError, DomainError, ParityError
+from planecover.errors import DanglingReferenceError, DimensionError, DomainError, ParityError
 from planecover.group import Character, GroupElement
 from planecover.lattice import Center, DivisorClass
 from planecover.normalize import pull_back
@@ -281,3 +283,29 @@ def test_component_validation():
     with pytest.raises(DomainError):
         # a degree-0 plane component is not an exceptional class
         cov.CurveComponent("A", cov.lattice.zero_class(cov.lattice.PLANE))
+
+
+def test_add_marked_points_equals_successive_single_points():
+    model = pull_back(load_cover("prop51"), "x")
+    points = [("a", "x", None), ("b", None, {"conic": 1, "quartic": 2}), ("c", "a", {"E_x": 2})]
+    successive = model
+    for name, parent, mults in points:
+        successive = add_marked_point(successive, name, parent, mults)
+    batched = add_marked_points(model, points)
+    assert batched == successive
+    # the exceptional curve of x passes through its new direction a
+    assert batched.component("E_x").mult_at("a") == 1
+    assert batched.component("E_x").mult_at("c") == 2
+
+
+def test_add_marked_points_rules_hold_per_point():
+    model = pull_back(load_cover("prop51"), "x")
+    for name in ("y", "x"):  # a marked point and a center
+        with pytest.raises(DomainError):
+            add_marked_points(model, [("a", None, None), (name, None, None)])
+    with pytest.raises(DomainError):
+        add_marked_points(model, [("a", None, None), ("a", None, None)])
+    with pytest.raises(DanglingReferenceError):
+        add_marked_points(model, [("a", None, {"conic": 1}), ("b", None, {"nope": 1})])
+    with pytest.raises(DanglingReferenceError):
+        add_marked_points(model, [("a", "nowhere", None)])

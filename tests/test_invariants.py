@@ -197,7 +197,15 @@ def line_arrangement(k):
     return plane_cover(2, comps, branch, marked=[(f"t{i}", None) for i in range(k)])
 
 
-@pytest.mark.parametrize("k, expected", [(4, (10, 32, 2, 23)), (8, (64, 316, 2, 93))])
+@pytest.mark.parametrize(
+    "k, expected",
+    [
+        (4, (10, 32, 2, 23)),
+        (8, (64, 316, 2, 93)),
+        (12, (166, 888, 2, 211)),
+        (16, (316, 1748, 2, 377)),
+    ],
+)
 def test_line_arrangement_invariants(k, expected):
     # rank 1 + k + 3 * C(k, 2): the triple points, then every general crossing
     result = resolve(line_arrangement(k))

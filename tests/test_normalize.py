@@ -111,6 +111,7 @@ def test_normalize_eq_loi_trace():
         [("A", a, {"p": a}), ("B", b, {"p": b - 1}), ("Cc", c, {"p": c - 2})],
         {"10": [("A", 1)], "01": [("B", 1)], "11": [("Cc", 1)]},
         marked=[("p", None)],
+        reducible=["A"],  # a cubic with a triple point is three lines
     )
     pulled = step1_reduce(pull_back(model, "p"))
     carriers = {str(g) for g, entries in pulled.branch for cid, _ in entries if cid == "E_p"}
@@ -350,6 +351,67 @@ def test_pull_back_rejects_existing_center():
     model = pull_back(load_cover("prop51"), "x")
     with pytest.raises(DomainError):
         pull_back(model, "x")
+
+
+def test_pull_back_batch_equals_successive_pull_backs():
+    cases = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        cover = load_cover(path.stem)
+        for a in (m.name for m in cover.marked if cover.point_is_ripe(m.name)):
+            after = pull_back(cover, a)
+            cases += [(cover, a, m.name) for m in after.marked if after.point_is_ripe(m.name)]
+            cases.append((cover, a, "fresh"))
+    assert (load_cover("prop51"), "x", "y") in cases  # a parent and its infinitely near child
+    for cover, a, b in cases:
+        assert pull_back(cover, a, b) == pull_back(pull_back(cover, a), b)
+    batched = pull_back(load_cover("prop51"), "x", "y")
+    assert batched.component("E_x").cls == lattice.DivisorClass(batched.surface, (0, 1, -1))
+    # every point of prop55, blown up in one call and one at a time
+    cover = load_cover("prop55")
+    names = sorted(m.name for m in cover.marked) + ["fresh"]
+    successive = cover
+    for name in names:
+        successive = pull_back(successive, name)
+    assert pull_back(cover, *names) == successive
+
+
+def test_pull_back_batch_rejects_bad_orders():
+    from planecover.errors import DomainError
+
+    cover = load_cover("prop51")
+    with pytest.raises(DomainError):
+        pull_back(cover, "x", "x")
+    with pytest.raises(DomainError):
+        pull_back(cover, "fresh", "fresh")
+    with pytest.raises(PreconditionError):
+        pull_back(cover, "y", "x")
+    with pytest.raises(DomainError):
+        pull_back(cover)
+
+
+def test_pull_back_batch_exceptional_names_keep_serials():
+    line = [("E_x", 1, {"x": 1, "x2": 1})]
+    cover = plane_cover(2, line, {"10": [("E_x", 1)]}, marked=[("x", None), ("x2", None)])
+    pulled = pull_back(cover, "x", "x2")
+    assert [c.cid for c in pulled.components] == ["E_x", "E_x2", "E_x22"]
+    assert pulled.component("E_x2").exceptional_of == "x"
+    assert pulled == pull_back(pull_back(cover, "x"), "x2")
+
+
+def test_resolve_pulls_back_once_per_round(monkeypatch):
+    import planecover.normalize as normalize_mod
+    from test_invariants import line_arrangement
+
+    calls = []
+
+    def spy(cover, *points):
+        calls.append(points)
+        return pull_back(cover, *points)
+
+    monkeypatch.setattr(normalize_mod, "pull_back", spy)
+    result = normalize_mod.resolve(line_arrangement(8))
+    assert len(calls) == result.rounds == 2
+    assert [record.blown for record in result.trail] == calls
 
 
 def test_is_normalized_flag():
