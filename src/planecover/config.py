@@ -23,7 +23,7 @@ from .cover import CoverModel
 _SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
 _KEYVAL = re.compile(r"^(?P<key>[^=\s]+)\s*=\s*(?P<value>.*)$")
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
-_MULT = re.compile(r"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?\d+)$")
+_MULT = re.compile(r"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]+)$")
 
 
 @dataclass
@@ -111,6 +111,11 @@ def from_cover(model: CoverModel) -> ConfigDocument:
     return doc
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts superscripts, which ``int`` rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _strip_comment(line: str) -> str:
     if "#" in line:
         return line[: line.index("#")]
@@ -153,7 +158,7 @@ def parse(text: str) -> ConfigDocument:
 
         if section == "cover":
             if key == "r":
-                if not value.isdigit() or not 1 <= int(value) <= 4:
+                if not _is_number(value) or not 1 <= int(value) <= 4:
                     err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
                 else:
                     doc.r = int(value)
@@ -196,7 +201,7 @@ def parse(text: str) -> ConfigDocument:
             for part in [p.strip() for p in value.split(",")]:
                 if part.startswith("degree"):
                     rest = part[len("degree") :].strip()
-                    if not rest.lstrip("-").isdigit() or int(rest) < 0:
+                    if not _is_number(rest):
                         err(lineno, col, f"bad degree {rest!r} for component {key!r}")
                         ok = False
                     else:
@@ -244,7 +249,7 @@ def parse(text: str) -> ConfigDocument:
                 name = name.strip()
                 mult = 1
                 if mult_text:
-                    if not mult_text.strip().isdigit() or int(mult_text) < 1:
+                    if not _is_number(mult_text.strip()) or int(mult_text) < 1:
                         err(lineno, col, f"bad multiplicity in branch entry {part!r}")
                         continue
                     mult = int(mult_text)

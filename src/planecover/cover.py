@@ -203,9 +203,19 @@ def plane_cover(
 
     Raises GeometryError for a point of multiplicity m > d on a curve of
     degree d, and for m = d >= 2 on a curve not declared reducible: such a
-    curve is d lines through the point.
+    curve is d lines through the point.  Also for a curve whose multiplicity
+    at a point is below the sum of its multiplicities at the points
+    infinitely near it (proximity), and for a pencil point that is not a
+    plane point.
     """
     reducible = set(reducible)
+    parent_of = dict(marked)
+    if parent_of.get(pencil) is not None:
+        raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
+    children: dict[str, list[str]] = {}
+    for name, parent in parent_of.items():
+        if parent is not None:
+            children.setdefault(parent, []).append(name)
     comps = []
     for cid, degree, mults in components:
         comp = CurveComponent(
@@ -223,6 +233,13 @@ def plane_cover(
                 raise GeometryError(
                     f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
                     f"so it is {degree} lines; declare it reducible"
+                )
+        for point, names in children.items():
+            at, near = mults.get(point, 0), sum(mults.get(name, 0) for name in names)
+            if near > at:
+                raise GeometryError(
+                    f"component {cid!r} has multiplicity {at} at {point!r} "
+                    f"but {near} at the points infinitely near it"
                 )
         comps.append(comp)
     branch_data = tuple(

@@ -1,15 +1,18 @@
 """Normalization of branch data, blow-up pullback, and the resolution loop.
 
 Normalization rewrites branch data until every component is reduced and
-assigned to a single group element:
+assigned to a single group element.  The standard moves are:
 
-* step 1 strips even multiples of a component from each D_g (adjusting the
-  halved building classes implicitly, since those are always re-derived);
-* step 2 moves a component lying in both D_g and D_h into D_{g+h}.
+* strip two copies of a component from one D_g (the halved building classes
+  follow implicitly, since those are always re-derived);
+* move one copy of a component lying in both D_g and D_h into D_{g+h}.
 
-Iterating both to a fixpoint leaves each component either absent or assigned
-once: its final carrier is the XOR of its original carriers counted with
-multiplicity mod 2, which is also why the result is order-independent.
+Both keep, for each component, the XOR of the g whose D_g hold it an odd
+number of times: the first removes an even count, the second trades g and h
+for g+h.  Each move removes a copy, so every sequence of moves stops, and it
+stops exactly when each component lies in at most one D_g, once.  The XOR is
+then that g, or 0 when the component lies nowhere.  So every order of moves
+ends in the same branch data, and ``normalize`` writes them down in one pass.
 
 Singularity detection is combinatorial on declared incidence data: a point
 is bad when a component is singular there, three or more branch components
@@ -19,7 +22,6 @@ same inertia element.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 from . import lattice
@@ -53,67 +55,21 @@ def incidence_at(cover: CoverModel, point: str) -> IncidenceRecord:
     return IncidenceRecord(point, entries, tuple(tangencies))
 
 
-# -- normalization steps ----------------------------------------------------------
+# -- normalization --------------------------------------------------------------
 
 
-def step1_reduce(cover: CoverModel) -> CoverModel:
-    """Drop even parts: a component with multiplicity k in D_g keeps k mod 2."""
-    new_branch = []
+def normalize(cover: CoverModel) -> CoverModel:
+    """Put each component once in the XOR of the D_g that hold it an odd
+    number of times; drop it when that XOR is 0 or no D_g holds it."""
+    carrier: dict[str, GroupElement] = {}
     for g, entries in cover.branch:
-        kept = tuple((cid, k % 2) for cid, k in entries if k % 2)
-        if kept:
-            new_branch.append((g, kept))
-    return replace(cover, branch=tuple(new_branch))
-
-
-def step2_disjoin(cover: CoverModel, rng: random.Random | None = None) -> CoverModel:
-    """While some component lies in D_g and D_h, move it into D_{g+h}.
-
-    The default processing order is deterministic (component id, then
-    lexicographic g); passing ``rng`` shuffles it, which must not change the
-    fixpoint reached by ``normalize``.
-    """
-    branch = {g: dict(entries) for g, entries in cover.branch}
-    while True:
-        candidates = []
-        for cid in sorted({c for bucket in branch.values() for c in bucket}):
-            carriers = sorted(g for g, bucket in branch.items() if bucket.get(cid, 0) >= 1)
-            if len(carriers) >= 2:
-                candidates.append((cid, carriers))
-        if not candidates:
-            break
-        if rng is not None:
-            rng.shuffle(candidates)
-        cid, carriers = candidates[0]
-        if rng is not None:
-            carriers = list(carriers)
-            rng.shuffle(carriers)
-        g, h = carriers[0], carriers[1]
-        k = g + h
-        for source in (g, h):
-            branch[source][cid] -= 1
-            if branch[source][cid] == 0:
-                del branch[source][cid]
-        branch.setdefault(k, {})
-        branch[k][cid] = branch[k].get(cid, 0) + 1
-    new_branch = tuple(
-        (g, tuple(sorted(bucket.items()))) for g, bucket in branch.items() if bucket
-    )
-    return replace(cover, branch=new_branch)
-
-
-def normalize(cover: CoverModel, rng: random.Random | None = None) -> CoverModel:
-    """Iterate step 1 and step 2 to a fixpoint; drop unassigned components."""
-    current = cover
-    while True:
-        after = step2_disjoin(step1_reduce(current), rng=rng)
-        if after.branch == current.branch:
-            current = after
-            break
-        current = after
-    assigned = {cid for _, entries in current.branch for cid, _ in entries}
-    comps = tuple(c for c in current.components if c.cid in assigned)
-    return replace(current, components=comps)
+        for cid, k in entries:
+            if k % 2:
+                carrier[cid] = carrier[cid] + g if cid in carrier else g
+    kept = {cid: g for cid, g in carrier.items() if not g.is_zero}
+    branch = tuple((g, ((cid, 1),)) for cid, g in kept.items())
+    comps = tuple(c for c in cover.components if c.cid in kept)
+    return replace(cover, branch=branch, components=comps)
 
 
 def is_normalized(cover: CoverModel) -> bool:

@@ -215,3 +215,58 @@ def test_full_multiplicity_needs_a_reducible_curve(capsys, tmp_path, command):
     doc.write_text(text.replace(conic, conic + ", reducible"), encoding="utf-8")
     code, _, err = run(capsys, command, "--input", str(doc))
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_proximity_violation_is_a_geometry_error(capsys, tmp_path, command):
+    # the conic passes once through x but through two directions at x
+    doc = tmp_path / "proximity.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\n\n[centers]\nx = point\ny = near x\nw = near x\n\n[components]\n"
+        "conic = degree 2, mult(x) = 1, mult(y) = 1, mult(w) = 1\n"
+        "lineA = degree 1\nlineB = degree 1\nlineC = degree 1\nlineD = degree 1\n\n"
+        "[branch]\n10 = lineA, lineB\n01 = conic\n11 = lineC, lineD\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, "--input", str(doc))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error[geometry]: component 'conic' has multiplicity 1 at 'x' "
+        "but 2 at the points infinitely near it\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "classify"])
+def test_infinitely_near_pencil_point_is_a_geometry_error(capsys, tmp_path, command):
+    doc = tmp_path / "pencil.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\npencil = y\n\n[centers]\nx = point\ny = near x\n\n[components]\n"
+        "conic = degree 2, mult(x) = 1, mult(y) = 1\n"
+        "quartic = degree 4, mult(x) = 2, mult(y) = 2\n\n"
+        "[branch]\n01 = conic\n10 = quartic\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, "--input", str(doc))
+    assert (code, out) == (4, "")
+    assert err == "error[geometry]: pencil point 'y' is infinitely near 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "cover, component, entry, message",
+    [
+        ("r = ²", "A = degree 1", "10 = A", "2:1: r must be an integer between 1 and 4, got '²'"),
+        ("r = 2", "A = degree ²", "10 = A", "5:1: bad degree '²' for component 'A'"),
+        ("r = 2", "A = degree 1", "10 = A*²", "8:1: bad multiplicity in branch entry 'A*²'"),
+    ],
+    ids=["rank", "degree", "branch-multiplicity"],
+)
+def test_superscript_digits_are_config_errors(capsys, tmp_path, cover, component, entry, message):
+    # str.isdigit accepts superscripts, which int() rejects
+    doc = tmp_path / "digits.cfg"
+    doc.write_text(
+        f"[cover]\n{cover}\n\n[components]\n{component}\n\n[branch]\n{entry}\n", encoding="utf-8"
+    )
+    for command in ("validate", "normalize", "resolve", "invariants", "classify", "reduce"):
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error[config]: ") and message in err

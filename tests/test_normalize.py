@@ -15,11 +15,9 @@ from planecover.normalize import (
     resolve,
     singular_residual_pairs,
     smoothness_report,
-    step1_reduce,
-    step2_disjoin,
 )
 
-from conftest import FIXTURE_DIR, load_cover
+from conftest import FIXTURE_DIR, load_cover, normalize_by_moves
 from test_cover import random_valid_cover
 
 
@@ -53,7 +51,7 @@ def test_pull_back_triple_point():
 def test_step1_reduce_strips_even_parts():
     model = pull_back(load_cover("prop51"), "x")
     before = derive_building_data(model)
-    reduced = step1_reduce(model)
+    reduced = normalize(model)
     assert branch_ids(reduced) == {"10": ["quartic*1"], "01": ["E_x*1", "conic*1"]}
     after = derive_building_data(reduced)
     e = lattice.exceptional(model.surface, "x")
@@ -63,7 +61,7 @@ def test_step1_reduce_strips_even_parts():
         else:
             assert after[chi] == before[chi]
     # idempotence on already-reduced data
-    assert step1_reduce(reduced) == reduced
+    assert normalize(reduced) == reduced
 
 
 def test_step1_keeps_odd_copy():
@@ -72,7 +70,7 @@ def test_step1_keeps_odd_copy():
         [("A", 1, {}), ("B", 3, {})],
         {"10": [("A", 3)], "01": [("B", 1)]},
     )
-    reduced = step1_reduce(model)
+    reduced = normalize(model)
     assert branch_ids(reduced)["10"] == ["A*1"]
 
 
@@ -82,7 +80,7 @@ def test_step2_moves_shared_component():
         [("A", 1, {}), ("B", 1, {}), ("shared", 1, {})],
         {"10": [("A", 1), ("shared", 1)], "11": [("B", 1), ("shared", 1)]},
     )
-    moved = step2_disjoin(model)
+    moved = normalize(model)
     assert branch_ids(moved)["01"] == ["shared*1"]
     assert branch_ids(moved)["10"] == ["A*1"]
     assert branch_ids(moved)["11"] == ["B*1"]
@@ -102,9 +100,10 @@ def test_normalize_three_lines_through_point():
 
 
 def test_normalize_eq_loi_trace():
-    # excluded multiplicity profile (a, b-1, c-2) with a, b, c odd: after
-    # step 1 the exceptional sits in both D_10 and D_11, and normalization
-    # leaves it in D_01, i.e. the pencil point stays a branch point
+    # excluded multiplicity profile (a, b-1, c-2) with a, b, c odd: the
+    # exceptional enters D_10, D_01 and D_11 with multiplicities a, b-1, c-2,
+    # and normalization leaves it in D_01 (10 + 11), i.e. the pencil point
+    # stays a branch point
     a, b, c = 3, 3, 3
     model = plane_cover(
         2,
@@ -113,9 +112,9 @@ def test_normalize_eq_loi_trace():
         marked=[("p", None)],
         reducible=["A"],  # a cubic with a triple point is three lines
     )
-    pulled = step1_reduce(pull_back(model, "p"))
-    carriers = {str(g) for g, entries in pulled.branch for cid, _ in entries if cid == "E_p"}
-    assert carriers == {"10", "11"}
+    pulled = pull_back(model, "p")
+    carriers = {str(g): k for g, entries in pulled.branch for cid, k in entries if cid == "E_p"}
+    assert carriers == {"10": 3, "01": 2, "11": 1}
     final = normalize(pulled)
     carriers = {str(g) for g, entries in final.branch for cid, _ in entries if cid == "E_p"}
     assert carriers == {"01"}
@@ -167,8 +166,7 @@ def test_normalize_is_idempotent_and_order_independent():
         base = normalize(model)
         assert normalize(base) == base
         for _ in range(3):
-            shuffled = normalize(model, rng=random.Random(rng.randint(0, 10**9)))
-            assert shuffled == base
+            assert normalize_by_moves(model, random.Random(rng.randint(0, 10**9))) == base
         # closed form: a component survives in the XOR of its carriers
         for i in range(n):
             cid = f"c{i}"
