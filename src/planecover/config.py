@@ -245,10 +245,10 @@ def parse(text: str) -> ConfigDocument:
                 continue
             entries = []
             for part in [p.strip() for p in value.split(",") if p.strip()]:
-                name, _, mult_text = part.partition("*")
+                name, star, mult_text = part.partition("*")
                 name = name.strip()
                 mult = 1
-                if mult_text:
+                if star:
                     if not _is_number(mult_text.strip()) or int(mult_text) < 1:
                         err(lineno, col, f"bad multiplicity in branch entry {part!r}")
                         continue

@@ -11,6 +11,7 @@ and deriving them on demand removes an inconsistency surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import group, lattice
@@ -52,8 +53,8 @@ class CurveComponent:
         if self.cls.degree < 0:
             raise DomainError(f"component {self.cid!r} has negative degree")
         if self.cls.degree == 0:
-            tail = self.cls.coeffs[1:]
-            lead = next((c for c in tail if c != 0), None)
+            support = self.cls.support
+            lead = support[min(support)] if support else None
             if lead is None or lead < 0:
                 raise DomainError(
                     f"degree-0 component {self.cid!r} must be an exceptional class"
@@ -139,36 +140,62 @@ class CoverModel:
             raise DanglingReferenceError(f"pencil point {self.pencil!r} is not a known point")
 
     # -- lookups ---------------------------------------------------------
+    # The maps behind the lookups are built on first use, each in one pass over
+    # the components, branch data or marked points; a model is frozen, so they
+    # never go stale.
+
+    @cached_property
+    def _by_cid(self) -> dict[str, CurveComponent]:
+        return {c.cid: c for c in self.components}
+
+    @cached_property
+    def _by_point(self) -> dict[str, MarkedPoint]:
+        return {m.name: m for m in self.marked}
+
+    @cached_property
+    def _inertia(self) -> dict[str, GroupElement | None]:
+        """cid -> its g when it lies in exactly one D_g, once; else None."""
+        inertia: dict[str, GroupElement | None] = {}
+        for g, entries in self.branch:
+            for cid, k in entries:
+                inertia[cid] = g if k == 1 and cid not in inertia else None
+        return inertia
 
     def component(self, cid: str) -> CurveComponent:
-        for c in self.components:
-            if c.cid == cid:
-                return c
-        raise DanglingReferenceError(f"no component named {cid!r}")
+        """One dict lookup in a map built once per model."""
+        try:
+            return self._by_cid[cid]
+        except KeyError:
+            raise DanglingReferenceError(f"no component named {cid!r}") from None
 
     def marked_point(self, name: str) -> MarkedPoint:
-        for m in self.marked:
-            if m.name == name:
-                return m
-        raise DanglingReferenceError(f"no marked point named {name!r}")
+        """One dict lookup in a map built once per model."""
+        try:
+            return self._by_point[name]
+        except KeyError:
+            raise DanglingReferenceError(f"no marked point named {name!r}") from None
 
     def branch_map(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
         return {g: entries for g, entries in self.branch}
 
     def branch_class(self, g: GroupElement) -> DivisorClass:
-        total = lattice.zero_class(self.surface)
-        for cid, k in self.branch_map().get(g, ()):
-            total = total + k * self.component(cid).cls
-        return total
+        """[D_g], summed over the nonzero coefficients of its components."""
+        entries = self.branch_map().get(g, ())
+        return lattice.linear_combination(
+            self.surface, ((k, self.component(cid).cls) for cid, k in entries)
+        )
 
     def inertia_of(self, cid: str) -> GroupElement:
-        """The unique g with cid in D_g; requires a normalized model."""
-        assigned = [(g, k) for g, entries in self.branch for name, k in entries if name == cid]
-        if len(assigned) != 1 or assigned[0][1] != 1:
+        """The unique g with cid in D_g; requires a normalized model.
+
+        One dict lookup in a map built once per model.
+        """
+        g = self._inertia.get(cid)
+        if g is None:
             raise InconsistencyError(
                 f"component {cid!r} is not reduced/uniquely assigned; normalize first"
             )
-        return assigned[0][0]
+        return g
 
     def components_at(self, point_name: str) -> list[tuple[CurveComponent, int]]:
         """Branch components passing through a marked point, with multiplicities."""
@@ -206,7 +233,11 @@ def plane_cover(
     curve is d lines through the point.  Also for a curve whose multiplicity
     at a point is below the sum of its multiplicities at the points
     infinitely near it (proximity), and for a pencil point that is not a
-    plane point.
+    plane point.  Two more rules count infinitely near points like plane
+    points: an irreducible curve's sum of m(m-1)/2 may not exceed its
+    arithmetic genus (d-1)(d-2)/2 (genus), and two curves' sum of m_a*m_b
+    over the points they share may not exceed d_a*d_b (Bezout).  The
+    Bezout sums are accumulated per point, over the curves through it.
     """
     reducible = set(reducible)
     parent_of = dict(marked)
@@ -241,12 +272,41 @@ def plane_cover(
                     f"component {cid!r} has multiplicity {at} at {point!r} "
                     f"but {near} at the points infinitely near it"
                 )
+        delta = sum(m * (m - 1) // 2 for m in mults.values())
+        genus = (degree - 1) * (degree - 2) // 2
+        if comp.irreducible and delta > genus:
+            raise GeometryError(
+                f"component {cid!r} of degree {degree} has declared singularities with "
+                f"sum m(m-1)/2 = {delta}, above its arithmetic genus {genus}; declare it reducible"
+            )
         comps.append(comp)
+    _check_bezout(components)
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
     )
     marks = tuple(MarkedPoint(name, parent) for name, parent in marked)
     return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
+
+
+def _check_bezout(components: Sequence[tuple[str, int, Mapping[str, int]]]) -> None:
+    """GeometryError when two curves share more than d_a*d_b declared crossings."""
+    degree = {cid: d for cid, d, _ in components}
+    through: dict[str, list[tuple[str, int]]] = {}
+    for cid, _, mults in components:
+        for point, m in mults.items():
+            through.setdefault(point, []).append((cid, m))
+    shared: dict[tuple[str, str], int] = {}
+    for members in through.values():
+        for n, (a, ma) in enumerate(members):
+            for b, mb in members[n + 1 :]:
+                pair = (a, b) if a < b else (b, a)
+                shared[pair] = shared.get(pair, 0) + ma * mb
+    for (a, b), total in sorted(shared.items()):
+        if total > degree[a] * degree[b]:
+            raise GeometryError(
+                f"components {a!r} and {b!r} meet with multiplicity {total} at declared points, "
+                f"above the product of their degrees {degree[a]}*{degree[b]} (Bezout)"
+            )
 
 
 def add_marked_point(
@@ -310,9 +370,10 @@ def is_totally_ramified(cover: CoverModel) -> bool:
 def _branch_sums(cover: CoverModel) -> dict[Character, DivisorClass]:
     """sum over nonzero g of eps_chi(g) * [D_g], for every character chi."""
     classes = {g: cover.branch_class(g) for g, _ in cover.branch}
-    zero = lattice.zero_class(cover.surface)
     return {
-        chi: sum((cls for g, cls in classes.items() if group.epsilon(chi, g)), zero)
+        chi: lattice.linear_combination(
+            cover.surface, ((1, cls) for g, cls in classes.items() if group.epsilon(chi, g))
+        )
         for chi in group.characters(cover.r)
     }
 
@@ -326,12 +387,13 @@ def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
     """
     out: dict[Character, DivisorClass] = {}
     for chi, total in _branch_sums(cover).items():
-        if any(c % 2 for c in total.coeffs):
+        if any(c % 2 for c in total.support.values()):
             raise ParityError(
                 f"branch data sum for character {chi} is not divisible by two",
                 character=chi,
             )
-        out[chi] = DivisorClass(cover.surface, tuple(c // 2 for c in total.coeffs))
+        halves = {slot: c // 2 for slot, c in total.support.items()}
+        out[chi] = DivisorClass.from_support(cover.surface, halves)
     return out
 
 

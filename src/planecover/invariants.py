@@ -78,14 +78,16 @@ def _k_squared(r: int, bicanonical: DivisorClass) -> int:
 
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
-    classes = (cover.branch_class(g) for g, _ in cover.branch)
-    return sum(classes, 2 * lattice.canonical(cover.surface))
+    classes = ((1, cover.branch_class(g)) for g, _ in cover.branch)
+    return lattice.linear_combination(
+        cover.surface, [(2, lattice.canonical(cover.surface)), *classes]
+    )
 
 
 def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
     if cls.degree != 0 or cls.is_zero:
         return False
-    nonzero = [c for c in cls.coeffs[1:] if c != 0]
+    nonzero = list(cls.support.values())
     return len(nonzero) == 1 and nonzero[0] < 0
 
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
+from functools import cached_property
+from itertools import compress
 
 from .errors import (
     DanglingReferenceError,
@@ -57,21 +60,26 @@ class BlownPlane:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.centers)
 
+    @cached_property
+    def _slots(self) -> dict[str, int]:
+        return {c.name: 1 + i for i, c in enumerate(self.centers)}
+
     def has_center(self, name: str) -> bool:
-        return any(c.name == name for c in self.centers)
+        """One dict lookup; the name -> slot map is built once per surface."""
+        return name in self._slots
 
     def center(self, name: str) -> Center:
-        for c in self.centers:
-            if c.name == name:
-                return c
-        raise DanglingReferenceError(f"no center named {name!r}")
+        return self.centers[self.index_of(name) - 1]
 
     def index_of(self, name: str) -> int:
-        """Coefficient slot of E_name, i.e. 1 + position in the center list."""
-        for i, c in enumerate(self.centers):
-            if c.name == name:
-                return 1 + i
-        raise DanglingReferenceError(f"no center named {name!r}")
+        """Coefficient slot of E_name, i.e. 1 + position in the center list.
+
+        One dict lookup; the name -> slot map is built once per surface.
+        """
+        try:
+            return self._slots[name]
+        except KeyError:
+            raise DanglingReferenceError(f"no center named {name!r}") from None
 
     def children_of(self, name: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.centers if c.parent == name)
@@ -91,57 +99,90 @@ class BlownPlane:
 PLANE = BlownPlane()
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """An integer divisor class on a fixed blown plane."""
+    """An integer divisor class on a fixed blown plane.
 
-    surface: BlownPlane
-    coeffs: tuple[int, ...]
+    A class is stored as its nonzero coefficients, ``support`` (slot ->
+    value, in no particular order; read-only), so sums, multiples,
+    intersections and pull-backs cost time in the number of nonzero slots,
+    not in the Picard rank.  ``coeffs`` is the dense tuple, built on first
+    use.  Classes are immutable, and equal when their surfaces and
+    coefficients are.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.surface.rank:
+    __slots__ = ("surface", "support", "_coeffs")
+
+    def __init__(self, surface: BlownPlane, coeffs: tuple[int, ...]):
+        if len(coeffs) != surface.rank:
             raise DimensionError(
-                f"class has {len(self.coeffs)} coefficients on a rank-{self.surface.rank} surface"
+                f"class has {len(coeffs)} coefficients on a rank-{surface.rank} surface"
             )
+        coeffs = tuple(coeffs)
+        support = {slot: coeffs[slot] for slot in compress(range(len(coeffs)), coeffs)}
+        _fill(self, surface, support, coeffs)
+
+    @classmethod
+    def from_support(cls, surface: BlownPlane, support: dict[int, int]) -> "DivisorClass":
+        """The class with the given coefficients by slot; zero values are dropped."""
+        support = {slot: value for slot, value in support.items() if value}
+        if support and (min(support) < 0 or max(support) >= surface.rank):
+            raise DimensionError(f"class has a coefficient outside the rank-{surface.rank} surface")
+        return _sparse(surface, support)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            dense = [0] * self.surface.rank
+            for slot, value in self.support.items():
+                dense[slot] = value
+            object.__setattr__(self, "_coeffs", tuple(dense))
+        return self._coeffs
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: divisor classes are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return self.surface == other.surface and self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash((self.surface, frozenset(self.support.items())))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(surface={self.surface!r}, coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
-        return self.coeffs[0]
+        return self.support.get(0, 0)
 
     def multiplicity(self, center_name: str) -> int:
         """Multiplicity at a blown-up center (negative of the E coefficient)."""
-        return -self.coeffs[self.surface.index_of(center_name)]
+        return -self.support.get(self.surface.index_of(center_name), 0)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _same_surface(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
-            raise DimensionError("divisor classes live on different surfaces")
+        return not self.support
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_surface(other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return linear_combination(self.surface, ((1, self), (1, other)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_surface(other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return linear_combination(self.surface, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
+        return self * -1
 
     def __mul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(k * a for a in self.coeffs))
+        return linear_combination(self.surface, ((k, self),))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        labels = ["H"] + [f"E{n}" for n in self.surface.names]
+        centers = self.surface.centers
         parts: list[str] = []
-        for coeff, label in zip(self.coeffs, labels):
-            if coeff == 0:
-                continue
+        for slot, coeff in sorted(self.support.items()):
+            label = f"E{centers[slot - 1].name}" if slot else "H"
             sign = "-" if coeff < 0 else ("+" if parts else "")
             mag = abs(coeff)
             parts.append(f"{sign}{'' if mag == 1 else mag}{label}")
@@ -172,19 +213,44 @@ class DivisorClass:
         return cls(surface, tuple(coeffs))
 
 
+def _fill(obj: DivisorClass, surface: BlownPlane, support: dict[int, int], coeffs) -> None:
+    object.__setattr__(obj, "surface", surface)
+    object.__setattr__(obj, "support", support)
+    object.__setattr__(obj, "_coeffs", coeffs)
+
+
+def _sparse(surface: BlownPlane, support: dict[int, int]) -> DivisorClass:
+    """A class from nonzero coefficients at slots known to lie on the surface."""
+    obj = object.__new__(DivisorClass)
+    _fill(obj, surface, support, None)
+    return obj
+
+
+def linear_combination(
+    surface: BlownPlane, terms: Iterable[tuple[int, DivisorClass]]
+) -> DivisorClass:
+    """sum of k * cls over the terms, accumulated in one pass over their nonzero
+    coefficients; every class must live on ``surface``."""
+    total: dict[int, int] = {}
+    for k, cls in terms:
+        if cls.surface != surface:
+            raise DimensionError("divisor classes live on different surfaces")
+        for slot, value in cls.support.items():
+            total[slot] = total.get(slot, 0) + k * value
+    return _sparse(surface, {slot: value for slot, value in total.items() if value})
+
+
 def zero_class(surface: BlownPlane) -> DivisorClass:
-    return DivisorClass(surface, (0,) * surface.rank)
+    return DivisorClass.from_support(surface, {})
 
 
 def hyperplane(surface: BlownPlane) -> DivisorClass:
-    return DivisorClass(surface, (1,) + (0,) * (surface.rank - 1))
+    return DivisorClass.from_support(surface, {0: 1})
 
 
 def exceptional(surface: BlownPlane, name: str) -> DivisorClass:
     """Total transform class E_name (self-intersection -1)."""
-    coeffs = [0] * surface.rank
-    coeffs[surface.index_of(name)] = 1
-    return DivisorClass(surface, tuple(coeffs))
+    return DivisorClass.from_support(surface, {surface.index_of(name): 1})
 
 
 def canonical(surface: BlownPlane) -> DivisorClass:
@@ -193,17 +259,23 @@ def canonical(surface: BlownPlane) -> DivisorClass:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Intersection number a.b in the diagonal form (+1, -1, ..., -1)."""
+    """Intersection number a.b in the diagonal form (+1, -1, ..., -1).
+
+    Runs over the nonzero coefficients of the sparser class.
+    """
     if a.surface != b.surface:
         raise DimensionError("cannot intersect classes on different surfaces")
-    return a.coeffs[0] * b.coeffs[0] - sum(x * y for x, y in zip(a.coeffs[1:], b.coeffs[1:]))
+    small, large = sorted((a.support, b.support), key=len)
+    return a.degree * b.degree - sum(
+        value * large.get(slot, 0) for slot, value in small.items() if slot
+    )
 
 
 def embed(cls: DivisorClass, surface: BlownPlane) -> DivisorClass:
     """Total transform of a class under further blow-ups of its surface."""
     if surface.centers[: len(cls.surface.centers)] != cls.surface.centers:
         raise DimensionError("target surface does not extend the class's surface")
-    return DivisorClass(surface, cls.coeffs + (0,) * (surface.rank - len(cls.coeffs)))
+    return DivisorClass.from_support(surface, cls.support)
 
 
 def strict_transform(cls: DivisorClass, center_name: str, mult: int) -> DivisorClass:
@@ -222,11 +294,8 @@ def _reflection_root(surface: BlownPlane, p: str, q: str, r: str) -> DivisorClas
             raise GeometryError(
                 f"center {name!r} is infinitely near {parent!r}, which is not a base point"
             )
-    root = [0] * surface.rank
-    root[0] = 1
-    for name in (p, q, r):
-        root[surface.index_of(name)] = -1
-    return DivisorClass(surface, tuple(root))
+    root = {surface.index_of(name): -1 for name in (p, q, r)}
+    return DivisorClass.from_support(surface, {0: 1, **root})
 
 
 def cremona_reflect(cls: DivisorClass, p: str, q: str, r: str) -> DivisorClass:

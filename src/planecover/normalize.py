@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import lattice
 from .cover import CoverModel, CurveComponent, add_marked_points
 from .errors import (
     DomainError,
@@ -94,10 +93,11 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
     At each point, every D_g gains mult(D_g at the point) copies of the new
     exceptional component and component classes become strict transforms,
     so the branch divisor classes are total transforms.  Each new center is
-    appended as the last coordinate, so a strict transform is the old
-    coefficient tuple followed by minus the multiplicity at the point.  The
-    surface, the components and the model are built once, after the last
-    point.  The result is NOT normalized.
+    appended as the last coordinate, so a strict transform keeps the old
+    coefficients and gains minus the multiplicity at the point in the new
+    slot.  The surface, the components and the model are built once, after
+    the last point, so the cost follows the number of incidences and nonzero
+    coefficients, not the Picard rank.  The result is NOT normalized.
     """
     if not points:
         raise DomainError("pull_back needs at least one point")
@@ -108,11 +108,10 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
     centers = list(cover.surface.centers)
     center_names = set(cover.surface.names)
     # work per incidence, not per (component, point): each component keeps its
-    # coefficients before this call plus the (slot, -m) it gains, the D_g it
-    # lies in and its unchanged constructor arguments; each point maps to the
-    # components through it
-    coeffs = {c.cid: list(c.cls.coeffs) for c in cover.components}
-    appended: dict[str, list[tuple[int, int]]] = {cid: [] for cid in coeffs}
+    # nonzero coefficients, gaining (slot, -m) per point it passes through, the
+    # D_g it lies in and its unchanged constructor arguments; each point maps
+    # to the components through it
+    coeffs = {c.cid: dict(c.cls.support) for c in cover.components}
     carriers: dict[str, list[tuple[GroupElement, int]]] = {cid: [] for cid in coeffs}
     for g, entries in cover.branch:
         for cid, k in entries:
@@ -140,7 +139,7 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
 
         mult_in_g: dict[GroupElement, int] = {}
         for cid, m in through.pop(point, {}).items():
-            appended[cid].append((slot, -m))
+            coeffs[cid][slot] = -m
             for g, k in carriers[cid]:
                 mult_in_g[g] = mult_in_g.get(g, 0) + k * m
         if not mult_in_g:
@@ -150,8 +149,7 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
         while eid in coeffs:
             serial += 1
             eid = f"E_{point}{serial}"
-        coeffs[eid] = [0] * slot + [1]
-        appended[eid] = []
+        coeffs[eid] = {slot: 1}
         carriers[eid] = list(mult_in_g.items())
         kept[eid] = (True, point)
         for child in children.get(point, ()):
@@ -165,13 +163,10 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
             mults[cid].append((name, m))
     comps = []
     for cid, coeff in coeffs.items():
-        coeff += [0] * (surface.rank - len(coeff))
-        for slot, value in appended[cid]:
-            coeff[slot] = value
         comps.append(
             CurveComponent(
                 cid,
-                DivisorClass(surface, tuple(coeff)),
+                DivisorClass.from_support(surface, coeff),
                 irreducible=kept[cid][0],
                 mults=tuple(mults[cid]),
                 exceptional_of=kept[cid][1],
@@ -221,31 +216,69 @@ def is_smooth_over(cover: CoverModel, point: str) -> SmoothnessReport:
     return SmoothnessReport(True)
 
 
-def residual_intersections(cover: CoverModel, cid1: str, cid2: str) -> int:
-    """Crossings of two components away from every declared point."""
-    c1, c2 = cover.component(cid1), cover.component(cid2)
-    total = lattice.intersect(c1.cls, c2.cls)
-    for m in cover.marked:
-        total -= c1.mult_at(m.name) * c2.mult_at(m.name)
-    if total < 0:
-        raise InconsistencyError(
-            f"declared multiplicities of {cid1} and {cid2} exceed their intersection number"
-        )
-    return total
-
-
 def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
-    """Pairs of same-inertia components crossing at undeclared points."""
+    """Pairs of same-inertia components crossing at undeclared points.
+
+    The residual crossing number of components a and b is
+
+        C_a.C_b - sum of m_a*m_b over the marked points both pass through,
+        C_a.C_b = d_a*d_b - sum of a_i*b_i over the exceptional slots both use,
+
+    and a pair is singular when its residual is at least 1 and both carry
+    the same inertia element.  A pair that shares no slot and no marked point
+    has residual d_a*d_b >= 0, so only pairs sharing something are computed,
+    and each raises InconsistencyError when its residual is negative.
+
+    Cost: one pass over each class's nonzero coefficients and each
+    component's declared multiplicities, then constant work per (shared slot
+    or point, pair through it) and per same-inertia pair of positive degrees.
+    Nothing is proportional to the Picard rank per pair.  Pairs come in the
+    order of the sorted component ids; the first over-declared pair in that
+    order is the one reported.  On a model that is not normalized, the
+    InconsistencyError of ``inertia_of`` for the first component in that
+    order that is not uniquely assigned comes first.
+    """
+    comps = cover.components
+    if len(comps) < 2:
+        return []
+    inertia = [cover.inertia_of(c.cid) for c in comps]
+    # exceptional slot or marked point -> [(component index, -coefficient or
+    # multiplicity)]; a component's mults name only marked points
+    through: dict[int | str, list[tuple[int, int]]] = {}
+    for i, c in enumerate(comps):
+        for slot, value in c.cls.support.items():
+            if slot:
+                through.setdefault(slot, []).append((i, -value))
+        for point, m in c.mults:
+            through.setdefault(point, []).append((i, m))
+    shared: dict[tuple[int, int], int] = {}
+    for members in through.values():
+        for n, (i, x) in enumerate(members):
+            for j, y in members[n + 1 :]:
+                shared[i, j] = shared.get((i, j), 0) + x * y
+    degree = [c.cls.degree for c in comps]
     pairs = []
-    comps = list(cover.components)
-    for i, a in enumerate(comps):
-        for b in comps[i + 1 :]:
-            if cover.inertia_of(a.cid) != cover.inertia_of(b.cid):
-                residual_intersections(cover, a.cid, b.cid)  # validates declarations
-                continue
-            if residual_intersections(cover, a.cid, b.cid) >= 1:
-                pairs.append((a.cid, b.cid))
-    return pairs
+    for i, j in sorted(shared):
+        residual = degree[i] * degree[j] - shared[i, j]
+        if residual < 0:
+            raise InconsistencyError(
+                f"declared multiplicities of {comps[i].cid} and {comps[j].cid} "
+                "exceed their intersection number"
+            )
+        if residual and inertia[i] == inertia[j]:
+            pairs.append((i, j))
+    by_inertia: dict[GroupElement, list[int]] = {}
+    for i, g in enumerate(inertia):
+        if degree[i]:
+            by_inertia.setdefault(g, []).append(i)
+    for members in by_inertia.values():
+        pairs += [
+            (i, j)
+            for n, i in enumerate(members)
+            for j in members[n + 1 :]
+            if (i, j) not in shared
+        ]
+    return [(comps[i].cid, comps[j].cid) for i, j in sorted(pairs)]
 
 
 def smoothness_report(cover: CoverModel) -> SmoothnessReport:

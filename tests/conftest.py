@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from planecover import config
+from planecover.errors import InconsistencyError
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -64,3 +65,27 @@ def normalize_by_moves(cover, rng):
     kept = {cid for _, [(cid, _)] in branch}
     components = tuple(c for c in cover.components if c.cid in kept)
     return replace(cover, branch=tuple(branch), components=components)
+
+
+def dense_singular_residual_pairs(cover):
+    """Reference for ``normalize.singular_residual_pairs``: every pair of
+    components, intersected over the full dense coefficient tuples, minus
+    m_a*m_b at every marked point, validated and then kept when both carry
+    the same inertia element and the residual is at least 1."""
+    pairs = []
+    comps = list(cover.components)
+    for i, a in enumerate(comps):
+        for b in comps[i + 1 :]:
+            same = cover.inertia_of(a.cid) == cover.inertia_of(b.cid)
+            x, y = a.cls.coeffs, b.cls.coeffs
+            total = x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:]))
+            for m in cover.marked:
+                total -= a.mult_at(m.name) * b.mult_at(m.name)
+            if total < 0:
+                raise InconsistencyError(
+                    f"declared multiplicities of {a.cid} and {b.cid} "
+                    "exceed their intersection number"
+                )
+            if same and total >= 1:
+                pairs.append((a.cid, b.cid))
+    return pairs

@@ -270,3 +270,82 @@ def test_superscript_digits_are_config_errors(capsys, tmp_path, cover, component
         code, out, err = run(capsys, command, "--input", str(doc))
         assert (code, out) == (2, "")
         assert err.startswith("error[config]: ") and message in err
+
+
+DOCUMENT_COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
+
+
+@pytest.mark.parametrize(
+    "centers, components, message",
+    [
+        (
+            "p = point\nq = point",
+            "A = degree 1, mult(p) = 1, mult(q) = 1\nB = degree 1, mult(p) = 1, mult(q) = 1\n"
+            "C = degree 1",
+            "components 'A' and 'B' meet with multiplicity 2 at declared points, "
+            "above the product of their degrees 1*1 (Bezout)",
+        ),
+        (
+            # a line tangent to a cubic at p and through q and s: only the
+            # direction t at p makes the count exceed 3
+            "p = point\nt = near p\nq = point\ns = point",
+            "A = degree 3, mult(p) = 1, mult(t) = 1, mult(q) = 1, mult(s) = 1\n"
+            "B = degree 1, mult(p) = 1, mult(t) = 1, mult(q) = 1, mult(s) = 1\nC = degree 1",
+            "components 'A' and 'B' meet with multiplicity 4 at declared points, "
+            "above the product of their degrees 3*1 (Bezout)",
+        ),
+        (
+            "p = point\nq = point",
+            "A = degree 3, mult(p) = 2, mult(q) = 2\nB = degree 1\nC = degree 1",
+            "component 'A' of degree 3 has declared singularities with sum m(m-1)/2 = 2, "
+            "above its arithmetic genus 1; declare it reducible",
+        ),
+        (
+            # a cubic with a tacnode
+            "p = point\nt = near p",
+            "A = degree 3, mult(p) = 2, mult(t) = 2\nB = degree 1\nC = degree 1",
+            "component 'A' of degree 3 has declared singularities with sum m(m-1)/2 = 2, "
+            "above its arithmetic genus 1; declare it reducible",
+        ),
+    ],
+    ids=["bezout", "bezout-near", "genus", "genus-near"],
+)
+def test_impossible_incidences_are_geometry_errors(
+    capsys, tmp_path, centers, components, message
+):
+    doc = tmp_path / "impossible.cfg"
+    doc.write_text(
+        f"[cover]\nr = 2\n\n[centers]\n{centers}\n\n[components]\n{components}\n\n"
+        "[branch]\n10 = A\n01 = B\n11 = C\n",
+        encoding="utf-8",
+    )
+    for command in DOCUMENT_COMMANDS:
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, out, err) == (4, "", f"error[geometry]: {message}\n")
+
+
+def test_reducible_cubic_may_have_two_double_points(capsys, tmp_path):
+    # a conic and a line meet twice: the genus rule binds irreducible curves only
+    doc = tmp_path / "reducible.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\n\n[centers]\np = point\nq = point\n\n[components]\n"
+        "A = degree 3, mult(p) = 2, mult(q) = 2, reducible\nB = degree 1\nC = degree 1\n\n"
+        "[branch]\n10 = A\n01 = B\n11 = C\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "validate", "--input", str(doc))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("entry", ["10 = A*", "10 = A*, B", "10 = A* , B"])
+def test_empty_branch_multiplicity_is_a_config_error(capsys, tmp_path, entry):
+    doc = tmp_path / "star.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\n\n[components]\nA = degree 1\nB = degree 1\nC = degree 2\n\n"
+        f"[branch]\n{entry}\n11 = C\n",
+        encoding="utf-8",
+    )
+    for command in DOCUMENT_COMMANDS:
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, out) == (2, "")
+        assert err == "error[config]: 10:1: bad multiplicity in branch entry 'A*'\n"

@@ -14,12 +14,18 @@ from planecover.cover import (
     plane_cover,
     quotient_cover,
 )
-from planecover.errors import DanglingReferenceError, DimensionError, DomainError, ParityError
+from planecover.errors import (
+    DanglingReferenceError,
+    DimensionError,
+    DomainError,
+    InconsistencyError,
+    ParityError,
+)
 from planecover.group import Character, GroupElement
 from planecover.lattice import Center, DivisorClass
 from planecover.normalize import pull_back
 
-from conftest import load_cover
+from conftest import FIXTURE_DIR, load_cover
 
 
 def test_totally_ramified_examples():
@@ -309,3 +315,35 @@ def test_add_marked_points_rules_hold_per_point():
         add_marked_points(model, [("a", None, {"conic": 1}), ("b", None, {"nope": 1})])
     with pytest.raises(DanglingReferenceError):
         add_marked_points(model, [("a", "nowhere", None)])
+
+
+def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        model = load_cover(path.stem)
+        for m in model.marked:
+            pulled = pull_back(model, m.name) if model.point_is_ripe(m.name) else model
+            for c in pulled.components:
+                assert pulled.component(c.cid) is c
+            for m2 in pulled.marked:
+                assert pulled.marked_point(m2.name) is m2
+            for slot, center in enumerate(pulled.surface.centers, start=1):
+                assert pulled.surface.index_of(center.name) == slot
+                assert pulled.surface.has_center(center.name)
+                assert pulled.surface.center(center.name) is center
+    model = pull_back(load_cover("prop51"), "x")  # E_x lies in 10 twice and in 01 once
+    with pytest.raises(DanglingReferenceError, match="no component named 'nope'"):
+        model.component("nope")
+    with pytest.raises(DanglingReferenceError, match="no marked point named 'x'"):
+        model.marked_point("x")
+    with pytest.raises(DanglingReferenceError, match="no center named 'y'"):
+        model.surface.index_of("y")
+    with pytest.raises(DanglingReferenceError, match="no center named 'y'"):
+        model.surface.center("y")
+    assert not model.surface.has_center("y")
+    assert model.inertia_of("quartic") == GroupElement((1, 0))
+    for cid in ("E_x", "nope"):
+        with pytest.raises(InconsistencyError, match=f"component '{cid}' is not reduced/uniquely"):
+            model.inertia_of(cid)
+    for branch in ({"10": [("A", 1)], "01": [("A", 1)]}, {"10": [("A", 2)]}):
+        with pytest.raises(InconsistencyError, match="component 'A' is not reduced/uniquely"):
+            plane_cover(2, [("A", 1, {})], branch).inertia_of("A")

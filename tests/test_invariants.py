@@ -211,3 +211,49 @@ def test_line_arrangement_invariants(k, expected):
     result = resolve(line_arrangement(k))
     report = invariant_report(result.cover)
     assert (report.chi, report.k_squared, result.rounds, result.cover.surface.rank) == expected
+
+
+# Closed forms, a second method for the r=2 arrangements (Hirzebruch 1983,
+# via the bidouble-cover formulas of Catanese 1984 and Pardini 1991).  For
+# K^2 = (2K + sum D_g)^2: on the plane 2K + sum D_g = (3k - 6)H; a blown-up
+# triple point of three distinct inertias drops its exceptional curve and adds
+# -E (square -1); a crossing of two same-inertia lines adds 0; a k-fold point
+# of k same-inertia lines, k even, adds (2 - k)E.
+@pytest.mark.parametrize(
+    "k", [*range(4, 17), *(pytest.param(k, marks=pytest.mark.slow) for k in (24, 32, 48))]
+)
+def test_line_arrangement_closed_forms(k):
+    result = resolve(line_arrangement(k))
+    report = invariant_report(result.cover)
+    assert (report.chi, report.k_squared) == (4 + 3 * k * (k - 3) // 2, (3 * k - 6) ** 2 - k)
+    assert (result.rounds, result.cover.surface.rank) == (2, 1 + k + 3 * k * (k - 1) // 2)
+
+
+def ceva_arrangement(k):
+    """The 3k lines of x^k = y^k, y^k = z^k, z^k = x^k, one family per D_g.
+
+    Lines a_i: x = w^i y pass through [0:0:1], b_j: y = w^j z through [1:0:0]
+    and c_l: z = w^l x through [0:1:0] (w a primitive k-th root of unity);
+    a_i, b_j and c_l meet in one point exactly when i + j + l = 0 mod k.
+    These k^2 triple points and the three k-fold points are all the crossings.
+    """
+    pencil = {"a": "Pz", "b": "Px", "c": "Py"}
+    through = {f"{f}{i}": {pencil[f]: 1} for f in "abc" for i in range(k)}
+    for i in range(k):
+        for j in range(k):
+            point = f"t{i}_{j}"
+            for line in (f"a{i}", f"b{j}", f"c{-(i + j) % k}"):
+                through[line][point] = 1
+    comps = [(name, 1, mults) for name, mults in through.items()]
+    branch = {g: [(f"{f}{i}", 1) for i in range(k)] for f, g in zip("abc", ("10", "01", "11"))}
+    points = [*pencil.values(), *(f"t{i}_{j}" for i in range(k) for j in range(k))]
+    return plane_cover(2, comps, branch, marked=[(p, None) for p in points])
+
+
+@pytest.mark.parametrize("k, chi", [(4, 4), (6, 13), (8, 28), (10, 49)])
+def test_ceva_arrangement_closed_forms(k, chi):
+    result = resolve(ceva_arrangement(k))
+    report = invariant_report(result.cover)
+    k_squared = (3 * k - 6) ** 2 - 3 * (k - 2) ** 2 - k**2
+    assert (report.chi, report.k_squared) == (chi, k_squared)
+    assert (result.rounds, result.cover.surface.rank) == (1, 4 + k**2)

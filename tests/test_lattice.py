@@ -174,3 +174,33 @@ def test_class_printing_round_trip():
 def test_rank_mismatch_rejected():
     with pytest.raises(DimensionError):
         cls(F1, 1)
+
+
+def test_sparse_classes_match_dense_arithmetic():
+    surface = PLANE
+    for n in range(6):
+        surface = surface.blow_up(Center(f"c{n}", parent=f"c{n - 1}" if n % 3 else None))
+    rng = random.Random(1618)
+    for _ in range(300):
+        a = tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(surface.rank))
+        b = tuple(rng.choice((0, 0, -1, 1)) for _ in range(surface.rank))
+        x, y = cls(surface, *a), cls(surface, *b)
+        assert x.support == {slot: v for slot, v in enumerate(a) if v}
+        assert (x.coeffs, x.degree, x.is_zero) == (a, a[0], not any(a))
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+        assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+        assert (-x).coeffs == tuple(-p for p in a)
+        assert (3 * x).coeffs == tuple(3 * p for p in a) and (0 * x).is_zero
+        assert intersect(x, y) == a[0] * b[0] - sum(p * q for p, q in zip(a[1:], b[1:]))
+        assert x.multiplicity("c4") == -a[5]
+        assert (x == y) == (a == b) and x == cls(surface, *a)
+        assert hash(x) == hash(cls(surface, *a))
+        assert DivisorClass.from_support(surface, x.support) == x
+        assert DivisorClass.parse(surface, str(x)) == x
+    assert DivisorClass.from_support(TWO, {0: 2, 2: 0}).coeffs == (2, 0, 0)
+    with pytest.raises(DimensionError):
+        DivisorClass.from_support(F1, {2: 1})
+    with pytest.raises(DimensionError):
+        DivisorClass.from_support(F1, {-1: 1})
+    with pytest.raises(AttributeError):
+        x.coeffs = a

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from planecover import group, lattice
-from planecover.cover import derive_building_data, plane_cover
-from planecover.errors import NonTerminationError, PreconditionError
+from planecover.cover import add_marked_points, derive_building_data, plane_cover
+from planecover.errors import InconsistencyError, NonTerminationError, PreconditionError
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
     incidence_at,
@@ -17,7 +17,7 @@ from planecover.normalize import (
     smoothness_report,
 )
 
-from conftest import FIXTURE_DIR, load_cover, normalize_by_moves
+from conftest import FIXTURE_DIR, dense_singular_residual_pairs, load_cover, normalize_by_moves
 from test_cover import random_valid_cover
 
 
@@ -246,9 +246,10 @@ def test_is_smooth_over_examples():
     assert not verdict.smooth
     assert "3 branch components" in verdict.reason
 
+    # a line tangent to a conic: two lines cannot share a direction (Bezout)
     tangent = plane_cover(
         2,
-        [("A", 1, {"p": 1, "t": 1}), ("B", 1, {"p": 1, "t": 1})],
+        [("A", 2, {"p": 1, "t": 1}), ("B", 1, {"p": 1, "t": 1})],
         {"10": [("A", 1)], "01": [("B", 1)]},
         marked=[("p", None), ("t", "p")],
     )
@@ -428,3 +429,69 @@ def test_is_normalized_flag():
     assert any(not is_normalized(c) for c in models)
     for c in models:
         assert is_normalized(c) == (normalize(c) == c)
+
+
+def _pairs_or_error(search, cover):
+    try:
+        return search(cover)
+    except InconsistencyError as exc:
+        return str(exc)
+
+
+def _resolve_round_models(cover, monkeypatch):
+    """The normalized input, and per round the marked model resolve blows up
+    and the normalized result, up to the round budget."""
+    import planecover.normalize as normalize_mod
+
+    models = [normalize(cover)]
+
+    def spy(current, *points):
+        pulled = pull_back(current, *points)
+        models.extend([current, normalize(pulled)])
+        return pulled
+
+    monkeypatch.setattr(normalize_mod, "pull_back", spy)
+    try:
+        normalize_mod.resolve(cover)
+    except NonTerminationError:
+        pass  # two curves crossing more than max_rounds times: one crossing per round
+    monkeypatch.undo()
+    return models
+
+
+def test_sparse_pair_search_matches_dense_reference(monkeypatch):
+    from test_invariants import line_arrangement
+
+    covers = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    rng = random.Random(4242)
+    covers += [random_valid_cover(rng) for _ in range(50)]
+    covers.append(line_arrangement(6))
+    models = [m for cover in covers for m in _resolve_round_models(cover, monkeypatch)]
+    found = 0
+    for model in models:
+        expected = _pairs_or_error(dense_singular_residual_pairs, model)
+        assert _pairs_or_error(singular_residual_pairs, model) == expected
+        found += bool(expected)
+    assert found >= 300
+
+
+def test_sparse_pair_search_reports_over_declared_pairs():
+    lines = [(name, 1, {}) for name in ("A", "B", "C", "D")]
+    model = plane_cover(2, lines, {"10": [("A", 1), ("D", 1)], "01": [("B", 1)], "11": [("C", 1)]})
+    # B and C are declared through p and q, A and D through q and r: the first
+    # pair in id order is reported, as by the dense loop, also once p or q is
+    # a center and the pair shares an exceptional slot instead of a point
+    over = add_marked_points(
+        model,
+        [
+            ("p", None, {"C": 1, "B": 1}),
+            ("q", None, {"B": 1, "C": 1, "A": 1, "D": 1}),
+            ("r", None, {"D": 1, "A": 1}),
+        ],
+    )
+    message = "declared multiplicities of A and D exceed their intersection number"
+    for cover in (over, normalize(pull_back(over, "p")), normalize(pull_back(over, "q", "r"))):
+        assert _pairs_or_error(dense_singular_residual_pairs, cover) == message
+        with pytest.raises(InconsistencyError) as exc:
+            singular_residual_pairs(cover)
+        assert str(exc.value) == message
