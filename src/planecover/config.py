@@ -158,11 +158,11 @@ def parse(text: str) -> ConfigDocument:
 
         if section == "cover":
             if key == "r":
+                r_seen = True
                 if not _is_number(value) or not 1 <= int(value) <= 4:
                     err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
                 else:
                     doc.r = int(value)
-                    r_seen = True
             elif key == "pencil":
                 doc.pencil = value
             else:
@@ -234,7 +234,7 @@ def parse(text: str) -> ConfigDocument:
             if any(c not in "01" for c in key):
                 err(lineno, col, f"non-binary group element {key!r}")
                 continue
-            if r_seen and len(key) != doc.r:
+            if doc.r and len(key) != doc.r:
                 err(lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
                 continue
             if set(key) == {"0"}:

@@ -3,9 +3,10 @@
 A ``CoverModel`` is a symbolic configuration: a blown plane, named curve
 components with divisor classes, declared multiplicities at marked (not yet
 blown up) points, and the branch assignment g -> components.  Building data
-are never stored: the bases here have torsion-free Picard group, so the
-branch data determine every L_chi through 2*L_chi ~ sum of eps_chi(g)*D_g,
-and deriving them on demand removes an inconsistency surface.
+are never given as input: the bases here have torsion-free Picard group, so
+the branch data determine every L_chi through 2*L_chi ~ sum of eps_chi(g)*D_g,
+and deriving them (once per model, on first use) removes an inconsistency
+surface.
 """
 
 from __future__ import annotations
@@ -197,6 +198,35 @@ class CoverModel:
             )
         return g
 
+    # -- building data ---------------------------------------------------
+    # Like the lookup maps, computed on first use and kept: every caller that
+    # asks a model for its building data shares one computation.
+
+    @cached_property
+    def _branch_sums(self) -> dict[Character, DivisorClass]:
+        """S_chi = sum over nonzero g of eps_chi(g) * [D_g], for every character chi."""
+        classes = [(g, self.branch_class(g)) for g, _ in self.branch]
+        return {
+            chi: lattice.linear_combination(
+                self.surface, ((1, cls) for g, cls in classes if group.epsilon(chi, g))
+            )
+            for chi in group.characters(self.r)
+        }
+
+    @cached_property
+    def _building_data(self) -> dict[Character, DivisorClass]:
+        """L_chi = S_chi / 2; ParityError, and nothing cached, when a sum is odd."""
+        out: dict[Character, DivisorClass] = {}
+        for chi, total in self._branch_sums.items():
+            if any(c % 2 for c in total.support.values()):
+                raise ParityError(
+                    f"branch data sum for character {chi} is not divisible by two",
+                    character=chi,
+                )
+            halves = {slot: c // 2 for slot, c in total.support.items()}
+            out[chi] = DivisorClass.from_support(self.surface, halves)
+        return out
+
     def components_at(self, point_name: str) -> list[tuple[CurveComponent, int]]:
         """Branch components passing through a marked point, with multiplicities."""
         out = []
@@ -362,39 +392,22 @@ def add_marked_points(
 
 
 def is_totally_ramified(cover: CoverModel) -> bool:
-    """True when the g with nonzero D_g generate the whole group."""
-    carriers = [g for g, entries in cover.branch if entries]
-    return len(group.span(carriers, cover.r)) == 2**cover.r
-
-
-def _branch_sums(cover: CoverModel) -> dict[Character, DivisorClass]:
-    """sum over nonzero g of eps_chi(g) * [D_g], for every character chi."""
-    classes = {g: cover.branch_class(g) for g, _ in cover.branch}
-    return {
-        chi: lattice.linear_combination(
-            cover.surface, ((1, cls) for g, cls in classes.items() if group.epsilon(chi, g))
-        )
-        for chi in group.characters(cover.r)
-    }
+    """True when the g with nonzero D_g generate the whole group: their span has dimension r."""
+    return group.rank((g for g, entries in cover.branch if entries), cover.r) == cover.r
 
 
 def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
     """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g].
 
+    The classes are computed once per model and cached on it; each call
+    returns a fresh dict of them, which the caller may change.
+
     Raises ParityError naming the first character whose sum has an odd
     coordinate: this is exactly the classical parity obstruction (for r=2,
-    the three branch degrees must share their parity).
+    the three branch degrees must share their parity).  Nothing is cached
+    then, so every call raises it again.
     """
-    out: dict[Character, DivisorClass] = {}
-    for chi, total in _branch_sums(cover).items():
-        if any(c % 2 for c in total.support.values()):
-            raise ParityError(
-                f"branch data sum for character {chi} is not divisible by two",
-                character=chi,
-            )
-        halves = {slot: c // 2 for slot, c in total.support.items()}
-        out[chi] = DivisorClass.from_support(cover.surface, halves)
-    return out
+    return dict(cover._building_data)
 
 
 @dataclass(frozen=True)
@@ -417,21 +430,26 @@ def check_prod_relations(
     With M_chi = 2 L_chi - sum eps_chi(g) D_g, and eps_chi + eps_chi' -
     eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for (chi, chi') reads
     M_chi + M_chi' = M_{chi+chi'}; the lattice is torsion-free, so that decides it.
+    So the cost is 2^r defects M_chi from the model's cached branch sums: when
+    every M_chi is 0, all 4^r relations hold and no pair is compared.  Only
+    when some defect is nonzero are the pairs scanned, to list the violations.
     """
     if building is None:
-        building = derive_building_data(cover)
-    defect: dict[Character, list[int]] = {}
-    for chi, total in _branch_sums(cover).items():
+        building = cover._building_data
+    defect: dict[Character, DivisorClass] = {}
+    for chi, total in cover._branch_sums.items():
         if chi not in building:
             raise DomainError(f"building data have no class for character {chi}")
         if building[chi].surface != cover.surface:
             raise DimensionError(f"building class for character {chi} lives on another surface")
-        defect[chi] = [2 * a - b for a, b in zip(building[chi].coeffs, total.coeffs)]
+        defect[chi] = lattice.linear_combination(cover.surface, ((2, building[chi]), (-1, total)))
+    if all(m.is_zero for m in defect.values()):
+        return ProdReport(len(defect) ** 2, ())
     violations = [
         (chi, chi2)
         for chi in defect
         for chi2 in defect
-        if [a + b for a, b in zip(defect[chi], defect[chi2])] != defect[chi + chi2]
+        if defect[chi] + defect[chi2] != defect[chi + chi2]
     ]
     return ProdReport(len(defect) ** 2, tuple(violations))
 

@@ -123,8 +123,24 @@ def epsilon2(chi: GroupElement, chi2: GroupElement, g: GroupElement) -> int:
     return epsilon(chi, g) & epsilon(chi2, g)
 
 
-def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupElement]:
-    """F_2-linear span of a set of elements, always containing zero."""
+def _extend(basis: list[int], m: int) -> bool:
+    """Add mask ``m`` to an echelon basis (distinct leading bits, highest
+    first) unless it lies in the span already; True when the basis grew.
+
+    XOR with a basis mask clears its leading bit in ``m`` exactly when that
+    lowers ``m``, so one pass leaves 0 for a mask in the span.
+    """
+    for b in basis:
+        m = min(m, m ^ b)
+    if m:
+        basis.append(m)
+        basis.sort(reverse=True)
+    return bool(m)
+
+
+def _basis(els: Iterable[GroupElement], r: int | None) -> tuple[int, list[int]]:
+    """The group rank r (taken from the elements when not given) and an
+    echelon basis of the span of the elements, as masks."""
     els = list(els)
     if r is None:
         if not els:
@@ -132,16 +148,28 @@ def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupEl
         r = els[0].r
     if any(g.r != r for g in els):
         raise DimensionError("span arguments must share one rank")
-    closure = {zero(r)}
-    frontier = list(els)
-    while frontier:
-        g = frontier.pop()
-        if g in closure:
-            continue
-        new = [g + h for h in closure]
-        closure.add(g)
-        frontier.extend(new)
-    return frozenset(closure)
+    basis: list[int] = []
+    for g in els:
+        _extend(basis, g.mask)
+    return r, basis
+
+
+def rank(els: Iterable[GroupElement], r: int | None = None) -> int:
+    """Dimension of the F_2-linear span of a set of elements."""
+    return len(_basis(els, r)[1])
+
+
+def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupElement]:
+    """F_2-linear span of a set of elements, always containing zero.
+
+    Elimination gives a basis of dimension dim; the span is its 2^dim XOR
+    combinations, enumerated as masks, one XOR each.
+    """
+    r, basis = _basis(els, r)
+    combos = [0]
+    for b in basis:
+        combos += [m ^ b for m in combos]
+    return frozenset(GroupElement._of(r, m) for m in combos)
 
 
 def is_subgroup(subset: Iterable[GroupElement], r: int | None = None) -> bool:
@@ -153,7 +181,8 @@ def is_subgroup(subset: Iterable[GroupElement], r: int | None = None) -> bool:
         r = some.r
     if zero(r) not in sub:
         return False
-    return all(a + b in sub for a in sub for b in sub)
+    # a subset lies in its span, so it is the span exactly when the sizes agree
+    return len(sub) == 1 << rank(sub, r)
 
 
 def subgroup_dimension(subgroup: Iterable[GroupElement]) -> int:
@@ -173,15 +202,15 @@ def quotient_image(g: GroupElement, subgroup: Iterable[GroupElement]) -> GroupEl
 
 
 def complement_basis(subgroup: Iterable[GroupElement], r: int) -> list[GroupElement]:
-    """A basis of a complement of ``subgroup``, chosen greedily from coordinates."""
+    """A basis of a complement of ``subgroup``: the coordinate vectors, in order,
+    that do not lie in the span of the subgroup and the vectors chosen before."""
     sub = frozenset(subgroup)
     if not is_subgroup(sub, r):
         raise DomainError("complement_basis requires a valid F_2 subgroup")
+    _, basis = _basis(sub, r)
     chosen: list[GroupElement] = []
-    spanned = span(list(sub) + chosen, r)
     for i in range(r):
-        e = GroupElement._of(r, 1 << (r - 1 - i))
-        if e not in spanned:
-            chosen.append(e)
-            spanned = span(list(sub) + chosen, r)
+        e = 1 << (r - 1 - i)
+        if _extend(basis, e):
+            chosen.append(GroupElement._of(r, e))
     return chosen

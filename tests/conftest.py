@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from planecover import config
+from planecover import config, group
 from planecover.errors import InconsistencyError
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -89,3 +89,30 @@ def dense_singular_residual_pairs(cover):
             if same and total >= 1:
                 pairs.append((a.cid, b.cid))
     return pairs
+
+
+def closure_span(els, r):
+    """Reference for ``group.span``: the closure of ``els`` and zero under
+    addition, grown one element at a time."""
+    closure = {group.zero(r)}
+    frontier = list(els)
+    while frontier:
+        g = frontier.pop()
+        if g in closure:
+            continue
+        new = [g + h for h in closure]
+        closure.add(g)
+        frontier.extend(new)
+    return frozenset(closure)
+
+
+def greedy_complement_basis(subgroup, r):
+    """Reference for ``group.complement_basis``: each coordinate vector in
+    turn, kept when it is outside the closure of the subgroup and the
+    vectors kept before it."""
+    chosen = []
+    for i in range(r):
+        e = group.GroupElement._of(r, 1 << (r - 1 - i))
+        if e not in closure_span(list(subgroup) + chosen, r):
+            chosen.append(e)
+    return chosen

@@ -97,3 +97,12 @@ def test_pencil_must_be_declared():
     text = "[cover]\nr = 2\npencil = p\n[components]\nA = degree 2\n[branch]\n10 = A\n"
     with pytest.raises(ConfigError):
         config.parse(text)
+
+
+@pytest.mark.parametrize("value", ["5", "0", "²"])
+def test_out_of_range_r_is_one_problem(value):
+    # a present but invalid r is a range error, not also a missing key
+    text = f"[cover]\nr = {value}\n[components]\nA = degree 1\n[branch]\n10 = A\n"
+    with pytest.raises(ConfigError) as err:
+        config.parse(text)
+    assert err.value.problems == [(2, 1, f"r must be an integer between 1 and 4, got {value!r}")]

@@ -103,6 +103,52 @@ def test_perturbed_building_data_fail_prod():
     assert all(hh in (c1, c2, c1 + c2) for c1, c2 in report.violations)
 
 
+def test_building_data_dict_is_fresh_per_call():
+    model = load_cover("prop59")
+    first = derive_building_data(model)
+    snapshot = dict(first)
+    for chi in list(first):
+        first[chi] = first[chi] + cov.lattice.hyperplane(model.surface)
+    del first[Character.parse("1111")]
+    assert derive_building_data(model) == snapshot
+    report = check_prod_relations(model)
+    assert report.ok and report.pairs_checked == 4**4
+
+
+def test_parity_error_on_every_call():
+    bad = plane_cover(
+        3,
+        [("A", 1, {}), ("B", 2, {}), ("C", 2, {})],
+        {"100": [("A", 1)], "010": [("B", 1)], "001": [("C", 1)]},
+    )
+    for _ in range(2):
+        with pytest.raises(ParityError) as err:
+            derive_building_data(bad)
+        assert err.value.character == Character.parse("100")
+    with pytest.raises(ParityError):
+        check_prod_relations(bad)
+
+
+def test_census_computes_branch_sums_once_per_model(monkeypatch):
+    from functools import cached_property
+
+    from planecover.census import census
+
+    compute = cov.CoverModel.__dict__["_branch_sums"].func
+    computed = []
+
+    def spy(model):
+        computed.append(model)
+        return compute(model)
+
+    spied = cached_property(spy)
+    spied.__set_name__(cov.CoverModel, "_branch_sums")
+    monkeypatch.setattr(cov.CoverModel, "_branch_sums", spied)
+    rows = census(4, 7).rows
+    # the 30 plane patterns and the resolved model of each kept row, once each
+    assert len(set(computed)) == len(computed) == 30 + len(rows)
+
+
 def test_explicit_rank2_relation_system():
     # the six relations of the rank-2 system, written out
     model = load_cover("prop53")

@@ -1,0 +1,116 @@
+"""Fuzzing of the document parser and the document subcommands.
+
+Every generated document, valid or not, must end in a result (exit 0) or a
+coded ``error[code]: ...`` line with that code's exit status, never in an
+uncaught exception.  The examples are derived from the test source, not
+drawn at random, so every run checks the same documents.
+"""
+
+import contextlib
+import io
+import re
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planecover import config
+from planecover.cli import EXIT_CODES, main
+from planecover.errors import ConfigError
+
+from conftest import fixture_text
+
+FUZZ = settings(derandomize=True, database=None, deadline=None)
+COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
+CODED = re.compile(r"error\[([a-z-]+)\]: ")
+
+WRONG = ["0", "5", "-1", "²", "", "x", "y"]
+
+
+def mostly(*valid):
+    """One of ``valid``, or now and then a malformed value (a middle draw, as
+    hypothesis favours the ends of a range)."""
+    return st.integers(0, 19).flatmap(lambda n: st.sampled_from(WRONG if n == 13 else valid))
+
+
+@st.composite
+def documents(draw):
+    """Documents in the shape of the format, with a field now and then wrong."""
+    r = draw(mostly("2", "3", "4", "1"))
+    centers = {}
+    for name in draw(st.lists(st.sampled_from("pqx"), max_size=3, unique=True)):
+        centers[name] = draw(st.none() | mostly(*centers)) if centers else None
+    lines = ["[cover]", f"r = {r}"]
+    if centers and draw(st.booleans()):
+        lines.append(f"pencil = {draw(mostly(*centers))}")
+    lines.append("[centers]")
+    for name, parent in centers.items():
+        lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
+    lines.append("[components]")
+    components = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    for name in components:
+        clauses = [f"degree {draw(mostly('1', '2', '3', '4'))}"]
+        for point in draw(st.lists(st.sampled_from(sorted(centers)), max_size=2, unique=True)) if centers else ():
+            clauses.append(f"mult({point}) = {draw(mostly('1', '1', '2', '3'))}")
+        if draw(mostly(False, False, False, True)) is True:
+            clauses.append("reducible")
+        lines.append(f"{name} = {', '.join(clauses)}")
+    lines.append("[branch]")
+    width = int(r) if r.isascii() and r.isdigit() and 1 <= int(r) <= 4 else 2
+    keys = st.integers(1, 2**width - 1).map(lambda k: format(k, f"0{width}b"))
+    for key in draw(st.lists(keys, min_size=1, max_size=4, unique=True)):
+        entries = draw(st.lists(st.sampled_from(components), min_size=1, max_size=2))
+        parts = [f"{e}*{draw(mostly('2', '3'))}" if draw(st.integers(0, 4)) == 3 else e for e in entries]
+        lines.append(f"{key} = {', '.join(parts)}")
+    text = "\n".join(lines) + "\n"
+    # now and then one local corruption: a character replaced or dropped
+    if draw(st.integers(0, 9)) == 7:
+        at = draw(st.integers(0, len(text)))
+        junk = draw(st.sampled_from(["", "=", "[", "]", "#", "*", ",", "\n", " ", "\x00", "é", "0"]))
+        text = text[:at] + junk + text[at + 1 :]
+    return text
+
+
+@st.composite
+def fixture_mutants(draw):
+    """Fixture documents with one short span replaced by arbitrary text."""
+    text = fixture_text(draw(st.sampled_from(["prop42", "prop44", "prop51", "prop53", "prop59"])))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(max_size=6)) + text[at + draw(st.integers(0, 8)) :]
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.text(alphabet="[]=*,#() \n01234rdegpointnearmultABpqx", max_size=120) | documents())
+def test_parse_ends_in_a_document_or_config_error(text):
+    try:
+        doc = config.parse(text)
+    except ConfigError as exc:
+        assert exc.problems
+        assert all(line >= 1 and col >= 1 for line, col, _ in exc.problems)
+    else:
+        assert 1 <= doc.r <= 4
+
+
+def run_command(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+@settings(FUZZ, max_examples=25)
+@given(documents() | fixture_mutants())
+def test_document_commands_end_in_a_result_or_a_coded_error(text):
+    for command in COMMANDS:
+        code, err = run_command(command, text)
+        if code == 0:
+            assert err == ""
+            continue
+        match = CODED.match(err)
+        assert match, (command, err)
+        assert EXIT_CODES[match.group(1)] == code

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from planecover import group
+from planecover import cover, group
 from planecover.errors import DimensionError, DomainError
 from planecover.group import Character, GroupElement
+
+from conftest import closure_span, greedy_complement_basis
 
 
 def g(text):
@@ -140,3 +143,52 @@ def test_characters_and_elements_are_one_type():
     assert Character is GroupElement
     assert list(group.characters(3)) == list(group.elements(3))
     assert [h.bits for h in group.elements(2)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _subsets(r):
+    """Every subset of the nonzero elements for r <= 3; 500 seeded ones at r = 4."""
+    nonzero = list(group.nonzero_elements(r))
+    if r <= 3:
+        for n in range(len(nonzero) + 1):
+            yield from itertools.combinations(nonzero, n)
+    else:
+        rng = random.Random(4)
+        for _ in range(500):
+            yield tuple(h for h in nonzero if rng.random() < rng.random())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_elimination_agrees_with_closure(r):
+    for subset in _subsets(r):
+        reference = closure_span(subset, r)
+        assert group.span(subset, r) == reference
+        assert 1 << group.rank(subset, r) == len(reference)
+        assert group.is_subgroup({group.zero(r), *subset}, r) == (len(subset) + 1 == len(reference))
+        model = cover.plane_cover(
+            r,
+            [(f"c{i}", 2, {}) for i in range(len(subset))],
+            {str(h): [(f"c{i}", 1)] for i, h in enumerate(subset)},
+        )
+        assert cover.is_totally_ramified(model) == (len(reference) == 2**r)
+
+
+@pytest.mark.parametrize("r, count", [(1, 2), (2, 5), (3, 16), (4, 67)])
+def test_complement_basis_is_the_greedy_coordinate_basis(r, count):
+    # every subgroup is spanned by at most r elements; count is their number
+    nonzero = list(group.nonzero_elements(r))
+    subgroups = {
+        group.span(gens, r) for n in range(r + 1) for gens in itertools.combinations(nonzero, n)
+    }
+    assert len(subgroups) == count
+    for sub in subgroups:
+        basis = group.complement_basis(sub, r)
+        assert basis == greedy_complement_basis(sub, r)
+        assert len(basis) == r - group.subgroup_dimension(sub)
+
+
+def test_rank_examples():
+    assert group.rank([], 3) == 0
+    assert group.rank([g("110"), g("011"), g("101")]) == 2
+    assert group.rank(group.elements(4)) == 4
+    with pytest.raises(DimensionError):
+        group.rank([g("10"), g("100")])
