@@ -162,7 +162,7 @@ def census(r: int, max_degree: int) -> CensusTable:
         if not report.ok:
             raise InconsistencyError(f"census pattern violates product relations: {pattern}")
         label = classify_mod.classify(model)
-        reduced, _ = classify_mod._replay_reduction(model, model.pencil, label)
+        reduced = label.reduce()[0] if label.reduce is not None else model
         key = _shape_key(reduced)
         if key in seen:
             continue

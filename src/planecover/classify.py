@@ -7,14 +7,19 @@ general pencil line on the blow-up at p (including the exceptional section
 when normalization puts it in the branch).  The branch-point count on that
 line then pins down the family, and shape conditions select the case.
 
-Cremona reduction replays the specific move recipes used in the source
-configurations' reductions rather than searching for arbitrary simplifying
-moves, so its output is deterministic and directly testable.
+Cremona reduction does not search for simplifying moves.  The matcher
+branch that decides a family attaches that family's recipe to the label it
+returns (``CaseLabel.reduce``), built from the curves and points the match
+found; reducing is matching once and running the recipe, so its output is
+deterministic and directly testable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import group, lattice
 from .cover import (
@@ -25,25 +30,27 @@ from .cover import (
     derive_building_data,
     is_totally_ramified,
 )
-from .errors import (
-    GeometryError,
-    MatchError,
-    NotConicBundleError,
-    PreconditionError,
-    ReductionError,
-)
+from .errors import GeometryError, MatchError, PreconditionError, ReductionError
 from .group import GroupElement
 from .normalize import is_normalized, normalize, pull_back
 
 
 @dataclass(frozen=True)
 class CaseLabel:
-    """A matched case: proposition id, taxonomy symbol, family parameters."""
+    """A matched case: proposition id, taxonomy symbol, family parameters.
+
+    ``reduce`` is the matched family's Cremona recipe on the model it was
+    matched on, returning the reduced model and its moves; it is ``None``
+    for families already in normal form.  It takes no part in equality.
+    """
 
     proposition: str
     symbol: str
     params: tuple[tuple[str, object], ...] = ()
     flags: tuple[str, ...] = ()
+    reduce: Callable[[], tuple[CoverModel, tuple[MoveRecord, ...]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def serialize(self) -> str:
         text = f"Prop{self.proposition}/{self.symbol}"
@@ -62,11 +69,6 @@ class GPrimeStructure:
 
     dimension: int
     subgroup: tuple[GroupElement, ...]
-    complement_basis: tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        if self.dimension > 2:
-            raise NotConicBundleError("G' would have rank above two")
 
 
 _EXPECTED_BRANCH_POINTS = {
@@ -105,7 +107,7 @@ def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
         for cid, mult in entries:
             crossings = lattice.intersect(model.component(cid).cls, fiber)
             if crossings < 0:
-                raise NotConicBundleError(
+                raise MatchError(
                     f"component {cid} has negative fiber degree; bad multiplicities at the pencil point"
                 )
             if crossings:
@@ -115,19 +117,15 @@ def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
     s = group.subgroup_dimension(subgroup)
     expected = _EXPECTED_BRANCH_POINTS.get((cover.r, s))
     if expected is None:
-        raise NotConicBundleError(
+        raise MatchError(
             f"not an invariant-conic-bundle configuration: r={cover.r} with G' of rank {s}"
         )
     if count != expected:
-        raise NotConicBundleError(
+        raise MatchError(
             f"not an invariant-conic-bundle configuration: {count} branch points "
             f"on a general pencil line, expected {expected} for r={cover.r}, s={s}"
         )
-    return GPrimeStructure(
-        dimension=s,
-        subgroup=tuple(sorted(subgroup)),
-        complement_basis=tuple(group.complement_basis(subgroup, cover.r)),
-    )
+    return GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup)))
 
 
 # -- shape helpers -----------------------------------------------------------
@@ -204,6 +202,38 @@ def _common_point(cover: CoverModel, comps, exclude: str) -> str | None:
 # -- the invariant conic bundle matcher ---------------------------------------
 
 
+#: G' = Z/2: r -> (proposition, deep-curve symbol, reducible-curve symbol)
+_ODD_CURVE_FAMILIES = {2: ("4.4", "C.2,21", "0.22"), 3: ("4.8", "C.2,22", "P1.222&P1.2221")}
+#: G' = (Z/2)^2: r -> (proposition, three-curves symbol, concurrent-lines symbol)
+_TRIPLE_FAMILIES = {2: ("4.6", "C.22", None), 3: ("4.10", "C.221", "P1s.222"),
+                    4: ("4.12", "C.22,22", "P1.2222")}
+
+
+def _require_pencil_lines(profiles, gs, p: str) -> None:
+    for g in gs:
+        comps = profiles[g][2]
+        if len(comps) != 1 or not _is_pencil_line(comps[0], p):
+            raise MatchError(f"D_{g} must be a single line of the pencil")
+
+
+def _four_line_model(profiles, nonzero) -> CaseLabel:
+    """The four-line model produced by the P1s.222 reduction."""
+    if len(nonzero) == 4 and all(
+        profiles[g][0] == 1 and len(profiles[g][2]) == 1 for g in nonzero
+    ):
+        verticals = [g for g in nonzero if profiles[g][1] == 1]
+        horizontals = [g for g in nonzero if profiles[g][1] == 0]
+        if len(verticals) == 2 and len(horizontals) == 2:
+            k1, k2 = verticals
+            h1, h2 = horizontals
+            if k1 + k2 != h1 + h2:
+                raise MatchError(
+                    "four-line form needs matching vertical and horizontal element sums"
+                )
+            return CaseLabel("4.10", "P1s.222", (), ("reduced-four-line-model",))
+    raise MatchError("branch data do not fit the rank-3 G'=(Z/2)^2 shapes")
+
+
 def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     """Match against the invariant-conic-bundle families."""
     _require_plane_normalized(cover)
@@ -216,115 +246,49 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     nonzero = sorted(profiles)
     p = pencil_point
 
-    if r == 2 and s == 0:
+    # infer_g_prime admits s = 0 at r = 2, s = 1 at r = 2, 3 and s = 2 at r = 2, 3, 4
+    if s == 0:
         if len(nonzero) != 3:
             raise MatchError("all three branch divisors must be nonzero")
-        for g in nonzero:
-            _, _, comps = profiles[g]
-            if len(comps) != 1 or not _is_pencil_line(comps[0], p):
-                raise MatchError(f"D_{g} must be a single line of the pencil")
+        _require_pencil_lines(profiles, nonzero, p)
         return CaseLabel("4.2", "P1.221&P1.22.1")
 
-    if r == 2 and s == 1:
+    if s == 1:
+        # r pencil lines whose elements sum to w, and one odd curve carrying w
+        prop, deep, reducible = _ODD_CURVE_FAMILIES[r]
         w = next(g for g in structure.subgroup if not g.is_zero)
         verticals = [g for g in nonzero if g != w]
-        if len(verticals) != 2:
-            raise MatchError("exactly two branch divisors must be pencil lines")
-        for g in verticals:
-            _, _, comps = profiles[g]
-            if len(comps) != 1 or not _is_pencil_line(comps[0], p):
-                raise MatchError(f"D_{g} must be a single line of the pencil")
-        if w not in profiles:
-            raise MatchError("the G'-carrier branch divisor is zero")
-        degree, mult, comps = profiles[w]
-        form = _odd_curve_form(w, degree, mult, comps, p)
-        if form == "deep":
-            return CaseLabel("4.4", "C.2,21", (("d", degree),))
-        flags = ("needs-reduction",) if degree > 1 else ()
-        return CaseLabel("4.4", "0.22", (("d", degree),), flags)
-
-    if r == 2 and s == 2:
-        if len(nonzero) != 3:
-            raise MatchError("all three branch divisors must be nonzero")
-        degrees, bumped = _same_parity_triple(nonzero, profiles, p)
-        flags = ("b1",) if bumped else ()
-        if max(degrees) == 1:
-            lines = [profiles[g][2][0] for g in nonzero]
-            q = _common_point(cover, lines, exclude=p)
-            if q is not None and not bumped:
-                # three concurrent lines: the pencil-lines cover seen from a
-                # pencil point away from the common point
-                return CaseLabel(
-                    "4.2",
-                    "P1.221&P1.22.1",
-                    (("common_point", q),),
-                    ("pencil-away-from-common-point",),
-                )
-            return CaseLabel(
-                "4.6", "0.22", (("degrees", degrees),), flags + ("degenerate-three-lines",)
-            )
-        return CaseLabel("4.6", "C.22", (("degrees", degrees),), flags)
-
-    if r == 3 and s == 1:
-        w = next(g for g in structure.subgroup if not g.is_zero)
-        verticals = [g for g in nonzero if g != w]
-        if len(verticals) != 3:
-            raise MatchError("exactly three branch divisors must be pencil lines")
-        for g in verticals:
-            _, _, comps = profiles[g]
-            if len(comps) != 1 or not _is_pencil_line(comps[0], p):
-                raise MatchError(f"D_{g} must be a single line of the pencil")
-        total = verticals[0] + verticals[1] + verticals[2]
-        if total != w:
+        if len(verticals) != r:
+            count = ("two", "three")[r - 2]
+            raise MatchError(f"exactly {count} branch divisors must be pencil lines")
+        _require_pencil_lines(profiles, verticals, p)
+        if sum(verticals, group.zero(r)) != w:
             raise MatchError("the pencil-line inertia elements must sum to the G'-carrier")
         if w not in profiles:
             raise MatchError("the G'-carrier branch divisor is zero")
         degree, mult, comps = profiles[w]
-        form = _odd_curve_form(w, degree, mult, comps, p)
-        if form == "deep":
-            return CaseLabel("4.8", "C.2,22", (("d", degree),))
-        flags = ("needs-reduction",) if degree > 1 else ()
-        return CaseLabel("4.8", "P1.222&P1.2221", (("d", degree),), flags)
+        params = (("d", degree),)
+        if _odd_curve_form(w, degree, mult, comps, p) == "deep":
+            return CaseLabel(prop, deep, params)
+        if degree == 1:
+            return CaseLabel(prop, reducible, params)
+        recipe = partial(_reduce_odd_curve, cover, p, w)
+        return CaseLabel(prop, reducible, params, ("needs-reduction",), reduce=recipe)
 
-    if r == 3 and s == 2:
-        pair_gs = [
+    # s == 2: three curves on a rank-2 subgroup, the other elements pencil lines
+    if r == 2:
+        if len(nonzero) != 3:
+            raise MatchError("all three branch divisors must be nonzero")
+        verticals = ()
+    elif r == 3:
+        verticals = [
             g
             for g in nonzero
             if len(profiles[g][2]) == 2 and all(_is_pencil_line(c, p) for c in profiles[g][2])
         ]
-        if len(pair_gs) == 1 and len(nonzero) == 4:
-            k = pair_gs[0]
-            horizontals = [g for g in nonzero if g != k]
-            h1, h2, h3 = horizontals
-            if h1 + h2 + h3 != group.zero(3):
-                raise MatchError("the three curve inertia elements must span a rank-2 subgroup")
-            degrees, bumped = _same_parity_triple(horizontals, profiles, p)
-            flags = ("b1",) if bumped else ()
-            if set(degrees) == {1} and not bumped:
-                lines = [profiles[g][2][0] for g in horizontals]
-                q = _common_point(cover, lines, exclude=p)
-                if q is not None:
-                    return CaseLabel(
-                        "4.10", "P1s.222", (("degrees", degrees), ("common_point", q)), flags
-                    )
-            return CaseLabel("4.10", "C.221", (("degrees", degrees),), flags)
-        if len(nonzero) == 4 and all(
-            profiles[g][0] == 1 and len(profiles[g][2]) == 1 for g in nonzero
-        ):
-            # the four-line model produced by the P1s.222 reduction
-            verticals = [g for g in nonzero if profiles[g][1] == 1]
-            horizontals = [g for g in nonzero if profiles[g][1] == 0]
-            if len(verticals) == 2 and len(horizontals) == 2:
-                k1, k2 = verticals
-                h1, h2 = horizontals
-                if k1 + k2 != h1 + h2:
-                    raise MatchError(
-                        "four-line form needs matching vertical and horizontal element sums"
-                    )
-                return CaseLabel("4.10", "P1s.222", (), ("reduced-four-line-model",))
-        raise MatchError("branch data do not fit the rank-3 G'=(Z/2)^2 shapes")
-
-    if r == 4 and s == 2:
+        if len(verticals) != 1 or len(nonzero) != 4:
+            return _four_line_model(profiles, nonzero)
+    else:
         if len(nonzero) != 6:
             raise MatchError("need three pencil lines and three curves")
         singles = [
@@ -332,31 +296,37 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
             for g in nonzero
             if len(profiles[g][2]) == 1 and _is_pencil_line(profiles[g][2][0], p)
         ]
-        chosen = None
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                for l in range(j + 1, len(singles)):
-                    trio = (singles[i], singles[j], singles[l])
-                    if (trio[0] + trio[1] + trio[2]).is_zero:
-                        chosen = trio
-        if chosen is None:
+        trios = [t for t in itertools.combinations(singles, 3) if sum(t, group.zero(r)).is_zero]
+        if not trios:
             raise MatchError("the pencil-line inertia elements must sum to zero")
-        horizontals = [g for g in nonzero if g not in chosen]
-        h1, h2, h3 = horizontals
-        if h1 + h2 + h3 != group.zero(4):
-            raise MatchError("the three curve inertia elements must span a rank-2 subgroup")
-        degrees, bumped = _same_parity_triple(horizontals, profiles, p)
-        flags = ("b1",) if bumped else ()
-        if set(degrees) == {1} and not bumped:
-            lines = [profiles[g][2][0] for g in horizontals]
-            q = _common_point(cover, lines, exclude=p)
-            if q is not None:
-                return CaseLabel(
-                    "4.12", "P1.2222", (("degrees", degrees), ("common_point", q)), flags
-                )
-        return CaseLabel("4.12", "C.22,22", (("degrees", degrees),), flags)
-
-    raise MatchError(f"no invariant-conic-bundle case for r={r}, s={s}")
+        verticals = trios[-1]
+    horizontals = [g for g in nonzero if g not in verticals]
+    if not sum(horizontals, group.zero(r)).is_zero:
+        raise MatchError("the three curve inertia elements must span a rank-2 subgroup")
+    prop, curves, concurrent = _TRIPLE_FAMILIES[r]
+    degrees, bumped = _same_parity_triple(horizontals, profiles, p)
+    flags = ("b1",) if bumped else ()
+    params = (("degrees", degrees),)
+    if max(degrees) > 1:
+        return CaseLabel(prop, curves, params, flags)
+    lines = [profiles[g][2][0] for g in horizontals]
+    q = None if bumped else _common_point(cover, lines, exclude=p)
+    if r == 2:
+        if q is not None:
+            # three concurrent lines: the pencil-lines cover seen from a
+            # pencil point away from the common point
+            away = ("pencil-away-from-common-point",)
+            return CaseLabel("4.2", "P1.221&P1.22.1", (("common_point", q),), away)
+        return CaseLabel(prop, "0.22", params, flags + ("degenerate-three-lines",))
+    if q is None:
+        return CaseLabel(prop, curves, params, flags)
+    recipe = None
+    if r == 3:
+        # one move at p, q and a point joining a curve line to a pencil line
+        h_line = min(lines, key=lambda c: c.cid)
+        k_line = min(profiles[verticals[0]][2], key=lambda c: c.cid)
+        recipe = partial(_aux_move, cover, {h_line.cid: 1, k_line.cid: 1}, p, q, None)
+    return CaseLabel(prop, concurrent, params + (("common_point", q),), reduce=recipe)
 
 
 # -- the Del Pezzo matcher -----------------------------------------------------
@@ -401,7 +371,10 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             raise MatchError(
                 "need a tacnode of the quartic with the conic through it along the tacnodal tangent"
             )
-        return CaseLabel("5.1", "2.G2", (("tacnode", tacnode[0]),))
+        x, y = tacnode
+        # one move at the tacnode, its tangent direction and a common point
+        recipe = partial(_aux_move, cover, {quartic.cid: 1, conic.cid: 1}, x, None, y)
+        return CaseLabel("5.1", "2.G2", (("tacnode", x),), reduce=recipe)
 
     if cover.r == 2 and len(nonzero) == 3:
         degs = sorted(degree_of[g] for g in nonzero)
@@ -445,7 +418,6 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             conic = profiles[conic_gs[0]][0]
             if not conic.irreducible:
                 raise MatchError("the conic must be irreducible")
-            lines = {g: profiles[g][0] for g in line_gs}
             triples = []
             for m in cover.marked:
                 at = [c for c, _ in cover.components_at(m.name)]
@@ -459,13 +431,13 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                     raise MatchError("unexpected marked incidences for the conic-plus-lines shape")
                 return CaseLabel("5.7", "2.G22")
             if len(triples) == 2:
-                shared = triples[0][1] & triples[1][1]
-                if len(shared) == 1 and triples[0][1] != triples[1][1]:
-                    return CaseLabel(
-                        "5.5",
-                        "4.222",
-                        (("triple_points", (triples[0][0], triples[1][0])),),
-                    )
+                (xi, at_xi), (eta, at_eta) = triples
+                if len(at_xi & at_eta) == 1 and at_xi != at_eta:
+                    # one move at both triple points and a point joining the
+                    # conic to the line through eta only
+                    (only_eta,) = at_eta - at_xi
+                    recipe = partial(_aux_move, cover, {conic.cid: 1, only_eta: 1}, xi, eta, None)
+                    return CaseLabel("5.5", "4.222", (("triple_points", (xi, eta)),), reduce=recipe)
             raise MatchError(
                 "the conic must pass through exactly two line intersections on one common line"
             )
@@ -638,6 +610,15 @@ def _fresh_name(cover: CoverModel, stem: str) -> str:
     return f"{stem}{i}"
 
 
+def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
+    """Mark a fresh point on the curves of ``mults``, then make the quadratic
+    move at ``based``, where ``None`` stands for the fresh point."""
+    aux = _fresh_name(cover, "aux")
+    work = add_marked_point(cover, aux, mults=mults)
+    work, record = quadratic_move(work, *(aux if n is None else n for n in based))
+    return work, (record,)
+
+
 def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
     """Degree-drop then line-pair elimination on the odd horizontal curve."""
     moves = []
@@ -675,70 +656,18 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         work = add_marked_point(work, rn, parent=p, mults={r_a.cid: 1})
         work, record = quadratic_move(work, p, qn, rn)
         moves.append(record)
-    return work, moves
+    return work, tuple(moves)
 
 
 def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):
-    """Replay the reduction recipe for the matched family.
+    """Reduce a cover to its family's normal form by the family's recipe.
 
-    This is match + replay: normalize and match the cover once, then replay
-    the recipe of the matched label.  Families already in normal form
-    reduce to themselves with an empty trail.  Returns the reduced model
-    and the move records.
+    Normalize and match the cover once, then run the recipe the match
+    attached to its label.  Families already in normal form reduce to
+    themselves with an empty trail.  Returns the reduced model and the
+    move records.
     """
     p = pencil_point if pencil_point is not None else cover.pencil
     work = normalize(cover)
     label = match_conic_bundle(work, p) if p is not None else match_del_pezzo(work)
-    return _replay_reduction(work, p, label)
-
-
-def _replay_reduction(work: CoverModel, p: str | None, label: CaseLabel):
-    """The recipe of ``label`` applied to the normalized cover it was matched on."""
-    moves: list[MoveRecord] = []
-
-    if label.proposition in ("4.4", "4.8") and "needs-reduction" in label.flags:
-        structure = infer_g_prime(work, p)
-        w = next(g for g in structure.subgroup if not g.is_zero)
-        work, moves = _reduce_odd_curve(work, p, w)
-
-    elif label.proposition == "4.10" and label.symbol == "P1s.222" and not label.flags:
-        params = dict(label.params)
-        q = params["common_point"]
-        profiles = _branch_profiles(work, p)
-        verticals = [g for g in sorted(profiles) if profiles[g][0] == profiles[g][1]]
-        horizontals = [g for g in sorted(profiles) if g not in verticals]
-        h_line = min(
-            (c for g in horizontals for c in profiles[g][2]), key=lambda c: c.cid
-        )
-        k_line = min(profiles[verticals[0]][2], key=lambda c: c.cid)
-        rn = _fresh_name(work, "aux")
-        work = add_marked_point(work, rn, mults={h_line.cid: 1, k_line.cid: 1})
-        work, record = quadratic_move(work, p, q, rn)
-        moves.append(record)
-
-    elif label.proposition == "5.1" and not label.flags:
-        params = dict(label.params)
-        x = params["tacnode"]
-        y = work.children_of_point(x)[0]
-        quartic = next(c for c in work.components if c.cls.degree == 4)
-        conic = next(c for c in work.components if c.cls.degree == 2)
-        zn = _fresh_name(work, "aux")
-        work = add_marked_point(work, zn, mults={quartic.cid: 1, conic.cid: 1})
-        work, record = quadratic_move(work, x, zn, y)
-        moves.append(record)
-
-    elif label.proposition == "5.5" and not label.flags:
-        params = dict(label.params)
-        xi, eta = params["triple_points"]
-        conic = next(c for c in work.components if c.cls.degree == 2)
-        at_xi = {c.cid for c, _ in work.components_at(xi)}
-        at_eta = {c.cid for c, _ in work.components_at(eta)}
-        only_eta = sorted(at_eta - at_xi - {conic.cid})
-        if len(only_eta) != 1:
-            raise ReductionError("cannot identify the line through only the second triple point")
-        zn = _fresh_name(work, "aux")
-        work = add_marked_point(work, zn, mults={conic.cid: 1, only_eta[0]: 1})
-        work, record = quadratic_move(work, xi, eta, zn)
-        moves.append(record)
-
-    return work, tuple(moves)
+    return label.reduce() if label.reduce is not None else (work, ())

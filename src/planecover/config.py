@@ -130,7 +130,7 @@ def parse(text: str) -> ConfigDocument:
     seen_names: set[str] = set()
     component_names: set[str] = set()
     center_names: set[str] = set()
-    r_seen = False
+    cover_keys: set[str] = set()
 
     def err(lineno: int, col: int, message: str) -> None:
         problems.append((lineno, col, message))
@@ -157,13 +157,16 @@ def parse(text: str) -> ConfigDocument:
         col = raw.index(key) + 1
 
         if section == "cover":
-            if key == "r":
-                r_seen = True
+            if key in cover_keys:
+                err(lineno, col, f"duplicate [cover] key {key!r}")
+            elif key == "r":
+                cover_keys.add(key)
                 if not _is_number(value) or not 1 <= int(value) <= 4:
                     err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
                 else:
                     doc.r = int(value)
             elif key == "pencil":
+                cover_keys.add(key)
                 doc.pencil = value
             else:
                 err(lineno, col, f"unknown [cover] key {key!r}")
@@ -198,7 +201,18 @@ def parse(text: str) -> ConfigDocument:
                 continue
             spec = ComponentSpec(key, degree=-1)
             ok = True
+            clauses: set[str] = set()
             for part in [p.strip() for p in value.split(",")]:
+                # a repeated degree or mult(point) clause would overwrite the first
+                mm = _MULT.match(part)
+                clause = mm and f"mult({mm.group('point')})"
+                if part.startswith("degree"):
+                    clause = "degree"
+                if clause in clauses:
+                    err(lineno, col, f"duplicate {clause} clause for component {key!r}")
+                    continue
+                if clause:
+                    clauses.add(clause)
                 if part.startswith("degree"):
                     rest = part[len("degree") :].strip()
                     if not _is_number(rest):
@@ -208,8 +222,7 @@ def parse(text: str) -> ConfigDocument:
                         spec.degree = int(rest)
                 elif part == "reducible":
                     spec.irreducible = False
-                elif _MULT.match(part):
-                    mm = _MULT.match(part)
+                elif mm:
                     point, mult = mm.group("point"), int(mm.group("value"))
                     if point not in center_names:
                         err(lineno, col, f"multiplicity at undeclared center {point!r}")
@@ -260,7 +273,7 @@ def parse(text: str) -> ConfigDocument:
             if entries:
                 doc.branch[key] = entries
 
-    if not r_seen:
+    if "r" not in cover_keys:
         problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
     if doc.pencil is not None and doc.pencil not in center_names:
         problems.append((1, 1, f"pencil point {doc.pencil!r} is not a declared center"))

@@ -63,12 +63,6 @@ class PreconditionError(CoverError):
     code = "precondition"
 
 
-class NotConicBundleError(CoverError):
-    """Branch data incompatible with an invariant pencil at the given point."""
-
-    code = "no-match"
-
-
 class MatchError(CoverError):
     """No proposition of the taxonomy matches; message names the first failure."""
 

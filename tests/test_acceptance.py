@@ -19,7 +19,7 @@ from planecover.cover import (
     derive_building_data,
     plane_cover,
 )
-from planecover.errors import MatchError, NotConicBundleError, ParityError
+from planecover.errors import MatchError, ParityError
 from planecover.invariants import (
     bicanonical_pullback,
     canonical_square,
@@ -191,7 +191,7 @@ def test_c3_classification_round_trips():
             try:
                 match_del_pezzo(model)
                 raise AssertionError(f"{name} matched both families")
-            except (MatchError, NotConicBundleError):
+            except MatchError:
                 pass
     assert len(propositions) == 11
     _report("criterion 3: all 11 fixtures classify to their own label before and after reduction")

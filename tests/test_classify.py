@@ -1,5 +1,7 @@
 import pytest
 
+from planecover import census as census_mod
+from planecover import classify as classify_mod
 from planecover.classify import (
     classify,
     cremona_reduce,
@@ -9,7 +11,7 @@ from planecover.classify import (
     quadratic_move,
 )
 from planecover.cover import add_marked_point, derive_building_data, plane_cover
-from planecover.errors import MatchError, NotConicBundleError, PreconditionError
+from planecover.errors import MatchError, PreconditionError
 from planecover.group import GroupElement
 from planecover.invariants import canonical_square, euler_characteristic
 from planecover.normalize import normalize, pull_back, resolve
@@ -65,7 +67,7 @@ def test_infer_g_prime_rejects_bad_counts():
         {"10": [("A", 1)], "01": [("B", 1)], "11": [("Cc", 1)]},
         marked=[("p", None)],
     )
-    with pytest.raises(NotConicBundleError):
+    with pytest.raises(MatchError):
         infer_g_prime(model, "p")
 
 
@@ -260,7 +262,7 @@ def test_del_pezzo_side_conditions():
 
 def test_matchers_are_mutually_exclusive_on_fixtures():
     for name in CONIC_BUNDLE:
-        with pytest.raises((MatchError, NotConicBundleError)):
+        with pytest.raises(MatchError):
             match_del_pezzo(load_cover(name))
     for name in DEL_PEZZO:
         assert load_cover(name).pencil is None
@@ -298,6 +300,23 @@ def test_reduce_mult_d_minus_one_to_line():
     comps = [reduced.component(cid) for cid, _ in reduced.branch_map()[w]]
     assert len(comps) == 1
     assert comps[0].cls.degree == 1 and comps[0].mult_at("p") == 0
+
+
+def test_one_g_prime_inference_per_reduction(monkeypatch):
+    # the recipe reuses what the match found instead of inferring G' again
+    calls = []
+    real = classify_mod.infer_g_prime
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify_mod, "infer_g_prime", spy)
+    cremona_reduce(load_cover("prop44_unreduced"))
+    assert len(calls) == 1
+    calls.clear()
+    census_mod.census(2, 7)
+    assert len(calls) == len(list(census_mod._candidates(2, 7)))
 
 
 def test_reduce_rank3_odd_curve_to_line():

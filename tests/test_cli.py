@@ -6,7 +6,7 @@ import pytest
 from planecover import config
 from planecover.cli import main
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR
+from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture_text
 
 
 def run(capsys, *argv):
@@ -66,6 +66,44 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--input", str(doc))
     assert code == 2
     assert "error[config]" in err and "non-binary group element" in err
+
+
+@pytest.mark.parametrize("idle", ["a", "z"])
+def test_tacnode_reduction_blames_the_idle_direction_whatever_its_name(capsys, tmp_path, idle):
+    # the move is based at the tacnodal tangent the matcher found, so an
+    # extra direction at the tacnode is the one the move would orphan
+    doc = tmp_path / "idle.cfg"
+    doc.write_text(fixture_text("prop51").replace("y = near x\n", f"y = near x\n{idle} = near x\n"))
+    code, out, err = run(capsys, "reduce", "--input", str(doc))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error[geometry]: base point 'x' carries infinitely near points ['{idle}'] "
+        "that the move would orphan\n"
+    )
+
+
+REPEATED_KEYS = {
+    "r": ("[cover]\nr = 2\nr = 3\n[components]\nA = degree 1\n[branch]\n10 = A\n",
+          "3:1: duplicate [cover] key 'r'"),
+    "pencil": ("[cover]\nr = 2\npencil = p\npencil = q\n[centers]\np = point\nq = point\n"
+               "[components]\nA = degree 1\n[branch]\n10 = A\n",
+               "4:1: duplicate [cover] key 'pencil'"),
+    "degree": ("[cover]\nr = 2\n[components]\nA = degree 2, degree 4\n[branch]\n10 = A\n",
+               "4:1: duplicate degree clause for component 'A'"),
+    # the second clause would hide that m = d needs a reducible curve
+    "mult": ("[cover]\nr = 2\n[centers]\np = point\n[components]\n"
+             "A = degree 2, mult(p) = 2, mult(p) = 1\n[branch]\n10 = A\n",
+             "6:1: duplicate mult(p) clause for component 'A'"),
+}
+
+
+@pytest.mark.parametrize("repeated", sorted(REPEATED_KEYS))
+def test_repeated_key_or_clause_is_one_positioned_problem(capsys, tmp_path, repeated):
+    text, problem = REPEATED_KEYS[repeated]
+    doc = tmp_path / "repeated.cfg"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--input", str(doc))
+    assert (code, out, err) == (2, "", f"error[config]: {problem}\n")
 
 
 def test_parity_error_exit_code(capsys, tmp_path):

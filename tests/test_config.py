@@ -106,3 +106,8 @@ def test_out_of_range_r_is_one_problem(value):
     with pytest.raises(ConfigError) as err:
         config.parse(text)
     assert err.value.problems == [(2, 1, f"r must be an integer between 1 and 4, got {value!r}")]
+
+
+def test_repeated_branch_entries_stay_legal():
+    text = "[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\n[branch]\n10 = A, A\n01 = B\n"
+    assert config.parse(text).branch == {"10": [("A", 1), ("A", 1)], "01": [("B", 1)]}
