@@ -372,6 +372,8 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                 "need a tacnode of the quartic with the conic through it along the tacnodal tangent"
             )
         x, y = tacnode
+        if set(_marked_incidences(cover)) - {x, y}:
+            raise MatchError("unexpected marked incidences for the conic-plus-quartic shape")
         # one move at the tacnode, its tangent direction and a common point
         recipe = partial(_aux_move, cover, {quartic.cid: 1, conic.cid: 1}, x, None, y)
         return CaseLabel("5.1", "2.G2", (("tacnode", x),), reduce=recipe)

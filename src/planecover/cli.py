@@ -4,6 +4,7 @@ classify, reduce and census over the line-oriented document format."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,13 +114,28 @@ def _cmd_reduce(doc: config.ConfigDocument, fmt: str) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+HANDLERS = {
+    "validate": _cmd_validate,
+    "normalize": _cmd_normalize,
+    "resolve": _cmd_resolve,
+    "invariants": _cmd_invariants,
+    "classify": _cmd_classify,
+    "reduce": _cmd_reduce,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` when it prints, so
+    streams swapped between calls still receive usage errors and help."""
     parser = argparse.ArgumentParser(
         prog="planecover",
         description="exact engine for (Z/2)^r covers of the plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "normalize", "resolve", "invariants", "classify", "reduce"):
+    for name in HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--input", required=True, help="document path, or - for stdin")
         cmd.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -127,23 +143,18 @@ def main(argv: list[str] | None = None) -> int:
     cmd.add_argument("--r", type=int, required=True)
     cmd.add_argument("--max-degree", type=int, required=True)
     cmd.add_argument("--format", choices=("text", "tsv"), default="text")
+    return parser
 
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "normalize": _cmd_normalize,
-        "resolve": _cmd_resolve,
-        "invariants": _cmd_invariants,
-        "classify": _cmd_classify,
-        "reduce": _cmd_reduce,
-    }
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "census":
             table = census_mod.census(args.r, args.max_degree)
             sys.stdout.write(table.to_tsv() if args.format == "tsv" else table.to_text())
             return 0
         doc = _read_document(args.input)
-        return handlers[args.command](doc, args.format)
+        return HANDLERS[args.command](doc, args.format)
     except CoverError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

@@ -258,6 +258,16 @@ def test_del_pezzo_side_conditions():
     )
     with pytest.raises(MatchError):
         match_del_pezzo(tangent)
+    # the 5.1 conic and quartic may meet at a marked point only at the tacnode
+    crossing = plane_cover(
+        2,
+        [("conic", 2, {"x": 1, "y": 1, "q1": 1}), ("quartic", 4, {"x": 2, "y": 2, "q1": 1})],
+        {"01": [("conic", 1)], "10": [("quartic", 1)]},
+        marked=[("x", None), ("y", "x"), ("q1", None)],
+    )
+    for match_or_reduce in (match_del_pezzo, cremona_reduce):
+        with pytest.raises(MatchError, match="marked incidences for the conic-plus-quartic"):
+            match_or_reduce(crossing)
 
 
 def test_matchers_are_mutually_exclusive_on_fixtures():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -80,6 +81,43 @@ def test_tacnode_reduction_blames_the_idle_direction_whatever_its_name(capsys, t
         f"error[geometry]: base point 'x' carries infinitely near points ['{idle}'] "
         "that the move would orphan\n"
     )
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    assert main(["validate", "--input", fixture("prop53")]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["classify", "--input", fixture("prop51")]) == 0
+    assert main(["census", "--r", "2", "--max-degree", "3"]) == 0
+    assert built == []
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # usage errors and help go to the streams current at the call
+    with pytest.raises(SystemExit) as exited:
+        main(["validate"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: planecover validate [-h] --input INPUT")
+    assert "error: the following arguments are required: --input" in captured.err
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exited:
+            main(["validate", "--help"])
+        assert exited.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith("usage: planecover validate") and helps[0].err == ""
+    code, out, err = run(capsys, "validate", "--input", fixture("prop53"))
+    assert (code, err) == (0, "")
+    assert "totally_ramified = true" in out
 
 
 REPEATED_KEYS = {
