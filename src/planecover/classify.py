@@ -25,9 +25,10 @@ from . import group, lattice
 from .cover import (
     CoverModel,
     CurveComponent,
-    MarkedPoint,
     add_marked_point,
+    add_marked_points,
     derive_building_data,
+    fresh_names,
     is_totally_ramified,
 )
 from .errors import GeometryError, MatchError, PreconditionError, ReductionError
@@ -333,12 +334,8 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
 
 
 def _marked_incidences(cover: CoverModel) -> dict[str, list[CurveComponent]]:
-    out = {}
-    for m in cover.marked:
-        at = [c for c, _ in cover.components_at(m.name)]
-        if len(at) >= 2:
-            out[m.name] = at
-    return out
+    """Marked points on two or more components, in name order, with those components."""
+    return {p: [c for c, _ in at] for p, at in sorted(cover._through.items()) if len(at) >= 2}
 
 
 def match_del_pezzo(cover: CoverModel) -> CaseLabel:
@@ -591,8 +588,7 @@ def quadratic_move(
         kept = tuple((cid, k) for cid, k in entries if cid not in dropped)
         if kept:
             branch.append((g, kept))
-    parent_of = {name: cover.marked_point(name).parent for name in based}
-    marked = tuple(work.marked) + tuple(MarkedPoint(n, parent_of[n]) for n in based)
+    marked = work.marked + tuple(cover.marked_point(n) for n in based)
     moved = CoverModel(
         cover.r, lattice.PLANE, tuple(survivors), tuple(branch), marked, cover.pencil
     )
@@ -604,18 +600,10 @@ def quadratic_move(
 # -- reduction recipes ----------------------------------------------------------
 
 
-def _fresh_name(cover: CoverModel, stem: str) -> str:
-    taken = {m.name for m in cover.marked} | set(cover.surface.names)
-    i = 1
-    while f"{stem}{i}" in taken:
-        i += 1
-    return f"{stem}{i}"
-
-
 def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
     """Mark a fresh point on the curves of ``mults``, then make the quadratic
     move at ``based``, where ``None`` stands for the fresh point."""
-    aux = _fresh_name(cover, "aux")
+    (aux,) = fresh_names(cover, "aux")
     work = add_marked_point(cover, aux, mults=mults)
     work, record = quadratic_move(work, *(aux if n is None else n for n in based))
     return work, (record,)
@@ -633,10 +621,8 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         if not heavy:
             break
         target = sorted(heavy, key=lambda c: c.cid)[0]
-        qn = _fresh_name(work, "aux")
-        work = add_marked_point(work, qn, mults={target.cid: 1})
-        rn = _fresh_name(work, "aux")
-        work = add_marked_point(work, rn, parent=p, mults={target.cid: 1})
+        qn, rn = fresh_names(work, "aux", 2)
+        work = add_marked_points(work, [(qn, None, {target.cid: 1}), (rn, p, {target.cid: 1})])
         work, record = quadratic_move(work, p, qn, rn)
         moves.append(record)
     while True:
@@ -652,10 +638,10 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         if len(off) != 1 or off[0].cls.degree != 1:
             raise ReductionError("expected exactly one line off the pencil point")
         r_a, r_b = through[0], through[1]
-        qn = _fresh_name(work, "aux")
-        work = add_marked_point(work, qn, mults={off[0].cid: 1, r_b.cid: 1})
-        rn = _fresh_name(work, "aux")
-        work = add_marked_point(work, rn, parent=p, mults={r_a.cid: 1})
+        qn, rn = fresh_names(work, "aux", 2)
+        work = add_marked_points(
+            work, [(qn, None, {off[0].cid: 1, r_b.cid: 1}), (rn, p, {r_a.cid: 1})]
+        )
         work, record = quadratic_move(work, p, qn, rn)
         moves.append(record)
     return work, tuple(moves)

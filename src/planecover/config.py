@@ -131,6 +131,10 @@ def parse(text: str) -> ConfigDocument:
     component_names: set[str] = set()
     center_names: set[str] = set()
     cover_keys: set[str] = set()
+    # (line, column, key, problems so far) per branch key whose length is not
+    # r when it is read; r is 0 until read, and [cover] may follow [branch],
+    # so the length is checked after the last line
+    wrong_length: list[tuple[int, int, str, int]] = []
 
     def err(lineno: int, col: int, message: str) -> None:
         problems.append((lineno, col, message))
@@ -247,9 +251,8 @@ def parse(text: str) -> ConfigDocument:
             if any(c not in "01" for c in key):
                 err(lineno, col, f"non-binary group element {key!r}")
                 continue
-            if doc.r and len(key) != doc.r:
-                err(lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
-                continue
+            if len(key) != doc.r:
+                wrong_length.append((lineno, col, key, len(problems)))
             if set(key) == {"0"}:
                 err(lineno, col, "branch data are indexed by nonzero group elements")
                 continue
@@ -273,6 +276,15 @@ def parse(text: str) -> ConfigDocument:
             if entries:
                 doc.branch[key] = entries
 
+    # a key of the wrong length reports only that, as if its line stopped there
+    for lineno, col, key, start in reversed(wrong_length):
+        if doc.r and len(key) != doc.r:
+            end = start
+            while end < len(problems) and problems[end][0] == lineno:
+                end += 1
+            problems[start:end] = [
+                (lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
+            ]
     if "r" not in cover_keys:
         problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
     if doc.pencil is not None and doc.pencil not in center_names:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count, islice
 from typing import Iterable, Mapping, Sequence
 
 from . import group, lattice
@@ -25,19 +26,7 @@ from .errors import (
     ParityError,
 )
 from .group import Character, GroupElement
-from .lattice import BlownPlane, DivisorClass
-
-
-@dataclass(frozen=True)
-class MarkedPoint:
-    """A named point that blow-ups may later use as a center.
-
-    ``parent`` names either a blown-up center or another marked point; a
-    child point encodes a direction infinitely near its parent.
-    """
-
-    name: str
-    parent: str | None = None
+from .lattice import BlownPlane, Center, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -93,13 +82,18 @@ def _canonical_branch(raw: Iterable[tuple[GroupElement, Iterable[BranchEntry]]])
 
 @dataclass(frozen=True)
 class CoverModel:
-    """A totally symbolic (Z/2)^r cover of a blown plane."""
+    """A totally symbolic (Z/2)^r cover of a blown plane.
+
+    A marked point is the ``Center`` it becomes once blown up: its
+    ``parent`` names a blown-up center or another marked point, and a child
+    point encodes a direction infinitely near its parent.
+    """
 
     r: int
     surface: BlownPlane
     components: tuple[CurveComponent, ...]
     branch: BranchData
-    marked: tuple[MarkedPoint, ...] = ()
+    marked: tuple[Center, ...] = ()
     pencil: str | None = None
 
     def __post_init__(self):
@@ -150,8 +144,26 @@ class CoverModel:
         return {c.cid: c for c in self.components}
 
     @cached_property
-    def _by_point(self) -> dict[str, MarkedPoint]:
+    def _by_point(self) -> dict[str, Center]:
         return {m.name: m for m in self.marked}
+
+    @cached_property
+    def _through(self) -> dict[str, list[tuple[CurveComponent, int]]]:
+        """point -> [(component, m), ...] for m >= 1, in component-id order."""
+        through: dict[str, list[tuple[CurveComponent, int]]] = {}
+        for comp in self.components:
+            for name, m in comp.mults:
+                through.setdefault(name, []).append((comp, m))
+        return through
+
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        """parent -> names of the marked points infinitely near it, in name order."""
+        children: dict[str, list[str]] = {}
+        for m in self.marked:
+            if m.parent is not None:
+                children.setdefault(m.parent, []).append(m.name)
+        return children
 
     @cached_property
     def _inertia(self) -> dict[str, GroupElement | None]:
@@ -169,7 +181,7 @@ class CoverModel:
         except KeyError:
             raise DanglingReferenceError(f"no component named {cid!r}") from None
 
-    def marked_point(self, name: str) -> MarkedPoint:
+    def marked_point(self, name: str) -> Center:
         """One dict lookup in a map built once per model."""
         try:
             return self._by_point[name]
@@ -228,16 +240,15 @@ class CoverModel:
         return out
 
     def components_at(self, point_name: str) -> list[tuple[CurveComponent, int]]:
-        """Branch components passing through a marked point, with multiplicities."""
-        out = []
-        for comp in self.components:
-            m = comp.mult_at(point_name)
-            if m >= 1:
-                out.append((comp, m))
-        return out
+        """Branch components passing through a marked point, with multiplicities.
+
+        One dict lookup in a map built once per model.
+        """
+        return list(self._through.get(point_name, ()))
 
     def children_of_point(self, name: str) -> tuple[str, ...]:
-        return tuple(m.name for m in self.marked if m.parent == name)
+        """One dict lookup in a map built once per model."""
+        return tuple(self._children.get(name, ()))
 
     def point_is_ripe(self, name: str) -> bool:
         """A point can be blown up once its parent (if any) has been."""
@@ -314,7 +325,7 @@ def plane_cover(
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
     )
-    marks = tuple(MarkedPoint(name, parent) for name, parent in marked)
+    marks = tuple(Center(name, parent) for name, parent in marked)
     return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
 
 
@@ -380,12 +391,19 @@ def add_marked_points(
             extra[cid][name] = m
         touched.update(mults)
         in_use.add(name)
-        marked.append(MarkedPoint(name, parent))
+        marked.append(Center(name, parent))
     components = tuple(
         replace(c, mults=tuple(extra[c.cid].items())) if c.cid in touched else c
         for c in cover.components
     )
     return replace(cover, components=components, marked=tuple(marked))
+
+
+def fresh_names(cover: CoverModel, stem: str, n: int = 1) -> list[str]:
+    """The first ``n`` names ``stem<i>``, i = 1, 2, ..., that no marked point or center uses."""
+    taken = cover._by_point.keys() | cover.surface.names
+    names = (f"{stem}{i}" for i in count(1))
+    return list(islice((name for name in names if name not in taken), n))
 
 
 # -- operations ------------------------------------------------------------

@@ -104,13 +104,9 @@ def _verdict(chi: int | None, bicanonical: DivisorClass) -> tuple[str, tuple[str
     return "inconclusive", ("bicanonical pullback class may be effective",)
 
 
-def rationality_verdict(cover: CoverModel) -> tuple[str, tuple[str, ...]]:
-    """Conservative verdict: "rational" or "inconclusive", never "irrational"."""
-    chi = _chi_of_smooth(cover) if smoothness_report(cover) else None
-    return _verdict(chi, bicanonical_pullback(cover))
-
-
 def invariant_report(cover: CoverModel) -> InvariantReport:
+    """Every invariant, each computed once; the verdict is conservative:
+    "rational" or "inconclusive", never "irrational"."""
     chi = _chi_of_smooth(cover) if smoothness_report(cover) else None
     bicanonical = bicanonical_pullback(cover)
     verdict, notes = _verdict(chi, bicanonical)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cover import CoverModel, CurveComponent, add_marked_points
+from .cover import CoverModel, CurveComponent, add_marked_points, fresh_names
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -33,25 +33,6 @@ from .errors import (
 )
 from .group import GroupElement
 from .lattice import BlownPlane, Center, DivisorClass
-
-
-@dataclass(frozen=True)
-class IncidenceRecord:
-    """Declared local data at one marked point."""
-
-    point: str
-    entries: tuple[tuple[str, int], ...]
-    tangencies: tuple[tuple[str, tuple[str, ...]], ...]
-
-
-def incidence_at(cover: CoverModel, point: str) -> IncidenceRecord:
-    entries = tuple((c.cid, m) for c, m in cover.components_at(point))
-    tangencies = []
-    for child in cover.children_of_point(point):
-        sharing = tuple(c.cid for c, _ in cover.components_at(child))
-        if len(sharing) >= 2:
-            tangencies.append((child, sharing))
-    return IncidenceRecord(point, entries, tuple(tangencies))
 
 
 # -- normalization --------------------------------------------------------------
@@ -84,6 +65,7 @@ def is_normalized(cover: CoverModel) -> bool:
 
 def pull_back(cover: CoverModel, *points: str) -> CoverModel:
     """Pull the cover back along the blow-ups at marked (or fresh) points.
+    A marked point's ``Center`` becomes a center of the new surface as it is.
 
     The points are blown up in the order given, so a child point may follow
     its parent in the same call (the parent's exceptional curve then passes
@@ -101,39 +83,33 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
     """
     if not points:
         raise DomainError("pull_back needs at least one point")
-    marked = {m.name: m for m in cover.marked}
-    children: dict[str, list[str]] = {}
-    for m in cover.marked:
-        children.setdefault(m.parent, []).append(m.name)
+    marked = dict(cover._by_point)
     centers = list(cover.surface.centers)
     center_names = set(cover.surface.names)
     # work per incidence, not per (component, point): each component keeps its
     # nonzero coefficients, gaining (slot, -m) per point it passes through, the
     # D_g it lies in and its unchanged constructor arguments; each point maps
-    # to the components through it
+    # to the components through it, copied from the model's incidence index
     coeffs = {c.cid: dict(c.cls.support) for c in cover.components}
     carriers: dict[str, list[tuple[GroupElement, int]]] = {cid: [] for cid in coeffs}
     for g, entries in cover.branch:
         for cid, k in entries:
             carriers[cid].append((g, k))
     kept = {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components}
-    through: dict[str, dict[str, int]] = {}
-    for c in cover.components:
-        for name, m in c.mults:
-            through.setdefault(name, {})[c.cid] = m
+    through = {name: {c.cid: m for c, m in at} for name, at in cover._through.items()}
     new_branch = list(cover.branch)
     for point in points:
         if point in marked:
-            parent = marked.pop(point).parent
-            if parent is not None and parent not in center_names:
+            center = marked.pop(point)
+            if center.parent is not None and center.parent not in center_names:
                 raise PreconditionError(
-                    f"point {point!r} is infinitely near unblown point {parent!r}"
+                    f"point {point!r} is infinitely near unblown point {center.parent!r}"
                 )
         elif point in center_names:
             raise DomainError(f"point {point!r} is already a center")
         else:
-            parent = None
-        centers.append(Center(point, parent))
+            center = Center(point)
+        centers.append(center)
         center_names.add(point)
         slot = len(centers)
 
@@ -152,7 +128,7 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
         coeffs[eid] = {slot: 1}
         carriers[eid] = list(mult_in_g.items())
         kept[eid] = (True, point)
-        for child in children.get(point, ()):
+        for child in cover.children_of_point(point):
             through.setdefault(child, {})[eid] = 1
         new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
 
@@ -343,7 +319,6 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
     current = normalize(cover)
     rounds = 0
     trail: list[RoundRecord] = []
-    auto = 0
     while True:
         singulars = [
             m.name
@@ -354,8 +329,7 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
             pairs = singular_residual_pairs(current)
             if not pairs:
                 break
-            names = [f"sing{auto + i}" for i in range(1, len(pairs) + 1)]
-            auto += len(pairs)
+            names = fresh_names(current, "sing", len(pairs))
             current = add_marked_points(
                 current, [(name, None, {a: 1, b: 1}) for name, (a, b) in zip(names, pairs)]
             )

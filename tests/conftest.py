@@ -91,6 +91,18 @@ def dense_singular_residual_pairs(cover):
     return pairs
 
 
+def scan_components_at(cover, point):
+    """Reference for ``CoverModel.components_at``: every component, in id
+    order, with its multiplicity at ``point`` when that is at least 1."""
+    return [(c, c.mult_at(point)) for c in cover.components if c.mult_at(point) >= 1]
+
+
+def scan_children_of_point(cover, name):
+    """Reference for ``CoverModel.children_of_point``: the marked points, in
+    name order, whose parent is ``name``."""
+    return tuple(m.name for m in cover.marked if m.parent == name)
+
+
 def closure_span(els, r):
     """Reference for ``group.span``: the closure of ``els`` and zero under
     addition, grown one element at a time."""

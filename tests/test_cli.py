@@ -425,3 +425,40 @@ def test_empty_branch_multiplicity_is_a_config_error(capsys, tmp_path, entry):
         code, out, err = run(capsys, command, "--input", str(doc))
         assert (code, out) == (2, "")
         assert err == "error[config]: 10:1: bad multiplicity in branch entry 'A*'\n"
+
+
+def test_automatic_points_skip_declared_names(capsys, tmp_path):
+    # the lines A and B in 10 cross at an undeclared point, which resolve
+    # names by the first free sing<i>; a declared sing1 on no curve is taken
+    text = (
+        "[cover]\nr = 2\n\n[centers]\n{point} = point\n\n[components]\n"
+        "A = degree 1\nB = degree 1\nC = degree 2\nD = degree 2\n\n"
+        "[branch]\n01 = C\n10 = A, B\n11 = D\n"
+    )
+    found = {}
+    for point in ("sing1", "q1"):
+        doc = tmp_path / f"{point}.cfg"
+        doc.write_text(text.format(point=point), encoding="utf-8")
+        code, out, err = run(capsys, "invariants", "--input", str(doc))
+        assert (code, err) == (0, "")
+        found[point] = [
+            line for line in out.splitlines() if line.startswith(("chi", "k2", "resolution_rounds"))
+        ]
+    assert found["sing1"] == found["q1"] == ["chi = 1", "k2 = 0", "resolution_rounds = 1"]
+
+
+@pytest.mark.parametrize("command", ["validate", "normalize", "classify"])
+@pytest.mark.parametrize("key", ["100", "11111", "1"])
+@pytest.mark.parametrize("cover_first", [True, False])
+def test_branch_key_length_is_checked_in_either_section_order(
+    capsys, tmp_path, cover_first, key, command
+):
+    cover = "[cover]\nr = 2\n"
+    rest = f"[components]\nA = degree 1\nB = degree 1\n[branch]\n{key} = A, B\n"
+    text = cover + rest if cover_first else rest + cover
+    line = text.splitlines().index(f"{key} = A, B") + 1
+    doc = tmp_path / "order.cfg"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--input", str(doc))
+    problem = f"{line}:1: group element {key!r} has length {len(key)}, expected 2"
+    assert (code, out, err) == (2, "", f"error[config]: {problem}\n")

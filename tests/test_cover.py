@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from planecover import census as census_mod
+from planecover import classify as classify_mod
 from planecover import cover as cov
 from planecover import group
+from planecover import normalize as normalize_mod
 from planecover.cover import (
     add_marked_point,
     add_marked_points,
@@ -23,9 +26,9 @@ from planecover.errors import (
 )
 from planecover.group import Character, GroupElement
 from planecover.lattice import Center, DivisorClass
-from planecover.normalize import pull_back
+from planecover.normalize import pull_back, resolve
 
-from conftest import FIXTURE_DIR, load_cover
+from conftest import FIXTURE_DIR, load_cover, scan_children_of_point, scan_components_at
 
 
 def test_totally_ramified_examples():
@@ -393,3 +396,57 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
     for branch in ({"10": [("A", 1)], "01": [("A", 1)]}, {"10": [("A", 2)]}):
         with pytest.raises(InconsistencyError, match="component 'A' is not reduced/uniquely"):
             plane_cover(2, [("A", 1, {})], branch).inertia_of("A")
+
+
+def test_a_blown_up_marked_point_is_its_center():
+    model = load_cover("prop51")
+    assert pull_back(model, "x").surface.center("x") is model.marked_point("x")
+
+
+def models_pulled_back(monkeypatch, run):
+    """Every model that ``pull_back`` reads or returns while ``run()`` runs."""
+    seen = []
+
+    def recording(cover, *points):
+        out = pull_back(cover, *points)
+        seen.extend((cover, out))
+        return out
+
+    monkeypatch.setattr(normalize_mod, "pull_back", recording)
+    monkeypatch.setattr(classify_mod, "pull_back", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def assert_index_matches_scan(model):
+    points = [m.name for m in model.marked] + list(model.surface.names) + ["nowhere"]
+    for point in points:
+        assert model.components_at(point) == scan_components_at(model, point)
+        assert model.children_of_point(point) == scan_children_of_point(model, point)
+
+
+def test_incidence_index_matches_scan_along_fixture_resolutions(monkeypatch):
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        model = load_cover(path.stem)
+        trail = models_pulled_back(monkeypatch, lambda: resolve(model))
+        for each in [model, *trail]:
+            assert_index_matches_scan(each)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_incidence_index_matches_scan_on_census_patterns(monkeypatch, r):
+    patterns = [model for _, model in census_mod._candidates(r, 7)]
+    pulled = models_pulled_back(monkeypatch, lambda: census_mod.census(r, 7))
+    assert pulled
+    for model in patterns + pulled:
+        assert_index_matches_scan(model)
+
+
+def test_incidence_index_matches_scan_on_random_covers(monkeypatch):
+    rng = random.Random(8080)
+    for _ in range(40):
+        model = random_valid_cover(rng)
+        trail = models_pulled_back(monkeypatch, lambda: resolve(model, max_rounds=20))
+        for each in [model, *trail]:
+            assert_index_matches_scan(each)

@@ -19,7 +19,6 @@ from planecover.invariants import (
     canonical_square,
     euler_characteristic,
     invariant_report,
-    rationality_verdict,
     riemann_hurwitz_genus,
 )
 from planecover.normalize import normalize, pull_back, resolve, smoothness_report
@@ -86,21 +85,21 @@ def test_k2_odd_rank_parity_check():
 def test_bicanonical_classes_and_verdicts():
     model = load_cover("prop53")
     assert str(bicanonical_pullback(model)) == "-H"
-    assert rationality_verdict(model)[0] == "rational"
+    assert invariant_report(model).rationality_verdict == "rational"
 
     result = resolve(load_cover("prop51"))
     cls = bicanonical_pullback(result.cover)
     assert cls == -2 * lattice.exceptional(result.cover.surface, "y")
-    assert rationality_verdict(result.cover)[0] == "rational"
+    assert invariant_report(result.cover).rationality_verdict == "rational"
 
     assert str(bicanonical_pullback(load_cover("prop59"))) == "-H"
-    assert rationality_verdict(load_cover("prop59"))[0] == "rational"
+    assert invariant_report(load_cover("prop59")).rationality_verdict == "rational"
 
 
 def test_verdict_is_conservative_on_singular_models():
-    verdict, notes = rationality_verdict(load_cover("prop51"))
-    assert verdict == "inconclusive"
-    assert any("resolve" in note for note in notes)
+    report = invariant_report(load_cover("prop51"))
+    assert report.rationality_verdict == "inconclusive"
+    assert any("resolve" in note for note in report.notes)
 
 
 def test_invariant_report_serialization():
@@ -190,7 +189,6 @@ def test_report_agrees_with_the_single_invariants(name):
     cover = load_cover(name)
     for c in (cover, normalize(cover), resolve(cover).cover):
         report = invariant_report(c)
-        assert rationality_verdict(c) == (report.rationality_verdict, report.notes)
         assert report.k_squared == canonical_square(c)
         assert report.bicanonical_pullback == bicanonical_pullback(c)
         assert report.chi == (euler_characteristic(c) if smoothness_report(c) else None)

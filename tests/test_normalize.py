@@ -7,7 +7,6 @@ from planecover.cover import add_marked_points, derive_building_data, plane_cove
 from planecover.errors import InconsistencyError, NonTerminationError, PreconditionError
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
-    incidence_at,
     is_normalized,
     is_smooth_over,
     normalize,
@@ -267,9 +266,11 @@ def test_is_smooth_over_examples():
 
 
 def test_incidence_record():
-    record = incidence_at(load_cover("prop51"), "x")
-    assert record.entries == (("conic", 1), ("quartic", 2))
-    assert record.tangencies == (("y", ("conic", "quartic")),)
+    # the tacnode x: both curves pass through x and share its direction y
+    model = load_cover("prop51")
+    assert [(c.cid, m) for c, m in model.components_at("x")] == [("conic", 1), ("quartic", 2)]
+    assert model.children_of_point("x") == ("y",)
+    assert [c.cid for c, _ in model.components_at("y")] == ["conic", "quartic"]
 
 
 def test_residual_same_inertia_detection():
