@@ -4,8 +4,13 @@ The conic-bundle matcher takes a marked pencil point p and first computes
 the subgroup G' of elements acting trivially on the parameter line of the
 pencil of lines through p: G' is spanned by the inertia elements met by a
 general pencil line on the blow-up at p (including the exceptional section
-when normalization puts it in the branch).  The branch-point count on that
-line then pins down the family, and shape conditions select the case.
+when normalization puts it in the branch).  Both are intersection counts
+the plane model already holds, so no blow-up is built: a curve of degree d
+with multiplicity m_p at p meets the line (dH - m_p E_p).(H - E_p) = d - m_p
+times, and the section E_p, met once, is in the branch with the XOR of the
+inertia elements of the curves of odd multiplicity at p, when that is
+nonzero.  The branch-point count on the line then pins down the family,
+and shape conditions select the case.
 
 Cremona reduction does not search for simplifying moves.  The matcher
 branch that decides a family attaches that family's recipe to the label it
@@ -92,28 +97,44 @@ def _require_plane_normalized(cover: CoverModel) -> None:
 def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
     """Compute G' from which branch pieces meet a general pencil line.
 
-    The cover is pulled back to the blow-up at the pencil point and
-    normalized; a branch component is horizontal when its class meets the
-    fiber class, and the exceptional section counts when the normalization
-    keeps it in the branch.
+    Read off the plane model, on the blow-up at the pencil point p without
+    building it: a general line through p has class H - E_p there, and a
+    component of degree d with multiplicity m_p at p has strict transform
+    dH - m_p E_p, which meets it d - m_p times, so the component is
+    horizontal when d - m_p > 0.  The total transform of D_g holds E_p as
+    often as the multiplicities at p of its components add up, so after
+    normalization E_p lies in the XOR of the inertia elements of the
+    components with odd multiplicity at p; when that XOR is nonzero, the
+    exceptional section E_p, which meets the line once, is one more
+    branch point.  A pencil point infinitely near another point cannot be
+    blown up first, and is rejected as by ``pull_back``.
     """
     _require_plane_normalized(cover)
-    model = normalize(pull_back(cover, pencil_point))
-    fiber = lattice.hyperplane(model.surface) - lattice.exceptional(
-        model.surface, pencil_point
-    )
+    point = cover._by_point.get(pencil_point)
+    if point is not None and point.parent is not None:
+        raise PreconditionError(
+            f"point {pencil_point!r} is infinitely near unblown point {point.parent!r}"
+        )
+    mult_at_p = {c.cid: m for c, m in cover._through.get(pencil_point, ())}
     carriers: list[GroupElement] = []
     count = 0
-    for g, entries in model.branch:
-        for cid, mult in entries:
-            crossings = lattice.intersect(model.component(cid).cls, fiber)
+    section = group.zero(cover.r)
+    for g, entries in cover.branch:
+        for cid, _ in entries:
+            m = mult_at_p.get(cid, 0)
+            crossings = cover.component(cid).cls.degree - m
             if crossings < 0:
                 raise MatchError(
                     f"component {cid} has negative fiber degree; bad multiplicities at the pencil point"
                 )
             if crossings:
                 carriers.append(g)
-                count += mult * crossings
+                count += crossings
+            if m % 2:
+                section += g
+    if not section.is_zero:
+        carriers.append(section)
+        count += 1
     subgroup = group.span(carriers, cover.r)
     s = group.subgroup_dimension(subgroup)
     expected = _EXPECTED_BRANCH_POINTS.get((cover.r, s))
@@ -501,24 +522,41 @@ class MoveRecord:
 
 
 def _purge_idle_marks(cover: CoverModel) -> CoverModel:
-    """Drop direction markers no longer shared by two branch components."""
-    current = cover
-    while True:
-        removable = None
-        for m in current.marked:
-            if m.name == current.pencil or current.children_of_point(m.name):
-                continue
-            if len(current.components_at(m.name)) <= 1:
-                removable = m.name
-                break
-        if removable is None:
-            return current
-        comps = tuple(
-            replace(c, mults=tuple((n, k) for n, k in c.mults if n != removable))
-            for c in current.components
+    """Drop direction markers no longer shared by two branch components.
+
+    A marked point is idle when it is not the pencil point, at most one
+    component passes through it, and every point infinitely near it is idle.
+    Dropping a point changes no other point's incidences, so the idle points
+    are found on the incidence indexes, from the childless ones up to their
+    parents, and dropped in one rebuild.
+    """
+
+    def idle(name: str) -> bool:
+        return (
+            name != cover.pencil
+            and len(cover._through.get(name, ())) <= 1
+            and all(child in gone for child in cover._children.get(name, ()))
         )
-        marked = tuple(m for m in current.marked if m.name != removable)
-        current = replace(current, components=comps, marked=marked)
+
+    gone: set[str] = set()
+    ready = [m.name for m in cover.marked if idle(m.name)]
+    while ready:
+        name = ready.pop()
+        gone.add(name)
+        parent = cover.marked_point(name).parent
+        if parent in cover._by_point and idle(parent):
+            ready.append(parent)
+    if not gone:
+        return cover
+    touched = {c.cid for name in gone for c, _ in cover._through.get(name, ())}
+    comps = tuple(
+        replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
+        if c.cid in touched
+        else c
+        for c in cover.components
+    )
+    marked = tuple(m for m in cover.marked if m.name not in gone)
+    return replace(cover, components=comps, marked=marked)
 
 
 def quadratic_move(
@@ -564,7 +602,7 @@ def quadratic_move(
             continue
         mults = dict(comp.mults)
         for name in based:
-            m = -reflected.coeffs[slots[name]]
+            m = -reflected.support.get(slots[name], 0)
             if m < 0:
                 raise GeometryError(
                     f"move produced a negative multiplicity on {comp.cid}; invalid base triple"
@@ -614,7 +652,7 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
     moves = []
     work = cover
     while True:
-        comps = [work.component(cid) for cid, _ in work.branch_map().get(w, ())]
+        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
         heavy = [
             c for c in comps if c.cls.degree >= 2 and c.mult_at(p) == c.cls.degree - 1
         ]
@@ -626,7 +664,7 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         work, record = quadratic_move(work, p, qn, rn)
         moves.append(record)
     while True:
-        comps = [work.component(cid) for cid, _ in work.branch_map().get(w, ())]
+        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
         through = sorted((c for c in comps if c.mult_at(p) == 1), key=lambda c: c.cid)
         off = [c for c in comps if c.mult_at(p) == 0]
         if not through:

@@ -6,7 +6,10 @@ blown up) points, and the branch assignment g -> components.  Building data
 are never given as input: the bases here have torsion-free Picard group, so
 the branch data determine every L_chi through 2*L_chi ~ sum of eps_chi(g)*D_g,
 and deriving them (once per model, on first use) removes an inconsistency
-surface.
+surface.  The sums are linear in the [D_g], so they are built in one sweep
+over the branch data: each nonzero coefficient of each [D_g] is added into
+the sums of the 2^(r-1) characters that are odd on g, with no per-character
+pass and no intermediate classes.
 """
 
 from __future__ import annotations
@@ -166,6 +169,10 @@ class CoverModel:
         return children
 
     @cached_property
+    def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
+        return dict(self.branch)
+
+    @cached_property
     def _inertia(self) -> dict[str, GroupElement | None]:
         """cid -> its g when it lies in exactly one D_g, once; else None."""
         inertia: dict[str, GroupElement | None] = {}
@@ -188,12 +195,9 @@ class CoverModel:
         except KeyError:
             raise DanglingReferenceError(f"no marked point named {name!r}") from None
 
-    def branch_map(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
-        return {g: entries for g, entries in self.branch}
-
     def branch_class(self, g: GroupElement) -> DivisorClass:
         """[D_g], summed over the nonzero coefficients of its components."""
-        entries = self.branch_map().get(g, ())
+        entries = self._by_g.get(g, ())
         return lattice.linear_combination(
             self.surface, ((k, self.component(cid).cls) for cid, k in entries)
         )
@@ -216,13 +220,18 @@ class CoverModel:
 
     @cached_property
     def _branch_sums(self) -> dict[Character, DivisorClass]:
-        """S_chi = sum over nonzero g of eps_chi(g) * [D_g], for every character chi."""
-        classes = [(g, self.branch_class(g)) for g, _ in self.branch]
+        """S_chi = sum over nonzero g of eps_chi(g) * [D_g], for every character
+        chi, in one sweep over the branch data."""
+        sums: list[dict[int, int]] = [{} for _ in range(1 << self.r)]
+        for g, entries in self.branch:
+            odd = [sums[chi] for chi in range(1 << self.r) if (chi & g.mask).bit_count() & 1]
+            for cid, k in entries:
+                for slot, value in self._by_cid[cid].cls.support.items():
+                    for total in odd:
+                        total[slot] = total.get(slot, 0) + k * value
         return {
-            chi: lattice.linear_combination(
-                self.surface, ((1, cls) for g, cls in classes if group.epsilon(chi, g))
-            )
-            for chi in group.characters(self.r)
+            chi: DivisorClass.from_support(self.surface, total)
+            for chi, total in zip(group.characters(self.r), sums)
         }
 
     @cached_property
@@ -448,28 +457,37 @@ def check_prod_relations(
     With M_chi = 2 L_chi - sum eps_chi(g) D_g, and eps_chi + eps_chi' -
     eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for (chi, chi') reads
     M_chi + M_chi' = M_{chi+chi'}; the lattice is torsion-free, so that decides it.
-    So the cost is 2^r defects M_chi from the model's cached branch sums: when
-    every M_chi is 0, all 4^r relations hold and no pair is compared.  Only
-    when some defect is nonzero are the pairs scanned, to list the violations.
+    So the cost is 2^r tests of M_chi = 0 against the model's cached branch
+    sums, each a comparison of the coefficients of 2 L_chi with those of
+    S_chi: when every M_chi is 0, all 4^r relations hold, no class is built
+    and no pair is compared.  Only when some defect is nonzero are the
+    defect classes built and the pairs scanned, to list the violations.
     """
     if building is None:
         building = cover._building_data
-    defect: dict[Character, DivisorClass] = {}
-    for chi, total in cover._branch_sums.items():
+    sums = cover._branch_sums
+    for chi in sums:
         if chi not in building:
             raise DomainError(f"building data have no class for character {chi}")
         if building[chi].surface != cover.surface:
             raise DimensionError(f"building class for character {chi} lives on another surface")
-        defect[chi] = lattice.linear_combination(cover.surface, ((2, building[chi]), (-1, total)))
-    if all(m.is_zero for m in defect.values()):
-        return ProdReport(len(defect) ** 2, ())
+    n = len(sums)
+    if all(
+        {slot: 2 * c for slot, c in building[chi].support.items()} == total.support
+        for chi, total in sums.items()
+    ):
+        return ProdReport(n * n, ())
+    defect = {
+        chi: lattice.linear_combination(cover.surface, ((2, building[chi]), (-1, total)))
+        for chi, total in sums.items()
+    }
     violations = [
         (chi, chi2)
         for chi in defect
         for chi2 in defect
         if defect[chi] + defect[chi2] != defect[chi + chi2]
     ]
-    return ProdReport(len(defect) ** 2, tuple(violations))
+    return ProdReport(n * n, tuple(violations))
 
 
 def quotient_cover(cover: CoverModel, subgroup: Iterable[GroupElement]) -> CoverModel:

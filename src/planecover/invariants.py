@@ -56,9 +56,13 @@ def euler_characteristic(cover: CoverModel) -> int:
 
 
 def _chi_of_smooth(cover: CoverModel) -> int:
-    k = lattice.canonical(cover.surface)
-    # L_0 = 0 adds nothing to the sum
-    total = sum(lattice.intersect(cls, cls + k) for cls in derive_building_data(cover).values())
+    # L.(L + K) = L.L + L.K, and with K = -3H + sum E_i, L.K is -3 deg L minus
+    # the sum of the exceptional coefficients of L: both read off the nonzero
+    # coefficients of L, so neither K nor L + K is built.  L_0 = 0 adds nothing.
+    total = 0
+    for cls in derive_building_data(cover).values():
+        d = cls.degree
+        total += d * d - 3 * d - sum(c * c + c for slot, c in cls.support.items() if slot)
     if total % 2:
         raise InconsistencyError("building data give a non-integral Euler characteristic")
     return 2**cover.r + total // 2

@@ -22,6 +22,7 @@ same inertia element.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from .cover import CoverModel, CurveComponent, add_marked_points, fresh_names
@@ -40,7 +41,11 @@ from .lattice import BlownPlane, Center, DivisorClass
 
 def normalize(cover: CoverModel) -> CoverModel:
     """Put each component once in the XOR of the D_g that hold it an odd
-    number of times; drop it when that XOR is 0 or no D_g holds it."""
+    number of times; drop it when that XOR is 0 or no D_g holds it.
+
+    A model that is normalized already is returned as it is, not rebuilt."""
+    if is_normalized(cover):
+        return cover
     carrier: dict[str, GroupElement] = {}
     for g, entries in cover.branch:
         for cid, k in entries:
@@ -205,9 +210,9 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
     has residual d_a*d_b >= 0, so only pairs sharing something are computed,
     and each raises InconsistencyError when its residual is negative.
 
-    Cost: one pass over each class's nonzero coefficients and each
-    component's declared multiplicities, then constant work per (shared slot
-    or point, pair through it) and per same-inertia pair of positive degrees.
+    Cost: one pass over each class's nonzero coefficients and the model's
+    point -> components index, then constant work per (shared slot or point,
+    pair through it) and per same-inertia pair of positive degrees.
     Nothing is proportional to the Picard rank per pair.  Pairs come in the
     order of the sorted component ids; the first over-declared pair in that
     order is the one reported.  On a model that is not normalized, the
@@ -218,17 +223,18 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
     if len(comps) < 2:
         return []
     inertia = [cover.inertia_of(c.cid) for c in comps]
-    # exceptional slot or marked point -> [(component index, -coefficient or
-    # multiplicity)]; a component's mults name only marked points
-    through: dict[int | str, list[tuple[int, int]]] = {}
+    index = {c.cid: i for i, c in enumerate(comps)}
+    # exceptional slot -> [(component index, -coefficient)], and marked point
+    # -> [(component index, multiplicity)] from the model's incidence index;
+    # both lists run in component order
+    through: dict[int, list[tuple[int, int]]] = {}
     for i, c in enumerate(comps):
         for slot, value in c.cls.support.items():
             if slot:
                 through.setdefault(slot, []).append((i, -value))
-        for point, m in c.mults:
-            through.setdefault(point, []).append((i, m))
+    at_points = ([(index[c.cid], m) for c, m in at] for at in cover._through.values())
     shared: dict[tuple[int, int], int] = {}
-    for members in through.values():
+    for members in itertools.chain(through.values(), at_points):
         for n, (i, x) in enumerate(members):
             for j, y in members[n + 1 :]:
                 shared[i, j] = shared.get((i, j), 0) + x * y

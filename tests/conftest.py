@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from planecover import config, group
-from planecover.errors import InconsistencyError
+from planecover import classify, config, group, lattice
+from planecover.errors import InconsistencyError, MatchError, ParityError
+from planecover.normalize import normalize, pull_back
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,3 +129,81 @@ def greedy_complement_basis(subgroup, r):
         if e not in closure_span(list(subgroup) + chosen, r):
             chosen.append(e)
     return chosen
+
+
+def pulled_back_g_prime(cover, pencil_point):
+    """Reference for ``classify.infer_g_prime``: pull the cover back to the
+    blow-up at the pencil point, normalize, and intersect every branch
+    component of that model with the fiber class H - E_p."""
+    classify._require_plane_normalized(cover)
+    model = normalize(pull_back(cover, pencil_point))
+    fiber = lattice.hyperplane(model.surface) - lattice.exceptional(model.surface, pencil_point)
+    carriers = []
+    count = 0
+    for g, entries in model.branch:
+        for cid, mult in entries:
+            crossings = lattice.intersect(model.component(cid).cls, fiber)
+            if crossings < 0:
+                raise MatchError(
+                    f"component {cid} has negative fiber degree; bad multiplicities at the pencil point"
+                )
+            if crossings:
+                carriers.append(g)
+                count += mult * crossings
+    subgroup = group.span(carriers, cover.r)
+    s = group.subgroup_dimension(subgroup)
+    expected = classify._EXPECTED_BRANCH_POINTS.get((cover.r, s))
+    if expected is None:
+        raise MatchError(
+            f"not an invariant-conic-bundle configuration: r={cover.r} with G' of rank {s}"
+        )
+    if count != expected:
+        raise MatchError(
+            f"not an invariant-conic-bundle configuration: {count} branch points "
+            f"on a general pencil line, expected {expected} for r={cover.r}, s={s}"
+        )
+    return classify.GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup)))
+
+
+def per_character_building_data(cover):
+    """Reference for ``CoverModel._branch_sums`` and ``_building_data``: for
+    each character chi in order, S_chi as the epsilon-weighted linear
+    combination of the [D_g], and L_chi = S_chi / 2, or ParityError for the
+    first chi whose sum has an odd coefficient.  Returns (L, S)."""
+    sums, halves = {}, {}
+    for chi in group.characters(cover.r):
+        total = lattice.linear_combination(
+            cover.surface,
+            ((group.epsilon(chi, g), cover.branch_class(g)) for g, _ in cover.branch),
+        )
+        if any(c % 2 for c in total.coeffs):
+            raise ParityError(
+                f"branch data sum for character {chi} is not divisible by two", character=chi
+            )
+        sums[chi] = total
+        halves[chi] = lattice.DivisorClass(cover.surface, tuple(c // 2 for c in total.coeffs))
+    return halves, sums
+
+
+def purge_idle_marks_one_at_a_time(cover):
+    """Reference for ``classify._purge_idle_marks``: drop the first marked
+    point, in name order, that is not the pencil point, has no point
+    infinitely near it and lies on at most one component; rebuild the whole
+    model, and repeat until no point qualifies."""
+    current = cover
+    while True:
+        removable = None
+        for m in current.marked:
+            if m.name == current.pencil or scan_children_of_point(current, m.name):
+                continue
+            if len(scan_components_at(current, m.name)) <= 1:
+                removable = m.name
+                break
+        if removable is None:
+            return current
+        comps = tuple(
+            replace(c, mults=tuple((n, k) for n, k in c.mults if n != removable))
+            for c in current.components
+        )
+        marked = tuple(m for m in current.marked if m.name != removable)
+        current = replace(current, components=comps, marked=marked)

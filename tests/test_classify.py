@@ -1,8 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
 from planecover import census as census_mod
+from planecover import group
 from planecover import classify as classify_mod
 from planecover.classify import (
+    GPrimeStructure,
     classify,
     cremona_reduce,
     infer_g_prime,
@@ -10,13 +15,19 @@ from planecover.classify import (
     match_del_pezzo,
     quadratic_move,
 )
-from planecover.cover import add_marked_point, derive_building_data, plane_cover
-from planecover.errors import MatchError, PreconditionError
+from planecover.cover import add_marked_point, add_marked_points, derive_building_data, plane_cover
+from planecover.errors import CoverError, GeometryError, MatchError, PreconditionError
 from planecover.group import GroupElement
 from planecover.invariants import canonical_square, euler_characteristic
 from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import PROPOSITION_FIXTURES, load_cover
+from conftest import (
+    FIXTURE_DIR,
+    PROPOSITION_FIXTURES,
+    load_cover,
+    pulled_back_g_prime,
+    purge_idle_marks_one_at_a_time,
+)
 
 CONIC_BUNDLE = ("prop42", "prop44", "prop46", "prop48", "prop410", "prop412")
 DEL_PEZZO = ("prop51", "prop53", "prop55", "prop57", "prop59")
@@ -307,7 +318,7 @@ def test_reduce_mult_d_minus_one_to_line():
     assert after.symbol == "0.22" and dict(after.params)["d"] == 1
     # the odd curve is now a line missing the pencil point
     w = GroupElement.parse("11")
-    comps = [reduced.component(cid) for cid, _ in reduced.branch_map()[w]]
+    comps = [reduced.component(cid) for cid, _ in dict(reduced.branch)[w]]
     assert len(comps) == 1
     assert comps[0].cls.degree == 1 and comps[0].mult_at("p") == 0
 
@@ -405,3 +416,110 @@ def test_case_label_serialization():
     assert label.serialize() == "Prop4.4/C.2,21[d=3]"
     label = classify(load_cover("prop59"))
     assert label.serialize() == "Prop5.9/4.2222"
+
+
+def _outcome(function, *args):
+    """The result of a call, or the class and message of the error it raised."""
+    try:
+        return function(*args)
+    except CoverError as exc:
+        return type(exc), str(exc)
+
+
+def random_pencil_cover(rng: random.Random):
+    """A plane cover with a plane point p, a point q infinitely near p and
+    curves of degree up to 5 with any multiplicity at p and q; each curve in
+    one random D_g, so the model is normalized."""
+    while True:
+        r = rng.randint(2, 4)
+        comps = []
+        for i in range(rng.randint(2, 6)):
+            d = rng.randint(1, 5)
+            mults = {}
+            m = rng.choice((0, 0, 1, 1, 2, d - 1, d))
+            if m > 0:
+                mults["p"] = m
+                if rng.random() < 0.3:
+                    mults["q"] = rng.randint(1, m)
+            comps.append((f"c{i}", d, mults))
+        branch = {}
+        for cid, _, _ in comps:
+            g = rng.choice(list(group.nonzero_elements(r)))
+            branch.setdefault(str(g), []).append((cid, 1))
+        try:
+            return plane_cover(
+                r,
+                comps,
+                branch,
+                marked=[("p", None), ("q", "p")],
+                pencil=rng.choice(("p", None)),
+                reducible=[cid for cid, _, _ in comps],
+            )
+        except GeometryError:
+            continue
+
+
+def _g_prime_cases():
+    """(model, point) pairs for the G' oracle."""
+    cases = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        model = load_cover(path.stem)
+        for point in [m.name for m in model.marked] + ["fresh"]:
+            cases.append((model, point))
+            cases.append((normalize(model), point))
+    for r in (2, 3, 4):
+        cases += [(model, "p") for _, model in census_mod._candidates(r, 7)]
+    rng = random.Random(1103)
+    for _ in range(300):
+        model = random_pencil_cover(rng)
+        cases += [(model, "p"), (model, "q")]
+    # a curve in two D_g: not normalized
+    lines = [("A", 1, {"p": 1}), ("B", 1, {"p": 1})]
+    twice = plane_cover(2, lines, {"10": [("A", 1), ("B", 1)], "01": [("A", 1)]}, [("p", None)])
+    cases.append((twice, "p"))
+    # a multiplicity above the degree: negative fiber degree
+    model = load_cover("prop46")
+    over = add_marked_point(model, "w", mults={model.components[0].cid: 9})
+    cases.append((over, "w"))
+    return cases
+
+
+def test_g_prime_matches_pull_back_reference():
+    outcomes, parities = Counter(), Counter()
+    for model, point in _g_prime_cases():
+        expected = _outcome(pulled_back_g_prime, model, point)
+        assert _outcome(infer_g_prime, model, point) == expected, (model, point)
+        outcomes["G'" if isinstance(expected, GPrimeStructure) else expected[1]] += 1
+        parities.update(m % 2 for _, m in model._through.get(point, ()))
+    assert outcomes["G'"] >= 100 and min(parities[0], parities[1]) >= 100
+    # every error the reference raises is met: not normalized, a pencil point
+    # with a parent, a negative fiber degree, and both kinds of count mismatch
+    for part in (
+        "normalize the cover",
+        "point 'q' is infinitely near",
+        "component cubic has negative fiber degree",
+        "branch points on a general pencil line",
+        "with G' of rank",
+    ):
+        assert any(part in message for message in outcomes), part
+
+
+def test_purge_idle_marks_matches_one_at_a_time_reference():
+    rng = random.Random(77)
+    models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models += [random_pencil_cover(rng) for _ in range(40)]
+    changed = 0
+    for base in models:
+        for _ in range(5):
+            names = [m.name for m in base.marked] + list(base.surface.names)
+            points = []
+            for n in range(rng.randint(1, 6)):
+                parent = rng.choice(names + [None, None]) if names else None
+                on = rng.sample(base.components, rng.randint(0, min(3, len(base.components))))
+                points.append((f"t{n}", parent, {c.cid: 1 for c in on}))
+                names.append(f"t{n}")
+            model = add_marked_points(base, points)
+            purged = classify_mod._purge_idle_marks(model)
+            assert purged == purge_idle_marks_one_at_a_time(model)
+            changed += purged != model
+    assert changed >= 100

@@ -28,7 +28,13 @@ from planecover.group import Character, GroupElement
 from planecover.lattice import Center, DivisorClass
 from planecover.normalize import pull_back, resolve
 
-from conftest import FIXTURE_DIR, load_cover, scan_children_of_point, scan_components_at
+from conftest import (
+    FIXTURE_DIR,
+    load_cover,
+    per_character_building_data,
+    scan_children_of_point,
+    scan_components_at,
+)
 
 
 def test_totally_ramified_examples():
@@ -296,12 +302,22 @@ def prod_violations_oracle(model, building):
 
 def test_prod_relations_match_pairwise_oracle():
     rng = random.Random(2718)
-    failing = 0
-    for i in range(100):
-        model = random_valid_cover(rng)
-        if i % 2:
+
+    def seeded():
+        for i in range(100):
+            model = random_valid_cover(rng)
             # a second coordinate, so perturbations need not be multiples of H
-            model = pull_back(model, "fresh")
+            yield pull_back(model, "fresh") if i % 2 else model
+
+    fixtures = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models = itertools.chain(
+        seeded(),
+        fixtures,
+        (resolve(m).cover for m in fixtures),
+        (model for _, model in census_mod._candidates(3, 5)),
+    )
+    failing = 0
+    for model in models:
         building = derive_building_data(model)
         for chi in rng.sample(list(group.characters(model.r)), rng.randint(1, 2)):
             shift = tuple(rng.randint(-2, 2) for _ in range(model.surface.rank))
@@ -311,6 +327,48 @@ def test_prod_relations_match_pairwise_oracle():
         assert list(report.violations) == prod_violations_oracle(model, building)
         failing += not report.ok
     assert failing >= 50
+
+
+def _building_data_models():
+    """Fixtures, census candidates, seeded covers (also pulled back, so the
+    classes have exceptional coefficients) and resolved models; some odd."""
+    models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models += [resolve(m).cover for m in models]
+    for r in (2, 3, 4):
+        models += [model for _, model in census_mod._candidates(r, 7)]
+    rng = random.Random(3141)
+    for i in range(200):
+        r = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        comps = [(f"c{j}", rng.randint(1, 4), {}) for j in range(n)]
+        branch = {}
+        for j in range(n):
+            for _ in range(rng.randint(1, 2)):
+                g = rng.choice(list(group.nonzero_elements(r)))
+                branch.setdefault(str(g), []).append((f"c{j}", rng.randint(1, 3)))
+        model = plane_cover(r, comps, branch)
+        models.append(pull_back(model, "fresh") if i % 2 else model)
+    return models
+
+
+def _building_or_error(function, model):
+    try:
+        return function(model)
+    except ParityError as exc:
+        return exc.character, str(exc)
+
+
+def test_building_data_match_per_character_reference():
+    odd = 0
+    for model in _building_data_models():
+        expected = _building_or_error(per_character_building_data, model)
+        got = _building_or_error(lambda m: (derive_building_data(m), m._branch_sums), model)
+        assert got == expected, model
+        if isinstance(expected[0], dict):
+            assert list(got[0]) == list(expected[0]) == list(group.characters(model.r))
+        else:
+            odd += 1
+    assert odd >= 50
 
 
 def test_prod_relations_missing_character():

@@ -430,6 +430,8 @@ def test_is_normalized_flag():
     assert any(not is_normalized(c) for c in models)
     for c in models:
         assert is_normalized(c) == (normalize(c) == c)
+        # a normalized model comes back as it is, not as a rebuilt copy
+        assert is_normalized(c) == (normalize(c) is c)
 
 
 def _pairs_or_error(search, cover):
