@@ -211,14 +211,11 @@ def _same_parity_triple(gs, profiles, p: str):
     return tuple(sorted(degrees, reverse=True)), bool(bumped)
 
 
-def _common_point(cover: CoverModel, comps, exclude: str) -> str | None:
-    """A marked point other than ``exclude`` lying on all given components."""
-    for m in cover.marked:
-        if m.name == exclude:
-            continue
-        if all(c.mult_at(m.name) >= 1 for c in comps):
-            return m.name
-    return None
+def _common_point(comps, exclude: str) -> str | None:
+    """The first marked point, in name order, other than ``exclude`` lying on
+    all given components."""
+    common = set.intersection(*({name for name, _ in c.mults} for c in comps))
+    return min(common - {exclude}, default=None)
 
 
 # -- the invariant conic bundle matcher ---------------------------------------
@@ -332,7 +329,7 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     if max(degrees) > 1:
         return CaseLabel(prop, curves, params, flags)
     lines = [profiles[g][2][0] for g in horizontals]
-    q = None if bumped else _common_point(cover, lines, exclude=p)
+    q = None if bumped else _common_point(lines, exclude=p)
     if r == 2:
         if q is not None:
             # three concurrent lines: the pencil-lines cover seen from a
@@ -359,6 +356,26 @@ def _marked_incidences(cover: CoverModel) -> dict[str, list[CurveComponent]]:
     return {p: [c for c, _ in at] for p, at in sorted(cover._through.items()) if len(at) >= 2}
 
 
+def _tacnode(cover: CoverModel, quartic: CurveComponent, conic: CurveComponent):
+    """The last (x, y), in name order, with y infinitely near x and the quartic
+    of multiplicity 2 and the conic of 1 at both; None when there is none."""
+    tangent = {x for x, m in quartic.mults if m == 2} & {x for x, m in conic.mults if m == 1}
+    pairs = [(x, y) for x in sorted(tangent) for y in cover.children_of_point(x) if y in tangent]
+    return pairs[-1] if pairs else None
+
+
+def _tangency(cover: CoverModel, line: CurveComponent, cubic: CurveComponent) -> str | None:
+    """The first marked point on the line and the cubic, in name order, or None;
+    MatchError unless a point infinitely near it lies on both too."""
+    shared = {t for t, _ in line.mults} & {t for t, _ in cubic.mults}
+    if not shared:
+        return None
+    t = min(shared)
+    if not shared.intersection(cover.children_of_point(t)):
+        raise MatchError("cubic meets a line at a marked point but not tangentially")
+    return t
+
+
 def match_del_pezzo(cover: CoverModel) -> CaseLabel:
     """Match against the Del Pezzo families (no invariant pencil marked)."""
     _require_plane_normalized(cover)
@@ -379,12 +396,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             raise MatchError("conic and quartic must be single components")
         if not (conic.irreducible and quartic.irreducible):
             raise MatchError("conic and quartic must be irreducible")
-        tacnode = None
-        for m in cover.marked:
-            if quartic.mult_at(m.name) == 2 and conic.mult_at(m.name) == 1:
-                for child in cover.children_of_point(m.name):
-                    if quartic.mult_at(child) == 2 and conic.mult_at(child) == 1:
-                        tacnode = (m.name, child)
+        tacnode = _tacnode(cover, quartic, conic)
         if tacnode is None:
             raise MatchError(
                 "need a tacnode of the quartic with the conic through it along the tacnodal tangent"
@@ -410,14 +422,9 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
         if any(len(profiles[g]) != 1 for g in nonzero if g != cubic_g):
             raise MatchError("each line divisor must be a single component")
         for line in lines:
-            for t in cover.marked:
-                if line.mult_at(t.name) >= 1 and cubic.mult_at(t.name) >= 1:
-                    for child in cover.children_of_point(t.name):
-                        if line.mult_at(child) >= 1 and cubic.mult_at(child) >= 1:
-                            return CaseLabel(
-                                "5.1", "2.G2", (("tangency", t.name),), ("reduced-cubic-model",)
-                            )
-                    raise MatchError("cubic meets a line at a marked point but not tangentially")
+            t = _tangency(cover, line, cubic)
+            if t is not None:
+                return CaseLabel("5.1", "2.G2", (("tangency", t),), ("reduced-cubic-model",))
         if _marked_incidences(cover):
             raise MatchError("unexpected marked incidences for the two-lines-plus-cubic shape")
         return CaseLabel("5.3", "1.B2.1")

@@ -495,38 +495,22 @@ def quotient_cover(cover: CoverModel, subgroup: Iterable[GroupElement]) -> Cover
 
     Branch rule: D'_hbar is the union of the D_g with g mapping to hbar != 0
     in G/H.  Building data are re-derived from the quotient branch data.
+    The map G -> G/H is tabulated once: with the coordinate vectors that
+    complete H to all of G as the quotient's basis, every element rep(bits)
+    + h of the coset of rep(bits) maps to bits.
     """
     gens = list(subgroup)
-    sub = group.span(gens, cover.r) if gens else frozenset([group.zero(cover.r)])
-    if not group.is_subgroup(sub, cover.r):
-        raise DomainError("quotient requires a valid subgroup")
-    s = group.subgroup_dimension(sub)
-    if s == cover.r:
+    sub = group.span(gens, cover.r)
+    basis = group.complement_basis(gens, cover.r)
+    if not basis:
         raise DomainError("cannot quotient by the full group")
-    basis = group.complement_basis(sub, cover.r)
-    new_r = cover.r - s
-    if len(basis) != new_r:
-        raise InconsistencyError("complement basis has unexpected size")
-
-    def project(g: GroupElement) -> GroupElement | None:
-        # coordinates of g modulo the subgroup, in the chosen complement basis
-        for bits in group.elements(new_r):
-            rep = group.zero(cover.r)
-            for coeff, vec in zip(bits.bits, basis):
-                if coeff:
-                    rep = rep + vec
-            if g + rep in sub:
-                return bits
-        return None
-
-    new_branch: list[tuple[GroupElement, tuple[BranchEntry, ...]]] = []
-    for g, entries in cover.branch:
-        image = project(g)
-        if image is None:
-            raise InconsistencyError(f"element {g} has no image in the quotient")
-        if image.is_zero:
-            continue
-        new_branch.append((image, entries))
+    new_r = len(basis)
+    image: dict[GroupElement, GroupElement] = {}
+    for bits in group.elements(new_r):
+        rep = sum((vec for coeff, vec in zip(bits.bits, basis) if coeff), group.zero(cover.r))
+        for h in sub:
+            image[rep + h] = bits
+    new_branch = [(image[g], entries) for g, entries in cover.branch if not image[g].is_zero]
     kept = {cid for _, entries in new_branch for cid, _ in entries}
     comps = tuple(c for c in cover.components if c.cid in kept)
     return CoverModel(new_r, cover.surface, comps, tuple(new_branch), cover.marked, cover.pencil)

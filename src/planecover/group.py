@@ -4,10 +4,10 @@ Elements and characters are one type: r bits packed into an int, added by
 XOR.  The bit string b_1...b_r is stored as the integer it spells in base
 two, so for equal r the order of the ints is the lexicographic order of
 the bit strings.  Characters are identified with elements through the
-mod-2 dot product, a popcount of the common bits.  The epsilon functions
-defined here drive every building-data relation in the rest of the
-package: ``epsilon(chi, g)`` is the pairing bit for nonzero ``g`` and
-``epsilon2(chi, chi2, g)`` is 1 exactly when both pairings are 1.
+mod-2 dot product, a popcount of the common bits: ``epsilon(chi, g)`` is
+that pairing bit for nonzero ``g``.  Subgroups are handled through an
+echelon basis of masks, from which ``rank``, ``span`` and
+``complement_basis`` are read.
 """
 
 from __future__ import annotations
@@ -116,13 +116,6 @@ def epsilon(chi: GroupElement, g: GroupElement) -> int:
     return pair(chi, g)
 
 
-def epsilon2(chi: GroupElement, chi2: GroupElement, g: GroupElement) -> int:
-    """1 exactly when epsilon(chi, g) and epsilon(chi2, g) are both 1."""
-    if g.is_zero:
-        raise DomainError("epsilon2 is defined for nonzero group elements only")
-    return epsilon(chi, g) & epsilon(chi2, g)
-
-
 def _extend(basis: list[int], m: int) -> bool:
     """Add mask ``m`` to an echelon basis (distinct leading bits, highest
     first) unless it lies in the span already; True when the basis grew.
@@ -172,19 +165,6 @@ def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupEl
     return frozenset(GroupElement._of(r, m) for m in combos)
 
 
-def is_subgroup(subset: Iterable[GroupElement], r: int | None = None) -> bool:
-    sub = set(subset)
-    if not sub:
-        return False
-    some = next(iter(sub))
-    if r is None:
-        r = some.r
-    if zero(r) not in sub:
-        return False
-    # a subset lies in its span, so it is the span exactly when the sizes agree
-    return len(sub) == 1 << rank(sub, r)
-
-
 def subgroup_dimension(subgroup: Iterable[GroupElement]) -> int:
     n = len(set(subgroup))
     dim = n.bit_length() - 1
@@ -193,21 +173,10 @@ def subgroup_dimension(subgroup: Iterable[GroupElement]) -> int:
     return dim
 
 
-def quotient_image(g: GroupElement, subgroup: Iterable[GroupElement]) -> GroupElement:
-    """Canonical representative (lexicographically smallest) of g + subgroup."""
-    sub = frozenset(subgroup)
-    if not is_subgroup(sub, g.r):
-        raise DomainError("quotient_image requires a valid F_2 subgroup")
-    return min(g + h for h in sub)
-
-
-def complement_basis(subgroup: Iterable[GroupElement], r: int) -> list[GroupElement]:
-    """A basis of a complement of ``subgroup``: the coordinate vectors, in order,
-    that do not lie in the span of the subgroup and the vectors chosen before."""
-    sub = frozenset(subgroup)
-    if not is_subgroup(sub, r):
-        raise DomainError("complement_basis requires a valid F_2 subgroup")
-    _, basis = _basis(sub, r)
+def complement_basis(gens: Iterable[GroupElement], r: int) -> list[GroupElement]:
+    """A basis of a complement of the span of ``gens``: the coordinate vectors,
+    in order, that do not lie in that span and the vectors chosen before."""
+    _, basis = _basis(gens, r)
     chosen: list[GroupElement] = []
     for i in range(r):
         e = 1 << (r - 1 - i)

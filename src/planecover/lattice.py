@@ -13,7 +13,6 @@ that mix strict and total transforms must be converted before comparing.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 from functools import cached_property
@@ -80,9 +79,6 @@ class BlownPlane:
             return self._slots[name]
         except KeyError:
             raise DanglingReferenceError(f"no center named {name!r}") from None
-
-    def children_of(self, name: str) -> tuple[str, ...]:
-        return tuple(c.name for c in self.centers if c.parent == name)
 
     def blow_up(self, center: Center) -> "BlownPlane":
         """Add one more center; existing classes embed with new coefficient 0."""
@@ -156,10 +152,6 @@ class DivisorClass:
     def degree(self) -> int:
         return self.support.get(0, 0)
 
-    def multiplicity(self, center_name: str) -> int:
-        """Multiplicity at a blown-up center (negative of the E coefficient)."""
-        return -self.support.get(self.surface.index_of(center_name), 0)
-
     @property
     def is_zero(self) -> bool:
         return not self.support
@@ -188,31 +180,6 @@ class DivisorClass:
             parts.append(f"{sign}{'' if mag == 1 else mag}{label}")
         return "".join(parts) if parts else "0"
 
-    @classmethod
-    def parse(cls, surface: BlownPlane, text: str) -> "DivisorClass":
-        """Inverse of ``str``: reads signed combinations like ``4H-2E1-4E2``."""
-        text = text.strip()
-        if text == "0":
-            return zero_class(surface)
-        coeffs = [0] * surface.rank
-        pos = 0
-        token = re.compile(r"([+-]?)(\d*)(H|E[A-Za-z0-9_']+)")
-        while pos < len(text):
-            m = token.match(text, pos)
-            if not m:
-                raise DomainError(f"cannot parse divisor class {text!r} at offset {pos}")
-            sign, mag, label = m.groups()
-            value = int(mag) if mag else 1
-            if sign == "-":
-                value = -value
-            if label == "H":
-                coeffs[0] += value
-            else:
-                coeffs[surface.index_of(label[1:])] += value
-            pos = m.end()
-        return cls(surface, tuple(coeffs))
-
-
 def _fill(obj: DivisorClass, surface: BlownPlane, support: dict[int, int], coeffs) -> None:
     object.__setattr__(obj, "surface", surface)
     object.__setattr__(obj, "support", support)
@@ -238,10 +205,6 @@ def linear_combination(
         for slot, value in cls.support.items():
             total[slot] = total.get(slot, 0) + k * value
     return _sparse(surface, {slot: value for slot, value in total.items() if value})
-
-
-def zero_class(surface: BlownPlane) -> DivisorClass:
-    return DivisorClass.from_support(surface, {})
 
 
 def hyperplane(surface: BlownPlane) -> DivisorClass:
@@ -271,20 +234,6 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
     )
 
 
-def embed(cls: DivisorClass, surface: BlownPlane) -> DivisorClass:
-    """Total transform of a class under further blow-ups of its surface."""
-    if surface.centers[: len(cls.surface.centers)] != cls.surface.centers:
-        raise DimensionError("target surface does not extend the class's surface")
-    return DivisorClass.from_support(surface, cls.support)
-
-
-def strict_transform(cls: DivisorClass, center_name: str, mult: int) -> DivisorClass:
-    """Subtract ``mult`` times the exceptional class of an existing center."""
-    if mult < 0:
-        raise DomainError(f"multiplicity must be nonnegative, got {mult}")
-    return cls - mult * exceptional(cls.surface, center_name)
-
-
 def _reflection_root(surface: BlownPlane, p: str, q: str, r: str) -> DivisorClass:
     if len({p, q, r}) != 3:
         raise GeometryError("cremona reflection needs three distinct centers")
@@ -307,32 +256,3 @@ def cremona_reflect(cls: DivisorClass, p: str, q: str, r: str) -> DivisorClass:
     """
     alpha = _reflection_root(cls.surface, p, q, r)
     return cls + intersect(cls, alpha) * alpha
-
-
-def contract(surface: BlownPlane, cls: DivisorClass) -> BlownPlane:
-    """Blow a (-1)-exceptional back down; only childless coordinate classes qualify."""
-    if cls.surface != surface:
-        raise DimensionError("class does not live on the surface being contracted")
-    k = canonical(surface)
-    if intersect(cls, cls) != -1 or intersect(cls, k) != -1:
-        raise GeometryError(f"{cls} is not a (-1)-class")
-    name = None
-    for c in surface.centers:
-        if cls == exceptional(surface, c.name):
-            name = c.name
-            break
-    if name is None:
-        raise GeometryError(
-            f"{cls} is not a coordinate exceptional class; change basis before contracting"
-        )
-    if surface.children_of(name):
-        raise GeometryError(f"cannot contract E{name}: centers lie infinitely near it")
-    remaining = tuple(c for c in surface.centers if c.name != name)
-    return BlownPlane(remaining)
-
-
-def push_forward(cls: DivisorClass, contracted: BlownPlane, name: str) -> DivisorClass:
-    """Image of a class after contracting E_name (drops that coordinate)."""
-    idx = cls.surface.index_of(name)
-    coeffs = cls.coeffs[:idx] + cls.coeffs[idx + 1 :]
-    return DivisorClass(contracted, coeffs)

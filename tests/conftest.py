@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from planecover import classify, config, group, lattice
-from planecover.errors import InconsistencyError, MatchError, ParityError
+from planecover.errors import DomainError, InconsistencyError, MatchError, ParityError
 from planecover.normalize import normalize, pull_back
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -104,6 +105,35 @@ def scan_children_of_point(cover, name):
     return tuple(m.name for m in cover.marked if m.parent == name)
 
 
+def embed(cls, surface):
+    """Reference total transform of a class on a surface that blows up further
+    centers after those of the class's own surface: the dense coefficients,
+    padded with zeros."""
+    assert surface.centers[: len(cls.surface.centers)] == cls.surface.centers
+    return lattice.DivisorClass(surface, cls.coeffs + (0,) * (surface.rank - cls.surface.rank))
+
+
+def strict_transform(cls, center_name, mult):
+    """Reference strict transform: ``mult`` subtracted from the dense
+    coefficient of E_center_name."""
+    coeffs = list(cls.coeffs)
+    coeffs[cls.surface.index_of(center_name)] -= mult
+    return lattice.DivisorClass(cls.surface, tuple(coeffs))
+
+
+def parse_class(surface, text):
+    """Inverse of ``str(DivisorClass)``: reads signed combinations like
+    ``4H-2E1-4E2``, and ``0``."""
+    coeffs = [0] * surface.rank
+    if text != "0":
+        terms = re.findall(r"([+-]?)(\d*)(H|E[A-Za-z0-9_']+)", text)
+        assert "".join(map("".join, terms)) == text, text
+        for sign, mag, label in terms:
+            slot = 0 if label == "H" else surface.index_of(label[1:])
+            coeffs[slot] += (-1 if sign == "-" else 1) * int(mag or 1)
+    return lattice.DivisorClass(surface, tuple(coeffs))
+
+
 def closure_span(els, r):
     """Reference for ``group.span``: the closure of ``els`` and zero under
     addition, grown one element at a time."""
@@ -129,6 +159,69 @@ def greedy_complement_basis(subgroup, r):
         if e not in closure_span(list(subgroup) + chosen, r):
             chosen.append(e)
     return chosen
+
+
+def searched_quotient_cover(cover, subgroup):
+    """Reference for ``cover.quotient_cover``: the image of each branch element
+    found by trying the 2^(r-s) combinations of the complement basis, in
+    order, until one lands in the coset of the element."""
+    sub = group.span(subgroup, cover.r)
+    basis = group.complement_basis(sub, cover.r)
+    new_r = len(basis)
+    if new_r == 0:
+        raise DomainError("cannot quotient by the full group")
+
+    combos = []
+    for bits in group.elements(new_r):
+        rep = group.zero(cover.r)
+        for coeff, vec in zip(bits.bits, basis):
+            if coeff:
+                rep = rep + vec
+        combos.append((bits, rep))
+    new_branch = []
+    for g, entries in cover.branch:
+        image = next(bits for bits, rep in combos if g + rep in sub)
+        if not image.is_zero:
+            new_branch.append((image, entries))
+    kept = {cid for _, entries in new_branch for cid, _ in entries}
+    comps = tuple(c for c in cover.components if c.cid in kept)
+    return replace(cover, r=new_r, components=comps, branch=tuple(new_branch))
+
+
+def scan_common_point(cover, comps, exclude):
+    """Reference for ``classify._common_point``: the first marked point, in
+    name order, other than ``exclude`` where every component has multiplicity
+    at least 1."""
+    for m in cover.marked:
+        if m.name != exclude and all(c.mult_at(m.name) >= 1 for c in comps):
+            return m.name
+    return None
+
+
+def scan_tacnode(cover, quartic, conic):
+    """Reference for ``classify._tacnode``: every marked point and every point
+    infinitely near it, in name order, scanned for the quartic's 2 and the
+    conic's 1 at both; the last such pair wins."""
+    tacnode = None
+    for m in cover.marked:
+        if quartic.mult_at(m.name) == 2 and conic.mult_at(m.name) == 1:
+            for child in scan_children_of_point(cover, m.name):
+                if quartic.mult_at(child) == 2 and conic.mult_at(child) == 1:
+                    tacnode = (m.name, child)
+    return tacnode
+
+
+def scan_tangency(cover, line, cubic):
+    """Reference for ``classify._tangency``: the first marked point, in name
+    order, on both curves, when a point infinitely near it is on both too;
+    MatchError when none is; None when the curves share no marked point."""
+    for t in cover.marked:
+        if line.mult_at(t.name) >= 1 and cubic.mult_at(t.name) >= 1:
+            for child in scan_children_of_point(cover, t.name):
+                if line.mult_at(child) >= 1 and cubic.mult_at(child) >= 1:
+                    return t.name
+            raise MatchError("cubic meets a line at a marked point but not tangentially")
+    return None
 
 
 def pulled_back_g_prime(cover, pencil_point):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -27,6 +28,9 @@ from conftest import (
     load_cover,
     pulled_back_g_prime,
     purge_idle_marks_one_at_a_time,
+    scan_common_point,
+    scan_tacnode,
+    scan_tangency,
 )
 
 CONIC_BUNDLE = ("prop42", "prop44", "prop46", "prop48", "prop410", "prop412")
@@ -523,3 +527,75 @@ def test_purge_idle_marks_matches_one_at_a_time_reference():
             assert purged == purge_idle_marks_one_at_a_time(model)
             changed += purged != model
     assert changed >= 100
+
+
+#: (r, components as (cid, degree, multiplicity choices at a marked point),
+#: branch, the components through a pencil point p, or None for no pencil):
+#: the shapes whose matchers look for common points, tacnodes and tangencies
+_INCIDENCE_SHAPES = [
+    (2, [("quartic", 4, (0, 1, 2, 2)), ("conic", 2, (0, 1, 1))],
+     {"10": ["quartic"], "01": ["conic"]}, None),
+    (2, [("lineA", 1, (0, 1)), ("lineB", 1, (0, 1)), ("cubic", 3, (0, 1, 1))],
+     {"10": ["lineA"], "01": ["lineB"], "11": ["cubic"]}, None),
+    (3, [("A", 1, (0, 1)), ("B", 1, (0, 1)), ("C", 1, (0, 1)), ("conic", 2, (0, 1))],
+     {"100": ["A"], "010": ["B"], "110": ["C"], "001": ["conic"]}, None),
+    (2, [("A", 1, (0, 1, 1)), ("B", 1, (0, 1, 1)), ("C", 1, (0, 1, 1))],
+     {"10": ["A"], "01": ["B"], "11": ["C"]}, ()),
+    (3, [("A", 1, (0, 1, 1)), ("B", 1, (0, 1, 1)), ("C", 1, (0, 1, 1)),
+         ("K1", 1, (0, 0, 1)), ("K2", 1, (0, 0, 1))],
+     {"100": ["A"], "010": ["B"], "110": ["C"], "001": ["K1", "K2"]}, ("K1", "K2")),
+    (4, [("A", 1, (0, 1, 1)), ("B", 1, (0, 1, 1)), ("C", 1, (0, 1, 1)),
+         ("K1", 1, (0, 0, 1)), ("K2", 1, (0, 0, 1)), ("K3", 1, (0, 0, 1))],
+     {"1000": ["A"], "0100": ["B"], "1100": ["C"], "0010": ["K1"], "0001": ["K2"],
+      "0011": ["K3"]}, ("K1", "K2", "K3")),
+]
+
+
+def random_incidence_cover(rng: random.Random):
+    """One of the shapes above with up to four more marked points, named so
+    that name order is not creation order, each a plane point or infinitely
+    near an earlier one; drawn again until ``plane_cover`` accepts it."""
+    while True:
+        r, comps, branch, through_p = rng.choice(_INCIDENCE_SHAPES)
+        pencil = None if through_p is None else "p"
+        names = [pencil] if pencil else []
+        marked = [(pencil, None)] if pencil else []
+        mults = {cid: {"p": 1} if cid in (through_p or ()) else {} for cid, _, _ in comps}
+        for name in rng.sample("abmtxz", rng.randint(1, 4)):
+            marked.append((name, rng.choice(names + [None, None])))
+            names.append(name)
+            for cid, _, choices in comps:
+                m = rng.choice(choices)
+                if m:
+                    mults[cid][name] = m
+        try:
+            return plane_cover(
+                r,
+                [(cid, d, mults[cid]) for cid, d, _ in comps],
+                {g: [(cid, 1) for cid in cids] for g, cids in branch.items()},
+                marked=marked,
+                pencil=pencil,
+            )
+        except GeometryError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "seed, count", [(6000, 2000), pytest.param(6001, 6000, marks=pytest.mark.slow)]
+)
+def test_incidence_predicates_match_scans(monkeypatch, seed, count):
+    # the common-point, tacnode and tangency predicates read the components'
+    # own multiplicities; with the scans of every marked point swapped in,
+    # classify gives the same label or error on every configuration
+    rng = random.Random(seed)
+    models = [random_incidence_cover(rng) for _ in range(count)]
+    found = [_outcome(classify, model) for model in models]
+    monkeypatch.setattr(classify_mod, "_tacnode", scan_tacnode)
+    monkeypatch.setattr(classify_mod, "_tangency", scan_tangency)
+    for model, outcome in zip(models, found):
+        monkeypatch.setattr(classify_mod, "_common_point", partial(scan_common_point, model))
+        assert _outcome(classify, model) == outcome, model
+    seen = Counter(o.serialize() if isinstance(o, classify_mod.CaseLabel) else o[1] for o in found)
+    for part in ("[tacnode=", "[tangency=", "[common_point=", "P1s.222[", "P1.2222[",
+                 "need a tacnode", "not tangentially"):
+        assert sum(n for key, n in seen.items() if part in key) >= count // 400, part

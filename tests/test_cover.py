@@ -18,6 +18,7 @@ from planecover.cover import (
     quotient_cover,
 )
 from planecover.errors import (
+    CoverError,
     DanglingReferenceError,
     DimensionError,
     DomainError,
@@ -34,6 +35,7 @@ from conftest import (
     per_character_building_data,
     scan_children_of_point,
     scan_components_at,
+    searched_quotient_cover,
 )
 
 
@@ -242,6 +244,35 @@ def test_quotient_preserves_total_ramification():
             assert is_totally_ramified(quotient_cover(model, sub))
 
 
+def _quotient_outcome(function, model, gens):
+    try:
+        return function(model, gens)
+    except CoverError as exc:
+        return type(exc), str(exc)
+
+
+def test_quotient_cover_matches_searched_reference():
+    # every subgroup of (Z/2)^r, each once, given by a shortest generator tuple
+    generators = {}
+    for r in (2, 3, 4):
+        subgroups = {}
+        for n in range(r + 1):
+            for gens in itertools.combinations(list(group.nonzero_elements(r)), n):
+                subgroups.setdefault(group.span(gens, r), gens)
+        generators[r] = list(subgroups.values())
+    models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models += [model for r in (2, 3, 4) for _, model in census_mod._candidates(r, 7)]
+    pairs = full = 0
+    for model in models:
+        for gens in generators[model.r]:
+            quotient = _quotient_outcome(quotient_cover, model, gens)
+            expected = _quotient_outcome(searched_quotient_cover, model, gens)
+            assert quotient == expected, (model, gens)
+            pairs += 1
+            full += quotient == (DomainError, "cannot quotient by the full group")
+    assert len(models) == full == 116 and pairs == 3015
+
+
 def test_parity_iff_same_parity_r2_exhaustive():
     # derivation succeeds exactly when the three branch degrees share parity
     for d10, d01, d11 in itertools.product(range(7), repeat=3):
@@ -293,7 +324,7 @@ def prod_violations_oracle(model, building):
     for chi, chi2 in itertools.product(group.characters(model.r), repeat=2):
         rhs = building[chi + chi2]
         for g, _ in model.branch:
-            if group.epsilon2(chi, chi2, g):
+            if group.epsilon(chi, g) & group.epsilon(chi2, g):
                 rhs = rhs + model.branch_class(g)
         if building[chi] + building[chi2] != rhs:
             violations.append((chi, chi2))
@@ -395,7 +426,7 @@ def test_component_validation():
         plane_cover(2, [("A", -1, {})], {"10": [("A", 1)]})
     with pytest.raises(DomainError):
         # a degree-0 plane component is not an exceptional class
-        cov.CurveComponent("A", cov.lattice.zero_class(cov.lattice.PLANE))
+        cov.CurveComponent("A", DivisorClass.from_support(cov.lattice.PLANE, {}))
 
 
 def test_add_marked_points_equals_successive_single_points():

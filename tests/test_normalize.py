@@ -16,7 +16,14 @@ from planecover.normalize import (
     smoothness_report,
 )
 
-from conftest import FIXTURE_DIR, dense_singular_residual_pairs, load_cover, normalize_by_moves
+from conftest import (
+    FIXTURE_DIR,
+    dense_singular_residual_pairs,
+    embed,
+    load_cover,
+    normalize_by_moves,
+    strict_transform,
+)
 from test_cover import random_valid_cover
 
 
@@ -334,8 +341,8 @@ def test_pull_back_classes_are_strict_transforms():
         pulled = pull_back(cover, point)
         assert pulled.surface.names[-1] == point
         for comp in cover.components:
-            embedded = lattice.embed(comp.cls, pulled.surface)
-            expected = lattice.strict_transform(embedded, point, comp.mult_at(point))
+            embedded = embed(comp.cls, pulled.surface)
+            expected = strict_transform(embedded, point, comp.mult_at(point))
             assert pulled.component(comp.cid).cls == expected
     assert cases[-1][0].component("E_x").mult_at("y") == 1
 
