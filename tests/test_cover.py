@@ -231,6 +231,25 @@ def test_quotient_by_full_group_rejected():
         quotient_cover(load_cover("prop53"), [GroupElement.parse("10"), GroupElement.parse("01")])
 
 
+def test_quotient_cover_branch_images():
+    # the image of g is its coordinates in the complement basis: with H = <100>
+    # the basis is 010, 001; with H = <111> it is 100, 010 and 001 = 111 + 110
+    fix48 = load_cover("prop48")
+    expected = {
+        "100": {"lineB": "10", "lineC": "01", "cubic": "11"},
+        "111": {"lineA": "10", "lineB": "01", "lineC": "11"},
+    }
+    for h, images in expected.items():
+        quotient = quotient_cover(fix48, [GroupElement.parse(h)])
+        found = {cid: str(g) for g, entries in quotient.branch for cid, _ in entries}
+        assert found == images
+
+
+def test_quotient_cover_rejects_generators_of_wrong_rank():
+    with pytest.raises(DimensionError):
+        quotient_cover(load_cover("prop53"), [GroupElement.parse("100")])
+
+
 def test_quotient_preserves_total_ramification():
     rng = random.Random(11)
     for name in ("prop48", "prop410", "prop412", "prop59"):

@@ -41,6 +41,15 @@ def test_epsilon_rejects_zero():
         group.epsilon(chi("10"), g("00"))
 
 
+def test_epsilon_joint_table_r3():
+    # the branch elements on which two characters are both odd
+    c1, c2 = chi("110"), chi("011")
+    both = {h for h in group.nonzero_elements(3) if group.epsilon(c1, h) & group.epsilon(c2, h)}
+    assert both == {g("010"), g("101")}
+    either = {h for h in group.nonzero_elements(3) if group.epsilon(c1 + c2, h)}
+    assert either == {g("100"), g("001"), g("110"), g("011")}
+
+
 def test_span_examples():
     assert group.span([], r=2) == frozenset({g("00")})
     assert group.span([g("10"), g("01")]) == frozenset(group.elements(2))
@@ -151,6 +160,16 @@ def test_complement_basis_is_the_greedy_coordinate_basis(r, count):
         basis = group.complement_basis(sub, r)
         assert basis == greedy_complement_basis(sub, r)
         assert len(basis) == r - group.subgroup_dimension(sub)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_complement_basis_of_generators_is_that_of_their_span(r):
+    everything = frozenset(group.elements(r))
+    for subset in _subsets(r):
+        basis = group.complement_basis(subset, r)
+        assert basis == group.complement_basis(group.span(subset, r), r)
+        assert len(basis) == r - group.rank(subset, r)
+        assert group.span([*subset, *basis], r) == everything
 
 
 def test_rank_examples():

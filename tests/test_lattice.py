@@ -60,6 +60,38 @@ def test_k_squared_drops_by_one_per_center():
         assert intersect(k, k) == 9 - i
 
 
+def test_exceptional_curves_of_a_chain():
+    # a (-1)-class has E.E = E.K = -1; the strict transform E1 - E2 of a
+    # center with a point infinitely near it is a (-2)-class, E.K = 0
+    for surface, e in [
+        (F1, exceptional(F1, "1")),
+        (TILDE_F1, exceptional(TILDE_F1, "2")),
+        (TWO, cls(TWO, 1, -1, -1)),  # the line through both centers
+    ]:
+        assert (intersect(e, e), intersect(e, canonical(surface))) == (-1, -1)
+    e1 = exceptional(TILDE_F1, "1") - exceptional(TILDE_F1, "2")
+    assert e1 == cls(TILDE_F1, 0, 1, -1)
+    assert (intersect(e1, e1), intersect(e1, canonical(TILDE_F1))) == (-2, 0)
+    assert intersect(e1, exceptional(TILDE_F1, "2")) == 1
+
+
+def test_blow_up_keeps_classes_and_intersections():
+    # the total transform pads the coefficients with 0, keeps every
+    # intersection number and misses the new exceptional class
+    surface = TWO.blow_up(Center("3"))
+    assert surface.centers[:2] == TWO.centers and surface.rank == TWO.rank + 1
+    e3 = exceptional(surface, "3")
+    assert canonical(surface) == DivisorClass.from_support(surface, canonical(TWO).support) + e3
+    rng = random.Random(5)
+    for _ in range(100):
+        a, b = (cls(TWO, *(rng.randint(-4, 4) for _ in range(3))) for _ in range(2))
+        up_a = DivisorClass.from_support(surface, a.support)
+        up_b = DivisorClass.from_support(surface, b.support)
+        assert up_a.coeffs == a.coeffs + (0,)
+        assert intersect(up_a, up_b) == intersect(a, b)
+        assert intersect(up_a, e3) == 0
+
+
 def test_blow_up_validation():
     with pytest.raises(DanglingReferenceError):
         PLANE.blow_up(Center("y", parent="x"))

@@ -4,7 +4,12 @@ import pytest
 
 from planecover import group, lattice
 from planecover.cover import add_marked_points, derive_building_data, plane_cover
-from planecover.errors import InconsistencyError, NonTerminationError, PreconditionError
+from planecover.errors import (
+    DomainError,
+    InconsistencyError,
+    NonTerminationError,
+    PreconditionError,
+)
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
     is_normalized,
@@ -345,6 +350,47 @@ def test_pull_back_classes_are_strict_transforms():
             expected = strict_transform(embedded, point, comp.mult_at(point))
             assert pulled.component(comp.cid).cls == expected
     assert cases[-1][0].component("E_x").mult_at("y") == 1
+
+
+def test_pull_back_at_infinitely_near_points_examples():
+    # a quartic with a tacnode at 1 in the direction 2 and a conic through
+    # both: after blowing up 1 then 2, the strict transform E1 - E2 of the
+    # first exceptional curve is a (-2)-curve and E2 a (-1)-curve
+    model = plane_cover(
+        2,
+        [("quartic", 4, {"1": 2, "2": 2}), ("conic", 2, {"1": 1, "2": 1})],
+        {"10": [("quartic", 1)], "01": [("conic", 1)]},
+        marked=[("1", None), ("2", "1")],
+    )
+    pulled = pull_back(model, "1", "2")
+    assert pulled == pull_back(pull_back(model, "1"), "2")
+    classes = {c.cid: str(c.cls) for c in pulled.components}
+    assert classes == {"quartic": "4H-2E1-2E2", "conic": "2H-E1-E2", "E_1": "E1-E2", "E_2": "E2"}
+    canonical = lattice.canonical(pulled.surface)
+    for cid, square, k_degree in [("E_1", -2, 0), ("E_2", -1, -1)]:
+        e = pulled.component(cid).cls
+        assert (lattice.intersect(e, e), lattice.intersect(e, canonical)) == (square, k_degree)
+
+
+def test_pull_back_strict_transform_examples():
+    # the new coefficient is minus the multiplicity at the point, 0 off it
+    model = plane_cover(
+        1,
+        [("quintic", 5, {"1": 3, "2": 1}), ("conic", 2, {"2": 1}), ("line", 1, {})],
+        {"1": [("quintic", 1), ("conic", 1), ("line", 1)]},
+        marked=[("1", None), ("2", None)],
+    )
+    once = pull_back(model, "1")
+    assert {c.cid: str(c.cls) for c in once.components if c.exceptional_of is None} == {
+        "quintic": "5H-3E1", "conic": "2H", "line": "H",
+    }
+    twice = pull_back(model, "1", "2")
+    assert str(twice.component("conic").cls) == "2H-E2"
+    assert str(twice.component("quintic").cls) == "5H-3E1-E2"
+    # a multiplicity below 1 is not a point on the curve
+    for m in (0, -1):
+        with pytest.raises(DomainError):
+            plane_cover(1, [("conic", 2, {"1": m})], {"1": [("conic", 1)]}, marked=[("1", None)])
 
 
 def test_pull_back_requires_ripe_point():
