@@ -571,12 +571,15 @@ def quadratic_move(
 ) -> tuple[CoverModel, MoveRecord]:
     """Apply the quadratic transformation based at three marked points.
 
-    Implemented as: pull back at the three points, normalize, reflect every
-    component class, then reinterpret the three exceptional coordinates as
-    the new base triangle.  Components reflected to degree 0 are contracted
-    (or stay exceptional) and disappear from the plane configuration; branch
-    membership of the new triangle's exceptionals reappears automatically on
-    the next pullback via normalization, so no information is lost.
+    Implemented as: pull back at the three points (the pull-back comes out
+    normalized), reflect every component class, then reinterpret the three
+    exceptional coordinates as the new base triangle.  Components reflected
+    to degree 0 are contracted (or stay exceptional) and disappear from the
+    plane configuration; branch membership of the new triangle's
+    exceptionals reappears on the next pull-back, which puts each
+    exceptional curve in its carrier, so no information is lost.  The moved
+    model keeps the pulled-back branch entries of the surviving components,
+    so it is normalized too.
     """
     if cover.surface.rank != 1:
         raise PreconditionError("quadratic moves operate on plane configurations")
@@ -596,7 +599,7 @@ def quadratic_move(
                 f"that the move would orphan"
             )
     order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
-    work = normalize(pull_back(cover, *order))
+    work = pull_back(cover, *order)
 
     survivors: list[CurveComponent] = []
     dropped: set[str] = set()
@@ -637,7 +640,7 @@ def quadratic_move(
     moved = CoverModel(
         cover.r, lattice.PLANE, tuple(survivors), tuple(branch), marked, cover.pencil
     )
-    moved = _purge_idle_marks(normalize(moved))
+    moved = _purge_idle_marks(moved)
     record = MoveRecord(based, tuple(sorted(dropped)), tuple(sorted(emitted)))
     return moved, record
 

@@ -14,6 +14,12 @@ stops exactly when each component lies in at most one D_g, once.  The XOR is
 then that g, or 0 when the component lies nowhere.  So every order of moves
 ends in the same branch data, and ``normalize`` writes them down in one pass.
 
+A pull-back comes out normalized: ``pull_back`` puts each strict transform
+and each exceptional curve straight into that XOR, its carrier, and builds
+no curve whose carrier is 0, so no total transform is built and then
+normalized.  ``resolve`` hands the crossings it finds to the same call, so
+each round builds one model.
+
 Singularity detection is combinatorial on declared incidence data: a point
 is bad when a component is singular there, three or more branch components
 meet, two meet tangentially (shared infinitely near point), or two carry the
@@ -24,9 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import Iterable, Mapping
 
-from .cover import CoverModel, CurveComponent, add_marked_points, fresh_names
+from .cover import CoverModel, CurveComponent, fresh_names
 from .errors import (
+    DanglingReferenceError,
     DomainError,
     InconsistencyError,
     NonTerminationError,
@@ -68,42 +76,78 @@ def is_normalized(cover: CoverModel) -> bool:
 # -- pullback ----------------------------------------------------------------
 
 
-def pull_back(cover: CoverModel, *points: str) -> CoverModel:
-    """Pull the cover back along the blow-ups at marked (or fresh) points.
-    A marked point's ``Center`` becomes a center of the new surface as it is.
+def pull_back(
+    cover: CoverModel,
+    *points: str,
+    crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
+) -> CoverModel:
+    """Pull the cover back along the blow-ups at marked (or fresh) points,
+    then at new crossing points; the result is normalized.
 
     The points are blown up in the order given, so a child point may follow
     its parent in the same call (the parent's exceptional curve then passes
     through it), and the result equals pulling back one point at a time:
-    ``pull_back(c, a, b) == pull_back(pull_back(c, a), b)``.
+    ``pull_back(c, a, b) == pull_back(pull_back(c, a), b)``.  A marked
+    point's ``Center`` becomes a center of the new surface as it is.
 
-    At each point, every D_g gains mult(D_g at the point) copies of the new
-    exceptional component and component classes become strict transforms,
-    so the branch divisor classes are total transforms.  Each new center is
+    ``crossings`` are ``(name, {cid: m})`` pairs: points not marked on the
+    cover, with the multiplicities of the components through them
+    (``{cid: 1}`` for a transversal crossing).  They are blown up after
+    ``points``, in the order given, as if ``add_marked_points`` had marked
+    them first, and they raise its errors.
+
+    Each curve goes straight into its carrier, the one D_g that normalization
+    leaves it in (see ``normalize``): a component's carrier is the XOR of the
+    g whose D_g hold it an odd number of times, and the carrier of the
+    exceptional curve E_p is the XOR of the carriers of the curves with odd
+    multiplicity at p, since the total transform of D_g holds E_p as often
+    as the multiplicities at p of its curves add up.  Only the curves with a
+    nonzero carrier are built, once each, and an incidence with E_p is kept
+    only when E_p is built, so the result is what ``normalize`` makes of the
+    total transforms.  Classes become strict transforms: each new center is
     appended as the last coordinate, so a strict transform keeps the old
     coefficients and gains minus the multiplicity at the point in the new
     slot.  The surface, the components and the model are built once, after
     the last point, so the cost follows the number of incidences and nonzero
-    coefficients, not the Picard rank.  The result is NOT normalized.
+    coefficients, not the Picard rank.
     """
-    if not points:
+    crossings = [(name, dict(mults)) for name, mults in crossings]
+    in_use = cover._by_point.keys() | cover.surface.names
+    for name, mults in crossings:
+        if name in in_use:
+            raise DomainError(f"point name {name!r} is already in use")
+        unknown = sorted(cid for cid in mults if cid not in cover._by_cid)
+        if unknown:
+            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+        in_use.add(name)
+    low = sorted(cid for _, mults in crossings for cid, m in mults.items() if m < 1)
+    if low:
+        raise DomainError(f"component {low[0]!r} has a multiplicity below 1")
+    if not points and not crossings:
         raise DomainError("pull_back needs at least one point")
+
     marked = dict(cover._by_point)
     centers = list(cover.surface.centers)
     center_names = set(cover.surface.names)
-    # work per incidence, not per (component, point): each component keeps its
-    # nonzero coefficients, gaining (slot, -m) per point it passes through, the
-    # D_g it lies in and its unchanged constructor arguments; each point maps
-    # to the components through it, copied from the model's incidence index
-    coeffs = {c.cid: dict(c.cls.support) for c in cover.components}
-    carriers: dict[str, list[tuple[GroupElement, int]]] = {cid: [] for cid in coeffs}
+    # every curve some D_g holds, with the bit mask of its carrier (0 when the
+    # XOR cancels); a curve with carrier 0 is not built, but its exceptional
+    # curves are named and passed on as the total transforms would be, so the
+    # names of the curves that are built do not depend on it
+    carrier: dict[str, int] = {}
     for g, entries in cover.branch:
         for cid, k in entries:
-            carriers[cid].append((g, k))
-    kept = {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components}
-    through = {name: {c.cid: m for c, m in at} for name, at in cover._through.items()}
-    new_branch = list(cover.branch)
-    for point in points:
+            carrier[cid] = carrier.get(cid, 0) ^ (g.mask if k % 2 else 0)
+    # work per incidence, not per (curve, point): each curve built keeps its
+    # nonzero coefficients, gaining (slot, -m) per point it passes through;
+    # each point maps to the curves through it
+    built = [cover._by_cid[cid] for cid, g in carrier.items() if g]
+    coeffs = {c.cid: dict(c.cls.support) for c in built}
+    kept = {c.cid: (c.irreducible, c.exceptional_of) for c in built}
+    taken = set(cover._by_cid)
+    through = {name: [(c.cid, m) for c, m in at] for name, at in cover._through.items()}
+    for name, mults in crossings:
+        through[name] = list(mults.items())
+    for point in (*points, *(name for name, _ in crossings)):
         if point in marked:
             center = marked.pop(point)
             if center.parent is not None and center.parent not in center_names:
@@ -118,44 +162,50 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
         center_names.add(point)
         slot = len(centers)
 
-        mult_in_g: dict[GroupElement, int] = {}
-        for cid, m in through.pop(point, {}).items():
-            coeffs[cid][slot] = -m
-            for g, k in carriers[cid]:
-                mult_in_g[g] = mult_in_g.get(g, 0) + k * m
-        if not mult_in_g:
+        on_branch = False
+        section = 0
+        for cid, m in through.pop(point, ()):
+            g = carrier.get(cid)
+            if g is None:
+                continue
+            on_branch = True
+            if g:
+                coeffs[cid][slot] = -m
+                if m % 2:
+                    section ^= g
+        if not on_branch:
             continue
         eid = f"E_{point}"
         serial = 1
-        while eid in coeffs:
+        while eid in taken:
             serial += 1
             eid = f"E_{point}{serial}"
-        coeffs[eid] = {slot: 1}
-        carriers[eid] = list(mult_in_g.items())
-        kept[eid] = (True, point)
-        for child in cover.children_of_point(point):
-            through.setdefault(child, {})[eid] = 1
-        new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
+        taken.add(eid)
+        carrier[eid] = section
+        for child in cover._children.get(point, ()):
+            through.setdefault(child, []).append((eid, 1))
+        if section:
+            coeffs[eid] = {slot: 1}
+            kept[eid] = (True, point)
 
     surface = BlownPlane(tuple(centers))
     mults: dict[str, list[tuple[str, int]]] = {cid: [] for cid in coeffs}
     for name, at in through.items():
-        for cid, m in at.items():
-            mults[cid].append((name, m))
-    comps = []
-    for cid, coeff in coeffs.items():
-        comps.append(
-            CurveComponent(
-                cid,
-                DivisorClass.from_support(surface, coeff),
-                irreducible=kept[cid][0],
-                mults=tuple(mults[cid]),
-                exceptional_of=kept[cid][1],
-            )
+        for cid, m in at:
+            if cid in mults:
+                mults[cid].append((name, m))
+    comps = tuple(
+        CurveComponent(
+            cid,
+            DivisorClass.from_support(surface, coeff),
+            irreducible=kept[cid][0],
+            mults=tuple(mults[cid]),
+            exceptional_of=kept[cid][1],
         )
-    return CoverModel(
-        cover.r, surface, tuple(comps), tuple(new_branch), tuple(marked.values()), cover.pencil
+        for cid, coeff in coeffs.items()
     )
+    branch = tuple((GroupElement._of(cover.r, carrier[cid]), ((cid, 1),)) for cid in coeffs)
+    return CoverModel(cover.r, surface, comps, branch, tuple(marked.values()), cover.pencil)
 
 
 # -- smoothness --------------------------------------------------------------
@@ -316,11 +366,14 @@ def _branch_diff(before: CoverModel, after: CoverModel):
 
 
 def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
-    """Blow up singular points, pull back and normalize, until smooth.
+    """Blow up singular points and pull back, until smooth.
 
     Each round blows up every currently visible singular point (a child
     point only becomes visible once its parent is a center), so a tacnode
-    takes two rounds while two separate triple points take one.
+    takes two rounds while two separate triple points take one.  When no
+    marked point is singular, the round blows up one new point ``sing<n>``
+    per same-inertia pair crossing off the marked points, passed to
+    ``pull_back`` as crossings in name order.
     """
     current = normalize(cover)
     rounds = 0
@@ -331,14 +384,13 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
             for m in current.marked
             if current.point_is_ripe(m.name) and not is_smooth_over(current, m.name)
         ]
+        crossings: dict[str, dict[str, int]] = {}
         if not singulars:
             pairs = singular_residual_pairs(current)
             if not pairs:
                 break
             names = fresh_names(current, "sing", len(pairs))
-            current = add_marked_points(
-                current, [(name, None, {a: 1, b: 1}) for name, (a, b) in zip(names, pairs)]
-            )
+            crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
             singulars = names
         if rounds >= max_rounds:
             raise NonTerminationError(
@@ -349,6 +401,9 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
         rounds += 1
         before = current
         blown = tuple(sorted(singulars))
-        current = normalize(pull_back(current, *blown))
+        if crossings:
+            current = pull_back(current, crossings=[(name, crossings[name]) for name in blown])
+        else:
+            current = pull_back(current, *blown)
         trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
     return ResolveResult(current, rounds, tuple(trail))

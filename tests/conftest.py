@@ -9,8 +9,23 @@ from pathlib import Path
 import pytest
 
 from planecover import classify, config, group, lattice
-from planecover.errors import DomainError, InconsistencyError, MatchError, ParityError
-from planecover.normalize import normalize, pull_back
+from planecover.cover import CoverModel, CurveComponent, add_marked_points, fresh_names
+from planecover.errors import (
+    DomainError,
+    InconsistencyError,
+    MatchError,
+    NonTerminationError,
+    ParityError,
+    PreconditionError,
+)
+from planecover.normalize import (
+    ResolveResult,
+    RoundRecord,
+    _branch_diff,
+    is_smooth_over,
+    normalize,
+    singular_residual_pairs,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -229,7 +244,7 @@ def pulled_back_g_prime(cover, pencil_point):
     blow-up at the pencil point, normalize, and intersect every branch
     component of that model with the fiber class H - E_p."""
     classify._require_plane_normalized(cover)
-    model = normalize(pull_back(cover, pencil_point))
+    model = normalize(total_transform_pull_back(cover, pencil_point))
     fiber = lattice.hyperplane(model.surface) - lattice.exceptional(model.surface, pencil_point)
     carriers = []
     count = 0
@@ -300,3 +315,120 @@ def purge_idle_marks_one_at_a_time(cover):
         )
         marked = tuple(m for m in current.marked if m.name != removable)
         current = replace(current, components=comps, marked=marked)
+
+
+def total_transform_pull_back(cover, *points):
+    """Reference for ``normalize.pull_back``: the total transforms, not
+    normalized, so ``normalize`` of it is what ``pull_back`` returns.
+
+    At each point, every D_g gains mult(D_g at the point) copies of the new
+    exceptional component, created when any curve with a branch entry passes
+    through the point, and component classes become strict transforms."""
+    if not points:
+        raise DomainError("pull_back needs at least one point")
+    marked = dict(cover._by_point)
+    centers = list(cover.surface.centers)
+    center_names = set(cover.surface.names)
+    coeffs = {c.cid: dict(c.cls.support) for c in cover.components}
+    carriers = {cid: [] for cid in coeffs}
+    for g, entries in cover.branch:
+        for cid, k in entries:
+            carriers[cid].append((g, k))
+    kept = {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components}
+    through = {name: {c.cid: m for c, m in at} for name, at in cover._through.items()}
+    new_branch = list(cover.branch)
+    for point in points:
+        if point in marked:
+            center = marked.pop(point)
+            if center.parent is not None and center.parent not in center_names:
+                raise PreconditionError(
+                    f"point {point!r} is infinitely near unblown point {center.parent!r}"
+                )
+        elif point in center_names:
+            raise DomainError(f"point {point!r} is already a center")
+        else:
+            center = lattice.Center(point)
+        centers.append(center)
+        center_names.add(point)
+        slot = len(centers)
+        mult_in_g = {}
+        for cid, m in through.pop(point, {}).items():
+            coeffs[cid][slot] = -m
+            for g, k in carriers[cid]:
+                mult_in_g[g] = mult_in_g.get(g, 0) + k * m
+        if not mult_in_g:
+            continue
+        eid = f"E_{point}"
+        serial = 1
+        while eid in coeffs:
+            serial += 1
+            eid = f"E_{point}{serial}"
+        coeffs[eid] = {slot: 1}
+        carriers[eid] = list(mult_in_g.items())
+        kept[eid] = (True, point)
+        for child in cover.children_of_point(point):
+            through.setdefault(child, {})[eid] = 1
+        new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
+    surface = lattice.BlownPlane(tuple(centers))
+    mults = {cid: [] for cid in coeffs}
+    for name, at in through.items():
+        for cid, m in at.items():
+            mults[cid].append((name, m))
+    comps = tuple(
+        CurveComponent(
+            cid,
+            lattice.DivisorClass.from_support(surface, coeff),
+            irreducible=kept[cid][0],
+            mults=tuple(mults[cid]),
+            exceptional_of=kept[cid][1],
+        )
+        for cid, coeff in coeffs.items()
+    )
+    return CoverModel(
+        cover.r, surface, comps, tuple(new_branch), tuple(marked.values()), cover.pencil
+    )
+
+
+def marked_total_transform_pull_back(cover, *points, crossings=()):
+    """Reference for ``pull_back(cover, *points, crossings=...)``: mark the
+    crossings, pull back at the points and then at the crossings by total
+    transforms, and normalize."""
+    crossings = list(crossings)
+    marked = add_marked_points(cover, [(name, None, mults) for name, mults in crossings])
+    names = [name for name, _ in crossings]
+    return normalize(total_transform_pull_back(marked, *points, *names))
+
+
+def reference_resolve(cover, max_rounds=6):
+    """Reference for ``normalize.resolve``: each round marks its crossing
+    points on the model, pulls back by total transforms and normalizes."""
+    current = normalize(cover)
+    rounds = 0
+    trail = []
+    while True:
+        singulars = [
+            m.name
+            for m in current.marked
+            if current.point_is_ripe(m.name) and not is_smooth_over(current, m.name)
+        ]
+        if not singulars:
+            pairs = singular_residual_pairs(current)
+            if not pairs:
+                break
+            names = fresh_names(current, "sing", len(pairs))
+            current = add_marked_points(
+                current, [(name, None, {a: 1, b: 1}) for name, (a, b) in zip(names, pairs)]
+            )
+            singulars = names
+        if rounds >= max_rounds:
+            raise NonTerminationError(
+                f"resolution did not finish within {max_rounds} rounds; "
+                f"still singular at {', '.join(sorted(singulars))}",
+                trail=tuple(trail),
+            )
+        rounds += 1
+        before = current
+        blown = tuple(sorted(singulars))
+        current = normalize(total_transform_pull_back(current, *blown))
+        trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
+    return ResolveResult(current, rounds, tuple(trail))

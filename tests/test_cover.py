@@ -36,6 +36,7 @@ from conftest import (
     scan_children_of_point,
     scan_components_at,
     searched_quotient_cover,
+    total_transform_pull_back,
 )
 
 
@@ -478,7 +479,8 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         model = load_cover(path.stem)
         for m in model.marked:
-            pulled = pull_back(model, m.name) if model.point_is_ripe(m.name) else model
+            ripe = model.point_is_ripe(m.name)
+            pulled = total_transform_pull_back(model, m.name) if ripe else model
             for c in pulled.components:
                 assert pulled.component(c.cid) is c
             for m2 in pulled.marked:
@@ -487,7 +489,8 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
                 assert pulled.surface.index_of(center.name) == slot
                 assert pulled.surface.has_center(center.name)
                 assert pulled.surface.center(center.name) is center
-    model = pull_back(load_cover("prop51"), "x")  # E_x lies in 10 twice and in 01 once
+    # E_x lies in 10 twice and in 01 once
+    model = total_transform_pull_back(load_cover("prop51"), "x")
     with pytest.raises(DanglingReferenceError, match="no component named 'nope'"):
         model.component("nope")
     with pytest.raises(DanglingReferenceError, match="no marked point named 'x'"):
@@ -512,11 +515,15 @@ def test_a_blown_up_marked_point_is_its_center():
 
 
 def models_pulled_back(monkeypatch, run):
-    """Every model that ``pull_back`` reads or returns while ``run()`` runs."""
+    """Every model that ``pull_back`` reads or returns while ``run()`` runs,
+    and each model with its crossing points marked, as they are blown up."""
     seen = []
 
-    def recording(cover, *points):
-        out = pull_back(cover, *points)
+    def recording(cover, *points, crossings=()):
+        out = pull_back(cover, *points, crossings=crossings)
+        if crossings:
+            marks = [(name, None, mults) for name, mults in crossings]
+            seen.append(add_marked_points(cover, marks))
         seen.extend((cover, out))
         return out
 

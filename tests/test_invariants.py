@@ -1,14 +1,16 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from planecover import census as census_mod
-from planecover import lattice
-from planecover.classify import cremona_reduce
+from planecover import group, lattice
+from planecover.classify import classify, cremona_reduce
 from planecover.cover import add_marked_point, plane_cover
 from planecover.errors import (
+    CoverError,
     DomainError,
     InconsistencyError,
     NonTerminationError,
@@ -227,7 +229,8 @@ def test_line_arrangement_invariants(k, expected):
 # -E (square -1); a crossing of two same-inertia lines adds 0; a k-fold point
 # of k same-inertia lines, k even, adds (2 - k)E.
 @pytest.mark.parametrize(
-    "k", [*range(4, 17), *(pytest.param(k, marks=pytest.mark.slow) for k in (24, 32, 48))]
+    "k",
+    [*range(4, 17), *(pytest.param(k, marks=pytest.mark.slow) for k in (24, 32, 48, 64, 96))],
 )
 def test_line_arrangement_closed_forms(k):
     result = resolve(line_arrangement(k))
@@ -334,3 +337,66 @@ def test_chi_checked_a_second_way_on_census_patterns(r, name):
 @pytest.mark.parametrize("k", range(4, 13))
 def test_noether_on_line_arrangements(k):
     assert_noether(resolve(line_arrangement(k)).cover)
+
+
+# -- relabel invariance ---------------------------------------------------------
+# An automorphism of (Z/2)^r only renames the group elements, so applied to
+# the branch keys it must change no case, chi or K^2, before or after reduce.
+
+
+def random_automorphism(rng, r):
+    """The images of the r basis vectors under a random element of GL(r, F_2)."""
+    while True:
+        images = [group.GroupElement._of(r, rng.randrange(1, 1 << r)) for _ in range(r)]
+        if group.rank(images, r) == r:
+            return images
+
+
+def relabel(model, images):
+    def image(g):
+        return sum((e for bit, e in zip(g.bits, images) if bit), group.zero(model.r))
+
+    return replace(model, branch=tuple((image(g), entries) for g, entries in model.branch))
+
+
+def case_and_invariants(model):
+    """(proposition, symbol), (chi, K^2) and chi after reduce; a step that
+    raises gives its error class instead."""
+
+    def outcome(step):
+        try:
+            return step()
+        except CoverError as exc:
+            return type(exc)
+
+    def invariants(cover):
+        report = invariant_report(resolve(cover).cover)
+        return report.chi, report.k_squared
+
+    def case():
+        label = classify(model)
+        return label.proposition, label.symbol
+
+    return (
+        outcome(case),
+        outcome(lambda: invariants(model)),
+        outcome(lambda: invariants(cremona_reduce(model)[0])[0]),
+    )
+
+
+def test_relabel_invariance_on_fixtures_and_census_patterns():
+    models = [load_cover(name) for name in FIXTURE_NAMES]
+    for r in (2, 3, 4):
+        models += list(census_candidates(r).values())
+    assert len(models) == 116
+    rng = random.Random(2026)
+    relabelings = renamed = 0
+    for model in models:
+        expected = case_and_invariants(model)
+        assert isinstance(expected[0], tuple)  # every model here matches a family
+        for _ in range(5):
+            relabeled = relabel(model, random_automorphism(rng, model.r))
+            assert case_and_invariants(relabeled) == expected
+            relabelings += 1
+            renamed += relabeled.branch != model.branch
+    assert relabelings == 580 and renamed >= 500

@@ -2,9 +2,18 @@ import random
 
 import pytest
 
+from planecover import census as census_mod
 from planecover import group, lattice
-from planecover.cover import add_marked_points, derive_building_data, plane_cover
+from planecover.classify import cremona_reduce
+from planecover.cover import (
+    CoverModel,
+    CurveComponent,
+    add_marked_points,
+    derive_building_data,
+    plane_cover,
+)
 from planecover.errors import (
+    CoverError,
     DomainError,
     InconsistencyError,
     NonTerminationError,
@@ -26,8 +35,11 @@ from conftest import (
     dense_singular_residual_pairs,
     embed,
     load_cover,
+    marked_total_transform_pull_back,
     normalize_by_moves,
+    reference_resolve,
     strict_transform,
+    total_transform_pull_back,
 )
 from test_cover import random_valid_cover
 
@@ -37,7 +49,7 @@ def branch_ids(model):
 
 
 def test_pull_back_tacnode():
-    model = pull_back(load_cover("prop51"), "x")
+    model = total_transform_pull_back(load_cover("prop51"), "x")
     assert branch_ids(model) == {"10": ["E_x*2", "quartic*1"], "01": ["E_x*1", "conic*1"]}
     quartic = model.component("quartic")
     assert quartic.cls == lattice.DivisorClass(model.surface, (4, -2))
@@ -53,14 +65,14 @@ def test_pull_back_generic_point_adds_nothing():
 
 
 def test_pull_back_triple_point():
-    model = pull_back(load_cover("prop55"), "xi")
+    model = total_transform_pull_back(load_cover("prop55"), "xi")
     assert branch_ids(model)["010"] == ["E_xi*1", "lineA*1"]
     assert branch_ids(model)["011"] == ["E_xi*1", "lineC*1"]
     assert branch_ids(model)["100"] == ["E_xi*1", "conic*1"]
 
 
 def test_step1_reduce_strips_even_parts():
-    model = pull_back(load_cover("prop51"), "x")
+    model = total_transform_pull_back(load_cover("prop51"), "x")
     before = derive_building_data(model)
     reduced = normalize(model)
     assert branch_ids(reduced) == {"10": ["quartic*1"], "01": ["E_x*1", "conic*1"]}
@@ -123,7 +135,7 @@ def test_normalize_eq_loi_trace():
         marked=[("p", None)],
         reducible=["A"],  # a cubic with a triple point is three lines
     )
-    pulled = pull_back(model, "p")
+    pulled = total_transform_pull_back(model, "p")
     carriers = {str(g): k for g, entries in pulled.branch for cid, k in entries if cid == "E_p"}
     assert carriers == {"10": 3, "01": 2, "11": 1}
     final = normalize(pulled)
@@ -362,8 +374,8 @@ def test_pull_back_at_infinitely_near_points_examples():
         {"10": [("quartic", 1)], "01": [("conic", 1)]},
         marked=[("1", None), ("2", "1")],
     )
-    pulled = pull_back(model, "1", "2")
-    assert pulled == pull_back(pull_back(model, "1"), "2")
+    pulled = total_transform_pull_back(model, "1", "2")
+    assert pulled == total_transform_pull_back(total_transform_pull_back(model, "1"), "2")
     classes = {c.cid: str(c.cls) for c in pulled.components}
     assert classes == {"quartic": "4H-2E1-2E2", "conic": "2H-E1-E2", "E_1": "E1-E2", "E_2": "E2"}
     canonical = lattice.canonical(pulled.surface)
@@ -457,9 +469,9 @@ def test_resolve_pulls_back_once_per_round(monkeypatch):
 
     calls = []
 
-    def spy(cover, *points):
-        calls.append(points)
-        return pull_back(cover, *points)
+    def spy(cover, *points, crossings=()):
+        calls.append(points + tuple(name for name, _ in crossings))
+        return pull_back(cover, *points, crossings=crossings)
 
     monkeypatch.setattr(normalize_mod, "pull_back", spy)
     result = normalize_mod.resolve(line_arrangement(8))
@@ -469,13 +481,14 @@ def test_resolve_pulls_back_once_per_round(monkeypatch):
 
 def test_is_normalized_flag():
     assert is_normalized(load_cover("prop53"))
-    assert not is_normalized(pull_back(load_cover("prop51"), "x"))
+    assert not is_normalized(total_transform_pull_back(load_cover("prop51"), "x"))
     # oracle: the direct predicate agrees with running normalize to its fixpoint
     models = []
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         cover = load_cover(path.stem)
         models.append(cover)
-        models += [pull_back(cover, m.name) for m in cover.marked if cover.point_is_ripe(m.name)]
+        ripe = [m.name for m in cover.marked if cover.point_is_ripe(m.name)]
+        models += [total_transform_pull_back(cover, name) for name in ripe]
     rng = random.Random(5150)
     models += [random_valid_cover(rng) for _ in range(50)]
     lines = [(name, 1, {}) for name in "ABCD"]
@@ -501,9 +514,10 @@ def _resolve_round_models(cover, monkeypatch):
 
     models = [normalize(cover)]
 
-    def spy(current, *points):
-        pulled = pull_back(current, *points)
-        models.extend([current, normalize(pulled)])
+    def spy(current, *points, crossings=()):
+        pulled = pull_back(current, *points, crossings=crossings)
+        marked = add_marked_points(current, [(name, None, mults) for name, mults in crossings])
+        models.extend([marked, pulled])
         return pulled
 
     monkeypatch.setattr(normalize_mod, "pull_back", spy)
@@ -551,3 +565,158 @@ def test_sparse_pair_search_reports_over_declared_pairs():
         with pytest.raises(InconsistencyError) as exc:
             singular_residual_pairs(cover)
         assert str(exc.value) == message
+
+
+# -- pull_back against the normalized total transforms -------------------------
+
+
+def _outcome(function, *args, **kwargs):
+    """The result, or the error's class, message and trail (if it has one)."""
+    try:
+        return function(*args, **kwargs)
+    except CoverError as exc:
+        return type(exc), str(exc), getattr(exc, "trail", None)
+
+
+def _pull_back_or_reference(cover, points, crossings):
+    return (
+        _outcome(pull_back, cover, *points, crossings=crossings),
+        _outcome(marked_total_transform_pull_back, cover, *points, crossings=crossings),
+    )
+
+
+def _plane_inputs():
+    """The fixtures and the census candidates (r = 2..4, d <= 7)."""
+    models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    for r in (2, 3, 4):
+        models += [model for _, model in census_mod._candidates(r, 7)]
+    return models
+
+
+def _resolve_inputs():
+    """(model, max_rounds): the plane inputs, seeded random covers, and line
+    and Ceva arrangements."""
+    from test_invariants import ceva_arrangement, line_arrangement
+
+    rng = random.Random(4242)
+    models = [(model, 6) for model in _plane_inputs()]
+    models += [(random_valid_cover(rng), 20) for _ in range(50)]
+    models += [(line_arrangement(k), 6) for k in range(4, 17)]
+    models += [(ceva_arrangement(k), 6) for k in range(4, 11)]
+    return models
+
+
+def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(monkeypatch):
+    # every round of resolve and every quadratic move, on the inputs they get:
+    # pull_back must return normalize of the total transforms of the model
+    # with its crossing points marked (or raise the same error)
+    import planecover.classify as classify_mod
+    import planecover.normalize as normalize_mod
+
+    calls = []
+
+    def spy(caller):
+        def recording(cover, *points, crossings=()):
+            calls.append((caller, cover, points, tuple(crossings)))
+            return pull_back(cover, *points, crossings=crossings)
+
+        return recording
+
+    monkeypatch.setattr(normalize_mod, "pull_back", spy("resolve"))
+    monkeypatch.setattr(classify_mod, "pull_back", spy("move"))
+    for model, max_rounds in _resolve_inputs():
+        _outcome(normalize_mod.resolve, model, max_rounds)
+    for model in _plane_inputs():
+        _outcome(cremona_reduce, model)
+    monkeypatch.undo()
+    moves = crossing_rounds = 0
+    for caller, cover, points, crossings in calls:
+        got, expected = _pull_back_or_reference(cover, points, crossings)
+        assert got == expected
+        assert is_normalized(got)
+        moves += caller == "move"
+        crossing_rounds += bool(crossings)
+    assert moves >= 40 and crossing_rounds >= 250 and len(calls) >= 450
+
+
+def _random_pull_back_call(rng):
+    """A model built without the plane checks, with branch entries repeated,
+    in several D_g or in none, five marked points (y and y2 near x, z near
+    y), and a random call: marked, fresh, repeated or unripe points, and
+    crossings with new, used or repeated names, unknown components or
+    multiplicity 0.  Components named like exceptional curves make the
+    serial names of the exceptional curves matter."""
+    r = rng.randint(1, 4)
+    cids = [f"c{i}" for i in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        cids[0] = rng.choice(["E_x", "E_x2", "E_y"])
+    marked = [lattice.Center("x"), lattice.Center("x2"), lattice.Center("y", "x")]
+    marked += [lattice.Center("y2", "x"), lattice.Center("z", "y")]
+    comps = []
+    for cid in cids:
+        at = {m.name: rng.randint(1, 2) for m in marked if rng.random() < 0.5}
+        cls = lattice.DivisorClass(lattice.PLANE, (rng.randint(1, 4),))
+        comps.append(CurveComponent(cid, cls, mults=tuple(at.items())))
+    elements = list(group.nonzero_elements(r))
+    branch = [
+        (rng.choice(elements), [(cid, rng.randint(1, 3))])
+        for cid in cids
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 3]))
+    ]
+    cover = CoverModel(r, lattice.PLANE, tuple(comps), tuple(branch), tuple(marked))
+    pool = ["x", "x2", "y2", "y", "z", "fresh", "x", "s1"]
+    points = rng.sample(pool, rng.choice([0, 1, 2, 2, 3, 4, 5]))
+    if rng.random() < 0.8:  # mostly parents first
+        points.sort(key=pool.index)
+    crossings = []
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        name = rng.choice(["s1", "s2", "s3", "s4", "x", "fresh"])
+        mults = {cid: rng.choice([1, 1, 2]) for cid in rng.sample(cids, rng.randint(1, len(cids)))}
+        if rng.random() < 0.05:
+            mults[rng.choice([cids[0], "nope"])] = 0
+        crossings.append((name, mults))
+    return cover, tuple(points), tuple(crossings)
+
+
+def test_pull_back_equals_normalized_total_transform_on_random_calls():
+    results = errors = 0
+    for seed in range(2000):
+        got, expected = _pull_back_or_reference(*_random_pull_back_call(random.Random(seed)))
+        assert got == expected
+        errors += isinstance(got, tuple)
+        results += isinstance(got, CoverModel)
+    assert results >= 550 and errors >= 1000
+    # a curve that normalization drops still takes its name: E_x2 goes to x's
+    # exceptional curve (E_x is a component), which cancels (two curves of 10
+    # through x), so x2's exceptional curve is E_x22, as in the total transforms
+    cover = plane_cover(
+        2,
+        [("E_x", 1, {"x": 1}), ("B", 1, {"x": 1}), ("C", 1, {"x2": 1})],
+        {"10": [("E_x", 1), ("B", 1)], "01": [("C", 1)]},
+        marked=[("x", None), ("x2", None)],
+    )
+    got, expected = _pull_back_or_reference(cover, ("x", "x2"), ())
+    assert got == expected
+    assert [c.cid for c in got.components] == ["B", "C", "E_x", "E_x22"]
+    # the same through an incidence of a dropped curve: E_x cancels but passes
+    # through y2, whose exceptional curve cancels too but takes E_y2, so the
+    # exceptional curve of y (E_y is a component) is E_y3
+    cover = plane_cover(
+        2,
+        [("A", 1, {"x": 1, "y": 1}), ("B", 1, {"x": 1}), ("E_y", 2, {})],
+        {"10": [("A", 1), ("B", 1)], "01": [("E_y", 1)]},
+        marked=[("x", None), ("y", "x"), ("y2", "x")],
+    )
+    got, expected = _pull_back_or_reference(cover, ("x", "y2", "y"), ())
+    assert got == expected
+    assert [c.cid for c in got.components] == ["A", "B", "E_y", "E_y3"]
+
+
+def test_resolve_matches_reference_loop():
+    # the same cover, rounds and trail, or the same NonTerminationError and trail
+    failures = 0
+    for model, max_rounds in _resolve_inputs():
+        got = _outcome(resolve, model, max_rounds)
+        assert got == _outcome(reference_resolve, model, max_rounds)
+        failures += isinstance(got, tuple)
+    assert failures >= 2
