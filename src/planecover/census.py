@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import classify as classify_mod
 from . import invariants as invariants_mod
-from .cover import CoverModel, check_prod_relations, derive_building_data, is_totally_ramified
+from .cover import CoverModel, check_prod_relations, is_totally_ramified
 from .cover import plane_cover
 from .errors import DomainError, InconsistencyError
 from .normalize import resolve
@@ -158,8 +158,7 @@ def census(r: int, max_degree: int) -> CensusTable:
     for pattern, model in _candidates(r, max_degree):
         if not is_totally_ramified(model):
             raise InconsistencyError(f"census generated an invalid pattern: {pattern}")
-        report = check_prod_relations(model, derive_building_data(model))
-        if not report.ok:
+        if not check_prod_relations(model).ok:
             raise InconsistencyError(f"census pattern violates product relations: {pattern}")
         label = classify_mod.classify(model)
         reduced = label.reduce()[0] if label.reduce is not None else model
@@ -167,9 +166,7 @@ def census(r: int, max_degree: int) -> CensusTable:
         if key in seen:
             continue
         seen.add(key)
-        resolved = resolve(model)
-        chi = invariants_mod.euler_characteristic(resolved.cover)
-        k2 = invariants_mod.canonical_square(resolved.cover)
-        rows.append(CensusRow(pattern, label.serialize(), chi, k2))
+        report = invariants_mod.invariant_report(resolve(model))
+        rows.append(CensusRow(pattern, label.serialize(), report.chi, report.k_squared))
     rows.sort(key=lambda row: row.pattern)
     return CensusTable(r, max_degree, tuple(rows))

@@ -12,7 +12,7 @@ from . import census as census_mod
 from . import classify as classify_mod
 from . import config
 from . import invariants as invariants_mod
-from .cover import check_prod_relations, derive_building_data, is_totally_ramified
+from .cover import check_prod_relations, is_totally_ramified
 from .errors import ConfigError, CoverError, MatchError
 from .normalize import normalize, resolve
 
@@ -46,28 +46,27 @@ def _read_document(path: str) -> config.ConfigDocument:
     return config.parse(text)
 
 
-def _cmd_validate(doc: config.ConfigDocument, fmt: str) -> int:
+def _cmd_validate(doc: config.ConfigDocument) -> int:
     model = normalize(doc.to_cover())
     ramified = is_totally_ramified(model)
     lines = [f"totally_ramified = {str(ramified).lower()}"]
     if not ramified:
         print("\n".join(lines))
         raise MatchError("not totally ramified")
-    building = derive_building_data(model)
+    report = check_prod_relations(model)
     lines.append("parity = ok")
-    report = check_prod_relations(model, building)
     lines.append(f"prod_relations = ok ({report.pairs_checked} pairs)")
     print("\n".join(lines))
     return 0
 
 
-def _cmd_normalize(doc: config.ConfigDocument, fmt: str) -> int:
+def _cmd_normalize(doc: config.ConfigDocument) -> int:
     model = normalize(doc.to_cover())
     sys.stdout.write(config.from_cover(model).serialize())
     return 0
 
 
-def _cmd_resolve(doc: config.ConfigDocument, fmt: str) -> int:
+def _cmd_resolve(doc: config.ConfigDocument) -> int:
     result = resolve(doc.to_cover())
     for record in result.trail:
         payload = {
@@ -85,7 +84,7 @@ def _cmd_resolve(doc: config.ConfigDocument, fmt: str) -> int:
 
 def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
     result = resolve(doc.to_cover())
-    report = invariants_mod.invariant_report(result.cover)
+    report = invariants_mod.invariant_report(result)
     if fmt == "tsv":
         print("chi\tk2\tbicanonical\tverdict")
         print(
@@ -98,7 +97,7 @@ def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
     return 0
 
 
-def _cmd_classify(doc: config.ConfigDocument, fmt: str) -> int:
+def _cmd_classify(doc: config.ConfigDocument) -> int:
     label = classify_mod.classify(normalize(doc.to_cover()))
     print(label.serialize())
     for flag in label.flags:
@@ -106,7 +105,7 @@ def _cmd_classify(doc: config.ConfigDocument, fmt: str) -> int:
     return 0
 
 
-def _cmd_reduce(doc: config.ConfigDocument, fmt: str) -> int:
+def _cmd_reduce(doc: config.ConfigDocument) -> int:
     reduced, moves = classify_mod.cremona_reduce(doc.to_cover())
     for i, move in enumerate(moves, start=1):
         print(f"# move {i}: {move.serialize()}")
@@ -135,14 +134,14 @@ def _parser() -> argparse.ArgumentParser:
         description="exact engine for (Z/2)^r covers of the plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name) for name in (*HANDLERS, "census")}
     for name in HANDLERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--input", required=True, help="document path, or - for stdin")
-        cmd.add_argument("--format", choices=("text", "tsv"), default="text")
-    cmd = sub.add_parser("census")
-    cmd.add_argument("--r", type=int, required=True)
-    cmd.add_argument("--max-degree", type=int, required=True)
-    cmd.add_argument("--format", choices=("text", "tsv"), default="text")
+        commands[name].add_argument("--input", required=True, help="document path, or - for stdin")
+    commands["census"].add_argument("--r", type=int, required=True)
+    commands["census"].add_argument("--max-degree", type=int, required=True)
+    # the two commands with a tabular output
+    for name in ("invariants", "census"):
+        commands[name].add_argument("--format", choices=("text", "tsv"), default="text")
     return parser
 
 
@@ -154,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(table.to_tsv() if args.format == "tsv" else table.to_text())
             return 0
         doc = _read_document(args.input)
-        return HANDLERS[args.command](doc, args.format)
+        handler = HANDLERS[args.command]
+        return handler(doc, args.format) if "format" in args else handler(doc)
     except CoverError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

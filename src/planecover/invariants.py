@@ -13,6 +13,12 @@ both evaluated exactly in the Picard lattice.  The bicanonical pullback
 class 2K + sum D_g certifies P_2 = 0 (hence rationality, by Castelnuovo)
 when it cannot be effective: negative degree, or a negative multiple of an
 exceptional class.
+
+The chi formula holds only on a smooth model, so ``invariant_report``
+takes a ``ResolveResult``: ``resolve`` returns one only for a model it has
+proven smooth, and nothing here checks smoothness again.  K^2 and the
+bicanonical class are defined on every model, so ``canonical_square`` and
+``bicanonical_pullback`` take any ``CoverModel``.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ from . import lattice
 from .cover import CoverModel, derive_building_data
 from .errors import DomainError, InconsistencyError
 from .lattice import DivisorClass
-from .normalize import assert_smooth, smoothness_report
+from .normalize import ResolveResult
 
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Flat record of the invariants of one model of a cover."""
+    """Flat record of the invariants of the smooth model of a cover."""
 
-    chi: int | None
+    chi: int
     k_squared: int
     bicanonical_pullback: DivisorClass
     rationality_verdict: str
@@ -39,7 +45,7 @@ class InvariantReport:
 
     def serialize(self) -> str:
         lines = [
-            f"chi = {'?' if self.chi is None else self.chi}",
+            f"chi = {self.chi}",
             f"k2 = {self.k_squared}",
             f"bicanonical = {self.bicanonical_pullback}",
             f"verdict = {self.rationality_verdict}",
@@ -47,12 +53,6 @@ class InvariantReport:
         ]
         lines.extend(f"note = {n}" for n in self.notes)
         return "\n".join(lines)
-
-
-def euler_characteristic(cover: CoverModel) -> int:
-    """chi(O) of the covering surface; the model must be smooth."""
-    assert_smooth(cover)
-    return _chi_of_smooth(cover)
 
 
 def _chi_of_smooth(cover: CoverModel) -> int:
@@ -95,10 +95,8 @@ def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
     return len(nonzero) == 1 and nonzero[0] < 0
 
 
-def _verdict(chi: int | None, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]:
-    """The verdict from chi (None for a model that is not smooth) and 2K + sum D_g."""
-    if chi is None:
-        return "inconclusive", ("model not smooth; resolve before asking for a verdict",)
+def _verdict(chi: int, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]:
+    """The verdict from chi and 2K + sum D_g of a smooth model."""
     if chi != 1:
         return "inconclusive", (f"chi = {chi} != 1",)
     if bicanonical.degree < 0:
@@ -108,10 +106,12 @@ def _verdict(chi: int | None, bicanonical: DivisorClass) -> tuple[str, tuple[str
     return "inconclusive", ("bicanonical pullback class may be effective",)
 
 
-def invariant_report(cover: CoverModel) -> InvariantReport:
-    """Every invariant, each computed once; the verdict is conservative:
-    "rational" or "inconclusive", never "irrational"."""
-    chi = _chi_of_smooth(cover) if smoothness_report(cover) else None
+def invariant_report(resolved: ResolveResult) -> InvariantReport:
+    """Every invariant of the model ``resolve`` returned, each computed once;
+    the verdict is conservative: "rational" or "inconclusive", never
+    "irrational"."""
+    cover = resolved.cover
+    chi = _chi_of_smooth(cover)
     bicanonical = bicanonical_pullback(cover)
     verdict, notes = _verdict(chi, bicanonical)
     return InvariantReport(

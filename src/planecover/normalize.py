@@ -211,17 +211,8 @@ def pull_back(
 # -- smoothness --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    smooth: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.smooth
-
-
-def is_smooth_over(cover: CoverModel, point: str) -> SmoothnessReport:
-    """Combinatorial smoothness of the cover over one marked point.
+def singularity_over(cover: CoverModel, point: str) -> str | None:
+    """Why the cover is singular over one marked point, or None when smooth.
 
     Smooth iff at most two branch components pass through it, each smooth
     there, meeting transversally, with distinct inertia elements.
@@ -229,22 +220,18 @@ def is_smooth_over(cover: CoverModel, point: str) -> SmoothnessReport:
     at = cover.components_at(point)
     for comp, m in at:
         if m >= 2:
-            return SmoothnessReport(False, f"component {comp.cid} is singular at {point}")
+            return f"component {comp.cid} is singular at {point}"
     if len(at) >= 3:
         names = ", ".join(c.cid for c, _ in at)
-        return SmoothnessReport(False, f"{len(at)} branch components meet at {point}: {names}")
+        return f"{len(at)} branch components meet at {point}: {names}"
     if len(at) == 2:
         (c1, _), (c2, _) = at
         for child in cover.children_of_point(point):
             if c1.mult_at(child) >= 1 and c2.mult_at(child) >= 1:
-                return SmoothnessReport(
-                    False, f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
-                )
+                return f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
         if cover.inertia_of(c1.cid) == cover.inertia_of(c2.cid):
-            return SmoothnessReport(
-                False, f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
-            )
-    return SmoothnessReport(True)
+            return f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
+    return None
 
 
 def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
@@ -313,25 +300,6 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
     return [(comps[i].cid, comps[j].cid) for i, j in sorted(pairs)]
 
 
-def smoothness_report(cover: CoverModel) -> SmoothnessReport:
-    """Global verdict over all declared points and undeclared crossings."""
-    for m in cover.marked:
-        verdict = is_smooth_over(cover, m.name)
-        if not verdict:
-            return verdict
-    pairs = singular_residual_pairs(cover)
-    if pairs:
-        a, b = pairs[0]
-        return SmoothnessReport(False, f"{a} and {b} cross with equal inertia off declared points")
-    return SmoothnessReport(True)
-
-
-def assert_smooth(cover: CoverModel) -> None:
-    verdict = smoothness_report(cover)
-    if not verdict:
-        raise PreconditionError(f"cover is not smooth: {verdict.reason}")
-
-
 # -- resolution --------------------------------------------------------------
 
 
@@ -344,6 +312,8 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ResolveResult:
+    """A smooth model, as ``resolve`` proved it, with the rounds it took."""
+
     cover: CoverModel
     rounds: int
     trail: tuple[RoundRecord, ...]
@@ -374,6 +344,12 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
     marked point is singular, the round blows up one new point ``sing<n>``
     per same-inertia pair crossing off the marked points, passed to
     ``pull_back`` as crossings in name order.
+
+    This is the one place smoothness is decided: the loop returns only when
+    no ripe marked point is singular and no same-inertia pair crosses off
+    the marked points.  An unripe point is then smooth too: by proximity its
+    curves pass through its parent with at least its multiplicity, and a
+    smooth parent shares none of its directions between two curves.
     """
     current = normalize(cover)
     rounds = 0
@@ -382,7 +358,7 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
         singulars = [
             m.name
             for m in current.marked
-            if current.point_is_ripe(m.name) and not is_smooth_over(current, m.name)
+            if current.point_is_ripe(m.name) and singularity_over(current, m.name) is not None
         ]
         crossings: dict[str, dict[str, int]] = {}
         if not singulars:

@@ -18,13 +18,15 @@ from planecover.errors import (
     ParityError,
     PreconditionError,
 )
+from planecover.invariants import invariant_report
 from planecover.normalize import (
     ResolveResult,
     RoundRecord,
     _branch_diff,
-    is_smooth_over,
     normalize,
+    resolve,
     singular_residual_pairs,
+    singularity_over,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -409,7 +411,7 @@ def reference_resolve(cover, max_rounds=6):
         singulars = [
             m.name
             for m in current.marked
-            if current.point_is_ripe(m.name) and not is_smooth_over(current, m.name)
+            if current.point_is_ripe(m.name) and singularity_over(current, m.name) is not None
         ]
         if not singulars:
             pairs = singular_residual_pairs(current)
@@ -432,3 +434,26 @@ def reference_resolve(cover, max_rounds=6):
         current = normalize(total_transform_pull_back(current, *blown))
         trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
     return ResolveResult(current, rounds, tuple(trail))
+
+
+def singularity_reference(cover):
+    """Reference smoothness check of a whole model, for ``resolve``'s result:
+    the reason of the first marked point, ripe or not, that is singular, else
+    the first same-inertia pair crossing off the marked points; None when
+    the model is smooth."""
+    for m in cover.marked:
+        reason = singularity_over(cover, m.name)
+        if reason is not None:
+            return reason
+    pairs = singular_residual_pairs(cover)
+    if pairs:
+        a, b = pairs[0]
+        return f"{a} and {b} cross with equal inertia off declared points"
+    return None
+
+
+def smooth_chi(model):
+    """chi of a model that is smooth as it stands: resolve blows up nothing."""
+    result = resolve(model)
+    assert result.rounds == 0
+    return invariant_report(result).chi

@@ -23,13 +23,13 @@ from planecover.errors import MatchError, ParityError
 from planecover.invariants import (
     bicanonical_pullback,
     canonical_square,
-    euler_characteristic,
+    invariant_report,
     riemann_hurwitz_genus,
 )
 from planecover.lattice import Center, DivisorClass, cremona_reflect, intersect
 from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import GOLDEN_DIR, PROPOSITION_FIXTURES, load_cover, normalize_by_moves
+from conftest import GOLDEN_DIR, PROPOSITION_FIXTURES, load_cover, normalize_by_moves, smooth_chi
 
 
 def _report(line: str) -> None:
@@ -52,7 +52,7 @@ def test_c1_three_general_lines():
         {"10": [("A", 1)], "01": [("B", 1)], "11": [("Cc", 1)]},
     )
     assert canonical_square(model) == 9
-    assert euler_characteristic(model) == 1
+    assert smooth_chi(model) == 1
     _report("criterion 1b: three general lines give K^2 = 9")
 
 
@@ -64,7 +64,7 @@ def test_c1_concurrent_lines_rank3():
     assert len(moves) == 1
     assert sorted(c.cls.degree for c in reduced.components) == [1, 1, 1, 1]
     assert canonical_square(reduced) == 8
-    assert euler_characteristic(resolve(reduced).cover) == 1
+    assert invariant_report(resolve(reduced)).chi == 1
     _report("criterion 1c: rank-3 concurrent case gives K^2 = 0, then 4 lines with chi = 1, K^2 = 8")
 
 
@@ -93,7 +93,7 @@ def test_c1_tacnode_cover():
 
 def test_c1_two_lines_and_cubic():
     model = load_cover("prop53")
-    assert euler_characteristic(model) == 1
+    assert smooth_chi(model) == 1
     assert canonical_square(model) == 1
     assert str(bicanonical_pullback(model)) == "-H"
     _report("criterion 1f: two lines plus cubic gives chi = 1, K^2 = 1, bicanonical -H")
@@ -102,25 +102,25 @@ def test_c1_two_lines_and_cubic():
 def test_c1_lines_and_conic_with_triple_points():
     model = load_cover("prop55")
     result = resolve(model)
-    assert euler_characteristic(result.cover) == 1
+    assert invariant_report(result).chi == 1
     assert canonical_square(result.cover) == 2
     reduced, _ = cremona_reduce(model)
     assert sorted(c.cls.degree for c in reduced.components) == [1] * 5
     assert canonical_square(reduced) == 2
-    assert euler_characteristic(resolve(reduced).cover) == 1
+    assert invariant_report(resolve(reduced)).chi == 1
     _report("criterion 1g: triple-point case gives chi = 1, K^2 = 2 on both models")
 
 
 def test_c1_lines_and_general_conic():
     model = load_cover("prop57")
-    assert euler_characteristic(model) == 1
+    assert smooth_chi(model) == 1
     assert canonical_square(model) == 2
     _report("criterion 1h: three lines plus general conic gives chi = 1, K^2 = 2")
 
 
 def test_c1_five_general_lines():
     model = load_cover("prop59")
-    assert euler_characteristic(model) == 1
+    assert smooth_chi(model) == 1
     assert canonical_square(model) == 4
     building = derive_building_data(model)
     twos = {str(chi) for chi, cls in building.items() if cls.degree == 2}
@@ -284,12 +284,11 @@ def test_c4_parity_detection_iff():
 def test_c4_chi_stable_under_extra_blow_up():
     rng = random.Random(8)
     for name in PROPOSITION_FIXTURES:
-        smooth = resolve(load_cover(name)).cover
-        chi = euler_characteristic(smooth)
-        comp = rng.choice(smooth.components)
-        marked = add_marked_point(smooth, "probe", mults={comp.cid: 1})
-        again = resolve(marked).cover
-        assert euler_characteristic(again) == chi == 1
+        smooth = resolve(load_cover(name))
+        chi = invariant_report(smooth).chi
+        comp = rng.choice(smooth.cover.components)
+        marked = add_marked_point(smooth.cover, "probe", mults={comp.cid: 1})
+        assert invariant_report(resolve(marked)).chi == chi == 1
     _report("criterion 4e: chi is invariant under an extra blow-up on every fixture")
 
 

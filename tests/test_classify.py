@@ -19,7 +19,7 @@ from planecover.classify import (
 from planecover.cover import add_marked_point, add_marked_points, derive_building_data, plane_cover
 from planecover.errors import CoverError, GeometryError, MatchError, PreconditionError
 from planecover.group import GroupElement
-from planecover.invariants import canonical_square, euler_characteristic
+from planecover.invariants import canonical_square, invariant_report
 from planecover.normalize import normalize, pull_back, resolve
 
 from conftest import (
@@ -373,7 +373,7 @@ def test_reduce_concurrent_lines_to_four_lines():
     assert twos == {"011"}
     assert len(ones) == 6
     assert canonical_square(reduced) == 8
-    assert euler_characteristic(resolve(reduced).cover) == 1
+    assert invariant_report(resolve(reduced)).chi == 1
 
 
 def test_reduce_five_line_model():
@@ -409,9 +409,9 @@ def test_labels_stable_under_reduction():
 def test_chi_invariant_under_reduction():
     for name in PROPOSITION_FIXTURES:
         model = load_cover(name)
-        chi_before = euler_characteristic(resolve(model).cover)
+        chi_before = invariant_report(resolve(model)).chi
         reduced, _ = cremona_reduce(model)
-        chi_after = euler_characteristic(resolve(reduced).cover)
+        chi_after = invariant_report(resolve(reduced)).chi
         assert chi_before == chi_after == 1, name
 
 

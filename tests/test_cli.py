@@ -1,6 +1,8 @@
 import argparse
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,20 @@ def test_invariants_tsv(capsys):
     lines = out.splitlines()
     assert lines[0] == "chi\tk2\tbicanonical\tverdict"
     assert lines[1] == "1\t1\t-H\trational"
+
+
+@pytest.mark.parametrize("command", ["validate", "normalize", "resolve", "classify", "reduce"])
+def test_format_is_an_option_of_invariants_and_census_only(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--input", fixture("prop53"), "--format", "tsv"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: planecover [-h]")
+    assert captured.err.endswith("planecover: error: unrecognized arguments: --format tsv\n")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--format" not in capsys.readouterr().out
 
 
 def test_census_bounds_exit_code(capsys):
@@ -462,3 +478,40 @@ def test_branch_key_length_is_checked_in_either_section_order(
     code, out, err = run(capsys, command, "--input", str(doc))
     problem = f"{line}:1: group element {key!r} has length {len(key)}, expected 2"
     assert (code, out, err) == (2, "", f"error[config]: {problem}\n")
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``## heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_runs_and_shows_its_values(monkeypatch):
+    # each line whose comment is a Python literal shows that value
+    monkeypatch.chdir(README.parent)
+    namespace = {}
+    shown = 0
+    for line in readme_block("Library use", "python").splitlines():
+        code, _, comment = line.partition("  # ")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        shown += 1
+    assert shown == 4
+
+
+def test_readme_example_is_the_cli_output(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    runs = readme_block("Example", "sh").strip().split("\n\n")
+    assert len(runs) == 2
+    for text in runs:
+        command, *expected = text.splitlines()
+        assert command.startswith("$ planecover ")
+        got = run(capsys, *command.split()[2:])
+        assert got == (0, "\n".join(expected) + "\n", ""), command

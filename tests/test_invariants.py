@@ -14,36 +14,30 @@ from planecover.errors import (
     DomainError,
     InconsistencyError,
     NonTerminationError,
-    PreconditionError,
 )
 from planecover.invariants import (
+    _chi_of_smooth,
     bicanonical_pullback,
     canonical_square,
-    euler_characteristic,
     invariant_report,
     riemann_hurwitz_genus,
 )
-from planecover.normalize import normalize, pull_back, resolve, smoothness_report
+from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover
+from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover, smooth_chi
 
 
 def test_chi_two_lines_and_cubic():
-    assert euler_characteristic(load_cover("prop53")) == 1
+    assert smooth_chi(load_cover("prop53")) == 1
 
 
 def test_chi_five_lines():
-    assert euler_characteristic(load_cover("prop59")) == 1
+    assert smooth_chi(load_cover("prop59")) == 1
 
 
 def test_chi_resolved_triple_points():
     result = resolve(load_cover("prop55"))
-    assert euler_characteristic(result.cover) == 1
-
-
-def test_chi_requires_smooth_model():
-    with pytest.raises(PreconditionError):
-        euler_characteristic(load_cover("prop51"))
+    assert invariant_report(result).chi == 1
 
 
 def test_k2_three_general_lines():
@@ -53,7 +47,7 @@ def test_k2_three_general_lines():
         {"10": [("A", 1)], "01": [("B", 1)], "11": [("Cc", 1)]},
     )
     assert canonical_square(model) == 9
-    assert euler_characteristic(model) == 1
+    assert smooth_chi(model) == 1
 
 
 def test_k2_three_fibers_on_f1():
@@ -87,25 +81,19 @@ def test_k2_odd_rank_parity_check():
 def test_bicanonical_classes_and_verdicts():
     model = load_cover("prop53")
     assert str(bicanonical_pullback(model)) == "-H"
-    assert invariant_report(model).rationality_verdict == "rational"
+    assert invariant_report(resolve(model)).rationality_verdict == "rational"
 
     result = resolve(load_cover("prop51"))
     cls = bicanonical_pullback(result.cover)
     assert cls == -2 * lattice.exceptional(result.cover.surface, "y")
-    assert invariant_report(result.cover).rationality_verdict == "rational"
+    assert invariant_report(result).rationality_verdict == "rational"
 
     assert str(bicanonical_pullback(load_cover("prop59"))) == "-H"
-    assert invariant_report(load_cover("prop59")).rationality_verdict == "rational"
-
-
-def test_verdict_is_conservative_on_singular_models():
-    report = invariant_report(load_cover("prop51"))
-    assert report.rationality_verdict == "inconclusive"
-    assert any("resolve" in note for note in report.notes)
+    assert invariant_report(resolve(load_cover("prop59"))).rationality_verdict == "rational"
 
 
 def test_invariant_report_serialization():
-    report = invariant_report(load_cover("prop53"))
+    report = invariant_report(resolve(load_cover("prop53")))
     text = report.serialize()
     assert "chi = 1" in text
     assert "k2 = 1" in text
@@ -117,13 +105,13 @@ def test_classical_double_plane_anchors():
     # independent textbook values: the double plane branched on a smooth
     # sextic is a K3 surface, on a smooth quartic a degree-2 Del Pezzo
     sextic = plane_cover(1, [("B", 6, {})], {"1": [("B", 1)]})
-    assert euler_characteristic(sextic) == 2
+    assert smooth_chi(sextic) == 2
     assert canonical_square(sextic) == 0
     quartic = plane_cover(1, [("B", 4, {})], {"1": [("B", 1)]})
-    assert euler_characteristic(quartic) == 1
+    assert smooth_chi(quartic) == 1
     assert canonical_square(quartic) == 2
     conic = plane_cover(1, [("B", 2, {})], {"1": [("B", 1)]})
-    assert euler_characteristic(conic) == 1
+    assert smooth_chi(conic) == 1
     assert canonical_square(conic) == 8
 
 
@@ -156,16 +144,15 @@ def test_chi_invariant_under_extra_blow_ups():
     rng = random.Random(424242)
     for name in PROPOSITION_FIXTURES:
         result = resolve(load_cover(name))
-        chi = euler_characteristic(result.cover)
+        chi = invariant_report(result).chi
         # blow up a fresh point away from the branch curve
         off = normalize(pull_back(result.cover, "extra_point"))
-        assert euler_characteristic(off) == chi
+        assert smooth_chi(off) == chi
         # blow up a general point on a random branch component, then
         # resolve the node this creates over the new crossing
         comp = rng.choice(result.cover.components)
         marked = add_marked_point(result.cover, "extra_on_curve", mults={comp.cid: 1})
-        on_curve = resolve(marked).cover
-        assert euler_characteristic(on_curve) == chi
+        assert invariant_report(resolve(marked)).chi == chi
 
 
 def test_plane_branch_degree_formula():
@@ -188,12 +175,12 @@ def test_plane_branch_degree_formula():
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.cfg")))
 def test_report_agrees_with_the_single_invariants(name):
-    cover = load_cover(name)
-    for c in (cover, normalize(cover), resolve(cover).cover):
-        report = invariant_report(c)
-        assert report.k_squared == canonical_square(c)
-        assert report.bicanonical_pullback == bicanonical_pullback(c)
-        assert report.chi == (euler_characteristic(c) if smoothness_report(c) else None)
+    result = resolve(load_cover(name))
+    report = invariant_report(result)
+    assert report.k_squared == canonical_square(result.cover)
+    assert report.bicanonical_pullback == bicanonical_pullback(result.cover)
+    assert report.chi == _chi_of_smooth(result.cover)
+    assert report.surface_centers == result.cover.surface.names
 
 
 def line_arrangement(k):
@@ -218,8 +205,30 @@ def line_arrangement(k):
 def test_line_arrangement_invariants(k, expected):
     # rank 1 + k + 3 * C(k, 2): the triple points, then every general crossing
     result = resolve(line_arrangement(k))
-    report = invariant_report(result.cover)
+    report = invariant_report(result)
     assert (report.chi, report.k_squared, result.rounds, result.cover.surface.rank) == expected
+
+
+def test_no_pair_search_after_resolve(monkeypatch):
+    # resolve's last round proves the model smooth with one pair search; the
+    # invariants read its result and search no pair again
+    import planecover.normalize as normalize_mod
+
+    search = normalize_mod.singular_residual_pairs
+    calls = []
+
+    def counting(cover):
+        calls.append(cover)
+        return search(cover)
+
+    monkeypatch.setattr(normalize_mod, "singular_residual_pairs", counting)
+    table = census_mod.census(4, 7)
+    assert (len(table.rows), len(calls)) == (30, 30)
+    calls.clear()
+    result = resolve(line_arrangement(12))
+    assert (result.rounds, len(calls)) == (2, 2)
+    invariant_report(result)
+    assert len(calls) == 2
 
 
 # Closed forms, a second method for the r=2 arrangements (Hirzebruch 1983,
@@ -234,7 +243,7 @@ def test_line_arrangement_invariants(k, expected):
 )
 def test_line_arrangement_closed_forms(k):
     result = resolve(line_arrangement(k))
-    report = invariant_report(result.cover)
+    report = invariant_report(result)
     assert (report.chi, report.k_squared) == (4 + 3 * k * (k - 3) // 2, (3 * k - 6) ** 2 - k)
     assert (result.rounds, result.cover.surface.rank) == (2, 1 + k + 3 * k * (k - 1) // 2)
 
@@ -263,7 +272,7 @@ def ceva_arrangement(k):
 @pytest.mark.parametrize("k, chi", [(4, 4), (6, 13), (8, 28), (10, 49)])
 def test_ceva_arrangement_closed_forms(k, chi):
     result = resolve(ceva_arrangement(k))
-    report = invariant_report(result.cover)
+    report = invariant_report(result)
     k_squared = (3 * k - 6) ** 2 - 3 * (k - 2) ** 2 - k**2
     assert (report.chi, report.k_squared) == (chi, k_squared)
     assert (result.rounds, result.cover.surface.rank) == (1, 4 + k**2)
@@ -287,8 +296,10 @@ def noether_euler_number(cover):
     return 2**cover.r * (e_y - e_d) + 2 ** (cover.r - 1) * (e_d - nodes) + 2 ** (cover.r - 2) * nodes
 
 
-def assert_noether(cover):
-    assert 12 * euler_characteristic(cover) == canonical_square(cover) + noether_euler_number(cover)
+def assert_noether(result):
+    cover = result.cover
+    chi = invariant_report(result).chi
+    assert 12 * chi == canonical_square(cover) + noether_euler_number(cover)
 
 
 #: resolve marks one crossing point per same-inertia pair per round, so a
@@ -318,10 +329,10 @@ FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.cfg"))
 
 def assert_chi_checked_a_second_way(model):
     """Noether on the resolved model, and chi unchanged by Cremona reduction."""
-    resolved = resolve(model).cover
+    resolved = resolve(model)
     assert_noether(resolved)
     reduced, _ = cremona_reduce(model)
-    assert euler_characteristic(resolved) == euler_characteristic(resolve(reduced).cover)
+    assert invariant_report(resolved).chi == invariant_report(resolve(reduced)).chi
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -336,7 +347,7 @@ def test_chi_checked_a_second_way_on_census_patterns(r, name):
 
 @pytest.mark.parametrize("k", range(4, 13))
 def test_noether_on_line_arrangements(k):
-    assert_noether(resolve(line_arrangement(k)).cover)
+    assert_noether(resolve(line_arrangement(k)))
 
 
 # -- relabel invariance ---------------------------------------------------------
@@ -370,7 +381,7 @@ def case_and_invariants(model):
             return type(exc)
 
     def invariants(cover):
-        report = invariant_report(resolve(cover).cover)
+        report = invariant_report(resolve(cover))
         return report.chi, report.k_squared
 
     def case():

@@ -22,12 +22,11 @@ from planecover.errors import (
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
     is_normalized,
-    is_smooth_over,
     normalize,
     pull_back,
     resolve,
     singular_residual_pairs,
-    smoothness_report,
+    singularity_over,
 )
 
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     marked_total_transform_pull_back,
     normalize_by_moves,
     reference_resolve,
+    singularity_reference,
     strict_transform,
     total_transform_pull_back,
 )
@@ -257,17 +257,14 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1)], "01": [("B", 1)]},
         marked=[("p", None)],
     )
-    assert is_smooth_over(crossing, "p").smooth
+    assert singularity_over(crossing, "p") is None
 
     tacnode = load_cover("prop51")
-    verdict = is_smooth_over(tacnode, "x")
-    assert not verdict.smooth
-    assert "singular" in verdict.reason and "quartic" in verdict.reason
+    reason = singularity_over(tacnode, "x")
+    assert "singular" in reason and "quartic" in reason
 
     triple = load_cover("prop55")
-    verdict = is_smooth_over(triple, "xi")
-    assert not verdict.smooth
-    assert "3 branch components" in verdict.reason
+    assert "3 branch components" in singularity_over(triple, "xi")
 
     # a line tangent to a conic: two lines cannot share a direction (Bezout)
     tangent = plane_cover(
@@ -276,8 +273,7 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1)], "01": [("B", 1)]},
         marked=[("p", None), ("t", "p")],
     )
-    verdict = is_smooth_over(tangent, "p")
-    assert not verdict.smooth and "tangent" in verdict.reason
+    assert "tangent" in singularity_over(tangent, "p")
 
     same_inertia = plane_cover(
         2,
@@ -285,8 +281,7 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1), ("B", 1)], "01": [("Cc", 1)]},
         marked=[("p", None)],
     )
-    verdict = is_smooth_over(same_inertia, "p")
-    assert not verdict.smooth and "same inertia" in verdict.reason
+    assert "same inertia" in singularity_over(same_inertia, "p")
 
 
 def test_incidence_record():
@@ -304,7 +299,7 @@ def test_residual_same_inertia_detection():
         {"10": [("A", 1), ("B", 1)], "01": [("Cc", 1)]},
     )
     assert singular_residual_pairs(model) == [("A", "B")]
-    assert not smoothness_report(model).smooth
+    assert singularity_reference(model) == "A and B cross with equal inertia off declared points"
 
 
 def test_resolve_round_counts():
@@ -328,7 +323,7 @@ def test_resolve_all_fixtures_within_six_rounds():
     for name in PROPOSITION_FIXTURES:
         result = resolve(load_cover(name))
         assert result.rounds <= 6
-        assert smoothness_report(result.cover).smooth
+        assert singularity_reference(result.cover) is None
 
 
 def test_resolve_round_budget_error():
@@ -344,7 +339,7 @@ def test_resolve_handles_residual_same_inertia_points():
     )
     result = resolve(model)
     assert result.rounds == 1
-    assert smoothness_report(result.cover).smooth
+    assert singularity_reference(result.cover) is None
 
 
 def test_pull_back_classes_are_strict_transforms():
@@ -720,3 +715,20 @@ def test_resolve_matches_reference_loop():
         assert got == _outcome(reference_resolve, model, max_rounds)
         failures += isinstance(got, tuple)
     assert failures >= 2
+
+
+def test_every_resolve_output_passes_the_reference_smoothness_check():
+    # resolve decides smoothness alone, testing only ripe marked points; the
+    # reference tests every marked point, ripe or not, then the crossings
+    from test_invariants import ceva_arrangement, line_arrangement
+
+    models = _plane_inputs()
+    models += [line_arrangement(k) for k in range(4, 17)]
+    models += [ceva_arrangement(k) for k in range(4, 11)]
+    rng = random.Random(4242)
+    models += [random_valid_cover(rng) for _ in range(200)]
+    assert len(models) == 336
+    for model in models:
+        resolved = resolve(model, max_rounds=30).cover
+        assert singularity_reference(resolved) is None
+        assert all(resolved.point_is_ripe(m.name) for m in resolved.marked)
