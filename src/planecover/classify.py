@@ -32,7 +32,7 @@ from .cover import (
     CurveComponent,
     add_marked_point,
     add_marked_points,
-    derive_building_data,
+    check_parity,
     fresh_names,
     is_totally_ramified,
 )
@@ -258,7 +258,7 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     _require_plane_normalized(cover)
     if not is_totally_ramified(cover):
         raise MatchError("not totally ramified")
-    derive_building_data(cover)  # surfaces parity problems with a precise message
+    check_parity(cover)
     structure = infer_g_prime(cover, pencil_point)
     r, s = cover.r, structure.dimension
     profiles = _branch_profiles(cover, pencil_point)
@@ -381,7 +381,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
     _require_plane_normalized(cover)
     if not is_totally_ramified(cover):
         raise MatchError("not totally ramified")
-    derive_building_data(cover)
+    check_parity(cover)
     profiles = {g: [cover.component(cid) for cid, _ in entries] for g, entries in cover.branch}
     nonzero = sorted(profiles)
     degree_of = {g: sum(c.cls.degree for c in comps) for g, comps in profiles.items()}

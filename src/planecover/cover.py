@@ -4,12 +4,17 @@ A ``CoverModel`` is a symbolic configuration: a blown plane, named curve
 components with divisor classes, declared multiplicities at marked (not yet
 blown up) points, and the branch assignment g -> components.  Building data
 are never given as input: the bases here have torsion-free Picard group, so
-the branch data determine every L_chi through 2*L_chi ~ sum of eps_chi(g)*D_g,
-and deriving them (once per model, on first use) removes an inconsistency
-surface.  The sums are linear in the [D_g], so they are built in one sweep
-over the branch data: each nonzero coefficient of each [D_g] is added into
-the sums of the 2^(r-1) characters that are odd on g, with no per-character
-pass and no intermediate classes.
+the branch data determine every L_chi through 2*L_chi ~ S_chi = sum of
+eps_chi(g)*D_g, and deriving them removes an inconsistency surface.
+
+The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
+relation hold, so all it needs to know is that each S_chi is divisible by
+two: ``check_parity`` decides that in one pass over the nonzero coefficients
+of the branch classes, whatever r is, and ``invariants`` reads chi off the
+[D_g] in closed form.  ``derive_building_data`` gives the 2^r classes L_chi
+on request, built in one sweep over the branch data: each nonzero
+coefficient of each [D_g] is added into the sums of the 2^(r-1) characters
+that are odd on g.
 """
 
 from __future__ import annotations
@@ -214,9 +219,35 @@ class CoverModel:
             )
         return g
 
-    # -- building data ---------------------------------------------------
+    # -- parity and building data -----------------------------------------
     # Like the lookup maps, computed on first use and kept: every caller that
-    # asks a model for its building data shares one computation.
+    # asks a model for its parity or its building data shares one computation.
+
+    @cached_property
+    def _odd_character(self) -> Character | None:
+        """The first character, in ``group.characters`` order, whose branch sum
+        S_chi has an odd coefficient; None when every S_chi is even.
+
+        Mod 2, S_chi at slot s is eps_chi(v_s), where v_s is the XOR of the g
+        over the entries (cid, k) of D_g with k odd and an odd coefficient of
+        [C_cid] at s.  So one pass over the coefficients collects the v_s, and
+        S_chi is odd exactly when chi pairs oddly with one of them.
+        """
+        at_slot: dict[int, int] = {}
+        for g, entries in self.branch:
+            for cid, k in entries:
+                if k & 1:
+                    for slot, value in self._by_cid[cid].cls.support.items():
+                        if value & 1:
+                            at_slot[slot] = at_slot.get(slot, 0) ^ g.mask
+        odd = {v for v in at_slot.values() if v}
+        if not odd:
+            return None
+        return next(
+            chi
+            for chi in group.characters(self.r)
+            if any((chi.mask & v).bit_count() & 1 for v in odd)
+        )
 
     @cached_property
     def _branch_sums(self) -> dict[Character, DivisorClass]:
@@ -237,16 +268,13 @@ class CoverModel:
     @cached_property
     def _building_data(self) -> dict[Character, DivisorClass]:
         """L_chi = S_chi / 2; ParityError, and nothing cached, when a sum is odd."""
-        out: dict[Character, DivisorClass] = {}
-        for chi, total in self._branch_sums.items():
-            if any(c % 2 for c in total.support.values()):
-                raise ParityError(
-                    f"branch data sum for character {chi} is not divisible by two",
-                    character=chi,
-                )
-            halves = {slot: c // 2 for slot, c in total.support.items()}
-            out[chi] = DivisorClass.from_support(self.surface, halves)
-        return out
+        check_parity(self)
+        return {
+            chi: DivisorClass.from_support(
+                self.surface, {slot: c // 2 for slot, c in total.support.items()}
+            )
+            for chi, total in self._branch_sums.items()
+        }
 
     def components_at(self, point_name: str) -> list[tuple[CurveComponent, int]]:
         """Branch components passing through a marked point, with multiplicities.
@@ -423,16 +451,30 @@ def is_totally_ramified(cover: CoverModel) -> bool:
     return group.rank((g for g, entries in cover.branch if entries), cover.r) == cover.r
 
 
+def check_parity(cover: CoverModel) -> None:
+    """Raise ParityError naming the first character whose branch sum S_chi
+    has an odd coordinate: this is exactly the classical parity obstruction
+    (for r=2, the three branch degrees must share their parity).
+
+    One pass over the nonzero coefficients of the branch classes, once per
+    model; no S_chi is built (see ``CoverModel._odd_character``).
+    """
+    chi = cover._odd_character
+    if chi is not None:
+        raise ParityError(
+            f"branch data sum for character {chi} is not divisible by two", character=chi
+        )
+
+
 def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
-    """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g].
+    """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g], on request.
 
     The classes are computed once per model and cached on it; each call
-    returns a fresh dict of them, which the caller may change.
+    returns a fresh dict of them, which the caller may change.  No engine
+    path calls this: they need parity only (``check_parity``).
 
-    Raises ParityError naming the first character whose sum has an odd
-    coordinate: this is exactly the classical parity obstruction (for r=2,
-    the three branch degrees must share their parity).  Nothing is cached
-    then, so every call raises it again.
+    Raises the ParityError of ``check_parity``; nothing is cached then, so
+    every call raises it again.
     """
     return dict(cover._building_data)
 
@@ -454,17 +496,22 @@ def check_prod_relations(
 ) -> ProdReport:
     """Verify the product relations for every ordered pair of characters.
 
-    With M_chi = 2 L_chi - sum eps_chi(g) D_g, and eps_chi + eps_chi' -
-    eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for (chi, chi') reads
-    M_chi + M_chi' = M_{chi+chi'}; the lattice is torsion-free, so that decides it.
-    So the cost is 2^r tests of M_chi = 0 against the model's cached branch
-    sums, each a comparison of the coefficients of 2 L_chi with those of
-    S_chi: when every M_chi is 0, all 4^r relations hold, no class is built
-    and no pair is compared.  Only when some defect is nonzero are the
-    defect classes built and the pairs scanned, to list the violations.
+    With M_chi = 2 L_chi - S_chi, S_chi = sum eps_chi(g) D_g, and eps_chi +
+    eps_chi' - eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for
+    (chi, chi') reads M_chi + M_chi' = M_{chi+chi'}; the lattice is
+    torsion-free, so that decides it.
+
+    Without ``building``, the building data are the derived L_chi = S_chi / 2,
+    which make every M_chi = 0, so all 4^r relations hold as soon as each
+    S_chi is even: the check is ``check_parity`` (ParityError otherwise), and
+    no L_chi, S_chi or pair is built.  With explicit ``building``, the cost
+    is 2^r tests of M_chi = 0 against the model's cached branch sums; only
+    when some defect is nonzero are the defect classes built and the pairs
+    scanned, to list the violations.
     """
     if building is None:
-        building = cover._building_data
+        check_parity(cover)
+        return ProdReport(4**cover.r, ())
     sums = cover._branch_sums
     for chi in sums:
         if chi not in building:

@@ -3,16 +3,40 @@
 For a smooth (Z/2)^r cover of a smooth rational base with chi(O) = 1, the
 holomorphic Euler characteristic is
 
-    chi(O_S) = 2^r + (1/2) * sum over nonzero chi of L_chi . (L_chi + K)
+    chi(O_S) = 2^r + (1/2) * sum over chi of L_chi . (L_chi + K),
 
-and for any model
+with 2 L_chi = S_chi = sum over nonzero g of eps_chi(g) D_g, and for any
+model
 
     K_S^2 = 2^r * (K + (1/2) * sum D_g)^2,
 
-both evaluated exactly in the Picard lattice.  The bicanonical pullback
-class 2K + sum D_g certifies P_2 = 0 (hence rationality, by Castelnuovo)
-when it cannot be effective: negative degree, or a negative multiple of an
-exceptional class.
+both evaluated exactly in the Picard lattice.  No L_chi is built for chi:
+for nonzero g and h, the characters odd on both are 2^(r-1) when g = h and
+2^(r-2) otherwise, so with D = sum D_g
+
+    sum S_chi^2 = 2^(r-2) (D^2 + sum D_g^2),   sum S_chi . K = 2^(r-1) D.K,
+    32 (chi - 2^r) = 2^r (D^2 + sum D_g^2 + 4 D.K),
+
+one pass over the coefficients of the [D_g], whatever r is.  D.K and D^2
+come from the bicanonical class B = 2K + D the report needs anyway, with
+K^2 = 9 - n on the plane blown up n times: D.K = B.K - 2K^2 and D^2 = B^2 -
+4K^2 - 4 D.K.  The bicanonical pullback class B certifies P_2 = 0 (hence
+rationality, by Castelnuovo) when it cannot be effective: negative degree,
+or a negative multiple of an exceptional class.
+
+Each report is checked by Noether's formula 12 chi = K_S^2 + e(S), with
+e(S) counted from the branch curve D = sum C_i of the smooth model Y: over
+Y - D the cover has 2^r sheets, over the smooth points of D 2^(r-1), over
+its N nodes 2^(r-2).  So e(S) = 2^r (e(Y) - e(D)) + 2^(r-1) (e(D) - N) +
+2^(r-2) N, with e(Y) = 3 + n, e(D) = sum -C_i.(C_i + K) - N = -sum C_i^2 -
+D.K - N and N = (D^2 - sum C_i^2) / 2, since D = sum C_i on a normalized
+model; both sides are compared times 4, which makes them integers for r = 1
+too.  This is not a second computation of chi: chi, K_S^2 and N are read
+from the same classes, and the algebra gives 12 chi - K_S^2 - e(S) = 2^r
+(3/4) sum C_i.C_j over the pairs of components of one inertia.  So the
+check holds exactly when those pairs have zero total intersection, which
+``resolve`` establishes before it returns; it guards the hypothesis of the
+chi formula, not its arithmetic.
 
 The chi formula holds only on a smooth model, so ``invariant_report``
 takes a ``ResolveResult``: ``resolve`` returns one only for a model it has
@@ -26,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .cover import CoverModel, derive_building_data
+from .cover import CoverModel, check_parity
 from .errors import DomainError, InconsistencyError
 from .lattice import DivisorClass
 from .normalize import ResolveResult
@@ -55,26 +79,14 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def _chi_of_smooth(cover: CoverModel) -> int:
-    # L.(L + K) = L.L + L.K, and with K = -3H + sum E_i, L.K is -3 deg L minus
-    # the sum of the exceptional coefficients of L: both read off the nonzero
-    # coefficients of L, so neither K nor L + K is built.  L_0 = 0 adds nothing.
-    total = 0
-    for cls in derive_building_data(cover).values():
-        d = cls.degree
-        total += d * d - 3 * d - sum(c * c + c for slot, c in cls.support.items() if slot)
-    if total % 2:
-        raise InconsistencyError("building data give a non-integral Euler characteristic")
-    return 2**cover.r + total // 2
-
-
 def canonical_square(cover: CoverModel) -> int:
     """K^2 of the covering surface over the current model."""
-    return _k_squared(cover.r, bicanonical_pullback(cover))
+    bicanonical = bicanonical_pullback(cover)
+    return _k_squared(cover.r, lattice.intersect(bicanonical, bicanonical))
 
 
-def _k_squared(r: int, bicanonical: DivisorClass) -> int:
-    value = 2**r * lattice.intersect(bicanonical, bicanonical)
+def _k_squared(r: int, bicanonical_square: int) -> int:
+    value = 2**r * bicanonical_square
     if value % 4:
         raise InconsistencyError("branch data give a non-integral K^2; check the branch classes")
     return value // 4
@@ -82,10 +94,16 @@ def _k_squared(r: int, bicanonical: DivisorClass) -> int:
 
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
-    classes = ((1, cover.branch_class(g)) for g, _ in cover.branch)
-    return lattice.linear_combination(
-        cover.surface, [(2, lattice.canonical(cover.surface)), *classes]
-    )
+    surface = cover.surface
+    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
+    return _bicanonical(surface, lattice.canonical(surface), branch_classes)
+
+
+def _bicanonical(
+    surface: lattice.BlownPlane, canonical: DivisorClass, branch_classes: list[DivisorClass]
+) -> DivisorClass:
+    terms = [(2, canonical), *((1, cls) for cls in branch_classes)]
+    return lattice.linear_combination(surface, terms)
 
 
 def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
@@ -107,21 +125,53 @@ def _verdict(chi: int, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]
 
 
 def invariant_report(resolved: ResolveResult) -> InvariantReport:
-    """Every invariant of the model ``resolve`` returned, each computed once;
-    the verdict is conservative: "rational" or "inconclusive", never
-    "irrational"."""
+    """Every invariant of the model ``resolve`` returned, each computed once
+    from the branch classes [D_g] (closed forms in the module docstring)
+    and checked by Noether's formula; the verdict is conservative:
+    "rational" or "inconclusive", never "irrational"."""
     cover = resolved.cover
-    chi = _chi_of_smooth(cover)
-    bicanonical = bicanonical_pullback(cover)
+    check_parity(cover)
+    r, surface = cover.r, cover.surface
+    canonical = lattice.canonical(surface)
+    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
+    bicanonical = _bicanonical(surface, canonical, branch_classes)
+    k2 = 10 - surface.rank  # K^2 = 9 - n on the plane blown up n times
+    b2 = lattice.intersect(bicanonical, bicanonical)
+    dk = lattice.intersect(bicanonical, canonical) - 2 * k2
+    d2 = b2 - 4 * k2 - 4 * dk
+    squares = sum(lattice.intersect(cls, cls) for cls in branch_classes)
+    num = 2**r * (d2 + squares + 4 * dk)
+    if num % 32:
+        raise InconsistencyError("building data give a non-integral Euler characteristic")
+    chi = 2**r + num // 32
+    k_squared = _k_squared(r, b2)
+    _check_noether(cover, chi, k_squared, d2, dk)
     verdict, notes = _verdict(chi, bicanonical)
     return InvariantReport(
         chi=chi,
-        k_squared=_k_squared(cover.r, bicanonical),
+        k_squared=k_squared,
         bicanonical_pullback=bicanonical,
         rationality_verdict=verdict,
-        surface_centers=cover.surface.names,
+        surface_centers=surface.names,
         notes=notes,
     )
+
+
+def _check_noether(cover: CoverModel, chi: int, k_squared: int, d2: int, dk: int) -> None:
+    """InconsistencyError unless 4 * 12 chi = 4 (K^2 + e(S)) on the smooth
+    model, that is, unless the components of each inertia have zero total
+    intersection (module docstring)."""
+    c2 = sum(lattice.intersect(comp.cls, comp.cls) for comp in cover.components)
+    nodes = (d2 - c2) // 2  # D = sum C_i on a normalized model, so d2 - c2 is even
+    e_y = 2 + cover.surface.rank
+    e_d = -c2 - dk - nodes
+    r = cover.r
+    four_e = 2 ** (r + 2) * (e_y - e_d) + 2 ** (r + 1) * (e_d - nodes) + 2**r * nodes
+    if 48 * chi != 4 * k_squared + four_e:
+        raise InconsistencyError(
+            f"Noether's formula fails: 4 * 12 chi = {48 * chi} "
+            f"but 4 (K^2 + e(S)) = {4 * k_squared + four_e}"
+        )
 
 
 def riemann_hurwitz_genus(

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul
 
 from .errors import (
     DanglingReferenceError,
@@ -224,14 +225,15 @@ def canonical(surface: BlownPlane) -> DivisorClass:
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number a.b in the diagonal form (+1, -1, ..., -1).
 
-    Runs over the nonzero coefficients of the sparser class.
+    Runs over the nonzero coefficients of the sparser class.  The plain
+    product of the coefficients counts the degrees once with the wrong sign,
+    hence the 2 a_0 b_0.
     """
     if a.surface != b.surface:
         raise DimensionError("cannot intersect classes on different surfaces")
     small, large = sorted((a.support, b.support), key=len)
-    return a.degree * b.degree - sum(
-        value * large.get(slot, 0) for slot, value in small.items() if slot
-    )
+    product = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
+    return 2 * a.degree * b.degree - product
 
 
 def _reflection_root(surface: BlownPlane, p: str, q: str, r: str) -> DivisorClass:

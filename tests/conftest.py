@@ -295,6 +295,24 @@ def per_character_building_data(cover):
     return halves, sums
 
 
+def per_character_chi(cover):
+    """Reference for ``invariant_report``'s chi on a smooth model: 2^r + (1/2)
+    * sum over chi of L_chi.(L_chi + K), from the 2^r building classes of
+    ``per_character_building_data``.
+
+    L.(L + K) = L.L + L.K, and with K = -3H + sum E_i, L.K is -3 deg L minus
+    the sum of the exceptional coefficients of L: both read off the nonzero
+    coefficients of L, so neither K nor L + K is built.  L_0 = 0 adds nothing.
+    """
+    total = 0
+    for cls in per_character_building_data(cover)[0].values():
+        d = cls.degree
+        total += d * d - 3 * d - sum(c * c + c for slot, c in cls.support.items() if slot)
+    if total % 2:
+        raise InconsistencyError("building data give a non-integral Euler characteristic")
+    return 2**cover.r + total // 2
+
+
 def purge_idle_marks_one_at_a_time(cover):
     """Reference for ``classify._purge_idle_marks``: drop the first marked
     point, in name order, that is not the pencil point, has no point

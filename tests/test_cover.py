@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -141,24 +142,45 @@ def test_parity_error_on_every_call():
         check_prod_relations(bad)
 
 
-def test_census_computes_branch_sums_once_per_model(monkeypatch):
+def test_engine_paths_build_no_building_data(monkeypatch, capsys):
+    # census, invariants, validate and classify need parity only: no branch
+    # sum S_chi or class L_chi is built, and each model computes parity once
     from functools import cached_property
 
     from planecover.census import census
+    from planecover.cli import main
+    from planecover.invariants import invariant_report
+    from test_invariants import line_arrangement
 
-    compute = cov.CoverModel.__dict__["_branch_sums"].func
-    computed = []
+    built, parity = [], []
 
-    def spy(model):
-        computed.append(model)
-        return compute(model)
+    def spy(name, log):
+        compute = cov.CoverModel.__dict__[name].func
 
-    spied = cached_property(spy)
-    spied.__set_name__(cov.CoverModel, "_branch_sums")
-    monkeypatch.setattr(cov.CoverModel, "_branch_sums", spied)
-    rows = census(4, 7).rows
-    # the 30 plane patterns and the resolved model of each kept row, once each
-    assert len(set(computed)) == len(computed) == 30 + len(rows)
+        def counting(model):
+            log.append(model)
+            return compute(model)
+
+        spied = cached_property(counting)
+        spied.__set_name__(cov.CoverModel, name)
+        monkeypatch.setattr(cov.CoverModel, name, spied)
+
+    spy("_branch_sums", built)
+    spy("_building_data", built)
+    spy("_odd_character", parity)
+    census(4, 7)
+    invariant_report(resolve(line_arrangement(12)))
+    codes = [
+        main([command, "--input", str(path)])
+        for path in sorted(FIXTURE_DIR.glob("*.cfg"))
+        for command in ("validate", "classify")
+    ]
+    capsys.readouterr()
+    assert codes == [0] * 24
+    assert built == []
+    # the 30 census patterns and their 30 resolved rows, the arrangement and
+    # one model per CLI call; the list keeps them alive, so ids are distinct
+    assert len({id(model) for model in parity}) == len(parity) == 30 + 30 + 1 + 24
 
 
 def test_explicit_rank2_relation_system():
@@ -420,6 +442,47 @@ def test_building_data_match_per_character_reference():
         else:
             odd += 1
     assert odd >= 50
+
+
+def _parity_models(seed, count):
+    """Each seeded model raw, normalized and resolved.  Every D_g entry is
+    drawn with a multiplicity 1..3, and a curve goes into one to three D_g,
+    so entries repeat and some are even; half the raw models live on the
+    blow-up at a point p of the first two curves, so classes have odd
+    exceptional coefficients.  Many are parity-broken."""
+    rng = random.Random(seed)
+    for i in range(count):
+        r = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        comps = [(f"c{j}", rng.randint(1, 4), {"p": 1} if j < 2 else {}) for j in range(n)]
+        plane = plane_cover(r, comps, {}, marked=[("p", None)])
+        base = pull_back(plane, "p") if i % 2 else plane
+        branch = {}
+        for comp in base.components:
+            for _ in range(rng.randint(1, 3)):
+                g = rng.choice(list(group.nonzero_elements(r)))
+                branch.setdefault(g, []).append((comp.cid, rng.randint(1, 3)))
+        raw = replace(base, branch=tuple(branch.items()))
+        yield raw
+        yield normalize_mod.normalize(raw)
+        yield resolve(raw, max_rounds=20).cover
+
+
+def test_check_parity_matches_per_character_reference():
+    def parity_outcome(function, model):
+        try:
+            function(model)
+        except ParityError as exc:
+            return exc.character, str(exc)
+        return None
+
+    models = broken = 0
+    for model in _parity_models(8128, 400):
+        expected = parity_outcome(per_character_building_data, model)
+        assert parity_outcome(cov.check_parity, model) == expected, model
+        models += 1
+        broken += expected is not None
+    assert models == 1200 and broken >= 300
 
 
 def test_prod_relations_missing_character():

@@ -16,7 +16,6 @@ from planecover.errors import (
     NonTerminationError,
 )
 from planecover.invariants import (
-    _chi_of_smooth,
     bicanonical_pullback,
     canonical_square,
     invariant_report,
@@ -24,7 +23,7 @@ from planecover.invariants import (
 )
 from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover, smooth_chi
+from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover, per_character_chi, smooth_chi
 
 
 def test_chi_two_lines_and_cubic():
@@ -179,7 +178,7 @@ def test_report_agrees_with_the_single_invariants(name):
     report = invariant_report(result)
     assert report.k_squared == canonical_square(result.cover)
     assert report.bicanonical_pullback == bicanonical_pullback(result.cover)
-    assert report.chi == _chi_of_smooth(result.cover)
+    assert report.chi == per_character_chi(result.cover)
     assert report.surface_centers == result.cover.surface.names
 
 
@@ -348,6 +347,62 @@ def test_chi_checked_a_second_way_on_census_patterns(r, name):
 @pytest.mark.parametrize("k", range(4, 13))
 def test_noether_on_line_arrangements(k):
     assert_noether(resolve(line_arrangement(k)))
+
+
+def reference_chi_models():
+    """440 resolved models: the fixtures, the census patterns r = 2..4, d <= 7,
+    line arrangements k = 4..16, Ceva arrangements k = 4..10, 300 seeded
+    valid covers and the double planes branched on curves of degree 2..8."""
+    from test_cover import random_valid_cover
+
+    models = [load_cover(name) for name in FIXTURE_NAMES]
+    models += [model for r in (2, 3, 4) for model in census_candidates(r).values()]
+    models += [line_arrangement(k) for k in range(4, 17)]
+    models += [ceva_arrangement(k) for k in range(4, 11)]
+    rng = random.Random(1729)
+    models += [random_valid_cover(rng) for _ in range(300)]
+    models += [plane_cover(1, [("B", d, {})], {"1": [("B", 1)]}) for d in (2, 4, 6, 8)]
+    # a round per crossing of a same-inertia pair: 6 rounds do not finish them all
+    return [resolve(model, max_rounds=20) for model in models]
+
+
+def test_closed_form_chi_matches_per_character_reference():
+    def outcome(function, argument):
+        try:
+            return function(argument)
+        except CoverError as exc:
+            return type(exc), str(exc)
+
+    results = reference_chi_models()
+    assert len(results) == 440
+    values = set()
+    for result in results:
+        expected = outcome(per_character_chi, result.cover)
+        assert outcome(lambda res: invariant_report(res).chi, result) == expected, result.cover
+        values.add(expected)
+    # every model here is valid, and the values are not all one
+    assert all(isinstance(chi, int) for chi in values) and len(values) > 10
+
+
+def test_noether_check_trips_on_a_doctored_class():
+    # the conic of the resolved tacnode cover moved from 2H - Ex - Ey to
+    # 2H + Ex - Ey: parity, chi and K^2 stay integral, but the classes no
+    # longer describe a smooth branch curve (the conic and E_x = Ex - Ey, of
+    # one inertia, now meet -2 times instead of 0)
+    result = resolve(load_cover("prop51"))
+    assert invariant_report(result).chi == 1
+    cover = result.cover
+    conic = cover.component("conic")
+    doubled = 2 * lattice.exceptional(cover.surface, "x")
+    components = tuple(
+        replace(c, cls=c.cls + doubled) if c is conic else c for c in cover.components
+    )
+    doctored = replace(result, cover=replace(cover, components=components))
+    assert per_character_chi(doctored.cover) == 0
+    moved = doctored.cover.component("conic").cls
+    assert lattice.intersect(moved, cover.component("E_x").cls) == -2
+    with pytest.raises(InconsistencyError, match="Noether's formula fails"):
+        invariant_report(doctored)
 
 
 # -- relabel invariance ---------------------------------------------------------
