@@ -16,14 +16,16 @@ Cremona reduction does not search for simplifying moves.  The matcher
 branch that decides a family attaches that family's recipe to the label it
 returns (``CaseLabel.reduce``), built from the curves and points the match
 found; reducing is matching once and running the recipe, so its output is
-deterministic and directly testable.
+deterministic and directly testable.  Each quadratic move reflects the
+blow-up's coefficients in closed form and builds one plane model.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import group, lattice
@@ -38,7 +40,7 @@ from .cover import (
 )
 from .errors import GeometryError, MatchError, PreconditionError, ReductionError
 from .group import GroupElement
-from .normalize import is_normalized, normalize, pull_back
+from .normalize import blow_up, is_normalized, normalize
 
 
 @dataclass(frozen=True)
@@ -528,20 +530,20 @@ class MoveRecord:
         )
 
 
-def _purge_idle_marks(cover: CoverModel) -> CoverModel:
-    """Drop direction markers no longer shared by two branch components.
+def _purge_idle_marks(cover: CoverModel, curves_at: Mapping[str, int]) -> set[str]:
+    """The marked points of ``cover`` that go idle when ``curves_at[name]``
+    curves pass through each: the names to drop.
 
     A marked point is idle when it is not the pencil point, at most one
-    component passes through it, and every point infinitely near it is idle.
+    curve passes through it, and every point infinitely near it is idle.
     Dropping a point changes no other point's incidences, so the idle points
-    are found on the incidence indexes, from the childless ones up to their
-    parents, and dropped in one rebuild.
+    are found from the childless ones up to their parents.
     """
 
     def idle(name: str) -> bool:
         return (
             name != cover.pencil
-            and len(cover._through.get(name, ())) <= 1
+            and curves_at.get(name, 0) <= 1
             and all(child in gone for child in cover._children.get(name, ()))
         )
 
@@ -553,17 +555,7 @@ def _purge_idle_marks(cover: CoverModel) -> CoverModel:
         parent = cover.marked_point(name).parent
         if parent in cover._by_point and idle(parent):
             ready.append(parent)
-    if not gone:
-        return cover
-    touched = {c.cid for name in gone for c, _ in cover._through.get(name, ())}
-    comps = tuple(
-        replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
-        if c.cid in touched
-        else c
-        for c in cover.components
-    )
-    marked = tuple(m for m in cover.marked if m.name not in gone)
-    return replace(cover, components=comps, marked=marked)
+    return gone
 
 
 def quadratic_move(
@@ -571,15 +563,15 @@ def quadratic_move(
 ) -> tuple[CoverModel, MoveRecord]:
     """Apply the quadratic transformation based at three marked points.
 
-    Implemented as: pull back at the three points (the pull-back comes out
-    normalized), reflect every component class, then reinterpret the three
-    exceptional coordinates as the new base triangle.  Components reflected
-    to degree 0 are contracted (or stay exceptional) and disappear from the
-    plane configuration; branch membership of the new triangle's
-    exceptionals reappears on the next pull-back, which puts each
-    exceptional curve in its carrier, so no information is lost.  The moved
-    model keeps the pulled-back branch entries of the surviving components,
-    so it is normalized too.
+    Blow up the three points (``normalize.blow_up``: every curve in its
+    carrier, no object built), reflect each curve's coefficients in closed
+    form (``lattice.reflect_support``) and read the three exceptional slots
+    as the multiplicities at the new base triangle.  Curves reflected to
+    degree 0 are contracted (or stay exceptional) and leave the plane model;
+    the next pull-back puts the new triangle's exceptionals back in their
+    carriers, so no information is lost.  Marks left idle are dropped on the
+    reflected incidences, then the moved model, normalized since each
+    survivor keeps its carrier, is built once.
     """
     if cover.surface.rank != 1:
         raise PreconditionError("quadratic moves operate on plane configurations")
@@ -599,50 +591,38 @@ def quadratic_move(
                 f"that the move would orphan"
             )
     order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
-    work = pull_back(cover, *order)
-
-    survivors: list[CurveComponent] = []
-    dropped: set[str] = set()
-    emitted: list[str] = []
-    slots = {name: work.surface.index_of(name) for name in based}
-    for comp in work.components:
-        reflected = lattice.cremona_reflect(comp.cls, p, q, r)
-        if reflected.degree == 0:
-            dropped.add(comp.cid)
+    up = blow_up(cover, *order)
+    slots = tuple(1 + order.index(name) for name in based)  # the centers, in blow-up order
+    survivors, dropped, emitted = {}, [], []
+    for cid in sorted(up.coeffs):
+        reflected = lattice.reflect_support(up.coeffs[cid], slots)
+        if not reflected.get(0):
+            dropped.append(cid)
             continue
-        mults = dict(comp.mults)
-        for name in based:
-            m = -reflected.support.get(slots[name], 0)
-            if m < 0:
-                raise GeometryError(
-                    f"move produced a negative multiplicity on {comp.cid}; invalid base triple"
-                )
-            if m:
-                mults[name] = m
-        if comp.exceptional_of in based:
-            emitted.append(comp.cid)
-        survivors.append(
-            CurveComponent(
-                comp.cid,
-                lattice.DivisorClass(lattice.PLANE, (reflected.degree,)),
-                irreducible=comp.irreducible,
-                mults=tuple(mults.items()),
-                exceptional_of=None,
+        at_base = [(name, -reflected.get(slot, 0)) for name, slot in zip(based, slots)]
+        if any(m < 0 for _, m in at_base):
+            raise GeometryError(
+                f"move produced a negative multiplicity on {cid}; invalid base triple"
             )
-        )
+        survivors[cid] = (reflected[0], up.mults[cid] + [(n, m) for n, m in at_base if m])
+        if up.kept[cid][1] in based:
+            emitted.append(cid)
 
-    branch = []
-    for g, entries in work.branch:
-        kept = tuple((cid, k) for cid, k in entries if cid not in dropped)
-        if kept:
-            branch.append((g, kept))
-    marked = work.marked + tuple(cover.marked_point(n) for n in based)
-    moved = CoverModel(
-        cover.r, lattice.PLANE, tuple(survivors), tuple(branch), marked, cover.pencil
+    # the moved model keeps every mark of the cover, the based ones too, but the idle
+    gone = _purge_idle_marks(cover, Counter(n for _, at in survivors.values() for n, _ in at))
+    comps = tuple(
+        CurveComponent(
+            cid,
+            lattice.DivisorClass.from_support(lattice.PLANE, {0: degree}),
+            irreducible=up.kept[cid][0],
+            mults=tuple((n, m) for n, m in mults if n not in gone),
+        )
+        for cid, (degree, mults) in survivors.items()
     )
-    moved = _purge_idle_marks(moved)
-    record = MoveRecord(based, tuple(sorted(dropped)), tuple(sorted(emitted)))
-    return moved, record
+    branch = tuple((GroupElement._of(cover.r, up.carrier[cid]), ((cid, 1),)) for cid in survivors)
+    marked = tuple(m for m in cover.marked if m.name not in gone)
+    moved = CoverModel(cover.r, lattice.PLANE, comps, branch, marked, cover.pencil)
+    return moved, MoveRecord(based, tuple(dropped), tuple(emitted))
 
 
 # -- reduction recipes ----------------------------------------------------------

@@ -219,9 +219,14 @@ class CoverModel:
             )
         return g
 
-    # -- parity and building data -----------------------------------------
+    # -- rank, parity and building data -----------------------------------
     # Like the lookup maps, computed on first use and kept: every caller that
-    # asks a model for its parity or its building data shares one computation.
+    # asks a model for its rank, parity or building data shares one computation.
+
+    @cached_property
+    def _rank(self) -> int:
+        """Dimension of the span of the g with nonzero D_g."""
+        return group.rank((g for g, entries in self.branch if entries), self.r)
 
     @cached_property
     def _odd_character(self) -> Character | None:
@@ -448,7 +453,7 @@ def fresh_names(cover: CoverModel, stem: str, n: int = 1) -> list[str]:
 
 def is_totally_ramified(cover: CoverModel) -> bool:
     """True when the g with nonzero D_g generate the whole group: their span has dimension r."""
-    return group.rank((g for g, entries in cover.branch if entries), cover.r) == cover.r
+    return cover._rank == cover.r
 
 
 def check_parity(cover: CoverModel) -> None:

@@ -236,7 +236,25 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
     return 2 * a.degree * b.degree - product
 
 
-def _reflection_root(surface: BlownPlane, p: str, q: str, r: str) -> DivisorClass:
+def reflect_support(support: dict[int, int], slots: tuple[int, int, int]) -> dict[int, int]:
+    """Nonzero coefficients of a class reflected by the quadratic map based at
+    ``slots``: (d; m_p, m_q, m_r) -> (2d - m_p - m_q - m_r; d - m_q - m_r,
+    d - m_p - m_r, d - m_p - m_q), other slots fixed.  As coefficients a = -m:
+    k = d + a_p + a_q + a_r, the class dotted with the root H - E_p - E_q -
+    E_r, is added to the degree and taken from each base slot."""
+    k = support.get(0, 0) + sum(support.get(slot, 0) for slot in slots)
+    out = dict(support)
+    for slot, step in ((0, k), *((slot, -k) for slot in slots)):
+        out[slot] = out.get(slot, 0) + step
+    return {slot: value for slot, value in out.items() if value}
+
+
+def cremona_reflect(cls: DivisorClass, p: str, q: str, r: str) -> DivisorClass:
+    """Reflection of a class under the quadratic map based at p, q, r:
+    ``reflect_support``, after checking the base points (GeometryError).
+    Degree-0 results are meaningful: they signal a contracted component.
+    """
+    surface = cls.surface
     if len({p, q, r}) != 3:
         raise GeometryError("cremona reflection needs three distinct centers")
     for name in (p, q, r):
@@ -245,16 +263,5 @@ def _reflection_root(surface: BlownPlane, p: str, q: str, r: str) -> DivisorClas
             raise GeometryError(
                 f"center {name!r} is infinitely near {parent!r}, which is not a base point"
             )
-    root = {surface.index_of(name): -1 for name in (p, q, r)}
-    return DivisorClass.from_support(surface, {0: 1, **root})
-
-
-def cremona_reflect(cls: DivisorClass, p: str, q: str, r: str) -> DivisorClass:
-    """Reflection of a class under the quadratic map based at p, q, r.
-
-    On multiplicities this is (d; m_p, m_q, m_r) -> (2d - m_p - m_q - m_r;
-    d - m_q - m_r, d - m_p - m_r, d - m_p - m_q), other coefficients fixed.
-    Degree-0 results are meaningful: they signal a contracted component.
-    """
-    alpha = _reflection_root(cls.surface, p, q, r)
-    return cls + intersect(cls, alpha) * alpha
+    slots = (surface.index_of(p), surface.index_of(q), surface.index_of(r))
+    return _sparse(surface, reflect_support(cls.support, slots))

@@ -14,11 +14,11 @@ stops exactly when each component lies in at most one D_g, once.  The XOR is
 then that g, or 0 when the component lies nowhere.  So every order of moves
 ends in the same branch data, and ``normalize`` writes them down in one pass.
 
-A pull-back comes out normalized: ``pull_back`` puts each strict transform
-and each exceptional curve straight into that XOR, its carrier, and builds
-no curve whose carrier is 0, so no total transform is built and then
-normalized.  ``resolve`` hands the crossings it finds to the same call, so
-each round builds one model.
+A pull-back comes out normalized: ``blow_up`` puts each strict transform
+and each exceptional curve straight into that XOR, its carrier, as plain
+dicts, and keeps no curve whose carrier is 0.  ``pull_back`` builds one
+model from them, and so does a Cremona move; ``resolve`` hands the
+crossings it finds to ``pull_back``, so each round builds one model.
 
 Singularity detection is combinatorial on declared incidence data: a point
 is bad when a component is singular there, three or more branch components
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cover import CoverModel, CurveComponent, fresh_names
 from .errors import (
@@ -76,6 +76,21 @@ def is_normalized(cover: CoverModel) -> bool:
 # -- pullback ----------------------------------------------------------------
 
 
+class BlowUp(NamedTuple):
+    """A pull-back before any object is built: the new centers in slot order,
+    the marked points left, every curve some D_g holds -> its carrier mask
+    (0 for a curve not built), and for each curve built its nonzero
+    coefficients by slot, (irreducible, exceptional_of) and its incidences
+    with the marked points left."""
+
+    centers: list[Center]
+    marked: list[Center]
+    carrier: dict[str, int]
+    coeffs: dict[str, dict[int, int]]
+    kept: dict[str, tuple[bool, str | None]]
+    mults: dict[str, list[tuple[str, int]]]
+
+
 def pull_back(
     cover: CoverModel,
     *points: str,
@@ -96,19 +111,44 @@ def pull_back(
     ``points``, in the order given, as if ``add_marked_points`` had marked
     them first, and they raise its errors.
 
+    ``blow_up`` decides every curve, class and incidence; then the surface,
+    the components and the model are built once.
+    """
+    up = blow_up(cover, *points, crossings=crossings)
+    surface = BlownPlane(tuple(up.centers))
+    comps = tuple(
+        CurveComponent(
+            cid,
+            DivisorClass.from_support(surface, coeff),
+            irreducible=up.kept[cid][0],
+            mults=tuple(up.mults[cid]),
+            exceptional_of=up.kept[cid][1],
+        )
+        for cid, coeff in up.coeffs.items()
+    )
+    branch = tuple((GroupElement._of(cover.r, up.carrier[cid]), ((cid, 1),)) for cid in up.coeffs)
+    return CoverModel(cover.r, surface, comps, branch, tuple(up.marked), cover.pencil)
+
+
+def blow_up(
+    cover: CoverModel,
+    *points: str,
+    crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
+) -> BlowUp:
+    """The blow-ups of ``pull_back``, same arguments and errors, as dicts.
+
     Each curve goes straight into its carrier, the one D_g that normalization
     leaves it in (see ``normalize``): a component's carrier is the XOR of the
     g whose D_g hold it an odd number of times, and the carrier of the
     exceptional curve E_p is the XOR of the carriers of the curves with odd
     multiplicity at p, since the total transform of D_g holds E_p as often
     as the multiplicities at p of its curves add up.  Only the curves with a
-    nonzero carrier are built, once each, and an incidence with E_p is kept
-    only when E_p is built, so the result is what ``normalize`` makes of the
-    total transforms.  Classes become strict transforms: each new center is
+    nonzero carrier are built, and an incidence with E_p is kept only when
+    E_p is built, so the result is what ``normalize`` makes of the total
+    transforms.  Classes become strict transforms: each new center is
     appended as the last coordinate, so a strict transform keeps the old
     coefficients and gains minus the multiplicity at the point in the new
-    slot.  The surface, the components and the model are built once, after
-    the last point, so the cost follows the number of incidences and nonzero
+    slot.  The cost follows the number of incidences and nonzero
     coefficients, not the Picard rank.
     """
     crossings = [(name, dict(mults)) for name, mults in crossings]
@@ -188,24 +228,12 @@ def pull_back(
             coeffs[eid] = {slot: 1}
             kept[eid] = (True, point)
 
-    surface = BlownPlane(tuple(centers))
     mults: dict[str, list[tuple[str, int]]] = {cid: [] for cid in coeffs}
     for name, at in through.items():
         for cid, m in at:
             if cid in mults:
                 mults[cid].append((name, m))
-    comps = tuple(
-        CurveComponent(
-            cid,
-            DivisorClass.from_support(surface, coeff),
-            irreducible=kept[cid][0],
-            mults=tuple(mults[cid]),
-            exceptional_of=kept[cid][1],
-        )
-        for cid, coeff in coeffs.items()
-    )
-    branch = tuple((GroupElement._of(cover.r, carrier[cid]), ((cid, 1),)) for cid in coeffs)
-    return CoverModel(cover.r, surface, comps, branch, tuple(marked.values()), cover.pencil)
+    return BlowUp(centers, list(marked.values()), carrier, coeffs, kept, mults)
 
 
 # -- smoothness --------------------------------------------------------------

@@ -12,6 +12,7 @@ from planecover import classify, config, group, lattice
 from planecover.cover import CoverModel, CurveComponent, add_marked_points, fresh_names
 from planecover.errors import (
     DomainError,
+    GeometryError,
     InconsistencyError,
     MatchError,
     NonTerminationError,
@@ -24,6 +25,7 @@ from planecover.normalize import (
     RoundRecord,
     _branch_diff,
     normalize,
+    pull_back,
     resolve,
     singular_residual_pairs,
     singularity_over,
@@ -335,6 +337,70 @@ def purge_idle_marks_one_at_a_time(cover):
         )
         marked = tuple(m for m in current.marked if m.name != removable)
         current = replace(current, components=comps, marked=marked)
+
+
+def root_reflect(cls, p, q, r):
+    """Reference for ``lattice.cremona_reflect`` on valid base points: the
+    reflection c + (c.alpha) alpha in the root alpha = H - E_p - E_q - E_r."""
+    slots = {cls.surface.index_of(name): -1 for name in (p, q, r)}
+    alpha = lattice.DivisorClass.from_support(cls.surface, {0: 1, **slots})
+    return cls + lattice.intersect(cls, alpha) * alpha
+
+
+def reference_quadratic_move(cover, p, q, r):
+    """Reference for ``classify.quadratic_move``: the same base-point checks,
+    then ``pull_back`` at the three points, the root reflection of every
+    component class, a plane model built from the survivors, and
+    ``purge_idle_marks_one_at_a_time`` on it."""
+    if cover.surface.rank != 1:
+        raise PreconditionError("quadratic moves operate on plane configurations")
+    based = (p, q, r)
+    if len(set(based)) != 3:
+        raise GeometryError("a quadratic move needs three distinct base points")
+    for name in based:
+        mp = cover.marked_point(name)
+        if mp.parent is not None and mp.parent not in based:
+            raise GeometryError(
+                f"base point {name!r} is infinitely near {mp.parent!r}, which is not based"
+            )
+        strays = [c for c in cover.children_of_point(name) if c not in based]
+        if strays:
+            raise GeometryError(
+                f"base point {name!r} carries infinitely near points {strays} "
+                f"that the move would orphan"
+            )
+    order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
+    work = pull_back(cover, *order)
+    survivors, dropped, emitted = [], set(), []
+    for comp in work.components:
+        reflected = root_reflect(comp.cls, p, q, r)
+        if reflected.degree == 0:
+            dropped.add(comp.cid)
+            continue
+        mults = dict(comp.mults)
+        for name in based:
+            m = -reflected.coeffs[work.surface.index_of(name)]
+            if m < 0:
+                raise GeometryError(
+                    f"move produced a negative multiplicity on {comp.cid}; invalid base triple"
+                )
+            if m:
+                mults[name] = m
+        if comp.exceptional_of in based:
+            emitted.append(comp.cid)
+        plane_class = lattice.DivisorClass(lattice.PLANE, (reflected.degree,))
+        survivors.append(
+            replace(comp, cls=plane_class, mults=tuple(mults.items()), exceptional_of=None)
+        )
+    branch = []
+    for g, entries in work.branch:
+        kept = tuple((cid, k) for cid, k in entries if cid not in dropped)
+        if kept:
+            branch.append((g, kept))
+    marked = work.marked + tuple(cover.marked_point(n) for n in based)
+    moved = CoverModel(cover.r, lattice.PLANE, tuple(survivors), tuple(branch), marked, cover.pencil)
+    record = classify.MoveRecord(based, tuple(sorted(dropped)), tuple(sorted(emitted)))
+    return purge_idle_marks_one_at_a_time(moved), record
 
 
 def total_transform_pull_back(cover, *points):

@@ -1,0 +1,103 @@
+"""Print one SHA-256 line per CLI call over the "same outputs" set.
+
+Each line is the digest of (exit code, stdout, stderr) of one in-process
+``planecover.cli.main`` call, followed by a description of the call.  Two
+checkouts give the same outputs exactly when their listings are equal, so a
+change that must keep the outputs is checked with
+
+    python3 tests/outputs_digest.py > after.txt   # and the same before
+    diff before.txt after.txt
+
+The calls: the 12 fixtures under the six document commands; 400 seeded
+random documents from ``perfbench/workloads.py`` (imported, not changed)
+under the same six; ``census`` for r = 2..4 and max degree 1..7 in text and
+tsv; ``invariants`` in text and tsv on line arrangements k = 4..16.
+
+The script exits 1, after printing every line, when a call ended in an
+uncaught exception (a traceback) rather than a result or ``error[code]``.
+The file name has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from planecover.cli import main  # noqa: E402
+from workloads import (  # noqa: E402
+    BROKEN_EVERY,
+    DOC_COMMANDS,
+    DOC_SIZES,
+    arrangement_document,
+    random_document,
+)
+
+FIXTURE_DIR = ROOT / "tests" / "fixtures"
+RANDOM_DOCUMENTS = 400
+
+
+def calls():
+    """(description, argv, stdin text or None) for every call, in a fixed order."""
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        for command in DOC_COMMANDS:
+            yield f"{path.stem} {command}", [command, "--input", str(path)], None
+    for i in range(RANDOM_DOCUMENTS):
+        size = DOC_SIZES[i % len(DOC_SIZES)]
+        document = random_document(random.Random(i), size, i % BROKEN_EVERY == BROKEN_EVERY - 1)
+        for command in DOC_COMMANDS:
+            yield f"random{i} {command}", [command, "--input", "-"], document
+    for r in (2, 3, 4):
+        for d in range(1, 8):
+            for fmt in ("text", "tsv"):
+                argv = ["census", "--r", str(r), "--max-degree", str(d), "--format", fmt]
+                yield f"census r={r} d={d} {fmt}", argv, None
+    for k in range(4, 17):
+        document = arrangement_document(k, random.Random(k))
+        for fmt in ("text", "tsv"):
+            yield f"arrangement k={k} {fmt}", ["invariants", "--input", "-", "--format", fmt], document
+
+
+def run(argv, stdin):
+    """(exit code, stdout, stderr, traceback text or None) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    failure = None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    except Exception:
+        code, failure = "traceback", traceback.format_exc()
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue(), failure
+
+
+def main_digest() -> int:
+    failures = 0
+    for description, argv, stdin in calls():
+        code, out, err, failure = run(argv, stdin)
+        digest = hashlib.sha256(repr((code, out, err)).encode("utf-8")).hexdigest()
+        print(f"{digest}  {description}")
+        if failure is not None:
+            failures += 1
+            print(f"traceback in {description}:\n{failure}", file=sys.stderr)
+    if failures:
+        print(f"{failures} calls ended in a traceback", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from planecover import census as census_mod
-from planecover import group
+from planecover import group, lattice
 from planecover import classify as classify_mod
 from planecover.classify import (
     GPrimeStructure,
@@ -16,7 +17,14 @@ from planecover.classify import (
     match_del_pezzo,
     quadratic_move,
 )
-from planecover.cover import add_marked_point, add_marked_points, derive_building_data, plane_cover
+from planecover.cover import (
+    CoverModel,
+    CurveComponent,
+    add_marked_point,
+    add_marked_points,
+    derive_building_data,
+    plane_cover,
+)
 from planecover.errors import CoverError, GeometryError, MatchError, PreconditionError
 from planecover.group import GroupElement
 from planecover.invariants import canonical_square, invariant_report
@@ -28,6 +36,7 @@ from conftest import (
     load_cover,
     pulled_back_g_prime,
     purge_idle_marks_one_at_a_time,
+    reference_quadratic_move,
     scan_common_point,
     scan_tacnode,
     scan_tangency,
@@ -523,7 +532,14 @@ def test_purge_idle_marks_matches_one_at_a_time_reference():
                 points.append((f"t{n}", parent, {c.cid: 1 for c in on}))
                 names.append(f"t{n}")
             model = add_marked_points(base, points)
-            purged = classify_mod._purge_idle_marks(model)
+            curves_at = {name: len(at) for name, at in model._through.items()}
+            gone = classify_mod._purge_idle_marks(model, curves_at)
+            comps = tuple(
+                replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
+                for c in model.components
+            )
+            marked = tuple(m for m in model.marked if m.name not in gone)
+            purged = replace(model, components=comps, marked=marked)
             assert purged == purge_idle_marks_one_at_a_time(model)
             changed += purged != model
     assert changed >= 100
@@ -599,3 +615,103 @@ def test_incidence_predicates_match_scans(monkeypatch, seed, count):
     for part in ("[tacnode=", "[tangency=", "[common_point=", "P1s.222[", "P1.2222[",
                  "need a tacnode", "not tangentially"):
         assert sum(n for key, n in seen.items() if part in key) >= count // 400, part
+
+
+# -- quadratic moves against the reference move -----------------------------------
+
+#: marked points of the random move models: plane points x, y, z, h, t, a
+#: and s; w near x; u near y; the chains a -> b -> c and s -> r -> p
+_MOVE_POINTS = [("x", None), ("y", None), ("z", None), ("h", None), ("t", None), ("a", None),
+                ("s", None), ("w", "x"), ("u", "y"), ("b", "a"), ("c", "b"), ("r", "s"),
+                ("p", "r")]
+
+#: base triples: plane points, a point infinitely near a base point, and
+#: chains (a, b, c blow up in that order; s, r, p put p before its parent
+#: r, a PreconditionError); then invalid triples: a repeat, a parent not
+#: based, a stray child (w near x, or u near y, left out), an unknown point
+_MOVE_TRIPLES = [("z", "h", "t"), ("h", "t", "z"), ("x", "w", "z"), ("w", "x", "h"),
+                 ("a", "b", "c"), ("c", "a", "b"), ("s", "r", "p"),
+                 ("z", "z", "h"), ("w", "z", "h"), ("x", "z", "h"), ("y", "z", "t"),
+                 ("z", "h", "nowhere")]
+
+
+def random_move_model(rng: random.Random):
+    """A plane model built without the plane checks: up to six curves of
+    degree 1..4 through random marked points with multiplicities 1..3, each
+    in one to three random D_g with multiplicity 1..3, so the carriers XOR
+    and some cancel."""
+    r = rng.randint(1, 4)
+    names = [name for name, _ in _MOVE_POINTS]
+    comps = []
+    for i in range(rng.randint(1, 6)):
+        at = {n: rng.choice((1, 1, 1, 1, 2, 3)) for n in rng.sample(names, rng.randint(0, 5))}
+        cls = lattice.DivisorClass(lattice.PLANE, (rng.choice((1, 2, 3, 4, 4)),))
+        comps.append(CurveComponent(f"c{i}", cls, mults=tuple(at.items())))
+    elements = list(group.nonzero_elements(r))
+    branch = [
+        (rng.choice(elements), [(c.cid, rng.randint(1, 3))])
+        for c in comps
+        for _ in range(rng.choice((1, 1, 2, 3)))
+    ]
+    marked = tuple(lattice.Center(name, parent) for name, parent in _MOVE_POINTS)
+    return CoverModel(r, lattice.PLANE, tuple(comps), tuple(branch), marked, rng.choice((None, "y")))
+
+
+def test_quadratic_move_equals_reference_move_on_random_models():
+    # the same moved model and record, or the same error class and message
+    moved = contracted = emitted = 0
+    messages = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        model = random_move_model(rng)
+        based = rng.choice(_MOVE_TRIPLES[:7] if rng.random() < 0.8 else _MOVE_TRIPLES[7:])
+        if seed % 25 == 0:
+            model = pull_back(model, "z")  # not a plane model any more
+        got = _outcome(quadratic_move, model, *based)
+        assert got == _outcome(reference_quadratic_move, model, *based), (seed, based)
+        if isinstance(got[0], CoverModel):
+            moved += 1
+            contracted += bool(got[1].contracted)
+            emitted += bool(got[1].emitted)
+        else:
+            messages.append(f"{got[0].__name__}: {got[1]}")
+    assert moved >= 200 and contracted >= 50 and emitted >= 50, (moved, contracted, emitted)
+    for part in (
+        "GeometryError: move produced a negative multiplicity",
+        "GeometryError: a quadratic move needs three distinct base points",
+        "GeometryError: base point 'w' is infinitely near 'x', which is not based",
+        "GeometryError: base point 'x' carries infinitely near points ['w']",
+        "GeometryError: base point 'y' carries infinitely near points ['u']",
+        "DanglingReferenceError: no marked point named 'nowhere'",
+        "PreconditionError: point 'p' is infinitely near unblown point 'r'",
+        "PreconditionError: quadratic moves operate on plane configurations",
+    ):
+        assert any(message.startswith(part) for message in messages), part
+
+
+def test_one_model_build_per_quadratic_move(monkeypatch):
+    # the move blows up and reflects as dicts and builds the moved model
+    # once; it no longer goes through pull_back
+    builds = []
+    post_init = CoverModel.__post_init__
+
+    def counting(model):
+        builds[-1] += 1
+        post_init(model)
+
+    def move(cover, *based):
+        builds.append(0)
+        monkeypatch.setattr(CoverModel, "__post_init__", counting)
+        try:
+            return quadratic_move(cover, *based)
+        finally:
+            monkeypatch.setattr(CoverModel, "__post_init__", post_init)
+
+    monkeypatch.setattr(classify_mod, "quadratic_move", move)
+    census_mod.census(2, 7)
+    census_mod.census(3, 7)
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        cremona_reduce(load_cover(path.stem))
+    monkeypatch.undo()
+    assert len(builds) >= 40 and builds == [1] * len(builds)
+    assert not hasattr(classify_mod, "pull_back")

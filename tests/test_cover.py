@@ -9,6 +9,7 @@ from planecover import classify as classify_mod
 from planecover import cover as cov
 from planecover import group
 from planecover import normalize as normalize_mod
+from planecover.classify import quadratic_move
 from planecover.cover import (
     add_marked_point,
     add_marked_points,
@@ -181,6 +182,36 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     # the 30 census patterns and their 30 resolved rows, the arrangement and
     # one model per CLI call; the list keeps them alive, so ids are distinct
     assert len({id(model) for model in parity}) == len(parity) == 30 + 30 + 1 + 24
+
+
+def test_rank_is_computed_once_per_model(monkeypatch):
+    # census and match_conic_bundle both ask every pattern whether it is
+    # totally ramified; the model computes the rank of its branch elements once
+    from functools import cached_property
+
+    from planecover.census import census
+
+    ranks, asked = [], []
+    compute = cov.CoverModel.__dict__["_rank"].func
+    is_totally_ramified = cov.is_totally_ramified
+
+    def counting(model):
+        ranks.append(model)
+        return compute(model)
+
+    def asking(model):
+        asked.append(model)
+        return is_totally_ramified(model)
+
+    spied = cached_property(counting)
+    spied.__set_name__(cov.CoverModel, "_rank")
+    monkeypatch.setattr(cov.CoverModel, "_rank", spied)
+    monkeypatch.setattr(census_mod, "is_totally_ramified", asking)
+    monkeypatch.setattr(classify_mod, "is_totally_ramified", asking)
+    census(4, 7)
+    # the list keeps the 30 patterns alive, so their ids are distinct
+    assert len({id(model) for model in ranks}) == len(ranks) == 30
+    assert len(asked) == 60 and {id(model) for model in asked} == {id(m) for m in ranks}
 
 
 def test_explicit_rank2_relation_system():
@@ -579,7 +610,8 @@ def test_a_blown_up_marked_point_is_its_center():
 
 def models_pulled_back(monkeypatch, run):
     """Every model that ``pull_back`` reads or returns while ``run()`` runs,
-    and each model with its crossing points marked, as they are blown up."""
+    each model with its crossing points marked, as they are blown up, and
+    every model that a quadratic move reads or returns."""
     seen = []
 
     def recording(cover, *points, crossings=()):
@@ -590,8 +622,13 @@ def models_pulled_back(monkeypatch, run):
         seen.extend((cover, out))
         return out
 
+    def recording_move(cover, *based):
+        moved, record = quadratic_move(cover, *based)
+        seen.extend((cover, moved))
+        return moved, record
+
     monkeypatch.setattr(normalize_mod, "pull_back", recording)
-    monkeypatch.setattr(classify_mod, "pull_back", recording)
+    monkeypatch.setattr(classify_mod, "quadratic_move", recording_move)
     run()
     monkeypatch.undo()
     return seen

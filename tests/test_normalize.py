@@ -4,7 +4,7 @@ import pytest
 
 from planecover import census as census_mod
 from planecover import group, lattice
-from planecover.classify import cremona_reduce
+from planecover.classify import cremona_reduce, quadratic_move
 from planecover.cover import (
     CoverModel,
     CurveComponent,
@@ -36,6 +36,7 @@ from conftest import (
     load_cover,
     marked_total_transform_pull_back,
     normalize_by_moves,
+    reference_quadratic_move,
     reference_resolve,
     singularity_reference,
     strict_transform,
@@ -602,36 +603,41 @@ def _resolve_inputs():
 
 
 def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(monkeypatch):
-    # every round of resolve and every quadratic move, on the inputs they get:
-    # pull_back must return normalize of the total transforms of the model
-    # with its crossing points marked (or raise the same error)
+    # every round of resolve, on the inputs it gets: pull_back must return
+    # normalize of the total transforms of the model with its crossing points
+    # marked (or raise the same error); every quadratic move that a recipe
+    # makes must equal the reference move built on pull_back
     import planecover.classify as classify_mod
     import planecover.normalize as normalize_mod
 
-    calls = []
+    calls, moves = [], []
 
-    def spy(caller):
-        def recording(cover, *points, crossings=()):
-            calls.append((caller, cover, points, tuple(crossings)))
-            return pull_back(cover, *points, crossings=crossings)
+    def recording(cover, *points, crossings=()):
+        calls.append((cover, points, tuple(crossings)))
+        return pull_back(cover, *points, crossings=crossings)
 
-        return recording
+    def recording_move(cover, *based):
+        moves.append((cover, based))
+        return quadratic_move(cover, *based)
 
-    monkeypatch.setattr(normalize_mod, "pull_back", spy("resolve"))
-    monkeypatch.setattr(classify_mod, "pull_back", spy("move"))
+    monkeypatch.setattr(normalize_mod, "pull_back", recording)
+    monkeypatch.setattr(classify_mod, "quadratic_move", recording_move)
     for model, max_rounds in _resolve_inputs():
         _outcome(normalize_mod.resolve, model, max_rounds)
     for model in _plane_inputs():
         _outcome(cremona_reduce, model)
     monkeypatch.undo()
-    moves = crossing_rounds = 0
-    for caller, cover, points, crossings in calls:
+    crossing_rounds = 0
+    for cover, points, crossings in calls:
         got, expected = _pull_back_or_reference(cover, points, crossings)
         assert got == expected
         assert is_normalized(got)
-        moves += caller == "move"
         crossing_rounds += bool(crossings)
-    assert moves >= 40 and crossing_rounds >= 250 and len(calls) >= 450
+    for cover, based in moves:
+        got = _outcome(quadratic_move, cover, *based)
+        assert got == _outcome(reference_quadratic_move, cover, *based)
+        assert not isinstance(got[0], CoverModel) or is_normalized(got[0])
+    assert len(moves) >= 40 and crossing_rounds >= 250 and len(calls) + len(moves) >= 450
 
 
 def _random_pull_back_call(rng):
