@@ -578,8 +578,10 @@ def quadratic_move(
     based = (p, q, r)
     if len(set(based)) != 3:
         raise GeometryError("a quadratic move needs three distinct base points")
+    parent = {}
     for name in based:
         mp = cover.marked_point(name)
+        parent[name] = mp.parent
         if mp.parent is not None and mp.parent not in based:
             raise GeometryError(
                 f"base point {name!r} is infinitely near {mp.parent!r}, which is not based"
@@ -590,7 +592,9 @@ def quadratic_move(
                 f"base point {name!r} carries infinitely near points {strays} "
                 f"that the move would orphan"
             )
-    order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
+    # parents first: order by depth, the number of based ancestors (at most two)
+    depth = {n: (parent[n] is not None) + (parent.get(parent[n]) is not None) for n in based}
+    order = sorted(based, key=lambda n: (depth[n], n))
     up = blow_up(cover, *order)
     slots = tuple(1 + order.index(name) for name in based)  # the centers, in blow-up order
     survivors, dropped, emitted = {}, [], []

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import group, lattice
@@ -48,20 +49,22 @@ class CurveComponent:
     exceptional_of: str | None = None
 
     def __post_init__(self):
-        if self.cls.degree < 0:
+        degree = self.cls.degree
+        if degree < 0:
             raise DomainError(f"component {self.cid!r} has negative degree")
-        if self.cls.degree == 0:
+        if degree == 0:
             support = self.cls.support
             lead = support[min(support)] if support else None
             if lead is None or lead < 0:
                 raise DomainError(
                     f"degree-0 component {self.cid!r} must be an exceptional class"
                 )
-        if any(m < 1 for _, m in self.mults):
+        mults = tuple(sorted(self.mults))
+        if any(m < 1 for _, m in mults):
             raise DomainError(f"component {self.cid!r} has a multiplicity below 1")
-        if len({name for name, _ in self.mults}) != len(self.mults):
+        if len(dict(mults)) != len(mults):
             raise DomainError(f"component {self.cid!r} repeats a point in its multiplicities")
-        object.__setattr__(self, "mults", tuple(sorted(self.mults)))
+        object.__setattr__(self, "mults", mults)
 
     def mult_at(self, point_name: str) -> int:
         for name, m in self.mults:
@@ -81,11 +84,15 @@ def _canonical_branch(raw: Iterable[tuple[GroupElement, Iterable[BranchEntry]]])
         for cid, k in entries:
             bucket[cid] = bucket.get(cid, 0) + k
     out = []
-    for g in sorted(merged):
-        entries = tuple(sorted((cid, k) for cid, k in merged[g].items() if k > 0))
+    for g in sorted(merged, key=group.element_key):
+        entries = tuple(sorted(entry for entry in merged[g].items() if entry[1] > 0))
         if entries:
             out.append((g, entries))
     return tuple(out)
+
+
+_cid_key = attrgetter("cid")
+_name_key = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -107,39 +114,39 @@ class CoverModel:
     def __post_init__(self):
         if not 1 <= self.r <= group.MAX_RANK:
             raise DomainError(f"cover rank must be between 1 and {group.MAX_RANK}")
-        object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.cid)))
+        object.__setattr__(self, "components", tuple(sorted(self.components, key=_cid_key)))
         object.__setattr__(self, "branch", _canonical_branch(self.branch))
-        object.__setattr__(self, "marked", tuple(sorted(self.marked, key=lambda m: m.name)))
-        ids = [c.cid for c in self.components]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "marked", tuple(sorted(self.marked, key=_name_key)))
+        id_set = {c.cid for c in self.components}
+        if len(id_set) != len(self.components):
             raise DomainError("component ids must be unique")
         known_points = {m.name for m in self.marked}
         center_names = set(self.surface.names)
         if known_points & center_names:
             raise DomainError("marked point names collide with blown-up centers")
+        known = known_points | center_names
         for m in self.marked:
-            if m.parent is not None and m.parent not in known_points | center_names:
+            if m.parent is not None and m.parent not in known:
                 raise DanglingReferenceError(
                     f"marked point {m.name!r} has unknown parent {m.parent!r}"
                 )
         for comp in self.components:
-            if comp.cls.surface != self.surface:
+            if comp.cls.surface is not self.surface and comp.cls.surface != self.surface:
                 raise DimensionError(f"component {comp.cid!r} lives on the wrong surface")
             for name, _ in comp.mults:
                 if name not in known_points:
                     raise DanglingReferenceError(
                         f"component {comp.cid!r} declares a multiplicity at unknown point {name!r}"
                     )
-        id_set = set(ids)
         for g, entries in self.branch:
             if g.r != self.r:
                 raise DimensionError(f"branch element {g} has wrong rank")
-            if g.is_zero:
+            if not g.mask:
                 raise DomainError("branch data are indexed by nonzero group elements")
             for cid, _ in entries:
                 if cid not in id_set:
                     raise DanglingReferenceError(f"branch references unknown component {cid!r}")
-        if self.pencil is not None and self.pencil not in known_points | center_names:
+        if self.pencil is not None and self.pencil not in known:
             raise DanglingReferenceError(f"pencil point {self.pencil!r} is not a known point")
 
     # -- lookups ---------------------------------------------------------

@@ -3,16 +3,21 @@
 Elements and characters are one type: r bits packed into an int, added by
 XOR.  The bit string b_1...b_r is stored as the integer it spells in base
 two, so for equal r the order of the ints is the lexicographic order of
-the bit strings.  Characters are identified with elements through the
-mod-2 dot product, a popcount of the common bits: ``epsilon(chi, g)`` is
-that pairing bit for nonzero ``g``.  Subgroups are handled through an
-echelon basis of masks, from which ``rank``, ``span`` and
-``complement_basis`` are read.
+the bit strings.  Elements are interned: the module holds one object per
+(r, mask) for r = 1..MAX_RANK, and every constructor, parse, sum, span and
+enumeration returns that object, so equality and hashing are object
+identity.  Elements order by (r, mask); ``element_key`` is that key, for
+sorting without a Python-level comparison.  Characters are identified with
+elements through the mod-2 dot product, a popcount of the common bits:
+``epsilon(chi, g)`` is that pairing bit for nonzero ``g``.  Subgroups are
+handled through an echelon basis of masks, from which ``rank``, ``span``
+and ``complement_basis`` are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, DomainError
@@ -28,12 +33,19 @@ def _check_rank(r: int) -> None:
 
 @dataclass(frozen=True, order=True, init=False, repr=False, slots=True)
 class GroupElement:
-    """An element of (Z/2)^r, or a character of it, as an r-bit mask; addition is XOR."""
+    """An element of (Z/2)^r, or a character of it, as an r-bit mask; addition is XOR.
+
+    Interned: ``GroupElement(bits)`` returns the one object for its (r, mask),
+    so ``==`` and ``hash`` are those of ``object``.
+    """
 
     r: int
     mask: int
 
-    def __init__(self, bits: Iterable[int]):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, bits: Iterable[int]) -> "GroupElement":
         bits = tuple(bits)
         _check_rank(len(bits))
         if any(b not in (0, 1) for b in bits):
@@ -41,22 +53,23 @@ class GroupElement:
         mask = 0
         for b in bits:
             mask = mask << 1 | b
-        object.__setattr__(self, "r", len(bits))
-        object.__setattr__(self, "mask", mask)
+        return _INTERNED[len(bits)][mask]
+
+    def __reduce__(self):
+        """Copies and unpickled elements are rebuilt through the constructor,
+        so they are the interned object again."""
+        return GroupElement, (self.bits,)
 
     @classmethod
     def _of(cls, r: int, mask: int) -> "GroupElement":
-        self = object.__new__(cls)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mask", mask)
-        return self
+        return _INTERNED[r][mask]
 
     @classmethod
     def parse(cls, text: str) -> "GroupElement":
         if not text or any(c not in "01" for c in text):
             raise DomainError(f"non-binary group element {text!r}")
         _check_rank(len(text))
-        return cls._of(len(text), int(text, 2))
+        return _INTERNED[len(text)][int(text, 2)]
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -69,7 +82,7 @@ class GroupElement:
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.r != other.r:
             raise DimensionError("cannot add group elements of different rank")
-        return GroupElement._of(self.r, self.mask ^ other.mask)
+        return _INTERNED[self.r][self.mask ^ other.mask]
 
     def __str__(self) -> str:
         return format(self.mask, f"0{self.r}b")
@@ -78,20 +91,34 @@ class GroupElement:
         return f"GroupElement({self.bits})"
 
 
+def _make(r: int, mask: int) -> GroupElement:
+    self = object.__new__(GroupElement)
+    object.__setattr__(self, "r", r)
+    object.__setattr__(self, "mask", mask)
+    return self
+
+
+#: _INTERNED[r][mask] is the one element with that rank and mask (index 0 unused).
+_INTERNED = (None,) + tuple(
+    tuple(_make(r, mask) for mask in range(1 << r)) for r in range(1, MAX_RANK + 1)
+)
+
+#: The sort key of the element order (r, mask), read in C.
+element_key = attrgetter("r", "mask")
+
 #: Characters are bit vectors paired with elements by the dot product.
 Character = GroupElement
 
 
 def zero(r: int) -> GroupElement:
     _check_rank(r)
-    return GroupElement._of(r, 0)
+    return _INTERNED[r][0]
 
 
 def elements(r: int) -> Iterator[GroupElement]:
     """All 2^r group elements, in lexicographic order."""
     _check_rank(r)
-    for mask in range(1 << r):
-        yield GroupElement._of(r, mask)
+    yield from _INTERNED[r]
 
 
 def nonzero_elements(r: int) -> Iterator[GroupElement]:
@@ -162,7 +189,7 @@ def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupEl
     combos = [0]
     for b in basis:
         combos += [m ^ b for m in combos]
-    return frozenset(GroupElement._of(r, m) for m in combos)
+    return frozenset(_INTERNED[r][m] for m in combos)
 
 
 def subgroup_dimension(subgroup: Iterable[GroupElement]) -> int:
@@ -181,5 +208,5 @@ def complement_basis(gens: Iterable[GroupElement], r: int) -> list[GroupElement]
     for i in range(r):
         e = 1 << (r - 1 - i)
         if _extend(basis, e):
-            chosen.append(GroupElement._of(r, e))
+            chosen.append(_INTERNED[r][e])
     return chosen

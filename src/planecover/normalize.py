@@ -40,7 +40,7 @@ from .errors import (
     NonTerminationError,
     PreconditionError,
 )
-from .group import GroupElement
+from .group import GroupElement, element_key
 from .lattice import BlownPlane, Center, DivisorClass
 
 
@@ -347,19 +347,16 @@ class ResolveResult:
     trail: tuple[RoundRecord, ...]
 
 
-def _branch_sets(cover: CoverModel) -> dict[str, set[str]]:
-    return {str(g): {cid for cid, _ in entries} for g, entries in cover.branch}
-
-
 def _branch_diff(before: CoverModel, after: CoverModel):
-    b, a = _branch_sets(before), _branch_sets(after)
-    keys = sorted(set(b) | set(a))
+    """(g as text, cids added to D_g, cids removed from it) for each g whose
+    set of components changed, in element order; both models share r."""
+    b, a = before._by_g, after._by_g
     out = []
-    for key in keys:
-        added = tuple(sorted(a.get(key, set()) - b.get(key, set())))
-        removed = tuple(sorted(b.get(key, set()) - a.get(key, set())))
-        if added or removed:
-            out.append((key, added, removed))
+    for g in sorted(b.keys() | a.keys(), key=element_key):
+        was = {cid for cid, _ in b.get(g, ())}
+        now = {cid for cid, _ in a.get(g, ())}
+        if was != now:
+            out.append((str(g), tuple(sorted(now - was)), tuple(sorted(was - now))))
     return tuple(out)
 
 

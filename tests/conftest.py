@@ -11,6 +11,8 @@ import pytest
 from planecover import classify, config, group, lattice
 from planecover.cover import CoverModel, CurveComponent, add_marked_points, fresh_names
 from planecover.errors import (
+    DanglingReferenceError,
+    DimensionError,
     DomainError,
     GeometryError,
     InconsistencyError,
@@ -339,6 +341,80 @@ def purge_idle_marks_one_at_a_time(cover):
         current = replace(current, components=comps, marked=marked)
 
 
+def reference_component_mults(cid, cls, mults):
+    """Reference for the checks of ``CurveComponent``: the same checks in the
+    same order, on the raw ``mults``; returns the sorted ``mults``."""
+    if cls.degree < 0:
+        raise DomainError(f"component {cid!r} has negative degree")
+    if cls.degree == 0:
+        support = cls.support
+        lead = support[min(support)] if support else None
+        if lead is None or lead < 0:
+            raise DomainError(f"degree-0 component {cid!r} must be an exceptional class")
+    if any(m < 1 for _, m in mults):
+        raise DomainError(f"component {cid!r} has a multiplicity below 1")
+    if len({name for name, _ in mults}) != len(mults):
+        raise DomainError(f"component {cid!r} repeats a point in its multiplicities")
+    return tuple(sorted(mults))
+
+
+def reference_canonical_branch(raw):
+    """Reference for ``cover._canonical_branch``: the coefficients of each g
+    summed per component, nonpositive sums and empty D_g dropped, sorted by
+    the elements' own order and the component ids."""
+    merged = {}
+    for g, entries in raw:
+        bucket = merged.setdefault(g, {})
+        for cid, k in entries:
+            bucket[cid] = bucket.get(cid, 0) + k
+    out = []
+    for g in sorted(merged):
+        entries = tuple(sorted((cid, k) for cid, k in merged[g].items() if k > 0))
+        if entries:
+            out.append((g, entries))
+    return tuple(out)
+
+
+def reference_cover_fields(r, surface, components, branch, marked=(), pencil=None):
+    """Reference for the checks of ``CoverModel``: the canonical (components,
+    branch, marked) it stores, or the same error in the same order.  Written
+    plainly: a set union per marked point, sorts by lambda keys."""
+    if not 1 <= r <= group.MAX_RANK:
+        raise DomainError(f"cover rank must be between 1 and {group.MAX_RANK}")
+    components = tuple(sorted(components, key=lambda c: c.cid))
+    branch = reference_canonical_branch(branch)
+    marked = tuple(sorted(marked, key=lambda m: m.name))
+    ids = [c.cid for c in components]
+    if len(set(ids)) != len(ids):
+        raise DomainError("component ids must be unique")
+    known_points = {m.name for m in marked}
+    center_names = set(surface.names)
+    if known_points & center_names:
+        raise DomainError("marked point names collide with blown-up centers")
+    for m in marked:
+        if m.parent is not None and m.parent not in known_points | center_names:
+            raise DanglingReferenceError(f"marked point {m.name!r} has unknown parent {m.parent!r}")
+    for comp in components:
+        if comp.cls.surface != surface:
+            raise DimensionError(f"component {comp.cid!r} lives on the wrong surface")
+        for name, _ in comp.mults:
+            if name not in known_points:
+                raise DanglingReferenceError(
+                    f"component {comp.cid!r} declares a multiplicity at unknown point {name!r}"
+                )
+    for g, entries in branch:
+        if g.r != r:
+            raise DimensionError(f"branch element {g} has wrong rank")
+        if g.is_zero:
+            raise DomainError("branch data are indexed by nonzero group elements")
+        for cid, _ in entries:
+            if cid not in set(ids):
+                raise DanglingReferenceError(f"branch references unknown component {cid!r}")
+    if pencil is not None and pencil not in known_points | center_names:
+        raise DanglingReferenceError(f"pencil point {pencil!r} is not a known point")
+    return components, branch, marked
+
+
 def root_reflect(cls, p, q, r):
     """Reference for ``lattice.cremona_reflect`` on valid base points: the
     reflection c + (c.alpha) alpha in the root alpha = H - E_p - E_q - E_r."""
@@ -369,7 +445,9 @@ def reference_quadratic_move(cover, p, q, r):
                 f"base point {name!r} carries infinitely near points {strays} "
                 f"that the move would orphan"
             )
-    order = sorted(based, key=lambda n: (cover.marked_point(n).parent is not None, n))
+    parent = {n: cover.marked_point(n).parent for n in based}
+    depth = {n: (parent[n] is not None) + (parent.get(parent[n]) is not None) for n in based}
+    order = sorted(based, key=lambda n: (depth[n], n))
     work = pull_back(cover, *order)
     survivors, dropped, emitted = [], set(), []
     for comp in work.components:

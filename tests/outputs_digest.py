@@ -3,10 +3,9 @@
 Each line is the digest of (exit code, stdout, stderr) of one in-process
 ``planecover.cli.main`` call, followed by a description of the call.  Two
 checkouts give the same outputs exactly when their listings are equal, so a
-change that must keep the outputs is checked with
+change that must keep the outputs is checked against the recorded listing:
 
-    python3 tests/outputs_digest.py > after.txt   # and the same before
-    diff before.txt after.txt
+    python3 tests/outputs_digest.py | diff tests/golden/outputs_digest.txt -
 
 The calls: the 12 fixtures under the six document commands; 400 seeded
 random documents from ``perfbench/workloads.py`` (imported, not changed)

@@ -11,6 +11,8 @@ from planecover import group
 from planecover import normalize as normalize_mod
 from planecover.classify import quadratic_move
 from planecover.cover import (
+    CoverModel,
+    CurveComponent,
     add_marked_point,
     add_marked_points,
     check_prod_relations,
@@ -28,13 +30,15 @@ from planecover.errors import (
     ParityError,
 )
 from planecover.group import Character, GroupElement
-from planecover.lattice import Center, DivisorClass
+from planecover.lattice import BlownPlane, Center, DivisorClass
 from planecover.normalize import pull_back, resolve
 
 from conftest import (
     FIXTURE_DIR,
     load_cover,
     per_character_building_data,
+    reference_component_mults,
+    reference_cover_fields,
     scan_children_of_point,
     scan_components_at,
     searched_quotient_cover,
@@ -665,3 +669,140 @@ def test_incidence_index_matches_scan_on_random_covers(monkeypatch):
         trail = models_pulled_back(monkeypatch, lambda: resolve(model, max_rounds=20))
         for each in [model, *trail]:
             assert_index_matches_scan(each)
+
+
+# -- construction checks against the plain reference ---------------------------------
+
+#: one of each invalid kind a raw model can carry; several may be applied at
+#: once, so the reference also pins which check fires first
+_FAULTS = (
+    "duplicate id",
+    "dangling parent",
+    "marked/center collision",
+    "wrong surface",
+    "unknown mult point",
+    "wrong-rank element",
+    "zero element",
+    "unknown branch cid",
+    "unknown pencil",
+    "bad rank",
+)
+
+
+def _raw_model(rng: random.Random, faults=()):
+    """Raw ``CoverModel`` arguments: components, buckets and points in random
+    order, repeated g and cid, coefficients that may sum to zero or below,
+    classes on the surface or on an equal copy of it; then ``faults``."""
+    r = rng.randint(1, 4)
+    centers = rng.choice(((), (Center("e1"),), (Center("e1"), Center("e2", "e1"))))
+    surface, twin = BlownPlane(centers), BlownPlane(tuple(centers))
+    parents = [None, "p", *(c.name for c in centers)]
+    marked = [Center("p"), Center("q", "p"), Center("s", rng.choice(parents))]
+    comps = []
+    for i in range(rng.randint(1, 5)):
+        coeffs = (rng.randint(1, 4), *(-rng.randint(0, 1) for _ in centers))
+        points = rng.sample(["p", "q", "s"], rng.randint(0, 3))
+        mults = tuple((name, rng.randint(1, 3)) for name in points)
+        cls = DivisorClass(rng.choice((surface, twin)), coeffs)
+        comps.append(CurveComponent(f"c{i}", cls, mults=mults))
+    if len(centers) == 2 and rng.random() < 0.5:
+        comps.append(CurveComponent("E_e1", DivisorClass(surface, (0, 1, -1)), exceptional_of="e1"))
+    elements = list(group.nonzero_elements(r))
+    branch = [
+        (rng.choice(elements), [(rng.choice(comps).cid, rng.randint(-2, 3)) for _ in range(n)])
+        for n in rng.choices(range(5), k=rng.randint(0, 8))
+    ]
+    pencil = rng.choice((None, "p", "s", *(c.name for c in centers)))
+    rng.shuffle(comps)
+    rng.shuffle(marked)
+    line = DivisorClass(surface, (1,) + (0,) * len(centers))
+    rank = r
+    for fault in faults:
+        if fault == "duplicate id":
+            comps.append(replace(comps[0], mults=()))
+        elif fault == "dangling parent":
+            marked.append(Center("t", "nowhere"))
+        elif fault == "marked/center collision":
+            marked.append(Center(centers[0].name if centers else "e0"))
+            surface = surface if centers else BlownPlane((Center("e0"),))
+        elif fault == "wrong surface":
+            comps.append(CurveComponent("w", DivisorClass(BlownPlane((Center("x9"),)), (1, 0))))
+        elif fault == "unknown mult point":
+            comps.append(CurveComponent("u", line, mults=(("nowhere", 1),)))
+        elif fault == "wrong-rank element":
+            branch.append((GroupElement._of(r % 4 + 1, 1), [(comps[0].cid, 1)]))
+        elif fault == "zero element":
+            branch.append((group.zero(r), [(comps[0].cid, 1)]))
+        elif fault == "unknown branch cid":
+            branch.append((elements[0], [("ghost", 1)]))
+        elif fault == "unknown pencil":
+            pencil = "nowhere"
+        elif fault == "bad rank":
+            rank = rng.choice((0, 5))
+    return rank, surface, tuple(comps), tuple(branch), tuple(marked), pencil
+
+
+def _fields_or_error(build, *args):
+    try:
+        made = build(*args)
+    except CoverError as exc:
+        return type(exc), str(exc)
+    return made if isinstance(made, tuple) else (made.components, made.branch, made.marked)
+
+
+def test_cover_model_keeps_every_check_of_the_reference():
+    messages = []
+    for seed in range(1500):
+        rng = random.Random(seed)
+        faults = () if seed % 3 == 0 else rng.sample(_FAULTS, rng.choice((1, 1, 1, 2, 3)))
+        args = _raw_model(rng, faults)
+        got = _fields_or_error(CoverModel, *args)
+        assert got == _fields_or_error(reference_cover_fields, *args), (seed, faults)
+        if isinstance(got[0], type):
+            messages.append(got[1])
+        else:
+            model = CoverModel(*args)
+            assert (model.r, model.surface, model.pencil) == (args[0], args[1], args[5])
+            assert all(g is GroupElement._of(g.r, g.mask) for g, _ in model.branch)
+    for part in (
+        "cover rank must be between",
+        "component ids must be unique",
+        "marked point names collide",
+        "marked point 't' has unknown parent",
+        "component 'w' lives on the wrong surface",
+        "component 'u' declares a multiplicity at unknown point",
+        "branch element 1 has wrong rank",
+        "branch data are indexed by nonzero group elements",
+        "branch references unknown component 'ghost'",
+        "pencil point 'nowhere' is not a known point",
+    ):
+        assert any(message.startswith(part) for message in messages), part
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_each_invalid_kind_raises_the_reference_error(fault):
+    for seed in range(40):
+        args = _raw_model(random.Random(seed), (fault,))
+        want = _fields_or_error(reference_cover_fields, *args)
+        assert isinstance(want[0], type), (seed, fault)
+        assert _fields_or_error(CoverModel, *args) == want, (seed, fault)
+
+
+def test_curve_component_keeps_every_check_of_the_reference():
+    surface = BlownPlane((Center("e1"), Center("e2", "e1")))
+    classes = [
+        DivisorClass(surface, coeffs)
+        for coeffs in ((2, -1, 0), (0, 1, -1), (0, -1, 1), (-1, 0, 0), (0, 0, 0), (1, 0, 0))
+    ]
+    errors = set()
+    for seed in range(600):
+        rng = random.Random(seed)
+        names = rng.choices("pqs", k=rng.randint(0, 4))
+        mults = tuple((name, rng.choice((1, 1, 2, 3, 0, -1))) for name in names)
+        cls = rng.choice(classes)
+        got = _fields_or_error(lambda *a: (CurveComponent(*a).mults,), "c", cls, True, mults)
+        want = _fields_or_error(lambda *a: (reference_component_mults(*a),), "c", cls, mults)
+        assert got == want, seed
+        if isinstance(got[0], type):
+            errors.add(got[1])
+    assert len(errors) == 4, sorted(errors)

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -178,3 +182,95 @@ def test_rank_examples():
     assert group.rank(group.elements(4)) == 4
     with pytest.raises(DimensionError):
         group.rank([g("10"), g("100")])
+
+
+# -- interning -------------------------------------------------------------------
+
+ALL = [h for r in range(1, group.MAX_RANK + 1) for h in group.elements(r)]
+
+
+def _key(h):
+    """The reference identity and order of an element: its (r, mask) tuple."""
+    return (h.r, h.mask)
+
+
+def test_every_way_to_make_an_element_returns_the_interned_object():
+    assert len(ALL) == 30 and len({id(h) for h in ALL}) == 30
+    for h in ALL:
+        assert GroupElement(h.bits) is h
+        assert GroupElement(list(h.bits)) is h
+        assert GroupElement.parse(str(h)) is h
+        assert GroupElement._of(h.r, h.mask) is h
+        assert Character.parse(str(h)) is h
+        assert group.zero(h.r) + h is h
+        assert h + h is group.zero(h.r)
+    interned = {id(h) for h in ALL}
+    for r in range(1, group.MAX_RANK + 1):
+        assert list(group.elements(r)) == list(group.characters(r))
+        for a, b in itertools.product(group.elements(r), repeat=2):
+            assert a + b is GroupElement._of(r, a.mask ^ b.mask)
+        assert {id(h) for h in group.span(group.elements(r), r)} <= interned
+        assert {id(h) for h in group.complement_basis([], r)} <= interned
+        assert {id(h) for h in group.nonzero_characters(r)} <= interned
+
+
+def test_equality_hash_and_order_agree_with_the_rank_mask_reference():
+    for a, b in itertools.product(ALL, repeat=2):
+        assert (a == b) == (_key(a) == _key(b))
+        assert (a != b) == (_key(a) != _key(b))
+        assert (a < b) == (_key(a) < _key(b))
+        assert (a <= b) == (_key(a) <= _key(b))
+        assert (a > b) == (_key(a) > _key(b))
+        assert (a >= b) == (_key(a) >= _key(b))
+        if a == b:
+            assert hash(a) == hash(b)
+    rng = random.Random(17)
+    for _ in range(200):
+        items = [rng.choice(ALL) for _ in range(rng.randint(0, 40))]
+        assert [_key(h) for h in sorted(items)] == sorted(_key(h) for h in items)
+        assert sorted(items, key=group.element_key) == sorted(items)
+        assert sorted(_key(h) for h in set(items)) == sorted({_key(h) for h in items})
+        counts = {h: items.count(h) for h in items}
+        assert {_key(h): n for h, n in counts.items()} == Counter(_key(h) for h in items)
+    assert g("10") != "10" and g("1") != 1
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    for h in ALL:
+        assert copy.copy(h) is h
+        assert copy.deepcopy(h) is h
+        assert pickle.loads(pickle.dumps(h)) is h
+    branch = ((g("01"), (("c", 1),)), (g("11"), (("d", 2),)))
+    copied = copy.deepcopy(branch)
+    assert all(a is b for (a, _), (b, _) in zip(copied, branch))
+
+
+def test_elements_stay_frozen_and_keep_their_text():
+    h = g("0110")
+    for name, value in (("r", 3), ("mask", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, value)
+    assert (h.r, h.mask, h.bits, str(h), repr(h)) == (
+        4, 6, (0, 1, 1, 0), "0110", "GroupElement((0, 1, 1, 0))"
+    )
+    assert g("0110") is h
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GroupElement((0, 2)), "bit vector entries must be 0 or 1, got (0, 2)"),
+        (lambda: GroupElement((1, -1, 0)), "bit vector entries must be 0 or 1, got (1, -1, 0)"),
+        (lambda: GroupElement(()), "rank must be between 1 and 4, got 0"),
+        (lambda: GroupElement((0, 1, 0, 1, 1)), "rank must be between 1 and 4, got 5"),
+        (lambda: GroupElement.parse("1a0"), "non-binary group element '1a0'"),
+        (lambda: GroupElement.parse(""), "non-binary group element ''"),
+        (lambda: GroupElement.parse("10101"), "rank must be between 1 and 4, got 5"),
+        (lambda: group.zero(0), "rank must be between 1 and 4, got 0"),
+        (lambda: list(group.elements(5)), "rank must be between 1 and 4, got 5"),
+    ],
+)
+def test_bad_bits_and_ranks_raise_the_same_domain_errors(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
