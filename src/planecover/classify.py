@@ -481,7 +481,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                 if len(at) > 3:
                     raise MatchError(f"too many lines through {name}")
                 if len(at) == 3:
-                    ks = [c for c in at if cover.inertia_of(c.cid) == k]
+                    ks = [c for c in at if cover.inertia_of(c.cid) is k]
                     if len(ks) != 1:
                         raise MatchError(f"triple point at {name} must mix both subgroup parts")
             return CaseLabel("5.5", "4.222", (), ("reduced-five-line-model",))

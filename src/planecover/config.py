@@ -7,6 +7,10 @@ degree with optional per-point multiplicities and an optional ``reducible``
 flag; ``[branch]`` assigns components (with ``*k`` multiplicities) to group
 elements written as bit strings.
 
+Reading is one pass over the lines, each clause read once.  All problems
+are raised as one ConfigError, with line and column, in line order; a
+missing ``r`` comes first, and a wrong-length branch key stands alone.
+
 The serializer emits a canonical form that parses back to the same
 document, byte for byte.
 """
@@ -116,12 +120,6 @@ def _is_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _strip_comment(line: str) -> str:
-    if "#" in line:
-        return line[: line.index("#")]
-    return line
-
-
 def parse(text: str) -> ConfigDocument:
     """Parse a document, collecting positioned errors before giving up."""
     problems: list[tuple[int, int, str]] = []
@@ -140,16 +138,17 @@ def parse(text: str) -> ConfigDocument:
         problems.append((lineno, col, message))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        m = _SECTION.match(line)
-        if m:
-            section = m.group("name")
-            if section not in ("cover", "centers", "components", "branch"):
-                err(lineno, 1, f"unknown section [{section}]")
-                section = None
-            continue
+        if line[0] == "[":
+            m = _SECTION.match(line)
+            if m:
+                section = m.group("name")
+                if section not in ("cover", "centers", "components", "branch"):
+                    err(lineno, 1, f"unknown section [{section}]")
+                    section = None
+                continue
         if section is None:
             err(lineno, 1, "content outside any section")
             continue
@@ -157,7 +156,8 @@ def parse(text: str) -> ConfigDocument:
         if not kv:
             err(lineno, 1, "expected 'key = value'")
             continue
-        key, value = kv.group("key"), kv.group("value").strip()
+        # the line is stripped and the pattern eats the blanks around "="
+        key, value = kv.group("key", "value")
         col = raw.index(key) + 1
 
         if section == "cover":
@@ -205,19 +205,15 @@ def parse(text: str) -> ConfigDocument:
                 continue
             spec = ComponentSpec(key, degree=-1)
             ok = True
+            # a repeated degree or mult(point) clause would overwrite the first
             clauses: set[str] = set()
-            for part in [p.strip() for p in value.split(",")]:
-                # a repeated degree or mult(point) clause would overwrite the first
-                mm = _MULT.match(part)
-                clause = mm and f"mult({mm.group('point')})"
+            for part in value.split(","):
+                part = part.strip()
                 if part.startswith("degree"):
-                    clause = "degree"
-                if clause in clauses:
-                    err(lineno, col, f"duplicate {clause} clause for component {key!r}")
-                    continue
-                if clause:
-                    clauses.add(clause)
-                if part.startswith("degree"):
+                    if "degree" in clauses:
+                        err(lineno, col, f"duplicate degree clause for component {key!r}")
+                        continue
+                    clauses.add("degree")
                     rest = part[len("degree") :].strip()
                     if not _is_number(rest):
                         err(lineno, col, f"bad degree {rest!r} for component {key!r}")
@@ -226,8 +222,13 @@ def parse(text: str) -> ConfigDocument:
                         spec.degree = int(rest)
                 elif part == "reducible":
                     spec.irreducible = False
-                elif mm:
+                elif mm := _MULT.match(part):
                     point, mult = mm.group("point"), int(mm.group("value"))
+                    clause = f"mult({point})"
+                    if clause in clauses:
+                        err(lineno, col, f"duplicate {clause} clause for component {key!r}")
+                        continue
+                    clauses.add(clause)
                     if point not in center_names:
                         err(lineno, col, f"multiplicity at undeclared center {point!r}")
                         ok = False
@@ -248,23 +249,26 @@ def parse(text: str) -> ConfigDocument:
                 component_names.add(key)
 
         elif section == "branch":
-            if any(c not in "01" for c in key):
+            if key.strip("01"):
                 err(lineno, col, f"non-binary group element {key!r}")
                 continue
             if len(key) != doc.r:
                 wrong_length.append((lineno, col, key, len(problems)))
-            if set(key) == {"0"}:
+            if "1" not in key:
                 err(lineno, col, "branch data are indexed by nonzero group elements")
                 continue
             if key in doc.branch:
                 err(lineno, col, f"duplicate branch element {key!r}")
                 continue
             entries = []
-            for part in [p.strip() for p in value.split(",") if p.strip()]:
-                name, star, mult_text = part.partition("*")
-                name = name.strip()
-                mult = 1
-                if star:
+            for part in value.split(","):
+                part = part.strip()
+                if not part:
+                    continue
+                name, mult = part, 1
+                if "*" in part:
+                    name, _, mult_text = part.partition("*")
+                    name = name.strip()
                     if not _is_number(mult_text.strip()) or int(mult_text) < 1:
                         err(lineno, col, f"bad multiplicity in branch entry {part!r}")
                         continue

@@ -326,17 +326,22 @@ def plane_cover(
     plane point.  Two more rules count infinitely near points like plane
     points: an irreducible curve's sum of m(m-1)/2 may not exceed its
     arithmetic genus (d-1)(d-2)/2 (genus), and two curves' sum of m_a*m_b
-    over the points they share may not exceed d_a*d_b (Bezout).  The
-    Bezout sums are accumulated per point, over the curves through it.
+    over the points they share may not exceed d_a*d_b (Bezout).
+
+    One sweep over each curve's multiplicities checks m against d and adds
+    into the curve's proximity and genus sums and, through a point -> (cid,
+    m) index, into the Bezout sum of each pair of curves through the point.
+    Only the first broken rule is reported: the pencil; then, curve by
+    curve, m against d (points by name), proximity (parents in order of
+    first mention) and genus; then Bezout, for the least offending pair.
     """
     reducible = set(reducible)
     parent_of = dict(marked)
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
-    children: dict[str, list[str]] = {}
-    for name, parent in parent_of.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(name)
+    degree_of: dict[str, int] = {}
+    through: dict[str, list[tuple[str, int]]] = {}
+    shared: dict[tuple[str, str], int] = {}
     comps = []
     for cid, degree, mults in components:
         comp = CurveComponent(
@@ -345,6 +350,8 @@ def plane_cover(
             irreducible=cid not in reducible,
             mults=tuple(mults.items()),
         )
+        near: dict[str, int] = {}
+        delta = 0
         for point, m in comp.mults:
             if m > degree:
                 raise GeometryError(
@@ -355,48 +362,42 @@ def plane_cover(
                     f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
                     f"so it is {degree} lines; declare it reducible"
                 )
-        for point, names in children.items():
-            at, near = mults.get(point, 0), sum(mults.get(name, 0) for name in names)
-            if near > at:
-                raise GeometryError(
-                    f"component {cid!r} has multiplicity {at} at {point!r} "
-                    f"but {near} at the points infinitely near it"
-                )
-        delta = sum(m * (m - 1) // 2 for m in mults.values())
+            parent = parent_of.get(point)
+            if parent is not None:
+                near[parent] = near.get(parent, 0) + m
+            delta += m * (m - 1) // 2
+            members = through.setdefault(point, [])
+            for b, mb in members:
+                pair = (cid, b) if cid < b else (b, cid)
+                shared[pair] = shared.get(pair, 0) + m * mb
+            members.append((cid, m))
+        broken = {point for point, total in near.items() if total > mults.get(point, 0)}
+        if broken:
+            point = next(parent for parent in parent_of.values() if parent in broken)
+            raise GeometryError(
+                f"component {cid!r} has multiplicity {mults.get(point, 0)} at {point!r} "
+                f"but {near[point]} at the points infinitely near it"
+            )
         genus = (degree - 1) * (degree - 2) // 2
         if comp.irreducible and delta > genus:
             raise GeometryError(
                 f"component {cid!r} of degree {degree} has declared singularities with "
                 f"sum m(m-1)/2 = {delta}, above its arithmetic genus {genus}; declare it reducible"
             )
+        degree_of[cid] = degree
         comps.append(comp)
-    _check_bezout(components)
+    over = [(a, b) for (a, b), total in shared.items() if total > degree_of[a] * degree_of[b]]
+    if over:
+        a, b = min(over)
+        raise GeometryError(
+            f"components {a!r} and {b!r} meet with multiplicity {shared[a, b]} at declared points, "
+            f"above the product of their degrees {degree_of[a]}*{degree_of[b]} (Bezout)"
+        )
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
     )
     marks = tuple(Center(name, parent) for name, parent in marked)
     return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
-
-
-def _check_bezout(components: Sequence[tuple[str, int, Mapping[str, int]]]) -> None:
-    """GeometryError when two curves share more than d_a*d_b declared crossings."""
-    degree = {cid: d for cid, d, _ in components}
-    through: dict[str, list[tuple[str, int]]] = {}
-    for cid, _, mults in components:
-        for point, m in mults.items():
-            through.setdefault(point, []).append((cid, m))
-    shared: dict[tuple[str, str], int] = {}
-    for members in through.values():
-        for n, (a, ma) in enumerate(members):
-            for b, mb in members[n + 1 :]:
-                pair = (a, b) if a < b else (b, a)
-                shared[pair] = shared.get(pair, 0) + ma * mb
-    for (a, b), total in sorted(shared.items()):
-        if total > degree[a] * degree[b]:
-            raise GeometryError(
-                f"components {a!r} and {b!r} meet with multiplicity {total} at declared points, "
-                f"above the product of their degrees {degree[a]}*{degree[b]} (Bezout)"
-            )
 
 
 def add_marked_point(

@@ -66,10 +66,14 @@ class GroupElement:
 
     @classmethod
     def parse(cls, text: str) -> "GroupElement":
-        if not text or any(c not in "01" for c in text):
-            raise DomainError(f"non-binary group element {text!r}")
-        _check_rank(len(text))
-        return _INTERNED[len(text)][int(text, 2)]
+        """One lookup in a table of the 30 bit strings; any other text is
+        rejected, as non-binary or of a rank out of range."""
+        g = _BY_TEXT.get(text)
+        if g is None:
+            if not text or any(c not in "01" for c in text):
+                raise DomainError(f"non-binary group element {text!r}")
+            _check_rank(len(text))
+        return g
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -102,6 +106,9 @@ def _make(r: int, mask: int) -> GroupElement:
 _INTERNED = (None,) + tuple(
     tuple(_make(r, mask) for mask in range(1 << r)) for r in range(1, MAX_RANK + 1)
 )
+
+#: _BY_TEXT[str(g)] is g, for every interned element.
+_BY_TEXT = {str(g): g for row in _INTERNED[1:] for g in row}
 
 #: The sort key of the element order (r, mask), read in C.
 element_key = attrgetter("r", "mask")

@@ -257,7 +257,7 @@ def singularity_over(cover: CoverModel, point: str) -> str | None:
         for child in cover.children_of_point(point):
             if c1.mult_at(child) >= 1 and c2.mult_at(child) >= 1:
                 return f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
-        if cover.inertia_of(c1.cid) == cover.inertia_of(c2.cid):
+        if cover.inertia_of(c1.cid) is cover.inertia_of(c2.cid):
             return f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
     return None
 
@@ -312,7 +312,7 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
                 f"declared multiplicities of {comps[i].cid} and {comps[j].cid} "
                 "exceed their intersection number"
             )
-        if residual and inertia[i] == inertia[j]:
+        if residual and inertia[i] is inertia[j]:
             pairs.append((i, j))
     by_inertia: dict[GroupElement, list[int]] = {}
     for i, g in enumerate(inertia):

@@ -5,12 +5,15 @@ import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import pytest
 
 from planecover import classify, config, group, lattice
+from planecover.config import ComponentSpec, ConfigDocument
 from planecover.cover import CoverModel, CurveComponent, add_marked_points, fresh_names
 from planecover.errors import (
+    ConfigError,
     DanglingReferenceError,
     DimensionError,
     DomainError,
@@ -21,7 +24,9 @@ from planecover.errors import (
     ParityError,
     PreconditionError,
 )
+from planecover.group import GroupElement
 from planecover.invariants import invariant_report
+from planecover.lattice import Center, DivisorClass
 from planecover.normalize import (
     ResolveResult,
     RoundRecord,
@@ -34,6 +39,7 @@ from planecover.normalize import (
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 PROPOSITION_FIXTURES = (
@@ -619,3 +625,301 @@ def smooth_chi(model):
     result = resolve(model)
     assert result.rounds == 0
     return invariant_report(result).chi
+
+
+# -- references for reading a document ----------------------------------
+# Copies of the parser, the plane builder and the element parser as they
+# were before each became a single sweep; the tests require the same result,
+# or the same error, from both.
+
+_SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
+_KEYVAL = re.compile(r"^(?P<key>[^=\s]+)\s*=\s*(?P<value>.*)$")
+_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
+_MULT = re.compile(r"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]+)$")
+
+
+def _is_number(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def reference_strip_comment(line: str) -> str:
+    if "#" in line:
+        return line[: line.index("#")]
+    return line
+
+
+def reference_parse(text: str) -> ConfigDocument:
+    """Reference for ``config.parse``: a verbatim copy of the line-by-line
+    parser it replaced (a regex match per clause, a set per branch key)."""
+    problems: list[tuple[int, int, str]] = []
+    doc = ConfigDocument(r=0)
+    section = None
+    seen_names: set[str] = set()
+    component_names: set[str] = set()
+    center_names: set[str] = set()
+    cover_keys: set[str] = set()
+    # (line, column, key, problems so far) per branch key whose length is not
+    # r when it is read; r is 0 until read, and [cover] may follow [branch],
+    # so the length is checked after the last line
+    wrong_length: list[tuple[int, int, str, int]] = []
+
+    def err(lineno: int, col: int, message: str) -> None:
+        problems.append((lineno, col, message))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = reference_strip_comment(raw).strip()
+        if not line:
+            continue
+        m = _SECTION.match(line)
+        if m:
+            section = m.group("name")
+            if section not in ("cover", "centers", "components", "branch"):
+                err(lineno, 1, f"unknown section [{section}]")
+                section = None
+            continue
+        if section is None:
+            err(lineno, 1, "content outside any section")
+            continue
+        kv = _KEYVAL.match(line)
+        if not kv:
+            err(lineno, 1, "expected 'key = value'")
+            continue
+        key, value = kv.group("key"), kv.group("value").strip()
+        col = raw.index(key) + 1
+
+        if section == "cover":
+            if key in cover_keys:
+                err(lineno, col, f"duplicate [cover] key {key!r}")
+            elif key == "r":
+                cover_keys.add(key)
+                if not _is_number(value) or not 1 <= int(value) <= 4:
+                    err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
+                else:
+                    doc.r = int(value)
+            elif key == "pencil":
+                cover_keys.add(key)
+                doc.pencil = value
+            else:
+                err(lineno, col, f"unknown [cover] key {key!r}")
+
+        elif section == "centers":
+            if not _NAME.match(key):
+                err(lineno, col, f"invalid center name {key!r}")
+                continue
+            if key in seen_names:
+                err(lineno, col, f"duplicate name {key!r}")
+                continue
+            if value == "point":
+                parent = None
+            elif value.startswith("near "):
+                parent = value[5:].strip()
+                if parent not in center_names:
+                    err(lineno, col, f"unknown parent center {parent!r}")
+                    continue
+            else:
+                err(lineno, col, f"center must be 'point' or 'near <center>', got {value!r}")
+                continue
+            doc.centers.append((key, parent))
+            seen_names.add(key)
+            center_names.add(key)
+
+        elif section == "components":
+            if not _NAME.match(key):
+                err(lineno, col, f"invalid component name {key!r}")
+                continue
+            if key in seen_names:
+                err(lineno, col, f"duplicate name {key!r}")
+                continue
+            spec = ComponentSpec(key, degree=-1)
+            ok = True
+            clauses: set[str] = set()
+            for part in [p.strip() for p in value.split(",")]:
+                # a repeated degree or mult(point) clause would overwrite the first
+                mm = _MULT.match(part)
+                clause = mm and f"mult({mm.group('point')})"
+                if part.startswith("degree"):
+                    clause = "degree"
+                if clause in clauses:
+                    err(lineno, col, f"duplicate {clause} clause for component {key!r}")
+                    continue
+                if clause:
+                    clauses.add(clause)
+                if part.startswith("degree"):
+                    rest = part[len("degree") :].strip()
+                    if not _is_number(rest):
+                        err(lineno, col, f"bad degree {rest!r} for component {key!r}")
+                        ok = False
+                    else:
+                        spec.degree = int(rest)
+                elif part == "reducible":
+                    spec.irreducible = False
+                elif mm:
+                    point, mult = mm.group("point"), int(mm.group("value"))
+                    if point not in center_names:
+                        err(lineno, col, f"multiplicity at undeclared center {point!r}")
+                        ok = False
+                    elif mult < 1:
+                        err(lineno, col, f"multiplicity must be at least 1, got {mult}")
+                        ok = False
+                    else:
+                        spec.mults[point] = mult
+                else:
+                    err(lineno, col, f"cannot parse component clause {part!r}")
+                    ok = False
+            if spec.degree < 0:
+                err(lineno, col, f"component {key!r} is missing its degree")
+                ok = False
+            if ok:
+                doc.components.append(spec)
+                seen_names.add(key)
+                component_names.add(key)
+
+        elif section == "branch":
+            if any(c not in "01" for c in key):
+                err(lineno, col, f"non-binary group element {key!r}")
+                continue
+            if len(key) != doc.r:
+                wrong_length.append((lineno, col, key, len(problems)))
+            if set(key) == {"0"}:
+                err(lineno, col, "branch data are indexed by nonzero group elements")
+                continue
+            if key in doc.branch:
+                err(lineno, col, f"duplicate branch element {key!r}")
+                continue
+            entries = []
+            for part in [p.strip() for p in value.split(",") if p.strip()]:
+                name, star, mult_text = part.partition("*")
+                name = name.strip()
+                mult = 1
+                if star:
+                    if not _is_number(mult_text.strip()) or int(mult_text) < 1:
+                        err(lineno, col, f"bad multiplicity in branch entry {part!r}")
+                        continue
+                    mult = int(mult_text)
+                if name not in component_names:
+                    err(lineno, col, f"branch references undeclared component {name!r}")
+                    continue
+                entries.append((name, mult))
+            if entries:
+                doc.branch[key] = entries
+
+    # a key of the wrong length reports only that, as if its line stopped there
+    for lineno, col, key, start in reversed(wrong_length):
+        if doc.r and len(key) != doc.r:
+            end = start
+            while end < len(problems) and problems[end][0] == lineno:
+                end += 1
+            problems[start:end] = [
+                (lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
+            ]
+    if "r" not in cover_keys:
+        problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
+    if doc.pencil is not None and doc.pencil not in center_names:
+        problems.append((1, 1, f"pencil point {doc.pencil!r} is not a declared center"))
+    if problems:
+        raise ConfigError(problems)
+    return doc
+
+
+def reference_plane_cover(
+    r: int,
+    components: Sequence[tuple[str, int, Mapping[str, int]]],
+    branch: Mapping[str, Sequence[tuple[str, int]]],
+    marked: Sequence[tuple[str, str | None]] = (),
+    pencil: str | None = None,
+    reducible: Iterable[str] = (),
+) -> CoverModel:
+    """Reference for ``cover.plane_cover``: a verbatim copy of the builder it
+    replaced (proximity summed per parent for every component, every Bezout
+    pair sorted).
+
+    Build a plane configuration from degrees and declared multiplicities.
+
+    Raises GeometryError for a point of multiplicity m > d on a curve of
+    degree d, and for m = d >= 2 on a curve not declared reducible: such a
+    curve is d lines through the point.  Also for a curve whose multiplicity
+    at a point is below the sum of its multiplicities at the points
+    infinitely near it (proximity), and for a pencil point that is not a
+    plane point.  Two more rules count infinitely near points like plane
+    points: an irreducible curve's sum of m(m-1)/2 may not exceed its
+    arithmetic genus (d-1)(d-2)/2 (genus), and two curves' sum of m_a*m_b
+    over the points they share may not exceed d_a*d_b (Bezout).  The
+    Bezout sums are accumulated per point, over the curves through it.
+    """
+    reducible = set(reducible)
+    parent_of = dict(marked)
+    if parent_of.get(pencil) is not None:
+        raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
+    children: dict[str, list[str]] = {}
+    for name, parent in parent_of.items():
+        if parent is not None:
+            children.setdefault(parent, []).append(name)
+    comps = []
+    for cid, degree, mults in components:
+        comp = CurveComponent(
+            cid,
+            DivisorClass(lattice.PLANE, (degree,)),
+            irreducible=cid not in reducible,
+            mults=tuple(mults.items()),
+        )
+        for point, m in comp.mults:
+            if m > degree:
+                raise GeometryError(
+                    f"component {cid!r} of degree {degree} cannot have multiplicity {m} at {point!r}"
+                )
+            if m == degree >= 2 and comp.irreducible:
+                raise GeometryError(
+                    f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
+                    f"so it is {degree} lines; declare it reducible"
+                )
+        for point, names in children.items():
+            at, near = mults.get(point, 0), sum(mults.get(name, 0) for name in names)
+            if near > at:
+                raise GeometryError(
+                    f"component {cid!r} has multiplicity {at} at {point!r} "
+                    f"but {near} at the points infinitely near it"
+                )
+        delta = sum(m * (m - 1) // 2 for m in mults.values())
+        genus = (degree - 1) * (degree - 2) // 2
+        if comp.irreducible and delta > genus:
+            raise GeometryError(
+                f"component {cid!r} of degree {degree} has declared singularities with "
+                f"sum m(m-1)/2 = {delta}, above its arithmetic genus {genus}; declare it reducible"
+            )
+        comps.append(comp)
+    reference_check_bezout(components)
+    branch_data = tuple(
+        (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
+    )
+    marks = tuple(Center(name, parent) for name, parent in marked)
+    return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
+
+
+def reference_check_bezout(components: Sequence[tuple[str, int, Mapping[str, int]]]) -> None:
+    """GeometryError when two curves share more than d_a*d_b declared crossings."""
+    degree = {cid: d for cid, d, _ in components}
+    through: dict[str, list[tuple[str, int]]] = {}
+    for cid, _, mults in components:
+        for point, m in mults.items():
+            through.setdefault(point, []).append((cid, m))
+    shared: dict[tuple[str, str], int] = {}
+    for members in through.values():
+        for n, (a, ma) in enumerate(members):
+            for b, mb in members[n + 1 :]:
+                pair = (a, b) if a < b else (b, a)
+                shared[pair] = shared.get(pair, 0) + ma * mb
+    for (a, b), total in sorted(shared.items()):
+        if total > degree[a] * degree[b]:
+            raise GeometryError(
+                f"components {a!r} and {b!r} meet with multiplicity {total} at declared points, "
+                f"above the product of their degrees {degree[a]}*{degree[b]} (Bezout)"
+            )
+
+
+def reference_element_parse(text: str) -> group.GroupElement:
+    """Reference for ``GroupElement.parse``: validation first, then the
+    interned element."""
+    if not text or any(c not in "01" for c in text):
+        raise DomainError(f"non-binary group element {text!r}")
+    group._check_rank(len(text))
+    return group._INTERNED[len(text)][int(text, 2)]

@@ -10,7 +10,11 @@ change that must keep the outputs is checked against the recorded listing:
 The calls: the 12 fixtures under the six document commands; 400 seeded
 random documents from ``perfbench/workloads.py`` (imported, not changed)
 under the same six; ``census`` for r = 2..4 and max degree 1..7 in text and
-tsv; ``invariants`` in text and tsv on line arrangements k = 4..16.
+tsv; ``invariants`` in text and tsv on line arrangements k = 4..16; and,
+under the six document commands, seeded malformed documents: each fixture
+and random document with one character replaced, dropped or inserted
+(``mutant``), so ``error[config]`` and ``error[geometry]`` texts and
+positions are pinned too.
 
 The script exits 1, after printing every line, when a call ended in an
 uncaught exception (a traceback) rather than a result or ``error[code]``.
@@ -39,8 +43,30 @@ from workloads import (  # noqa: E402
     random_document,
 )
 
+from test_fuzz import JUNK  # noqa: E402
+
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
 RANDOM_DOCUMENTS = 400
+MUTANTS_PER_FIXTURE = 10
+RANDOM_MUTANTS = 200
+
+
+def mutant(text: str, rng: random.Random) -> tuple[str, str]:
+    """``text`` with one character replaced, dropped or inserted, and a label.
+
+    A ``digit`` mutant replaces a number's leading digit (a degree, a
+    multiplicity or r) by one of 1..4, which turns many a document into a
+    geometry error; the others use ``JUNK``.
+    """
+    kind = rng.choice(("replace", "drop", "insert", "digit"))
+    if kind == "digit":
+        at = rng.choice([n for n, c in enumerate(text) if c.isdigit() and text[n - 1] == " "])
+        junk = rng.choice("1234")
+    else:
+        at = rng.randrange(len(text))
+        junk = "" if kind == "drop" else rng.choice([j for j in JUNK if j])
+    end = at if kind == "insert" else at + 1
+    return text[:at] + junk + text[end:], f"{kind}@{at}{junk!r}"
 
 
 def calls():
@@ -62,6 +88,18 @@ def calls():
         document = arrangement_document(k, random.Random(k))
         for fmt in ("text", "tsv"):
             yield f"arrangement k={k} {fmt}", ["invariants", "--input", "-", "--format", fmt], document
+    malformed = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        rng = random.Random(f"mutant/{path.stem}")
+        text = path.read_text(encoding="utf-8")
+        malformed += [(path.stem, *mutant(text, rng)) for _ in range(MUTANTS_PER_FIXTURE)]
+    for i in range(RANDOM_MUTANTS):
+        size = DOC_SIZES[i % len(DOC_SIZES)]
+        document = random_document(random.Random(f"mutant/{i}"), size, False)
+        malformed.append((f"random{i}", *mutant(document, random.Random(i))))
+    for source, document, label in malformed:
+        for command in DOC_COMMANDS:
+            yield f"{source} {label} {command}", [command, "--input", "-"], document
 
 
 def run(argv, stdin):

@@ -39,6 +39,7 @@ from conftest import (
     per_character_building_data,
     reference_component_mults,
     reference_cover_fields,
+    reference_plane_cover,
     scan_children_of_point,
     scan_components_at,
     searched_quotient_cover,
@@ -806,3 +807,110 @@ def test_curve_component_keeps_every_check_of_the_reference():
         if isinstance(got[0], type):
             errors.add(got[1])
     assert len(errors) == 4, sorted(errors)
+
+
+#: Rules that ``plane_cover`` checks, each broken by one kind of raw input.
+_PLANE_FAULTS = (
+    "mult above degree",
+    "mult equal to degree",
+    "proximity at two parents",
+    "genus",
+    "bezout on two pairs",
+    "near pencil",
+    "duplicate cid",
+)
+_PLANE_POINTS = (("p", None), ("q", None), ("s", None), ("p1", "p"), ("p2", "p"), ("q1", "q"))
+
+
+def _raw_plane_input(rng: random.Random, faults=()):
+    """Raw ``plane_cover`` arguments: curves of degree 1..4 with random
+    multiplicities at three plane points and three points near two of them,
+    in random declaration order, some declared reducible; then ``faults``.
+    Curves may break the genus or Bezout rule, and a branch key or cid may be
+    wrong, without a fault."""
+    r = rng.randint(1, 4)
+    marked = list(_PLANE_POINTS)
+    rng.shuffle(marked)
+    names = [f"c{n}" for n in rng.sample(range(20), 9)]
+    components = []
+    for cid in names[: rng.randint(1, 5)]:
+        degree = rng.randint(1, 4)
+        points = rng.sample("pqs", rng.randint(0, 3))
+        mults = {point: rng.randint(1, max(1, degree - 1)) for point in points}
+        for child, parent in (("p1", "p"), ("q1", "q")):
+            if parent in mults and rng.random() < 0.5:
+                mults[child] = 1
+        components.append((cid, degree, mults))
+    reducible = {cid for cid, _, _ in components if rng.random() < 0.2}
+    pencil = rng.choice((None, "p", "s"))
+    for fault in faults:
+        n = rng.randrange(len(components))
+        cid, degree, mults = components[n]
+        if fault == "mult above degree":
+            mults[rng.choice("pqs")] = degree + rng.randint(1, 2)
+        elif fault == "mult equal to degree":
+            degree = max(degree, 2)
+            mults[rng.choice("pqs")] = degree
+            reducible.discard(cid)
+        elif fault == "proximity at two parents":
+            degree = 5
+            mults.update(p=1, p1=1, p2=1, q=1, q1=2)
+        elif fault == "genus":
+            degree = 3
+            mults.update(p=2, q=2)
+            reducible.discard(cid)
+        elif fault == "bezout on two pairs":
+            a, b, c, d = names[5:]
+            components += [(a, 1, {"p": 1, "q": 1}), (b, 1, {"p": 1, "q": 1})]
+            components += [(c, 1, {"q": 1, "s": 1}), (d, 1, {"s": 1, "q": 1})]
+        elif fault == "near pencil":
+            pencil = rng.choice(("p1", "p2", "q1"))
+        elif fault == "duplicate cid":
+            components.append((cid, rng.randint(1, 3), {"s": 1} if rng.random() < 0.5 else {}))
+        components[n] = (cid, degree, mults)
+    cids = [cid for cid, _, _ in components] + ["ghost"] * (rng.random() < 0.05)
+    keys = [format(g, f"0{r}b") for g in range(1, 1 << r)] + ["0" * r] * (rng.random() < 0.05)
+    branch = {
+        key: [(rng.choice(cids), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        for key in rng.sample(keys, rng.randint(1, len(keys)))
+    }
+    return r, components, branch, marked, pencil, sorted(reducible)
+
+
+def _model_or_error(build, args):
+    try:
+        return build(*args)
+    except CoverError as exc:
+        return type(exc), str(exc)
+
+
+def test_plane_cover_keeps_every_check_of_the_reference():
+    rules = {
+        "cannot have multiplicity": 0,
+        "declare it reducible": 0,
+        "at the points infinitely near it": 0,
+        "above its arithmetic genus": 0,
+        "(Bezout)": 0,
+        "is infinitely near": 0,
+        "component ids must be unique": 0,
+        "valid": 0,
+    }
+    for seed in range(1500):
+        rng = random.Random(seed)
+        faults = () if seed % 4 == 0 else rng.sample(_PLANE_FAULTS, rng.choice((1, 1, 2, 3)))
+        args = _raw_plane_input(rng, faults)
+        got = _model_or_error(plane_cover, args)
+        assert got == _model_or_error(reference_plane_cover, args), (seed, faults)
+        message = "valid" if isinstance(got, CoverModel) else got[1]
+        for rule in rules:
+            rules[rule] += rule in message
+    assert all(rules.values()), rules
+
+
+@pytest.mark.parametrize("fault", _PLANE_FAULTS)
+def test_each_broken_plane_rule_raises_the_reference_error(fault):
+    for seed in range(60):
+        args = _raw_plane_input(random.Random(seed), (fault,))
+        want = _model_or_error(reference_plane_cover, args)
+        assert isinstance(want[0], type), (seed, fault)
+        assert _model_or_error(plane_cover, args) == want, (seed, fault)

@@ -8,6 +8,7 @@ drawn at random, so every run checks the same documents.
 
 import contextlib
 import io
+import random
 import re
 import sys
 
@@ -17,14 +18,18 @@ from hypothesis import strategies as st
 from planecover import config
 from planecover.cli import EXIT_CODES, main
 from planecover.errors import ConfigError
+from planecover.normalize import normalize
 
-from conftest import fixture_text
+from conftest import PERFBENCH_DIR, fixture_text, reference_parse
 
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
 CODED = re.compile(r"error\[([a-z-]+)\]: ")
 
 WRONG = ["0", "5", "-1", "²", "", "x", "y"]
+ALPHABET = "[]=*,#() \n01234rdegpointnearmultABpqx"
+#: Replacement text of a local corruption ("" drops a character).
+JUNK = ["", "=", "[", "]", "#", "*", ",", "\n", " ", "\x00", "é", "0"]
 
 
 def mostly(*valid):
@@ -66,7 +71,7 @@ def documents(draw):
     # now and then one local corruption: a character replaced or dropped
     if draw(st.integers(0, 9)) == 7:
         at = draw(st.integers(0, len(text)))
-        junk = draw(st.sampled_from(["", "=", "[", "]", "#", "*", ",", "\n", " ", "\x00", "é", "0"]))
+        junk = draw(st.sampled_from(JUNK))
         text = text[:at] + junk + text[at + 1 :]
     return text
 
@@ -80,7 +85,7 @@ def fixture_mutants(draw):
 
 
 @settings(FUZZ, max_examples=60)
-@given(st.text(alphabet="[]=*,#() \n01234rdegpointnearmultABpqx", max_size=120) | documents())
+@given(st.text(alphabet=ALPHABET, max_size=120) | documents())
 def test_parse_ends_in_a_document_or_config_error(text):
     try:
         doc = config.parse(text)
@@ -114,3 +119,77 @@ def test_document_commands_end_in_a_result_or_a_coded_error(text):
         match = CODED.match(err)
         assert match, (command, err)
         assert EXIT_CODES[match.group(1)] == code
+
+
+def parsed_or_problems(parse, text):
+    """The document, or the (line, column, message) problems in their order."""
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        return exc.problems
+
+
+#: Line breaks, whitespace and lookalikes that ``splitlines``, ``strip`` and
+#: ``isdigit`` treat specially, and whole words of the format, on top of the
+#: fuzz alphabet.
+SPECIAL = ["\t", "\r\n", "\x0b", "\x1c", "\u2003", "\xa0", "²", "#"]
+WORDS = ["[cover]\nr = 2\n", "[centers]\n", "[components]\n", "[branch]\n", "degree ", "mult(p)",
+         "reducible"]
+
+#: Whole lines, and parts of lines, for ``line_soup``.
+SECTIONS = ["[cover]", "[centers]", "[components]", "[branch]", "[other]", "[Cover]", " [branch] # x",
+            "[branch] x"]
+PLAIN = ["r = 2", "r = 1", "r=3", "r = 5", "r = ²", "pencil = p", "pencil = z", "x = 1", "p = point",
+         "q = near p", "z = near w", "1p = point", "s = line", "p", "= 1", "A = B = C"]
+NAMES = ["A", "B", "C", "A", "2A", "p"]
+CLAUSES = ["degree 2", "degree 1", "degree x", "degree", "degree ²", " degree  3 ", "mult(p) = 1",
+           "mult(p)=2", "mult(q) = 0", "mult(p) = -1", "mult(degree) = 1", "mult(z) = 1",
+           "mult() = 1", "reducible", "reducible2", ""]
+KEYS = ["0", "00", "1", "01", "10", "11", "012", "1x", "000", "100"]
+ENTRIES = ["A", "B", "A*2", "A *2", "B*", "B*0", "C", "A*²", " * ", "A*x", ""]
+
+
+@st.composite
+def line_soup(draw):
+    """Documents made of whole lines of every kind the parser tells apart,
+    right or wrong, in any order: sections, [cover] and [centers] lines,
+    component lines with repeated, malformed or clashing clauses, and
+    branch lines with zero, short, long or non-binary keys."""
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(SECTIONS)))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(PLAIN)))
+        elif kind == 2:
+            clauses = draw(st.lists(st.sampled_from(CLAUSES), max_size=4))
+            lines.append(f"{draw(st.sampled_from(NAMES))} = {', '.join(clauses)}")
+        else:
+            entries = draw(st.lists(st.sampled_from(ENTRIES), max_size=3))
+            lines.append(f"{draw(st.sampled_from(KEYS))} = {','.join(entries)}")
+    return "\n".join(lines)
+
+
+@settings(FUZZ, max_examples=400)
+@given(
+    documents()
+    | fixture_mutants()
+    | line_soup()
+    | st.lists(st.sampled_from([*ALPHABET, *SPECIAL, *WORDS]), max_size=80).map("".join)
+)
+def test_parse_equals_the_reference_parser(text):
+    assert parsed_or_problems(config.parse, text) == parsed_or_problems(reference_parse, text)
+
+
+def test_parse_equals_the_reference_parser_on_random_documents():
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    try:
+        from workloads import DOC_SIZES, random_document
+    finally:
+        sys.path.remove(str(PERFBENCH_DIR))
+    for seed in range(400):
+        text = random_document(random.Random(seed), DOC_SIZES[seed % len(DOC_SIZES)], seed % 6 == 5)
+        normalized = config.from_cover(normalize(config.parse(text).to_cover())).serialize()
+        for document in (text, normalized):
+            assert config.parse(document) == reference_parse(document), seed

@@ -11,7 +11,7 @@ from planecover import cover, group
 from planecover.errors import DimensionError, DomainError
 from planecover.group import Character, GroupElement
 
-from conftest import closure_span, greedy_complement_basis
+from conftest import closure_span, greedy_complement_basis, reference_element_parse
 
 
 def g(text):
@@ -274,3 +274,18 @@ def test_bad_bits_and_ranks_raise_the_same_domain_errors(make, message):
     with pytest.raises(DomainError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_parse_agrees_with_the_reference_on_every_short_string():
+    def parsed(parse, text):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            return str(exc)
+
+    texts = ["".join(t) for n in range(6) for t in itertools.product("01x", repeat=n)]
+    assert len(texts) == 364
+    for text in texts:
+        got = parsed(GroupElement.parse, text)
+        want = parsed(reference_element_parse, text)
+        assert got is want if isinstance(want, GroupElement) else got == want, text
