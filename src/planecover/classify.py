@@ -16,8 +16,13 @@ Cremona reduction does not search for simplifying moves.  The matcher
 branch that decides a family attaches that family's recipe to the label it
 returns (``CaseLabel.reduce``), built from the curves and points the match
 found; reducing is matching once and running the recipe, so its output is
-deterministic and directly testable.  Each quadratic move reflects the
-blow-up's coefficients in closed form and builds one plane model.
+deterministic and directly testable.  A quadratic move maps a record to a
+record (``cover.ModelRecord``: the model as plain dicts): it blows up
+the three points, reflects the coefficients in closed form and drops the
+marks left idle.  A recipe reads the matched model's record once, marks
+its auxiliary points and makes all its moves on records, and builds the
+reduced model once, whatever the number of moves; ``quadratic_move``
+builds one model per move.
 """
 
 from __future__ import annotations
@@ -27,18 +32,27 @@ from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from . import group, lattice
 from .cover import (
     CoverModel,
     CurveComponent,
-    add_marked_point,
-    add_marked_points,
+    ModelRecord,
+    build_model,
     check_parity,
-    fresh_names,
+    children_by_parent,
     is_totally_ramified,
+    mark_points,
+    to_record,
 )
-from .errors import GeometryError, MatchError, PreconditionError, ReductionError
+from .errors import (
+    DanglingReferenceError,
+    GeometryError,
+    MatchError,
+    PreconditionError,
+    ReductionError,
+)
 from .group import GroupElement
 from .normalize import blow_up, is_normalized, normalize
 
@@ -530,8 +544,8 @@ class MoveRecord:
         )
 
 
-def _purge_idle_marks(cover: CoverModel, curves_at: Mapping[str, int]) -> set[str]:
-    """The marked points of ``cover`` that go idle when ``curves_at[name]``
+def _purge_idle_marks(record: ModelRecord, curves_at: Mapping[str, int]) -> set[str]:
+    """The marked points of ``record`` that go idle when ``curves_at[name]``
     curves pass through each: the names to drop.
 
     A marked point is idle when it is not the pencil point, at most one
@@ -539,21 +553,23 @@ def _purge_idle_marks(cover: CoverModel, curves_at: Mapping[str, int]) -> set[st
     Dropping a point changes no other point's incidences, so the idle points
     are found from the childless ones up to their parents.
     """
+    marked = record.marked
+    children = children_by_parent(marked.values())
 
     def idle(name: str) -> bool:
         return (
-            name != cover.pencil
+            name != record.pencil
             and curves_at.get(name, 0) <= 1
-            and all(child in gone for child in cover._children.get(name, ()))
+            and all(child in gone for child in children.get(name, ()))
         )
 
     gone: set[str] = set()
-    ready = [m.name for m in cover.marked if idle(m.name)]
+    ready = [name for name in marked if idle(name)]
     while ready:
         name = ready.pop()
         gone.add(name)
-        parent = cover.marked_point(name).parent
-        if parent in cover._by_point and idle(parent):
+        parent = marked[name].parent
+        if parent in marked and idle(parent):
             ready.append(parent)
     return gone
 
@@ -563,30 +579,44 @@ def quadratic_move(
 ) -> tuple[CoverModel, MoveRecord]:
     """Apply the quadratic transformation based at three marked points.
 
+    The move runs on the model's record (``_move``), and the moved model,
+    normalized since each survivor keeps its carrier, is built once.
+    """
+    moved, record = _move(to_record(cover), p, q, r)
+    return build_model(moved), record
+
+
+def _move(
+    record: ModelRecord, p: str, q: str, r: str
+) -> tuple[ModelRecord, MoveRecord]:
+    """The quadratic move of ``quadratic_move``, from a record to a record.
+
     Blow up the three points (``normalize.blow_up``: every curve in its
-    carrier, no object built), reflect each curve's coefficients in closed
-    form (``lattice.reflect_support``) and read the three exceptional slots
-    as the multiplicities at the new base triangle.  Curves reflected to
+    carrier), reflect each curve's coefficients in closed form
+    (``lattice.reflect_support``) and read the three exceptional slots as
+    the multiplicities at the new base triangle.  Curves reflected to
     degree 0 are contracted (or stay exceptional) and leave the plane model;
     the next pull-back puts the new triangle's exceptionals back in their
     carriers, so no information is lost.  Marks left idle are dropped on the
-    reflected incidences, then the moved model, normalized since each
-    survivor keeps its carrier, is built once.
+    reflected incidences.
     """
-    if cover.surface.rank != 1:
+    if record.centers:
         raise PreconditionError("quadratic moves operate on plane configurations")
     based = (p, q, r)
     if len(set(based)) != 3:
         raise GeometryError("a quadratic move needs three distinct base points")
+    children = children_by_parent(sorted(record.marked.values(), key=attrgetter("name")))
     parent = {}
     for name in based:
-        mp = cover.marked_point(name)
+        mp = record.marked.get(name)
+        if mp is None:
+            raise DanglingReferenceError(f"no marked point named {name!r}")
         parent[name] = mp.parent
         if mp.parent is not None and mp.parent not in based:
             raise GeometryError(
                 f"base point {name!r} is infinitely near {mp.parent!r}, which is not based"
             )
-        strays = [c for c in cover.children_of_point(name) if c not in based]
+        strays = [c for c in children.get(name, ()) if c not in based]
         if strays:
             raise GeometryError(
                 f"base point {name!r} carries infinitely near points {strays} "
@@ -595,9 +625,9 @@ def quadratic_move(
     # parents first: order by depth, the number of based ancestors (at most two)
     depth = {n: (parent[n] is not None) + (parent.get(parent[n]) is not None) for n in based}
     order = sorted(based, key=lambda n: (depth[n], n))
-    up = blow_up(cover, *order)
+    up = blow_up(record, *order)
     slots = tuple(1 + order.index(name) for name in based)  # the centers, in blow-up order
-    survivors, dropped, emitted = {}, [], []
+    coeffs, mults, dropped, emitted = {}, {}, [], []
     for cid in sorted(up.coeffs):
         reflected = lattice.reflect_support(up.coeffs[cid], slots)
         if not reflected.get(0):
@@ -608,75 +638,91 @@ def quadratic_move(
             raise GeometryError(
                 f"move produced a negative multiplicity on {cid}; invalid base triple"
             )
-        survivors[cid] = (reflected[0], up.mults[cid] + [(n, m) for n, m in at_base if m])
+        coeffs[cid] = {0: reflected[0]}
+        mults[cid] = up.mults[cid] + [(n, m) for n, m in at_base if m]
         if up.kept[cid][1] in based:
             emitted.append(cid)
 
-    # the moved model keeps every mark of the cover, the based ones too, but the idle
-    gone = _purge_idle_marks(cover, Counter(n for _, at in survivors.values() for n, _ in at))
-    comps = tuple(
-        CurveComponent(
-            cid,
-            lattice.DivisorClass.from_support(lattice.PLANE, {0: degree}),
-            irreducible=up.kept[cid][0],
-            mults=tuple((n, m) for n, m in mults if n not in gone),
-        )
-        for cid, (degree, mults) in survivors.items()
+    # the moved model keeps every mark of the record, the based ones too, but the idle
+    gone = _purge_idle_marks(record, Counter(n for at in mults.values() for n, _ in at))
+    moved = ModelRecord(
+        record.r,
+        [],
+        {name: m for name, m in record.marked.items() if name not in gone},
+        record.pencil,
+        {cid: up.carrier[cid] for cid in coeffs},
+        coeffs,
+        {cid: (up.kept[cid][0], None) for cid in coeffs},
+        {cid: [(n, m) for n, m in at if n not in gone] for cid, at in mults.items()},
     )
-    branch = tuple((GroupElement._of(cover.r, up.carrier[cid]), ((cid, 1),)) for cid in survivors)
-    marked = tuple(m for m in cover.marked if m.name not in gone)
-    moved = CoverModel(cover.r, lattice.PLANE, comps, branch, marked, cover.pencil)
     return moved, MoveRecord(based, tuple(dropped), tuple(emitted))
 
 
 # -- reduction recipes ----------------------------------------------------------
+# A recipe reads the matched model's record once, marks its auxiliary points
+# and makes its moves on records, and builds the reduced model once.
+
+
+def _aux_names(record: ModelRecord, n: int) -> list[str]:
+    """The first ``n`` names ``aux<i>`` that no marked point or center uses."""
+    taken = record.marked.keys() | {c.name for c in record.centers}
+    names = (f"aux{i}" for i in itertools.count(1))
+    return list(itertools.islice((name for name in names if name not in taken), n))
+
+
+def _mult_at(record: ModelRecord, cid: str, point: str) -> int:
+    return next((m for name, m in record.mults[cid] if name == point), 0)
 
 
 def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
     """Mark a fresh point on the curves of ``mults``, then make the quadratic
     move at ``based``, where ``None`` stands for the fresh point."""
-    (aux,) = fresh_names(cover, "aux")
-    work = add_marked_point(cover, aux, mults=mults)
-    work, record = quadratic_move(work, *(aux if n is None else n for n in based))
-    return work, (record,)
+    work = to_record(cover)
+    (aux,) = _aux_names(work, 1)
+    work = mark_points(work, [(aux, None, mults)])
+    work, record = _move(work, *(aux if n is None else n for n in based))
+    return build_model(work), (record,)
 
 
 def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
     """Degree-drop then line-pair elimination on the odd horizontal curve."""
     moves = []
-    work = cover
+    work = to_record(cover)
+
+    def curves_of_w():
+        return sorted(cid for cid, g in work.carrier.items() if g == w.mask)
+
     while True:
-        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
         heavy = [
-            c for c in comps if c.cls.degree >= 2 and c.mult_at(p) == c.cls.degree - 1
+            cid
+            for cid in curves_of_w()
+            if (d := work.coeffs[cid].get(0, 0)) >= 2 and _mult_at(work, cid, p) == d - 1
         ]
         if not heavy:
             break
-        target = sorted(heavy, key=lambda c: c.cid)[0]
-        qn, rn = fresh_names(work, "aux", 2)
-        work = add_marked_points(work, [(qn, None, {target.cid: 1}), (rn, p, {target.cid: 1})])
-        work, record = quadratic_move(work, p, qn, rn)
+        target = heavy[0]
+        qn, rn = _aux_names(work, 2)
+        work = mark_points(work, [(qn, None, {target: 1}), (rn, p, {target: 1})])
+        work, record = _move(work, p, qn, rn)
         moves.append(record)
     while True:
-        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
-        through = sorted((c for c in comps if c.mult_at(p) == 1), key=lambda c: c.cid)
-        off = [c for c in comps if c.mult_at(p) == 0]
+        comps = curves_of_w()
+        through = [cid for cid in comps if _mult_at(work, cid, p) == 1]
+        off = [cid for cid in comps if _mult_at(work, cid, p) == 0]
         if not through:
             break
         if len(through) % 2:
             raise ReductionError(
                 f"expected an even number of residual pencil lines in D_{w}, found {len(through)}"
             )
-        if len(off) != 1 or off[0].cls.degree != 1:
+        if len(off) != 1 or work.coeffs[off[0]].get(0, 0) != 1:
             raise ReductionError("expected exactly one line off the pencil point")
         r_a, r_b = through[0], through[1]
-        qn, rn = fresh_names(work, "aux", 2)
-        work = add_marked_points(
-            work, [(qn, None, {off[0].cid: 1, r_b.cid: 1}), (rn, p, {r_a.cid: 1})]
-        )
-        work, record = quadratic_move(work, p, qn, rn)
+        qn, rn = _aux_names(work, 2)
+        work = mark_points(work, [(qn, None, {off[0]: 1, r_b: 1}), (rn, p, {r_a: 1})])
+        work, record = _move(work, p, qn, rn)
         moves.append(record)
-    return work, tuple(moves)
+    return build_model(work), tuple(moves)
 
 
 def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):

@@ -220,6 +220,10 @@ def parse(text: str) -> ConfigDocument:
                         ok = False
                     else:
                         spec.degree = int(rest)
+                        if spec.degree < 1:
+                            message = f"degree must be at least 1 for component {key!r}, got {rest}"
+                            err(lineno, col, message)
+                            ok = False
                 elif part == "reducible":
                     spec.irreducible = False
                 elif mm := _MULT.match(part):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import group, lattice
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     ParityError,
 )
 from .group import Character, GroupElement
-from .lattice import BlownPlane, Center, DivisorClass
+from .lattice import PLANE, BlownPlane, Center, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,7 @@ class CoverModel:
     @cached_property
     def _children(self) -> dict[str, list[str]]:
         """parent -> names of the marked points infinitely near it, in name order."""
-        children: dict[str, list[str]] = {}
-        for m in self.marked:
-            if m.parent is not None:
-                children.setdefault(m.parent, []).append(m.name)
-        return children
+        return children_by_parent(self.marked)
 
     @cached_property
     def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
@@ -419,34 +415,123 @@ def add_marked_points(
     Each name must be new, also against the names before it in ``points``,
     and each ``mults`` may name only existing components.  The exceptional
     curve of a parent passes through every direction marked on it.
+    ``mark_points`` marks them on the model's record; the branch data are
+    kept as they are.
     """
-    extra = {c.cid: dict(c.mults) for c in cover.components}
+    record = mark_points(to_record(cover), points)
+    mults = record.mults
+    components = tuple(
+        replace(c, mults=tuple(mults[c.cid])) if len(mults[c.cid]) > len(c.mults) else c
+        for c in cover.components
+    )
+    return replace(cover, components=components, marked=tuple(record.marked.values()))
+
+
+# -- records ----------------------------------------------------------------
+# A model as plain data, for work that chains steps (blow-ups, Cremona moves)
+# and builds the model once at its end, by the validating constructors.
+
+
+class ModelRecord(NamedTuple):
+    """A model as plain data, so that blow-ups and Cremona moves can follow
+    one another with no object built in between: the rank r, the centers
+    in slot order, the marked points by name, the pencil point, and per
+    curve its carrier mask, its nonzero coefficients by slot, (irreducible,
+    exceptional_of) and its incidences with the marked points.
+
+    ``carrier`` holds every curve some D_g holds, with the XOR of the g
+    whose D_g hold it an odd number of times (0 when that cancels); the
+    other maps hold every curve.  A record made by ``blow_up`` or a move is
+    normalized: every curve has a nonzero carrier.  Functions on records
+    return new records and never change the one they are given.
+    """
+
+    r: int
+    centers: list[Center]
+    marked: dict[str, Center]
+    pencil: str | None
+    carrier: dict[str, int]
+    coeffs: dict[str, dict[int, int]]
+    kept: dict[str, tuple[bool, str | None]]
+    mults: dict[str, list[tuple[str, int]]]
+
+
+def to_record(cover: CoverModel) -> ModelRecord:
+    """The record of a model; coefficient maps are shared, read only."""
+    carrier: dict[str, int] = {}
+    for g, entries in cover.branch:
+        for cid, k in entries:
+            carrier[cid] = carrier.get(cid, 0) ^ (g.mask if k % 2 else 0)
+    comps = cover.components
+    return ModelRecord(
+        cover.r,
+        list(cover.surface.centers),
+        dict(cover._by_point),
+        cover.pencil,
+        carrier,
+        {c.cid: c.cls.support for c in comps},
+        {c.cid: (c.irreducible, c.exceptional_of) for c in comps},
+        {c.cid: list(c.mults) for c in comps},
+    )
+
+
+def build_model(record: ModelRecord) -> CoverModel:
+    """The model of a normalized record, built once by the validating
+    constructors: every curve is a component in the D_g of its carrier."""
+    surface = BlownPlane(tuple(record.centers)) if record.centers else PLANE
+    comps = tuple(
+        CurveComponent(
+            cid,
+            DivisorClass.from_support(surface, coeff),
+            irreducible=record.kept[cid][0],
+            mults=tuple(record.mults[cid]),
+            exceptional_of=record.kept[cid][1],
+        )
+        for cid, coeff in record.coeffs.items()
+    )
+    branch = tuple(
+        (GroupElement._of(record.r, record.carrier[cid]), ((cid, 1),)) for cid in record.coeffs
+    )
+    return CoverModel(
+        record.r, surface, comps, branch, tuple(record.marked.values()), record.pencil
+    )
+
+
+def mark_points(
+    record: ModelRecord, points: Iterable[tuple[str, str | None, Mapping[str, int] | None]]
+) -> ModelRecord:
+    """``add_marked_points`` on a record: the new marked points
+    ``(name, parent, mults)``, with the same rules and errors."""
+    mults = dict(record.mults)
     exceptional: dict[str, list[str]] = {}
-    for c in cover.components:
-        if c.exceptional_of is not None:
-            exceptional.setdefault(c.exceptional_of, []).append(c.cid)
-    marked = list(cover.marked)
-    in_use = {m.name for m in marked} | set(cover.surface.names)
-    touched: set[str] = set()
-    for name, parent, mults in points:
+    for cid, (_, of) in record.kept.items():
+        if of is not None:
+            exceptional.setdefault(of, []).append(cid)
+    marked = dict(record.marked)
+    in_use = marked.keys() | {c.name for c in record.centers}
+    for name, parent, at in points:
         if name in in_use:
             raise DomainError(f"point name {name!r} is already in use")
-        mults = dict(mults or {})
-        unknown = sorted(cid for cid in mults if cid not in extra)
+        at = dict(at or {})
+        unknown = sorted(cid for cid in at if cid not in mults)
         if unknown:
             raise DanglingReferenceError(f"unknown components in mults: {unknown}")
         for cid in exceptional.get(parent, ()):
-            mults.setdefault(cid, 1)
-        for cid, m in mults.items():
-            extra[cid][name] = m
-        touched.update(mults)
+            at.setdefault(cid, 1)
+        for cid, m in at.items():
+            mults[cid] = [*mults[cid], (name, m)]
         in_use.add(name)
-        marked.append(Center(name, parent))
-    components = tuple(
-        replace(c, mults=tuple(extra[c.cid].items())) if c.cid in touched else c
-        for c in cover.components
-    )
-    return replace(cover, components=components, marked=tuple(marked))
+        marked[name] = Center(name, parent)
+    return record._replace(marked=marked, mults=mults)
+
+
+def children_by_parent(marked: Iterable[Center]) -> dict[str, list[str]]:
+    """parent -> names of the marked points infinitely near it, in the order given."""
+    children: dict[str, list[str]] = {}
+    for m in marked:
+        if m.parent is not None:
+            children.setdefault(m.parent, []).append(m.name)
+    return children
 
 
 def fresh_names(cover: CoverModel, stem: str, n: int = 1) -> list[str]:

@@ -24,6 +24,18 @@ K^2 = 9 - n on the plane blown up n times: D.K = B.K - 2K^2 and D^2 = B^2 -
 rationality, by Castelnuovo) when it cannot be effective: negative degree,
 or a negative multiple of an exceptional class.
 
+``invariant_report`` builds no K, no [D_g] and no intersection: one sweep
+over the nonzero coefficients of the components gives each D_g (so sum
+D_g^2), D and sum C_i^2, and with K = -3H + E_1 + ... + E_n and the form
+diag(+1, -1, ..., -1), B is formed slot by slot, reading its numbers as it
+goes:
+
+    B_0 = D_0 - 6,   B_i = D_i + 2 (i = 1..n),
+    B^2 = B_0^2 - sum_i B_i^2,   B.K = -3 B_0 - sum_i B_i.
+
+B is dense, so that last loop runs over the n slots; every other step runs
+over nonzero coefficients only.
+
 Each report is checked by Noether's formula 12 chi = K_S^2 + e(S), with
 e(S) counted from the branch curve D = sum C_i of the smooth model Y: over
 Y - D the cover has 2^r sheets, over the smooth points of D 2^(r-1), over
@@ -95,14 +107,8 @@ def _k_squared(r: int, bicanonical_square: int) -> int:
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
     surface = cover.surface
-    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
-    return _bicanonical(surface, lattice.canonical(surface), branch_classes)
-
-
-def _bicanonical(
-    surface: lattice.BlownPlane, canonical: DivisorClass, branch_classes: list[DivisorClass]
-) -> DivisorClass:
-    terms = [(2, canonical), *((1, cls) for cls in branch_classes)]
+    terms = [(2, lattice.canonical(surface))]
+    terms += [(1, cover.branch_class(g)) for g, _ in cover.branch]
     return lattice.linear_combination(surface, terms)
 
 
@@ -125,27 +131,44 @@ def _verdict(chi: int, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]
 
 
 def invariant_report(resolved: ResolveResult) -> InvariantReport:
-    """Every invariant of the model ``resolve`` returned, each computed once
-    from the branch classes [D_g] (closed forms in the module docstring)
-    and checked by Noether's formula; the verdict is conservative:
-    "rational" or "inconclusive", never "irrational"."""
+    """Every invariant of the model ``resolve`` returned, read in one sweep
+    over the coefficients of its branch curves (formulas in the module
+    docstring) and checked by Noether's formula; the verdict is
+    conservative: "rational" or "inconclusive", never "irrational"."""
     cover = resolved.cover
     check_parity(cover)
     r, surface = cover.r, cover.surface
-    canonical = lattice.canonical(surface)
-    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
-    bicanonical = _bicanonical(surface, canonical, branch_classes)
+    total: dict[int, int] = {}  # D = sum D_g
+    squares = 0  # sum D_g^2
+    for _, entries in cover.branch:
+        d_g: dict[int, int] = {}
+        for cid, k in entries:
+            for slot, value in cover._by_cid[cid].cls.support.items():
+                d_g[slot] = d_g.get(slot, 0) + k * value
+        squares += _square(d_g)
+        for slot, value in d_g.items():
+            total[slot] = total.get(slot, 0) + value
+    c2 = sum(_square(comp.cls.support) for comp in cover.components)
+    # B = 2K + D slot by slot, with B^2 and B.K read as it is formed
+    b0 = total.get(0, 0) - 6
+    support = {0: b0} if b0 else {}
+    b2, bk = b0 * b0, -3 * b0
+    for slot in range(1, surface.rank):
+        b = total.get(slot, 0) + 2
+        if b:
+            support[slot] = b
+            b2 -= b * b
+            bk -= b
+    bicanonical = DivisorClass.from_support(surface, support)
     k2 = 10 - surface.rank  # K^2 = 9 - n on the plane blown up n times
-    b2 = lattice.intersect(bicanonical, bicanonical)
-    dk = lattice.intersect(bicanonical, canonical) - 2 * k2
+    dk = bk - 2 * k2
     d2 = b2 - 4 * k2 - 4 * dk
-    squares = sum(lattice.intersect(cls, cls) for cls in branch_classes)
     num = 2**r * (d2 + squares + 4 * dk)
     if num % 32:
         raise InconsistencyError("building data give a non-integral Euler characteristic")
     chi = 2**r + num // 32
     k_squared = _k_squared(r, b2)
-    _check_noether(cover, chi, k_squared, d2, dk)
+    _check_noether(r, surface.rank, chi, k_squared, d2, dk, c2)
     verdict, notes = _verdict(chi, bicanonical)
     return InvariantReport(
         chi=chi,
@@ -157,15 +180,20 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
     )
 
 
-def _check_noether(cover: CoverModel, chi: int, k_squared: int, d2: int, dk: int) -> None:
+def _square(support: dict[int, int]) -> int:
+    """The self-intersection of a class given by its nonzero coefficients."""
+    return 2 * support.get(0, 0) ** 2 - sum(value * value for value in support.values())
+
+
+def _check_noether(
+    r: int, rank: int, chi: int, k_squared: int, d2: int, dk: int, c2: int
+) -> None:
     """InconsistencyError unless 4 * 12 chi = 4 (K^2 + e(S)) on the smooth
     model, that is, unless the components of each inertia have zero total
-    intersection (module docstring)."""
-    c2 = sum(lattice.intersect(comp.cls, comp.cls) for comp in cover.components)
+    intersection (module docstring); c2 is sum C_i^2."""
     nodes = (d2 - c2) // 2  # D = sum C_i on a normalized model, so d2 - c2 is even
-    e_y = 2 + cover.surface.rank
+    e_y = 2 + rank
     e_d = -c2 - dk - nodes
-    r = cover.r
     four_e = 2 ** (r + 2) * (e_y - e_d) + 2 ** (r + 1) * (e_d - nodes) + 2**r * nodes
     if 48 * chi != 4 * k_squared + four_e:
         raise InconsistencyError(

@@ -242,10 +242,12 @@ def reflect_support(support: dict[int, int], slots: tuple[int, int, int]) -> dic
     d - m_p - m_r, d - m_p - m_q), other slots fixed.  As coefficients a = -m:
     k = d + a_p + a_q + a_r, the class dotted with the root H - E_p - E_q -
     E_r, is added to the degree and taken from each base slot."""
-    k = support.get(0, 0) + sum(support.get(slot, 0) for slot in slots)
+    p, q, r = slots
+    get = support.get
+    k = get(0, 0) + get(p, 0) + get(q, 0) + get(r, 0)
     out = dict(support)
-    for slot, step in ((0, k), *((slot, -k) for slot in slots)):
-        out[slot] = out.get(slot, 0) + step
+    if k:
+        out[0], out[p], out[q], out[r] = get(0, 0) + k, get(p, 0) - k, get(q, 0) - k, get(r, 0) - k
     return {slot: value for slot, value in out.items() if value}
 
 

@@ -15,9 +15,12 @@ then that g, or 0 when the component lies nowhere.  So every order of moves
 ends in the same branch data, and ``normalize`` writes them down in one pass.
 
 A pull-back comes out normalized: ``blow_up`` puts each strict transform
-and each exceptional curve straight into that XOR, its carrier, as plain
-dicts, and keeps no curve whose carrier is 0.  ``pull_back`` builds one
-model from them, and so does a Cremona move; ``resolve`` hands the
+and each exceptional curve straight into that XOR, its carrier, and keeps
+no curve whose carrier is 0.  It takes a ``cover.ModelRecord``, a model as
+plain dicts, and returns one, so blow-ups and Cremona moves chain on
+records: ``cover.to_record`` reads a model, ``cover.mark_points`` adds
+marked points, and ``cover.build_model`` builds the model at the end, once.
+``pull_back`` is one ``blow_up`` between the two; ``resolve`` hands the
 crossings it finds to ``pull_back``, so each round builds one model.
 
 Singularity detection is combinatorial on declared incidence data: a point
@@ -30,9 +33,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
-from .cover import CoverModel, CurveComponent, fresh_names
+from .cover import (
+    CoverModel,
+    ModelRecord,
+    build_model,
+    children_by_parent,
+    fresh_names,
+    to_record,
+)
 from .errors import (
     DanglingReferenceError,
     DomainError,
@@ -41,7 +51,7 @@ from .errors import (
     PreconditionError,
 )
 from .group import GroupElement, element_key
-from .lattice import BlownPlane, Center, DivisorClass
+from .lattice import Center
 
 
 # -- normalization --------------------------------------------------------------
@@ -76,21 +86,6 @@ def is_normalized(cover: CoverModel) -> bool:
 # -- pullback ----------------------------------------------------------------
 
 
-class BlowUp(NamedTuple):
-    """A pull-back before any object is built: the new centers in slot order,
-    the marked points left, every curve some D_g holds -> its carrier mask
-    (0 for a curve not built), and for each curve built its nonzero
-    coefficients by slot, (irreducible, exceptional_of) and its incidences
-    with the marked points left."""
-
-    centers: list[Center]
-    marked: list[Center]
-    carrier: dict[str, int]
-    coeffs: dict[str, dict[int, int]]
-    kept: dict[str, tuple[bool, str | None]]
-    mults: dict[str, list[tuple[str, int]]]
-
-
 def pull_back(
     cover: CoverModel,
     *points: str,
@@ -111,31 +106,18 @@ def pull_back(
     ``points``, in the order given, as if ``add_marked_points`` had marked
     them first, and they raise its errors.
 
-    ``blow_up`` decides every curve, class and incidence; then the surface,
-    the components and the model are built once.
+    ``blow_up`` decides every curve, class and incidence on the model's
+    record; then the surface, the components and the model are built once.
     """
-    up = blow_up(cover, *points, crossings=crossings)
-    surface = BlownPlane(tuple(up.centers))
-    comps = tuple(
-        CurveComponent(
-            cid,
-            DivisorClass.from_support(surface, coeff),
-            irreducible=up.kept[cid][0],
-            mults=tuple(up.mults[cid]),
-            exceptional_of=up.kept[cid][1],
-        )
-        for cid, coeff in up.coeffs.items()
-    )
-    branch = tuple((GroupElement._of(cover.r, up.carrier[cid]), ((cid, 1),)) for cid in up.coeffs)
-    return CoverModel(cover.r, surface, comps, branch, tuple(up.marked), cover.pencil)
+    return build_model(blow_up(to_record(cover), *points, crossings=crossings))
 
 
 def blow_up(
-    cover: CoverModel,
+    record: ModelRecord,
     *points: str,
     crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
-) -> BlowUp:
-    """The blow-ups of ``pull_back``, same arguments and errors, as dicts.
+) -> ModelRecord:
+    """The blow-ups of ``pull_back``, same arguments and errors, on a record.
 
     Each curve goes straight into its carrier, the one D_g that normalization
     leaves it in (see ``normalize``): a component's carrier is the XOR of the
@@ -143,20 +125,23 @@ def blow_up(
     exceptional curve E_p is the XOR of the carriers of the curves with odd
     multiplicity at p, since the total transform of D_g holds E_p as often
     as the multiplicities at p of its curves add up.  Only the curves with a
-    nonzero carrier are built, and an incidence with E_p is kept only when
-    E_p is built, so the result is what ``normalize`` makes of the total
-    transforms.  Classes become strict transforms: each new center is
+    nonzero carrier are kept, and an incidence with E_p is kept only when
+    E_p is, so the result is the record of what ``normalize`` makes of the
+    total transforms.  Classes become strict transforms: each new center is
     appended as the last coordinate, so a strict transform keeps the old
     coefficients and gains minus the multiplicity at the point in the new
     slot.  The cost follows the number of incidences and nonzero
     coefficients, not the Picard rank.
     """
     crossings = [(name, dict(mults)) for name, mults in crossings]
-    in_use = cover._by_point.keys() | cover.surface.names
+    marked = dict(record.marked)
+    centers = list(record.centers)
+    center_names = {c.name for c in centers}
+    in_use = marked.keys() | center_names
     for name, mults in crossings:
         if name in in_use:
             raise DomainError(f"point name {name!r} is already in use")
-        unknown = sorted(cid for cid in mults if cid not in cover._by_cid)
+        unknown = sorted(cid for cid in mults if cid not in record.coeffs)
         if unknown:
             raise DanglingReferenceError(f"unknown components in mults: {unknown}")
         in_use.add(name)
@@ -166,25 +151,22 @@ def blow_up(
     if not points and not crossings:
         raise DomainError("pull_back needs at least one point")
 
-    marked = dict(cover._by_point)
-    centers = list(cover.surface.centers)
-    center_names = set(cover.surface.names)
     # every curve some D_g holds, with the bit mask of its carrier (0 when the
-    # XOR cancels); a curve with carrier 0 is not built, but its exceptional
+    # XOR cancels); a curve with carrier 0 is not kept, but its exceptional
     # curves are named and passed on as the total transforms would be, so the
-    # names of the curves that are built do not depend on it
-    carrier: dict[str, int] = {}
-    for g, entries in cover.branch:
-        for cid, k in entries:
-            carrier[cid] = carrier.get(cid, 0) ^ (g.mask if k % 2 else 0)
-    # work per incidence, not per (curve, point): each curve built keeps its
+    # names of the curves that are kept do not depend on it
+    carrier = dict(record.carrier)
+    # work per incidence, not per (curve, point): each curve kept gets its
     # nonzero coefficients, gaining (slot, -m) per point it passes through;
     # each point maps to the curves through it
-    built = [cover._by_cid[cid] for cid, g in carrier.items() if g]
-    coeffs = {c.cid: dict(c.cls.support) for c in built}
-    kept = {c.cid: (c.irreducible, c.exceptional_of) for c in built}
-    taken = set(cover._by_cid)
-    through = {name: [(c.cid, m) for c, m in at] for name, at in cover._through.items()}
+    coeffs = {cid: dict(record.coeffs[cid]) for cid, g in carrier.items() if g}
+    kept = {cid: record.kept[cid] for cid in coeffs}
+    taken = set(record.coeffs)
+    through: dict[str, list[tuple[str, int]]] = {}
+    for cid, at in record.mults.items():
+        for name, m in at:
+            through.setdefault(name, []).append((cid, m))
+    children = children_by_parent(marked.values())
     for name, mults in crossings:
         through[name] = list(mults.items())
     for point in (*points, *(name for name, _ in crossings)):
@@ -222,7 +204,7 @@ def blow_up(
             eid = f"E_{point}{serial}"
         taken.add(eid)
         carrier[eid] = section
-        for child in cover._children.get(point, ()):
+        for child in children.get(point, ()):
             through.setdefault(child, []).append((eid, 1))
         if section:
             coeffs[eid] = {slot: 1}
@@ -233,7 +215,8 @@ def blow_up(
         for cid, m in at:
             if cid in mults:
                 mults[cid].append((name, m))
-    return BlowUp(centers, list(marked.values()), carrier, coeffs, kept, mults)
+    carrier = {cid: carrier[cid] for cid in coeffs}
+    return ModelRecord(record.r, centers, marked, record.pencil, carrier, coeffs, kept, mults)
 
 
 # -- smoothness --------------------------------------------------------------

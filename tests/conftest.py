@@ -9,9 +9,16 @@ from typing import Iterable, Mapping, Sequence
 
 import pytest
 
-from planecover import classify, config, group, lattice
+from planecover import classify, config, group, invariants, lattice
 from planecover.config import ComponentSpec, ConfigDocument
-from planecover.cover import CoverModel, CurveComponent, add_marked_points, fresh_names
+from planecover.cover import (
+    CoverModel,
+    CurveComponent,
+    add_marked_point,
+    add_marked_points,
+    check_parity,
+    fresh_names,
+)
 from planecover.errors import (
     ConfigError,
     DanglingReferenceError,
@@ -23,6 +30,7 @@ from planecover.errors import (
     NonTerminationError,
     ParityError,
     PreconditionError,
+    ReductionError,
 )
 from planecover.group import GroupElement
 from planecover.invariants import invariant_report
@@ -487,6 +495,77 @@ def reference_quadratic_move(cover, p, q, r):
     return purge_idle_marks_one_at_a_time(moved), record
 
 
+# -- references for the Cremona recipes ---------------------------------------
+# Copies of the recipes as they were when each step built its model: mark the
+# auxiliary points on the model, then call ``classify.quadratic_move`` once per
+# move.  It is looked up at call time, so a test can watch every move or make
+# it with ``reference_quadratic_move``.
+
+
+def reference_aux_move(cover, mults, *based):
+    """Reference for ``classify._aux_move``."""
+    (aux,) = fresh_names(cover, "aux")
+    work = add_marked_point(cover, aux, mults=mults)
+    work, record = classify.quadratic_move(work, *(aux if n is None else n for n in based))
+    return work, (record,)
+
+
+def reference_reduce_odd_curve(cover, p, w):
+    """Reference for ``classify._reduce_odd_curve``."""
+    moves = []
+    work = cover
+    while True:
+        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
+        heavy = [
+            c for c in comps if c.cls.degree >= 2 and c.mult_at(p) == c.cls.degree - 1
+        ]
+        if not heavy:
+            break
+        target = sorted(heavy, key=lambda c: c.cid)[0]
+        qn, rn = fresh_names(work, "aux", 2)
+        work = add_marked_points(work, [(qn, None, {target.cid: 1}), (rn, p, {target.cid: 1})])
+        work, record = classify.quadratic_move(work, p, qn, rn)
+        moves.append(record)
+    while True:
+        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
+        through = sorted((c for c in comps if c.mult_at(p) == 1), key=lambda c: c.cid)
+        off = [c for c in comps if c.mult_at(p) == 0]
+        if not through:
+            break
+        if len(through) % 2:
+            raise ReductionError(
+                f"expected an even number of residual pencil lines in D_{w}, found {len(through)}"
+            )
+        if len(off) != 1 or off[0].cls.degree != 1:
+            raise ReductionError("expected exactly one line off the pencil point")
+        r_a, r_b = through[0], through[1]
+        qn, rn = fresh_names(work, "aux", 2)
+        work = add_marked_points(
+            work, [(qn, None, {off[0].cid: 1, r_b.cid: 1}), (rn, p, {r_a.cid: 1})]
+        )
+        work, record = classify.quadratic_move(work, p, qn, rn)
+        moves.append(record)
+    return work, tuple(moves)
+
+
+def reference_cremona_reduce(cover, pencil_point=None):
+    """Reference for ``classify.cremona_reduce``: the same match, then the
+    reference copy of the recipe the match attached to its label."""
+    p = pencil_point if pencil_point is not None else cover.pencil
+    work = normalize(cover)
+    if p is not None:
+        label = classify.match_conic_bundle(work, p)
+    else:
+        label = classify.match_del_pezzo(work)
+    if label.reduce is None:
+        return work, ()
+    recipes = {
+        classify._aux_move: reference_aux_move,
+        classify._reduce_odd_curve: reference_reduce_odd_curve,
+    }
+    return recipes[label.reduce.func](*label.reduce.args)
+
+
 def total_transform_pull_back(cover, *points):
     """Reference for ``normalize.pull_back``: the total transforms, not
     normalized, so ``normalize`` of it is what ``pull_back`` returns.
@@ -627,6 +706,56 @@ def smooth_chi(model):
     return invariant_report(result).chi
 
 
+# -- reference for the invariant report --------------------------------------
+# A copy of ``invariant_report`` as it was before it became one sweep: the
+# canonical class, one class per D_g and the bicanonical class built with the
+# lattice routines, and every number read by ``lattice.intersect``.
+
+
+def reference_invariant_report(resolved):
+    """Reference for ``invariants.invariant_report``: the same checks in the
+    same order (parity, integral chi, integral K^2, Noether)."""
+    cover = resolved.cover
+    check_parity(cover)
+    r, surface = cover.r, cover.surface
+    canonical = lattice.canonical(surface)
+    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
+    terms = [(2, canonical), *((1, cls) for cls in branch_classes)]
+    bicanonical = lattice.linear_combination(surface, terms)
+    k2 = 10 - surface.rank
+    b2 = lattice.intersect(bicanonical, bicanonical)
+    dk = lattice.intersect(bicanonical, canonical) - 2 * k2
+    d2 = b2 - 4 * k2 - 4 * dk
+    squares = sum(lattice.intersect(cls, cls) for cls in branch_classes)
+    num = 2**r * (d2 + squares + 4 * dk)
+    if num % 32:
+        raise InconsistencyError("building data give a non-integral Euler characteristic")
+    chi = 2**r + num // 32
+    value = 2**r * b2
+    if value % 4:
+        raise InconsistencyError("branch data give a non-integral K^2; check the branch classes")
+    k_squared = value // 4
+    c2 = sum(lattice.intersect(comp.cls, comp.cls) for comp in cover.components)
+    nodes = (d2 - c2) // 2
+    e_y = 2 + surface.rank
+    e_d = -c2 - dk - nodes
+    four_e = 2 ** (r + 2) * (e_y - e_d) + 2 ** (r + 1) * (e_d - nodes) + 2**r * nodes
+    if 48 * chi != 4 * k_squared + four_e:
+        raise InconsistencyError(
+            f"Noether's formula fails: 4 * 12 chi = {48 * chi} "
+            f"but 4 (K^2 + e(S)) = {4 * k_squared + four_e}"
+        )
+    verdict, notes = invariants._verdict(chi, bicanonical)
+    return invariants.InvariantReport(
+        chi=chi,
+        k_squared=k_squared,
+        bicanonical_pullback=bicanonical,
+        rationality_verdict=verdict,
+        surface_centers=surface.names,
+        notes=notes,
+    )
+
+
 # -- references for reading a document ----------------------------------
 # Copies of the parser, the plane builder and the element parser as they
 # were before each became a single sweep; the tests require the same result,
@@ -649,8 +778,9 @@ def reference_strip_comment(line: str) -> str:
 
 
 def reference_parse(text: str) -> ConfigDocument:
-    """Reference for ``config.parse``: a verbatim copy of the line-by-line
-    parser it replaced (a regex match per clause, a set per branch key)."""
+    """Reference for ``config.parse``: a copy of the line-by-line parser it
+    replaced (a regex match per clause, a set per branch key), with one rule
+    added since: a degree below 1 is a problem at its line."""
     problems: list[tuple[int, int, str]] = []
     doc = ConfigDocument(r=0)
     section = None
@@ -751,6 +881,11 @@ def reference_parse(text: str) -> ConfigDocument:
                         ok = False
                     else:
                         spec.degree = int(rest)
+                        # added since the copy: a plane curve has degree at least 1
+                        if spec.degree < 1:
+                            message = f"degree must be at least 1 for component {key!r}, got {rest}"
+                            err(lineno, col, message)
+                            ok = False
                 elif part == "reducible":
                     spec.irreducible = False
                 elif mm:

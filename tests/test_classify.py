@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from planecover import census as census_mod
-from planecover import group, lattice
+from planecover import config, group, lattice
 from planecover import classify as classify_mod
 from planecover.classify import (
     GPrimeStructure,
@@ -29,15 +29,18 @@ from planecover.cover import (
 from planecover.errors import CoverError, GeometryError, MatchError, PreconditionError
 from planecover.group import GroupElement
 from planecover.invariants import canonical_square, invariant_report
-from planecover.normalize import normalize, pull_back, resolve
+from planecover.normalize import normalize, pull_back, resolve, to_record
 
 from conftest import (
     FIXTURE_DIR,
     PROPOSITION_FIXTURES,
+    fixture_text,
     load_cover,
     pulled_back_g_prime,
     purge_idle_marks_one_at_a_time,
+    reference_cremona_reduce,
     reference_quadratic_move,
+    reference_reduce_odd_curve,
     scan_common_point,
     scan_tacnode,
     scan_tangency,
@@ -534,7 +537,7 @@ def test_purge_idle_marks_matches_one_at_a_time_reference():
                 names.append(f"t{n}")
             model = add_marked_points(base, points)
             curves_at = {name: len(at) for name, at in model._through.items()}
-            gone = classify_mod._purge_idle_marks(model, curves_at)
+            gone = classify_mod._purge_idle_marks(to_record(model), curves_at)
             comps = tuple(
                 replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
                 for c in model.components
@@ -741,8 +744,10 @@ def test_quadratic_move_on_a_chain_does_not_depend_on_its_names():
 
 
 def test_one_model_build_per_quadratic_move(monkeypatch):
-    # the move blows up and reflects as dicts and builds the moved model
-    # once; it no longer goes through pull_back
+    # the move blows up and reflects on the model's record and builds the
+    # moved model once; it does not go through pull_back.  The engine's
+    # recipes chain their moves on records, so the moves watched here are
+    # those of the step-by-step reference recipes
     builds = []
     post_init = CoverModel.__post_init__
 
@@ -759,10 +764,151 @@ def test_one_model_build_per_quadratic_move(monkeypatch):
             monkeypatch.setattr(CoverModel, "__post_init__", post_init)
 
     monkeypatch.setattr(classify_mod, "quadratic_move", move)
-    census_mod.census(2, 7)
-    census_mod.census(3, 7)
+    for r in (2, 3):
+        for _, model in census_mod._candidates(r, 7):
+            reference_cremona_reduce(model)
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
-        cremona_reduce(load_cover(path.stem))
+        reference_cremona_reduce(load_cover(path.stem))
     monkeypatch.undo()
     assert len(builds) >= 40 and builds == [1] * len(builds)
     assert not hasattr(classify_mod, "pull_back")
+
+
+# -- recipes chained on records -------------------------------------------------
+# A recipe makes its moves on records and builds one model; the reference
+# recipes in conftest build a model at every step.  Both must give the same
+# reduced model and move records, or the same error.
+
+
+def _perturbed_document(name: str, rng: random.Random):
+    """A fixture document changed at random: general points on random
+    curves (some named like the recipes' auxiliary points), a curve's degree
+    and multiplicities shifted together, a curve declared reducible, pencil
+    lines added to a D_g, curves moved between the D_g, and every name
+    permuted."""
+    doc = config.parse(fixture_text(name))
+    for i in range(rng.choice((0, 0, 1, 2))):
+        point = rng.choice((f"aux{i + 1}", f"g{i}"))
+        doc.centers.append((point, None))
+        for comp in rng.sample(doc.components, rng.randint(0, 2)):
+            comp.mults[point] = 1
+    if rng.random() < 0.5:
+        comp = rng.choice(doc.components)
+        step = rng.choice((-2, -1, 1, 2, 2, 4))
+        if comp.degree + step >= 1:
+            comp.degree += step
+            for point, m in comp.mults.items():
+                if rng.random() < 0.8:
+                    comp.mults[point] = max(1, m + step)
+    if rng.random() < 0.3:
+        rng.choice(doc.components).irreducible = False
+    if doc.pencil is not None and rng.random() < 0.4:
+        key = rng.choice(sorted(doc.branch))
+        for j in range(rng.choice((1, 2, 2))):
+            mults = {doc.pencil: 1} if rng.random() < 0.8 else {}
+            doc.components.append(config.ComponentSpec(f"extra{j}", 1, mults))
+            doc.branch[key].append((f"extra{j}", 1))
+    if rng.random() < 0.2:
+        keys = sorted(doc.branch)
+        entry = doc.branch[rng.choice(keys)].pop()
+        doc.branch.setdefault(rng.choice(keys), []).append(entry)
+        doc.branch = {key: entries for key, entries in doc.branch.items() if entries}
+    if rng.random() < 0.5:
+        old = [c.name for c in doc.components] + [n for n, _ in doc.centers]
+        pool = [f"n{i}" for i in range(len(old))] + ["aux1", "aux2", "aux3", "E_p", "a", "zz"]
+        new = dict(zip(old, rng.sample(pool, len(old))))
+        for comp in doc.components:
+            comp.name = new[comp.name]
+            comp.mults = {new[point]: m for point, m in comp.mults.items()}
+        doc.centers = [(new[n], None if p is None else new[p]) for n, p in doc.centers]
+        doc.branch = {
+            key: [(new[cid], k) for cid, k in entries] for key, entries in doc.branch.items()
+        }
+        doc.pencil = None if doc.pencil is None else new[doc.pencil]
+    return doc
+
+
+def _recipe_inputs():
+    """The fixtures, the census candidates (r = 2..4, d <= 7), the odd curves
+    of degree d <= 21 with a (d-1)-fold point (r = 2, 3), and 600 seeded
+    perturbations of three fixtures with recipes."""
+    models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    for r in (2, 3, 4):
+        models += [model for _, model in census_mod._candidates(r, 7)]
+    models += [census_mod._odd_curve_model(r, d, d - 1) for r in (2, 3) for d in range(3, 22, 2)]
+    rng = random.Random(1848)
+    for name in ("prop44_unreduced", "prop51", "prop410"):
+        for _ in range(200):
+            try:
+                models.append(_perturbed_document(name, rng).to_cover())
+            except CoverError:
+                pass
+    return models
+
+
+def test_cremona_reduce_equals_the_step_by_step_reference(monkeypatch):
+    # the reference recipes make each move with the reference move, built on
+    # pull_back, so no step of the reference runs the engine's record path
+    moves = Counter()
+    errors = set()
+    inputs = _recipe_inputs()
+    for model in inputs:
+        got = _outcome(cremona_reduce, model)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_mod, "quadratic_move", reference_quadratic_move)
+            expected = _outcome(reference_cremona_reduce, model)
+        assert got == expected, model
+        if isinstance(got[0], CoverModel):
+            moves[len(got[1])] += 1
+        else:
+            errors.add(got[0].__name__)
+    assert len(inputs) >= 500 and max(moves) == 30 and sum(moves.values()) >= 350, moves
+    assert sum(n for count, n in moves.items() if count) >= 200, moves
+    assert {"MatchError", "ParityError"} <= errors, errors
+    # no matched model reaches the recipe's ReductionError: it is reached by
+    # calling the recipe on a model that no family matches
+    model = plane_cover(
+        2,
+        [("A", 1, {"p": 1}), ("B", 1, {"p": 1}), ("R0", 1, {}), ("R1", 1, {"p": 1})],
+        {"10": [("A", 1)], "01": [("B", 1)], "11": [("R0", 1), ("R1", 1)]},
+        marked=[("p", None)],
+        pencil="p",
+    )
+    w = GroupElement.parse("11")
+    got = _outcome(classify_mod._reduce_odd_curve, model, "p", w)
+    assert got[0].__name__ == "ReductionError"
+    assert got == _outcome(reference_reduce_odd_curve, model, "p", w)
+
+
+def test_each_recipe_builds_one_model(monkeypatch):
+    # a recipe builds the reduced model once, whatever the number of its
+    # moves: the nine census tables make 12 reductions (3, 6 and 9 moves at
+    # d = 3, 5, 7), and three fixtures make one auxiliary move each
+    builds = []
+    post_init = CoverModel.__post_init__
+
+    def counting(model):
+        builds[-1][1] += 1
+        post_init(model)
+
+    def watched(recipe):
+        def run(*args):
+            builds.append([recipe.__name__, 0])
+            monkeypatch.setattr(CoverModel, "__post_init__", counting)
+            try:
+                return recipe(*args)
+            finally:
+                monkeypatch.setattr(CoverModel, "__post_init__", post_init)
+
+        return run
+
+    for name in ("_reduce_odd_curve", "_aux_move"):
+        monkeypatch.setattr(classify_mod, name, watched(getattr(classify_mod, name)))
+    for r in (2, 3, 4):
+        for d in (3, 5, 7):
+            census_mod.census(r, d)
+    assert builds == [["_reduce_odd_curve", 1]] * 12
+    builds.clear()
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        cremona_reduce(load_cover(path.stem))
+    assert sorted(builds) == [["_aux_move", 1]] * 3 + [["_reduce_odd_curve", 1]]

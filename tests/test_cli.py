@@ -416,6 +416,27 @@ def test_impossible_incidences_are_geometry_errors(
         assert (code, out, err) == (4, "", f"error[geometry]: {message}\n")
 
 
+@pytest.mark.parametrize("clauses", ["degree 0", "degree 0, mult(p) = 1", "degree 00, reducible"])
+def test_degree_zero_is_a_positioned_config_error(capsys, tmp_path, clauses):
+    # a plane curve has degree at least 1; the parser says where it is not
+    doc = tmp_path / "degree0.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\n\n[centers]\np = point\n\n[components]\n"
+        f"A = {clauses}\nB = degree 1\nC = degree 1\n\n[branch]\n10 = A\n01 = B\n11 = C\n",
+        encoding="utf-8",
+    )
+    value = clauses.split(",")[0].split()[1]
+    for command in DOCUMENT_COMMANDS:
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, out) == (2, ""), command
+        # like a bad degree, the component is not declared, so its branch
+        # entry is a second problem
+        assert err == (
+            f"error[config]: 8:1: degree must be at least 1 for component 'A', got {value}; "
+            "13:1: branch references undeclared component 'A'\n"
+        ), command
+
+
 def test_reducible_cubic_may_have_two_double_points(capsys, tmp_path):
     # a conic and a line meet twice: the genus rule binds irreducible curves only
     doc = tmp_path / "reducible.cfg"

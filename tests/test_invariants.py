@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,8 +15,10 @@ from planecover.errors import (
     DomainError,
     InconsistencyError,
     NonTerminationError,
+    ParityError,
 )
 from planecover.invariants import (
+    InvariantReport,
     bicanonical_pullback,
     canonical_square,
     invariant_report,
@@ -23,7 +26,14 @@ from planecover.invariants import (
 )
 from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import FIXTURE_DIR, PROPOSITION_FIXTURES, load_cover, per_character_chi, smooth_chi
+from conftest import (
+    FIXTURE_DIR,
+    PROPOSITION_FIXTURES,
+    load_cover,
+    per_character_chi,
+    reference_invariant_report,
+    smooth_chi,
+)
 
 
 def test_chi_two_lines_and_cubic():
@@ -349,6 +359,7 @@ def test_noether_on_line_arrangements(k):
     assert_noether(resolve(line_arrangement(k)))
 
 
+@functools.lru_cache(maxsize=None)
 def reference_chi_models():
     """440 resolved models: the fixtures, the census patterns r = 2..4, d <= 7,
     line arrangements k = 4..16, Ceva arrangements k = 4..10, 300 seeded
@@ -363,7 +374,7 @@ def reference_chi_models():
     models += [random_valid_cover(rng) for _ in range(300)]
     models += [plane_cover(1, [("B", d, {})], {"1": [("B", 1)]}) for d in (2, 4, 6, 8)]
     # a round per crossing of a same-inertia pair: 6 rounds do not finish them all
-    return [resolve(model, max_rounds=20) for model in models]
+    return tuple(resolve(model, max_rounds=20) for model in models)
 
 
 def test_closed_form_chi_matches_per_character_reference():
@@ -382,6 +393,81 @@ def test_closed_form_chi_matches_per_character_reference():
         values.add(expected)
     # every model here is valid, and the values are not all one
     assert all(isinstance(chi, int) for chi in values) and len(values) > 10
+
+
+def report_outcome(report, resolved):
+    """The report, or the class and message of the error it raised."""
+    try:
+        return report(resolved)
+    except CoverError as exc:
+        return type(exc), str(exc)
+
+
+def test_invariant_report_equals_the_reference():
+    # the one-sweep report against the copy built from lattice classes, on
+    # the fixtures, the census patterns, the line and Ceva arrangements, 300
+    # seeded valid covers (max_rounds=20) and four double planes
+    results = reference_chi_models()
+    for result in results:
+        got = report_outcome(invariant_report, result)
+        assert got == report_outcome(reference_invariant_report, result), result.cover
+        assert isinstance(got, InvariantReport)
+    ranks = {result.cover.surface.rank for result in results}
+    assert max(ranks) == 377 and len({r.cover.r for r in results}) == 4
+
+
+def with_shifted_class(result, cid, shift):
+    """``result`` with the class of component ``cid`` moved by ``shift``, a
+    {slot: value} map; None when the moved class is not a component's."""
+    cover = result.cover
+    comp = cover.component(cid)
+    support = dict(comp.cls.support)
+    for slot, value in shift.items():
+        support[slot] = support.get(slot, 0) + value
+    try:
+        moved = replace(comp, cls=lattice.DivisorClass.from_support(cover.surface, support))
+        components = tuple(moved if c is comp else c for c in cover.components)
+        return replace(result, cover=replace(cover, components=components))
+    except CoverError:
+        return None
+
+
+def test_doctored_models_raise_the_errors_of_the_reference():
+    # hand-built results that break the hypotheses of the report: a class
+    # moved by an odd amount breaks parity; moved by an even amount at a slot
+    # of a curve of the same inertia, it keeps parity but breaks Noether's
+    # formula.  chi and K^2 are integral whenever parity holds (Riemann-Roch
+    # on each L_chi), so their two checks are reached only by a model that
+    # parity rejects first
+    rng = random.Random(31)
+    outcomes = Counter()
+    # the fixtures, the census patterns and the small arrangements, resolved
+    results = reference_chi_models()[:116]
+    results += tuple(resolve(line_arrangement(k)) for k in (4, 5))
+    results += tuple(resolve(ceva_arrangement(k)) for k in (4, 5))
+    for result in results:
+        cover = result.cover
+        slots = range(cover.surface.rank)
+        shifts = []
+        for _ in range(2):
+            cid = rng.choice(cover.components).cid
+            shifts.append((cid, {rng.choice(slots): rng.choice((-3, -1, 1, 3))}))
+        pairs = [
+            (a, b)
+            for a, b in itertools.permutations(cover.components, 2)
+            if cover.inertia_of(a.cid) is cover.inertia_of(b.cid)
+        ]
+        for a, b in rng.sample(pairs, min(3, len(pairs))):
+            shifts.append((a.cid, {rng.choice(list(b.cls.support)): rng.choice((-2, 2))}))
+        for cid, shift in shifts:
+            hand_built = with_shifted_class(result, cid, shift)
+            if hand_built is None:
+                continue
+            got = report_outcome(invariant_report, hand_built)
+            assert got == report_outcome(reference_invariant_report, hand_built), (cid, shift)
+            outcomes[got[1].split(":")[0] if isinstance(got, tuple) else "report"] += 1
+    assert outcomes["Noether's formula fails"] >= 60, outcomes
+    assert sum(n for text, n in outcomes.items() if text.startswith("branch data sum")) >= 150
 
 
 def test_noether_check_trips_on_a_doctored_class():
@@ -403,6 +489,13 @@ def test_noether_check_trips_on_a_doctored_class():
     assert lattice.intersect(moved, cover.component("E_x").cls) == -2
     with pytest.raises(InconsistencyError, match="Noether's formula fails"):
         invariant_report(doctored)
+    expected = report_outcome(reference_invariant_report, doctored)
+    assert report_outcome(invariant_report, doctored) == expected
+    # moved by E_x alone, the conic breaks parity, which is checked first
+    odd = with_shifted_class(result, "conic", {cover.surface.index_of("x"): 1})
+    with pytest.raises(ParityError):
+        invariant_report(odd)
+    assert report_outcome(invariant_report, odd) == report_outcome(reference_invariant_report, odd)
 
 
 # -- relabel invariance ---------------------------------------------------------

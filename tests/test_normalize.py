@@ -4,7 +4,7 @@ import pytest
 
 from planecover import census as census_mod
 from planecover import group, lattice
-from planecover.classify import cremona_reduce, quadratic_move
+from planecover.classify import quadratic_move
 from planecover.cover import (
     CoverModel,
     CurveComponent,
@@ -36,6 +36,7 @@ from conftest import (
     load_cover,
     marked_total_transform_pull_back,
     normalize_by_moves,
+    reference_cremona_reduce,
     reference_quadratic_move,
     reference_resolve,
     singularity_reference,
@@ -605,8 +606,9 @@ def _resolve_inputs():
 def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(monkeypatch):
     # every round of resolve, on the inputs it gets: pull_back must return
     # normalize of the total transforms of the model with its crossing points
-    # marked (or raise the same error); every quadratic move that a recipe
-    # makes must equal the reference move built on pull_back
+    # marked (or raise the same error); every quadratic move that a
+    # step-by-step reference recipe makes must equal the reference move
+    # built on pull_back (the engine's recipes chain their moves on records)
     import planecover.classify as classify_mod
     import planecover.normalize as normalize_mod
 
@@ -625,7 +627,7 @@ def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(mon
     for model, max_rounds in _resolve_inputs():
         _outcome(normalize_mod.resolve, model, max_rounds)
     for model in _plane_inputs():
-        _outcome(cremona_reduce, model)
+        _outcome(reference_cremona_reduce, model)
     monkeypatch.undo()
     crossing_rounds = 0
     for cover, points, crossings in calls:
