@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import classify as classify_mod
 from . import invariants as invariants_mod
-from .cover import CoverModel, check_prod_relations, is_totally_ramified
+from .cover import CoverModel, check_parity, is_totally_ramified
 from .cover import plane_cover
 from .errors import DomainError, InconsistencyError
 from .normalize import resolve
@@ -158,8 +158,7 @@ def census(r: int, max_degree: int) -> CensusTable:
     for pattern, model in _candidates(r, max_degree):
         if not is_totally_ramified(model):
             raise InconsistencyError(f"census generated an invalid pattern: {pattern}")
-        if not check_prod_relations(model).ok:
-            raise InconsistencyError(f"census pattern violates product relations: {pattern}")
+        check_parity(model)
         label = classify_mod.classify(model)
         reduced = label.reduce()[0] if label.reduce is not None else model
         key = _shape_key(reduced)

@@ -42,6 +42,7 @@ from .cover import (
     build_model,
     check_parity,
     children_by_parent,
+    fresh_names,
     is_totally_ramified,
     mark_points,
     to_record,
@@ -663,13 +664,6 @@ def _move(
 # and makes its moves on records, and builds the reduced model once.
 
 
-def _aux_names(record: ModelRecord, n: int) -> list[str]:
-    """The first ``n`` names ``aux<i>`` that no marked point or center uses."""
-    taken = record.marked.keys() | {c.name for c in record.centers}
-    names = (f"aux{i}" for i in itertools.count(1))
-    return list(itertools.islice((name for name in names if name not in taken), n))
-
-
 def _mult_at(record: ModelRecord, cid: str, point: str) -> int:
     return next((m for name, m in record.mults[cid] if name == point), 0)
 
@@ -678,7 +672,7 @@ def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
     """Mark a fresh point on the curves of ``mults``, then make the quadratic
     move at ``based``, where ``None`` stands for the fresh point."""
     work = to_record(cover)
-    (aux,) = _aux_names(work, 1)
+    (aux,) = fresh_names(work, "aux")
     work = mark_points(work, [(aux, None, mults)])
     work, record = _move(work, *(aux if n is None else n for n in based))
     return build_model(work), (record,)
@@ -701,7 +695,7 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         if not heavy:
             break
         target = heavy[0]
-        qn, rn = _aux_names(work, 2)
+        qn, rn = fresh_names(work, "aux", 2)
         work = mark_points(work, [(qn, None, {target: 1}), (rn, p, {target: 1})])
         work, record = _move(work, p, qn, rn)
         moves.append(record)
@@ -718,7 +712,7 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         if len(off) != 1 or work.coeffs[off[0]].get(0, 0) != 1:
             raise ReductionError("expected exactly one line off the pencil point")
         r_a, r_b = through[0], through[1]
-        qn, rn = _aux_names(work, 2)
+        qn, rn = fresh_names(work, "aux", 2)
         work = mark_points(work, [(qn, None, {off[0]: 1, r_b: 1}), (rn, p, {r_a: 1})])
         work, record = _move(work, p, qn, rn)
         moves.append(record)

@@ -12,7 +12,7 @@ from . import census as census_mod
 from . import classify as classify_mod
 from . import config
 from . import invariants as invariants_mod
-from .cover import check_prod_relations, is_totally_ramified
+from .cover import check_parity, is_totally_ramified
 from .errors import ConfigError, CoverError, MatchError
 from .normalize import normalize, resolve
 
@@ -53,9 +53,11 @@ def _cmd_validate(doc: config.ConfigDocument) -> int:
     if not ramified:
         print("\n".join(lines))
         raise MatchError("not totally ramified")
-    report = check_prod_relations(model)
+    # the building data are L_chi = S_chi / 2, which satisfy all 4^r product
+    # relations as soon as every S_chi is even
+    check_parity(model)
     lines.append("parity = ok")
-    lines.append(f"prod_relations = ok ({report.pairs_checked} pairs)")
+    lines.append(f"prod_relations = ok ({4**model.r} pairs)")
     print("\n".join(lines))
     return 0
 

@@ -295,11 +295,6 @@ class CoverModel:
         """One dict lookup in a map built once per model."""
         return tuple(self._children.get(name, ()))
 
-    def point_is_ripe(self, name: str) -> bool:
-        """A point can be blown up once its parent (if any) has been."""
-        parent = self.marked_point(name).parent
-        return parent is None or self.surface.has_center(parent)
-
 
 # -- construction helpers -------------------------------------------------
 
@@ -534,9 +529,9 @@ def children_by_parent(marked: Iterable[Center]) -> dict[str, list[str]]:
     return children
 
 
-def fresh_names(cover: CoverModel, stem: str, n: int = 1) -> list[str]:
+def fresh_names(record: ModelRecord, stem: str, n: int = 1) -> list[str]:
     """The first ``n`` names ``stem<i>``, i = 1, 2, ..., that no marked point or center uses."""
-    taken = cover._by_point.keys() | cover.surface.names
+    taken = record.marked.keys() | {c.name for c in record.centers}
     names = (f"{stem}{i}" for i in count(1))
     return list(islice((name for name in names if name not in taken), n))
 
@@ -575,64 +570,6 @@ def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
     every call raises it again.
     """
     return dict(cover._building_data)
-
-
-@dataclass(frozen=True)
-class ProdReport:
-    """Result of checking L_chi + L_chi' ~ L_{chi chi'} + sum eps_{chi,chi'}(g) D_g."""
-
-    pairs_checked: int
-    violations: tuple[tuple[Character, Character], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_prod_relations(
-    cover: CoverModel, building: Mapping[Character, DivisorClass] | None = None
-) -> ProdReport:
-    """Verify the product relations for every ordered pair of characters.
-
-    With M_chi = 2 L_chi - S_chi, S_chi = sum eps_chi(g) D_g, and eps_chi +
-    eps_chi' - eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for
-    (chi, chi') reads M_chi + M_chi' = M_{chi+chi'}; the lattice is
-    torsion-free, so that decides it.
-
-    Without ``building``, the building data are the derived L_chi = S_chi / 2,
-    which make every M_chi = 0, so all 4^r relations hold as soon as each
-    S_chi is even: the check is ``check_parity`` (ParityError otherwise), and
-    no L_chi, S_chi or pair is built.  With explicit ``building``, the cost
-    is 2^r tests of M_chi = 0 against the model's cached branch sums; only
-    when some defect is nonzero are the defect classes built and the pairs
-    scanned, to list the violations.
-    """
-    if building is None:
-        check_parity(cover)
-        return ProdReport(4**cover.r, ())
-    sums = cover._branch_sums
-    for chi in sums:
-        if chi not in building:
-            raise DomainError(f"building data have no class for character {chi}")
-        if building[chi].surface != cover.surface:
-            raise DimensionError(f"building class for character {chi} lives on another surface")
-    n = len(sums)
-    if all(
-        {slot: 2 * c for slot, c in building[chi].support.items()} == total.support
-        for chi, total in sums.items()
-    ):
-        return ProdReport(n * n, ())
-    defect = {
-        chi: lattice.linear_combination(cover.surface, ((2, building[chi]), (-1, total)))
-        for chi, total in sums.items()
-    }
-    violations = [
-        (chi, chi2)
-        for chi in defect
-        for chi2 in defect
-        if defect[chi] + defect[chi2] != defect[chi + chi2]
-    ]
-    return ProdReport(n * n, tuple(violations))
 
 
 def quotient_cover(cover: CoverModel, subgroup: Iterable[GroupElement]) -> CoverModel:

@@ -20,8 +20,10 @@ no curve whose carrier is 0.  It takes a ``cover.ModelRecord``, a model as
 plain dicts, and returns one, so blow-ups and Cremona moves chain on
 records: ``cover.to_record`` reads a model, ``cover.mark_points`` adds
 marked points, and ``cover.build_model`` builds the model at the end, once.
-``pull_back`` is one ``blow_up`` between the two; ``resolve`` hands the
-crossings it finds to ``pull_back``, so each round builds one model.
+``pull_back`` is one ``blow_up`` between the two.  ``resolve`` chains its
+rounds the same way: it reads the normalized input once, makes each round
+one ``blow_up`` (the crossings it finds included), decides smoothness on the
+record, and builds the resolved model once, after the last round.
 
 Singularity detection is combinatorial on declared incidence data: a point
 is bad when a component is singular there, three or more branch components
@@ -31,7 +33,6 @@ same inertia element.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -50,7 +51,7 @@ from .errors import (
     NonTerminationError,
     PreconditionError,
 )
-from .group import GroupElement, element_key
+from .group import GroupElement
 from .lattice import Center
 
 
@@ -138,16 +139,19 @@ def blow_up(
     centers = list(record.centers)
     center_names = {c.name for c in centers}
     in_use = marked.keys() | center_names
+    # each check sorts its error list only once it fails
+    low = False
     for name, mults in crossings:
         if name in in_use:
             raise DomainError(f"point name {name!r} is already in use")
-        unknown = sorted(cid for cid in mults if cid not in record.coeffs)
-        if unknown:
+        if not mults.keys() <= record.coeffs.keys():
+            unknown = sorted(mults.keys() - record.coeffs.keys())
             raise DanglingReferenceError(f"unknown components in mults: {unknown}")
         in_use.add(name)
-    low = sorted(cid for _, mults in crossings for cid, m in mults.items() if m < 1)
+        low = low or min(mults.values(), default=1) < 1
     if low:
-        raise DomainError(f"component {low[0]!r} has a multiplicity below 1")
+        cid = min(cid for _, mults in crossings for cid, m in mults.items() if m < 1)
+        raise DomainError(f"component {cid!r} has a multiplicity below 1")
     if not points and not crossings:
         raise DomainError("pull_back needs at least one point")
 
@@ -220,35 +224,80 @@ def blow_up(
 
 
 # -- smoothness --------------------------------------------------------------
+# Decided on a normalized record, as ``blow_up`` returns them and as
+# ``to_record`` reads a normalized model: every curve is a branch component,
+# and its carrier is its inertia element.
 
 
-def singularity_over(cover: CoverModel, point: str) -> str | None:
+def _curves_through(record: ModelRecord) -> dict[str, list[tuple[str, int]]]:
+    """marked point -> [(cid, m), ...] of the curves through it, in id order."""
+    through: dict[str, list[tuple[str, int]]] = {}
+    for cid in sorted(record.mults):
+        for name, m in record.mults[cid]:
+            through.setdefault(name, []).append((cid, m))
+    return through
+
+
+def _children(record: ModelRecord) -> dict[str, list[str]]:
+    """parent -> names of the marked points infinitely near it, in name order."""
+    return children_by_parent(record.marked[name] for name in sorted(record.marked))
+
+
+def _singularity(
+    record: ModelRecord,
+    through: Mapping[str, list[tuple[str, int]]],
+    children: Mapping[str, list[str]],
+    point: str,
+) -> str | None:
+    """The test of ``singularity_over``, on the indexes its caller built."""
+    at = through.get(point, ())
+    for cid, m in at:
+        if m >= 2:
+            return f"component {cid} is singular at {point}"
+    if len(at) >= 3:
+        names = ", ".join(cid for cid, _ in at)
+        return f"{len(at)} branch components meet at {point}: {names}"
+    if len(at) == 2:
+        (a, _), (b, _) = at
+        for child in children.get(point, ()):
+            near = [cid for cid, _ in through.get(child, ())]
+            if a in near and b in near:
+                return f"{a} and {b} are tangent at {point} (share {child})"
+        if record.carrier[a] == record.carrier[b]:
+            return f"{a} and {b} carry the same inertia element at {point}"
+    return None
+
+
+def singularity_over(record: ModelRecord, point: str) -> str | None:
     """Why the cover is singular over one marked point, or None when smooth.
 
     Smooth iff at most two branch components pass through it, each smooth
     there, meeting transversally, with distinct inertia elements.
     """
-    at = cover.components_at(point)
-    for comp, m in at:
-        if m >= 2:
-            return f"component {comp.cid} is singular at {point}"
-    if len(at) >= 3:
-        names = ", ".join(c.cid for c, _ in at)
-        return f"{len(at)} branch components meet at {point}: {names}"
-    if len(at) == 2:
-        (c1, _), (c2, _) = at
-        for child in cover.children_of_point(point):
-            if c1.mult_at(child) >= 1 and c2.mult_at(child) >= 1:
-                return f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
-        if cover.inertia_of(c1.cid) is cover.inertia_of(c2.cid):
-            return f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
-    return None
+    return _singularity(record, _curves_through(record), _children(record), point)
 
 
-def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
-    """Pairs of same-inertia components crossing at undeclared points.
+def singular_points(record: ModelRecord) -> list[str]:
+    """The ripe marked points over which the cover is singular, in name order.
 
-    The residual crossing number of components a and b is
+    A point is ripe once its parent, if it has one, is a center: a blow-up
+    can take it now.  The test of ``singularity_over`` runs on indexes of the
+    incidences and of the infinitely near points built once for all points.
+    """
+    ripe_parents = {None} | {c.name for c in record.centers}
+    through, children = _curves_through(record), _children(record)
+    return [
+        name
+        for name in sorted(record.marked)
+        if record.marked[name].parent in ripe_parents
+        and _singularity(record, through, children, name) is not None
+    ]
+
+
+def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
+    """Pairs of same-inertia curves crossing at undeclared points.
+
+    The residual crossing number of curves a and b is
 
         C_a.C_b - sum of m_a*m_b over the marked points both pass through,
         C_a.C_b = d_a*d_b - sum of a_i*b_i over the exceptional slots both use,
@@ -258,46 +307,50 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
     has residual d_a*d_b >= 0, so only pairs sharing something are computed,
     and each raises InconsistencyError when its residual is negative.
 
-    Cost: one pass over each class's nonzero coefficients and the model's
-    point -> components index, then constant work per (shared slot or point,
-    pair through it) and per same-inertia pair of positive degrees.
-    Nothing is proportional to the Picard rank per pair.  Pairs come in the
-    order of the sorted component ids; the first over-declared pair in that
-    order is the one reported.  On a model that is not normalized, the
-    InconsistencyError of ``inertia_of`` for the first component in that
-    order that is not uniquely assigned comes first.
+    Cost: one pass over each curve's nonzero coefficients and incidences,
+    then constant work per (shared slot or point, pair through it) and per
+    same-inertia pair of positive degrees.  Nothing is proportional to the
+    Picard rank per pair.  Pairs come in the order of the sorted curve ids;
+    the first over-declared pair in that order is the one reported.  A curve
+    with no carrier (the record of a model that is not normalized) raises the
+    InconsistencyError of ``CoverModel.inertia_of`` first.
     """
-    comps = cover.components
-    if len(comps) < 2:
+    cids = sorted(record.coeffs)
+    if len(cids) < 2:
         return []
-    inertia = [cover.inertia_of(c.cid) for c in comps]
-    index = {c.cid: i for i, c in enumerate(comps)}
-    # exceptional slot -> [(component index, -coefficient)], and marked point
-    # -> [(component index, multiplicity)] from the model's incidence index;
-    # both lists run in component order
-    through: dict[int, list[tuple[int, int]]] = {}
-    for i, c in enumerate(comps):
-        for slot, value in c.cls.support.items():
+    inertia = [record.carrier.get(cid, 0) for cid in cids]
+    if not all(inertia):
+        cid = cids[inertia.index(0)]
+        raise InconsistencyError(
+            f"component {cid!r} is not reduced/uniquely assigned; normalize first"
+        )
+    # exceptional slot -> [(curve index, -coefficient)], and marked point ->
+    # [(curve index, multiplicity)]; slots are ints and points are names, so
+    # one map holds both, and every list runs in curve order
+    through: dict[int | str, list[tuple[int, int]]] = {}
+    for i, cid in enumerate(cids):
+        for slot, value in record.coeffs[cid].items():
             if slot:
                 through.setdefault(slot, []).append((i, -value))
-    at_points = ([(index[c.cid], m) for c, m in at] for at in cover._through.values())
+        for name, m in record.mults[cid]:
+            through.setdefault(name, []).append((i, m))
     shared: dict[tuple[int, int], int] = {}
-    for members in itertools.chain(through.values(), at_points):
+    for members in through.values():
         for n, (i, x) in enumerate(members):
             for j, y in members[n + 1 :]:
                 shared[i, j] = shared.get((i, j), 0) + x * y
-    degree = [c.cls.degree for c in comps]
+    degree = [record.coeffs[cid].get(0, 0) for cid in cids]
     pairs = []
     for i, j in sorted(shared):
         residual = degree[i] * degree[j] - shared[i, j]
         if residual < 0:
             raise InconsistencyError(
-                f"declared multiplicities of {comps[i].cid} and {comps[j].cid} "
+                f"declared multiplicities of {cids[i]} and {cids[j]} "
                 "exceed their intersection number"
             )
-        if residual and inertia[i] is inertia[j]:
+        if residual and inertia[i] == inertia[j]:
             pairs.append((i, j))
-    by_inertia: dict[GroupElement, list[int]] = {}
+    by_inertia: dict[int, list[int]] = {}
     for i, g in enumerate(inertia):
         if degree[i]:
             by_inertia.setdefault(g, []).append(i)
@@ -308,7 +361,7 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
             for j in members[n + 1 :]
             if (i, j) not in shared
         ]
-    return [(comps[i].cid, comps[j].cid) for i, j in sorted(pairs)]
+    return [(cids[i], cids[j]) for i, j in sorted(pairs)]
 
 
 # -- resolution --------------------------------------------------------------
@@ -316,6 +369,10 @@ def singular_residual_pairs(cover: CoverModel) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round of ``resolve``: the points it blew up, in name order, and
+    (g as text, cids added to D_g, cids removed from it) for each g whose
+    set of components changed, in element order."""
+
     round: int
     blown: tuple[str, ...]
     diff: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
@@ -323,35 +380,53 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ResolveResult:
-    """A smooth model, as ``resolve`` proved it, with the rounds it took."""
+    """A smooth model, as ``resolve`` proved it, with the rounds it took.
+
+    With no round taken, ``cover`` is the normalized input itself; else it
+    is the one model ``resolve`` built, from the record of its last round.
+    """
 
     cover: CoverModel
     rounds: int
     trail: tuple[RoundRecord, ...]
 
 
-def _branch_diff(before: CoverModel, after: CoverModel):
-    """(g as text, cids added to D_g, cids removed from it) for each g whose
-    set of components changed, in element order; both models share r."""
-    b, a = before._by_g, after._by_g
-    out = []
-    for g in sorted(b.keys() | a.keys(), key=element_key):
-        was = {cid for cid, _ in b.get(g, ())}
-        now = {cid for cid, _ in a.get(g, ())}
-        if was != now:
-            out.append((str(g), tuple(sorted(now - was)), tuple(sorted(was - now))))
-    return tuple(out)
+def _round_diff(before: ModelRecord, after: ModelRecord):
+    """The diff of a ``RoundRecord``, read off the carriers of two normalized
+    records: a curve is added to the D_g of its new carrier and removed from
+    that of its old one when the two differ."""
+    added: dict[int, list[str]] = {}
+    removed: dict[int, list[str]] = {}
+    for cid, g in after.carrier.items():
+        if before.carrier.get(cid) != g:
+            added.setdefault(g, []).append(cid)
+    for cid, g in before.carrier.items():
+        if after.carrier.get(cid) != g:
+            removed.setdefault(g, []).append(cid)
+    return tuple(
+        (
+            str(GroupElement._of(before.r, g)),
+            tuple(sorted(added.get(g, ()))),
+            tuple(sorted(removed.get(g, ()))),
+        )
+        for g in sorted(added.keys() | removed.keys())
+    )
 
 
 def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
-    """Blow up singular points and pull back, until smooth.
+    """Blow up singular points until smooth.
 
     Each round blows up every currently visible singular point (a child
     point only becomes visible once its parent is a center), so a tacnode
     takes two rounds while two separate triple points take one.  When no
     marked point is singular, the round blows up one new point ``sing<n>``
     per same-inertia pair crossing off the marked points, passed to
-    ``pull_back`` as crossings in name order.
+    ``blow_up`` as crossings in name order.
+
+    The rounds chain on records: the normalized input is read once by
+    ``to_record``, each round is one ``blow_up``, and the resolved model is
+    built once, by ``build_model``, after the last round.  When no round is
+    needed, the normalized input is returned as it is and no model is built.
 
     This is the one place smoothness is decided: the loop returns only when
     no ripe marked point is singular and no same-inertia pair crosses off
@@ -360,20 +435,17 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
     smooth parent shares none of its directions between two curves.
     """
     current = normalize(cover)
+    record = to_record(current)
     rounds = 0
     trail: list[RoundRecord] = []
     while True:
-        singulars = [
-            m.name
-            for m in current.marked
-            if current.point_is_ripe(m.name) and singularity_over(current, m.name) is not None
-        ]
+        singulars = singular_points(record)
         crossings: dict[str, dict[str, int]] = {}
         if not singulars:
-            pairs = singular_residual_pairs(current)
+            pairs = singular_residual_pairs(record)
             if not pairs:
                 break
-            names = fresh_names(current, "sing", len(pairs))
+            names = fresh_names(record, "sing", len(pairs))
             crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
             singulars = names
         if rounds >= max_rounds:
@@ -383,11 +455,11 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
                 trail=tuple(trail),
             )
         rounds += 1
-        before = current
         blown = tuple(sorted(singulars))
         if crossings:
-            current = pull_back(current, crossings=[(name, crossings[name]) for name in blown])
+            after = blow_up(record, crossings=[(name, crossings[name]) for name in blown])
         else:
-            current = pull_back(current, *blown)
-        trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
-    return ResolveResult(current, rounds, tuple(trail))
+            after = blow_up(record, *blown)
+        trail.append(RoundRecord(rounds, blown, _round_diff(record, after)))
+        record = after
+    return ResolveResult(build_model(record) if rounds else current, rounds, tuple(trail))

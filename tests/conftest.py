@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import pytest
 
@@ -17,7 +17,9 @@ from planecover.cover import (
     add_marked_point,
     add_marked_points,
     check_parity,
+    derive_building_data,
     fresh_names,
+    to_record,
 )
 from planecover.errors import (
     ConfigError,
@@ -32,18 +34,16 @@ from planecover.errors import (
     PreconditionError,
     ReductionError,
 )
-from planecover.group import GroupElement
+from planecover.group import GroupElement, element_key
 from planecover.invariants import invariant_report
 from planecover.lattice import Center, DivisorClass
 from planecover.normalize import (
     ResolveResult,
     RoundRecord,
-    _branch_diff,
     normalize,
     pull_back,
     resolve,
     singular_residual_pairs,
-    singularity_over,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -313,6 +313,55 @@ def per_character_building_data(cover):
     return halves, sums
 
 
+class ProdReport(NamedTuple):
+    """Result of ``check_prod_relations``."""
+
+    pairs_checked: int
+    violations: tuple[tuple[group.Character, group.Character], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_prod_relations(cover, building=None):
+    """Reference check of L_chi + L_chi' ~ L_{chi chi'} + sum eps_{chi,chi'}(g) D_g
+    for every ordered pair of characters, on given building data or, without
+    them, on ``derive_building_data`` (ParityError when a sum is odd).
+
+    With M_chi = 2 L_chi - S_chi, S_chi = sum eps_chi(g) D_g, and eps_chi +
+    eps_chi' - eps_{chi+chi'} = 2 eps_{chi,chi'}, twice the relation for
+    (chi, chi') reads M_chi + M_chi' = M_{chi+chi'}; the lattice is
+    torsion-free, so that decides it.  Only when some M_chi is nonzero are
+    the pairs scanned, to list the violations.
+    """
+    if building is None:
+        building = derive_building_data(cover)
+    sums = cover._branch_sums
+    for chi in sums:
+        if chi not in building:
+            raise DomainError(f"building data have no class for character {chi}")
+        if building[chi].surface != cover.surface:
+            raise DimensionError(f"building class for character {chi} lives on another surface")
+    n = len(sums)
+    if all(
+        {slot: 2 * c for slot, c in building[chi].support.items()} == total.support
+        for chi, total in sums.items()
+    ):
+        return ProdReport(n * n, ())
+    defect = {
+        chi: lattice.linear_combination(cover.surface, ((2, building[chi]), (-1, total)))
+        for chi, total in sums.items()
+    }
+    violations = [
+        (chi, chi2)
+        for chi in defect
+        for chi2 in defect
+        if defect[chi] + defect[chi2] != defect[chi + chi2]
+    ]
+    return ProdReport(n * n, tuple(violations))
+
+
 def per_character_chi(cover):
     """Reference for ``invariant_report``'s chi on a smooth model: 2^r + (1/2)
     * sum over chi of L_chi.(L_chi + K), from the 2^r building classes of
@@ -504,7 +553,7 @@ def reference_quadratic_move(cover, p, q, r):
 
 def reference_aux_move(cover, mults, *based):
     """Reference for ``classify._aux_move``."""
-    (aux,) = fresh_names(cover, "aux")
+    (aux,) = fresh_names(to_record(cover), "aux")
     work = add_marked_point(cover, aux, mults=mults)
     work, record = classify.quadratic_move(work, *(aux if n is None else n for n in based))
     return work, (record,)
@@ -522,7 +571,7 @@ def reference_reduce_odd_curve(cover, p, w):
         if not heavy:
             break
         target = sorted(heavy, key=lambda c: c.cid)[0]
-        qn, rn = fresh_names(work, "aux", 2)
+        qn, rn = fresh_names(to_record(work), "aux", 2)
         work = add_marked_points(work, [(qn, None, {target.cid: 1}), (rn, p, {target.cid: 1})])
         work, record = classify.quadratic_move(work, p, qn, rn)
         moves.append(record)
@@ -539,7 +588,7 @@ def reference_reduce_odd_curve(cover, p, w):
         if len(off) != 1 or off[0].cls.degree != 1:
             raise ReductionError("expected exactly one line off the pencil point")
         r_a, r_b = through[0], through[1]
-        qn, rn = fresh_names(work, "aux", 2)
+        qn, rn = fresh_names(to_record(work), "aux", 2)
         work = add_marked_points(
             work, [(qn, None, {off[0].cid: 1, r_b.cid: 1}), (rn, p, {r_a.cid: 1})]
         )
@@ -648,9 +697,50 @@ def marked_total_transform_pull_back(cover, *points, crossings=()):
     return normalize(total_transform_pull_back(marked, *points, *names))
 
 
-def reference_resolve(cover, max_rounds=6):
-    """Reference for ``normalize.resolve``: each round marks its crossing
-    points on the model, pulls back by total transforms and normalizes."""
+def point_is_ripe(cover, name):
+    """A marked point can be blown up once its parent (if any) has been."""
+    parent = cover.marked_point(name).parent
+    return parent is None or cover.surface.has_center(parent)
+
+
+def reference_singularity_over(cover, point):
+    """Reference for ``normalize.singularity_over``: the test as it was when it
+    read a built model, through its incidence lookups and ``inertia_of``."""
+    at = cover.components_at(point)
+    for comp, m in at:
+        if m >= 2:
+            return f"component {comp.cid} is singular at {point}"
+    if len(at) >= 3:
+        names = ", ".join(c.cid for c, _ in at)
+        return f"{len(at)} branch components meet at {point}: {names}"
+    if len(at) == 2:
+        (c1, _), (c2, _) = at
+        for child in cover.children_of_point(point):
+            if c1.mult_at(child) >= 1 and c2.mult_at(child) >= 1:
+                return f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
+        if cover.inertia_of(c1.cid) is cover.inertia_of(c2.cid):
+            return f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
+    return None
+
+
+def branch_diff(before, after):
+    """Reference for the diff of a ``RoundRecord``: (g as text, cids added to
+    D_g, cids removed from it) for each g whose set of components changed,
+    in element order, read off two built models that share r."""
+    b, a = before._by_g, after._by_g
+    out = []
+    for g in sorted(b.keys() | a.keys(), key=element_key):
+        was = {cid for cid, _ in b.get(g, ())}
+        now = {cid for cid, _ in a.get(g, ())}
+        if was != now:
+            out.append((str(g), tuple(sorted(now - was)), tuple(sorted(was - now))))
+    return tuple(out)
+
+
+def _reference_rounds(cover, max_rounds, step):
+    """The resolve loop on built models: ``step(model, blown, crossings)``
+    makes one round's model, where ``crossings`` maps each new point
+    ``sing<n>`` (name order) to the two curves crossing there, or is empty."""
     current = normalize(cover)
     rounds = 0
     trail = []
@@ -658,16 +748,16 @@ def reference_resolve(cover, max_rounds=6):
         singulars = [
             m.name
             for m in current.marked
-            if current.point_is_ripe(m.name) and singularity_over(current, m.name) is not None
+            if point_is_ripe(current, m.name)
+            and reference_singularity_over(current, m.name) is not None
         ]
+        crossings = {}
         if not singulars:
-            pairs = singular_residual_pairs(current)
+            pairs = singular_residual_pairs(to_record(current))
             if not pairs:
                 break
-            names = fresh_names(current, "sing", len(pairs))
-            current = add_marked_points(
-                current, [(name, None, {a: 1, b: 1}) for name, (a, b) in zip(names, pairs)]
-            )
+            names = fresh_names(to_record(current), "sing", len(pairs))
+            crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
             singulars = names
         if rounds >= max_rounds:
             raise NonTerminationError(
@@ -676,11 +766,35 @@ def reference_resolve(cover, max_rounds=6):
                 trail=tuple(trail),
             )
         rounds += 1
-        before = current
         blown = tuple(sorted(singulars))
-        current = normalize(total_transform_pull_back(current, *blown))
-        trail.append(RoundRecord(rounds, blown, _branch_diff(before, current)))
+        after = step(current, blown, crossings)
+        trail.append(RoundRecord(rounds, blown, branch_diff(current, after)))
+        current = after
     return ResolveResult(current, rounds, tuple(trail))
+
+
+def reference_stepwise_resolve(cover, max_rounds=6, pull_back=pull_back):
+    """Reference for ``normalize.resolve``: the loop as it was when every
+    round built its model, one ``pull_back`` per round.  A test may pass its
+    own ``pull_back`` to see the model of every round."""
+
+    def step(current, blown, crossings):
+        if crossings:
+            return pull_back(current, crossings=[(name, crossings[name]) for name in blown])
+        return pull_back(current, *blown)
+
+    return _reference_rounds(cover, max_rounds, step)
+
+
+def reference_resolve(cover, max_rounds=6):
+    """Reference for ``normalize.resolve``: each round marks its crossing
+    points on the model, pulls back by total transforms and normalizes."""
+
+    def step(current, blown, crossings):
+        marked = add_marked_points(current, [(name, None, at) for name, at in crossings.items()])
+        return normalize(total_transform_pull_back(marked, *blown))
+
+    return _reference_rounds(cover, max_rounds, step)
 
 
 def singularity_reference(cover):
@@ -689,10 +803,10 @@ def singularity_reference(cover):
     the first same-inertia pair crossing off the marked points; None when
     the model is smooth."""
     for m in cover.marked:
-        reason = singularity_over(cover, m.name)
+        reason = reference_singularity_over(cover, m.name)
         if reason is not None:
             return reason
-    pairs = singular_residual_pairs(cover)
+    pairs = singular_residual_pairs(to_record(cover))
     if pairs:
         a, b = pairs[0]
         return f"{a} and {b} cross with equal inertia off declared points"

@@ -15,7 +15,6 @@ from planecover.census import census
 from planecover.classify import classify, cremona_reduce, match_del_pezzo
 from planecover.cover import (
     add_marked_point,
-    check_prod_relations,
     derive_building_data,
     plane_cover,
 )
@@ -29,7 +28,14 @@ from planecover.invariants import (
 from planecover.lattice import Center, DivisorClass, cremona_reflect, intersect
 from planecover.normalize import normalize, pull_back, resolve
 
-from conftest import GOLDEN_DIR, PROPOSITION_FIXTURES, load_cover, normalize_by_moves, smooth_chi
+from conftest import (
+    GOLDEN_DIR,
+    PROPOSITION_FIXTURES,
+    check_prod_relations,
+    load_cover,
+    normalize_by_moves,
+    smooth_chi,
+)
 
 
 def _report(line: str) -> None:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -15,7 +16,6 @@ from planecover.cover import (
     CurveComponent,
     add_marked_point,
     add_marked_points,
-    check_prod_relations,
     derive_building_data,
     is_totally_ramified,
     plane_cover,
@@ -34,12 +34,15 @@ from planecover.lattice import BlownPlane, Center, DivisorClass
 from planecover.normalize import pull_back, resolve
 
 from conftest import (
+    check_prod_relations,
     FIXTURE_DIR,
     load_cover,
     per_character_building_data,
+    point_is_ripe,
     reference_component_mults,
     reference_cover_fields,
     reference_plane_cover,
+    reference_stepwise_resolve,
     scan_children_of_point,
     scan_components_at,
     searched_quotient_cover,
@@ -578,7 +581,7 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         model = load_cover(path.stem)
         for m in model.marked:
-            ripe = model.point_is_ripe(m.name)
+            ripe = point_is_ripe(model, m.name)
             pulled = total_transform_pull_back(model, m.name) if ripe else model
             for c in pulled.components:
                 assert pulled.component(c.cid) is c
@@ -614,9 +617,11 @@ def test_a_blown_up_marked_point_is_its_center():
 
 
 def models_pulled_back(monkeypatch, run):
-    """Every model that ``pull_back`` reads or returns while ``run()`` runs,
-    each model with its crossing points marked, as they are blown up, and
-    every model that a quadratic move reads or returns."""
+    """Every model that ``pull_back`` reads or returns while ``run(pull_back)``
+    runs, each model with its crossing points marked, as they are blown up,
+    and every model that a quadratic move reads or returns.  ``run`` resolves
+    with ``reference_stepwise_resolve``, which builds the model of every
+    round, and passes it the recording ``pull_back``."""
     seen = []
 
     def recording(cover, *points, crossings=()):
@@ -632,11 +637,15 @@ def models_pulled_back(monkeypatch, run):
         seen.extend((cover, moved))
         return moved, record
 
-    monkeypatch.setattr(normalize_mod, "pull_back", recording)
     monkeypatch.setattr(classify_mod, "quadratic_move", recording_move)
-    run()
+    run(recording)
     monkeypatch.undo()
     return seen
+
+
+def stepwise(model, **kwargs):
+    """A runner for ``models_pulled_back``: the step-by-step resolve of ``model``."""
+    return lambda pull: reference_stepwise_resolve(model, pull_back=pull, **kwargs)
 
 
 def assert_index_matches_scan(model):
@@ -649,7 +658,7 @@ def assert_index_matches_scan(model):
 def test_incidence_index_matches_scan_along_fixture_resolutions(monkeypatch):
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         model = load_cover(path.stem)
-        trail = models_pulled_back(monkeypatch, lambda: resolve(model))
+        trail = models_pulled_back(monkeypatch, stepwise(model))
         for each in [model, *trail]:
             assert_index_matches_scan(each)
 
@@ -657,7 +666,14 @@ def test_incidence_index_matches_scan_along_fixture_resolutions(monkeypatch):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_incidence_index_matches_scan_on_census_patterns(monkeypatch, r):
     patterns = [model for _, model in census_mod._candidates(r, 7)]
-    pulled = models_pulled_back(monkeypatch, lambda: census_mod.census(r, 7))
+
+    def run(pull):
+        # the census, each row resolved step by step
+        resolve_stepwise = functools.partial(reference_stepwise_resolve, pull_back=pull)
+        monkeypatch.setattr(census_mod, "resolve", resolve_stepwise)
+        census_mod.census(r, 7)
+
+    pulled = models_pulled_back(monkeypatch, run)
     assert pulled
     for model in patterns + pulled:
         assert_index_matches_scan(model)
@@ -667,7 +683,7 @@ def test_incidence_index_matches_scan_on_random_covers(monkeypatch):
     rng = random.Random(8080)
     for _ in range(40):
         model = random_valid_cover(rng)
-        trail = models_pulled_back(monkeypatch, lambda: resolve(model, max_rounds=20))
+        trail = models_pulled_back(monkeypatch, stepwise(model, max_rounds=20))
         for each in [model, *trail]:
             assert_index_matches_scan(each)
 

@@ -219,8 +219,8 @@ def test_line_arrangement_invariants(k, expected):
 
 
 def test_no_pair_search_after_resolve(monkeypatch):
-    # resolve's last round proves the model smooth with one pair search; the
-    # invariants read its result and search no pair again
+    # resolve's last round proves the model smooth with one pair search on
+    # its record; the invariants read its result and search no pair again
     import planecover.normalize as normalize_mod
 
     search = normalize_mod.singular_residual_pairs

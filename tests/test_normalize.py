@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from planecover.cover import (
     add_marked_points,
     derive_building_data,
     plane_cover,
+    to_record,
 )
 from planecover.errors import (
     CoverError,
@@ -21,6 +23,7 @@ from planecover.errors import (
 )
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
+    ResolveResult,
     is_normalized,
     normalize,
     pull_back,
@@ -36,9 +39,12 @@ from conftest import (
     load_cover,
     marked_total_transform_pull_back,
     normalize_by_moves,
+    point_is_ripe,
     reference_cremona_reduce,
     reference_quadratic_move,
     reference_resolve,
+    reference_singularity_over,
+    reference_stepwise_resolve,
     singularity_reference,
     strict_transform,
     total_transform_pull_back,
@@ -259,14 +265,14 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1)], "01": [("B", 1)]},
         marked=[("p", None)],
     )
-    assert singularity_over(crossing, "p") is None
+    assert singularity_over(to_record(crossing), "p") is None
 
     tacnode = load_cover("prop51")
-    reason = singularity_over(tacnode, "x")
+    reason = singularity_over(to_record(tacnode), "x")
     assert "singular" in reason and "quartic" in reason
 
     triple = load_cover("prop55")
-    assert "3 branch components" in singularity_over(triple, "xi")
+    assert "3 branch components" in singularity_over(to_record(triple), "xi")
 
     # a line tangent to a conic: two lines cannot share a direction (Bezout)
     tangent = plane_cover(
@@ -275,7 +281,7 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1)], "01": [("B", 1)]},
         marked=[("p", None), ("t", "p")],
     )
-    assert "tangent" in singularity_over(tangent, "p")
+    assert "tangent" in singularity_over(to_record(tangent), "p")
 
     same_inertia = plane_cover(
         2,
@@ -283,7 +289,7 @@ def test_is_smooth_over_examples():
         {"10": [("A", 1), ("B", 1)], "01": [("Cc", 1)]},
         marked=[("p", None)],
     )
-    assert "same inertia" in singularity_over(same_inertia, "p")
+    assert "same inertia" in singularity_over(to_record(same_inertia), "p")
 
 
 def test_incidence_record():
@@ -300,7 +306,7 @@ def test_residual_same_inertia_detection():
         [("A", 1, {}), ("B", 1, {}), ("Cc", 2, {})],
         {"10": [("A", 1), ("B", 1)], "01": [("Cc", 1)]},
     )
-    assert singular_residual_pairs(model) == [("A", "B")]
+    assert singular_residual_pairs(to_record(model)) == [("A", "B")]
     assert singularity_reference(model) == "A and B cross with equal inertia off declared points"
 
 
@@ -349,7 +355,7 @@ def test_pull_back_classes_are_strict_transforms():
     cases = []
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         cover = load_cover(path.stem)
-        cases += [(cover, m.name) for m in cover.marked if cover.point_is_ripe(m.name)]
+        cases += [(cover, m.name) for m in cover.marked if point_is_ripe(cover, m.name)]
     cases.append((pull_back(load_cover("prop51"), "x"), "y"))  # infinitely near child
     for cover, point in cases:
         pulled = pull_back(cover, point)
@@ -419,9 +425,9 @@ def test_pull_back_batch_equals_successive_pull_backs():
     cases = []
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         cover = load_cover(path.stem)
-        for a in (m.name for m in cover.marked if cover.point_is_ripe(m.name)):
+        for a in (m.name for m in cover.marked if point_is_ripe(cover, m.name)):
             after = pull_back(cover, a)
-            cases += [(cover, a, m.name) for m in after.marked if after.point_is_ripe(m.name)]
+            cases += [(cover, a, m.name) for m in after.marked if point_is_ripe(after, m.name)]
             cases.append((cover, a, "fresh"))
     assert (load_cover("prop51"), "x", "y") in cases  # a parent and its infinitely near child
     for cover, a, b in cases:
@@ -461,16 +467,18 @@ def test_pull_back_batch_exceptional_names_keep_serials():
 
 
 def test_resolve_pulls_back_once_per_round(monkeypatch):
+    # a round is one blow_up on the record of the round before
     import planecover.normalize as normalize_mod
     from test_invariants import line_arrangement
 
     calls = []
+    blow_up = normalize_mod.blow_up
 
-    def spy(cover, *points, crossings=()):
+    def spy(record, *points, crossings=()):
         calls.append(points + tuple(name for name, _ in crossings))
-        return pull_back(cover, *points, crossings=crossings)
+        return blow_up(record, *points, crossings=crossings)
 
-    monkeypatch.setattr(normalize_mod, "pull_back", spy)
+    monkeypatch.setattr(normalize_mod, "blow_up", spy)
     result = normalize_mod.resolve(line_arrangement(8))
     assert len(calls) == result.rounds == 2
     assert [record.blown for record in result.trail] == calls
@@ -484,7 +492,7 @@ def test_is_normalized_flag():
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         cover = load_cover(path.stem)
         models.append(cover)
-        ripe = [m.name for m in cover.marked if cover.point_is_ripe(m.name)]
+        ripe = [m.name for m in cover.marked if point_is_ripe(cover, m.name)]
         models += [total_transform_pull_back(cover, name) for name in ripe]
     rng = random.Random(5150)
     models += [random_valid_cover(rng) for _ in range(50)]
@@ -504,11 +512,10 @@ def _pairs_or_error(search, cover):
         return str(exc)
 
 
-def _resolve_round_models(cover, monkeypatch):
+def _resolve_round_models(cover):
     """The normalized input, and per round the marked model resolve blows up
-    and the normalized result, up to the round budget."""
-    import planecover.normalize as normalize_mod
-
+    and the normalized result, up to the round budget, as the step-by-step
+    reference builds them."""
     models = [normalize(cover)]
 
     def spy(current, *points, crossings=()):
@@ -517,29 +524,58 @@ def _resolve_round_models(cover, monkeypatch):
         models.extend([marked, pulled])
         return pulled
 
-    monkeypatch.setattr(normalize_mod, "pull_back", spy)
     try:
-        normalize_mod.resolve(cover)
+        reference_stepwise_resolve(cover, pull_back=spy)
     except NonTerminationError:
         pass  # two curves crossing more than max_rounds times: one crossing per round
-    monkeypatch.undo()
     return models
 
 
-def test_sparse_pair_search_matches_dense_reference(monkeypatch):
+def test_sparse_pair_search_matches_dense_reference():
     from test_invariants import line_arrangement
 
     covers = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
     rng = random.Random(4242)
     covers += [random_valid_cover(rng) for _ in range(50)]
     covers.append(line_arrangement(6))
-    models = [m for cover in covers for m in _resolve_round_models(cover, monkeypatch)]
+    models = [m for cover in covers for m in _resolve_round_models(cover)]
     found = 0
     for model in models:
         expected = _pairs_or_error(dense_singular_residual_pairs, model)
-        assert _pairs_or_error(singular_residual_pairs, model) == expected
+        assert _pairs_or_error(singular_residual_pairs, to_record(model)) == expected
         found += bool(expected)
     assert found >= 300
+
+
+def test_singularity_over_a_record_matches_the_model_reference():
+    # every marked point, ripe or not, of every model the rounds go through
+    from test_invariants import ceva_arrangement, line_arrangement
+
+    covers = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    rng = random.Random(4242)
+    covers += [random_valid_cover(rng) for _ in range(50)]
+    covers += [line_arrangement(6), ceva_arrangement(4)]
+    models = [m for cover in covers for m in _resolve_round_models(cover)]
+    # seeded covers with random incidences at two plane points and a point
+    # infinitely near one of them: tangencies and smooth points too
+    for _ in range(200):
+        model = random_valid_cover(rng)
+        cids = [c.cid for c in model.components]
+
+        def at():
+            chosen = rng.sample(cids, rng.randint(0, min(3, len(cids))))
+            return {cid: rng.choice([1, 1, 2]) for cid in chosen}
+
+        models.append(add_marked_points(model, [("p", None, at()), ("q", "p", at()), ("s", None, at())]))
+    reasons = Counter()
+    for model in models:
+        record = to_record(model)
+        for m in model.marked:
+            expected = reference_singularity_over(model, m.name)
+            assert singularity_over(record, m.name) == expected
+            kinds = ("is singular", "branch components", "tangent", "same inertia")
+            reasons[next((k for k in kinds if k in (expected or "")), None)] += 1
+    assert min(reasons.values()) >= 5 and len(reasons) == 5, reasons
 
 
 def test_sparse_pair_search_reports_over_declared_pairs():
@@ -560,7 +596,7 @@ def test_sparse_pair_search_reports_over_declared_pairs():
     for cover in (over, normalize(pull_back(over, "p")), normalize(pull_back(over, "q", "r"))):
         assert _pairs_or_error(dense_singular_residual_pairs, cover) == message
         with pytest.raises(InconsistencyError) as exc:
-            singular_residual_pairs(cover)
+            singular_residual_pairs(to_record(cover))
         assert str(exc.value) == message
 
 
@@ -604,13 +640,13 @@ def _resolve_inputs():
 
 
 def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(monkeypatch):
-    # every round of resolve, on the inputs it gets: pull_back must return
-    # normalize of the total transforms of the model with its crossing points
-    # marked (or raise the same error); every quadratic move that a
-    # step-by-step reference recipe makes must equal the reference move
-    # built on pull_back (the engine's recipes chain their moves on records)
+    # every round of the step-by-step resolve, on the inputs resolve gets:
+    # pull_back must return normalize of the total transforms of the model
+    # with its crossing points marked (or raise the same error); every
+    # quadratic move that a step-by-step reference recipe makes must equal
+    # the reference move built on pull_back (the engine chains its rounds
+    # and its moves on records)
     import planecover.classify as classify_mod
-    import planecover.normalize as normalize_mod
 
     calls, moves = [], []
 
@@ -622,10 +658,9 @@ def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(mon
         moves.append((cover, based))
         return quadratic_move(cover, *based)
 
-    monkeypatch.setattr(normalize_mod, "pull_back", recording)
     monkeypatch.setattr(classify_mod, "quadratic_move", recording_move)
     for model, max_rounds in _resolve_inputs():
-        _outcome(normalize_mod.resolve, model, max_rounds)
+        _outcome(reference_stepwise_resolve, model, max_rounds, pull_back=recording)
     for model in _plane_inputs():
         _outcome(reference_cremona_reduce, model)
     monkeypatch.undo()
@@ -725,6 +760,59 @@ def test_resolve_matches_reference_loop():
     assert failures >= 2
 
 
+def _stepwise_inputs():
+    """(model, max_rounds): the plane inputs and the arrangements of
+    ``_resolve_inputs``, and 300 seeded random covers, each with a budget of
+    6 and of 20 rounds."""
+    rng = random.Random(6060)
+    models = [(model, rounds) for model, rounds in _resolve_inputs() if rounds == 6]
+    models += [(random_valid_cover(rng), rounds) for _ in range(300) for rounds in (6, 20)]
+    return models
+
+
+def test_resolve_matches_the_stepwise_reference():
+    # the rounds chained on records give the model, rounds and trail of the
+    # loop that built a model per round, or the same NonTerminationError
+    outcomes = Counter()
+    for model, max_rounds in _stepwise_inputs():
+        got = _outcome(resolve, model, max_rounds)
+        assert got == _outcome(reference_stepwise_resolve, model, max_rounds)
+        outcomes[got.rounds if isinstance(got, ResolveResult) else got[0]] += 1
+    assert outcomes[NonTerminationError] >= 50
+    assert all(outcomes[rounds] >= 20 for rounds in (0, 1, 2)), outcomes
+
+
+def test_resolve_builds_one_model_and_none_without_a_round(monkeypatch):
+    # the normalized input is read once; a resolve that blows something up
+    # builds the resolved model once, by the validating constructors, and a
+    # resolve with no round returns its input and builds nothing
+    from test_invariants import line_arrangement
+
+    builds = []
+    post_init = CoverModel.__post_init__
+
+    def counting(model):
+        builds.append(model)
+        post_init(model)
+
+    inputs = [(normalize(model), rounds) for model, rounds in _stepwise_inputs()[::3]]
+    inputs.append((line_arrangement(8), 6))
+    monkeypatch.setattr(CoverModel, "__post_init__", counting)
+    seen = Counter()
+    for model, max_rounds in inputs:
+        builds.clear()
+        got = _outcome(resolve, model, max_rounds)
+        if not isinstance(got, ResolveResult):
+            assert builds == []
+        elif got.rounds:
+            assert builds == [got.cover]
+        else:
+            assert builds == [] and got.cover is model
+        seen[got.rounds if isinstance(got, ResolveResult) else "error"] += 1
+    assert got.rounds == 2 and len(builds) == 1
+    assert seen[0] >= 10 and seen[1] >= 10 and seen[2] >= 10 and seen["error"] >= 10, seen
+
+
 def test_every_resolve_output_passes_the_reference_smoothness_check():
     # resolve decides smoothness alone, testing only ripe marked points; the
     # reference tests every marked point, ripe or not, then the crossings
@@ -739,4 +827,4 @@ def test_every_resolve_output_passes_the_reference_smoothness_check():
     for model in models:
         resolved = resolve(model, max_rounds=30).cover
         assert singularity_reference(resolved) is None
-        assert all(resolved.point_is_ripe(m.name) for m in resolved.marked)
+        assert all(point_is_ripe(resolved, m.name) for m in resolved.marked)
