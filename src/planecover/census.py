@@ -7,6 +7,10 @@ moduli: configurations differing only by the position of general curves
 share a row, and shapes that become equal after Cremona reduction are
 deduplicated (the multiplicity-(d-1) variants fold into their reduced
 normal forms).
+
+A row builds one model, its plane model: the shape key reads the record a
+reduction recipe returns (or the plane model's record), and the invariants
+read the record ``resolve`` returns.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 
 from . import classify as classify_mod
 from . import invariants as invariants_mod
-from .cover import CoverModel, check_parity, is_totally_ramified
-from .cover import plane_cover
+from .cover import CoverModel, ModelRecord, is_totally_ramified, plane_cover, to_record
 from .errors import DomainError, InconsistencyError
+from .group import GroupElement
 from .normalize import resolve
 
 
@@ -137,14 +141,17 @@ def _parity_triples(max_degree: int):
                     yield (a, b, c)
 
 
-def _shape_key(cover: CoverModel) -> tuple:
-    p = cover.pencil
-    profile = []
-    for g, entries in cover.branch:
-        comps = [cover.component(cid) for cid, _ in entries]
-        shape = tuple(sorted((c.cls.degree, c.mult_at(p)) for c in comps))
-        profile.append((str(g), shape))
-    return (cover.r, tuple(sorted(profile)))
+def _shape_key(record: ModelRecord) -> tuple:
+    """r and, per nonzero g, the (degree, multiplicity at the pencil point)
+    of the curves of D_g, on a normalized record."""
+    shapes: dict[int, list[tuple[int, int]]] = {}
+    for cid, g in record.carrier.items():
+        shape = (record.coeffs[cid].get(0, 0), record.mult_at(cid, record.pencil))
+        shapes.setdefault(g, []).append(shape)
+    profile = (
+        (str(GroupElement._of(record.r, g)), tuple(sorted(shape))) for g, shape in shapes.items()
+    )
+    return (record.r, tuple(sorted(profile)))
 
 
 def census(r: int, max_degree: int) -> CensusTable:
@@ -158,9 +165,8 @@ def census(r: int, max_degree: int) -> CensusTable:
     for pattern, model in _candidates(r, max_degree):
         if not is_totally_ramified(model):
             raise InconsistencyError(f"census generated an invalid pattern: {pattern}")
-        check_parity(model)
-        label = classify_mod.classify(model)
-        reduced = label.reduce()[0] if label.reduce is not None else model
+        label = classify_mod.classify(model)  # the matcher checks parity
+        reduced = label.reduce()[0] if label.reduce is not None else to_record(model)
         key = _shape_key(reduced)
         if key in seen:
             continue

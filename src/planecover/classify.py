@@ -20,9 +20,10 @@ deterministic and directly testable.  A quadratic move maps a record to a
 record (``cover.ModelRecord``: the model as plain dicts): it blows up
 the three points, reflects the coefficients in closed form and drops the
 marks left idle.  A recipe reads the matched model's record once, marks
-its auxiliary points and makes all its moves on records, and builds the
-reduced model once, whatever the number of moves; ``quadratic_move``
-builds one model per move.
+its auxiliary points, makes all its moves on records and returns the
+reduced record; ``cremona_reduce`` builds the reduced model from it, once,
+whatever the number of moves, and the census reads the record itself.
+``quadratic_move`` builds one model per move.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 
 from . import group, lattice
 from .cover import (
@@ -63,15 +63,16 @@ class CaseLabel:
     """A matched case: proposition id, taxonomy symbol, family parameters.
 
     ``reduce`` is the matched family's Cremona recipe on the model it was
-    matched on, returning the reduced model and its moves; it is ``None``
-    for families already in normal form.  It takes no part in equality.
+    matched on, returning the record of the reduced model and its moves; it
+    is ``None`` for families already in normal form.  It takes no part in
+    equality.
     """
 
     proposition: str
     symbol: str
     params: tuple[tuple[str, object], ...] = ()
     flags: tuple[str, ...] = ()
-    reduce: Callable[[], tuple[CoverModel, tuple[MoveRecord, ...]]] | None = field(
+    reduce: Callable[[], tuple[ModelRecord, tuple[MoveRecord, ...]]] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -132,7 +133,7 @@ def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
         raise PreconditionError(
             f"point {pencil_point!r} is infinitely near unblown point {point.parent!r}"
         )
-    mult_at_p = {c.cid: m for c, m in cover._through.get(pencil_point, ())}
+    mult_at_p = dict(cover._through.get(pencil_point, ()))
     carriers: list[GroupElement] = []
     count = 0
     section = group.zero(cover.r)
@@ -368,9 +369,10 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
 # -- the Del Pezzo matcher -----------------------------------------------------
 
 
-def _marked_incidences(cover: CoverModel) -> dict[str, list[CurveComponent]]:
-    """Marked points on two or more components, in name order, with those components."""
-    return {p: [c for c, _ in at] for p, at in sorted(cover._through.items()) if len(at) >= 2}
+def _marked_incidences(cover: CoverModel) -> dict[str, list[tuple[str, int]]]:
+    """Marked points on two or more components, in name order, with those
+    components' (cid, m)."""
+    return {p: at for p, at in sorted(cover._through.items()) if len(at) >= 2}
 
 
 def _tacnode(cover: CoverModel, quartic: CurveComponent, conic: CurveComponent):
@@ -463,13 +465,12 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             if not conic.irreducible:
                 raise MatchError("the conic must be irreducible")
             triples = []
-            for m in cover.marked:
-                at = [c for c, _ in cover.components_at(m.name)]
+            for name, at in _marked_incidences(cover).items():
                 if len(at) >= 3:
-                    ids = {c.cid for c in at}
+                    ids = {cid for cid, _ in at}
                     if conic.cid not in ids or len(at) != 3:
-                        raise MatchError(f"unexpected triple point at {m.name}")
-                    triples.append((m.name, ids - {conic.cid}))
+                        raise MatchError(f"unexpected triple point at {name}")
+                    triples.append((name, ids - {conic.cid}))
             if not triples:
                 if _marked_incidences(cover):
                     raise MatchError("unexpected marked incidences for the conic-plus-lines shape")
@@ -496,7 +497,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                 if len(at) > 3:
                     raise MatchError(f"too many lines through {name}")
                 if len(at) == 3:
-                    ks = [c for c in at if cover.inertia_of(c.cid) is k]
+                    ks = [cid for cid, _ in at if cover.inertia_of(cid) is k]
                     if len(ks) != 1:
                         raise MatchError(f"triple point at {name} must mix both subgroup parts")
             return CaseLabel("5.5", "4.222", (), ("reduced-five-line-model",))
@@ -555,7 +556,7 @@ def _purge_idle_marks(record: ModelRecord, curves_at: Mapping[str, int]) -> set[
     are found from the childless ones up to their parents.
     """
     marked = record.marked
-    children = children_by_parent(marked.values())
+    children = children_by_parent(marked)
 
     def idle(name: str) -> bool:
         return (
@@ -606,7 +607,7 @@ def _move(
     based = (p, q, r)
     if len(set(based)) != 3:
         raise GeometryError("a quadratic move needs three distinct base points")
-    children = children_by_parent(sorted(record.marked.values(), key=attrgetter("name")))
+    children = children_by_parent(record.marked)
     parent = {}
     for name in based:
         mp = record.marked.get(name)
@@ -660,12 +661,8 @@ def _move(
 
 
 # -- reduction recipes ----------------------------------------------------------
-# A recipe reads the matched model's record once, marks its auxiliary points
-# and makes its moves on records, and builds the reduced model once.
-
-
-def _mult_at(record: ModelRecord, cid: str, point: str) -> int:
-    return next((m for name, m in record.mults[cid] if name == point), 0)
+# A recipe reads the matched model's record once, marks its auxiliary points,
+# makes its moves on records and returns the reduced record.
 
 
 def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
@@ -675,7 +672,7 @@ def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
     (aux,) = fresh_names(work, "aux")
     work = mark_points(work, [(aux, None, mults)])
     work, record = _move(work, *(aux if n is None else n for n in based))
-    return build_model(work), (record,)
+    return work, (record,)
 
 
 def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
@@ -690,7 +687,7 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         heavy = [
             cid
             for cid in curves_of_w()
-            if (d := work.coeffs[cid].get(0, 0)) >= 2 and _mult_at(work, cid, p) == d - 1
+            if (d := work.coeffs[cid].get(0, 0)) >= 2 and work.mult_at(cid, p) == d - 1
         ]
         if not heavy:
             break
@@ -701,8 +698,8 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         moves.append(record)
     while True:
         comps = curves_of_w()
-        through = [cid for cid in comps if _mult_at(work, cid, p) == 1]
-        off = [cid for cid in comps if _mult_at(work, cid, p) == 0]
+        through = [cid for cid in comps if work.mult_at(cid, p) == 1]
+        off = [cid for cid in comps if work.mult_at(cid, p) == 0]
         if not through:
             break
         if len(through) % 2:
@@ -716,18 +713,21 @@ def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
         work = mark_points(work, [(qn, None, {off[0]: 1, r_b: 1}), (rn, p, {r_a: 1})])
         work, record = _move(work, p, qn, rn)
         moves.append(record)
-    return build_model(work), tuple(moves)
+    return work, tuple(moves)
 
 
 def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):
     """Reduce a cover to its family's normal form by the family's recipe.
 
     Normalize and match the cover once, then run the recipe the match
-    attached to its label.  Families already in normal form reduce to
-    themselves with an empty trail.  Returns the reduced model and the
-    move records.
+    attached to its label and build the reduced model from its record.
+    Families already in normal form reduce to themselves with an empty
+    trail.  Returns the reduced model and the move records.
     """
     p = pencil_point if pencil_point is not None else cover.pencil
     work = normalize(cover)
     label = match_conic_bundle(work, p) if p is not None else match_del_pezzo(work)
-    return label.reduce() if label.reduce is not None else (work, ())
+    if label.reduce is None:
+        return work, ()
+    reduced, moves = label.reduce()
+    return build_model(reduced), moves

@@ -14,7 +14,7 @@ from . import config
 from . import invariants as invariants_mod
 from .cover import check_parity, is_totally_ramified
 from .errors import ConfigError, CoverError, MatchError
-from .normalize import normalize, resolve
+from .normalize import ResolveResult, normalize, resolve
 
 EXIT_CODES = {
     "config": 2,
@@ -68,8 +68,16 @@ def _cmd_normalize(doc: config.ConfigDocument) -> int:
     return 0
 
 
+def _resolved(doc: config.ConfigDocument) -> ResolveResult:
+    """The document's model resolved; ParityError first when the branch data
+    have no cover, as ``validate`` reports it."""
+    model = doc.to_cover()
+    check_parity(model)
+    return resolve(model)
+
+
 def _cmd_resolve(doc: config.ConfigDocument) -> int:
-    result = resolve(doc.to_cover())
+    result = _resolved(doc)
     for record in result.trail:
         payload = {
             "round": record.round,
@@ -85,7 +93,7 @@ def _cmd_resolve(doc: config.ConfigDocument) -> int:
 
 
 def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
-    result = resolve(doc.to_cover())
+    result = _resolved(doc)
     report = invariants_mod.invariant_report(result)
     if fmt == "tsv":
         print("chi\tk2\tbicanonical\tverdict")

@@ -7,6 +7,17 @@ are never given as input: the bases here have torsion-free Picard group, so
 the branch data determine every L_chi through 2*L_chi ~ S_chi = sum of
 eps_chi(g)*D_g, and deriving them removes an inconsistency surface.
 
+A ``CoverModel`` is the validated type at the boundary: a document, a plane
+configuration, a matcher's argument and a reduction's result.  Inside, the
+engine works on a ``ModelRecord``, the model as plain dicts: ``resolve``,
+the Cremona recipes, the invariant report and the census read and chain
+records and build no model.  Each index over a model has one
+implementation, on a record's maps, next to ``ModelRecord``: the curves
+through each point (``curves_through``), the points infinitely near each
+point (``children_by_parent``), each curve's carrier (``carriers``) and
+the parity sweep (``odd_character``).  A model reads the same ones, each
+cached once per model.
+
 The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
 relation hold, so all it needs to know is that each S_chi is divisible by
 two: ``check_parity`` decides that in one pass over the nonzero coefficients
@@ -22,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice
-from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import group, lattice
 from .errors import (
@@ -163,18 +174,12 @@ class CoverModel:
         return {m.name: m for m in self.marked}
 
     @cached_property
-    def _through(self) -> dict[str, list[tuple[CurveComponent, int]]]:
-        """point -> [(component, m), ...] for m >= 1, in component-id order."""
-        through: dict[str, list[tuple[CurveComponent, int]]] = {}
-        for comp in self.components:
-            for name, m in comp.mults:
-                through.setdefault(name, []).append((comp, m))
-        return through
+    def _through(self) -> dict[str, list[tuple[str, int]]]:
+        return curves_through((c.cid, c.mults) for c in self.components)
 
     @cached_property
     def _children(self) -> dict[str, list[str]]:
-        """parent -> names of the marked points infinitely near it, in name order."""
-        return children_by_parent(self.marked)
+        return children_by_parent(self._by_point)
 
     @cached_property
     def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
@@ -233,29 +238,8 @@ class CoverModel:
 
     @cached_property
     def _odd_character(self) -> Character | None:
-        """The first character, in ``group.characters`` order, whose branch sum
-        S_chi has an odd coefficient; None when every S_chi is even.
-
-        Mod 2, S_chi at slot s is eps_chi(v_s), where v_s is the XOR of the g
-        over the entries (cid, k) of D_g with k odd and an odd coefficient of
-        [C_cid] at s.  So one pass over the coefficients collects the v_s, and
-        S_chi is odd exactly when chi pairs oddly with one of them.
-        """
-        at_slot: dict[int, int] = {}
-        for g, entries in self.branch:
-            for cid, k in entries:
-                if k & 1:
-                    for slot, value in self._by_cid[cid].cls.support.items():
-                        if value & 1:
-                            at_slot[slot] = at_slot.get(slot, 0) ^ g.mask
-        odd = {v for v in at_slot.values() if v}
-        if not odd:
-            return None
-        return next(
-            chi
-            for chi in group.characters(self.r)
-            if any((chi.mask & v).bit_count() & 1 for v in odd)
-        )
+        curves = carriers(self.branch).items()
+        return odd_character(self.r, ((g, self._by_cid[cid].cls.support) for cid, g in curves))
 
     @cached_property
     def _branch_sums(self) -> dict[Character, DivisorClass]:
@@ -289,7 +273,7 @@ class CoverModel:
 
         One dict lookup in a map built once per model.
         """
-        return list(self._through.get(point_name, ()))
+        return [(self._by_cid[cid], m) for cid, m in self._through.get(point_name, ())]
 
     def children_of_point(self, name: str) -> tuple[str, ...]:
         """One dict lookup in a map built once per model."""
@@ -320,8 +304,9 @@ def plane_cover(
     over the points they share may not exceed d_a*d_b (Bezout).
 
     One sweep over each curve's multiplicities checks m against d and adds
-    into the curve's proximity and genus sums and, through a point -> (cid,
-    m) index, into the Bezout sum of each pair of curves through the point.
+    into the curve's proximity and genus sums; then the point -> (cid, m)
+    index (``curves_through``) adds into the Bezout sum of each pair of
+    curves through each point.
     Only the first broken rule is reported: the pencil; then, curve by
     curve, m against d (points by name), proximity (parents in order of
     first mention) and genus; then Bezout, for the least offending pair.
@@ -331,8 +316,6 @@ def plane_cover(
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
     degree_of: dict[str, int] = {}
-    through: dict[str, list[tuple[str, int]]] = {}
-    shared: dict[tuple[str, str], int] = {}
     comps = []
     for cid, degree, mults in components:
         comp = CurveComponent(
@@ -357,11 +340,6 @@ def plane_cover(
             if parent is not None:
                 near[parent] = near.get(parent, 0) + m
             delta += m * (m - 1) // 2
-            members = through.setdefault(point, [])
-            for b, mb in members:
-                pair = (cid, b) if cid < b else (b, cid)
-                shared[pair] = shared.get(pair, 0) + m * mb
-            members.append((cid, m))
         broken = {point for point, total in near.items() if total > mults.get(point, 0)}
         if broken:
             point = next(parent for parent in parent_of.values() if parent in broken)
@@ -377,6 +355,7 @@ def plane_cover(
             )
         degree_of[cid] = degree
         comps.append(comp)
+    shared = pair_sums(curves_through((c.cid, c.mults) for c in comps).values())
     over = [(a, b) for (a, b), total in shared.items() if total > degree_of[a] * degree_of[b]]
     if over:
         a, b = min(over)
@@ -450,30 +429,34 @@ class ModelRecord(NamedTuple):
     kept: dict[str, tuple[bool, str | None]]
     mults: dict[str, list[tuple[str, int]]]
 
+    def mult_at(self, cid: str, point: str | None) -> int:
+        """The multiplicity of curve ``cid`` at a marked point, 0 when it misses it."""
+        return next((m for name, m in self.mults[cid] if name == point), 0)
+
+    @property
+    def _odd_character(self) -> Character | None:
+        """``odd_character`` over the curves and their carriers."""
+        return odd_character(self.r, ((g, self.coeffs[cid]) for cid, g in self.carrier.items()))
+
 
 def to_record(cover: CoverModel) -> ModelRecord:
     """The record of a model; coefficient maps are shared, read only."""
-    carrier: dict[str, int] = {}
-    for g, entries in cover.branch:
-        for cid, k in entries:
-            carrier[cid] = carrier.get(cid, 0) ^ (g.mask if k % 2 else 0)
-    comps = cover.components
     return ModelRecord(
         cover.r,
         list(cover.surface.centers),
         dict(cover._by_point),
         cover.pencil,
-        carrier,
-        {c.cid: c.cls.support for c in comps},
-        {c.cid: (c.irreducible, c.exceptional_of) for c in comps},
-        {c.cid: list(c.mults) for c in comps},
+        carriers(cover.branch),
+        {c.cid: c.cls.support for c in cover.components},
+        {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components},
+        {c.cid: list(c.mults) for c in cover.components},
     )
 
 
 def build_model(record: ModelRecord) -> CoverModel:
     """The model of a normalized record, built once by the validating
     constructors: every curve is a component in the D_g of its carrier."""
-    surface = BlownPlane(tuple(record.centers)) if record.centers else PLANE
+    surface = surface_of(record)
     comps = tuple(
         CurveComponent(
             cid,
@@ -505,28 +488,103 @@ def mark_points(
     marked = dict(record.marked)
     in_use = marked.keys() | {c.name for c in record.centers}
     for name, parent, at in points:
-        if name in in_use:
-            raise DomainError(f"point name {name!r} is already in use")
         at = dict(at or {})
-        unknown = sorted(cid for cid in at if cid not in mults)
-        if unknown:
-            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+        claim_point(name, at, in_use, mults)
         for cid in exceptional.get(parent, ()):
             at.setdefault(cid, 1)
         for cid, m in at.items():
             mults[cid] = [*mults[cid], (name, m)]
-        in_use.add(name)
         marked[name] = Center(name, parent)
     return record._replace(marked=marked, mults=mults)
 
 
-def children_by_parent(marked: Iterable[Center]) -> dict[str, list[str]]:
-    """parent -> names of the marked points infinitely near it, in the order given."""
+def claim_point(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> None:
+    """Add the name of a new point, through the curves of ``at``, to
+    ``in_use``: DomainError when it is in use already, DanglingReferenceError
+    when ``at`` names a curve that is not in ``curves``."""
+    if name in in_use:
+        raise DomainError(f"point name {name!r} is already in use")
+    if not at.keys() <= curves.keys():
+        unknown = sorted(at.keys() - curves.keys())
+        raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+    in_use.add(name)
+
+
+def surface_of(record: ModelRecord) -> BlownPlane:
+    """The plane blown up at the record's centers, in slot order."""
+    return BlownPlane(tuple(record.centers)) if record.centers else PLANE
+
+
+# -- indexes ----------------------------------------------------------------
+# One implementation each, fed by a record's maps or by a model's own data;
+# a model caches each index once.
+
+
+def curves_through(
+    curves: Iterable[tuple[str, Iterable[tuple[str, int]]]],
+) -> dict[str, list[tuple[str, int]]]:
+    """point -> [(cid, m), ...] of the curves through it, in id order, from
+    (cid, incidences) pairs; a repeated id is kept, in the order given."""
+    through: dict[str, list[tuple[str, int]]] = {}
+    for cid, at in sorted(curves, key=itemgetter(0)):
+        for name, m in at:
+            through.setdefault(name, []).append((cid, m))
+    return through
+
+
+def pair_sums(groups: Iterable[Sequence[tuple[Hashable, int]]]) -> dict[tuple, int]:
+    """(a, b) -> the sum of x * y over the groups in which (a, x) comes
+    before (b, y): per pair of curves, the sum over the points (or slots)
+    they share of the product of their multiplicities there."""
+    sums: dict[tuple, int] = {}
+    for members in groups:
+        for n, (a, x) in enumerate(members):
+            for b, y in members[n + 1 :]:
+                sums[a, b] = sums.get((a, b), 0) + x * y
+    return sums
+
+
+def children_by_parent(marked: Mapping[str, Center]) -> dict[str, list[str]]:
+    """parent -> names of the marked points infinitely near it, in name order."""
     children: dict[str, list[str]] = {}
-    for m in marked:
-        if m.parent is not None:
-            children.setdefault(m.parent, []).append(m.name)
+    for name in sorted(marked):
+        parent = marked[name].parent
+        if parent is not None:
+            children.setdefault(parent, []).append(name)
     return children
+
+
+def carriers(branch: BranchData) -> dict[str, int]:
+    """cid -> the bit mask of the XOR of the g whose D_g hold it an odd
+    number of times (0 when that cancels), for every curve some D_g holds."""
+    carrier: dict[str, int] = {}
+    for g, entries in branch:
+        for cid, k in entries:
+            carrier[cid] = carrier.get(cid, 0) ^ (g.mask if k & 1 else 0)
+    return carrier
+
+
+def odd_character(r: int, curves: Iterable[tuple[int, Mapping[int, int]]]) -> Character | None:
+    """The first character, in ``group.characters`` order, whose branch sum
+    S_chi has an odd coefficient; None when every S_chi is even.
+
+    ``curves`` are (carrier, nonzero coefficients) pairs, one per curve
+    some D_g holds (``carriers``): mod 2, S_chi is the sum of
+    eps_chi(carrier) [C] over the curves C.  So S_chi at slot s is
+    eps_chi(v_s), where v_s is the XOR of the carriers of the curves with an
+    odd coefficient at s: one pass over the coefficients collects the v_s,
+    and S_chi is odd exactly when chi pairs oddly with one of them.
+    """
+    at_slot: dict[int, int] = {}
+    for mask, support in curves:
+        for slot, value in support.items():
+            if value & 1:
+                at_slot[slot] = at_slot.get(slot, 0) ^ mask
+    odd = {v for v in at_slot.values() if v}
+    if not odd:
+        return None
+    chis = (chi for chi in group.characters(r) if any((chi.mask & v).bit_count() & 1 for v in odd))
+    return next(chis)
 
 
 def fresh_names(record: ModelRecord, stem: str, n: int = 1) -> list[str]:
@@ -544,13 +602,14 @@ def is_totally_ramified(cover: CoverModel) -> bool:
     return cover._rank == cover.r
 
 
-def check_parity(cover: CoverModel) -> None:
+def check_parity(cover: CoverModel | ModelRecord) -> None:
     """Raise ParityError naming the first character whose branch sum S_chi
     has an odd coordinate: this is exactly the classical parity obstruction
     (for r=2, the three branch degrees must share their parity).
 
-    One pass over the nonzero coefficients of the branch classes, once per
-    model; no S_chi is built (see ``CoverModel._odd_character``).
+    One pass over the nonzero coefficients of the branch classes of a model
+    (once per model) or of a record; no S_chi is built (see
+    ``odd_character``).
     """
     chi = cover._odd_character
     if chi is not None:

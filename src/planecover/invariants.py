@@ -24,8 +24,9 @@ K^2 = 9 - n on the plane blown up n times: D.K = B.K - 2K^2 and D^2 = B^2 -
 rationality, by Castelnuovo) when it cannot be effective: negative degree,
 or a negative multiple of an exceptional class.
 
-``invariant_report`` builds no K, no [D_g] and no intersection: one sweep
-over the nonzero coefficients of the components gives each D_g (so sum
+``invariant_report`` builds no model, no K, no [D_g] and no intersection:
+one sweep over the nonzero coefficients of the curves of the resolved
+record gives each D_g, the sum of the curves with carrier g (so sum
 D_g^2), D and sum C_i^2, and with K = -3H + E_1 + ... + E_n and the form
 diag(+1, -1, ..., -1), B is formed slot by slot, reading its numbers as it
 goes:
@@ -62,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .cover import CoverModel, check_parity
+from .cover import CoverModel, check_parity, surface_of
 from .errors import DomainError, InconsistencyError
 from .lattice import DivisorClass
 from .normalize import ResolveResult
@@ -132,23 +133,23 @@ def _verdict(chi: int, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]
 
 def invariant_report(resolved: ResolveResult) -> InvariantReport:
     """Every invariant of the model ``resolve`` returned, read in one sweep
-    over the coefficients of its branch curves (formulas in the module
-    docstring) and checked by Noether's formula; the verdict is
+    over the coefficients of the curves of its record (formulas in the
+    module docstring) and checked by Noether's formula; the verdict is
     conservative: "rational" or "inconclusive", never "irrational"."""
-    cover = resolved.cover
-    check_parity(cover)
-    r, surface = cover.r, cover.surface
+    record = resolved.record
+    check_parity(record)
+    r, surface = record.r, surface_of(record)
+    by_g: dict[int, dict[int, int]] = {}  # D_g, the sum of the curves with carrier g
     total: dict[int, int] = {}  # D = sum D_g
-    squares = 0  # sum D_g^2
-    for _, entries in cover.branch:
-        d_g: dict[int, int] = {}
-        for cid, k in entries:
-            for slot, value in cover._by_cid[cid].cls.support.items():
-                d_g[slot] = d_g.get(slot, 0) + k * value
-        squares += _square(d_g)
-        for slot, value in d_g.items():
+    c2 = 0  # sum C_i^2
+    for cid, g in record.carrier.items():
+        support = record.coeffs[cid]
+        c2 += _square(support)
+        d_g = by_g.setdefault(g, {})
+        for slot, value in support.items():
+            d_g[slot] = d_g.get(slot, 0) + value
             total[slot] = total.get(slot, 0) + value
-    c2 = sum(_square(comp.cls.support) for comp in cover.components)
+    squares = sum(_square(d_g) for d_g in by_g.values())  # sum D_g^2
     # B = 2K + D slot by slot, with B^2 and B.K read as it is formed
     b0 = total.get(0, 0) - 6
     support = {0: b0} if b0 else {}

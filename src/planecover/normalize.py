@@ -19,11 +19,12 @@ and each exceptional curve straight into that XOR, its carrier, and keeps
 no curve whose carrier is 0.  It takes a ``cover.ModelRecord``, a model as
 plain dicts, and returns one, so blow-ups and Cremona moves chain on
 records: ``cover.to_record`` reads a model, ``cover.mark_points`` adds
-marked points, and ``cover.build_model`` builds the model at the end, once.
+marked points, and ``cover.build_model`` builds a model from a record.
 ``pull_back`` is one ``blow_up`` between the two.  ``resolve`` chains its
 rounds the same way: it reads the normalized input once, makes each round
 one ``blow_up`` (the crossings it finds included), decides smoothness on the
-record, and builds the resolved model once, after the last round.
+record, and returns the record of its last round; the resolved model is
+built only when a caller asks for ``ResolveResult.cover``.
 
 Singularity detection is combinatorial on declared incidence data: a point
 is bad when a component is singular there, three or more branch components
@@ -33,19 +34,23 @@ same inertia element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .cover import (
     CoverModel,
     ModelRecord,
     build_model,
+    carriers,
     children_by_parent,
+    claim_point,
+    curves_through,
+    pair_sums,
     fresh_names,
     to_record,
 )
 from .errors import (
-    DanglingReferenceError,
     DomainError,
     InconsistencyError,
     NonTerminationError,
@@ -65,14 +70,9 @@ def normalize(cover: CoverModel) -> CoverModel:
     A model that is normalized already is returned as it is, not rebuilt."""
     if is_normalized(cover):
         return cover
-    carrier: dict[str, GroupElement] = {}
-    for g, entries in cover.branch:
-        for cid, k in entries:
-            if k % 2:
-                carrier[cid] = carrier[cid] + g if cid in carrier else g
-    kept = {cid: g for cid, g in carrier.items() if not g.is_zero}
-    branch = tuple((g, ((cid, 1),)) for cid, g in kept.items())
-    comps = tuple(c for c in cover.components if c.cid in kept)
+    carrier = carriers(cover.branch)
+    branch = tuple((GroupElement._of(cover.r, g), ((cid, 1),)) for cid, g in carrier.items() if g)
+    comps = tuple(c for c in cover.components if carrier.get(c.cid))
     return replace(cover, branch=branch, components=comps)
 
 
@@ -139,19 +139,11 @@ def blow_up(
     centers = list(record.centers)
     center_names = {c.name for c in centers}
     in_use = marked.keys() | center_names
-    # each check sorts its error list only once it fails
-    low = False
     for name, mults in crossings:
-        if name in in_use:
-            raise DomainError(f"point name {name!r} is already in use")
-        if not mults.keys() <= record.coeffs.keys():
-            unknown = sorted(mults.keys() - record.coeffs.keys())
-            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
-        in_use.add(name)
-        low = low or min(mults.values(), default=1) < 1
+        claim_point(name, mults, in_use, record.coeffs)
+    low = [cid for _, mults in crossings for cid, m in mults.items() if m < 1]
     if low:
-        cid = min(cid for _, mults in crossings for cid, m in mults.items() if m < 1)
-        raise DomainError(f"component {cid!r} has a multiplicity below 1")
+        raise DomainError(f"component {min(low)!r} has a multiplicity below 1")
     if not points and not crossings:
         raise DomainError("pull_back needs at least one point")
 
@@ -166,11 +158,8 @@ def blow_up(
     coeffs = {cid: dict(record.coeffs[cid]) for cid, g in carrier.items() if g}
     kept = {cid: record.kept[cid] for cid in coeffs}
     taken = set(record.coeffs)
-    through: dict[str, list[tuple[str, int]]] = {}
-    for cid, at in record.mults.items():
-        for name, m in at:
-            through.setdefault(name, []).append((cid, m))
-    children = children_by_parent(marked.values())
+    through = curves_through(record.mults.items())
+    children = children_by_parent(marked)
     for name, mults in crossings:
         through[name] = list(mults.items())
     for point in (*points, *(name for name, _ in crossings)):
@@ -229,20 +218,6 @@ def blow_up(
 # and its carrier is its inertia element.
 
 
-def _curves_through(record: ModelRecord) -> dict[str, list[tuple[str, int]]]:
-    """marked point -> [(cid, m), ...] of the curves through it, in id order."""
-    through: dict[str, list[tuple[str, int]]] = {}
-    for cid in sorted(record.mults):
-        for name, m in record.mults[cid]:
-            through.setdefault(name, []).append((cid, m))
-    return through
-
-
-def _children(record: ModelRecord) -> dict[str, list[str]]:
-    """parent -> names of the marked points infinitely near it, in name order."""
-    return children_by_parent(record.marked[name] for name in sorted(record.marked))
-
-
 def _singularity(
     record: ModelRecord,
     through: Mapping[str, list[tuple[str, int]]],
@@ -274,7 +249,8 @@ def singularity_over(record: ModelRecord, point: str) -> str | None:
     Smooth iff at most two branch components pass through it, each smooth
     there, meeting transversally, with distinct inertia elements.
     """
-    return _singularity(record, _curves_through(record), _children(record), point)
+    through, children = curves_through(record.mults.items()), children_by_parent(record.marked)
+    return _singularity(record, through, children, point)
 
 
 def singular_points(record: ModelRecord) -> list[str]:
@@ -285,7 +261,7 @@ def singular_points(record: ModelRecord) -> list[str]:
     incidences and of the infinitely near points built once for all points.
     """
     ripe_parents = {None} | {c.name for c in record.centers}
-    through, children = _curves_through(record), _children(record)
+    through, children = curves_through(record.mults.items()), children_by_parent(record.marked)
     return [
         name
         for name in sorted(record.marked)
@@ -334,11 +310,7 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
                 through.setdefault(slot, []).append((i, -value))
         for name, m in record.mults[cid]:
             through.setdefault(name, []).append((i, m))
-    shared: dict[tuple[int, int], int] = {}
-    for members in through.values():
-        for n, (i, x) in enumerate(members):
-            for j, y in members[n + 1 :]:
-                shared[i, j] = shared.get((i, j), 0) + x * y
+    shared = pair_sums(through.values())
     degree = [record.coeffs[cid].get(0, 0) for cid in cids]
     pairs = []
     for i, j in sorted(shared):
@@ -382,13 +354,20 @@ class RoundRecord:
 class ResolveResult:
     """A smooth model, as ``resolve`` proved it, with the rounds it took.
 
-    With no round taken, ``cover`` is the normalized input itself; else it
-    is the one model ``resolve`` built, from the record of its last round.
+    ``record`` is the record of the last round, normalized: each curve lies
+    in the D_g of its carrier, once.  ``normalized`` is the normalized input.
+    ``cover`` is built on first use, from ``record`` by ``build_model``;
+    with no round taken, it is ``normalized`` itself.
     """
 
-    cover: CoverModel
+    record: ModelRecord
     rounds: int
     trail: tuple[RoundRecord, ...]
+    normalized: CoverModel = field(compare=False, repr=False)
+
+    @cached_property
+    def cover(self) -> CoverModel:
+        return build_model(self.record) if self.rounds else self.normalized
 
 
 def _round_diff(before: ModelRecord, after: ModelRecord):
@@ -424,9 +403,9 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
     ``blow_up`` as crossings in name order.
 
     The rounds chain on records: the normalized input is read once by
-    ``to_record``, each round is one ``blow_up``, and the resolved model is
-    built once, by ``build_model``, after the last round.  When no round is
-    needed, the normalized input is returned as it is and no model is built.
+    ``to_record`` and each round is one ``blow_up``.  The result holds the
+    record of the last round and builds no model; its ``cover`` is built on
+    first use (see ``ResolveResult``).
 
     This is the one place smoothness is decided: the loop returns only when
     no ripe marked point is singular and no same-inertia pair crosses off
@@ -462,4 +441,4 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
             after = blow_up(record, *blown)
         trail.append(RoundRecord(rounds, blown, _round_diff(record, after)))
         record = after
-    return ResolveResult(build_model(record) if rounds else current, rounds, tuple(trail))
+    return ResolveResult(record, rounds, tuple(trail), current)

@@ -128,6 +128,42 @@ def dense_singular_residual_pairs(cover):
     return pairs
 
 
+def reference_odd_character(cover):
+    """Reference for the parity sweep ``cover.odd_character``: the sweep as
+    it was on a built model, over its branch entries.  The first character,
+    in ``group.characters`` order, whose branch sum S_chi has an odd
+    coefficient; None when every S_chi is even.  Mod 2, S_chi at slot s is
+    eps_chi(v_s), where v_s is the XOR of the g over the entries (cid, k)
+    of D_g with k odd and an odd coefficient of [C_cid] at s."""
+    at_slot = {}
+    for g, entries in cover.branch:
+        for cid, k in entries:
+            if k & 1:
+                for slot, value in cover.component(cid).cls.support.items():
+                    if value & 1:
+                        at_slot[slot] = at_slot.get(slot, 0) ^ g.mask
+    odd = {v for v in at_slot.values() if v}
+    if not odd:
+        return None
+    return next(
+        chi
+        for chi in group.characters(cover.r)
+        if any((chi.mask & v).bit_count() & 1 for v in odd)
+    )
+
+
+def reference_shape_key(cover):
+    """Reference for ``census._shape_key``: the key as it was on a built
+    model, read off its branch entries."""
+    p = cover.pencil
+    profile = []
+    for g, entries in cover.branch:
+        comps = [cover.component(cid) for cid, _ in entries]
+        shape = tuple(sorted((c.cls.degree, c.mult_at(p)) for c in comps))
+        profile.append((str(g), shape))
+    return (cover.r, tuple(sorted(profile)))
+
+
 def scan_components_at(cover, point):
     """Reference for ``CoverModel.components_at``: every component, in id
     order, with its multiplicity at ``point`` when that is at least 1."""
@@ -633,7 +669,10 @@ def total_transform_pull_back(cover, *points):
         for cid, k in entries:
             carriers[cid].append((g, k))
     kept = {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components}
-    through = {name: {c.cid: m for c, m in at} for name, at in cover._through.items()}
+    through = {}
+    for c in cover.components:
+        for name, m in c.mults:
+            through.setdefault(name, {})[c.cid] = m
     new_branch = list(cover.branch)
     for point in points:
         if point in marked:
@@ -741,7 +780,7 @@ def _reference_rounds(cover, max_rounds, step):
     """The resolve loop on built models: ``step(model, blown, crossings)``
     makes one round's model, where ``crossings`` maps each new point
     ``sing<n>`` (name order) to the two curves crossing there, or is empty."""
-    current = normalize(cover)
+    current = start = normalize(cover)
     rounds = 0
     trail = []
     while True:
@@ -770,7 +809,7 @@ def _reference_rounds(cover, max_rounds, step):
         after = step(current, blown, crossings)
         trail.append(RoundRecord(rounds, blown, branch_diff(current, after)))
         current = after
-    return ResolveResult(current, rounds, tuple(trail))
+    return ResolveResult(to_record(current), rounds, tuple(trail), start)
 
 
 def reference_stepwise_resolve(cover, max_rounds=6, pull_back=pull_back):

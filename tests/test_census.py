@@ -1,9 +1,12 @@
 import pytest
 
+from planecover import census as census_mod
 from planecover.census import census
+from planecover.classify import classify
+from planecover.cover import build_model, to_record
 from planecover.errors import DomainError
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, reference_shape_key
 
 
 def test_census_r2_degree1_is_exactly_the_two_line_patterns():
@@ -52,3 +55,19 @@ def test_census_bounds():
         census(5, 3)
     with pytest.raises(DomainError):
         census(2, 8)
+
+
+def test_shape_key_of_a_record_matches_the_model_reference():
+    # every census pattern and its reduction: the key read off the record
+    # equals the key of the model built from it
+    reduced = 0
+    for r in (2, 3, 4):
+        for _, model in census_mod._candidates(r, 7):
+            record = to_record(model)
+            assert census_mod._shape_key(record) == reference_shape_key(model)
+            label = classify(model)
+            if label.reduce is not None:
+                record = label.reduce()[0]
+                assert census_mod._shape_key(record) == reference_shape_key(build_model(record))
+                reduced += 1
+    assert reduced == 6

@@ -880,35 +880,58 @@ def test_cremona_reduce_equals_the_step_by_step_reference(monkeypatch):
     assert got == _outcome(reference_reduce_odd_curve, model, "p", w)
 
 
-def test_each_recipe_builds_one_model(monkeypatch):
-    # a recipe builds the reduced model once, whatever the number of its
-    # moves: the nine census tables make 12 reductions (3, 6 and 9 moves at
-    # d = 3, 5, 7), and three fixtures make one auxiliary move each
+def test_a_census_row_builds_no_model_after_its_plane_model(monkeypatch):
+    # the nine tables (r = 2..4, d = 3, 5, 7) build their 177 plane models and
+    # nothing else: the reductions, the shape keys, resolve and the
+    # invariants all read records (every check still runs on every build)
+    inside = []
+    plane_cover_ = census_mod.plane_cover
+    post_init = CoverModel.__post_init__
+
+    def planar(*args, **kwargs):
+        inside.append(True)
+        try:
+            return plane_cover_(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(model):
+        builds.append(bool(inside))
+        post_init(model)
+
+    builds = []
+    monkeypatch.setattr(census_mod, "plane_cover", planar)
+    monkeypatch.setattr(CoverModel, "__post_init__", counting)
+    for r in (2, 3, 4):
+        for d in (3, 5, 7):
+            census_mod.census(r, d)
+    assert len(builds) == 177 and all(builds)
+
+
+def test_cremona_reduce_builds_one_model_per_reduction(monkeypatch):
+    # a recipe returns its record, whatever the number of its moves, and
+    # cremona_reduce builds the reduced model from it: one build per
+    # reduction, none for a family already in normal form
+    models = [normalize(load_cover(path.stem)) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models += [model for r in (2, 3, 4) for _, model in census_mod._candidates(r, 7)]
+    recipes = [classify(model).reduce is not None for model in models]
     builds = []
     post_init = CoverModel.__post_init__
 
     def counting(model):
-        builds[-1][1] += 1
+        builds.append(model)
         post_init(model)
 
-    def watched(recipe):
-        def run(*args):
-            builds.append([recipe.__name__, 0])
-            monkeypatch.setattr(CoverModel, "__post_init__", counting)
-            try:
-                return recipe(*args)
-            finally:
-                monkeypatch.setattr(CoverModel, "__post_init__", post_init)
-
-        return run
-
-    for name in ("_reduce_odd_curve", "_aux_move"):
-        monkeypatch.setattr(classify_mod, name, watched(getattr(classify_mod, name)))
-    for r in (2, 3, 4):
-        for d in (3, 5, 7):
-            census_mod.census(r, d)
-    assert builds == [["_reduce_odd_curve", 1]] * 12
-    builds.clear()
-    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
-        cremona_reduce(load_cover(path.stem))
-    assert sorted(builds) == [["_aux_move", 1]] * 3 + [["_reduce_odd_curve", 1]]
+    monkeypatch.setattr(CoverModel, "__post_init__", counting)
+    moves = Counter()
+    for model, has_recipe in zip(models, recipes):
+        builds.clear()
+        reduced, trail = cremona_reduce(model)
+        assert [id(m) for m in builds] == ([id(reduced)] if has_recipe else []), model
+        if has_recipe:
+            moves[len(trail)] += 1
+        else:
+            assert reduced is model and trail == ()
+    # four fixtures (three auxiliary moves and one odd curve) and the six
+    # odd-curve patterns at r = 2, 3 (3, 6 and 9 moves at d = 3, 5, 7)
+    assert sum(moves.values()) == 4 + 6 and max(moves) == 9, moves

@@ -158,6 +158,68 @@ def test_parity_error_exit_code(capsys, tmp_path):
     assert "error[parity]" in err
 
 
+def test_resolve_and_invariants_check_parity_first(capsys, tmp_path):
+    # a document with no cover gets no resolution and no invariants
+    doc = tmp_path / "odd.cfg"
+    doc.write_text(
+        "[cover]\nr = 2\n\n[components]\nA = degree 1\nB = degree 2\n\n"
+        "[branch]\n10 = A\n01 = B\n",
+        encoding="utf-8",
+    )
+    expected = run(capsys, "validate", "--input", str(doc))
+    assert expected[0] == 3 and expected[2].startswith("error[parity]: ")
+    for command in ("resolve", "invariants"):
+        assert run(capsys, command, "--input", str(doc)) == (3, "", expected[2])
+
+
+def test_parity_errors_of_validate_end_resolve_and_invariants(monkeypatch):
+    # every document of the outputs digest (fixtures, 400 seeded random
+    # documents and the mutants of both) that validate rejects with
+    # error[parity] gets the same stderr line and exit 3 from resolve and
+    # invariants, with nothing on stdout
+    import outputs_digest
+
+    documents = [
+        (description, stdin)
+        for description, argv, stdin in outputs_digest.calls()
+        if argv[0] == "validate" and stdin is not None
+    ]
+    parity = 0
+    for description, stdin in documents:
+        code, _, err, failure = outputs_digest.run(["validate", "--input", "-"], stdin)
+        assert failure is None, description
+        if not err.startswith("error[parity]: "):
+            continue
+        parity += 1
+        assert code == 3
+        for command in ("resolve", "invariants"):
+            got = outputs_digest.run([command, "--input", "-"], stdin)
+            assert got == (3, "", err, None), (description, command)
+    assert (len(documents), parity) == (400 + 120 + 200, 84)
+
+
+def test_resolve_and_invariants_build_only_the_document_model(capsys, tmp_path, monkeypatch):
+    from planecover.cover import CoverModel
+    from test_invariants import line_arrangement
+
+    doc = tmp_path / "arrangement.cfg"
+    doc.write_text(config.from_cover(line_arrangement(8)).serialize(), encoding="utf-8")
+    expected = config.parse(doc.read_text(encoding="utf-8")).to_cover()
+    builds = []
+    post_init = CoverModel.__post_init__
+
+    def counting(model):
+        builds.append(model)
+        post_init(model)
+
+    monkeypatch.setattr(CoverModel, "__post_init__", counting)
+    for command, last in (("resolve", '{"rounds": 2, "smooth": true}'), ("invariants", "resolution_rounds = 2")):
+        builds.clear()
+        code, out, _ = run(capsys, command, "--input", str(doc))
+        assert (code, out.splitlines()[-1]) == (0, last)
+        assert builds == [expected]
+
+
 def test_resolve_trail_json(capsys):
     code, out, _ = run(capsys, "resolve", "--input", fixture("prop51"))
     assert code == 0

@@ -41,6 +41,7 @@ from conftest import (
     point_is_ripe,
     reference_component_mults,
     reference_cover_fields,
+    reference_odd_character,
     reference_plane_cover,
     reference_stepwise_resolve,
     scan_children_of_point,
@@ -177,6 +178,14 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     spy("_branch_sums", built)
     spy("_building_data", built)
     spy("_odd_character", parity)
+    # a record's parity sweep is a property: invariant_report reads it once
+    record_sweep = cov.ModelRecord._odd_character.fget
+
+    def record_parity(record):
+        parity.append(record)
+        return record_sweep(record)
+
+    monkeypatch.setattr(cov.ModelRecord, "_odd_character", property(record_parity))
     census(4, 7)
     invariant_report(resolve(line_arrangement(12)))
     codes = [
@@ -187,9 +196,11 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [0] * 24
     assert built == []
-    # the 30 census patterns and their 30 resolved rows, the arrangement and
-    # one model per CLI call; the list keeps them alive, so ids are distinct
+    # once per model or record: the 30 census patterns and the records of
+    # their 30 resolved rows, the arrangement's record and one model per CLI
+    # call; the list keeps them alive, so ids are distinct
     assert len({id(model) for model in parity}) == len(parity) == 30 + 30 + 1 + 24
+    assert sum(isinstance(each, cov.ModelRecord) for each in parity) == 30 + 1
 
 
 def test_rank_is_computed_once_per_model(monkeypatch):
@@ -522,6 +533,24 @@ def test_check_parity_matches_per_character_reference():
         models += 1
         broken += expected is not None
     assert models == 1200 and broken >= 300
+
+
+def test_parity_sweep_matches_the_model_reference():
+    # the one sweep, over a model's odd entries and over a record's curves
+    # and carriers, against the sweep as it was on a built model: raw models
+    # with repeated, even and cancelling entries, their normalized and
+    # resolved models, and the resolved records of the 440 chi models
+    from test_invariants import reference_chi_models
+
+    odd = 0
+    for model in _parity_models(8128, 400):
+        expected = reference_odd_character(model)
+        assert model._odd_character == expected, model
+        assert cov.to_record(model)._odd_character == expected, model
+        odd += expected is not None
+    assert odd >= 300
+    for result in reference_chi_models():
+        assert result.record._odd_character is reference_odd_character(result.cover) is None
 
 
 def test_prod_relations_missing_character():

@@ -9,7 +9,7 @@ import pytest
 from planecover import census as census_mod
 from planecover import group, lattice
 from planecover.classify import classify, cremona_reduce
-from planecover.cover import add_marked_point, plane_cover
+from planecover.cover import add_marked_point, plane_cover, to_record
 from planecover.errors import (
     CoverError,
     DomainError,
@@ -24,7 +24,7 @@ from planecover.invariants import (
     invariant_report,
     riemann_hurwitz_genus,
 )
-from planecover.normalize import normalize, pull_back, resolve
+from planecover.normalize import ResolveResult, normalize, pull_back, resolve
 
 from conftest import (
     FIXTURE_DIR,
@@ -404,8 +404,9 @@ def report_outcome(report, resolved):
 
 
 def test_invariant_report_equals_the_reference():
-    # the one-sweep report against the copy built from lattice classes, on
-    # the fixtures, the census patterns, the line and Ceva arrangements, 300
+    # the one-sweep report, which reads the resolved record, against the
+    # copy built from lattice classes on the model ``cover`` builds, on the
+    # fixtures, the census patterns, the line and Ceva arrangements, 300
     # seeded valid covers (max_rounds=20) and four double planes
     results = reference_chi_models()
     for result in results:
@@ -416,9 +417,17 @@ def test_invariant_report_equals_the_reference():
     assert max(ranks) == 377 and len({r.cover.r for r in results}) == 4
 
 
+def doctored(model):
+    """A hand-built ``ResolveResult`` for ``model``: ``invariant_report``
+    reads the record ``to_record`` makes of it, the reference reads the
+    model itself (its ``cover``, as no round was taken)."""
+    return ResolveResult(to_record(model), 0, (), model)
+
+
 def with_shifted_class(result, cid, shift):
-    """``result`` with the class of component ``cid`` moved by ``shift``, a
-    {slot: value} map; None when the moved class is not a component's."""
+    """``doctored`` of the model of ``result`` with the class of component
+    ``cid`` moved by ``shift``, a {slot: value} map; None when the moved
+    class is not a component's."""
     cover = result.cover
     comp = cover.component(cid)
     support = dict(comp.cls.support)
@@ -427,7 +436,7 @@ def with_shifted_class(result, cid, shift):
     try:
         moved = replace(comp, cls=lattice.DivisorClass.from_support(cover.surface, support))
         components = tuple(moved if c is comp else c for c in cover.components)
-        return replace(result, cover=replace(cover, components=components))
+        return doctored(replace(cover, components=components))
     except CoverError:
         return None
 
@@ -483,14 +492,14 @@ def test_noether_check_trips_on_a_doctored_class():
     components = tuple(
         replace(c, cls=c.cls + doubled) if c is conic else c for c in cover.components
     )
-    doctored = replace(result, cover=replace(cover, components=components))
-    assert per_character_chi(doctored.cover) == 0
-    moved = doctored.cover.component("conic").cls
+    moved_conic = doctored(replace(cover, components=components))
+    assert per_character_chi(moved_conic.cover) == 0
+    moved = moved_conic.cover.component("conic").cls
     assert lattice.intersect(moved, cover.component("E_x").cls) == -2
     with pytest.raises(InconsistencyError, match="Noether's formula fails"):
-        invariant_report(doctored)
-    expected = report_outcome(reference_invariant_report, doctored)
-    assert report_outcome(invariant_report, doctored) == expected
+        invariant_report(moved_conic)
+    expected = report_outcome(reference_invariant_report, moved_conic)
+    assert report_outcome(invariant_report, moved_conic) == expected
     # moved by E_x alone, the conic breaks parity, which is checked first
     odd = with_shifted_class(result, "conic", {cover.surface.index_of("x"): 1})
     with pytest.raises(ParityError):

@@ -782,10 +782,11 @@ def test_resolve_matches_the_stepwise_reference():
     assert all(outcomes[rounds] >= 20 for rounds in (0, 1, 2)), outcomes
 
 
-def test_resolve_builds_one_model_and_none_without_a_round(monkeypatch):
-    # the normalized input is read once; a resolve that blows something up
-    # builds the resolved model once, by the validating constructors, and a
-    # resolve with no round returns its input and builds nothing
+def test_resolve_builds_no_model_and_its_cover_once(monkeypatch):
+    # resolve returns the record of its last round and builds no model; the
+    # first ``cover`` builds the resolved model by the validating
+    # constructors, the second builds nothing, and with no round taken the
+    # cover is the normalized input itself
     from test_invariants import line_arrangement
 
     builds = []
@@ -802,12 +803,13 @@ def test_resolve_builds_one_model_and_none_without_a_round(monkeypatch):
     for model, max_rounds in inputs:
         builds.clear()
         got = _outcome(resolve, model, max_rounds)
-        if not isinstance(got, ResolveResult):
-            assert builds == []
-        elif got.rounds:
-            assert builds == [got.cover]
-        else:
-            assert builds == [] and got.cover is model
+        assert builds == []
+        if isinstance(got, ResolveResult):
+            cover = got.cover
+            assert builds == ([cover] if got.rounds else [])
+            assert got.cover is cover and len(builds) == bool(got.rounds)
+            if not got.rounds:
+                assert cover is model
         seen[got.rounds if isinstance(got, ResolveResult) else "error"] += 1
     assert got.rounds == 2 and len(builds) == 1
     assert seen[0] >= 10 and seen[1] >= 10 and seen[2] >= 10 and seen["error"] >= 10, seen
