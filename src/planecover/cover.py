@@ -34,10 +34,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice
 from operator import attrgetter, itemgetter
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import group, lattice
 from .errors import (
+    CoverError,
     DanglingReferenceError,
     DimensionError,
     DomainError,
@@ -355,13 +356,19 @@ def plane_cover(
             )
         degree_of[cid] = degree
         comps.append(comp)
-    shared = pair_sums(curves_through((c.cid, c.mults) for c in comps).values())
-    over = [(a, b) for (a, b), total in shared.items() if total > degree_of[a] * degree_of[b]]
+    ids = sorted(degree_of)
+    n = len(ids)
+    index = {cid: i for i, cid in enumerate(ids)}
+    degrees = [degree_of[cid] for cid in ids]
+    shared = pair_sums(curves_through((index[c.cid], c.mults) for c in comps).values(), n)
+    over = [key for key, total in shared.items() if total > degrees[key // n] * degrees[key % n]]
     if over:
-        a, b = min(over)
+        key = min(over)
+        a, b = divmod(key, n)
         raise GeometryError(
-            f"components {a!r} and {b!r} meet with multiplicity {shared[a, b]} at declared points, "
-            f"above the product of their degrees {degree_of[a]}*{degree_of[b]} (Bezout)"
+            f"components {ids[a]!r} and {ids[b]!r} meet with multiplicity {shared[key]} "
+            f"at declared points, above the product of their degrees "
+            f"{degrees[a]}*{degrees[b]} (Bezout)"
         )
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
@@ -479,8 +486,13 @@ def mark_points(
     record: ModelRecord, points: Iterable[tuple[str, str | None, Mapping[str, int] | None]]
 ) -> ModelRecord:
     """``add_marked_points`` on a record: the new marked points
-    ``(name, parent, mults)``, with the same rules and errors."""
+    ``(name, parent, mults)``, with the same rules and errors.
+
+    A curve's incidence list is copied once per call, the first time a new
+    point passes through it, so the record given is never changed and the
+    cost follows the number of new incidences."""
     mults = dict(record.mults)
+    copied: set[str] = set()
     exceptional: dict[str, list[str]] = {}
     for cid, (_, of) in record.kept.items():
         if of is not None:
@@ -489,25 +501,29 @@ def mark_points(
     in_use = marked.keys() | {c.name for c in record.centers}
     for name, parent, at in points:
         at = dict(at or {})
-        claim_point(name, at, in_use, mults)
+        if name in in_use or not at.keys() <= mults.keys():
+            raise claim_error(name, at, in_use, mults)
+        in_use.add(name)
         for cid in exceptional.get(parent, ()):
             at.setdefault(cid, 1)
         for cid, m in at.items():
-            mults[cid] = [*mults[cid], (name, m)]
+            if cid not in copied:
+                copied.add(cid)
+                mults[cid] = list(mults[cid])
+            mults[cid].append((name, m))
         marked[name] = Center(name, parent)
     return record._replace(marked=marked, mults=mults)
 
 
-def claim_point(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> None:
-    """Add the name of a new point, through the curves of ``at``, to
-    ``in_use``: DomainError when it is in use already, DanglingReferenceError
-    when ``at`` names a curve that is not in ``curves``."""
+def claim_error(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> CoverError:
+    """Why a new point cannot be claimed: DomainError when its name is in
+    use already, else DanglingReferenceError when ``at`` names a curve that
+    is not in ``curves``.  A point is claimed, name added to ``in_use``,
+    when neither holds."""
     if name in in_use:
-        raise DomainError(f"point name {name!r} is already in use")
-    if not at.keys() <= curves.keys():
-        unknown = sorted(at.keys() - curves.keys())
-        raise DanglingReferenceError(f"unknown components in mults: {unknown}")
-    in_use.add(name)
+        return DomainError(f"point name {name!r} is already in use")
+    unknown = sorted(at.keys() - curves.keys())
+    return DanglingReferenceError(f"unknown components in mults: {unknown}")
 
 
 def surface_of(record: ModelRecord) -> BlownPlane:
@@ -521,26 +537,35 @@ def surface_of(record: ModelRecord) -> BlownPlane:
 
 
 def curves_through(
-    curves: Iterable[tuple[str, Iterable[tuple[str, int]]]],
-) -> dict[str, list[tuple[str, int]]]:
+    curves: Iterable[tuple[str | int, Iterable[tuple[str, int]]]],
+) -> dict[str, list[tuple[str | int, int]]]:
     """point -> [(cid, m), ...] of the curves through it, in id order, from
-    (cid, incidences) pairs; a repeated id is kept, in the order given."""
-    through: dict[str, list[tuple[str, int]]] = {}
+    (cid, incidences) pairs; a repeated id is kept, in the order given.  An
+    id is a curve's name, or its index in the sorted names."""
+    through: dict[str, list[tuple[str | int, int]]] = {}
     for cid, at in sorted(curves, key=itemgetter(0)):
         for name, m in at:
             through.setdefault(name, []).append((cid, m))
     return through
 
 
-def pair_sums(groups: Iterable[Sequence[tuple[Hashable, int]]]) -> dict[tuple, int]:
-    """(a, b) -> the sum of x * y over the groups in which (a, x) comes
-    before (b, y): per pair of curves, the sum over the points (or slots)
-    they share of the product of their multiplicities there."""
-    sums: dict[tuple, int] = {}
+def pair_sums(groups: Iterable[Sequence[tuple[int, int]]], n: int) -> dict[int, int]:
+    """i * n + j -> the sum of x * y over the groups in which (i, x) comes
+    before (j, y): per pair of curves, by their indexes below ``n``, the sum
+    over the points (or slots) they share of the product of their
+    multiplicities there.  The keys sort as the pairs (i, j) do, and a group
+    of two curves, as at every crossing, costs one update."""
+    sums: dict[int, int] = {}
     for members in groups:
-        for n, (a, x) in enumerate(members):
-            for b, y in members[n + 1 :]:
-                sums[a, b] = sums.get((a, b), 0) + x * y
+        if len(members) == 2:
+            (i, x), (j, y) = members
+            key = i * n + j
+            sums[key] = sums.get(key, 0) + x * y
+            continue
+        for a, (i, x) in enumerate(members):
+            for j, y in members[a + 1 :]:
+                key = i * n + j
+                sums[key] = sums.get(key, 0) + x * y
     return sums
 
 

@@ -44,7 +44,7 @@ from .cover import (
     build_model,
     carriers,
     children_by_parent,
-    claim_point,
+    claim_error,
     curves_through,
     pair_sums,
     fresh_names,
@@ -134,17 +134,31 @@ def blow_up(
     slot.  The cost follows the number of incidences and nonzero
     coefficients, not the Picard rank.
     """
-    crossings = [(name, dict(mults)) for name, mults in crossings]
     marked = dict(record.marked)
     centers = list(record.centers)
     center_names = {c.name for c in centers}
+    through = curves_through(record.mults.items())
+    # one pass over the crossings: each is claimed in the order given, as
+    # ``mark_points`` claims a point (name in use, then unknown curves), and a
+    # multiplicity below 1 is reported only once every crossing is claimed
+    curves = record.coeffs
     in_use = marked.keys() | center_names
+    new: list[str] = []
+    low: list[str] = []
     for name, mults in crossings:
-        claim_point(name, mults, in_use, record.coeffs)
-    low = [cid for _, mults in crossings for cid, m in mults.items() if m < 1]
+        if name in in_use:
+            raise claim_error(name, mults, in_use, curves)
+        through[name] = at = mults.items()
+        for cid, m in at:
+            if cid not in curves:
+                raise claim_error(name, mults, in_use, curves)
+            if m < 1:
+                low.append(cid)
+        in_use.add(name)
+        new.append(name)
     if low:
         raise DomainError(f"component {min(low)!r} has a multiplicity below 1")
-    if not points and not crossings:
+    if not points and not new:
         raise DomainError("pull_back needs at least one point")
 
     # every curve some D_g holds, with the bit mask of its carrier (0 when the
@@ -158,11 +172,8 @@ def blow_up(
     coeffs = {cid: dict(record.coeffs[cid]) for cid, g in carrier.items() if g}
     kept = {cid: record.kept[cid] for cid in coeffs}
     taken = set(record.coeffs)
-    through = curves_through(record.mults.items())
     children = children_by_parent(marked)
-    for name, mults in crossings:
-        through[name] = list(mults.items())
-    for point in (*points, *(name for name, _ in crossings)):
+    for point in (*points, *new):
         if point in marked:
             center = marked.pop(point)
             if center.parent is not None and center.parent not in center_names:
@@ -286,10 +297,13 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
     Cost: one pass over each curve's nonzero coefficients and incidences,
     then constant work per (shared slot or point, pair through it) and per
     same-inertia pair of positive degrees.  Nothing is proportional to the
-    Picard rank per pair.  Pairs come in the order of the sorted curve ids;
-    the first over-declared pair in that order is the one reported.  A curve
-    with no carrier (the record of a model that is not normalized) raises the
-    InconsistencyError of ``CoverModel.inertia_of`` first.
+    Picard rank per pair.  A pair of curves is keyed by one int, its two
+    indexes in id order, so a slot through two curves (every crossing's)
+    costs one dict update, and only the pairs returned are sorted.  Pairs
+    come in the order of the sorted curve ids; the first over-declared pair
+    in that order is the one reported.  A curve with no carrier (the record
+    of a model that is not normalized) raises the InconsistencyError of
+    ``CoverModel.inertia_of`` first.
     """
     cids = sorted(record.coeffs)
     if len(cids) < 2:
@@ -310,30 +324,35 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
                 through.setdefault(slot, []).append((i, -value))
         for name, m in record.mults[cid]:
             through.setdefault(name, []).append((i, m))
-    shared = pair_sums(through.values())
+    n = len(cids)
+    shared = pair_sums(through.values(), n)
     degree = [record.coeffs[cid].get(0, 0) for cid in cids]
     pairs = []
-    for i, j in sorted(shared):
-        residual = degree[i] * degree[j] - shared[i, j]
+    over = []
+    for key, total in shared.items():
+        i, j = divmod(key, n)
+        residual = degree[i] * degree[j] - total
         if residual < 0:
-            raise InconsistencyError(
-                f"declared multiplicities of {cids[i]} and {cids[j]} "
-                "exceed their intersection number"
-            )
-        if residual and inertia[i] == inertia[j]:
-            pairs.append((i, j))
+            over.append(key)
+        elif residual and inertia[i] == inertia[j]:
+            pairs.append(key)
+    if over:
+        i, j = divmod(min(over), n)
+        raise InconsistencyError(
+            f"declared multiplicities of {cids[i]} and {cids[j]} "
+            "exceed their intersection number"
+        )
     by_inertia: dict[int, list[int]] = {}
     for i, g in enumerate(inertia):
         if degree[i]:
             by_inertia.setdefault(g, []).append(i)
     for members in by_inertia.values():
-        pairs += [
-            (i, j)
-            for n, i in enumerate(members)
-            for j in members[n + 1 :]
-            if (i, j) not in shared
-        ]
-    return [(cids[i], cids[j]) for i, j in sorted(pairs)]
+        for a, i in enumerate(members):
+            base = i * n
+            for j in members[a + 1 :]:
+                if base + j not in shared:
+                    pairs.append(base + j)
+    return [(cids[key // n], cids[key % n]) for key in sorted(pairs)]
 
 
 # -- resolution --------------------------------------------------------------

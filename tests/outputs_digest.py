@@ -14,7 +14,8 @@ tsv; ``invariants`` in text and tsv on line arrangements k = 4..16; and,
 under the six document commands, seeded malformed documents: each fixture
 and random document with one character replaced, dropped or inserted
 (``mutant``), so ``error[config]`` and ``error[geometry]`` texts and
-positions are pinned too.
+positions are pinned too.  A mutant drawn twice for one document is called
+once, so every description is unique.
 
 The script exits 1, after printing every line, when a call ended in an
 uncaught exception (a traceback) rather than a result or ``error[code]``.
@@ -97,7 +98,11 @@ def calls():
         size = DOC_SIZES[i % len(DOC_SIZES)]
         document = random_document(random.Random(f"mutant/{i}"), size, False)
         malformed.append((f"random{i}", *mutant(document, random.Random(i))))
+    drawn = set()
     for source, document, label in malformed:
+        if (source, label) in drawn:
+            continue  # the same mutant drawn again
+        drawn.add((source, label))
         for command in DOC_COMMANDS:
             yield f"{source} {label} {command}", [command, "--input", "-"], document
 

@@ -195,7 +195,15 @@ def test_parity_errors_of_validate_end_resolve_and_invariants(monkeypatch):
         for command in ("resolve", "invariants"):
             got = outputs_digest.run([command, "--input", "-"], stdin)
             assert got == (3, "", err, None), (description, command)
-    assert (len(documents), parity) == (400 + 120 + 200, 84)
+    # 118 fixture mutants: two of the 120 drawn repeat an earlier one
+    assert (len(documents), parity) == (400 + 118 + 200, 83)
+
+
+def test_outputs_digest_calls_are_unique():
+    import outputs_digest
+
+    descriptions = [description for description, _, _ in outputs_digest.calls()]
+    assert len(descriptions) == len(set(descriptions)) == 4448
 
 
 def test_resolve_and_invariants_build_only_the_document_model(capsys, tmp_path, monkeypatch):

@@ -606,6 +606,38 @@ def test_add_marked_points_rules_hold_per_point():
         add_marked_points(model, [("a", "nowhere", None)])
 
 
+def _mark_or_error(record, points, one_by_one):
+    try:
+        if not one_by_one:
+            return cov.mark_points(record, points)
+        for point in points:
+            record = cov.mark_points(record, [point])
+        return record
+    except CoverError as exc:
+        return type(exc), str(exc)
+
+
+def test_mark_points_in_one_call_equals_one_call_per_point():
+    # 300 new points on the conic, every other one infinitely near x (so on
+    # E_x too): one call gives the record of 300 one-point calls and leaves
+    # the record it is given as it was
+    record = cov.to_record(pull_back(load_cover("prop51"), "x"))
+    before = {cid: list(at) for cid, at in record.mults.items()}
+    points = [(f"p{i}", "x" if i % 2 else None, {"conic": 1}) for i in range(300)]
+    batched = _mark_or_error(record, points, one_by_one=False)
+    assert batched == _mark_or_error(record, points, one_by_one=True)
+    assert record.mults == before
+    assert len(batched.mults["conic"]) == len(before["conic"]) + 300
+    assert len(batched.mults["E_x"]) == len(before["E_x"]) + 150
+    # a bad point midway raises the error the one-point calls raise
+    for bad in (("p7", None, {"conic": 1}), ("x", None, None), ("q", None, {"nope": 1})):
+        calls = [*points[:150], bad, *points[150:]]
+        got = _mark_or_error(record, calls, one_by_one=False)
+        assert isinstance(got, tuple)
+        assert got == _mark_or_error(record, calls, one_by_one=True)
+        assert record.mults == before
+
+
 def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         model = load_cover(path.stem)

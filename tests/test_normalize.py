@@ -16,6 +16,7 @@ from planecover.cover import (
 )
 from planecover.errors import (
     CoverError,
+    DanglingReferenceError,
     DomainError,
     InconsistencyError,
     NonTerminationError,
@@ -24,6 +25,7 @@ from planecover.errors import (
 from planecover.group import Character, GroupElement
 from planecover.normalize import (
     ResolveResult,
+    blow_up,
     is_normalized,
     normalize,
     pull_back,
@@ -545,6 +547,51 @@ def test_sparse_pair_search_matches_dense_reference():
         assert _pairs_or_error(singular_residual_pairs, to_record(model)) == expected
         found += bool(expected)
     assert found >= 300
+
+
+def test_sparse_pair_search_matches_dense_reference_on_arrangements():
+    # every round of the line and Ceva arrangements, up to the record after
+    # the crossing round, on which resolve's last search proves smoothness
+    from test_invariants import ceva_arrangement, line_arrangement
+
+    def rounds_searched(cover):
+        models = _resolve_round_models(cover)
+        searched = [_pairs_or_error(singular_residual_pairs, to_record(m)) for m in models]
+        assert searched == [_pairs_or_error(dense_singular_residual_pairs, m) for m in models]
+        assert searched[-1] == []
+        return searched
+
+    for k in range(4, 17):
+        # round 1 blows up the triple points; round 2 the 3 * C(k, 2) crossings
+        assert len(rounds_searched(line_arrangement(k))[2]) == 3 * k * (k - 1) // 2
+    for k in range(4, 11):
+        rounds_searched(ceva_arrangement(k))
+    # the same lines with ids that interleave the three inertia elements, so
+    # that pairs of different elements alternate in id order
+    for k in (5, 9, 12):
+        comps = [(f"L{i}_{j}", 1, {f"t{i}": 1}) for j in range(3) for i in range(k)]
+        branch = {g: [(f"L{i}_{j}", 1) for i in range(k)] for j, g in enumerate(("10", "01", "11"))}
+        rounds_searched(plane_cover(2, comps, branch, marked=[(f"t{i}", None) for i in range(k)]))
+
+
+def test_crossing_errors_come_in_the_order_of_the_checks():
+    from test_invariants import line_arrangement
+
+    record = to_record(normalize(line_arrangement(4)))
+    lines = {"L0_0": 1, "L0_1": 1}
+    cases = [
+        # a multiplicity below 1 is checked after every crossing is claimed
+        ([("s1", {"L0_0": 0, "L0_1": 1}), ("t0", lines)], DomainError, "'t0' is already in use"),
+        ([("s1", {"L0_0": 0, "L0_1": 1}), ("s2", lines)], DomainError, "'L0_0' has a multiplicity"),
+        ([("s1", lines), ("s1", lines)], DomainError, "'s1' is already in use"),
+        # each crossing is claimed whole, name first, before the next
+        ([("s1", {"nope": 1}), ("t0", lines)], DanglingReferenceError, r"\['nope'\]"),
+        ([("t0", {"nope": 1}), ("s1", lines)], DomainError, "'t0' is already in use"),
+        ([], DomainError, "at least one point"),
+    ]
+    for crossings, error, message in cases:
+        with pytest.raises(error, match=message):
+            blow_up(record, crossings=crossings)
 
 
 def test_singularity_over_a_record_matches_the_model_reference():
