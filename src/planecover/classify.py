@@ -12,15 +12,19 @@ inertia elements of the curves of odd multiplicity at p, when that is
 nonzero.  The branch-point count on the line then pins down the family,
 and shape conditions select the case.
 
+A matcher checks the model it is given (plane, normalized, totally
+ramified, of even parity) and then reads the model's record
+(``cover.ModelRecord``: the model as plain dicts) once; every predicate
+reads that record, and the recipe a match attaches takes it as its input.
+
 Cremona reduction does not search for simplifying moves.  The matcher
 branch that decides a family attaches that family's recipe to the label it
 returns (``CaseLabel.reduce``), built from the curves and points the match
 found; reducing is matching once and running the recipe, so its output is
 deterministic and directly testable.  A quadratic move maps a record to a
-record (``cover.ModelRecord``: the model as plain dicts): it blows up
-the three points, reflects the coefficients in closed form and drops the
-marks left idle.  A recipe reads the matched model's record once, marks
-its auxiliary points, makes all its moves on records and returns the
+record: it blows up the three points, reflects the coefficients in closed
+form and drops the marks left idle.  A recipe takes the matched record,
+marks its auxiliary points, makes all its moves on records and returns the
 reduced record; ``cremona_reduce`` builds the reduced model from it, once,
 whatever the number of moves, and the census reads the record itself.
 ``quadratic_move`` builds one model per move.
@@ -37,11 +41,11 @@ from functools import partial
 from . import group, lattice
 from .cover import (
     CoverModel,
-    CurveComponent,
     ModelRecord,
     build_model,
     check_parity,
     children_by_parent,
+    curves_through,
     fresh_names,
     is_totally_ramified,
     mark_points,
@@ -112,6 +116,17 @@ def _require_plane_normalized(cover: CoverModel) -> None:
         raise PreconditionError("normalize the cover before matching")
 
 
+def _matched_record(cover: CoverModel) -> ModelRecord:
+    """The matchers' shared checks, in order: a plane, normalized, totally
+    ramified model of even parity.  Then the model's record, read once: the
+    matcher's predicates and the recipe it attaches read it."""
+    _require_plane_normalized(cover)
+    if not is_totally_ramified(cover):
+        raise MatchError("not totally ramified")
+    check_parity(cover)
+    return to_record(cover)
+
+
 def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
     """Compute G' from which branch pieces meet a general pencil line.
 
@@ -128,75 +143,85 @@ def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
     blown up first, and is rejected as by ``pull_back``.
     """
     _require_plane_normalized(cover)
-    point = cover._by_point.get(pencil_point)
+    return _g_prime(cover.r, _pencil_profiles(to_record(cover), pencil_point))
+
+
+def _pencil_profiles(record: ModelRecord, p: str):
+    """g -> (degree, multiplicity at p, curve ids) for each nonzero D_g of
+    the record of a plane, normalized model, in element order.  Checks, in
+    order, that p is not infinitely near another point and that no curve,
+    in element order and then id order, has negative fiber degree."""
+    point = record.marked.get(p)
     if point is not None and point.parent is not None:
-        raise PreconditionError(
-            f"point {pencil_point!r} is infinitely near unblown point {point.parent!r}"
-        )
-    mult_at_p = dict(cover._through.get(pencil_point, ()))
-    carriers: list[GroupElement] = []
-    count = 0
-    section = group.zero(cover.r)
-    for g, entries in cover.branch:
-        for cid, _ in entries:
-            m = mult_at_p.get(cid, 0)
-            crossings = cover.component(cid).cls.degree - m
-            if crossings < 0:
+        raise PreconditionError(f"point {p!r} is infinitely near unblown point {point.parent!r}")
+    profiles = {}
+    for g, cids in _elements(record).items():
+        degree = mult = 0
+        for cid in cids:
+            d, m = record.coeffs[cid][0], record.mult_at(cid, p)
+            if d < m:
                 raise MatchError(
                     f"component {cid} has negative fiber degree; bad multiplicities at the pencil point"
                 )
-            if crossings:
-                carriers.append(g)
-                count += crossings
-            if m % 2:
-                section += g
+            degree += d
+            mult += m
+        profiles[g] = (degree, mult, cids)
+    return profiles
+
+
+def _g_prime(r: int, profiles) -> GPrimeStructure:
+    """``infer_g_prime`` from the pencil profiles: D_g meets a general pencil
+    line degree - multiplicity times, and the section E_p lies in D_s, s the
+    sum of the g whose D_g has odd multiplicity at p (nowhere when s = 0)."""
+    carriers = [g for g, (degree, mult, _) in profiles.items() if degree > mult]
+    count = sum(degree - mult for degree, mult, _ in profiles.values())
+    section = sum((g for g, (_, mult, _) in profiles.items() if mult % 2), group.zero(r))
     if not section.is_zero:
         carriers.append(section)
         count += 1
-    subgroup = group.span(carriers, cover.r)
+    subgroup = group.span(carriers, r)
     s = group.subgroup_dimension(subgroup)
-    expected = _EXPECTED_BRANCH_POINTS.get((cover.r, s))
+    expected = _EXPECTED_BRANCH_POINTS.get((r, s))
     if expected is None:
-        raise MatchError(
-            f"not an invariant-conic-bundle configuration: r={cover.r} with G' of rank {s}"
-        )
+        raise MatchError(f"not an invariant-conic-bundle configuration: r={r} with G' of rank {s}")
     if count != expected:
         raise MatchError(
             f"not an invariant-conic-bundle configuration: {count} branch points "
-            f"on a general pencil line, expected {expected} for r={cover.r}, s={s}"
+            f"on a general pencil line, expected {expected} for r={r}, s={s}"
         )
     return GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup)))
+
+
+def _elements(record: ModelRecord) -> dict[GroupElement, list[str]]:
+    """g -> the ids of the curves of D_g, for each nonzero D_g of a
+    normalized record, in element order and then id order."""
+    elements: dict[int, list[str]] = {}
+    for cid in sorted(record.carrier):
+        elements.setdefault(record.carrier[cid], []).append(cid)
+    return {GroupElement._of(record.r, g): elements[g] for g in sorted(elements)}
 
 
 # -- shape helpers -----------------------------------------------------------
 
 
-def _branch_profiles(cover: CoverModel, p: str):
-    """Per-element totals: g -> (degree, multiplicity at p, components)."""
-    out = {}
-    for g, entries in cover.branch:
-        comps = [cover.component(cid) for cid, _ in entries]
-        degree = sum(c.cls.degree for c in comps)
-        mult = sum(c.mult_at(p) for c in comps)
-        out[g] = (degree, mult, comps)
-    return out
+def _is_pencil_lines(profile, n: int) -> bool:
+    """The D_g of ``profile`` is n lines through the pencil point."""
+    degree, mult, cids = profile
+    return len(cids) == degree == mult == n
 
 
-def _is_pencil_line(comp: CurveComponent, p: str) -> bool:
-    return comp.cls.degree == 1 and comp.mult_at(p) == 1
-
-
-def _odd_curve_form(g: GroupElement, degree: int, mult: int, comps, p: str):
+def _odd_curve_form(record: ModelRecord, g: GroupElement, degree: int, mult: int, cids, p: str):
     """Validate the odd-degree horizontal curve of the G'=Z/2 families."""
     if degree % 2 == 0:
         raise MatchError(f"D_{g} must have odd degree, got {degree}")
     if mult == degree - 2 and degree >= 3:
-        if len(comps) != 1 or not comps[0].irreducible:
+        if len(cids) != 1 or not record.kept[cids[0]][0]:
             raise MatchError(f"D_{g} with multiplicity d-2 must be one irreducible curve")
         return "deep"
     if mult == degree - 1:
-        heavy = [c for c in comps if not (_is_pencil_line(c, p))]
-        if len(heavy) != 1 or heavy[0].mult_at(p) != heavy[0].cls.degree - 1:
+        # the curves other than pencil lines (degree 1, multiplicity 1 at p)
+        heavy = [cid for cid in cids if (record.coeffs[cid][0], record.mult_at(cid, p)) != (1, 1)]
+        if len(heavy) != 1 or record.mult_at(heavy[0], p) != record.coeffs[heavy[0]][0] - 1:
             raise MatchError(
                 f"D_{g} with multiplicity d-1 must be one curve with an (e-1)-fold "
                 f"point at the pencil point plus pencil lines"
@@ -212,7 +237,7 @@ def _same_parity_triple(gs, profiles, p: str):
     degrees = []
     bumped = []
     for g in gs:
-        degree, mult, comps = profiles[g]
+        degree, mult, _ = profiles[g]
         if degree < 1:
             raise MatchError(f"D_{g} must be a curve of positive degree")
         if mult == degree:
@@ -229,10 +254,10 @@ def _same_parity_triple(gs, profiles, p: str):
     return tuple(sorted(degrees, reverse=True)), bool(bumped)
 
 
-def _common_point(comps, exclude: str) -> str | None:
+def _common_point(record: ModelRecord, cids, exclude: str) -> str | None:
     """The first marked point, in name order, other than ``exclude`` lying on
-    all given components."""
-    common = set.intersection(*({name for name, _ in c.mults} for c in comps))
+    all given curves."""
+    common = set.intersection(*({name for name, _ in record.mults[cid]} for cid in cids))
     return min(common - {exclude}, default=None)
 
 
@@ -246,10 +271,9 @@ _TRIPLE_FAMILIES = {2: ("4.6", "C.22", None), 3: ("4.10", "C.221", "P1s.222"),
                     4: ("4.12", "C.22,22", "P1.2222")}
 
 
-def _require_pencil_lines(profiles, gs, p: str) -> None:
+def _require_pencil_lines(profiles, gs) -> None:
     for g in gs:
-        comps = profiles[g][2]
-        if len(comps) != 1 or not _is_pencil_line(comps[0], p):
+        if not _is_pencil_lines(profiles[g], 1):
             raise MatchError(f"D_{g} must be a single line of the pencil")
 
 
@@ -273,21 +297,18 @@ def _four_line_model(profiles, nonzero) -> CaseLabel:
 
 def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     """Match against the invariant-conic-bundle families."""
-    _require_plane_normalized(cover)
-    if not is_totally_ramified(cover):
-        raise MatchError("not totally ramified")
-    check_parity(cover)
-    structure = infer_g_prime(cover, pencil_point)
-    r, s = cover.r, structure.dimension
-    profiles = _branch_profiles(cover, pencil_point)
-    nonzero = sorted(profiles)
+    record = _matched_record(cover)
+    profiles = _pencil_profiles(record, pencil_point)
+    structure = _g_prime(record.r, profiles)
+    r, s = record.r, structure.dimension
+    nonzero = list(profiles)
     p = pencil_point
 
-    # infer_g_prime admits s = 0 at r = 2, s = 1 at r = 2, 3 and s = 2 at r = 2, 3, 4
+    # _EXPECTED_BRANCH_POINTS admits s = 0 at r = 2, s = 1 at r = 2, 3 and s = 2 at r = 2, 3, 4
     if s == 0:
         if len(nonzero) != 3:
             raise MatchError("all three branch divisors must be nonzero")
-        _require_pencil_lines(profiles, nonzero, p)
+        _require_pencil_lines(profiles, nonzero)
         return CaseLabel("4.2", "P1.221&P1.22.1")
 
     if s == 1:
@@ -298,18 +319,18 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
         if len(verticals) != r:
             count = ("two", "three")[r - 2]
             raise MatchError(f"exactly {count} branch divisors must be pencil lines")
-        _require_pencil_lines(profiles, verticals, p)
+        _require_pencil_lines(profiles, verticals)
         if sum(verticals, group.zero(r)) != w:
             raise MatchError("the pencil-line inertia elements must sum to the G'-carrier")
         if w not in profiles:
             raise MatchError("the G'-carrier branch divisor is zero")
-        degree, mult, comps = profiles[w]
+        degree, mult, cids = profiles[w]
         params = (("d", degree),)
-        if _odd_curve_form(w, degree, mult, comps, p) == "deep":
+        if _odd_curve_form(record, w, degree, mult, cids, p) == "deep":
             return CaseLabel(prop, deep, params)
         if degree == 1:
             return CaseLabel(prop, reducible, params)
-        recipe = partial(_reduce_odd_curve, cover, p, w)
+        recipe = partial(_reduce_odd_curve, record, p, w)
         return CaseLabel(prop, reducible, params, ("needs-reduction",), reduce=recipe)
 
     # s == 2: three curves on a rank-2 subgroup, the other elements pencil lines
@@ -318,21 +339,13 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
             raise MatchError("all three branch divisors must be nonzero")
         verticals = ()
     elif r == 3:
-        verticals = [
-            g
-            for g in nonzero
-            if len(profiles[g][2]) == 2 and all(_is_pencil_line(c, p) for c in profiles[g][2])
-        ]
+        verticals = [g for g in nonzero if _is_pencil_lines(profiles[g], 2)]
         if len(verticals) != 1 or len(nonzero) != 4:
             return _four_line_model(profiles, nonzero)
     else:
         if len(nonzero) != 6:
             raise MatchError("need three pencil lines and three curves")
-        singles = [
-            g
-            for g in nonzero
-            if len(profiles[g][2]) == 1 and _is_pencil_line(profiles[g][2][0], p)
-        ]
+        singles = [g for g in nonzero if _is_pencil_lines(profiles[g], 1)]
         trios = [t for t in itertools.combinations(singles, 3) if sum(t, group.zero(r)).is_zero]
         if not trios:
             raise MatchError("the pencil-line inertia elements must sum to zero")
@@ -347,7 +360,7 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     if max(degrees) > 1:
         return CaseLabel(prop, curves, params, flags)
     lines = [profiles[g][2][0] for g in horizontals]
-    q = None if bumped else _common_point(lines, exclude=p)
+    q = None if bumped else _common_point(record, lines, exclude=p)
     if r == 2:
         if q is not None:
             # three concurrent lines: the pencil-lines cover seen from a
@@ -360,52 +373,52 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     recipe = None
     if r == 3:
         # one move at p, q and a point joining a curve line to a pencil line
-        h_line = min(lines, key=lambda c: c.cid)
-        k_line = min(profiles[verticals[0]][2], key=lambda c: c.cid)
-        recipe = partial(_aux_move, cover, {h_line.cid: 1, k_line.cid: 1}, p, q, None)
+        h_line = min(lines)
+        k_line = min(profiles[verticals[0]][2])
+        recipe = partial(_aux_move, record, {h_line: 1, k_line: 1}, p, q, None)
     return CaseLabel(prop, concurrent, params + (("common_point", q),), reduce=recipe)
 
 
 # -- the Del Pezzo matcher -----------------------------------------------------
 
 
-def _marked_incidences(cover: CoverModel) -> dict[str, list[tuple[str, int]]]:
-    """Marked points on two or more components, in name order, with those
-    components' (cid, m)."""
-    return {p: at for p, at in sorted(cover._through.items()) if len(at) >= 2}
+def _marked_incidences(record: ModelRecord) -> dict[str, list[tuple[str, int]]]:
+    """Marked points on two or more curves, in name order, with those
+    curves' (cid, m)."""
+    through = curves_through(record.mults.items())
+    return {p: at for p, at in sorted(through.items()) if len(at) >= 2}
 
 
-def _tacnode(cover: CoverModel, quartic: CurveComponent, conic: CurveComponent):
+def _tacnode(record: ModelRecord, quartic: str, conic: str):
     """The last (x, y), in name order, with y infinitely near x and the quartic
     of multiplicity 2 and the conic of 1 at both; None when there is none."""
-    tangent = {x for x, m in quartic.mults if m == 2} & {x for x, m in conic.mults if m == 1}
-    pairs = [(x, y) for x in sorted(tangent) for y in cover.children_of_point(x) if y in tangent]
+    tangent = {x for x, m in record.mults[quartic] if m == 2}
+    tangent &= {x for x, m in record.mults[conic] if m == 1}
+    children = children_by_parent(record.marked)
+    pairs = [(x, y) for x in sorted(tangent) for y in children.get(x, ()) if y in tangent]
     return pairs[-1] if pairs else None
 
 
-def _tangency(cover: CoverModel, line: CurveComponent, cubic: CurveComponent) -> str | None:
+def _tangency(record: ModelRecord, line: str, cubic: str) -> str | None:
     """The first marked point on the line and the cubic, in name order, or None;
     MatchError unless a point infinitely near it lies on both too."""
-    shared = {t for t, _ in line.mults} & {t for t, _ in cubic.mults}
+    shared = {t for t, _ in record.mults[line]} & {t for t, _ in record.mults[cubic]}
     if not shared:
         return None
     t = min(shared)
-    if not shared.intersection(cover.children_of_point(t)):
+    if not shared.intersection(children_by_parent(record.marked).get(t, ())):
         raise MatchError("cubic meets a line at a marked point but not tangentially")
     return t
 
 
 def match_del_pezzo(cover: CoverModel) -> CaseLabel:
     """Match against the Del Pezzo families (no invariant pencil marked)."""
-    _require_plane_normalized(cover)
-    if not is_totally_ramified(cover):
-        raise MatchError("not totally ramified")
-    check_parity(cover)
-    profiles = {g: [cover.component(cid) for cid, _ in entries] for g, entries in cover.branch}
-    nonzero = sorted(profiles)
-    degree_of = {g: sum(c.cls.degree for c in comps) for g, comps in profiles.items()}
+    record = _matched_record(cover)
+    profiles = _elements(record)
+    nonzero = list(profiles)
+    degree_of = {g: sum(record.coeffs[cid][0] for cid in cids) for g, cids in profiles.items()}
 
-    if cover.r == 2 and len(nonzero) == 2:
+    if record.r == 2 and len(nonzero) == 2:
         by_degree = sorted(nonzero, key=degree_of.get)
         if [degree_of[g] for g in by_degree] != [2, 4]:
             raise MatchError("rank-2 two-divisor shape needs a conic and a quartic")
@@ -413,21 +426,21 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
         quartic = profiles[by_degree[1]][0]
         if len(profiles[by_degree[0]]) != 1 or len(profiles[by_degree[1]]) != 1:
             raise MatchError("conic and quartic must be single components")
-        if not (conic.irreducible and quartic.irreducible):
+        if not (record.kept[conic][0] and record.kept[quartic][0]):
             raise MatchError("conic and quartic must be irreducible")
-        tacnode = _tacnode(cover, quartic, conic)
+        tacnode = _tacnode(record, quartic, conic)
         if tacnode is None:
             raise MatchError(
                 "need a tacnode of the quartic with the conic through it along the tacnodal tangent"
             )
         x, y = tacnode
-        if set(_marked_incidences(cover)) - {x, y}:
+        if set(_marked_incidences(record)) - {x, y}:
             raise MatchError("unexpected marked incidences for the conic-plus-quartic shape")
         # one move at the tacnode, its tangent direction and a common point
-        recipe = partial(_aux_move, cover, {quartic.cid: 1, conic.cid: 1}, x, None, y)
+        recipe = partial(_aux_move, record, {quartic: 1, conic: 1}, x, None, y)
         return CaseLabel("5.1", "2.G2", (("tacnode", x),), reduce=recipe)
 
-    if cover.r == 2 and len(nonzero) == 3:
+    if record.r == 2 and len(nonzero) == 3:
         degs = sorted(degree_of[g] for g in nonzero)
         if degs != [1, 1, 3]:
             raise MatchError("rank-2 three-divisor shape needs two lines and a cubic")
@@ -435,20 +448,20 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
         if len(profiles[cubic_g]) != 1:
             raise MatchError("the cubic must be a single component")
         cubic = profiles[cubic_g][0]
-        if not cubic.irreducible or any(m >= 2 for _, m in cubic.mults):
+        if not record.kept[cubic][0] or any(m >= 2 for _, m in record.mults[cubic]):
             raise MatchError("the cubic must be smooth and irreducible")
         lines = [profiles[g][0] for g in nonzero if g != cubic_g]
         if any(len(profiles[g]) != 1 for g in nonzero if g != cubic_g):
             raise MatchError("each line divisor must be a single component")
         for line in lines:
-            t = _tangency(cover, line, cubic)
+            t = _tangency(record, line, cubic)
             if t is not None:
                 return CaseLabel("5.1", "2.G2", (("tangency", t),), ("reduced-cubic-model",))
-        if _marked_incidences(cover):
+        if _marked_incidences(record):
             raise MatchError("unexpected marked incidences for the two-lines-plus-cubic shape")
         return CaseLabel("5.3", "1.B2.1")
 
-    if cover.r == 3:
+    if record.r == 3:
         line_gs = [g for g in nonzero if degree_of[g] == 1 and len(profiles[g]) == 1]
         conic_gs = [g for g in nonzero if degree_of[g] == 2 and len(profiles[g]) == 1]
         pair_gs = [
@@ -456,23 +469,24 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             for g in nonzero
             if degree_of[g] == 2
             and len(profiles[g]) == 2
-            and all(c.cls.degree == 1 for c in profiles[g])
+            and all(record.coeffs[cid][0] == 1 for cid in profiles[g])
         ]
         if len(line_gs) == 3 and len(conic_gs) == 1 and len(nonzero) == 4:
             if line_gs[0] + line_gs[1] + line_gs[2] != group.zero(3):
                 raise MatchError("the three line inertia elements must span a rank-2 subgroup")
             conic = profiles[conic_gs[0]][0]
-            if not conic.irreducible:
+            if not record.kept[conic][0]:
                 raise MatchError("the conic must be irreducible")
+            incidences = _marked_incidences(record)
             triples = []
-            for name, at in _marked_incidences(cover).items():
+            for name, at in incidences.items():
                 if len(at) >= 3:
                     ids = {cid for cid, _ in at}
-                    if conic.cid not in ids or len(at) != 3:
+                    if conic not in ids or len(at) != 3:
                         raise MatchError(f"unexpected triple point at {name}")
-                    triples.append((name, ids - {conic.cid}))
+                    triples.append((name, ids - {conic}))
             if not triples:
-                if _marked_incidences(cover):
+                if incidences:
                     raise MatchError("unexpected marked incidences for the conic-plus-lines shape")
                 return CaseLabel("5.7", "2.G22")
             if len(triples) == 2:
@@ -481,7 +495,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                     # one move at both triple points and a point joining the
                     # conic to the line through eta only
                     (only_eta,) = at_eta - at_xi
-                    recipe = partial(_aux_move, cover, {conic.cid: 1, only_eta: 1}, xi, eta, None)
+                    recipe = partial(_aux_move, record, {conic: 1, only_eta: 1}, xi, eta, None)
                     return CaseLabel("5.5", "4.222", (("triple_points", (xi, eta)),), reduce=recipe)
             raise MatchError(
                 "the conic must pass through exactly two line intersections on one common line"
@@ -493,17 +507,17 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                 raise MatchError("five-line form needs single lines on a rank-2 subgroup")
             if k in line_gs:
                 raise MatchError("five-line form needs the doubled element outside the subgroup")
-            for name, at in _marked_incidences(cover).items():
+            for name, at in _marked_incidences(record).items():
                 if len(at) > 3:
                     raise MatchError(f"too many lines through {name}")
                 if len(at) == 3:
-                    ks = [cid for cid, _ in at if cover.inertia_of(cid) is k]
+                    ks = [cid for cid, _ in at if record.carrier[cid] == k.mask]
                     if len(ks) != 1:
                         raise MatchError(f"triple point at {name} must mix both subgroup parts")
             return CaseLabel("5.5", "4.222", (), ("reduced-five-line-model",))
         raise MatchError("rank-3 branch data do not fit a Del Pezzo shape")
 
-    if cover.r == 4:
+    if record.r == 4:
         if len(nonzero) != 5 or any(
             degree_of[g] != 1 or len(profiles[g]) != 1 for g in nonzero
         ):
@@ -513,11 +527,11 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
             total = total + g
         if not total.is_zero:
             raise MatchError("the five line inertia elements must sum to zero")
-        if _marked_incidences(cover):
+        if _marked_incidences(record):
             raise MatchError("the five lines must be in general position")
         return CaseLabel("5.9", "4.2222")
 
-    raise MatchError(f"no Del Pezzo case matches r={cover.r} branch data")
+    raise MatchError(f"no Del Pezzo case matches r={record.r} branch data")
 
 
 def classify(cover: CoverModel) -> CaseLabel:
@@ -661,24 +675,23 @@ def _move(
 
 
 # -- reduction recipes ----------------------------------------------------------
-# A recipe reads the matched model's record once, marks its auxiliary points,
-# makes its moves on records and returns the reduced record.
+# A recipe takes the record its match read, marks its auxiliary points, makes
+# its moves on records and returns the reduced record.
 
 
-def _aux_move(cover: CoverModel, mults: dict[str, int], *based: str | None):
+def _aux_move(record: ModelRecord, mults: dict[str, int], *based: str | None):
     """Mark a fresh point on the curves of ``mults``, then make the quadratic
     move at ``based``, where ``None`` stands for the fresh point."""
-    work = to_record(cover)
-    (aux,) = fresh_names(work, "aux")
-    work = mark_points(work, [(aux, None, mults)])
-    work, record = _move(work, *(aux if n is None else n for n in based))
-    return work, (record,)
+    (aux,) = fresh_names(record, "aux")
+    work = mark_points(record, [(aux, None, mults)])
+    work, move = _move(work, *(aux if n is None else n for n in based))
+    return work, (move,)
 
 
-def _reduce_odd_curve(cover: CoverModel, p: str, w: GroupElement):
+def _reduce_odd_curve(record: ModelRecord, p: str, w: GroupElement):
     """Degree-drop then line-pair elimination on the odd horizontal curve."""
     moves = []
-    work = to_record(cover)
+    work = record
 
     def curves_of_w():
         return sorted(cid for cid, g in work.carrier.items() if g == w.mask)

@@ -10,13 +10,14 @@ eps_chi(g)*D_g, and deriving them removes an inconsistency surface.
 A ``CoverModel`` is the validated type at the boundary: a document, a plane
 configuration, a matcher's argument and a reduction's result.  Inside, the
 engine works on a ``ModelRecord``, the model as plain dicts: ``resolve``,
-the Cremona recipes, the invariant report and the census read and chain
-records and build no model.  Each index over a model has one
-implementation, on a record's maps, next to ``ModelRecord``: the curves
-through each point (``curves_through``), the points infinitely near each
-point (``children_by_parent``), each curve's carrier (``carriers``) and
-the parity sweep (``odd_character``).  A model reads the same ones, each
-cached once per model.
+the matchers, the Cremona recipes, the invariant report and the census
+read and chain records and build no model.  Each index over a model has
+one implementation, on a record's maps, next to ``ModelRecord``: the
+curves through each point (``curves_through``), the points infinitely near
+each point (``children_by_parent``), each curve's carrier (``carriers``)
+and the parity sweep (``odd_character``).  A model keeps only the lookups
+of its own: a component, a marked point or a [D_g] by name, and its rank
+and parity, each computed once per model.
 
 The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
 relation hold, so all it needs to know is that each S_chi is divisible by
@@ -43,7 +44,6 @@ from .errors import (
     DimensionError,
     DomainError,
     GeometryError,
-    InconsistencyError,
     ParityError,
 )
 from .group import Character, GroupElement
@@ -175,25 +175,8 @@ class CoverModel:
         return {m.name: m for m in self.marked}
 
     @cached_property
-    def _through(self) -> dict[str, list[tuple[str, int]]]:
-        return curves_through((c.cid, c.mults) for c in self.components)
-
-    @cached_property
-    def _children(self) -> dict[str, list[str]]:
-        return children_by_parent(self._by_point)
-
-    @cached_property
     def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
         return dict(self.branch)
-
-    @cached_property
-    def _inertia(self) -> dict[str, GroupElement | None]:
-        """cid -> its g when it lies in exactly one D_g, once; else None."""
-        inertia: dict[str, GroupElement | None] = {}
-        for g, entries in self.branch:
-            for cid, k in entries:
-                inertia[cid] = g if k == 1 and cid not in inertia else None
-        return inertia
 
     def component(self, cid: str) -> CurveComponent:
         """One dict lookup in a map built once per model."""
@@ -215,18 +198,6 @@ class CoverModel:
         return lattice.linear_combination(
             self.surface, ((k, self.component(cid).cls) for cid, k in entries)
         )
-
-    def inertia_of(self, cid: str) -> GroupElement:
-        """The unique g with cid in D_g; requires a normalized model.
-
-        One dict lookup in a map built once per model.
-        """
-        g = self._inertia.get(cid)
-        if g is None:
-            raise InconsistencyError(
-                f"component {cid!r} is not reduced/uniquely assigned; normalize first"
-            )
-        return g
 
     # -- rank, parity and building data -----------------------------------
     # Like the lookup maps, computed on first use and kept: every caller that
@@ -268,17 +239,6 @@ class CoverModel:
             )
             for chi, total in self._branch_sums.items()
         }
-
-    def components_at(self, point_name: str) -> list[tuple[CurveComponent, int]]:
-        """Branch components passing through a marked point, with multiplicities.
-
-        One dict lookup in a map built once per model.
-        """
-        return [(self._by_cid[cid], m) for cid, m in self._through.get(point_name, ())]
-
-    def children_of_point(self, name: str) -> tuple[str, ...]:
-        """One dict lookup in a map built once per model."""
-        return tuple(self._children.get(name, ()))
 
 
 # -- construction helpers -------------------------------------------------
@@ -532,8 +492,7 @@ def surface_of(record: ModelRecord) -> BlownPlane:
 
 
 # -- indexes ----------------------------------------------------------------
-# One implementation each, fed by a record's maps or by a model's own data;
-# a model caches each index once.
+# One implementation each, fed by a record's maps or by a model's own data.
 
 
 def curves_through(

@@ -302,8 +302,8 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
     costs one dict update, and only the pairs returned are sorted.  Pairs
     come in the order of the sorted curve ids; the first over-declared pair
     in that order is the one reported.  A curve with no carrier (the record
-    of a model that is not normalized) raises the InconsistencyError of
-    ``CoverModel.inertia_of`` first.
+    of a model that is not normalized) raises InconsistencyError first,
+    for the first such curve in id order.
     """
     cids = sorted(record.coeffs)
     if len(cids) < 2:

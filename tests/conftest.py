@@ -113,7 +113,7 @@ def dense_singular_residual_pairs(cover):
     comps = list(cover.components)
     for i, a in enumerate(comps):
         for b in comps[i + 1 :]:
-            same = cover.inertia_of(a.cid) == cover.inertia_of(b.cid)
+            same = scan_inertia(cover, a.cid) == scan_inertia(cover, b.cid)
             x, y = a.cls.coeffs, b.cls.coeffs
             total = x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:]))
             for m in cover.marked:
@@ -165,15 +165,27 @@ def reference_shape_key(cover):
 
 
 def scan_components_at(cover, point):
-    """Reference for ``CoverModel.components_at``: every component, in id
-    order, with its multiplicity at ``point`` when that is at least 1."""
+    """Reference for ``cover.curves_through``: every component, in id order,
+    with its multiplicity at ``point`` when that is at least 1."""
     return [(c, c.mult_at(point)) for c in cover.components if c.mult_at(point) >= 1]
 
 
 def scan_children_of_point(cover, name):
-    """Reference for ``CoverModel.children_of_point``: the marked points, in
-    name order, whose parent is ``name``."""
+    """Reference for ``cover.children_by_parent``: the marked points, in name
+    order, whose parent is ``name``."""
     return tuple(m.name for m in cover.marked if m.parent == name)
+
+
+def scan_inertia(cover, cid):
+    """Reference for a curve's carrier on a normalized model: the one g whose
+    D_g holds ``cid``, once; InconsistencyError when no D_g holds it, or more
+    than one does, or one holds it more than once."""
+    held = [(g, k) for g, entries in cover.branch for c, k in entries if c == cid]
+    if len(held) != 1 or held[0][1] != 1:
+        raise InconsistencyError(
+            f"component {cid!r} is not reduced/uniquely assigned; normalize first"
+        )
+    return held[0][0]
 
 
 def embed(cls, surface):
@@ -538,7 +550,7 @@ def reference_quadratic_move(cover, p, q, r):
             raise GeometryError(
                 f"base point {name!r} is infinitely near {mp.parent!r}, which is not based"
             )
-        strays = [c for c in cover.children_of_point(name) if c not in based]
+        strays = [c for c in scan_children_of_point(cover, name) if c not in based]
         if strays:
             raise GeometryError(
                 f"base point {name!r} carries infinitely near points {strays} "
@@ -648,7 +660,8 @@ def reference_cremona_reduce(cover, pencil_point=None):
         classify._aux_move: reference_aux_move,
         classify._reduce_odd_curve: reference_reduce_odd_curve,
     }
-    return recipes[label.reduce.func](*label.reduce.args)
+    # the recipe's first argument is the matched record; the reference reads the model
+    return recipes[label.reduce.func](work, *label.reduce.args[1:])
 
 
 def total_transform_pull_back(cover, *points):
@@ -703,7 +716,7 @@ def total_transform_pull_back(cover, *points):
         coeffs[eid] = {slot: 1}
         carriers[eid] = list(mult_in_g.items())
         kept[eid] = (True, point)
-        for child in cover.children_of_point(point):
+        for child in scan_children_of_point(cover, point):
             through.setdefault(child, {})[eid] = 1
         new_branch.extend((g, ((eid, total),)) for g, total in mult_in_g.items())
     surface = lattice.BlownPlane(tuple(centers))
@@ -744,8 +757,8 @@ def point_is_ripe(cover, name):
 
 def reference_singularity_over(cover, point):
     """Reference for ``normalize.singularity_over``: the test as it was when it
-    read a built model, through its incidence lookups and ``inertia_of``."""
-    at = cover.components_at(point)
+    read a built model, here through scans of its components and branch data."""
+    at = scan_components_at(cover, point)
     for comp, m in at:
         if m >= 2:
             return f"component {comp.cid} is singular at {point}"
@@ -754,10 +767,10 @@ def reference_singularity_over(cover, point):
         return f"{len(at)} branch components meet at {point}: {names}"
     if len(at) == 2:
         (c1, _), (c2, _) = at
-        for child in cover.children_of_point(point):
+        for child in scan_children_of_point(cover, point):
             if c1.mult_at(child) >= 1 and c2.mult_at(child) >= 1:
                 return f"{c1.cid} and {c2.cid} are tangent at {point} (share {child})"
-        if cover.inertia_of(c1.cid) is cover.inertia_of(c2.cid):
+        if scan_inertia(cover, c1.cid) is scan_inertia(cover, c2.cid):
             return f"{c1.cid} and {c2.cid} carry the same inertia element at {point}"
     return None
 

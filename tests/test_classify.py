@@ -9,6 +9,7 @@ from planecover import census as census_mod
 from planecover import config, group, lattice
 from planecover import classify as classify_mod
 from planecover.classify import (
+    CaseLabel,
     GPrimeStructure,
     MoveRecord,
     classify,
@@ -42,6 +43,7 @@ from conftest import (
     reference_quadratic_move,
     reference_reduce_odd_curve,
     scan_common_point,
+    scan_components_at,
     scan_tacnode,
     scan_tangency,
 )
@@ -213,7 +215,7 @@ def test_reduce_rejects_odd_residual_line_count():
         pencil="p",
     )
     with pytest.raises(ReductionError) as err:
-        _reduce_odd_curve(model, "p", GroupElement.parse("11"))
+        _reduce_odd_curve(to_record(model), "p", GroupElement.parse("11"))
     assert "even number of residual pencil lines" in str(err.value)
 
 
@@ -308,6 +310,198 @@ def test_matchers_are_mutually_exclusive_on_fixtures():
         assert label.proposition == EXPECTED_LABELS[name][0]
 
 
+# -- every exit of the matchers --------------------------------------------------
+
+
+def _exit_model(r, points, curves, branch, pencil):
+    """A plane model from a short spec: ``points`` as ``"p q y<p"`` (y
+    infinitely near p); ``curves`` as ``"A=1 p; K=3* p:3"`` (name=degree, a
+    ``*`` for a curve declared reducible, then the points on the curve, with
+    ``:m`` when the multiplicity m is above 1); ``branch`` as ``"10:A 01:B,C"``."""
+    marked = [(name, parent or None) for name, _, parent in (p.partition("<") for p in points.split())]
+    comps, reducible = [], []
+    for spec in curves.split(";"):
+        head, *at = spec.split()
+        cid, degree = head.split("=")
+        if degree.endswith("*"):
+            reducible.append(cid)
+        mults = {name: int(m or 1) for name, _, m in (a.partition(":") for a in at)}
+        comps.append((cid, int(degree.rstrip("*")), mults))
+    entries = (entry.split(":") for entry in branch.split())
+    branch = {g: [(cid, 1) for cid in cids.split(",")] for g, cids in entries}
+    return plane_cover(r, comps, branch, marked, pencil, reducible)
+
+
+def _past_the_plane_checks():
+    # plane_cover rejects a multiplicity above the degree, so only a point
+    # marked on a built model reaches the negative fiber degree
+    model = _exit_model(2, "p", "A=1 p; B=1 p; C=1", "10:A 01:B 11:C", "p")
+    return replace(add_marked_point(model, "w", mults={"A": 2}), pencil="w")
+
+
+def _error(message):
+    return MatchError, message
+
+
+#: (exit, model spec, outcome of classify): one normalized, totally ramified
+#: model of even parity for each exit of the matchers that some input reaches,
+#: in the order of the checks; a label with a recipe is listed in _WITH_RECIPE
+_MATCHER_EXITS = [
+    ("negative fiber degree", _past_the_plane_checks,
+     _error("component A has negative fiber degree; bad multiplicities at the pencil point")),
+    ("G' rank outside the table", (1, "p", "Q=2", "1:Q", "p"),
+     _error("not an invariant-conic-bundle configuration: r=1 with G' of rank 1")),
+    ("branch-point count", (2, "p", "A=1 p; B=1 p; W=3", "10:A 01:B 11:W", "p"),
+     _error("not an invariant-conic-bundle configuration: 4 branch points on a general "
+            "pencil line, expected 2 for r=2, s=1")),
+    ("conic bundle not totally ramified", (2, "p", "A=1 p; B=1 p", "11:A,B", "p"),
+     _error("not totally ramified")),
+    ("s=0 two divisors", (2, "p", "A=1 p; B=1 p; C=1 p; D=1 p", "10:A,B 01:C,D", "p"),
+     _error("all three branch divisors must be nonzero")),
+    ("s=0 not single pencil lines", (2, "p", "A=1 p; B=1 p; K=3* p:3", "10:K 01:A 11:B", "p"),
+     _error("D_10 must be a single line of the pencil")),
+    ("s=0 pencil lines", (2, "p", "A=1 p; B=1 p; C=1 p", "10:A 01:B 11:C", "p"),
+     CaseLabel("4.2", "P1.221&P1.22.1")),
+    ("s=1 pencil line count", (2, "p", "A=1 p; B=1 p; Q=2", "10:A,B 11:Q", "p"),
+     _error("exactly two branch divisors must be pencil lines")),
+    ("s=1 pencil line sum", (3, "p", "A=1 p; B=1 p; C=1 p; Q=2", "100:A 010:B 110:C 001:Q", "p"),
+     _error("the pencil-line inertia elements must sum to the G'-carrier")),
+    ("s=1 d-2 not one irreducible curve", (2, "p", "A=1 p; B=1 p; W=3* p", "10:A 01:B 11:W", "p"),
+     _error("D_11 with multiplicity d-2 must be one irreducible curve")),
+    ("s=1 deep curve", (2, "p", "A=1 p; B=1 p; W=3 p", "10:A 01:B 11:W", "p"),
+     CaseLabel("4.4", "C.2,21", (("d", 3),))),
+    ("s=1 d-1 not one heavy curve",
+     (2, "p", "A=1 p; B=1 p; W=3 p:2; K=2* p:2", "10:A 01:B 11:W,K", "p"),
+     _error("D_11 with multiplicity d-1 must be one curve with an (e-1)-fold point at the "
+            "pencil point plus pencil lines")),
+    ("s=1 line", (2, "p", "A=1 p; B=1 p; L=1", "10:A 01:B 11:L", "p"),
+     CaseLabel("4.4", "0.22", (("d", 1),))),
+    ("s=1 needs reduction", (2, "p", "A=1 p; B=1 p; W=3 p:2", "10:A 01:B 11:W", "p"),
+     CaseLabel("4.4", "0.22", (("d", 3),), ("needs-reduction",))),
+    ("s=2 r=2 two divisors", (2, "p", "A=1 p; B=1; C=1 p; D=1", "10:A,B 01:C,D", "p"),
+     _error("all three branch divisors must be nonzero")),
+    ("s=2 r=3 four-line model",
+     (3, "p", "K1=1 p; K2=1 p; H1=1; H2=1", "001:K1 111:K2 100:H1 010:H2", "p"),
+     CaseLabel("4.10", "P1s.222", (), ("reduced-four-line-model",))),
+    ("s=2 r=3 no shape", (3, "p", "A=1; B=1; C=1; K=2* p:2", "100:A 010:B 110:C 001:K", "p"),
+     _error("branch data do not fit the rank-3 G'=(Z/2)^2 shapes")),
+    ("s=2 r=4 six divisors",
+     (4, "p", "A=1; B=1; C=1; K1=1 p; K2=1 p; K3=1 p; K4=1 p",
+      "1000:A 0100:B 1100:C 0010:K1,K2 0001:K3,K4", "p"),
+     _error("need three pencil lines and three curves")),
+    ("s=2 r=4 pencil-line trio",
+     (4, "p", "A=1; B=1; Q=2 p; K1=1 p; K2=1 p; K3=1 p; K4=1 p",
+      "1000:A 0100:B 1100:Q 0010:K1 1110:K2 0001:K3,K4", "p"),
+     _error("the pencil-line inertia elements must sum to zero")),
+    ("s=2 curve span",
+     (3, "p", "Q1=2 p; Q2=2 p; R=2* p:2; K1=1 p; K2=1 p", "100:Q1 010:Q2 001:R 111:K1,K2", "p"),
+     _error("the three curve inertia elements must span a rank-2 subgroup")),
+    ("s=2 three curves", (2, "p", "A=2 p; B=2 p; C=2 p", "10:A 01:B 11:C", "p"),
+     CaseLabel("4.6", "C.22", (("degrees", (2, 2, 2)),))),
+    ("s=2 r=2 concurrent lines", (2, "p q", "A=1 q; B=1 q; C=1 q", "10:A 01:B 11:C", "p"),
+     CaseLabel("4.2", "P1.221&P1.22.1", (("common_point", "q"),),
+               ("pencil-away-from-common-point",))),
+    ("s=2 r=2 three lines", (2, "p", "A=1; B=1; C=1", "10:A 01:B 11:C", "p"),
+     CaseLabel("4.6", "0.22", (("degrees", (1, 1, 1)),), ("degenerate-three-lines",))),
+    ("s=2 r=3 lines",
+     (3, "p", "A=1; B=1; C=1; K1=1 p; K2=1 p", "100:A 010:B 110:C 001:K1,K2", "p"),
+     CaseLabel("4.10", "C.221", (("degrees", (1, 1, 1)),))),
+    ("s=2 r=3 concurrent lines",
+     (3, "p q", "A=1 q; B=1 q; C=1 q; K1=1 p; K2=1 p", "100:A 010:B 110:C 001:K1,K2", "p"),
+     CaseLabel("4.10", "P1s.222", (("degrees", (1, 1, 1)), ("common_point", "q")))),
+    ("s=2 r=4 concurrent lines",
+     (4, "p q", "A=1 q; B=1 q; C=1 q; K1=1 p; K2=1 p; K3=1 p",
+      "1000:A 0100:B 1100:C 0010:K1 0001:K2 0011:K3", "p"),
+     CaseLabel("4.12", "P1.2222", (("degrees", (1, 1, 1)), ("common_point", "q")))),
+    ("del Pezzo not totally ramified", (2, "", "A=1; B=1", "11:A,B", None),
+     _error("not totally ramified")),
+    ("two divisors, degrees", (2, "", "Q1=2; Q2=2", "10:Q1 01:Q2", None),
+     _error("rank-2 two-divisor shape needs a conic and a quartic")),
+    ("two divisors, single components", (2, "", "K1=1; K2=1; F=4", "10:K1,K2 01:F", None),
+     _error("conic and quartic must be single components")),
+    ("two divisors, irreducible", (2, "", "Q=2*; F=4", "10:F 01:Q", None),
+     _error("conic and quartic must be irreducible")),
+    ("two divisors, tacnode", (2, "", "Q=2; F=4", "10:F 01:Q", None),
+     _error("need a tacnode of the quartic with the conic through it along the tacnodal tangent")),
+    ("two divisors, marked incidences",
+     (2, "x y<x q1", "Q=2 x y q1; F=4 x:2 y:2 q1", "10:F 01:Q", None),
+     _error("unexpected marked incidences for the conic-plus-quartic shape")),
+    ("two divisors, tacnode label", (2, "x y<x", "Q=2 x y; F=4 x:2 y:2", "10:F 01:Q", None),
+     CaseLabel("5.1", "2.G2", (("tacnode", "x"),))),
+    ("three divisors, degrees", (2, "", "A=1; B=1; C=1", "10:A 01:B 11:C", None),
+     _error("rank-2 three-divisor shape needs two lines and a cubic")),
+    ("three divisors, single cubic", (2, "", "A=1; B=1; Q=2; L=1", "10:A 01:B 11:Q,L", None),
+     _error("the cubic must be a single component")),
+    ("three divisors, smooth cubic", (2, "", "A=1; B=1; W=3*", "10:A 01:B 11:W", None),
+     _error("the cubic must be smooth and irreducible")),
+    ("three divisors, not tangential", (2, "t", "A=1 t; B=1; W=3 t", "10:A 01:B 11:W", None),
+     _error("cubic meets a line at a marked point but not tangentially")),
+    ("three divisors, tangency label",
+     (2, "t u<t", "A=1 t u; B=1; W=3 t u", "10:A 01:B 11:W", None),
+     CaseLabel("5.1", "2.G2", (("tangency", "t"),), ("reduced-cubic-model",))),
+    ("three divisors, marked incidences",
+     (2, "t", "A=1 t; B=1 t; W=3", "10:A 01:B 11:W", None),
+     _error("unexpected marked incidences for the two-lines-plus-cubic shape")),
+    ("three divisors, label", (2, "", "A=1; B=1; W=3", "10:A 01:B 11:W", None),
+     CaseLabel("5.3", "1.B2.1")),
+    ("conic and lines, irreducible",
+     (3, "", "A=1; B=1; C=1; Q=2*", "100:A 010:B 110:C 001:Q", None),
+     _error("the conic must be irreducible")),
+    ("conic and lines, triple point",
+     (3, "t", "A=1 t; B=1 t; C=1 t; Q=2", "100:A 010:B 110:C 001:Q", None),
+     _error("unexpected triple point at t")),
+    ("conic and lines, marked incidences",
+     (3, "t", "A=1 t; B=1 t; C=1; Q=2", "100:A 010:B 110:C 001:Q", None),
+     _error("unexpected marked incidences for the conic-plus-lines shape")),
+    ("conic and lines, label", (3, "", "A=1; B=1; C=1; Q=2", "100:A 010:B 110:C 001:Q", None),
+     CaseLabel("5.7", "2.G22")),
+    ("conic and lines, triple points label",
+     (3, "xi eta", "A=1 xi; B=1 eta; C=1 xi eta; Q=2 xi eta", "010:A 001:B 011:C 100:Q", None),
+     CaseLabel("5.5", "4.222", (("triple_points", ("eta", "xi")),))),
+    ("conic and lines, one triple point",
+     (3, "x", "A=1 x; B=1 x; C=1; Q=2 x", "100:A 010:B 110:C 001:Q", None),
+     _error("the conic must pass through exactly two line intersections on one common line")),
+    ("five lines, too many through a point",
+     (3, "t", "A=1 t; B=1 t; C=1 t; K1=1 t; K2=1", "100:A 010:B 110:C 001:K1,K2", None),
+     _error("too many lines through t")),
+    ("five lines, unmixed triple point",
+     (3, "t", "A=1 t; B=1 t; C=1 t; K1=1; K2=1", "100:A 010:B 110:C 001:K1,K2", None),
+     _error("triple point at t must mix both subgroup parts")),
+    ("five lines, label",
+     (3, "", "A=1; B=1; C=1; K1=1; K2=1", "100:A 010:B 110:C 001:K1,K2", None),
+     CaseLabel("5.5", "4.222", (), ("reduced-five-line-model",))),
+    ("rank 3, no shape", (3, "", "A=1; B=1; C=1; D=1", "100:A 010:B 001:C 111:D", None),
+     _error("rank-3 branch data do not fit a Del Pezzo shape")),
+    ("rank 4, five single lines",
+     (4, "", "A=1; B=1; C=1; D=1; Q=2", "1000:A 0100:B 0010:C 1110:D 0001:Q", None),
+     _error("rank-4 Del Pezzo shape needs five single lines")),
+    ("rank 4, general position",
+     (4, "t", "A=1 t; B=1 t; C=1; D=1; E=1", "1000:A 0100:B 0010:C 0001:D 1111:E", None),
+     _error("the five lines must be in general position")),
+    ("rank 4, label", (4, "", "A=1; B=1; C=1; D=1; E=1", "1000:A 0100:B 0010:C 0001:D 1111:E", None),
+     CaseLabel("5.9", "4.2222")),
+    ("rank 1", (1, "", "Q=2", "1:Q", None), _error("no Del Pezzo case matches r=1 branch data")),
+]
+_WITH_RECIPE = {
+    "s=1 needs reduction",
+    "s=2 r=3 concurrent lines",
+    "two divisors, tacnode label",
+    "conic and lines, triple points label",
+}
+
+
+@pytest.mark.parametrize(
+    "name, spec, expected", [pytest.param(*row, id=row[0]) for row in _MATCHER_EXITS]
+)
+def test_every_matcher_exit(name, spec, expected):
+    # the exact label, params and flags, or the exact error, of each exit
+    model = spec() if callable(spec) else _exit_model(*spec)
+    got = _outcome(classify, model)
+    assert got == expected
+    if isinstance(got, CaseLabel):
+        assert (got.reduce is not None) == (name in _WITH_RECIPE)
+
+
 def test_quadratic_move_contracts_lines_between_base_points():
     model = load_cover("prop410")
     model = add_marked_point(model, "z", mults={"lineA": 1, "lineK1": 1})
@@ -341,20 +535,60 @@ def test_reduce_mult_d_minus_one_to_line():
 
 
 def test_one_g_prime_inference_per_reduction(monkeypatch):
-    # the recipe reuses what the match found instead of inferring G' again
+    # the recipe reuses what the match found instead of computing G' again
     calls = []
-    real = classify_mod.infer_g_prime
+    real = classify_mod._g_prime
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classify_mod, "infer_g_prime", spy)
+    monkeypatch.setattr(classify_mod, "_g_prime", spy)
     cremona_reduce(load_cover("prop44_unreduced"))
     assert len(calls) == 1
     calls.clear()
     census_mod.census(2, 7)
     assert len(calls) == len(list(census_mod._candidates(2, 7)))
+
+
+def test_one_record_read_per_match(monkeypatch):
+    # a match reads its model's record once, after the model checks; the
+    # recipe it attaches runs on that record and reads no model
+    reads = []
+    real = classify_mod.to_record
+
+    def spy(cover):
+        reads.append(cover)
+        return real(cover)
+
+    monkeypatch.setattr(classify_mod, "to_record", spy)
+    models = [normalize(load_cover(path.stem)) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    models += [model for r in (2, 3, 4) for _, model in census_mod._candidates(r, 7)]
+    recipes = 0
+    for model in models:
+        if model.pencil is None:
+            matchers = (classify, match_del_pezzo)
+        else:
+            matchers = (classify, partial(match_conic_bundle, pencil_point=model.pencil))
+        for match in matchers:
+            reads.clear()
+            label = _outcome(match, model)
+            assert reads == [model], model
+            if isinstance(label, CaseLabel) and label.reduce is not None:
+                reads.clear()
+                label.reduce()
+                assert reads == [], model
+                recipes += 1
+    assert len(models) >= 100 and recipes >= 20, (len(models), recipes)
+    # a model that fails the model checks is not read
+    lines = [("A", 1, {"p": 1}), ("B", 1, {"p": 1})]
+    unramified = plane_cover(2, lines, {"11": [("A", 1), ("B", 1)]}, [("p", None)], "p")
+    odd = plane_cover(2, lines, {"10": [("A", 1)], "01": [("B", 1)]}, [("p", None)], "p")
+    for model in (unramified, odd, pull_back(load_cover("prop51"), "x")):
+        for match in (classify, match_del_pezzo, partial(match_conic_bundle, pencil_point="p")):
+            reads.clear()
+            assert isinstance(_outcome(match, model), tuple)
+            assert reads == []
 
 
 def test_reduce_rank3_odd_curve_to_line():
@@ -507,7 +741,7 @@ def test_g_prime_matches_pull_back_reference():
         expected = _outcome(pulled_back_g_prime, model, point)
         assert _outcome(infer_g_prime, model, point) == expected, (model, point)
         outcomes["G'" if isinstance(expected, GPrimeStructure) else expected[1]] += 1
-        parities.update(m % 2 for _, m in model._through.get(point, ()))
+        parities.update(m % 2 for _, m in scan_components_at(model, point))
     assert outcomes["G'"] >= 100 and min(parities[0], parities[1]) >= 100
     # every error the reference raises is met: not normalized, a pencil point
     # with a parent, a negative fiber degree, and both kinds of count mismatch
@@ -536,7 +770,7 @@ def test_purge_idle_marks_matches_one_at_a_time_reference():
                 points.append((f"t{n}", parent, {c.cid: 1 for c in on}))
                 names.append(f"t{n}")
             model = add_marked_points(base, points)
-            curves_at = {name: len(at) for name, at in model._through.items()}
+            curves_at = {m.name: len(scan_components_at(model, m.name)) for m in model.marked}
             gone = classify_mod._purge_idle_marks(to_record(model), curves_at)
             comps = tuple(
                 replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
@@ -610,10 +844,23 @@ def test_incidence_predicates_match_scans(monkeypatch, seed, count):
     rng = random.Random(seed)
     models = [random_incidence_cover(rng) for _ in range(count)]
     found = [_outcome(classify, model) for model in models]
-    monkeypatch.setattr(classify_mod, "_tacnode", scan_tacnode)
-    monkeypatch.setattr(classify_mod, "_tangency", scan_tangency)
     for model, outcome in zip(models, found):
-        monkeypatch.setattr(classify_mod, "_common_point", partial(scan_common_point, model))
+        # the predicates take the matched record and curve ids; the scans read the model
+        def curves(*cids):
+            return [model.component(cid) for cid in cids]
+
+        def common_point(record, cids, exclude):
+            return scan_common_point(model, curves(*cids), exclude)
+
+        def tacnode(record, quartic, conic):
+            return scan_tacnode(model, *curves(quartic, conic))
+
+        def tangency(record, line, cubic):
+            return scan_tangency(model, *curves(line, cubic))
+
+        monkeypatch.setattr(classify_mod, "_common_point", common_point)
+        monkeypatch.setattr(classify_mod, "_tacnode", tacnode)
+        monkeypatch.setattr(classify_mod, "_tangency", tangency)
         assert _outcome(classify, model) == outcome, model
     seen = Counter(o.serialize() if isinstance(o, classify_mod.CaseLabel) else o[1] for o in found)
     for part in ("[tacnode=", "[tangency=", "[common_point=", "P1s.222[", "P1.2222[",
@@ -875,7 +1122,7 @@ def test_cremona_reduce_equals_the_step_by_step_reference(monkeypatch):
         pencil="p",
     )
     w = GroupElement.parse("11")
-    got = _outcome(classify_mod._reduce_odd_curve, model, "p", w)
+    got = _outcome(classify_mod._reduce_odd_curve, to_record(model), "p", w)
     assert got[0].__name__ == "ReductionError"
     assert got == _outcome(reference_reduce_odd_curve, model, "p", w)
 

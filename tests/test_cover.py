@@ -652,7 +652,6 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
                 assert pulled.surface.index_of(center.name) == slot
                 assert pulled.surface.has_center(center.name)
                 assert pulled.surface.center(center.name) is center
-    # E_x lies in 10 twice and in 01 once
     model = total_transform_pull_back(load_cover("prop51"), "x")
     with pytest.raises(DanglingReferenceError, match="no component named 'nope'"):
         model.component("nope")
@@ -663,13 +662,11 @@ def test_indexed_lookups_agree_with_scans_and_keep_their_errors():
     with pytest.raises(DanglingReferenceError, match="no center named 'y'"):
         model.surface.center("y")
     assert not model.surface.has_center("y")
-    assert model.inertia_of("quartic") == GroupElement((1, 0))
-    for cid in ("E_x", "nope"):
-        with pytest.raises(InconsistencyError, match=f"component '{cid}' is not reduced/uniquely"):
-            model.inertia_of(cid)
-    for branch in ({"10": [("A", 1)], "01": [("A", 1)]}, {"10": [("A", 2)]}):
-        with pytest.raises(InconsistencyError, match="component 'A' is not reduced/uniquely"):
-            plane_cover(2, [("A", 1, {})], branch).inertia_of("A")
+    # a curve whose D_g cancel has no carrier: the pair search asks to normalize
+    lines = [("A", 1, {}), ("B", 1, {})]
+    twice = plane_cover(2, lines, {"10": [("A", 2), ("B", 1)], "01": [("B", 1)]})
+    with pytest.raises(InconsistencyError, match="component 'A' is not reduced/uniquely"):
+        normalize_mod.singular_residual_pairs(cov.to_record(twice))
 
 
 def test_a_blown_up_marked_point_is_its_center():
@@ -710,10 +707,15 @@ def stepwise(model, **kwargs):
 
 
 def assert_index_matches_scan(model):
+    # the record's indexes, one implementation each, against scans of the model
+    record = cov.to_record(model)
+    through = cov.curves_through(record.mults.items())
+    children = cov.children_by_parent(record.marked)
     points = [m.name for m in model.marked] + list(model.surface.names) + ["nowhere"]
     for point in points:
-        assert model.components_at(point) == scan_components_at(model, point)
-        assert model.children_of_point(point) == scan_children_of_point(model, point)
+        at = [(model.component(cid), m) for cid, m in through.get(point, ())]
+        assert at == scan_components_at(model, point)
+        assert tuple(children.get(point, ())) == scan_children_of_point(model, point)
 
 
 def test_incidence_index_matches_scan_along_fixture_resolutions(monkeypatch):

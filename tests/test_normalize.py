@@ -10,6 +10,8 @@ from planecover.cover import (
     CoverModel,
     CurveComponent,
     add_marked_points,
+    children_by_parent,
+    curves_through,
     derive_building_data,
     plane_cover,
     to_record,
@@ -296,10 +298,11 @@ def test_is_smooth_over_examples():
 
 def test_incidence_record():
     # the tacnode x: both curves pass through x and share its direction y
-    model = load_cover("prop51")
-    assert [(c.cid, m) for c, m in model.components_at("x")] == [("conic", 1), ("quartic", 2)]
-    assert model.children_of_point("x") == ("y",)
-    assert [c.cid for c, _ in model.components_at("y")] == ["conic", "quartic"]
+    record = to_record(load_cover("prop51"))
+    through = curves_through(record.mults.items())
+    assert through["x"] == [("conic", 1), ("quartic", 2)]
+    assert children_by_parent(record.marked)["x"] == ["y"]
+    assert [cid for cid, _ in through["y"]] == ["conic", "quartic"]
 
 
 def test_residual_same_inertia_detection():
