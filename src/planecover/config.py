@@ -68,9 +68,7 @@ class ConfigDocument:
         lines.append("[components]")
         for comp in sorted(self.components, key=lambda c: c.name):
             parts = [f"degree {comp.degree}"]
-            parts.extend(
-                f"mult({point}) = {mult}" for point, mult in sorted(comp.mults.items())
-            )
+            parts += [f"mult({point}) = {mult}" for point, mult in sorted(comp.mults.items())]
             if not comp.irreducible:
                 parts.append("reducible")
             lines.append(f"{comp.name} = " + ", ".join(parts))
@@ -78,8 +76,7 @@ class ConfigDocument:
         lines.append("[branch]")
         for key in sorted(self.branch):
             entries = ", ".join(
-                name if mult == 1 else f"{name}*{mult}"
-                for name, mult in sorted(self.branch[key])
+                [name if mult == 1 else f"{name}*{mult}" for name, mult in sorted(self.branch[key])]
             )
             lines.append(f"{key} = {entries}")
         return "\n".join(lines) + "\n"
@@ -106,12 +103,11 @@ def from_cover(model: CoverModel) -> ConfigDocument:
         raise ConfigError([(1, 1, "only plane configurations can be serialized")])
     doc = ConfigDocument(r=model.r, pencil=model.pencil)
     doc.centers = [(m.name, m.parent) for m in model.marked]
-    for comp in model.components:
-        doc.components.append(
-            ComponentSpec(comp.cid, comp.cls.degree, dict(comp.mults), comp.irreducible)
-        )
-    for g, entries in model.branch:
-        doc.branch[str(g)] = [(cid, k) for cid, k in entries]
+    doc.components = [
+        ComponentSpec(c.cid, c.cls.degree, dict(c.mults), c.irreducible)
+        for c in model.components
+    ]
+    doc.branch = {str(g): list(entries) for g, entries in model.branch}
     return doc
 
 
@@ -157,7 +153,7 @@ def parse(text: str) -> ConfigDocument:
             err(lineno, 1, "expected 'key = value'")
             continue
         # the line is stripped and the pattern eats the blanks around "="
-        key, value = kv.group("key", "value")
+        key, value = kv.groups()
         col = raw.index(key) + 1
 
         if section == "cover":
@@ -203,7 +199,7 @@ def parse(text: str) -> ConfigDocument:
             if key in seen_names:
                 err(lineno, col, f"duplicate name {key!r}")
                 continue
-            spec = ComponentSpec(key, degree=-1)
+            degree, mults, irreducible = -1, {}, True
             ok = True
             # a repeated degree or mult(point) clause would overwrite the first
             clauses: set[str] = set()
@@ -214,25 +210,26 @@ def parse(text: str) -> ConfigDocument:
                         err(lineno, col, f"duplicate degree clause for component {key!r}")
                         continue
                     clauses.add("degree")
-                    rest = part[len("degree") :].strip()
-                    if not _is_number(rest):
+                    rest = part[6:].strip()
+                    if not (rest.isascii() and rest.isdigit()):
                         err(lineno, col, f"bad degree {rest!r} for component {key!r}")
                         ok = False
                     else:
-                        spec.degree = int(rest)
-                        if spec.degree < 1:
+                        degree = int(rest)
+                        if degree < 1:
                             message = f"degree must be at least 1 for component {key!r}, got {rest}"
                             err(lineno, col, message)
                             ok = False
                 elif part == "reducible":
-                    spec.irreducible = False
+                    irreducible = False
                 elif mm := _MULT.match(part):
-                    point, mult = mm.group("point"), int(mm.group("value"))
+                    point, mult = mm.groups()
                     clause = f"mult({point})"
                     if clause in clauses:
                         err(lineno, col, f"duplicate {clause} clause for component {key!r}")
                         continue
                     clauses.add(clause)
+                    mult = int(mult)
                     if point not in center_names:
                         err(lineno, col, f"multiplicity at undeclared center {point!r}")
                         ok = False
@@ -240,15 +237,15 @@ def parse(text: str) -> ConfigDocument:
                         err(lineno, col, f"multiplicity must be at least 1, got {mult}")
                         ok = False
                     else:
-                        spec.mults[point] = mult
+                        mults[point] = mult
                 else:
                     err(lineno, col, f"cannot parse component clause {part!r}")
                     ok = False
-            if spec.degree < 0:
+            if degree < 0:
                 err(lineno, col, f"component {key!r} is missing its degree")
                 ok = False
             if ok:
-                doc.components.append(spec)
+                doc.components.append(ComponentSpec(key, degree, mults, irreducible))
                 seen_names.add(key)
                 component_names.add(key)
 
@@ -272,11 +269,11 @@ def parse(text: str) -> ConfigDocument:
                 name, mult = part, 1
                 if "*" in part:
                     name, _, mult_text = part.partition("*")
-                    name = name.strip()
-                    if not _is_number(mult_text.strip()) or int(mult_text) < 1:
+                    name, mult_text = name.strip(), mult_text.strip()
+                    mult = int(mult_text) if mult_text.isascii() and mult_text.isdigit() else 0
+                    if mult < 1:
                         err(lineno, col, f"bad multiplicity in branch entry {part!r}")
                         continue
-                    mult = int(mult_text)
                 if name not in component_names:
                     err(lineno, col, f"branch references undeclared component {name!r}")
                     continue

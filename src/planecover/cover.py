@@ -16,8 +16,20 @@ one implementation, on a record's maps, next to ``ModelRecord``: the
 curves through each point (``curves_through``), the points infinitely near
 each point (``children_by_parent``), each curve's carrier (``carriers``)
 and the parity sweep (``odd_character``).  A model keeps only the lookups
-of its own: a component, a marked point or a [D_g] by name, and its rank
-and parity, each computed once per model.
+of its own: a component, a marked point or a [D_g] by name, its rank and
+parity, and its record (``to_record``), each computed once per model.
+
+Building a model is the one validating pass, and it costs time in the size
+of its input.  ``plane_cover`` gives the curves of one degree one shared
+class, made from its support, and checks each curve in one sweep over its
+multiplicities (a proximity sum only for a curve through an infinitely near
+point).  ``CurveComponent`` checks its multiplicities in one pass over them,
+sorted.  ``CoverModel`` merges the branch data and sorts each D_g once, in
+place, then checks every name by set lookups: component ids and marked
+names unique, marked names apart from the centers, every parent known and
+no cycle of parents, and every multiplicity, branch entry and pencil naming
+a known point or curve.  So a model that ``plane_cover`` accepts is one its
+document can write: ``config.from_cover`` inverts ``to_cover``.
 
 The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
 relation hold, so all it needs to know is that each S_chi is divisible by
@@ -50,7 +62,7 @@ from .group import Character, GroupElement
 from .lattice import PLANE, BlownPlane, Center, DivisorClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveComponent:
     """One irreducible-or-declared-reducible piece of the branch curve."""
 
@@ -61,22 +73,28 @@ class CurveComponent:
     exceptional_of: str | None = None
 
     def __post_init__(self):
-        degree = self.cls.degree
+        support = self.cls.support
+        degree = support.get(0, 0)
         if degree < 0:
             raise DomainError(f"component {self.cid!r} has negative degree")
         if degree == 0:
-            support = self.cls.support
             lead = support[min(support)] if support else None
             if lead is None or lead < 0:
                 raise DomainError(
                     f"degree-0 component {self.cid!r} must be an exceptional class"
                 )
-        mults = tuple(sorted(self.mults))
-        if any(m < 1 for _, m in mults):
-            raise DomainError(f"component {self.cid!r} has a multiplicity below 1")
-        if len(dict(mults)) != len(mults):
+        # one pass over the sorted incidences: a repeated point sits next to
+        # itself, and a multiplicity below 1 anywhere is reported first
+        mults = sorted(self.mults)
+        repeated, last = False, None
+        for name, m in mults:
+            if m < 1:
+                raise DomainError(f"component {self.cid!r} has a multiplicity below 1")
+            repeated |= name == last
+            last = name
+        if repeated:
             raise DomainError(f"component {self.cid!r} repeats a point in its multiplicities")
-        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "mults", tuple(mults))
 
     def mult_at(self, point_name: str) -> int:
         for name, m in self.mults:
@@ -97,9 +115,10 @@ def _canonical_branch(raw: Iterable[tuple[GroupElement, Iterable[BranchEntry]]])
             bucket[cid] = bucket.get(cid, 0) + k
     out = []
     for g in sorted(merged, key=group.element_key):
-        entries = tuple(sorted(entry for entry in merged[g].items() if entry[1] > 0))
+        entries = [entry for entry in merged[g].items() if entry[1] > 0]
         if entries:
-            out.append((g, entries))
+            entries.sort()
+            out.append((g, tuple(entries)))
     return tuple(out)
 
 
@@ -124,7 +143,8 @@ class CoverModel:
     pencil: str | None = None
 
     def __post_init__(self):
-        if not 1 <= self.r <= group.MAX_RANK:
+        r, surface = self.r, self.surface
+        if not 1 <= r <= group.MAX_RANK:
             raise DomainError(f"cover rank must be between 1 and {group.MAX_RANK}")
         object.__setattr__(self, "components", tuple(sorted(self.components, key=_cid_key)))
         object.__setattr__(self, "branch", _canonical_branch(self.branch))
@@ -133,17 +153,31 @@ class CoverModel:
         if len(id_set) != len(self.components):
             raise DomainError("component ids must be unique")
         known_points = {m.name for m in self.marked}
-        center_names = set(self.surface.names)
-        if known_points & center_names:
+        centers = surface._slots
+        if not known_points.isdisjoint(centers):
             raise DomainError("marked point names collide with blown-up centers")
-        known = known_points | center_names
+        if len(known_points) != len(self.marked):
+            raise DomainError("marked point names must be unique")
+        near = {}  # name -> parent, for the points infinitely near a marked point
         for m in self.marked:
-            if m.parent is not None and m.parent not in known:
+            parent = m.parent
+            if parent in known_points:
+                near[m.name] = parent
+            elif parent is not None and parent not in centers:
                 raise DanglingReferenceError(
-                    f"marked point {m.name!r} has unknown parent {m.parent!r}"
+                    f"marked point {m.name!r} has unknown parent {parent!r}"
                 )
+        grounded: set[str] = set()  # points whose chain of parents ends
+        for name in near:
+            chain, point = set(), name
+            while point in near and point not in grounded:
+                if point in chain:
+                    raise DomainError(f"the parents of marked point {name!r} form a cycle")
+                chain.add(point)
+                point = near[point]
+            grounded |= chain
         for comp in self.components:
-            if comp.cls.surface is not self.surface and comp.cls.surface != self.surface:
+            if comp.cls.surface is not surface and comp.cls.surface != surface:
                 raise DimensionError(f"component {comp.cid!r} lives on the wrong surface")
             for name, _ in comp.mults:
                 if name not in known_points:
@@ -151,15 +185,16 @@ class CoverModel:
                         f"component {comp.cid!r} declares a multiplicity at unknown point {name!r}"
                     )
         for g, entries in self.branch:
-            if g.r != self.r:
+            if g.r != r:
                 raise DimensionError(f"branch element {g} has wrong rank")
             if not g.mask:
                 raise DomainError("branch data are indexed by nonzero group elements")
             for cid, _ in entries:
                 if cid not in id_set:
                     raise DanglingReferenceError(f"branch references unknown component {cid!r}")
-        if self.pencil is not None and self.pencil not in known:
-            raise DanglingReferenceError(f"pencil point {self.pencil!r} is not a known point")
+        pencil = self.pencil
+        if pencil is not None and pencil not in known_points and pencil not in centers:
+            raise DanglingReferenceError(f"pencil point {pencil!r} is not a known point")
 
     # -- lookups ---------------------------------------------------------
     # The maps behind the lookups are built on first use, each in one pass over
@@ -177,6 +212,20 @@ class CoverModel:
     @cached_property
     def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
         return dict(self.branch)
+
+    @cached_property
+    def _record(self) -> ModelRecord:
+        """The model as plain data (``to_record``); coefficient maps are shared."""
+        return ModelRecord(
+            self.r,
+            list(self.surface.centers),
+            dict(self._by_point),
+            self.pencil,
+            carriers(self.branch),
+            {c.cid: c.cls.support for c in self.components},
+            {c.cid: (c.irreducible, c.exceptional_of) for c in self.components},
+            {c.cid: list(c.mults) for c in self.components},
+        )
 
     def component(self, cid: str) -> CurveComponent:
         """One dict lookup in a map built once per model."""
@@ -271,20 +320,21 @@ def plane_cover(
     Only the first broken rule is reported: the pencil; then, curve by
     curve, m against d (points by name), proximity (parents in order of
     first mention) and genus; then Bezout, for the least offending pair.
+    After them, a curve that takes a marked point's name is a DomainError
+    (the least such name): a document names points and curves alike.
     """
     reducible = set(reducible)
     parent_of = dict(marked)
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
     degree_of: dict[str, int] = {}
+    classes: dict[int, DivisorClass] = {}  # curves of one degree share their class
     comps = []
     for cid, degree, mults in components:
-        comp = CurveComponent(
-            cid,
-            DivisorClass(lattice.PLANE, (degree,)),
-            irreducible=cid not in reducible,
-            mults=tuple(mults.items()),
+        cls = classes.get(degree) or classes.setdefault(
+            degree, DivisorClass.from_support(PLANE, {0: degree})
         )
+        comp = CurveComponent(cid, cls, cid not in reducible, mults.items())
         near: dict[str, int] = {}
         delta = 0
         for point, m in comp.mults:
@@ -301,13 +351,14 @@ def plane_cover(
             if parent is not None:
                 near[parent] = near.get(parent, 0) + m
             delta += m * (m - 1) // 2
-        broken = {point for point, total in near.items() if total > mults.get(point, 0)}
-        if broken:
-            point = next(parent for parent in parent_of.values() if parent in broken)
-            raise GeometryError(
-                f"component {cid!r} has multiplicity {mults.get(point, 0)} at {point!r} "
-                f"but {near[point]} at the points infinitely near it"
-            )
+        if near:
+            broken = {point for point, total in near.items() if total > mults.get(point, 0)}
+            if broken:
+                point = next(parent for parent in parent_of.values() if parent in broken)
+                raise GeometryError(
+                    f"component {cid!r} has multiplicity {mults.get(point, 0)} at {point!r} "
+                    f"but {near[point]} at the points infinitely near it"
+                )
         genus = (degree - 1) * (degree - 2) // 2
         if comp.irreducible and delta > genus:
             raise GeometryError(
@@ -330,11 +381,12 @@ def plane_cover(
             f"at declared points, above the product of their degrees "
             f"{degrees[a]}*{degrees[b]} (Bezout)"
         )
-    branch_data = tuple(
-        (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
-    )
-    marks = tuple(Center(name, parent) for name, parent in marked)
-    return CoverModel(r, lattice.PLANE, tuple(comps), branch_data, marks, pencil)
+    named = degree_of.keys() & parent_of.keys()
+    if named:
+        raise DomainError(f"component id {min(named)!r} is also the name of a marked point")
+    branch_data = [(GroupElement.parse(key), entries) for key, entries in branch.items()]
+    marks = [Center(name, parent) for name, parent in marked]
+    return CoverModel(r, PLANE, comps, branch_data, marks, pencil)
 
 
 def add_marked_point(
@@ -384,7 +436,8 @@ class ModelRecord(NamedTuple):
     whose D_g hold it an odd number of times (0 when that cancels); the
     other maps hold every curve.  A record made by ``blow_up`` or a move is
     normalized: every curve has a nonzero carrier.  Functions on records
-    return new records and never change the one they are given.
+    return new records and never change the one they are given, so a
+    model keeps its record (``to_record``) for every caller.
     """
 
     r: int
@@ -407,17 +460,9 @@ class ModelRecord(NamedTuple):
 
 
 def to_record(cover: CoverModel) -> ModelRecord:
-    """The record of a model; coefficient maps are shared, read only."""
-    return ModelRecord(
-        cover.r,
-        list(cover.surface.centers),
-        dict(cover._by_point),
-        cover.pencil,
-        carriers(cover.branch),
-        {c.cid: c.cls.support for c in cover.components},
-        {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components},
-        {c.cid: list(c.mults) for c in cover.components},
-    )
+    """The record of a model, read once per model and shared by every
+    caller: read only, like every record a function is given."""
+    return cover._record
 
 
 def build_model(record: ModelRecord) -> CoverModel:

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Center:
     """A blow-up center: a plane point, or a point infinitely near ``parent``."""
 

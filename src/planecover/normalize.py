@@ -34,7 +34,7 @@ same inertia element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -72,8 +72,8 @@ def normalize(cover: CoverModel) -> CoverModel:
         return cover
     carrier = carriers(cover.branch)
     branch = tuple((GroupElement._of(cover.r, g), ((cid, 1),)) for cid, g in carrier.items() if g)
-    comps = tuple(c for c in cover.components if carrier.get(c.cid))
-    return replace(cover, branch=branch, components=comps)
+    comps = [c for c in cover.components if carrier.get(c.cid)]
+    return CoverModel(cover.r, cover.surface, comps, branch, cover.marked, cover.pencil)
 
 
 def is_normalized(cover: CoverModel) -> bool:

@@ -14,8 +14,10 @@ from planecover.config import ComponentSpec, ConfigDocument
 from planecover.cover import (
     CoverModel,
     CurveComponent,
+    ModelRecord,
     add_marked_point,
     add_marked_points,
+    carriers,
     check_parity,
     derive_building_data,
     fresh_names,
@@ -126,6 +128,21 @@ def dense_singular_residual_pairs(cover):
             if same and total >= 1:
                 pairs.append((a.cid, b.cid))
     return pairs
+
+
+def fresh_record(cover):
+    """The record of a model read afresh from its fields, as ``to_record``
+    reads it once per model."""
+    return ModelRecord(
+        cover.r,
+        list(cover.surface.centers),
+        {m.name: m for m in cover.marked},
+        cover.pencil,
+        carriers(cover.branch),
+        {c.cid: dict(c.cls.support) for c in cover.components},
+        {c.cid: (c.irreducible, c.exceptional_of) for c in cover.components},
+        {c.cid: list(c.mults) for c in cover.components},
+    )
 
 
 def reference_odd_character(cover):
@@ -502,9 +519,18 @@ def reference_cover_fields(r, surface, components, branch, marked=(), pencil=Non
     center_names = set(surface.names)
     if known_points & center_names:
         raise DomainError("marked point names collide with blown-up centers")
+    if len([m.name for m in marked]) != len(known_points):
+        raise DomainError("marked point names must be unique")
     for m in marked:
         if m.parent is not None and m.parent not in known_points | center_names:
             raise DanglingReferenceError(f"marked point {m.name!r} has unknown parent {m.parent!r}")
+    parent_of = {m.name: m.parent for m in marked}
+    for m in marked:
+        seen = [m.name]
+        while parent_of.get(seen[-1]) is not None:
+            if parent_of[seen[-1]] in seen:
+                raise DomainError(f"the parents of marked point {m.name!r} form a cycle")
+            seen.append(parent_of[seen[-1]])
     for comp in components:
         if comp.cls.surface != surface:
             raise DimensionError(f"component {comp.cid!r} lives on the wrong surface")
@@ -1189,6 +1215,9 @@ def reference_plane_cover(
             )
         comps.append(comp)
     reference_check_bezout(components)
+    for cid in sorted({cid for cid, _, _ in components}):
+        if cid in {name for name, _ in marked}:
+            raise DomainError(f"component id {cid!r} is also the name of a marked point")
     branch_data = tuple(
         (GroupElement.parse(key), tuple(entries)) for key, entries in branch.items()
     )

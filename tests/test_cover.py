@@ -1,12 +1,15 @@
 import functools
 import itertools
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from planecover import census as census_mod
 from planecover import classify as classify_mod
+from planecover import config
 from planecover import cover as cov
 from planecover import group
 from planecover import normalize as normalize_mod
@@ -22,6 +25,7 @@ from planecover.cover import (
     quotient_cover,
 )
 from planecover.errors import (
+    ConfigError,
     CoverError,
     DanglingReferenceError,
     DimensionError,
@@ -36,6 +40,8 @@ from planecover.normalize import pull_back, resolve
 from conftest import (
     check_prod_relations,
     FIXTURE_DIR,
+    PERFBENCH_DIR,
+    fresh_record,
     load_cover,
     per_character_building_data,
     point_is_ripe,
@@ -231,6 +237,60 @@ def test_rank_is_computed_once_per_model(monkeypatch):
     # the list keeps the 30 patterns alive, so their ids are distinct
     assert len({id(model) for model in ranks}) == len(ranks) == 30
     assert len(asked) == 60 and {id(model) for model in asked} == {id(m) for m in ranks}
+
+
+def _spy_record_reads(monkeypatch):
+    """(model, record, a copy of it made as it was read) for every record a
+    model reads, in order; the list keeps the models alive, so their ids are
+    distinct."""
+    from functools import cached_property
+
+    read = []
+    compute = cov.CoverModel.__dict__["_record"].func
+
+    def reading(model):
+        read.append((model, compute(model), fresh_record(model)))
+        return read[-1][1]
+
+    spied = cached_property(reading)
+    spied.__set_name__(cov.CoverModel, "_record")
+    monkeypatch.setattr(cov.CoverModel, "_record", spied)
+    return read
+
+
+def test_census_reads_each_model_record_once(monkeypatch):
+    # classify, a row's shape key and resolve share one record per plane model
+    from planecover.census import census
+
+    read = _spy_record_reads(monkeypatch)
+    for r in (2, 3, 4):
+        for d in (3, 5, 7):
+            census(r, d)
+    assert len({id(model) for model, _, _ in read}) == len(read) == 177
+
+
+def test_cached_records_stay_as_read(monkeypatch, capsys):
+    # no function given a record changes it: after a census pass and the six
+    # document commands on every fixture, each model's record still equals
+    # its copy made when it was read and one read afresh from the model's
+    # fields (its coefficient maps are the classes' own), and the model
+    # still returns it
+    from planecover.census import census
+    from planecover.cli import main
+
+    read = _spy_record_reads(monkeypatch)
+    for r in (2, 3, 4):
+        for d in (3, 5, 7):
+            census(r, d)
+    commands = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        for command in commands:
+            main([command, "--input", str(path)])
+    capsys.readouterr()
+    assert len(read) > 177
+    for model, record, copy in read:
+        assert cov.to_record(model) is record
+        assert record == copy == fresh_record(model), model
 
 
 def test_explicit_rank2_relation_system():
@@ -766,6 +826,8 @@ _FAULTS = (
     "unknown branch cid",
     "unknown pencil",
     "bad rank",
+    "repeated marked name",
+    "cyclic parents",
 )
 
 
@@ -819,6 +881,10 @@ def _raw_model(rng: random.Random, faults=()):
             pencil = "nowhere"
         elif fault == "bad rank":
             rank = rng.choice((0, 5))
+        elif fault == "repeated marked name":
+            marked.append(Center("q", rng.choice((None, "p"))))
+        elif fault == "cyclic parents":
+            marked += [Center("u", rng.choice(("u", "v"))), Center("v", "u")]
     return rank, surface, tuple(comps), tuple(branch), tuple(marked), pencil
 
 
@@ -855,6 +921,8 @@ def test_cover_model_keeps_every_check_of_the_reference():
         "branch data are indexed by nonzero group elements",
         "branch references unknown component 'ghost'",
         "pencil point 'nowhere' is not a known point",
+        "marked point names must be unique",
+        "the parents of marked point 'u' form a cycle",
     ):
         assert any(message.startswith(part) for message in messages), part
 
@@ -897,6 +965,7 @@ _PLANE_FAULTS = (
     "bezout on two pairs",
     "near pencil",
     "duplicate cid",
+    "cid is a point name",
 )
 _PLANE_POINTS = (("p", None), ("q", None), ("s", None), ("p1", "p"), ("p2", "p"), ("q1", "q"))
 
@@ -946,6 +1015,8 @@ def _raw_plane_input(rng: random.Random, faults=()):
             pencil = rng.choice(("p1", "p2", "q1"))
         elif fault == "duplicate cid":
             components.append((cid, rng.randint(1, 3), {"s": 1} if rng.random() < 0.5 else {}))
+        elif fault == "cid is a point name":
+            cid = rng.choice([name for name, _ in marked])
         components[n] = (cid, degree, mults)
     cids = [cid for cid, _, _ in components] + ["ghost"] * (rng.random() < 0.05)
     keys = [format(g, f"0{r}b") for g in range(1, 1 << r)] + ["0" * r] * (rng.random() < 0.05)
@@ -972,6 +1043,7 @@ def test_plane_cover_keeps_every_check_of_the_reference():
         "(Bezout)": 0,
         "is infinitely near": 0,
         "component ids must be unique": 0,
+        "is also the name of a marked point": 0,
         "valid": 0,
     }
     for seed in range(1500):
@@ -993,3 +1065,60 @@ def test_each_broken_plane_rule_raises_the_reference_error(fault):
         want = _model_or_error(reference_plane_cover, args)
         assert isinstance(want[0], type), (seed, fault)
         assert _model_or_error(plane_cover, args) == want, (seed, fault)
+
+
+def _workload_documents():
+    """The fixtures, 1,000 seeded ``random_docs`` documents (4-13 curves,
+    ``*2`` entries, a point near another) and every distinct document of
+    the outputs digest, in that order."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    try:
+        from outputs_digest import calls
+        from workloads import BROKEN_EVERY, DOC_SIZES, random_document
+    finally:
+        sys.path[:] = saved
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
+    for seed in range(1000):
+        size, broken = DOC_SIZES[seed % len(DOC_SIZES)], seed % BROKEN_EVERY == 0
+        texts.append(random_document(random.Random(f"build/{seed}"), size, broken))
+    for _, argv, stdin in calls():
+        if argv[0] != "census":
+            texts.append(stdin if stdin is not None else Path(argv[2]).read_text(encoding="utf-8"))
+    return list(dict.fromkeys(texts))
+
+
+def test_to_cover_equals_the_reference_on_workload_documents(monkeypatch):
+    # the build the benchmark times, on the documents it times: the same
+    # model or the same error as the reference builder, and no dense class
+    dense = []
+    init = DivisorClass.__init__
+
+    def counting(cls, surface, coeffs):
+        dense.append(coeffs)
+        init(cls, surface, coeffs)
+
+    monkeypatch.setattr(DivisorClass, "__init__", counting)
+    texts = _workload_documents()
+    assert len(texts) == 12 + 1000 + 730 - 12
+    built = errors = 0
+    for text in texts:
+        try:
+            doc = config.parse(text)
+        except ConfigError:
+            continue
+        dense.clear()
+        got = _model_or_error(doc.to_cover, ())
+        assert dense == []
+        args = (
+            doc.r,
+            [(c.name, c.degree, c.mults) for c in doc.components],
+            doc.branch,
+            doc.centers,
+            doc.pencil,
+            [c.name for c in doc.components if not c.irreducible],
+        )
+        assert got == _model_or_error(reference_plane_cover, args), text
+        built += isinstance(got, CoverModel)
+        errors += not isinstance(got, CoverModel)
+    assert built >= 1400 and errors >= 20, (built, errors)

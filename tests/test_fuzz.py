@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from planecover import config
 from planecover.cli import EXIT_CODES, main
-from planecover.errors import ConfigError
+from planecover.cover import plane_cover
+from planecover.errors import ConfigError, CoverError
 from planecover.normalize import normalize
 
 from conftest import PERFBENCH_DIR, fixture_text, reference_parse
@@ -193,3 +194,56 @@ def test_parse_equals_the_reference_parser_on_random_documents():
         normalized = config.from_cover(normalize(config.parse(text).to_cover())).serialize()
         for document in (text, normalized):
             assert config.parse(document) == reference_parse(document), seed
+
+
+POINTS, CURVES = ["p", "q", "x"], ["A", "B", "C"]
+
+
+def now_and_then(usual, rare):
+    """``usual`` nine draws in ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda n: rare if n == 7 else usual)
+
+
+@st.composite
+def plane_cover_arguments(draw):
+    """``plane_cover`` arguments, mostly valid, named as a document can name
+    them: points near earlier points, curves with multiplicities below
+    their degree, branch data over their ids.  Now and then a point is near
+    itself or a later point, a name repeats, a curve takes a point's name,
+    or a degree, multiplicity or branch key is out of range."""
+    r = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(POINTS), max_size=3, unique=True))
+    names += draw(now_and_then(st.just([]), st.lists(st.sampled_from(POINTS), max_size=1)))
+    marked = []
+    for n, name in enumerate(names):
+        earlier = names[:n] or [None]
+        parent = draw(st.none() | now_and_then(st.sampled_from(earlier), st.sampled_from(names)))
+        marked.append((name, parent))
+    components = []
+    cids = draw(st.lists(st.sampled_from(CURVES), min_size=1, max_size=3, unique=True))
+    cids += draw(now_and_then(st.just([]), st.sampled_from(names + CURVES).map(lambda n: [n])))
+    for cid in cids:
+        degree = draw(now_and_then(st.integers(1, 4), st.integers(-1, 5)))
+        low = now_and_then(st.integers(1, max(1, degree - 1)), st.integers(0, 5))
+        mults = draw(st.dictionaries(st.sampled_from(names or POINTS), low, max_size=2))
+        components.append((cid, degree, mults))
+    width = draw(now_and_then(st.just(r), st.integers(1, 4)))
+    keys = now_and_then(st.integers(1, 2**r - 1), st.integers(0, 2**width - 1))
+    entries = st.lists(st.tuples(st.sampled_from(cids), st.integers(1, 3)), min_size=1, max_size=3)
+    branch = draw(st.dictionaries(keys.map(lambda k: format(k, f"0{width}b")), entries, max_size=4))
+    pencil = draw(st.none() | st.sampled_from(names or POINTS))
+    reducible = draw(st.lists(st.sampled_from(cids), max_size=1))
+    return r, components, branch, marked, pencil, reducible
+
+
+@settings(FUZZ, max_examples=300)
+@given(plane_cover_arguments())
+def test_every_plane_model_round_trips_through_its_document(args):
+    # from_cover is the inverse of to_cover: whatever plane_cover accepts,
+    # named as a document can name it, parses back to an equal model
+    try:
+        model = plane_cover(*args)
+    except CoverError:
+        return
+    text = config.from_cover(model).serialize()
+    assert config.parse(text).to_cover() == model, text
