@@ -10,6 +10,8 @@ elements written as bit strings.
 Reading is one pass over the lines, each clause read once.  All problems
 are raised as one ConfigError, with line and column, in line order; a
 missing ``r`` comes first, and a wrong-length branch key stands alone.
+Names match ``cover.NAME``, the pattern ``plane_cover`` checks too, and a
+number has at most ``MAX_DIGITS`` digits.
 
 The serializer emits a canonical form that parses back to the same
 document, byte for byte.
@@ -22,12 +24,16 @@ from dataclasses import dataclass, field
 
 from . import cover as cover_mod
 from .errors import ConfigError
-from .cover import CoverModel
+from .cover import NAME, CoverModel
 
+#: The most digits a number may have, so that it and the squares the
+#: invariants make of it stay below 640 digits, the lowest limit Python's int
+#: conversion can be set to (``PYTHONINTMAXSTRDIGITS``): under every setting a
+#: longer number is a problem at its line, and a shorter one reads and prints.
+MAX_DIGITS = 300
 _SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
 _KEYVAL = re.compile(r"^(?P<key>[^=\s]+)\s*=\s*(?P<value>.*)$")
-_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
-_MULT = re.compile(r"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]+)$")
+_MULT = re.compile(rf"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]{{1,{MAX_DIGITS}}})$")
 
 
 @dataclass
@@ -112,8 +118,9 @@ def from_cover(model: CoverModel) -> ConfigDocument:
 
 
 def _is_number(text: str) -> bool:
-    """ASCII digits only: ``str.isdigit`` also accepts superscripts, which ``int`` rejects."""
-    return text.isascii() and text.isdigit()
+    """At most ``MAX_DIGITS`` ASCII digits: ``str.isdigit`` also accepts
+    superscripts, which ``int`` rejects."""
+    return len(text) <= MAX_DIGITS and text.isascii() and text.isdigit()
 
 
 def parse(text: str) -> ConfigDocument:
@@ -172,7 +179,7 @@ def parse(text: str) -> ConfigDocument:
                 err(lineno, col, f"unknown [cover] key {key!r}")
 
         elif section == "centers":
-            if not _NAME.match(key):
+            if not NAME.fullmatch(key):
                 err(lineno, col, f"invalid center name {key!r}")
                 continue
             if key in seen_names:
@@ -193,7 +200,7 @@ def parse(text: str) -> ConfigDocument:
             center_names.add(key)
 
         elif section == "components":
-            if not _NAME.match(key):
+            if not NAME.fullmatch(key):
                 err(lineno, col, f"invalid component name {key!r}")
                 continue
             if key in seen_names:
@@ -211,7 +218,7 @@ def parse(text: str) -> ConfigDocument:
                         continue
                     clauses.add("degree")
                     rest = part[6:].strip()
-                    if not (rest.isascii() and rest.isdigit()):
+                    if not _is_number(rest):
                         err(lineno, col, f"bad degree {rest!r} for component {key!r}")
                         ok = False
                     else:
@@ -270,7 +277,7 @@ def parse(text: str) -> ConfigDocument:
                 if "*" in part:
                     name, _, mult_text = part.partition("*")
                     name, mult_text = name.strip(), mult_text.strip()
-                    mult = int(mult_text) if mult_text.isascii() and mult_text.isdigit() else 0
+                    mult = int(mult_text) if _is_number(mult_text) else 0
                     if mult < 1:
                         err(lineno, col, f"bad multiplicity in branch entry {part!r}")
                         continue

@@ -14,16 +14,18 @@ the matchers, the Cremona recipes, the invariant report and the census
 read and chain records and build no model.  Each index over a model has
 one implementation, on a record's maps, next to ``ModelRecord``: the
 curves through each point (``curves_through``), the points infinitely near
-each point (``children_by_parent``), each curve's carrier (``carriers``)
-and the parity sweep (``odd_character``).  A model keeps only the lookups
-of its own: a component, a marked point or a [D_g] by name, its rank and
-parity, and its record (``to_record``), each computed once per model.
+each point (``children_by_parent``), each curve's carrier (``carriers``),
+the parity sweep (``odd_character``) and the sweep that sums the [D_g]
+and D = sum D_g (``branch_classes``).  A model keeps only the lookups of
+its own: a component or a marked point by name, its rank and parity, and
+its record (``to_record``), each computed once per model.
 
 Building a model is the one validating pass, and it costs time in the size
 of its input.  ``plane_cover`` gives the curves of one degree one shared
 class, made from its support, and checks each curve in one sweep over its
 multiplicities (a proximity sum only for a curve through an infinitely near
-point).  ``CurveComponent`` checks its multiplicities in one pass over them,
+point), after checking that a document can write every name (``NAME``).
+``CurveComponent`` checks its multiplicities in one pass over them,
 sorted.  ``CoverModel`` merges the branch data and sorts each D_g once, in
 place, then checks every name by set lookups: component ids and marked
 names unique, marked names apart from the centers, every parent known and
@@ -36,20 +38,21 @@ relation hold, so all it needs to know is that each S_chi is divisible by
 two: ``check_parity`` decides that in one pass over the nonzero coefficients
 of the branch classes, whatever r is, and ``invariants`` reads chi off the
 [D_g] in closed form.  ``derive_building_data`` gives the 2^r classes L_chi
-on request, built in one sweep over the branch data: each nonzero
-coefficient of each [D_g] is added into the sums of the 2^(r-1) characters
-that are odd on g.
+on request, computed per call from the [D_g] of ``branch_classes``, the
+sweep the invariant report, the bicanonical class and K^2 read too: S_chi
+sums the [D_g] with g odd on chi.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import group, lattice
+from . import group
 from .errors import (
     CoverError,
     DanglingReferenceError,
@@ -60,6 +63,10 @@ from .errors import (
 )
 from .group import Character, GroupElement
 from .lattice import PLANE, BlownPlane, Center, DivisorClass
+
+#: The names a document can write, for curves and points alike (``config``
+#: reads names with it too); a name matches it in full.
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,8 +205,8 @@ class CoverModel:
 
     # -- lookups ---------------------------------------------------------
     # The maps behind the lookups are built on first use, each in one pass over
-    # the components, branch data or marked points; a model is frozen, so they
-    # never go stale.
+    # the components or marked points; a model is frozen, so they never go
+    # stale.
 
     @cached_property
     def _by_cid(self) -> dict[str, CurveComponent]:
@@ -208,10 +215,6 @@ class CoverModel:
     @cached_property
     def _by_point(self) -> dict[str, Center]:
         return {m.name: m for m in self.marked}
-
-    @cached_property
-    def _by_g(self) -> dict[GroupElement, tuple[BranchEntry, ...]]:
-        return dict(self.branch)
 
     @cached_property
     def _record(self) -> ModelRecord:
@@ -241,16 +244,9 @@ class CoverModel:
         except KeyError:
             raise DanglingReferenceError(f"no marked point named {name!r}") from None
 
-    def branch_class(self, g: GroupElement) -> DivisorClass:
-        """[D_g], summed over the nonzero coefficients of its components."""
-        entries = self._by_g.get(g, ())
-        return lattice.linear_combination(
-            self.surface, ((k, self.component(cid).cls) for cid, k in entries)
-        )
-
-    # -- rank, parity and building data -----------------------------------
+    # -- rank and parity --------------------------------------------------
     # Like the lookup maps, computed on first use and kept: every caller that
-    # asks a model for its rank, parity or building data shares one computation.
+    # asks a model for its rank or parity shares one computation.
 
     @cached_property
     def _rank(self) -> int:
@@ -261,33 +257,6 @@ class CoverModel:
     def _odd_character(self) -> Character | None:
         curves = carriers(self.branch).items()
         return odd_character(self.r, ((g, self._by_cid[cid].cls.support) for cid, g in curves))
-
-    @cached_property
-    def _branch_sums(self) -> dict[Character, DivisorClass]:
-        """S_chi = sum over nonzero g of eps_chi(g) * [D_g], for every character
-        chi, in one sweep over the branch data."""
-        sums: list[dict[int, int]] = [{} for _ in range(1 << self.r)]
-        for g, entries in self.branch:
-            odd = [sums[chi] for chi in range(1 << self.r) if (chi & g.mask).bit_count() & 1]
-            for cid, k in entries:
-                for slot, value in self._by_cid[cid].cls.support.items():
-                    for total in odd:
-                        total[slot] = total.get(slot, 0) + k * value
-        return {
-            chi: DivisorClass.from_support(self.surface, total)
-            for chi, total in zip(group.characters(self.r), sums)
-        }
-
-    @cached_property
-    def _building_data(self) -> dict[Character, DivisorClass]:
-        """L_chi = S_chi / 2; ParityError, and nothing cached, when a sum is odd."""
-        check_parity(self)
-        return {
-            chi: DivisorClass.from_support(
-                self.surface, {slot: c // 2 for slot, c in total.support.items()}
-            )
-            for chi, total in self._branch_sums.items()
-        }
 
 
 # -- construction helpers -------------------------------------------------
@@ -317,14 +286,20 @@ def plane_cover(
     into the curve's proximity and genus sums; then the point -> (cid, m)
     index (``curves_through``) adds into the Bezout sum of each pair of
     curves through each point.
-    Only the first broken rule is reported: the pencil; then, curve by
-    curve, m against d (points by name), proximity (parents in order of
-    first mention) and genus; then Bezout, for the least offending pair.
+    Only the first broken rule is reported: a curve id, marked point name
+    or pencil that a document cannot write (``NAME``) is a DomainError, the
+    first in that order; then the pencil; then, curve by curve, m against d
+    (points by name), proximity (parents in order of first mention) and
+    genus; then Bezout, for the least offending pair.
     After them, a curve that takes a marked point's name is a DomainError
     (the least such name): a document names points and curves alike.
     """
     reducible = set(reducible)
     parent_of = dict(marked)
+    names = [cid for cid, _, _ in components] + [*parent_of] + ([] if pencil is None else [pencil])
+    if not all(map(NAME.fullmatch, names)):
+        unwritable = next(name for name in names if not NAME.fullmatch(name))
+        raise DomainError(f"name {unwritable!r} cannot be written in a document")
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
     degree_of: dict[str, int] = {}
@@ -616,6 +591,32 @@ def odd_character(r: int, curves: Iterable[tuple[int, Mapping[int, int]]]) -> Ch
     return next(chis)
 
 
+def branch_classes(
+    entries: Iterable[tuple[int, int, Mapping[int, int]]],
+) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """D_g by the mask of g, and D = sum of the D_g, as coefficient maps (a
+    cancelled coefficient stays, as 0), from (g mask, multiplicity k,
+    nonzero coefficients of the curve) triples, one per branch entry: each
+    coefficient is added, k times, into D_g and into D."""
+    by_g: dict[int, dict[int, int]] = {}
+    total: dict[int, int] = {}
+    for g, k, support in entries:
+        d_g = by_g.setdefault(g, {})
+        for slot, value in support.items():
+            value *= k
+            d_g[slot] = d_g.get(slot, 0) + value
+            total[slot] = total.get(slot, 0) + value
+    return by_g, total
+
+
+def model_entries(cover: CoverModel) -> Iterable[tuple[int, int, Mapping[int, int]]]:
+    """The (g mask, k, nonzero coefficients) triple of each branch entry of
+    a model, for ``branch_classes``: a curve with k > 1, or in several D_g,
+    counts as its entries say."""
+    comps = cover._by_cid
+    return ((g.mask, k, comps[cid].cls.support) for g, pairs in cover.branch for cid, k in pairs)
+
+
 def fresh_names(record: ModelRecord, stem: str, n: int = 1) -> list[str]:
     """The first ``n`` names ``stem<i>``, i = 1, 2, ..., that no marked point or center uses."""
     taken = record.marked.keys() | {c.name for c in record.centers}
@@ -648,16 +649,24 @@ def check_parity(cover: CoverModel | ModelRecord) -> None:
 
 
 def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:
-    """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g], on request.
+    """L_chi = (1/2) * sum over nonzero g of eps_chi(g) * [D_g], for every
+    character chi in ``group.characters`` order, on request.
 
-    The classes are computed once per model and cached on it; each call
-    returns a fresh dict of them, which the caller may change.  No engine
-    path calls this: they need parity only (``check_parity``).
-
-    Raises the ParityError of ``check_parity``; nothing is cached then, so
-    every call raises it again.
+    Computed per call from the [D_g] of ``branch_classes``, so each call
+    returns a fresh dict, which the caller may change.  No engine path calls
+    this: they need parity only (``check_parity``), whose ParityError it
+    raises first.
     """
-    return dict(cover._building_data)
+    check_parity(cover)
+    by_g, _ = branch_classes(model_entries(cover))
+    building = {}
+    for chi in group.characters(cover.r):
+        # S_chi is the D of the D_g with g odd on chi
+        odd = ((g, 1, d_g) for g, d_g in by_g.items() if (chi.mask & g).bit_count() & 1)
+        _, total = branch_classes(odd)
+        halves = {slot: value // 2 for slot, value in total.items()}
+        building[chi] = DivisorClass.from_support(cover.surface, halves)
+    return building
 
 
 def quotient_cover(cover: CoverModel, subgroup: Iterable[GroupElement]) -> CoverModel:

@@ -26,10 +26,10 @@ or a negative multiple of an exceptional class.
 
 ``invariant_report`` builds no model, no K, no [D_g] and no intersection:
 one sweep over the nonzero coefficients of the curves of the resolved
-record gives each D_g, the sum of the curves with carrier g (so sum
-D_g^2), D and sum C_i^2, and with K = -3H + E_1 + ... + E_n and the form
-diag(+1, -1, ..., -1), B is formed slot by slot, reading its numbers as it
-goes:
+record (``cover.branch_classes``) gives each D_g, the sum of the curves with
+carrier g (so sum D_g^2), and D, and the curves give sum C_i^2; with K =
+-3H + E_1 + ... + E_n and the form diag(+1, -1, ..., -1), B is formed slot
+by slot (``_bicanonical``), reading its numbers as it goes:
 
     B_0 = D_0 - 6,   B_i = D_i + 2 (i = 1..n),
     B^2 = B_0^2 - sum_i B_i^2,   B.K = -3 B_0 - sum_i B_i.
@@ -55,17 +55,18 @@ The chi formula holds only on a smooth model, so ``invariant_report``
 takes a ``ResolveResult``: ``resolve`` returns one only for a model it has
 proven smooth, and nothing here checks smoothness again.  K^2 and the
 bicanonical class are defined on every model, so ``canonical_square`` and
-``bicanonical_pullback`` take any ``CoverModel``.
+``bicanonical_pullback`` take any ``CoverModel``.  They share the report's
+sweep, over the model's branch entries (``cover.model_entries``): a curve
+with multiplicity k > 1, or in several D_g, counts as its entries say.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import lattice
-from .cover import CoverModel, check_parity, surface_of
+from .cover import CoverModel, branch_classes, check_parity, model_entries, surface_of
 from .errors import DomainError, InconsistencyError
-from .lattice import DivisorClass
+from .lattice import BlownPlane, DivisorClass
 from .normalize import ResolveResult
 
 
@@ -94,8 +95,8 @@ class InvariantReport:
 
 def canonical_square(cover: CoverModel) -> int:
     """K^2 of the covering surface over the current model."""
-    bicanonical = bicanonical_pullback(cover)
-    return _k_squared(cover.r, lattice.intersect(bicanonical, bicanonical))
+    _, b2, _ = _bicanonical(cover.surface, branch_classes(model_entries(cover))[1])
+    return _k_squared(cover.r, b2)
 
 
 def _k_squared(r: int, bicanonical_square: int) -> int:
@@ -107,10 +108,22 @@ def _k_squared(r: int, bicanonical_square: int) -> int:
 
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
-    surface = cover.surface
-    terms = [(2, lattice.canonical(surface))]
-    terms += [(1, cover.branch_class(g)) for g, _ in cover.branch]
-    return lattice.linear_combination(surface, terms)
+    return _bicanonical(cover.surface, branch_classes(model_entries(cover))[1])[0]
+
+
+def _bicanonical(surface: BlownPlane, total: dict[int, int]) -> tuple[DivisorClass, int, int]:
+    """B = 2K + D, formed slot by slot from the coefficients of D, with B^2
+    and B.K read as it is formed."""
+    b0 = total.get(0, 0) - 6
+    support = {0: b0} if b0 else {}
+    b2, bk = b0 * b0, -3 * b0
+    for slot in range(1, surface.rank):
+        b = total.get(slot, 0) + 2
+        if b:
+            support[slot] = b
+            b2 -= b * b
+            bk -= b
+    return DivisorClass.from_support(surface, support), b2, bk
 
 
 def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
@@ -139,28 +152,11 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
     record = resolved.record
     check_parity(record)
     r, surface = record.r, surface_of(record)
-    by_g: dict[int, dict[int, int]] = {}  # D_g, the sum of the curves with carrier g
-    total: dict[int, int] = {}  # D = sum D_g
-    c2 = 0  # sum C_i^2
-    for cid, g in record.carrier.items():
-        support = record.coeffs[cid]
-        c2 += _square(support)
-        d_g = by_g.setdefault(g, {})
-        for slot, value in support.items():
-            d_g[slot] = d_g.get(slot, 0) + value
-            total[slot] = total.get(slot, 0) + value
+    coeffs = record.coeffs
+    by_g, total = branch_classes((g, 1, coeffs[cid]) for cid, g in record.carrier.items())
+    c2 = sum(_square(coeffs[cid]) for cid in record.carrier)  # sum C_i^2
     squares = sum(_square(d_g) for d_g in by_g.values())  # sum D_g^2
-    # B = 2K + D slot by slot, with B^2 and B.K read as it is formed
-    b0 = total.get(0, 0) - 6
-    support = {0: b0} if b0 else {}
-    b2, bk = b0 * b0, -3 * b0
-    for slot in range(1, surface.rank):
-        b = total.get(slot, 0) + 2
-        if b:
-            support[slot] = b
-            b2 -= b * b
-            bk -= b
-    bicanonical = DivisorClass.from_support(surface, support)
+    bicanonical, b2, bk = _bicanonical(surface, total)
     k2 = 10 - surface.rank  # K^2 = 9 - n on the plane blown up n times
     dk = bk - 2 * k2
     d2 = b2 - 4 * k2 - 4 * dk

@@ -358,16 +358,25 @@ def pulled_back_g_prime(cover, pencil_point):
     return classify.GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup)))
 
 
+def reference_branch_class(cover, g):
+    """Reference [D_g]: the sum of k [C] over the entries (C, k) of D_g, by
+    ``lattice.linear_combination``."""
+    entries = dict(cover.branch).get(g, ())
+    return lattice.linear_combination(
+        cover.surface, ((k, cover.component(cid).cls) for cid, k in entries)
+    )
+
+
 def per_character_building_data(cover):
-    """Reference for ``CoverModel._branch_sums`` and ``_building_data``: for
-    each character chi in order, S_chi as the epsilon-weighted linear
-    combination of the [D_g], and L_chi = S_chi / 2, or ParityError for the
-    first chi whose sum has an odd coefficient.  Returns (L, S)."""
+    """Reference for ``derive_building_data``: for each character chi in
+    order, S_chi as the epsilon-weighted linear combination of the [D_g],
+    and L_chi = S_chi / 2, or ParityError for the first chi whose sum has an
+    odd coefficient.  Returns (L, S)."""
     sums, halves = {}, {}
     for chi in group.characters(cover.r):
         total = lattice.linear_combination(
             cover.surface,
-            ((group.epsilon(chi, g), cover.branch_class(g)) for g, _ in cover.branch),
+            ((group.epsilon(chi, g), reference_branch_class(cover, g)) for g, _ in cover.branch),
         )
         if any(c % 2 for c in total.coeffs):
             raise ParityError(
@@ -402,7 +411,7 @@ def check_prod_relations(cover, building=None):
     """
     if building is None:
         building = derive_building_data(cover)
-    sums = cover._branch_sums
+    sums = per_character_building_data(cover)[1]
     for chi in sums:
         if chi not in building:
             raise DomainError(f"building data have no class for character {chi}")
@@ -638,7 +647,7 @@ def reference_reduce_odd_curve(cover, p, w):
     moves = []
     work = cover
     while True:
-        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
+        comps = [work.component(cid) for cid, _ in dict(work.branch).get(w, ())]
         heavy = [
             c for c in comps if c.cls.degree >= 2 and c.mult_at(p) == c.cls.degree - 1
         ]
@@ -650,7 +659,7 @@ def reference_reduce_odd_curve(cover, p, w):
         work, record = classify.quadratic_move(work, p, qn, rn)
         moves.append(record)
     while True:
-        comps = [work.component(cid) for cid, _ in work._by_g.get(w, ())]
+        comps = [work.component(cid) for cid, _ in dict(work.branch).get(w, ())]
         through = sorted((c for c in comps if c.mult_at(p) == 1), key=lambda c: c.cid)
         off = [c for c in comps if c.mult_at(p) == 0]
         if not through:
@@ -805,7 +814,7 @@ def branch_diff(before, after):
     """Reference for the diff of a ``RoundRecord``: (g as text, cids added to
     D_g, cids removed from it) for each g whose set of components changed,
     in element order, read off two built models that share r."""
-    b, a = before._by_g, after._by_g
+    b, a = dict(before.branch), dict(after.branch)
     out = []
     for g in sorted(b.keys() | a.keys(), key=element_key):
         was = {cid for cid, _ in b.get(g, ())}
@@ -904,6 +913,24 @@ def smooth_chi(model):
 # lattice routines, and every number read by ``lattice.intersect``.
 
 
+def reference_bicanonical_pullback(cover):
+    """Reference for ``invariants.bicanonical_pullback``: 2K + sum of the
+    reference [D_g], by ``lattice.linear_combination``."""
+    surface = cover.surface
+    terms = [(1, reference_branch_class(cover, g)) for g, _ in cover.branch]
+    return lattice.linear_combination(surface, [(2, lattice.canonical(surface)), *terms])
+
+
+def reference_canonical_square(cover):
+    """Reference for ``invariants.canonical_square``: 2^r B^2 / 4 with B the
+    reference bicanonical class, B^2 by ``lattice.intersect``."""
+    bicanonical = reference_bicanonical_pullback(cover)
+    value = 2**cover.r * lattice.intersect(bicanonical, bicanonical)
+    if value % 4:
+        raise InconsistencyError("branch data give a non-integral K^2; check the branch classes")
+    return value // 4
+
+
 def reference_invariant_report(resolved):
     """Reference for ``invariants.invariant_report``: the same checks in the
     same order (parity, integral chi, integral K^2, Noether)."""
@@ -911,9 +938,8 @@ def reference_invariant_report(resolved):
     check_parity(cover)
     r, surface = cover.r, cover.surface
     canonical = lattice.canonical(surface)
-    branch_classes = [cover.branch_class(g) for g, _ in cover.branch]
-    terms = [(2, canonical), *((1, cls) for cls in branch_classes)]
-    bicanonical = lattice.linear_combination(surface, terms)
+    branch_classes = [reference_branch_class(cover, g) for g, _ in cover.branch]
+    bicanonical = reference_bicanonical_pullback(cover)
     k2 = 10 - surface.rank
     b2 = lattice.intersect(bicanonical, bicanonical)
     dk = lattice.intersect(bicanonical, canonical) - 2 * k2
@@ -956,11 +982,14 @@ def reference_invariant_report(resolved):
 _SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
 _KEYVAL = re.compile(r"^(?P<key>[^=\s]+)\s*=\s*(?P<value>.*)$")
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
-_MULT = re.compile(r"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]+)$")
+# added since the copy: a number has at most config.MAX_DIGITS digits
+_MULT = re.compile(
+    rf"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]{{1,{config.MAX_DIGITS}}})$"
+)
 
 
 def _is_number(text: str) -> bool:
-    return text.isascii() and text.isdigit()
+    return len(text) <= config.MAX_DIGITS and text.isascii() and text.isdigit()
 
 
 def reference_strip_comment(line: str) -> str:
@@ -971,8 +1000,9 @@ def reference_strip_comment(line: str) -> str:
 
 def reference_parse(text: str) -> ConfigDocument:
     """Reference for ``config.parse``: a copy of the line-by-line parser it
-    replaced (a regex match per clause, a set per branch key), with one rule
-    added since: a degree below 1 is a problem at its line."""
+    replaced (a regex match per clause, a set per branch key), with two rules
+    added since: a degree below 1 is a problem at its line, and a number has
+    at most ``config.MAX_DIGITS`` digits."""
     problems: list[tuple[int, int, str]] = []
     doc = ConfigDocument(r=0)
     section = None
@@ -1158,7 +1188,7 @@ def reference_plane_cover(
 ) -> CoverModel:
     """Reference for ``cover.plane_cover``: a verbatim copy of the builder it
     replaced (proximity summed per parent for every component, every Bezout
-    pair sorted).
+    pair sorted), with the name rule added since.
 
     Build a plane configuration from degrees and declared multiplicities.
 
@@ -1175,6 +1205,11 @@ def reference_plane_cover(
     """
     reducible = set(reducible)
     parent_of = dict(marked)
+    # added since the copy: every name must be one a document can write
+    names = [cid for cid, _, _ in components] + [name for name, _ in marked]
+    for name in names + ([] if pencil is None else [pencil]):
+        if not _NAME.fullmatch(name):
+            raise DomainError(f"name {name!r} cannot be written in a document")
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
     children: dict[str, list[str]] = {}

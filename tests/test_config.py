@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from planecover import config
+from planecover.cli import main
 from planecover.errors import ConfigError
 
 from conftest import FIXTURE_DIR, fixture_text
@@ -111,3 +114,79 @@ def test_out_of_range_r_is_one_problem(value):
 def test_repeated_branch_entries_stay_legal():
     text = "[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\n[branch]\n10 = A, A\n01 = B\n"
     assert config.parse(text).branch == {"10": [("A", 1), ("A", 1)], "01": [("B", 1)]}
+
+
+COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
+
+#: A number of 5,000 digits: above Python's default limit of 4,300 digits
+#: for converting text to int.
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (f"[cover]\nr = {HUGE}\n", f"2:1: r must be an integer between 1 and 4, got '{HUGE}'"),
+        (
+            f"[cover]\nr = 1\n[components]\nA = degree {HUGE}\n",
+            f"4:1: bad degree '{HUGE}' for component 'A'",
+        ),
+        (
+            f"[cover]\nr = 1\n[centers]\np = point\n[components]\nA = degree 1, mult(p) = {HUGE}\n",
+            f"6:1: cannot parse component clause 'mult(p) = {HUGE}'",
+        ),
+        (
+            f"[cover]\nr = 1\n[components]\nA = degree 2\n[branch]\n1 = A*{HUGE}\n",
+            f"6:1: bad multiplicity in branch entry 'A*{HUGE}'",
+        ),
+    ],
+    ids=["r", "degree", "mult", "branch"],
+)
+def test_overlong_number_is_a_positioned_config_error(tmp_path, capsys, text, problem):
+    path = tmp_path / "huge.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error[config]: {problem}")
+
+
+@pytest.mark.parametrize("digits", [config.MAX_DIGITS, config.MAX_DIGITS + 1])
+def test_number_length_cap_for_every_number(digits):
+    # each number reads up to the cap, with leading zeros, and none beyond it
+    one = "0" * (digits - 1) + "1"
+    text = (
+        f"[cover]\nr = {one}\n[centers]\np = point\n[components]\n"
+        f"A = degree {'0' * (digits - 1)}2, mult(p) = {one}\n[branch]\n1 = A*{one}\n"
+    )
+    if digits > config.MAX_DIGITS:
+        with pytest.raises(ConfigError) as err:
+            config.parse(text)
+        assert [line for line, _, _ in err.value.problems] == [2, 6, 6, 6, 8]
+    else:
+        doc = config.parse(text)
+        assert (doc.r, doc.components[0].degree) == (1, 2)
+        assert doc.components[0].mults == {"p": 1} and doc.branch == {"1": [("A", 1)]}
+
+
+def test_longest_numbers_read_and_print_under_the_lowest_int_limit(tmp_path, capsys):
+    # the squares the invariants make of a number at the cap stay below 640
+    # digits, the lowest limit Python's int conversion can be set to
+    degree = "2" * config.MAX_DIGITS
+    text = (
+        f"[cover]\nr = 2\n[components]\nA = degree {degree}\nB = degree {degree}\n"
+        "[branch]\n10 = A\n01 = B\n"
+    )
+    path = tmp_path / "longest.cfg"
+    path.write_text(text, encoding="utf-8")
+    limited = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and later
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+    try:
+        codes = [main([command, "--input", str(path)]) for command in COMMANDS]
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 5, 5], err
+    assert f"k2 = {4 * (int(degree) - 3) ** 2}" in out

@@ -11,7 +11,7 @@ from planecover import census as census_mod
 from planecover import classify as classify_mod
 from planecover import config
 from planecover import cover as cov
-from planecover import group
+from planecover import group, lattice
 from planecover import normalize as normalize_mod
 from planecover.classify import quadratic_move
 from planecover.cover import (
@@ -34,6 +34,7 @@ from planecover.errors import (
     ParityError,
 )
 from planecover.group import Character, GroupElement
+from planecover.invariants import bicanonical_pullback, canonical_square
 from planecover.lattice import BlownPlane, Center, DivisorClass
 from planecover.normalize import pull_back, resolve
 
@@ -45,6 +46,9 @@ from conftest import (
     load_cover,
     per_character_building_data,
     point_is_ripe,
+    reference_bicanonical_pullback,
+    reference_branch_class,
+    reference_canonical_square,
     reference_component_mults,
     reference_cover_fields,
     reference_odd_character,
@@ -119,7 +123,7 @@ def test_perturbed_building_data_fail_prod():
     model = load_cover("prop53")
     building = derive_building_data(model)
     hh = Character((1, 1))
-    building[hh] = building[hh] + cov.lattice.hyperplane(model.surface)
+    building[hh] = building[hh] + lattice.hyperplane(model.surface)
     report = check_prod_relations(model, building)
     assert not report.ok
     # oracle: a pair is violated exactly when L_11 appears unequally often
@@ -137,7 +141,7 @@ def test_building_data_dict_is_fresh_per_call():
     first = derive_building_data(model)
     snapshot = dict(first)
     for chi in list(first):
-        first[chi] = first[chi] + cov.lattice.hyperplane(model.surface)
+        first[chi] = first[chi] + lattice.hyperplane(model.surface)
     del first[Character.parse("1111")]
     assert derive_building_data(model) == snapshot
     report = check_prod_relations(model)
@@ -159,8 +163,8 @@ def test_parity_error_on_every_call():
 
 
 def test_engine_paths_build_no_building_data(monkeypatch, capsys):
-    # census, invariants, validate and classify need parity only: no branch
-    # sum S_chi or class L_chi is built, and each model computes parity once
+    # census, invariants, validate and classify need parity only: none
+    # derives building data, and each model computes parity once
     from functools import cached_property
 
     from planecover.census import census
@@ -169,21 +173,25 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     from test_invariants import line_arrangement
 
     built, parity = [], []
+    derive = cov.derive_building_data
 
-    def spy(name, log):
-        compute = cov.CoverModel.__dict__[name].func
+    def deriving(model):
+        built.append(model)
+        return derive(model)
 
-        def counting(model):
-            log.append(model)
-            return compute(model)
+    # every planecover module that binds the name, so no engine path misses it
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("planecover") and hasattr(module, "derive_building_data"):
+            monkeypatch.setattr(module, "derive_building_data", deriving)
+    compute = cov.CoverModel.__dict__["_odd_character"].func
 
-        spied = cached_property(counting)
-        spied.__set_name__(cov.CoverModel, name)
-        monkeypatch.setattr(cov.CoverModel, name, spied)
+    def counting(model):
+        parity.append(model)
+        return compute(model)
 
-    spy("_branch_sums", built)
-    spy("_building_data", built)
-    spy("_odd_character", parity)
+    spied = cached_property(counting)
+    spied.__set_name__(cov.CoverModel, "_odd_character")
+    monkeypatch.setattr(cov.CoverModel, "_odd_character", spied)
     # a record's parity sweep is a property: invariant_report reads it once
     record_sweep = cov.ModelRecord._odd_character.fget
 
@@ -207,6 +215,9 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     # call; the list keeps them alive, so ids are distinct
     assert len({id(model) for model in parity}) == len(parity) == 30 + 30 + 1 + 24
     assert sum(isinstance(each, cov.ModelRecord) for each in parity) == 30 + 1
+    # the spy sees a call made through the module
+    cov.derive_building_data(load_cover("prop53"))
+    assert len(built) == 1
 
 
 def test_rank_is_computed_once_per_model(monkeypatch):
@@ -297,7 +308,7 @@ def test_explicit_rank2_relation_system():
     # the six relations of the rank-2 system, written out
     model = load_cover("prop53")
     L = derive_building_data(model)
-    D = {str(g): model.branch_class(g) for g, _ in model.branch}
+    D = {str(g): reference_branch_class(model, g) for g, _ in model.branch}
     c = {s: Character.parse(s) for s in ("10", "01", "11")}
     assert 2 * L[c["10"]] == D["10"] + D["11"]
     assert 2 * L[c["01"]] == D["01"] + D["11"]
@@ -477,7 +488,7 @@ def prod_violations_oracle(model, building):
         rhs = building[chi + chi2]
         for g, _ in model.branch:
             if group.epsilon(chi, g) & group.epsilon(chi2, g):
-                rhs = rhs + model.branch_class(g)
+                rhs = rhs + reference_branch_class(model, g)
         if building[chi] + building[chi2] != rhs:
             violations.append((chi, chi2))
     return violations
@@ -542,15 +553,21 @@ def _building_or_error(function, model):
 
 
 def test_building_data_match_per_character_reference():
+    # the classes read off the one sweep of branch_classes, against the
+    # per-character linear combinations of the reference [D_g]; so are
+    # B = 2K + D and K^2 on every model, parity-broken ones included
     odd = 0
     for model in _building_data_models():
-        expected = _building_or_error(per_character_building_data, model)
-        got = _building_or_error(lambda m: (derive_building_data(m), m._branch_sums), model)
+        expected = _building_or_error(lambda m: per_character_building_data(m)[0], model)
+        got = _building_or_error(derive_building_data, model)
         assert got == expected, model
-        if isinstance(expected[0], dict):
-            assert list(got[0]) == list(expected[0]) == list(group.characters(model.r))
+        if isinstance(expected, dict):
+            assert list(got) == list(expected) == list(group.characters(model.r))
         else:
             odd += 1
+        assert bicanonical_pullback(model) == reference_bicanonical_pullback(model), model
+        got = _model_or_error(canonical_square, (model,))
+        assert got == _model_or_error(reference_canonical_square, (model,)), model
     assert odd >= 50
 
 
@@ -625,7 +642,7 @@ def test_prod_relations_class_on_another_surface():
     # same rank, different center: only the surface tells the classes apart
     model = pull_back(load_cover("prop51"), "x")
     building = derive_building_data(model)
-    other = cov.lattice.PLANE.blow_up(Center("z"))
+    other = lattice.PLANE.blow_up(Center("z"))
     hh = Character((1, 1))
     building[hh] = DivisorClass(other, building[hh].coeffs)
     with pytest.raises(DimensionError):
@@ -637,7 +654,7 @@ def test_component_validation():
         plane_cover(2, [("A", -1, {})], {"10": [("A", 1)]})
     with pytest.raises(DomainError):
         # a degree-0 plane component is not an exceptional class
-        cov.CurveComponent("A", DivisorClass.from_support(cov.lattice.PLANE, {}))
+        cov.CurveComponent("A", DivisorClass.from_support(lattice.PLANE, {}))
 
 
 def test_add_marked_points_equals_successive_single_points():
@@ -966,6 +983,7 @@ _PLANE_FAULTS = (
     "near pencil",
     "duplicate cid",
     "cid is a point name",
+    "unwritable name",
 )
 _PLANE_POINTS = (("p", None), ("q", None), ("s", None), ("p1", "p"), ("p2", "p"), ("q1", "q"))
 
@@ -1017,6 +1035,14 @@ def _raw_plane_input(rng: random.Random, faults=()):
             components.append((cid, rng.randint(1, 3), {"s": 1} if rng.random() < 0.5 else {}))
         elif fault == "cid is a point name":
             cid = rng.choice([name for name, _ in marked])
+        elif fault == "unwritable name":
+            bad, where = rng.choice(("a b", "1x", "E p", "p\nq")), rng.randrange(3)
+            if where == 0:
+                cid = bad
+            elif where == 1:
+                marked[rng.randrange(len(marked))] = (bad, None)
+            else:
+                pencil = bad
         components[n] = (cid, degree, mults)
     cids = [cid for cid, _, _ in components] + ["ghost"] * (rng.random() < 0.05)
     keys = [format(g, f"0{r}b") for g in range(1, 1 << r)] + ["0" * r] * (rng.random() < 0.05)
@@ -1044,6 +1070,7 @@ def test_plane_cover_keeps_every_check_of_the_reference():
         "is infinitely near": 0,
         "component ids must be unique": 0,
         "is also the name of a marked point": 0,
+        "cannot be written in a document": 0,
         "valid": 0,
     }
     for seed in range(1500):

@@ -12,6 +12,7 @@ import random
 import re
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,17 +138,19 @@ SPECIAL = ["\t", "\r\n", "\x0b", "\x1c", "\u2003", "\xa0", "²", "#"]
 WORDS = ["[cover]\nr = 2\n", "[centers]\n", "[components]\n", "[branch]\n", "degree ", "mult(p)",
          "reducible"]
 
+#: A number one digit longer than a document may hold.
+LONG = "1" * (config.MAX_DIGITS + 1)
 #: Whole lines, and parts of lines, for ``line_soup``.
 SECTIONS = ["[cover]", "[centers]", "[components]", "[branch]", "[other]", "[Cover]", " [branch] # x",
             "[branch] x"]
 PLAIN = ["r = 2", "r = 1", "r=3", "r = 5", "r = ²", "pencil = p", "pencil = z", "x = 1", "p = point",
-         "q = near p", "z = near w", "1p = point", "s = line", "p", "= 1", "A = B = C"]
+         "q = near p", "z = near w", "1p = point", "s = line", "p", "= 1", "A = B = C", f"r = {LONG}"]
 NAMES = ["A", "B", "C", "A", "2A", "p"]
 CLAUSES = ["degree 2", "degree 1", "degree x", "degree", "degree ²", " degree  3 ", "mult(p) = 1",
            "mult(p)=2", "mult(q) = 0", "mult(p) = -1", "mult(degree) = 1", "mult(z) = 1",
-           "mult() = 1", "reducible", "reducible2", ""]
+           "mult() = 1", "reducible", "reducible2", "", f"degree {LONG}", f"mult(p) = {LONG}"]
 KEYS = ["0", "00", "1", "01", "10", "11", "012", "1x", "000", "100"]
-ENTRIES = ["A", "B", "A*2", "A *2", "B*", "B*0", "C", "A*²", " * ", "A*x", ""]
+ENTRIES = ["A", "B", "A*2", "A *2", "B*", "B*0", "C", "A*²", " * ", "A*x", "", f"A*{LONG}"]
 
 
 @st.composite
@@ -197,6 +200,8 @@ def test_parse_equals_the_reference_parser_on_random_documents():
 
 
 POINTS, CURVES = ["p", "q", "x"], ["A", "B", "C"]
+#: Names no document can write: a blank inside, a leading digit, a line break.
+UNWRITABLE = {"a b", "1x", "E p", "q\nx"}
 
 
 def now_and_then(usual, rare):
@@ -206,32 +211,35 @@ def now_and_then(usual, rare):
 
 @st.composite
 def plane_cover_arguments(draw):
-    """``plane_cover`` arguments, mostly valid, named as a document can name
-    them: points near earlier points, curves with multiplicities below
-    their degree, branch data over their ids.  Now and then a point is near
-    itself or a later point, a name repeats, a curve takes a point's name,
-    or a degree, multiplicity or branch key is out of range."""
+    """``plane_cover`` arguments, mostly valid, mostly named as a document
+    can name them: points near earlier points, curves with multiplicities
+    below their degree, branch data over their ids.  Now and then a point
+    is near itself or a later point, a name repeats, a curve takes a point's
+    name, a degree, multiplicity or branch key is out of range, or a point
+    or curve has a name no document can write."""
     r = draw(st.integers(1, 4))
-    names = draw(st.lists(st.sampled_from(POINTS), max_size=3, unique=True))
-    names += draw(now_and_then(st.just([]), st.lists(st.sampled_from(POINTS), max_size=1)))
+    points = draw(now_and_then(st.just(POINTS), st.just(["p", "q\nx", "E p"])))
+    curves = draw(now_and_then(st.just(CURVES), st.just(["A", "a b", "1x"])))
+    names = draw(st.lists(st.sampled_from(points), max_size=3, unique=True))
+    names += draw(now_and_then(st.just([]), st.lists(st.sampled_from(points), max_size=1)))
     marked = []
     for n, name in enumerate(names):
         earlier = names[:n] or [None]
         parent = draw(st.none() | now_and_then(st.sampled_from(earlier), st.sampled_from(names)))
         marked.append((name, parent))
     components = []
-    cids = draw(st.lists(st.sampled_from(CURVES), min_size=1, max_size=3, unique=True))
-    cids += draw(now_and_then(st.just([]), st.sampled_from(names + CURVES).map(lambda n: [n])))
+    cids = draw(st.lists(st.sampled_from(curves), min_size=1, max_size=3, unique=True))
+    cids += draw(now_and_then(st.just([]), st.sampled_from(names + curves).map(lambda n: [n])))
     for cid in cids:
         degree = draw(now_and_then(st.integers(1, 4), st.integers(-1, 5)))
         low = now_and_then(st.integers(1, max(1, degree - 1)), st.integers(0, 5))
-        mults = draw(st.dictionaries(st.sampled_from(names or POINTS), low, max_size=2))
+        mults = draw(st.dictionaries(st.sampled_from(names or points), low, max_size=2))
         components.append((cid, degree, mults))
     width = draw(now_and_then(st.just(r), st.integers(1, 4)))
     keys = now_and_then(st.integers(1, 2**r - 1), st.integers(0, 2**width - 1))
     entries = st.lists(st.tuples(st.sampled_from(cids), st.integers(1, 3)), min_size=1, max_size=3)
     branch = draw(st.dictionaries(keys.map(lambda k: format(k, f"0{width}b")), entries, max_size=4))
-    pencil = draw(st.none() | st.sampled_from(names or POINTS))
+    pencil = draw(st.none() | st.sampled_from(names or points))
     reducible = draw(st.lists(st.sampled_from(cids), max_size=1))
     return r, components, branch, marked, pencil, reducible
 
@@ -239,8 +247,15 @@ def plane_cover_arguments(draw):
 @settings(FUZZ, max_examples=300)
 @given(plane_cover_arguments())
 def test_every_plane_model_round_trips_through_its_document(args):
-    # from_cover is the inverse of to_cover: whatever plane_cover accepts,
-    # named as a document can name it, parses back to an equal model
+    # from_cover is the inverse of to_cover: whatever plane_cover accepts
+    # parses back to an equal model, and it accepts no name a document
+    # cannot write
+    _, components, _, marked, pencil, _ = args
+    names = {cid for cid, _, _ in components} | {name for name, _ in marked} | {pencil}
+    if names & UNWRITABLE:
+        with pytest.raises(CoverError, match="cannot be written in a document"):
+            plane_cover(*args)
+        return
     try:
         model = plane_cover(*args)
     except CoverError:

@@ -31,6 +31,8 @@ from conftest import (
     PROPOSITION_FIXTURES,
     load_cover,
     per_character_chi,
+    reference_bicanonical_pullback,
+    reference_canonical_square,
     reference_invariant_report,
     scan_inertia,
     smooth_chi,
@@ -408,12 +410,16 @@ def test_invariant_report_equals_the_reference():
     # the one-sweep report, which reads the resolved record, against the
     # copy built from lattice classes on the model ``cover`` builds, on the
     # fixtures, the census patterns, the line and Ceva arrangements, 300
-    # seeded valid covers (max_rounds=20) and four double planes
+    # seeded valid covers (max_rounds=20) and four double planes; the
+    # bicanonical class and K^2 of that model share the report's sweep
     results = reference_chi_models()
     for result in results:
         got = report_outcome(invariant_report, result)
         assert got == report_outcome(reference_invariant_report, result), result.cover
         assert isinstance(got, InvariantReport)
+        cover = result.cover
+        assert bicanonical_pullback(cover) == reference_bicanonical_pullback(cover), cover
+        assert canonical_square(cover) == reference_canonical_square(cover), cover
     ranks = {result.cover.surface.rank for result in results}
     assert max(ranks) == 377 and len({r.cover.r for r in results}) == 4
 

@@ -373,21 +373,21 @@ def test_pull_back_classes_are_strict_transforms():
 
 
 def test_pull_back_at_infinitely_near_points_examples():
-    # a quartic with a tacnode at 1 in the direction 2 and a conic through
-    # both: after blowing up 1 then 2, the strict transform E1 - E2 of the
-    # first exceptional curve is a (-2)-curve and E2 a (-1)-curve
+    # a quartic with a tacnode at p in the direction q and a conic through
+    # both: after blowing up p then q, the strict transform Ep - Eq of the
+    # first exceptional curve is a (-2)-curve and Eq a (-1)-curve
     model = plane_cover(
         2,
-        [("quartic", 4, {"1": 2, "2": 2}), ("conic", 2, {"1": 1, "2": 1})],
+        [("quartic", 4, {"p": 2, "q": 2}), ("conic", 2, {"p": 1, "q": 1})],
         {"10": [("quartic", 1)], "01": [("conic", 1)]},
-        marked=[("1", None), ("2", "1")],
+        marked=[("p", None), ("q", "p")],
     )
-    pulled = total_transform_pull_back(model, "1", "2")
-    assert pulled == total_transform_pull_back(total_transform_pull_back(model, "1"), "2")
+    pulled = total_transform_pull_back(model, "p", "q")
+    assert pulled == total_transform_pull_back(total_transform_pull_back(model, "p"), "q")
     classes = {c.cid: str(c.cls) for c in pulled.components}
-    assert classes == {"quartic": "4H-2E1-2E2", "conic": "2H-E1-E2", "E_1": "E1-E2", "E_2": "E2"}
+    assert classes == {"quartic": "4H-2Ep-2Eq", "conic": "2H-Ep-Eq", "E_p": "Ep-Eq", "E_q": "Eq"}
     canonical = lattice.canonical(pulled.surface)
-    for cid, square, k_degree in [("E_1", -2, 0), ("E_2", -1, -1)]:
+    for cid, square, k_degree in [("E_p", -2, 0), ("E_q", -1, -1)]:
         e = pulled.component(cid).cls
         assert (lattice.intersect(e, e), lattice.intersect(e, canonical)) == (square, k_degree)
 
@@ -396,21 +396,21 @@ def test_pull_back_strict_transform_examples():
     # the new coefficient is minus the multiplicity at the point, 0 off it
     model = plane_cover(
         1,
-        [("quintic", 5, {"1": 3, "2": 1}), ("conic", 2, {"2": 1}), ("line", 1, {})],
+        [("quintic", 5, {"p": 3, "q": 1}), ("conic", 2, {"q": 1}), ("line", 1, {})],
         {"1": [("quintic", 1), ("conic", 1), ("line", 1)]},
-        marked=[("1", None), ("2", None)],
+        marked=[("p", None), ("q", None)],
     )
-    once = pull_back(model, "1")
+    once = pull_back(model, "p")
     assert {c.cid: str(c.cls) for c in once.components if c.exceptional_of is None} == {
-        "quintic": "5H-3E1", "conic": "2H", "line": "H",
+        "quintic": "5H-3Ep", "conic": "2H", "line": "H",
     }
-    twice = pull_back(model, "1", "2")
-    assert str(twice.component("conic").cls) == "2H-E2"
-    assert str(twice.component("quintic").cls) == "5H-3E1-E2"
+    twice = pull_back(model, "p", "q")
+    assert str(twice.component("conic").cls) == "2H-Eq"
+    assert str(twice.component("quintic").cls) == "5H-3Ep-Eq"
     # a multiplicity below 1 is not a point on the curve
     for m in (0, -1):
         with pytest.raises(DomainError):
-            plane_cover(1, [("conic", 2, {"1": m})], {"1": [("conic", 1)]}, marked=[("1", None)])
+            plane_cover(1, [("conic", 2, {"p": m})], {"1": [("conic", 1)]}, marked=[("p", None)])
 
 
 def test_pull_back_requires_ripe_point():
