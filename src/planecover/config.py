@@ -123,6 +123,13 @@ def _is_number(text: str) -> bool:
     return len(text) <= MAX_DIGITS and text.isascii() and text.isdigit()
 
 
+def _cut(text: str) -> str:
+    """A document value as a message echoes it: at most 80 characters, then
+    ``...`` when the value is longer, so an overlong value keeps its
+    message short."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def parse(text: str) -> ConfigDocument:
     """Parse a document, collecting positioned errors before giving up."""
     problems: list[tuple[int, int, str]] = []
@@ -149,7 +156,7 @@ def parse(text: str) -> ConfigDocument:
             if m:
                 section = m.group("name")
                 if section not in ("cover", "centers", "components", "branch"):
-                    err(lineno, 1, f"unknown section [{section}]")
+                    err(lineno, 1, f"unknown section [{_cut(section)}]")
                     section = None
                 continue
         if section is None:
@@ -165,35 +172,35 @@ def parse(text: str) -> ConfigDocument:
 
         if section == "cover":
             if key in cover_keys:
-                err(lineno, col, f"duplicate [cover] key {key!r}")
+                err(lineno, col, f"duplicate [cover] key {_cut(key)!r}")
             elif key == "r":
                 cover_keys.add(key)
                 if not _is_number(value) or not 1 <= int(value) <= 4:
-                    err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
+                    err(lineno, col, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
                 else:
                     doc.r = int(value)
             elif key == "pencil":
                 cover_keys.add(key)
                 doc.pencil = value
             else:
-                err(lineno, col, f"unknown [cover] key {key!r}")
+                err(lineno, col, f"unknown [cover] key {_cut(key)!r}")
 
         elif section == "centers":
             if not NAME.fullmatch(key):
-                err(lineno, col, f"invalid center name {key!r}")
+                err(lineno, col, f"invalid center name {_cut(key)!r}")
                 continue
             if key in seen_names:
-                err(lineno, col, f"duplicate name {key!r}")
+                err(lineno, col, f"duplicate name {_cut(key)!r}")
                 continue
             if value == "point":
                 parent = None
             elif value.startswith("near "):
                 parent = value[5:].strip()
                 if parent not in center_names:
-                    err(lineno, col, f"unknown parent center {parent!r}")
+                    err(lineno, col, f"unknown parent center {_cut(parent)!r}")
                     continue
             else:
-                err(lineno, col, f"center must be 'point' or 'near <center>', got {value!r}")
+                err(lineno, col, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
                 continue
             doc.centers.append((key, parent))
             seen_names.add(key)
@@ -201,10 +208,10 @@ def parse(text: str) -> ConfigDocument:
 
         elif section == "components":
             if not NAME.fullmatch(key):
-                err(lineno, col, f"invalid component name {key!r}")
+                err(lineno, col, f"invalid component name {_cut(key)!r}")
                 continue
             if key in seen_names:
-                err(lineno, col, f"duplicate name {key!r}")
+                err(lineno, col, f"duplicate name {_cut(key)!r}")
                 continue
             degree, mults, irreducible = -1, {}, True
             ok = True
@@ -214,17 +221,20 @@ def parse(text: str) -> ConfigDocument:
                 part = part.strip()
                 if part.startswith("degree"):
                     if "degree" in clauses:
-                        err(lineno, col, f"duplicate degree clause for component {key!r}")
+                        err(lineno, col, f"duplicate degree clause for component {_cut(key)!r}")
                         continue
                     clauses.add("degree")
                     rest = part[6:].strip()
                     if not _is_number(rest):
-                        err(lineno, col, f"bad degree {rest!r} for component {key!r}")
+                        err(lineno, col, f"bad degree {_cut(rest)!r} for component {_cut(key)!r}")
                         ok = False
                     else:
                         degree = int(rest)
                         if degree < 1:
-                            message = f"degree must be at least 1 for component {key!r}, got {rest}"
+                            message = (
+                                f"degree must be at least 1 for component {_cut(key)!r}, "
+                                f"got {_cut(rest)}"
+                            )
                             err(lineno, col, message)
                             ok = False
                 elif part == "reducible":
@@ -233,23 +243,24 @@ def parse(text: str) -> ConfigDocument:
                     point, mult = mm.groups()
                     clause = f"mult({point})"
                     if clause in clauses:
-                        err(lineno, col, f"duplicate {clause} clause for component {key!r}")
+                        message = f"duplicate {_cut(clause)} clause for component {_cut(key)!r}"
+                        err(lineno, col, message)
                         continue
                     clauses.add(clause)
                     mult = int(mult)
                     if point not in center_names:
-                        err(lineno, col, f"multiplicity at undeclared center {point!r}")
+                        err(lineno, col, f"multiplicity at undeclared center {_cut(point)!r}")
                         ok = False
                     elif mult < 1:
-                        err(lineno, col, f"multiplicity must be at least 1, got {mult}")
+                        err(lineno, col, f"multiplicity must be at least 1, got {_cut(str(mult))}")
                         ok = False
                     else:
                         mults[point] = mult
                 else:
-                    err(lineno, col, f"cannot parse component clause {part!r}")
+                    err(lineno, col, f"cannot parse component clause {_cut(part)!r}")
                     ok = False
             if degree < 0:
-                err(lineno, col, f"component {key!r} is missing its degree")
+                err(lineno, col, f"component {_cut(key)!r} is missing its degree")
                 ok = False
             if ok:
                 doc.components.append(ComponentSpec(key, degree, mults, irreducible))
@@ -258,7 +269,7 @@ def parse(text: str) -> ConfigDocument:
 
         elif section == "branch":
             if key.strip("01"):
-                err(lineno, col, f"non-binary group element {key!r}")
+                err(lineno, col, f"non-binary group element {_cut(key)!r}")
                 continue
             if len(key) != doc.r:
                 wrong_length.append((lineno, col, key, len(problems)))
@@ -266,7 +277,7 @@ def parse(text: str) -> ConfigDocument:
                 err(lineno, col, "branch data are indexed by nonzero group elements")
                 continue
             if key in doc.branch:
-                err(lineno, col, f"duplicate branch element {key!r}")
+                err(lineno, col, f"duplicate branch element {_cut(key)!r}")
                 continue
             entries = []
             for part in value.split(","):
@@ -279,10 +290,10 @@ def parse(text: str) -> ConfigDocument:
                     name, mult_text = name.strip(), mult_text.strip()
                     mult = int(mult_text) if _is_number(mult_text) else 0
                     if mult < 1:
-                        err(lineno, col, f"bad multiplicity in branch entry {part!r}")
+                        err(lineno, col, f"bad multiplicity in branch entry {_cut(part)!r}")
                         continue
                 if name not in component_names:
-                    err(lineno, col, f"branch references undeclared component {name!r}")
+                    err(lineno, col, f"branch references undeclared component {_cut(name)!r}")
                     continue
                 entries.append((name, mult))
             if entries:
@@ -295,12 +306,13 @@ def parse(text: str) -> ConfigDocument:
             while end < len(problems) and problems[end][0] == lineno:
                 end += 1
             problems[start:end] = [
-                (lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
+                (lineno, col, f"group element {_cut(key)!r} has length {len(key)}, "
+                 f"expected {doc.r}")
             ]
     if "r" not in cover_keys:
         problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
     if doc.pencil is not None and doc.pencil not in center_names:
-        problems.append((1, 1, f"pencil point {doc.pencil!r} is not a declared center"))
+        problems.append((1, 1, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
     if problems:
         raise ConfigError(problems)
     return doc

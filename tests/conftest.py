@@ -998,11 +998,16 @@ def reference_strip_comment(line: str) -> str:
     return line
 
 
+def _cut(text: str) -> str:
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def reference_parse(text: str) -> ConfigDocument:
     """Reference for ``config.parse``: a copy of the line-by-line parser it
-    replaced (a regex match per clause, a set per branch key), with two rules
-    added since: a degree below 1 is a problem at its line, and a number has
-    at most ``config.MAX_DIGITS`` digits."""
+    replaced (a regex match per clause, a set per branch key), with three
+    rules added since: a degree below 1 is a problem at its line, a number
+    has at most ``config.MAX_DIGITS`` digits, and a message echoes at most 80
+    characters of a value, then ``...``."""
     problems: list[tuple[int, int, str]] = []
     doc = ConfigDocument(r=0)
     section = None
@@ -1026,7 +1031,7 @@ def reference_parse(text: str) -> ConfigDocument:
         if m:
             section = m.group("name")
             if section not in ("cover", "centers", "components", "branch"):
-                err(lineno, 1, f"unknown section [{section}]")
+                err(lineno, 1, f"unknown section [{_cut(section)}]")
                 section = None
             continue
         if section is None:
@@ -1041,35 +1046,35 @@ def reference_parse(text: str) -> ConfigDocument:
 
         if section == "cover":
             if key in cover_keys:
-                err(lineno, col, f"duplicate [cover] key {key!r}")
+                err(lineno, col, f"duplicate [cover] key {_cut(key)!r}")
             elif key == "r":
                 cover_keys.add(key)
                 if not _is_number(value) or not 1 <= int(value) <= 4:
-                    err(lineno, col, f"r must be an integer between 1 and 4, got {value!r}")
+                    err(lineno, col, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
                 else:
                     doc.r = int(value)
             elif key == "pencil":
                 cover_keys.add(key)
                 doc.pencil = value
             else:
-                err(lineno, col, f"unknown [cover] key {key!r}")
+                err(lineno, col, f"unknown [cover] key {_cut(key)!r}")
 
         elif section == "centers":
             if not _NAME.match(key):
-                err(lineno, col, f"invalid center name {key!r}")
+                err(lineno, col, f"invalid center name {_cut(key)!r}")
                 continue
             if key in seen_names:
-                err(lineno, col, f"duplicate name {key!r}")
+                err(lineno, col, f"duplicate name {_cut(key)!r}")
                 continue
             if value == "point":
                 parent = None
             elif value.startswith("near "):
                 parent = value[5:].strip()
                 if parent not in center_names:
-                    err(lineno, col, f"unknown parent center {parent!r}")
+                    err(lineno, col, f"unknown parent center {_cut(parent)!r}")
                     continue
             else:
-                err(lineno, col, f"center must be 'point' or 'near <center>', got {value!r}")
+                err(lineno, col, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
                 continue
             doc.centers.append((key, parent))
             seen_names.add(key)
@@ -1077,10 +1082,10 @@ def reference_parse(text: str) -> ConfigDocument:
 
         elif section == "components":
             if not _NAME.match(key):
-                err(lineno, col, f"invalid component name {key!r}")
+                err(lineno, col, f"invalid component name {_cut(key)!r}")
                 continue
             if key in seen_names:
-                err(lineno, col, f"duplicate name {key!r}")
+                err(lineno, col, f"duplicate name {_cut(key)!r}")
                 continue
             spec = ComponentSpec(key, degree=-1)
             ok = True
@@ -1092,20 +1097,24 @@ def reference_parse(text: str) -> ConfigDocument:
                 if part.startswith("degree"):
                     clause = "degree"
                 if clause in clauses:
-                    err(lineno, col, f"duplicate {clause} clause for component {key!r}")
+                    message = f"duplicate {_cut(clause)} clause for component {_cut(key)!r}"
+                    err(lineno, col, message)
                     continue
                 if clause:
                     clauses.add(clause)
                 if part.startswith("degree"):
                     rest = part[len("degree") :].strip()
                     if not _is_number(rest):
-                        err(lineno, col, f"bad degree {rest!r} for component {key!r}")
+                        err(lineno, col, f"bad degree {_cut(rest)!r} for component {_cut(key)!r}")
                         ok = False
                     else:
                         spec.degree = int(rest)
                         # added since the copy: a plane curve has degree at least 1
                         if spec.degree < 1:
-                            message = f"degree must be at least 1 for component {key!r}, got {rest}"
+                            message = (
+                                f"degree must be at least 1 for component {_cut(key)!r}, "
+                                f"got {_cut(rest)}"
+                            )
                             err(lineno, col, message)
                             ok = False
                 elif part == "reducible":
@@ -1113,18 +1122,18 @@ def reference_parse(text: str) -> ConfigDocument:
                 elif mm:
                     point, mult = mm.group("point"), int(mm.group("value"))
                     if point not in center_names:
-                        err(lineno, col, f"multiplicity at undeclared center {point!r}")
+                        err(lineno, col, f"multiplicity at undeclared center {_cut(point)!r}")
                         ok = False
                     elif mult < 1:
-                        err(lineno, col, f"multiplicity must be at least 1, got {mult}")
+                        err(lineno, col, f"multiplicity must be at least 1, got {_cut(str(mult))}")
                         ok = False
                     else:
                         spec.mults[point] = mult
                 else:
-                    err(lineno, col, f"cannot parse component clause {part!r}")
+                    err(lineno, col, f"cannot parse component clause {_cut(part)!r}")
                     ok = False
             if spec.degree < 0:
-                err(lineno, col, f"component {key!r} is missing its degree")
+                err(lineno, col, f"component {_cut(key)!r} is missing its degree")
                 ok = False
             if ok:
                 doc.components.append(spec)
@@ -1133,7 +1142,7 @@ def reference_parse(text: str) -> ConfigDocument:
 
         elif section == "branch":
             if any(c not in "01" for c in key):
-                err(lineno, col, f"non-binary group element {key!r}")
+                err(lineno, col, f"non-binary group element {_cut(key)!r}")
                 continue
             if len(key) != doc.r:
                 wrong_length.append((lineno, col, key, len(problems)))
@@ -1141,7 +1150,7 @@ def reference_parse(text: str) -> ConfigDocument:
                 err(lineno, col, "branch data are indexed by nonzero group elements")
                 continue
             if key in doc.branch:
-                err(lineno, col, f"duplicate branch element {key!r}")
+                err(lineno, col, f"duplicate branch element {_cut(key)!r}")
                 continue
             entries = []
             for part in [p.strip() for p in value.split(",") if p.strip()]:
@@ -1150,11 +1159,11 @@ def reference_parse(text: str) -> ConfigDocument:
                 mult = 1
                 if star:
                     if not _is_number(mult_text.strip()) or int(mult_text) < 1:
-                        err(lineno, col, f"bad multiplicity in branch entry {part!r}")
+                        err(lineno, col, f"bad multiplicity in branch entry {_cut(part)!r}")
                         continue
                     mult = int(mult_text)
                 if name not in component_names:
-                    err(lineno, col, f"branch references undeclared component {name!r}")
+                    err(lineno, col, f"branch references undeclared component {_cut(name)!r}")
                     continue
                 entries.append((name, mult))
             if entries:
@@ -1167,12 +1176,13 @@ def reference_parse(text: str) -> ConfigDocument:
             while end < len(problems) and problems[end][0] == lineno:
                 end += 1
             problems[start:end] = [
-                (lineno, col, f"group element {key!r} has length {len(key)}, expected {doc.r}")
+                (lineno, col, f"group element {_cut(key)!r} has length {len(key)}, "
+                 f"expected {doc.r}")
             ]
     if "r" not in cover_keys:
         problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
     if doc.pencil is not None and doc.pencil not in center_names:
-        problems.append((1, 1, f"pencil point {doc.pencil!r} is not a declared center"))
+        problems.append((1, 1, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
     if problems:
         raise ConfigError(problems)
     return doc

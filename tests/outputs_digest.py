@@ -15,7 +15,10 @@ under the six document commands, seeded malformed documents: each fixture
 and random document with one character replaced, dropped or inserted
 (``mutant``), so ``error[config]`` and ``error[geometry]`` texts and
 positions are pinned too.  A mutant drawn twice for one document is called
-once, so every description is unique.
+once, so every description is unique.  Last, under the six document
+commands, a few hand-written documents whose branch elements span less than
+the whole group (``NOT_TOTALLY_RAMIFIED``), so ``validate`` exit 5 and what
+the other commands make of such a cover are pinned as well.
 
 The script exits 1, after printing every line, when a call ended in an
 uncaught exception (a traceback) rather than a result or ``error[code]``.
@@ -50,6 +53,22 @@ FIXTURE_DIR = ROOT / "tests" / "fixtures"
 RANDOM_DOCUMENTS = 400
 MUTANTS_PER_FIXTURE = 10
 RANDOM_MUTANTS = 200
+
+#: name -> a document that is not totally ramified: its branch elements span
+#: a proper subgroup of (Z/2)^r
+NOT_TOTALLY_RAMIFIED = {
+    "two-lines-in-11": "[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\n"
+    "[branch]\n11 = A, B\n",
+    "pencil-lines-and-conic-in-11": "[cover]\nr = 2\npencil = p\n[centers]\np = point\n"
+    "[components]\nA = degree 1, mult(p) = 1\nB = degree 1, mult(p) = 1\nQ = degree 2\n"
+    "[branch]\n11 = A, B, Q\n",
+    "odd-line-in-11": "[cover]\nr = 2\n[components]\nA = degree 1\n[branch]\n11 = A\n",
+    "three-lines-rank-2": "[cover]\nr = 3\n[components]\nA = degree 1\nB = degree 1\n"
+    "C = degree 1\n[branch]\n100 = A\n010 = B\n110 = C\n",
+    "four-lines-rank-3": "[cover]\nr = 4\n[components]\nA = degree 1\nB = degree 1\n"
+    "C = degree 1\nD = degree 1\n[branch]\n1000 = A\n0100 = B\n0010 = C\n1110 = D\n",
+    "empty-branch": "[cover]\nr = 1\n[components]\nA = degree 2\n[branch]\n",
+}
 
 
 def mutant(text: str, rng: random.Random) -> tuple[str, str]:
@@ -105,6 +124,9 @@ def calls():
         drawn.add((source, label))
         for command in DOC_COMMANDS:
             yield f"{source} {label} {command}", [command, "--input", "-"], document
+    for name, document in NOT_TOTALLY_RAMIFIED.items():
+        for command in DOC_COMMANDS:
+            yield f"{name} {command}", [command, "--input", "-"], document
 
 
 def run(argv, stdin):

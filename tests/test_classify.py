@@ -1,7 +1,10 @@
+import ast
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -344,8 +347,9 @@ def _error(message):
 
 
 #: (exit, model spec, outcome of classify): one normalized, totally ramified
-#: model of even parity for each exit of the matchers that some input reaches,
-#: in the order of the checks; a label with a recipe is listed in _WITH_RECIPE
+#: model of even parity for each exit of the matchers, in the order of the
+#: checks (every exit has a row: see the test after the next); a label with a
+#: recipe is listed in _WITH_RECIPE
 _MATCHER_EXITS = [
     ("negative fiber degree", _past_the_plane_checks,
      _error("component A has negative fiber degree; bad multiplicities at the pencil point")),
@@ -500,6 +504,49 @@ def test_every_matcher_exit(name, spec, expected):
     assert got == expected
     if isinstance(got, CaseLabel):
         assert (got.reduce is not None) == (name in _WITH_RECIPE)
+
+
+def _matcher_exit_lines() -> dict[int, str]:
+    """Line -> source of every ``raise MatchError(...)`` and ``return
+    CaseLabel(...)`` statement of classify.py."""
+    source = Path(classify_mod.__file__).read_text()
+    exits = {}
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else getattr(node, "value", None)
+        if (
+            isinstance(node, (ast.Raise, ast.Return))
+            and isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in ("MatchError", "CaseLabel")
+        ):
+            exits[node.lineno] = ast.get_source_segment(source, node)
+    return exits
+
+
+def test_every_matcher_exit_is_run_by_the_exit_table():
+    # each exit statement of the matchers runs for some row of _MATCHER_EXITS
+    filename = classify_mod.__file__
+    run = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            run.add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    for _, spec, _ in _MATCHER_EXITS:
+        model = spec() if callable(spec) else _exit_model(*spec)
+        sys.settrace(trace_calls)
+        try:
+            _outcome(classify, model)
+        finally:
+            sys.settrace(previous)
+    exits = _matcher_exit_lines()
+    assert exits
+    assert {line: exits[line] for line in sorted(exits.keys() - run)} == {}
 
 
 def test_quadratic_move_contracts_lines_between_base_points():

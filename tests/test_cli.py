@@ -196,14 +196,32 @@ def test_parity_errors_of_validate_end_resolve_and_invariants(monkeypatch):
             got = outputs_digest.run([command, "--input", "-"], stdin)
             assert got == (3, "", err, None), (description, command)
     # 118 fixture mutants: two of the 120 drawn repeat an earlier one
-    assert (len(documents), parity) == (400 + 118 + 200, 83)
+    assert (len(documents), parity) == (400 + 118 + 200 + 6, 83)
 
 
 def test_outputs_digest_calls_are_unique():
     import outputs_digest
 
     descriptions = [description for description, _, _ in outputs_digest.calls()]
-    assert len(descriptions) == len(set(descriptions)) == 4448
+    assert len(descriptions) == len(set(descriptions)) == 4484
+
+
+def test_digest_documents_that_are_not_totally_ramified():
+    # validate, classify and reduce end in error[no-match]; invariants reads
+    # chi = 2 off a cover of even parity, and resolve and invariants give
+    # the parity error of one of odd parity
+    import outputs_digest
+
+    for name, document in outputs_digest.NOT_TOTALLY_RAMIFIED.items():
+        for command in ("validate", "classify", "reduce"):
+            code, out, err, _ = outputs_digest.run([command, "--input", "-"], document)
+            assert (code, err) == (5, "error[no-match]: not totally ramified\n"), (name, command)
+            assert out == ("totally_ramified = false\n" if command == "validate" else "")
+        code, out, err, _ = outputs_digest.run(["invariants", "--input", "-"], document)
+        if name == "odd-line-in-11":
+            assert (code, out) == (3, "") and err.startswith("error[parity]: ")
+        else:
+            assert (code, err) == (0, "") and out.startswith("chi = 2\n"), name
 
 
 def test_resolve_and_invariants_build_only_the_document_model(capsys, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from planecover import config
 from planecover.cli import main
 from planecover.errors import ConfigError
 
-from conftest import FIXTURE_DIR, fixture_text
+from conftest import FIXTURE_DIR, fixture_text, reference_parse
 
 
 def test_round_trip_all_fixtures():
@@ -121,23 +121,25 @@ COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduc
 #: A number of 5,000 digits: above Python's default limit of 4,300 digits
 #: for converting text to int.
 HUGE = "1" * 5000
+#: HUGE as a message echoes it: its first 80 characters, then "..."
+CUT = HUGE[:80] + "..."
 
 
 @pytest.mark.parametrize(
     "text, problem",
     [
-        (f"[cover]\nr = {HUGE}\n", f"2:1: r must be an integer between 1 and 4, got '{HUGE}'"),
+        (f"[cover]\nr = {HUGE}\n", f"2:1: r must be an integer between 1 and 4, got '{CUT}'"),
         (
             f"[cover]\nr = 1\n[components]\nA = degree {HUGE}\n",
-            f"4:1: bad degree '{HUGE}' for component 'A'",
+            f"4:1: bad degree '{CUT}' for component 'A'; 4:1: component 'A' is missing its degree",
         ),
         (
             f"[cover]\nr = 1\n[centers]\np = point\n[components]\nA = degree 1, mult(p) = {HUGE}\n",
-            f"6:1: cannot parse component clause 'mult(p) = {HUGE}'",
+            f"6:1: cannot parse component clause '{('mult(p) = ' + HUGE)[:80]}...'",
         ),
         (
             f"[cover]\nr = 1\n[components]\nA = degree 2\n[branch]\n1 = A*{HUGE}\n",
-            f"6:1: bad multiplicity in branch entry 'A*{HUGE}'",
+            f"6:1: bad multiplicity in branch entry '{('A*' + HUGE)[:80]}...'",
         ),
     ],
     ids=["r", "degree", "mult", "branch"],
@@ -147,7 +149,55 @@ def test_overlong_number_is_a_positioned_config_error(tmp_path, capsys, text, pr
     path.write_text(text, encoding="utf-8")
     assert main(["validate", "--input", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error[config]: {problem}")
+    assert out == "" and err == f"error[config]: {problem}\n"
+
+
+#: A name of 5,001 characters
+LONG = "N" + "x" * 5000
+_CENTERS = "[cover]\nr = 1\n[centers]\np = point\n"
+_COMPONENTS = _CENTERS + "[components]\n"
+_BRANCH = _COMPONENTS + "A = degree 2\n[branch]\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"[{'x' * 5000}]\n", id="section"),
+        pytest.param(f"[cover]\nr = 1\n{LONG} = 1\n", id="cover-key"),
+        pytest.param(f"[cover]\nr = {LONG}\n", id="r"),
+        pytest.param(f"[cover]\nr = 1\npencil = {LONG}\n", id="pencil"),
+        pytest.param(f"{_CENTERS}1{LONG} = point\n", id="center-name"),
+        pytest.param(f"{_CENTERS}{LONG} = point\n{LONG} = point\n", id="duplicate-name"),
+        pytest.param(f"{_CENTERS}q = near {LONG}\n", id="parent"),
+        pytest.param(f"{_CENTERS}q = {LONG}\n", id="center-value"),
+        pytest.param(f"{_COMPONENTS}{LONG} = degree 1, degree 1\n", id="duplicate-degree"),
+        pytest.param(f"{_COMPONENTS}{LONG} = degree 0{'0' * 250}\n", id="degree-below-one"),
+        pytest.param(f"{_COMPONENTS}A = degree 1, mult({LONG}) = 1\n", id="undeclared-center"),
+        pytest.param(
+            f"{_CENTERS}{LONG} = point\n[components]\nA = degree 1, mult({LONG}) = 1, "
+            f"mult({LONG}) = 1\n",
+            id="duplicate-mult",
+        ),
+        pytest.param(f"{_COMPONENTS}A = degree 1, mult(p) = -{'9' * 250}\n", id="mult-below-one"),
+        pytest.param(f"{_COMPONENTS}A = degree 1, {LONG}\n", id="component-clause"),
+        pytest.param(f"{_COMPONENTS}{LONG} = reducible\n", id="missing-degree"),
+        pytest.param(f"{_BRANCH}{'2' * 5000} = A\n", id="non-binary-key"),
+        pytest.param(f"{_BRANCH}1{'0' * 5000} = A\n", id="key-length"),
+        pytest.param(f"{_BRANCH}1 = {LONG}\n", id="undeclared-component"),
+        pytest.param(f"{_BRANCH}1 = A*{LONG}\n", id="branch-mult"),
+    ],
+)
+def test_every_echo_of_an_overlong_value_is_cut(text):
+    # a message echoes at most 80 characters of each value, then "...", as
+    # the reference parser does, so none reaches 250 characters
+    with pytest.raises(ConfigError) as err:
+        config.parse(text)
+    assert err.value.problems
+    assert all(len(message) < 250 for _, _, message in err.value.problems)
+    assert any("..." in message for _, _, message in err.value.problems)
+    with pytest.raises(ConfigError) as expected:
+        reference_parse(text)
+    assert err.value.problems == expected.value.problems
 
 
 @pytest.mark.parametrize("digits", [config.MAX_DIGITS, config.MAX_DIGITS + 1])

@@ -1127,7 +1127,7 @@ def test_to_cover_equals_the_reference_on_workload_documents(monkeypatch):
 
     monkeypatch.setattr(DivisorClass, "__init__", counting)
     texts = _workload_documents()
-    assert len(texts) == 12 + 1000 + 730 - 12
+    assert len(texts) == 12 + 1000 + 736 - 12
     built = errors = 0
     for text in texts:
         try:
