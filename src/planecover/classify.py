@@ -12,19 +12,20 @@ inertia elements of the curves of odd multiplicity at p, when that is
 nonzero.  The branch-point count on the line then pins down the family,
 and shape conditions select the case.
 
-A matcher checks the model it is given (plane, normalized, totally
-ramified, of even parity) and then reads the model's record
-(``cover.ModelRecord``: the model as plain dicts) once; every predicate
-reads that record, and the recipe a match attaches takes it as its input.
-Even parity, sum over g of (deg D_g mod 2)·g = 0, is what makes
-2L_chi = sum eps_chi(g) D_g solvable on the plane, and the matchers take
-the shape facts it decides from ``check_parity`` without testing them
-again: the G'-carrier of the G' = Z/2 families holds curves of odd total
-degree d with multiplicity d-2 or d-1 at the pencil point, the three
-curves of the G' = (Z/2)^2 families have degrees of one parity and
-(d-1)-fold points there, or a d-fold one for at most one of them, and the
-elements of the single lines sum to zero in the four-line model and in the
-three- and five-line Del Pezzo shapes.
+A matcher checks the model it is given, in this order: a plane model,
+normalized, then ``cover.check_cover``'s even parity and total
+ramification, the order the command line uses too.  Then it reads the
+model's record (``cover.ModelRecord``: the model as plain dicts) once;
+every predicate reads that record, and the recipe a match attaches takes
+it as its input.  Even parity, sum over g of (deg D_g mod 2)·g = 0, is
+what makes 2L_chi = sum eps_chi(g) D_g solvable on the plane, and the
+matchers take the shape facts it decides from ``check_parity`` without
+testing them again: the G'-carrier of the G' = Z/2 families holds curves
+of odd total degree d with multiplicity d-2 or d-1 at the pencil point,
+the three curves of the G' = (Z/2)^2 families have degrees of one parity
+and (d-1)-fold points there, or a d-fold one for at most one of them,
+and the elements of the single lines sum to zero in the four-line model
+and in the three- and five-line Del Pezzo shapes.
 
 Cremona reduction does not search for simplifying moves.  The matcher
 branch that decides a family attaches that family's recipe to the label it
@@ -52,11 +53,10 @@ from .cover import (
     CoverModel,
     ModelRecord,
     build_model,
-    check_parity,
+    check_cover,
     children_by_parent,
     curves_through,
     fresh_names,
-    is_totally_ramified,
     mark_points,
     to_record,
 )
@@ -126,13 +126,12 @@ def _require_plane_normalized(cover: CoverModel) -> None:
 
 
 def _matched_record(cover: CoverModel) -> ModelRecord:
-    """The matchers' shared checks, in order: a plane, normalized, totally
-    ramified model of even parity.  Then the model's record, read once: the
-    matcher's predicates and the recipe it attaches read it."""
+    """The matchers' shared checks, in order: a plane model, normalized, then
+    even parity and total ramification (``check_cover``).  Then the model's
+    record, read once: the matcher's predicates and the recipe it attaches
+    read it."""
     _require_plane_normalized(cover)
-    if not is_totally_ramified(cover):
-        raise MatchError("not totally ramified")
-    check_parity(cover)
+    check_cover(cover)
     return to_record(cover)
 
 
@@ -691,17 +690,16 @@ def _reduce_odd_curve(record: ModelRecord, p: str, w: GroupElement):
     return work, tuple(moves)
 
 
-def cremona_reduce(cover: CoverModel, pencil_point: str | None = None):
+def cremona_reduce(cover: CoverModel):
     """Reduce a cover to its family's normal form by the family's recipe.
 
-    Normalize and match the cover once, then run the recipe the match
+    Normalize and ``classify`` the cover once, then run the recipe the match
     attached to its label and build the reduced model from its record.
     Families already in normal form reduce to themselves with an empty
     trail.  Returns the reduced model and the move records.
     """
-    p = pencil_point if pencil_point is not None else cover.pencil
     work = normalize(cover)
-    label = match_conic_bundle(work, p) if p is not None else match_del_pezzo(work)
+    label = classify(work)
     if label.reduce is None:
         return work, ()
     reduced, moves = label.reduce()

@@ -1,5 +1,12 @@
 """Command line interface: validate, normalize, resolve, invariants,
-classify, reduce and census over the line-oriented document format."""
+classify, reduce and census over the line-oriented document format.
+
+The six document commands are one table (``COMMANDS``): each runs the
+stages parse -> cover -> normalize -> checked -> resolve (``STAGES``) up
+to the last one it needs, once, and prints that stage's value.  ``checked``
+is ``cover.check_cover``, parity and then total ramification, so every
+command after ``normalize`` stops at the first error ``validate`` reports;
+``normalize`` checks neither."""
 
 from __future__ import annotations
 
@@ -12,8 +19,8 @@ from . import census as census_mod
 from . import classify as classify_mod
 from . import config
 from . import invariants as invariants_mod
-from .cover import check_parity, is_totally_ramified
-from .errors import ConfigError, CoverError, MatchError
+from .cover import CoverModel, check_cover
+from .errors import ConfigError, CoverError
 from .normalize import ResolveResult, normalize, resolve
 
 EXIT_CODES = {
@@ -46,38 +53,28 @@ def _read_document(path: str) -> config.ConfigDocument:
     return config.parse(text)
 
 
-def _cmd_validate(doc: config.ConfigDocument) -> int:
-    model = normalize(doc.to_cover())
-    ramified = is_totally_ramified(model)
-    lines = [f"totally_ramified = {str(ramified).lower()}"]
-    if not ramified:
-        print("\n".join(lines))
-        raise MatchError("not totally ramified")
+#: The stages of a document command, in order: each maps the value the one
+#: before it returned, starting from the ``--input`` path.
+STAGES = {
+    "parse": _read_document,
+    "cover": config.ConfigDocument.to_cover,
+    "normalize": normalize,
+    "checked": check_cover,
+    "resolve": resolve,
+}
+
+
+def _print_validate(model: CoverModel, args) -> None:
     # the building data are L_chi = S_chi / 2, which satisfy all 4^r product
     # relations as soon as every S_chi is even
-    check_parity(model)
-    lines.append("parity = ok")
-    lines.append(f"prod_relations = ok ({4**model.r} pairs)")
-    print("\n".join(lines))
-    return 0
+    print(f"totally_ramified = true\nparity = ok\nprod_relations = ok ({4**model.r} pairs)")
 
 
-def _cmd_normalize(doc: config.ConfigDocument) -> int:
-    model = normalize(doc.to_cover())
+def _print_document(model: CoverModel, args) -> None:
     sys.stdout.write(config.from_cover(model).serialize())
-    return 0
 
 
-def _resolved(doc: config.ConfigDocument) -> ResolveResult:
-    """The document's model resolved; ParityError first when the branch data
-    have no cover, as ``validate`` reports it."""
-    model = doc.to_cover()
-    check_parity(model)
-    return resolve(model)
-
-
-def _cmd_resolve(doc: config.ConfigDocument) -> int:
-    result = _resolved(doc)
+def _print_trail(result: ResolveResult, args) -> None:
     for record in result.trail:
         payload = {
             "round": record.round,
@@ -89,13 +86,11 @@ def _cmd_resolve(doc: config.ConfigDocument) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     print(json.dumps({"rounds": result.rounds, "smooth": True}, sort_keys=True))
-    return 0
 
 
-def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
-    result = _resolved(doc)
+def _print_invariants(result: ResolveResult, args) -> None:
     report = invariants_mod.invariant_report(result)
-    if fmt == "tsv":
+    if args.format == "tsv":
         print("chi\tk2\tbicanonical\tverdict")
         print(
             f"{report.chi}\t{report.k_squared}\t{report.bicanonical_pullback}\t"
@@ -104,32 +99,31 @@ def _cmd_invariants(doc: config.ConfigDocument, fmt: str) -> int:
     else:
         print(report.serialize())
         print(f"resolution_rounds = {result.rounds}")
-    return 0
 
 
-def _cmd_classify(doc: config.ConfigDocument) -> int:
-    label = classify_mod.classify(normalize(doc.to_cover()))
+def _print_label(model: CoverModel, args) -> None:
+    label = classify_mod.classify(model)
     print(label.serialize())
     for flag in label.flags:
         print(f"flag = {flag}")
-    return 0
 
 
-def _cmd_reduce(doc: config.ConfigDocument) -> int:
-    reduced, moves = classify_mod.cremona_reduce(doc.to_cover())
+def _print_reduced(model: CoverModel, args) -> None:
+    reduced, moves = classify_mod.cremona_reduce(model)
     for i, move in enumerate(moves, start=1):
         print(f"# move {i}: {move.serialize()}")
     sys.stdout.write(config.from_cover(reduced).serialize())
-    return 0
 
 
-HANDLERS = {
-    "validate": _cmd_validate,
-    "normalize": _cmd_normalize,
-    "resolve": _cmd_resolve,
-    "invariants": _cmd_invariants,
-    "classify": _cmd_classify,
-    "reduce": _cmd_reduce,
+#: document command -> (the last stage it runs, what it prints of that
+#: stage's value, whether it takes ``--format``)
+COMMANDS = {
+    "validate": ("checked", _print_validate, False),
+    "normalize": ("normalize", _print_document, False),
+    "resolve": ("resolve", _print_trail, False),
+    "invariants": ("resolve", _print_invariants, True),
+    "classify": ("checked", _print_label, False),
+    "reduce": ("checked", _print_reduced, False),
 }
 
 
@@ -144,13 +138,13 @@ def _parser() -> argparse.ArgumentParser:
         description="exact engine for (Z/2)^r covers of the plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name) for name in (*HANDLERS, "census")}
-    for name in HANDLERS:
+    commands = {name: sub.add_parser(name) for name in (*COMMANDS, "census")}
+    for name in COMMANDS:
         commands[name].add_argument("--input", required=True, help="document path, or - for stdin")
     commands["census"].add_argument("--r", type=int, required=True)
     commands["census"].add_argument("--max-degree", type=int, required=True)
-    # the two commands with a tabular output
-    for name in ("invariants", "census"):
+    # the commands with a tabular output
+    for name in ("census", *(name for name, (*_, tabular) in COMMANDS.items() if tabular)):
         commands[name].add_argument("--format", choices=("text", "tsv"), default="text")
     return parser
 
@@ -162,9 +156,14 @@ def main(argv: list[str] | None = None) -> int:
             table = census_mod.census(args.r, args.max_degree)
             sys.stdout.write(table.to_tsv() if args.format == "tsv" else table.to_text())
             return 0
-        doc = _read_document(args.input)
-        handler = HANDLERS[args.command]
-        return handler(doc, args.format) if "format" in args else handler(doc)
+        last, printer, _ = COMMANDS[args.command]
+        value = args.input
+        for name, stage in STAGES.items():
+            value = stage(value)
+            if name == last:
+                break
+        printer(value, args)
+        return 0
     except CoverError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)

@@ -37,10 +37,13 @@ The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
 relation hold, so all it needs to know is that each S_chi is divisible by
 two: ``check_parity`` decides that in one pass over the nonzero coefficients
 of the branch classes, whatever r is, and ``invariants`` reads chi off the
-[D_g] in closed form.  ``derive_building_data`` gives the 2^r classes L_chi
-on request, computed per call from the [D_g] of ``branch_classes``, the
-sweep the invariant report, the bicanonical class and K^2 read too: S_chi
-sums the [D_g] with g odd on chi.
+[D_g] in closed form.  ``check_cover`` runs ``check_parity`` and then asks
+whether the branch elements generate the group (the cover is connected only
+then), the one order the command line and the matchers check a model in.
+``derive_building_data`` gives the 2^r classes L_chi on request, computed
+per call from the [D_g] of ``branch_classes``, the sweep the invariant
+report, the bicanonical class and K^2 read too: S_chi sums the [D_g] with g
+odd on chi.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .errors import (
     DimensionError,
     DomainError,
     GeometryError,
+    MatchError,
     ParityError,
 )
 from .group import Character, GroupElement
@@ -646,6 +650,19 @@ def check_parity(cover: CoverModel | ModelRecord) -> None:
         raise ParityError(
             f"branch data sum for character {chi} is not divisible by two", character=chi
         )
+
+
+def check_cover(cover: CoverModel) -> CoverModel:
+    """The cover, after the two checks a cover command makes before any
+    geometry, in this order: ParityError when the branch data have no cover
+    (``check_parity``), then MatchError("not totally ramified") when the g
+    with nonzero D_g span a proper subgroup, so the cover is not connected.
+    The command line runs it on the normalized model, and so do the
+    matchers."""
+    check_parity(cover)
+    if not is_totally_ramified(cover):
+        raise MatchError("not totally ramified")
+    return cover
 
 
 def derive_building_data(cover: CoverModel) -> dict[Character, DivisorClass]:

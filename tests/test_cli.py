@@ -2,12 +2,15 @@ import argparse
 import ast
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from planecover import config
+from planecover.classify import classify, cremona_reduce, match_del_pezzo
 from planecover.cli import main
+from planecover.errors import ParityError
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture_text
 
@@ -172,11 +175,11 @@ def test_resolve_and_invariants_check_parity_first(capsys, tmp_path):
         assert run(capsys, command, "--input", str(doc)) == (3, "", expected[2])
 
 
-def test_parity_errors_of_validate_end_resolve_and_invariants(monkeypatch):
+def test_cover_commands_stop_at_the_first_error_of_validate():
     # every document of the outputs digest (fixtures, 400 seeded random
-    # documents and the mutants of both) that validate rejects with
-    # error[parity] gets the same stderr line and exit 3 from resolve and
-    # invariants, with nothing on stdout
+    # documents, the mutants of both and the documents that are not totally
+    # ramified) that validate rejects gets the same stderr line and exit code
+    # from resolve, invariants, classify and reduce, with nothing on stdout
     import outputs_digest
 
     documents = [
@@ -184,19 +187,25 @@ def test_parity_errors_of_validate_end_resolve_and_invariants(monkeypatch):
         for description, argv, stdin in outputs_digest.calls()
         if argv[0] == "validate" and stdin is not None
     ]
-    parity = 0
+    rejected = Counter()
     for description, stdin in documents:
-        code, _, err, failure = outputs_digest.run(["validate", "--input", "-"], stdin)
+        code, out, err, failure = outputs_digest.run(["validate", "--input", "-"], stdin)
         assert failure is None, description
-        if not err.startswith("error[parity]: "):
+        if code == 0:
             continue
-        parity += 1
-        assert code == 3
-        for command in ("resolve", "invariants"):
+        assert out == "" and err.startswith("error["), description
+        rejected[err[: err.index("]") + 1], code] += 1
+        for command in ("resolve", "invariants", "classify", "reduce"):
             got = outputs_digest.run([command, "--input", "-"], stdin)
-            assert got == (3, "", err, None), (description, command)
+            assert got == (code, "", err, None), (description, command)
     # 118 fixture mutants: two of the 120 drawn repeat an earlier one
-    assert (len(documents), parity) == (400 + 118 + 200 + 6, 83)
+    assert len(documents) == 400 + 118 + 200 + 6
+    assert rejected == {
+        ("error[config]", 2): 209,
+        ("error[parity]", 3): 84,
+        ("error[geometry]", 4): 26,
+        ("error[no-match]", 5): 5,
+    }
 
 
 def test_outputs_digest_calls_are_unique():
@@ -207,21 +216,27 @@ def test_outputs_digest_calls_are_unique():
 
 
 def test_digest_documents_that_are_not_totally_ramified():
-    # validate, classify and reduce end in error[no-match]; invariants reads
-    # chi = 2 off a cover of even parity, and resolve and invariants give
-    # the parity error of one of odd parity
+    # every command after normalize checks parity, then total ramification:
+    # the document of odd parity ends in error[parity], the others in
+    # error[no-match]; normalize checks neither
     import outputs_digest
 
     for name, document in outputs_digest.NOT_TOTALLY_RAMIFIED.items():
-        for command in ("validate", "classify", "reduce"):
+        for command in ("validate", "resolve", "invariants", "classify", "reduce"):
             code, out, err, _ = outputs_digest.run([command, "--input", "-"], document)
-            assert (code, err) == (5, "error[no-match]: not totally ramified\n"), (name, command)
-            assert out == ("totally_ramified = false\n" if command == "validate" else "")
-        code, out, err, _ = outputs_digest.run(["invariants", "--input", "-"], document)
-        if name == "odd-line-in-11":
-            assert (code, out) == (3, "") and err.startswith("error[parity]: ")
-        else:
-            assert (code, err) == (0, "") and out.startswith("chi = 2\n"), name
+            if name == "odd-line-in-11":
+                assert (code, out) == (3, "") and err.startswith("error[parity]: "), command
+            else:
+                assert (code, out, err) == (5, "", "error[no-match]: not totally ramified\n"), (
+                    name,
+                    command,
+                )
+        code, _, err, _ = outputs_digest.run(["normalize", "--input", "-"], document)
+        assert (code, err) == (0, ""), name
+    model = config.parse(outputs_digest.NOT_TOTALLY_RAMIFIED["odd-line-in-11"]).to_cover()
+    for match_or_reduce in (classify, match_del_pezzo, cremona_reduce):
+        with pytest.raises(ParityError):
+            match_or_reduce(model)
 
 
 def test_resolve_and_invariants_build_only_the_document_model(capsys, tmp_path, monkeypatch):

@@ -221,8 +221,8 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
 
 
 def test_rank_is_computed_once_per_model(monkeypatch):
-    # census and match_conic_bundle both ask every pattern whether it is
-    # totally ramified; the model computes the rank of its branch elements once
+    # census and the matchers' check_cover both ask every pattern whether it
+    # is totally ramified; the model computes the rank of its branch elements once
     from functools import cached_property
 
     from planecover.census import census
@@ -243,7 +243,7 @@ def test_rank_is_computed_once_per_model(monkeypatch):
     spied.__set_name__(cov.CoverModel, "_rank")
     monkeypatch.setattr(cov.CoverModel, "_rank", spied)
     monkeypatch.setattr(census_mod, "is_totally_ramified", asking)
-    monkeypatch.setattr(classify_mod, "is_totally_ramified", asking)
+    monkeypatch.setattr(cov, "is_totally_ramified", asking)
     census(4, 7)
     # the list keeps the 30 patterns alive, so their ids are distinct
     assert len({id(model) for model in ranks}) == len(ranks) == 30
