@@ -1,12 +1,13 @@
 """Deterministic enumeration of conic-bundle branch patterns.
 
-The census walks the degree/multiplicity shapes of the invariant-conic-
-bundle families up to a degree bound, validates each, classifies it and
-computes its invariants on the resolved model.  Patterns are shapes, not
-moduli: configurations differing only by the position of general curves
-share a row, and shapes that become equal after Cremona reduction are
-deduplicated (the multiplicity-(d-1) variants fold into their reduced
-normal forms).
+The census walks the shapes of the invariant-conic-bundle families up to a
+degree bound, one plane model per shape with p as the marked pencil point:
+three pencil lines (r = 2); pencil lines plus an odd curve with
+multiplicity d-2 or d-1 at p (r = 2, 3); three curves of one parity with
+(d-1)-fold points at p, plus pencil lines (r = 2, 3, 4).  Each is validated,
+classified and resolved for its invariants, and rows are deduplicated by
+the shape of the reduced model, so the multiplicity-(d-1) variants fold into
+their reduced normal forms and patterns are shapes, not moduli.
 
 A row builds one model, its plane model: the shape key reads the record a
 reduction recipe returns (or the plane model's record), and the invariants
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from . import classify as classify_mod
 from . import invariants as invariants_mod
-from .cover import CoverModel, ModelRecord, is_totally_ramified, plane_cover, to_record
-from .errors import DomainError, InconsistencyError
+from .cover import CoverModel, ModelRecord, plane_cover, to_record
+from .errors import DomainError
 from .group import GroupElement
 from .normalize import resolve
 
@@ -60,77 +61,43 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _pencil_lines_model() -> CoverModel:
-    return plane_cover(
-        2,
-        [("A", 1, {"p": 1}), ("B", 1, {"p": 1}), ("C", 1, {"p": 1})],
-        {"10": [("A", 1)], "01": [("B", 1)], "11": [("C", 1)]},
-        marked=[("p", None)],
-        pencil="p",
-    )
+# the pencil lines beside the odd curve W, whose element is 1...1
+_ODD_CURVE_LINES = {2: (("A", "10"), ("B", "01")), 3: (("A", "100"), ("B", "010"), ("C", "001"))}
+# the elements of A, B and C, and the pencil lines beside them
+_TRIPLES = {
+    2: (("10", "01", "11"), ()),
+    3: (("100", "010", "110"), (("K1", "001"), ("K2", "001"))),
+    4: (("1000", "0100", "1100"), (("K1", "0010"), ("K2", "0001"), ("K3", "0011"))),
+}
+_PENCIL_LINES = {2: "pencil pair", 3: "pencil triple"}
 
 
-def _odd_curve_model(r: int, d: int, mult: int) -> CoverModel:
-    if r == 2:
-        lines = [("A", 1, {"p": 1}), ("B", 1, {"p": 1})]
-        branch = {"10": [("A", 1)], "01": [("B", 1)], "11": [("W", 1)]}
-    else:
-        lines = [("A", 1, {"p": 1}), ("B", 1, {"p": 1}), ("C", 1, {"p": 1})]
-        branch = {
-            "100": [("A", 1)],
-            "010": [("B", 1)],
-            "001": [("C", 1)],
-            "111": [("W", 1)],
-        }
-    curve = ("W", d, {"p": mult} if mult else {})
-    return plane_cover(r, lines + [curve], branch, marked=[("p", None)], pencil="p")
-
-
-def _triple_model(r: int, degrees: tuple[int, int, int]) -> CoverModel:
-    """Three curves with (degree-1)-fold points at p, plus r-2 pencil-line elements."""
-    comps = [(cid, d, {"p": d - 1} if d > 1 else {}) for cid, d in zip("ABC", degrees)]
-    if r == 2:
-        branch = {"10": [("A", 1)], "01": [("B", 1)], "11": [("C", 1)]}
-    elif r == 3:
-        comps += [("K1", 1, {"p": 1}), ("K2", 1, {"p": 1})]
-        branch = {
-            "100": [("A", 1)],
-            "010": [("B", 1)],
-            "110": [("C", 1)],
-            "001": [("K1", 1), ("K2", 1)],
-        }
-    else:
-        comps += [("K1", 1, {"p": 1}), ("K2", 1, {"p": 1}), ("K3", 1, {"p": 1})]
-        branch = {
-            "1000": [("A", 1)],
-            "0100": [("B", 1)],
-            "1100": [("C", 1)],
-            "0010": [("K1", 1)],
-            "0001": [("K2", 1)],
-            "0011": [("K3", 1)],
-        }
+def _pencil_model(r: int, rows: list[tuple[str, str, int, int]]) -> CoverModel:
+    """The plane model of rows (curve id, element, degree, multiplicity at the
+    pencil point p), each curve once in its element's branch divisor."""
+    branch: dict[str, list[tuple[str, int]]] = {}
+    for cid, g, _, _ in rows:
+        branch.setdefault(g, []).append((cid, 1))
+    comps = [(cid, d, {"p": m} if m else {}) for cid, _, d, m in rows]
     return plane_cover(r, comps, branch, marked=[("p", None)], pencil="p")
 
 
 def _candidates(r: int, max_degree: int):
+    lines = [(cid, g, 1, 1) for cid, g in _ODD_CURVE_LINES.get(r, ())]
     if r == 2:
-        yield "three pencil lines", _pencil_lines_model()
-        for d in range(1, max_degree + 1, 2):
-            for mult in sorted({max(d - 2, 0), d - 1}):
-                yield f"pencil pair + odd curve d={d} mult={mult}", _odd_curve_model(2, d, mult)
-        for degrees in _parity_triples(max_degree):
-            if degrees == (1, 1, 1):
-                continue  # three general lines: already the reduced d=1 pattern
-            yield f"three curves degrees={degrees}", _triple_model(2, degrees)
-    elif r == 3:
-        for d in range(1, max_degree + 1, 2):
-            for mult in sorted({max(d - 2, 0), d - 1}):
-                yield f"pencil triple + odd curve d={d} mult={mult}", _odd_curve_model(3, d, mult)
-        for degrees in _parity_triples(max_degree):
-            yield f"three curves degrees={degrees} + pencil pair", _triple_model(3, degrees)
-    else:
-        for degrees in _parity_triples(max_degree):
-            yield f"three curves degrees={degrees} + pencil triple", _triple_model(4, degrees)
+        yield "three pencil lines", _pencil_model(2, lines + [("C", "11", 1, 1)])
+    for d in range(1, max_degree + 1, 2) if lines else ():  # no odd curve for r = 4
+        for mult in sorted({max(d - 2, 0), d - 1}):
+            pattern = f"{_PENCIL_LINES[len(lines)]} + odd curve d={d} mult={mult}"
+            yield pattern, _pencil_model(r, lines + [("W", "1" * r, d, mult)])
+    elements, beside = _TRIPLES[r]
+    suffix = f" + {_PENCIL_LINES[len(beside)]}" if beside else ""
+    for degrees in _parity_triples(max_degree):
+        if degrees == (1, 1, 1) and r == 2:
+            continue  # three general lines: already the reduced d=1 pattern
+        rows = [(cid, g, d, d - 1) for cid, g, d in zip("ABC", elements, degrees)]
+        rows += [(cid, g, 1, 1) for cid, g in beside]
+        yield f"three curves degrees={degrees}{suffix}", _pencil_model(r, rows)
 
 
 def _parity_triples(max_degree: int):
@@ -163,9 +130,7 @@ def census(r: int, max_degree: int) -> CensusTable:
     rows = []
     seen: set[tuple] = set()
     for pattern, model in _candidates(r, max_degree):
-        if not is_totally_ramified(model):
-            raise InconsistencyError(f"census generated an invalid pattern: {pattern}")
-        label = classify_mod.classify(model)  # the matcher checks parity
+        label = classify_mod.classify(model)  # check_cover: parity, then ramification
         reduced = label.reduce()[0] if label.reduce is not None else to_record(model)
         key = _shape_key(reduced)
         if key in seen:

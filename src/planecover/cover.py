@@ -482,7 +482,7 @@ def mark_points(
         if of is not None:
             exceptional.setdefault(of, []).append(cid)
     marked = dict(record.marked)
-    in_use = marked.keys() | {c.name for c in record.centers}
+    in_use = names_in_use(record)
     for name, parent, at in points:
         at = dict(at or {})
         if name in in_use or not at.keys() <= mults.keys():
@@ -621,9 +621,16 @@ def model_entries(cover: CoverModel) -> Iterable[tuple[int, int, Mapping[int, in
     return ((g.mask, k, comps[cid].cls.support) for g, pairs in cover.branch for cid, k in pairs)
 
 
+def names_in_use(record: ModelRecord) -> set[str]:
+    """The names of the record's curves, marked points and centers: a document
+    names them all alike, so a new point or curve may take none of them."""
+    return record.coeffs.keys() | record.marked.keys() | {c.name for c in record.centers}
+
+
 def fresh_names(record: ModelRecord, stem: str, n: int = 1) -> list[str]:
-    """The first ``n`` names ``stem<i>``, i = 1, 2, ..., that no marked point or center uses."""
-    taken = record.marked.keys() | {c.name for c in record.centers}
+    """The first ``n`` names ``stem<i>``, i = 1, 2, ..., that no curve, marked
+    point or center uses."""
+    taken = names_in_use(record)
     names = (f"{stem}{i}" for i in count(1))
     return list(islice((name for name in names if name not in taken), n))
 

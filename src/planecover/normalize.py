@@ -48,6 +48,7 @@ from .cover import (
     curves_through,
     pair_sums,
     fresh_names,
+    names_in_use,
     to_record,
 )
 from .errors import (
@@ -142,7 +143,7 @@ def blow_up(
     # ``mark_points`` claims a point (name in use, then unknown curves), and a
     # multiplicity below 1 is reported only once every crossing is claimed
     curves = record.coeffs
-    in_use = marked.keys() | center_names
+    in_use = names_in_use(record)
     new: list[str] = []
     low: list[str] = []
     for name, mults in crossings:
@@ -171,7 +172,6 @@ def blow_up(
     # each point maps to the curves through it
     coeffs = {cid: dict(record.coeffs[cid]) for cid, g in carrier.items() if g}
     kept = {cid: record.kept[cid] for cid in coeffs}
-    taken = set(record.coeffs)
     children = children_by_parent(marked)
     for point in (*points, *new):
         if point in marked:
@@ -201,12 +201,12 @@ def blow_up(
                     section ^= g
         if not on_branch:
             continue
-        eid = f"E_{point}"
+        eid = f"E_{point}"  # a name no curve or point has: a document names both alike
         serial = 1
-        while eid in taken:
+        while eid in in_use:
             serial += 1
             eid = f"E_{point}{serial}"
-        taken.add(eid)
+        in_use.add(eid)
         carrier[eid] = section
         for child in children.get(point, ()):
             through.setdefault(child, []).append((eid, 1))

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from planecover import census as census_mod
+from planecover import config
 from planecover.census import census
 from planecover.classify import classify
 from planecover.cover import build_model, to_record
@@ -19,6 +22,24 @@ def test_census_r2_degree1_is_exactly_the_two_line_patterns():
 def test_census_matches_golden_file(r, max_degree):
     golden = (GOLDEN_DIR / f"census_r{r}_maxdeg{max_degree}.txt").read_text(encoding="utf-8")
     assert census(r, max_degree).to_text() == golden
+
+
+def _candidate_listing() -> str:
+    """One line per census candidate (r = 2..4, degree <= 7): r, the pattern and
+    the SHA-256 of the model's serialized document."""
+    lines = []
+    for r in (2, 3, 4):
+        for pattern, model in census_mod._candidates(r, 7):
+            digest = hashlib.sha256(config.from_cover(model).serialize().encode()).hexdigest()
+            lines.append(f"{r}\t{pattern}\t{digest}")
+    return "\n".join(lines) + "\n"
+
+
+def test_census_candidates_match_golden_listing():
+    # two different models can give the same table row, so the models the
+    # census builds are pinned one by one
+    golden = (GOLDEN_DIR / "census_candidates.txt").read_text(encoding="utf-8")
+    assert _candidate_listing() == golden
 
 
 def test_census_is_deterministic():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -1122,6 +1123,25 @@ def _perturbed_document(name: str, rng: random.Random):
     return doc
 
 
+def _odd_curve_models():
+    """The odd curves W of degree 3..21 with a (d-1)-fold point at p, beside the
+    census's pencil lines (r = 2, 3)."""
+    models = []
+    for r in (2, 3):
+        lines = [(cid, g, 1, 1) for cid, g in census_mod._ODD_CURVE_LINES[r]]
+        for d in range(3, 22, 2):
+            models.append(census_mod._pencil_model(r, lines + [("W", "1" * r, d, d - 1)]))
+    return models
+
+
+def test_odd_curve_models_are_the_recorded_documents():
+    # the SHA-256 of the 20 documents joined, recorded from the census's former
+    # odd-curve builder: the table-driven builder makes the same models
+    documents = "".join(config.from_cover(model).serialize() for model in _odd_curve_models())
+    digest = "98fcec527ffc556d59446974ccb4ffd517ecfb7ac946f3de99a5667a268f0322"
+    assert hashlib.sha256(documents.encode()).hexdigest() == digest
+
+
 def _recipe_inputs():
     """The fixtures, the census candidates (r = 2..4, d <= 7), the odd curves
     of degree d <= 21 with a (d-1)-fold point (r = 2, 3), and 600 seeded
@@ -1129,7 +1149,7 @@ def _recipe_inputs():
     models = [load_cover(path.stem) for path in sorted(FIXTURE_DIR.glob("*.cfg"))]
     for r in (2, 3, 4):
         models += [model for _, model in census_mod._candidates(r, 7)]
-    models += [census_mod._odd_curve_model(r, d, d - 1) for r in (2, 3) for d in range(3, 22, 2)]
+    models += _odd_curve_models()
     rng = random.Random(1848)
     for name in ("prop44_unreduced", "prop51", "prop410"):
         for _ in range(200):

@@ -66,6 +66,33 @@ def test_classify_not_totally_ramified(capsys, tmp_path):
     assert "error[no-match]: not totally ramified" in err
 
 
+def _prop55_with_a_taken_name(clash):
+    text = fixture_text("prop55")
+    if clash == "curve named aux1":  # the name of the recipe's fresh point
+        return text.replace("lineB", "aux1")
+    # a point the blown-up aux1's exceptional curve would be named after
+    text = text.replace("xi = point\n", "xi = point\nE_aux1 = point\n")
+    text = text.replace("mult(xi) = 1\nlineA", "mult(xi) = 1, mult(E_aux1) = 1\nlineA")
+    return text.replace(
+        "lineB = degree 1, mult(eta) = 1", "lineB = degree 1, mult(eta) = 1, mult(E_aux1) = 1"
+    )
+
+
+@pytest.mark.parametrize("clash", ["curve named aux1", "point named E_aux1"])
+def test_reduce_names_nothing_the_document_already_names(capsys, tmp_path, clash):
+    doc = tmp_path / "doc.cfg"
+    doc.write_text(_prop55_with_a_taken_name(clash), encoding="utf-8")
+    code, out, _ = run(capsys, "classify", "--input", str(doc))
+    assert code == 0 and out.startswith("Prop5.5/4.222")
+    code, out, err = run(capsys, "reduce", "--input", str(doc))
+    assert code == 0, err
+    reduced = tmp_path / "reduced.cfg"
+    reduced.write_text("".join(line for line in out.splitlines(True) if not line.startswith("#")))
+    code, out, err = run(capsys, "validate", "--input", str(reduced))
+    assert code == 0 and err == ""
+    assert "totally_ramified = true" in out
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     doc = tmp_path / "bad.cfg"
     doc.write_text("[cover]\nr = 2\n[components]\nA = degree 1\n[branch]\n112 = A\n")

@@ -221,8 +221,8 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
 
 
 def test_rank_is_computed_once_per_model(monkeypatch):
-    # census and the matchers' check_cover both ask every pattern whether it
-    # is totally ramified; the model computes the rank of its branch elements once
+    # the matchers' check_cover asks every census pattern once whether it is
+    # totally ramified; the model computes the rank of its branch elements once
     from functools import cached_property
 
     from planecover.census import census
@@ -242,12 +242,11 @@ def test_rank_is_computed_once_per_model(monkeypatch):
     spied = cached_property(counting)
     spied.__set_name__(cov.CoverModel, "_rank")
     monkeypatch.setattr(cov.CoverModel, "_rank", spied)
-    monkeypatch.setattr(census_mod, "is_totally_ramified", asking)
     monkeypatch.setattr(cov, "is_totally_ramified", asking)
     census(4, 7)
     # the list keeps the 30 patterns alive, so their ids are distinct
     assert len({id(model) for model in ranks}) == len(ranks) == 30
-    assert len(asked) == 60 and {id(model) for model in asked} == {id(m) for m in ranks}
+    assert len(asked) == 30 and {id(model) for model in asked} == {id(m) for m in ranks}
 
 
 def _spy_record_reads(monkeypatch):
@@ -672,15 +671,21 @@ def test_add_marked_points_equals_successive_single_points():
 
 def test_add_marked_points_rules_hold_per_point():
     model = pull_back(load_cover("prop51"), "x")
-    for name in ("y", "x"):  # a marked point and a center
-        with pytest.raises(DomainError):
+    # a marked point, a center, a curve and an exceptional curve: a document
+    # names points and curves alike
+    for name in ("y", "x", "conic", "E_x"):
+        with pytest.raises(DomainError, match="already in use"):
             add_marked_points(model, [("a", None, None), (name, None, None)])
+        with pytest.raises(DomainError, match="already in use"):
+            pull_back(model, crossings=[(name, {"conic": 1})])
     with pytest.raises(DomainError):
         add_marked_points(model, [("a", None, None), ("a", None, None)])
     with pytest.raises(DanglingReferenceError):
         add_marked_points(model, [("a", None, {"conic": 1}), ("b", None, {"nope": 1})])
     with pytest.raises(DanglingReferenceError):
         add_marked_points(model, [("a", "nowhere", None)])
+    lines = plane_cover(2, [("aux1", 1, {}), ("aux3", 1, {})], {"11": [("aux1", 1), ("aux3", 1)]})
+    assert cov.fresh_names(cov.to_record(lines), "aux", 2) == ["aux2", "aux4"]
 
 
 def _mark_or_error(record, points, one_by_one):
