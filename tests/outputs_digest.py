@@ -18,7 +18,11 @@ positions are pinned too.  A mutant drawn twice for one document is called
 once, so every description is unique.  Last, under the six document
 commands, a few hand-written documents whose branch elements span less than
 the whole group (``NOT_TOTALLY_RAMIFIED``), so ``validate`` exit 5 and what
-the other commands make of such a cover are pinned as well.
+the other commands make of such a cover are pinned as well.  Then
+``ARGUMENT_FORMS``: argument lists that argparse reads although they are
+not ``--option value`` pairs (an abbreviation, ``--input=P``, a negative
+value), and a subcommand's usage errors and help.  The top-level usage and
+help are left out: their layout differs between Python versions.
 
 The script exits 1, after printing every line, when a call ended in an
 uncaught exception (a traceback) rather than a result or ``error[code]``.
@@ -69,6 +73,22 @@ NOT_TOTALLY_RAMIFIED = {
     "C = degree 1\nD = degree 1\n[branch]\n1000 = A\n0100 = B\n0010 = C\n1110 = D\n",
     "empty-branch": "[cover]\nr = 1\n[components]\nA = degree 2\n[branch]\n",
 }
+
+
+#: argument lists, with ``P`` standing for a fixture path: forms argparse
+#: accepts beyond ``--option value`` pairs, and a subcommand's usage errors
+#: and help
+ARGUMENT_FORMS = (
+    "validate --inp P",
+    "validate --input=P",
+    "invariants --format tsv --input P",
+    "census --max-degree 3 --r 2",
+    "census --r -1 --max-degree 3",
+    "validate",
+    "census --r x --max-degree 3",
+    "invariants --input P --format csv",
+    "validate --help",
+)
 
 
 def mutant(text: str, rng: random.Random) -> tuple[str, str]:
@@ -127,6 +147,9 @@ def calls():
     for name, document in NOT_TOTALLY_RAMIFIED.items():
         for command in DOC_COMMANDS:
             yield f"{name} {command}", [command, "--input", "-"], document
+    path = str(FIXTURE_DIR / "prop51.cfg")
+    for form in ARGUMENT_FORMS:
+        yield f"argv {form}", [token.replace("P", path) for token in form.split()], None
 
 
 def run(argv, stdin):

@@ -239,7 +239,7 @@ def test_outputs_digest_calls_are_unique():
     import outputs_digest
 
     descriptions = [description for description, _, _ in outputs_digest.calls()]
-    assert len(descriptions) == len(set(descriptions)) == 4484
+    assert len(descriptions) == len(set(descriptions)) == 4493
 
 
 def test_digest_documents_that_are_not_totally_ramified():

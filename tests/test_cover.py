@@ -1115,7 +1115,7 @@ def _workload_documents():
         size, broken = DOC_SIZES[seed % len(DOC_SIZES)], seed % BROKEN_EVERY == 0
         texts.append(random_document(random.Random(f"build/{seed}"), size, broken))
     for _, argv, stdin in calls():
-        if argv[0] != "census":
+        if argv[1:2] == ["--input"]:  # not census, nor a usage error or help
             texts.append(stdin if stdin is not None else Path(argv[2]).read_text(encoding="utf-8"))
     return list(dict.fromkeys(texts))
 
