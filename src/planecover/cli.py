@@ -6,7 +6,12 @@ stages parse -> cover -> normalize -> checked -> resolve (``STAGES``) up
 to the last one it needs, once, and prints that stage's value.  ``checked``
 is ``cover.check_cover``, parity and then total ramification, so every
 command after ``normalize`` stops at the first error ``validate`` reports;
-``normalize`` checks neither."""
+``normalize`` checks neither.
+
+Each command's options are declared once, in ``OPTIONS``.  ``main`` reads a
+plain argument list (``_read_plain``) straight from that table and hands any
+other list to argparse, which ``_parser`` builds from the same table; so
+argparse alone prints usage errors and help."""
 
 from __future__ import annotations
 
@@ -39,12 +44,13 @@ EXIT_CODES = {
 
 
 def _read_document(path: str) -> config.ConfigDocument:
+    # utf-8-sig drops a leading byte-order mark, an artifact of the encoding
     try:
         if path == "-":
             # a surrogateescape stdin passes undecodable bytes on as lone surrogates
-            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8-sig")
         else:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         before = exc.object[: exc.start]
@@ -116,20 +122,61 @@ def _print_reduced(model: CoverModel, args) -> None:
 
 
 #: document command -> (the last stage it runs, what it prints of that
-#: stage's value, whether it takes ``--format``)
+#: stage's value)
 COMMANDS = {
-    "validate": ("checked", _print_validate, False),
-    "normalize": ("normalize", _print_document, False),
-    "resolve": ("resolve", _print_trail, False),
-    "invariants": ("resolve", _print_invariants, True),
-    "classify": ("checked", _print_label, False),
-    "reduce": ("checked", _print_reduced, False),
+    "validate": ("checked", _print_validate),
+    "normalize": ("normalize", _print_document),
+    "resolve": ("resolve", _print_trail),
+    "invariants": ("resolve", _print_invariants),
+    "classify": ("checked", _print_label),
+    "reduce": ("checked", _print_reduced),
 }
+
+_INPUT = {"required": True, "help": "document path, or - for stdin"}
+_FORMAT = {"choices": ("text", "tsv"), "default": "text"}
+_INT = {"type": int, "required": True}
+
+#: command -> option -> the keyword arguments of argparse's ``add_argument``;
+#: the commands with a tabular output take ``--format``
+OPTIONS = {
+    **{name: {"--input": _INPUT} for name in COMMANDS},
+    "invariants": {"--input": _INPUT, "--format": _FORMAT},
+    "census": {"--r": _INT, "--max-degree": _INT, "--format": _FORMAT},
+}
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` returns, for a plain ``argv``.
+
+    Plain is a command followed by ``--option value`` pairs: each option of
+    that command written in full and given at most once, every required one
+    given, no value starting with ``-`` but the stdin path ``-``, and each
+    value of the type and among the choices its option declares.  Any other
+    list (an abbreviation, ``--input=x``, ``-h``, a usage error) gives None."""
+    options = OPTIONS.get(argv[0]) if argv else None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if options is None or len(argv) != 2 * len(given) + 1 or not given.keys() <= options.keys():
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for option, spec in options.items():
+        value = given.get(option, spec.get("default"))
+        if value is None:
+            return None  # a required option is missing
+        if option in given:
+            if value.startswith("-") and value != "-" or value not in spec.get("choices", [value]):
+                return None
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every later one.
+    """The argument parser, built from ``OPTIONS`` on the first argument list
+    that is not plain and reused by every later one.
 
     argparse looks up ``sys.stdout`` and ``sys.stderr`` when it prints, so
     streams swapped between calls still receive usage errors and help."""
@@ -138,25 +185,22 @@ def _parser() -> argparse.ArgumentParser:
         description="exact engine for (Z/2)^r covers of the plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name) for name in (*COMMANDS, "census")}
-    for name in COMMANDS:
-        commands[name].add_argument("--input", required=True, help="document path, or - for stdin")
-    commands["census"].add_argument("--r", type=int, required=True)
-    commands["census"].add_argument("--max-degree", type=int, required=True)
-    # the commands with a tabular output
-    for name in ("census", *(name for name, (*_, tabular) in COMMANDS.items() if tabular)):
-        commands[name].add_argument("--format", choices=("text", "tsv"), default="text")
+    for name, options in OPTIONS.items():
+        command = sub.add_parser(name)
+        for option, spec in options.items():
+            command.add_argument(option, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or _parser().parse_args(argv)
     try:
         if args.command == "census":
             table = census_mod.census(args.r, args.max_degree)
             sys.stdout.write(table.to_tsv() if args.format == "tsv" else table.to_text())
             return 0
-        last, printer, _ = COMMANDS[args.command]
+        last, printer = COMMANDS[args.command]
         value = args.input
         for name, stage in STAGES.items():
             value = stage(value)

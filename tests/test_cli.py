@@ -1,13 +1,17 @@
 import argparse
 import ast
+import codecs
+import contextlib
 import io
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planecover import config
+from planecover import cli, config
 from planecover.classify import classify, cremona_reduce, match_del_pezzo
 from planecover.cli import main
 from planecover.errors import ParityError
@@ -115,19 +119,138 @@ def test_tacnode_reduction_blames_the_idle_direction_whatever_its_name(capsys, t
     )
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    assert main(["validate", "--input", fixture("prop53")]) == 0
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The ``prog`` of every argument parser built from now on, with the
+    cached parser dropped, so the first list that is not plain builds it."""
+    progs = []
     init = argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        progs.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._parser.cache_clear()
+    return progs
+
+
+def test_parser_is_built_once(capsys, built):
+    # plain calls build no parser; the first usage error builds it, with its
+    # subcommands, and a second usage error and help reuse it
+    assert main(["validate", "--input", fixture("prop53")]) == 0
     assert main(["classify", "--input", fixture("prop51")]) == 0
     assert main(["census", "--r", "2", "--max-degree", "3"]) == 0
     assert built == []
+    for argv in (["validate"], ["census", "--r", "x", "--max-degree", "3"], ["validate", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == ["planecover", *(f"planecover {name}" for name in cli.OPTIONS)]
+
+
+def test_main_reads_sys_argv_on_the_plain_path(capsys, monkeypatch, built):
+    monkeypatch.setattr("sys.argv", ["planecover", "validate", "--input", fixture("prop53")])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("totally_ramified = true\n")
+    assert built == []
+
+
+def _argparse_reads(argv):
+    """``vars()`` of ``_parser().parse_args(argv)``, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+#: option -> values argparse takes for it
+GOOD_VALUES = {
+    "--input": ("x.cfg", "dir/doc.cfg", "-", ""),
+    "--format": ("text", "tsv"),
+    "--r": ("2", " 3", "٣"),
+    "--max-degree": ("2", " 3", "٣"),
+}
+ARGUMENT_TOKENS = (
+    *GOOD_VALUES,
+    *("--inp", "--form", "--max", "--m", "--input=x", "-h", "--", "-", "-1", " 3", "٣", ""),
+    *("text", "tsv", "csv", "2", "x.cfg", "dir/doc.cfg"),
+)
+
+
+@st.composite
+def argument_lists(draw):
+    """Argument lists of length 0-7: a command, or an unknown one, and its
+    own options in any order with values argparse mostly takes, each of the
+    three changes (drop options, add another, put in or take out a token)
+    made one time in four; so plain lists and near misses are both drawn."""
+    if draw(st.integers(0, 20)) == 0:
+        return []
+    sometimes = st.sampled_from((False, False, False, True))
+    command = draw(st.sampled_from((*cli.OPTIONS, "bogus")))
+    options = draw(st.permutations(tuple(cli.OPTIONS.get(command, ("--input",)))))
+    if draw(sometimes):
+        options = options[: draw(st.integers(0, len(options)))]
+    if draw(sometimes):
+        options.insert(draw(st.integers(0, len(options))), draw(st.sampled_from(tuple(GOOD_VALUES))))
+    argv = [command]
+    for option in options:
+        argv += [option, draw(st.sampled_from(GOOD_VALUES[option]) | st.sampled_from(ARGUMENT_TOKENS))]
+    if draw(sometimes):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(at, draw(st.sampled_from(ARGUMENT_TOKENS)))
+        else:
+            del argv[at - 1 : at]
+    return argv[:7]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(argument_lists())
+def test_plain_reader_agrees_with_argparse(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--input", "-"],
+        ["validate", "--input", ""],
+        ["invariants", "--format", "tsv", "--input", "x.cfg"],
+        ["invariants", "--input", "x.cfg"],
+        ["census", "--max-degree", "3", "--r", "2"],
+        ["census", "--r", "٣", "--max-degree", " 3", "--format", "tsv"],
+    ],
+)
+def test_plain_lists_read_as_argparse_reads_them(argv):
+    plain = cli._read_plain(argv)
+    assert plain is not None and vars(plain) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["validate", "--inp", "x.cfg"], id="abbreviation"),
+        pytest.param(["validate", "--input=x.cfg"], id="option=value"),
+        pytest.param(["validate", "--input", "x.cfg", "--input", "y.cfg"], id="repeat"),
+        pytest.param(["validate", "-h"], id="-h"),
+        pytest.param(["validate", "--input", "x.cfg", "--help"], id="--help"),
+        pytest.param(["validate"], id="missing-input"),
+        pytest.param(["census", "--r", "2"], id="missing-max-degree"),
+        pytest.param(["validate", "--input", "-x"], id="dash-value"),
+        pytest.param(["census", "--r", "-1", "--max-degree", "3"], id="negative-value"),
+        pytest.param(["validate", "--input", "--"], id="double-dash"),
+        pytest.param(["invariants", "--input", "x.cfg", "--format", "csv"], id="bad-choice"),
+        pytest.param(["census", "--r", "x", "--max-degree", "3"], id="bad-int"),
+        pytest.param(["validate", "--input", "x.cfg", "--format", "tsv"], id="other-option"),
+        pytest.param(["bogus", "--input", "x.cfg"], id="unknown-command"),
+        pytest.param([], id="empty"),
+    ],
+)
+def test_lists_that_are_not_plain_go_to_argparse(argv):
+    assert cli._read_plain(argv) is None
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -379,6 +502,25 @@ def test_undecodable_file_is_a_config_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--input", str(doc))
     assert code == 2
     assert err.startswith("error[config]: 1:1: input is not UTF-8 text")
+
+
+THREE_LINES = (
+    "[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\nC = degree 1\n"
+    "[branch]\n10 = A\n01 = B\n11 = C\n"
+)
+VALIDATED = "totally_ramified = true\nparity = ok\nprod_relations = ok (16 pairs)\n"
+
+
+def test_byte_order_mark_file_is_read_without_it(capsys, tmp_path):
+    doc = tmp_path / "bom.cfg"
+    doc.write_bytes(codecs.BOM_UTF8 + THREE_LINES.encode("utf-8"))
+    assert run(capsys, "validate", "--input", str(doc)) == (0, VALIDATED, "")
+
+
+def test_byte_order_mark_on_stdin_is_read_without_it(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(codecs.BOM_UTF8 + THREE_LINES.encode("utf-8")), "utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, "validate", "--input", "-") == (0, VALIDATED, "")
 
 
 @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
