@@ -188,7 +188,7 @@ def _g_prime(r: int, profiles) -> GPrimeStructure:
         carriers.append(section)
         count += 1
     subgroup = group.span(carriers, r)
-    s = group.subgroup_dimension(subgroup)
+    s = group.rank(carriers, r)
     expected = _EXPECTED_BRANCH_POINTS.get((r, s))
     if expected is None:
         raise MatchError(f"not an invariant-conic-bundle configuration: r={r} with G' of rank {s}")

@@ -53,9 +53,12 @@ def _read_document(path: str) -> config.ConfigDocument:
             with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
     except UnicodeDecodeError as exc:
-        before = exc.object[: exc.start]
-        line, col = before.count(b"\n") + 1, exc.start - before.rfind(b"\n")
-        raise ConfigError([(line, col, f"input is not UTF-8 text: {exc.reason}")]) from exc
+        # the bad byte's position as ``config.parse`` counts one: lines as
+        # ``splitlines`` breaks them, columns in characters, no byte-order mark
+        *lines, last = (exc.object[: exc.start].decode("utf-8-sig") + "?").splitlines()
+        raise ConfigError(
+            [(len(lines) + 1, len(last), f"input is not UTF-8 text: {exc.reason}")]
+        ) from exc
     return config.parse(text)
 
 

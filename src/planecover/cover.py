@@ -57,7 +57,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import group
 from .errors import (
-    CoverError,
     DanglingReferenceError,
     DimensionError,
     DomainError,
@@ -432,11 +431,6 @@ class ModelRecord(NamedTuple):
         """The multiplicity of curve ``cid`` at a marked point, 0 when it misses it."""
         return next((m for name, m in self.mults[cid] if name == point), 0)
 
-    @property
-    def _odd_character(self) -> Character | None:
-        """``odd_character`` over the curves and their carriers."""
-        return odd_character(self.r, ((g, self.coeffs[cid]) for cid, g in self.carrier.items()))
-
 
 def to_record(cover: CoverModel) -> ModelRecord:
     """The record of a model, read once per model and shared by every
@@ -485,9 +479,7 @@ def mark_points(
     in_use = names_in_use(record)
     for name, parent, at in points:
         at = dict(at or {})
-        if name in in_use or not at.keys() <= mults.keys():
-            raise claim_error(name, at, in_use, mults)
-        in_use.add(name)
+        claim_point(name, at, in_use, mults)
         for cid in exceptional.get(parent, ()):
             at.setdefault(cid, 1)
         for cid, m in at.items():
@@ -499,15 +491,18 @@ def mark_points(
     return record._replace(marked=marked, mults=mults)
 
 
-def claim_error(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> CoverError:
-    """Why a new point cannot be claimed: DomainError when its name is in
-    use already, else DanglingReferenceError when ``at`` names a curve that
-    is not in ``curves``.  A point is claimed, name added to ``in_use``,
-    when neither holds."""
+def claim_point(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> None:
+    """Claim a new point through the curves ``at`` names: add its name to
+    ``in_use``.  DomainError when the name is in use already, else
+    DanglingReferenceError when ``at`` names a curve that is not in
+    ``curves``."""
     if name in in_use:
-        return DomainError(f"point name {name!r} is already in use")
-    unknown = sorted(at.keys() - curves.keys())
-    return DanglingReferenceError(f"unknown components in mults: {unknown}")
+        raise DomainError(f"point name {name!r} is already in use")
+    for cid in at:  # a loop: faster than a subset test of two keys views
+        if cid not in curves:
+            unknown = sorted(at.keys() - curves.keys())
+            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+    in_use.add(name)
 
 
 def surface_of(record: ModelRecord) -> BlownPlane:
@@ -643,16 +638,20 @@ def is_totally_ramified(cover: CoverModel) -> bool:
     return cover._rank == cover.r
 
 
-def check_parity(cover: CoverModel | ModelRecord) -> None:
+def check_parity(cover: CoverModel) -> None:
     """Raise ParityError naming the first character whose branch sum S_chi
     has an odd coordinate: this is exactly the classical parity obstruction
     (for r=2, the three branch degrees must share their parity).
 
-    One pass over the nonzero coefficients of the branch classes of a model
-    (once per model) or of a record; no S_chi is built (see
-    ``odd_character``).
+    One pass over the nonzero coefficients of the branch classes, once per
+    model; no S_chi is built (see ``odd_character``).
     """
-    chi = cover._odd_character
+    raise_odd_character(cover._odd_character)
+
+
+def raise_odd_character(chi: Character | None) -> None:
+    """The ParityError of ``check_parity`` for ``chi``, the first character
+    whose branch sum is odd (``odd_character``); nothing when chi is None."""
     if chi is not None:
         raise ParityError(
             f"branch data sum for character {chi} is not divisible by two", character=chi

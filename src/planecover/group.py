@@ -165,52 +165,37 @@ def _extend(basis: list[int], m: int) -> bool:
     return bool(m)
 
 
-def _basis(els: Iterable[GroupElement], r: int | None) -> tuple[int, list[int]]:
-    """The group rank r (taken from the elements when not given) and an
-    echelon basis of the span of the elements, as masks."""
-    els = list(els)
-    if r is None:
-        if not els:
-            raise DomainError("span of an empty set needs an explicit rank")
-        r = els[0].r
-    if any(g.r != r for g in els):
-        raise DimensionError("span arguments must share one rank")
+def _basis(els: Iterable[GroupElement], r: int) -> list[int]:
+    """An echelon basis of the span of elements of rank r, as masks."""
     basis: list[int] = []
     for g in els:
+        if g.r != r:
+            raise DimensionError("span arguments must share one rank")
         _extend(basis, g.mask)
-    return r, basis
+    return basis
 
 
-def rank(els: Iterable[GroupElement], r: int | None = None) -> int:
-    """Dimension of the F_2-linear span of a set of elements."""
-    return len(_basis(els, r)[1])
+def rank(els: Iterable[GroupElement], r: int) -> int:
+    """Dimension of the F_2-linear span of a set of elements of rank r."""
+    return len(_basis(els, r))
 
 
-def span(els: Iterable[GroupElement], r: int | None = None) -> frozenset[GroupElement]:
-    """F_2-linear span of a set of elements, always containing zero.
+def span(els: Iterable[GroupElement], r: int) -> frozenset[GroupElement]:
+    """F_2-linear span of a set of elements of rank r, always containing zero.
 
     Elimination gives a basis of dimension dim; the span is its 2^dim XOR
     combinations, enumerated as masks, one XOR each.
     """
-    r, basis = _basis(els, r)
     combos = [0]
-    for b in basis:
+    for b in _basis(els, r):
         combos += [m ^ b for m in combos]
     return frozenset(_INTERNED[r][m] for m in combos)
-
-
-def subgroup_dimension(subgroup: Iterable[GroupElement]) -> int:
-    n = len(set(subgroup))
-    dim = n.bit_length() - 1
-    if 2**dim != n:
-        raise DomainError("subgroup size is not a power of two")
-    return dim
 
 
 def complement_basis(gens: Iterable[GroupElement], r: int) -> list[GroupElement]:
     """A basis of a complement of the span of ``gens``: the coordinate vectors,
     in order, that do not lie in that span and the vectors chosen before."""
-    _, basis = _basis(gens, r)
+    basis = _basis(gens, r)
     chosen: list[GroupElement] = []
     for i in range(r):
         e = 1 << (r - 1 - i)

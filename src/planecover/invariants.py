@@ -27,7 +27,11 @@ or a negative multiple of an exceptional class.
 ``invariant_report`` builds no model, no K, no [D_g] and no intersection:
 one sweep over the nonzero coefficients of the curves of the resolved
 record (``cover.branch_classes``) gives each D_g, the sum of the curves with
-carrier g (so sum D_g^2), and D, and the curves give sum C_i^2; with K =
+carrier g (so sum D_g^2), and D, and the curves give sum C_i^2.  Parity is
+read off the D_g (``cover.odd_character``): mod 2, the XOR of the g whose
+D_g has an odd coefficient at a slot is that of the carriers of the curves
+with one there, so the first odd character is the one a pass over the
+curves finds.  With K =
 -3H + E_1 + ... + E_n and the form diag(+1, -1, ..., -1), B is formed slot
 by slot (``_bicanonical``), reading its numbers as it goes:
 
@@ -64,7 +68,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverModel, branch_classes, check_parity, model_entries, surface_of
+from .cover import CoverModel, branch_classes, model_entries, surface_of
+from .cover import odd_character, raise_odd_character
 from .errors import DomainError, InconsistencyError
 from .lattice import BlownPlane, DivisorClass
 from .normalize import ResolveResult
@@ -150,10 +155,10 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
     module docstring) and checked by Noether's formula; the verdict is
     conservative: "rational" or "inconclusive", never "irrational"."""
     record = resolved.record
-    check_parity(record)
     r, surface = record.r, surface_of(record)
     coeffs = record.coeffs
     by_g, total = branch_classes((g, 1, coeffs[cid]) for cid, g in record.carrier.items())
+    raise_odd_character(odd_character(r, by_g.items()))
     c2 = sum(_square(coeffs[cid]) for cid in record.carrier)  # sum C_i^2
     squares = sum(_square(d_g) for d_g in by_g.values())  # sum D_g^2
     bicanonical, b2, bk = _bicanonical(surface, total)

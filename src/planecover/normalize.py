@@ -44,7 +44,7 @@ from .cover import (
     build_model,
     carriers,
     children_by_parent,
-    claim_error,
+    claim_point,
     curves_through,
     pair_sums,
     fresh_names,
@@ -88,13 +88,9 @@ def is_normalized(cover: CoverModel) -> bool:
 # -- pullback ----------------------------------------------------------------
 
 
-def pull_back(
-    cover: CoverModel,
-    *points: str,
-    crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
-) -> CoverModel:
-    """Pull the cover back along the blow-ups at marked (or fresh) points,
-    then at new crossing points; the result is normalized.
+def pull_back(cover: CoverModel, *points: str) -> CoverModel:
+    """Pull the cover back along the blow-ups at marked (or fresh) points;
+    the result is normalized.
 
     The points are blown up in the order given, so a child point may follow
     its parent in the same call (the parent's exceptional curve then passes
@@ -102,16 +98,10 @@ def pull_back(
     ``pull_back(c, a, b) == pull_back(pull_back(c, a), b)``.  A marked
     point's ``Center`` becomes a center of the new surface as it is.
 
-    ``crossings`` are ``(name, {cid: m})`` pairs: points not marked on the
-    cover, with the multiplicities of the components through them
-    (``{cid: 1}`` for a transversal crossing).  They are blown up after
-    ``points``, in the order given, as if ``add_marked_points`` had marked
-    them first, and they raise its errors.
-
     ``blow_up`` decides every curve, class and incidence on the model's
     record; then the surface, the components and the model are built once.
     """
-    return build_model(blow_up(to_record(cover), *points, crossings=crossings))
+    return build_model(blow_up(to_record(cover), *points))
 
 
 def blow_up(
@@ -119,7 +109,15 @@ def blow_up(
     *points: str,
     crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
 ) -> ModelRecord:
-    """The blow-ups of ``pull_back``, same arguments and errors, on a record.
+    """The blow-ups of ``pull_back``, same errors, on a record, then those
+    at new crossing points.
+
+    ``crossings`` are ``(name, {cid: m})`` pairs: points not marked on the
+    record, with the multiplicities of the curves through them (``{cid: 1}``
+    for a transversal crossing).  They are blown up after ``points``, in the
+    order given, as if ``mark_points`` had marked them first, and each is
+    claimed as it claims a point (``claim_point``); a multiplicity below 1
+    is reported only once every crossing is claimed.
 
     Each curve goes straight into its carrier, the one D_g that normalization
     leaves it in (see ``normalize``): a component's carrier is the XOR of the
@@ -139,23 +137,15 @@ def blow_up(
     centers = list(record.centers)
     center_names = {c.name for c in centers}
     through = curves_through(record.mults.items())
-    # one pass over the crossings: each is claimed in the order given, as
-    # ``mark_points`` claims a point (name in use, then unknown curves), and a
-    # multiplicity below 1 is reported only once every crossing is claimed
-    curves = record.coeffs
-    in_use = names_in_use(record)
+    curves, in_use = record.coeffs, names_in_use(record)
     new: list[str] = []
     low: list[str] = []
     for name, mults in crossings:
-        if name in in_use:
-            raise claim_error(name, mults, in_use, curves)
+        claim_point(name, mults, in_use, curves)
         through[name] = at = mults.items()
         for cid, m in at:
-            if cid not in curves:
-                raise claim_error(name, mults, in_use, curves)
             if m < 1:
                 low.append(cid)
-        in_use.add(name)
         new.append(name)
     if low:
         raise DomainError(f"component {min(low)!r} has a multiplicity below 1")
@@ -411,8 +401,12 @@ def _round_diff(before: ModelRecord, after: ModelRecord):
     )
 
 
-def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
-    """Blow up singular points until smooth.
+#: The rounds ``resolve`` takes before it gives up with NonTerminationError.
+MAX_ROUNDS = 6
+
+
+def resolve(cover: CoverModel) -> ResolveResult:
+    """Blow up singular points until smooth, in at most ``MAX_ROUNDS`` rounds.
 
     Each round blows up every currently visible singular point (a child
     point only becomes visible once its parent is a center), so a tacnode
@@ -446,9 +440,9 @@ def resolve(cover: CoverModel, max_rounds: int = 6) -> ResolveResult:
             names = fresh_names(record, "sing", len(pairs))
             crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
             singulars = names
-        if rounds >= max_rounds:
+        if rounds >= MAX_ROUNDS:
             raise NonTerminationError(
-                f"resolution did not finish within {max_rounds} rounds; "
+                f"resolution did not finish within {MAX_ROUNDS} rounds; "
                 f"still singular at {', '.join(sorted(singulars))}",
                 trail=tuple(trail),
             )

@@ -6,10 +6,12 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
+from unittest import mock
 
 import pytest
 
 from planecover import classify, config, group, invariants, lattice
+from planecover import normalize as normalize_mod
 from planecover.config import ComponentSpec, ConfigDocument
 from planecover.cover import (
     CoverModel,
@@ -17,6 +19,7 @@ from planecover.cover import (
     ModelRecord,
     add_marked_point,
     add_marked_points,
+    build_model,
     carriers,
     check_parity,
     derive_building_data,
@@ -42,6 +45,7 @@ from planecover.lattice import Center, DivisorClass
 from planecover.normalize import (
     ResolveResult,
     RoundRecord,
+    blow_up,
     normalize,
     pull_back,
     resolve,
@@ -344,7 +348,7 @@ def pulled_back_g_prime(cover, pencil_point):
                 carriers.append(g)
                 count += mult * crossings
     subgroup = group.span(carriers, cover.r)
-    s = group.subgroup_dimension(subgroup)
+    s = len(subgroup).bit_length() - 1  # the span has 2^s elements
     expected = classify._EXPECTED_BRANCH_POINTS.get((cover.r, s))
     if expected is None:
         raise MatchError(
@@ -774,10 +778,23 @@ def total_transform_pull_back(cover, *points):
     )
 
 
+def blow_up_model(cover, *points, crossings=()):
+    """The model of ``blow_up`` on the record of ``cover``: ``pull_back``
+    at the points, then at the crossings."""
+    return build_model(blow_up(to_record(cover), *points, crossings=crossings))
+
+
+def resolve_within(cover, rounds):
+    """``resolve`` with a budget of ``rounds`` rounds: ``normalize.MAX_ROUNDS``
+    is patched for the one call."""
+    with mock.patch.object(normalize_mod, "MAX_ROUNDS", rounds):
+        return resolve(cover)
+
+
 def marked_total_transform_pull_back(cover, *points, crossings=()):
-    """Reference for ``pull_back(cover, *points, crossings=...)``: mark the
-    crossings, pull back at the points and then at the crossings by total
-    transforms, and normalize."""
+    """Reference for ``blow_up_model(cover, *points, crossings=...)``: mark
+    the crossings, pull back at the points and then at the crossings by
+    total transforms, and normalize."""
     crossings = list(crossings)
     marked = add_marked_points(cover, [(name, None, mults) for name, mults in crossings])
     names = [name for name, _ in crossings]
@@ -824,7 +841,7 @@ def branch_diff(before, after):
     return tuple(out)
 
 
-def _reference_rounds(cover, max_rounds, step):
+def _reference_rounds(cover, budget, step):
     """The resolve loop on built models: ``step(model, blown, crossings)``
     makes one round's model, where ``crossings`` maps each new point
     ``sing<n>`` (name order) to the two curves crossing there, or is empty."""
@@ -846,9 +863,9 @@ def _reference_rounds(cover, max_rounds, step):
             names = fresh_names(to_record(current), "sing", len(pairs))
             crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
             singulars = names
-        if rounds >= max_rounds:
+        if rounds >= budget:
             raise NonTerminationError(
-                f"resolution did not finish within {max_rounds} rounds; "
+                f"resolution did not finish within {budget} rounds; "
                 f"still singular at {', '.join(sorted(singulars))}",
                 trail=tuple(trail),
             )
@@ -860,20 +877,21 @@ def _reference_rounds(cover, max_rounds, step):
     return ResolveResult(to_record(current), rounds, tuple(trail), start)
 
 
-def reference_stepwise_resolve(cover, max_rounds=6, pull_back=pull_back):
+def reference_stepwise_resolve(cover, budget=6, pull_back=blow_up_model):
     """Reference for ``normalize.resolve``: the loop as it was when every
-    round built its model, one ``pull_back`` per round.  A test may pass its
-    own ``pull_back`` to see the model of every round."""
+    round built its model, one ``blow_up_model`` per round.  A test may pass
+    its own ``pull_back``, of that signature, to see the model of every
+    round."""
 
     def step(current, blown, crossings):
         if crossings:
             return pull_back(current, crossings=[(name, crossings[name]) for name in blown])
         return pull_back(current, *blown)
 
-    return _reference_rounds(cover, max_rounds, step)
+    return _reference_rounds(cover, budget, step)
 
 
-def reference_resolve(cover, max_rounds=6):
+def reference_resolve(cover, budget=6):
     """Reference for ``normalize.resolve``: each round marks its crossing
     points on the model, pulls back by total transforms and normalizes."""
 
@@ -881,7 +899,7 @@ def reference_resolve(cover, max_rounds=6):
         marked = add_marked_points(current, [(name, None, at) for name, at in crossings.items()])
         return normalize(total_transform_pull_back(marked, *blown))
 
-    return _reference_rounds(cover, max_rounds, step)
+    return _reference_rounds(cover, budget, step)
 
 
 def singularity_reference(cover):

@@ -532,6 +532,34 @@ def test_undecodable_stdin_is_a_config_error(capsys, monkeypatch, errors):
     assert err.startswith("error[config]: 3:1: input is not UTF-8 text")
 
 
+#: (document, position of its byte 0xff): columns count characters, so the
+#: byte after "r = é" is in column 6, not 7; a leading byte-order mark is not
+#: counted, and lines break as ``config.parse`` breaks them, at a lone "\r" too
+ACCENTED = [
+    pytest.param("[cover]\nr = é".encode("utf-8") + b"\xff\n", "2:6", id="line-2"),
+    pytest.param(codecs.BOM_UTF8 + "r = é".encode("utf-8") + b"\xff\n", "1:6", id="mark"),
+    pytest.param("[cover]\r\nr = 2\rA = é".encode("utf-8") + b"\xff\n", "3:6", id="lone-cr"),
+]
+
+
+@pytest.mark.parametrize("data, position", ACCENTED)
+def test_undecodable_file_reports_the_character_column(capsys, tmp_path, data, position):
+    doc = tmp_path / "accented.cfg"
+    doc.write_bytes(data)
+    code, _, err = run(capsys, "validate", "--input", str(doc))
+    assert code == 2
+    assert err.startswith(f"error[config]: {position}: input is not UTF-8 text")
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("data, position", ACCENTED)
+def test_undecodable_stdin_reports_the_character_column(capsys, monkeypatch, errors, data, position):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors))
+    code, _, err = run(capsys, "validate", "--input", "-")
+    assert code == 2
+    assert err.startswith(f"error[config]: {position}: input is not UTF-8 text")
+
+
 def test_normalize_deep_chain_of_near_points(capsys, tmp_path):
     centers = ["x0 = point"] + [f"x{i} = near x{i - 1}" for i in range(1, 1100)]
     lines = ["A = degree 1", "B = degree 1", "C = degree 1"]

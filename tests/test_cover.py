@@ -34,11 +34,12 @@ from planecover.errors import (
     ParityError,
 )
 from planecover.group import Character, GroupElement
-from planecover.invariants import bicanonical_pullback, canonical_square
+from planecover.invariants import bicanonical_pullback, canonical_square, invariant_report
 from planecover.lattice import BlownPlane, Center, DivisorClass
-from planecover.normalize import pull_back, resolve
+from planecover.normalize import ResolveResult, blow_up, pull_back, resolve
 
 from conftest import (
+    blow_up_model,
     check_prod_relations,
     FIXTURE_DIR,
     PERFBENCH_DIR,
@@ -54,6 +55,7 @@ from conftest import (
     reference_odd_character,
     reference_plane_cover,
     reference_stepwise_resolve,
+    resolve_within,
     scan_children_of_point,
     scan_components_at,
     searched_quotient_cover,
@@ -164,12 +166,13 @@ def test_parity_error_on_every_call():
 
 def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     # census, invariants, validate and classify need parity only: none
-    # derives building data, and each model computes parity once
+    # derives building data, each model computes parity once, and each
+    # report decides it once, from its own [D_g] sums
     from functools import cached_property
 
+    from planecover import invariants as invariants_mod
     from planecover.census import census
     from planecover.cli import main
-    from planecover.invariants import invariant_report
     from test_invariants import line_arrangement
 
     built, parity = [], []
@@ -192,14 +195,14 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     spied = cached_property(counting)
     spied.__set_name__(cov.CoverModel, "_odd_character")
     monkeypatch.setattr(cov.CoverModel, "_odd_character", spied)
-    # a record's parity sweep is a property: invariant_report reads it once
-    record_sweep = cov.ModelRecord._odd_character.fget
+    reports = []
+    sweep = invariants_mod.odd_character
 
-    def record_parity(record):
-        parity.append(record)
-        return record_sweep(record)
+    def report_parity(r, curves):
+        reports.append(r)
+        return sweep(r, curves)
 
-    monkeypatch.setattr(cov.ModelRecord, "_odd_character", property(record_parity))
+    monkeypatch.setattr(invariants_mod, "odd_character", report_parity)
     census(4, 7)
     invariant_report(resolve(line_arrangement(12)))
     codes = [
@@ -210,11 +213,11 @@ def test_engine_paths_build_no_building_data(monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [0] * 24
     assert built == []
-    # once per model or record: the 30 census patterns and the records of
-    # their 30 resolved rows, the arrangement's record and one model per CLI
-    # call; the list keeps them alive, so ids are distinct
-    assert len({id(model) for model in parity}) == len(parity) == 30 + 30 + 1 + 24
-    assert sum(isinstance(each, cov.ModelRecord) for each in parity) == 30 + 1
+    # once per model: the 30 census patterns and one model per CLI call; the
+    # list keeps them alive, so ids are distinct
+    assert len({id(model) for model in parity}) == len(parity) == 30 + 24
+    # once per report: the 30 resolved census rows and the arrangement
+    assert len(reports) == 30 + 1
     # the spy sees a call made through the module
     cov.derive_building_data(load_cover("prop53"))
     assert len(built) == 1
@@ -401,7 +404,7 @@ def test_quotient_preserves_total_ramification():
         elements = [g for g in group.nonzero_elements(model.r)]
         for _ in range(5):
             sub = group.span([rng.choice(elements)], model.r)
-            if group.subgroup_dimension(sub) == model.r:
+            if group.rank(sub, model.r) == model.r:
                 continue
             assert is_totally_ramified(quotient_cover(model, sub))
 
@@ -591,7 +594,7 @@ def _parity_models(seed, count):
         raw = replace(base, branch=tuple(branch.items()))
         yield raw
         yield normalize_mod.normalize(raw)
-        yield resolve(raw, max_rounds=20).cover
+        yield resolve_within(raw, 20).cover
 
 
 def test_check_parity_matches_per_character_reference():
@@ -611,22 +614,38 @@ def test_check_parity_matches_per_character_reference():
     assert models == 1200 and broken >= 300
 
 
+def _report_parity(record):
+    """The character of the ParityError that ``invariant_report`` raises on
+    a hand-built result with this record, checking its text; None when it
+    raises none."""
+    try:
+        invariant_report(ResolveResult(record, 0, (), None))
+    except ParityError as exc:
+        chi = exc.character
+        assert str(exc) == f"branch data sum for character {chi} is not divisible by two"
+        return chi
+    except CoverError:
+        pass
+    return None
+
+
 def test_parity_sweep_matches_the_model_reference():
-    # the one sweep, over a model's odd entries and over a record's curves
-    # and carriers, against the sweep as it was on a built model: raw models
-    # with repeated, even and cancelling entries, their normalized and
-    # resolved models, and the resolved records of the 440 chi models
+    # the one sweep, over a model's odd entries and over the [D_g] sums that
+    # invariant_report builds from a record's curves and carriers, against
+    # the sweep as it was on a built model: raw models with repeated, even
+    # and cancelling entries, their normalized and resolved models, and the
+    # resolved records of the 440 chi models
     from test_invariants import reference_chi_models
 
     odd = 0
     for model in _parity_models(8128, 400):
         expected = reference_odd_character(model)
         assert model._odd_character == expected, model
-        assert cov.to_record(model)._odd_character == expected, model
+        assert _report_parity(cov.to_record(model)) == expected, model
         odd += expected is not None
     assert odd >= 300
     for result in reference_chi_models():
-        assert result.record._odd_character is reference_odd_character(result.cover) is None
+        assert _report_parity(result.record) is reference_odd_character(result.cover) is None
 
 
 def test_prod_relations_missing_character():
@@ -677,7 +696,7 @@ def test_add_marked_points_rules_hold_per_point():
         with pytest.raises(DomainError, match="already in use"):
             add_marked_points(model, [("a", None, None), (name, None, None)])
         with pytest.raises(DomainError, match="already in use"):
-            pull_back(model, crossings=[(name, {"conic": 1})])
+            blow_up(cov.to_record(model), crossings=[(name, {"conic": 1})])
     with pytest.raises(DomainError):
         add_marked_points(model, [("a", None, None), ("a", None, None)])
     with pytest.raises(DanglingReferenceError):
@@ -757,15 +776,16 @@ def test_a_blown_up_marked_point_is_its_center():
 
 
 def models_pulled_back(monkeypatch, run):
-    """Every model that ``pull_back`` reads or returns while ``run(pull_back)``
-    runs, each model with its crossing points marked, as they are blown up,
-    and every model that a quadratic move reads or returns.  ``run`` resolves
-    with ``reference_stepwise_resolve``, which builds the model of every
-    round, and passes it the recording ``pull_back``."""
+    """Every model that ``blow_up_model`` reads or returns while
+    ``run(pull_back)`` runs, each model with its crossing points marked, as
+    they are blown up, and every model that a quadratic move reads or
+    returns.  ``run`` resolves with ``reference_stepwise_resolve``, which
+    builds the model of every round, and passes it the recording
+    ``blow_up_model`` as its ``pull_back``."""
     seen = []
 
     def recording(cover, *points, crossings=()):
-        out = pull_back(cover, *points, crossings=crossings)
+        out = blow_up_model(cover, *points, crossings=crossings)
         if crossings:
             marks = [(name, None, mults) for name, mults in crossings]
             seen.append(add_marked_points(cover, marks))
@@ -828,7 +848,7 @@ def test_incidence_index_matches_scan_on_random_covers(monkeypatch):
     rng = random.Random(8080)
     for _ in range(40):
         model = random_valid_cover(rng)
-        trail = models_pulled_back(monkeypatch, stepwise(model, max_rounds=20))
+        trail = models_pulled_back(monkeypatch, stepwise(model, budget=20))
         for each in [model, *trail]:
             assert_index_matches_scan(each)
 

@@ -3,13 +3,16 @@
 Every generated document, valid or not, must end in a result (exit 0) or a
 coded ``error[code]: ...`` line with that code's exit status, never in an
 uncaught exception.  The examples are derived from the test source, not
-drawn at random, so every run checks the same documents.
+drawn at random, so every run checks the same documents.  The last test
+checks that a property test that fails reports its example under this
+repository's pytest settings.
 """
 
 import contextlib
 import io
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -262,3 +265,28 @@ def test_every_plane_model_round_trips_through_its_document(args):
         return
     text = config.from_cover(model).serialize()
     assert config.parse(text).to_cover() == model, text
+
+
+def test_a_falsified_property_prints_its_example(tmp_path):
+    # under this repository's pytest settings, where a warning is an error,
+    # a failing @given test reports its falsifying example: the warning
+    # hypothesis's report hook trips must not end the session in INTERNALERROR
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(n):\n"
+        "    assert n < 5\n",
+        encoding="utf-8",
+    )
+    pyproject = PERFBENCH_DIR.parent / "pyproject.toml"
+    argv = ["-c", str(pyproject), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv, "test_falsified.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output

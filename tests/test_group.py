@@ -56,8 +56,8 @@ def test_epsilon_joint_table_r3():
 
 def test_span_examples():
     assert group.span([], r=2) == frozenset({g("00")})
-    assert group.span([g("10"), g("01")]) == frozenset(group.elements(2))
-    assert group.span([g("110"), g("011")]) == frozenset(
+    assert group.span([g("10"), g("01")], 2) == frozenset(group.elements(2))
+    assert group.span([g("110"), g("011")], 3) == frozenset(
         {g("000"), g("110"), g("011"), g("101")}
     )
 
@@ -163,7 +163,7 @@ def test_complement_basis_is_the_greedy_coordinate_basis(r, count):
     for sub in subgroups:
         basis = group.complement_basis(sub, r)
         assert basis == greedy_complement_basis(sub, r)
-        assert len(basis) == r - group.subgroup_dimension(sub)
+        assert len(basis) == r - group.rank(sub, r)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -178,10 +178,10 @@ def test_complement_basis_of_generators_is_that_of_their_span(r):
 
 def test_rank_examples():
     assert group.rank([], 3) == 0
-    assert group.rank([g("110"), g("011"), g("101")]) == 2
-    assert group.rank(group.elements(4)) == 4
+    assert group.rank([g("110"), g("011"), g("101")], 3) == 2
+    assert group.rank(group.elements(4), 4) == 4
     with pytest.raises(DimensionError):
-        group.rank([g("10"), g("100")])
+        group.rank([g("10"), g("100")], 2)
 
 
 # -- interning -------------------------------------------------------------------

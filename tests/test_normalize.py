@@ -38,6 +38,7 @@ from planecover.normalize import (
 
 from conftest import (
     FIXTURE_DIR,
+    blow_up_model,
     dense_singular_residual_pairs,
     embed,
     load_cover,
@@ -49,6 +50,7 @@ from conftest import (
     reference_resolve,
     reference_singularity_over,
     reference_stepwise_resolve,
+    resolve_within,
     singularity_reference,
     strict_transform,
     total_transform_pull_back,
@@ -339,9 +341,17 @@ def test_resolve_all_fixtures_within_six_rounds():
         assert singularity_reference(result.cover) is None
 
 
-def test_resolve_round_budget_error():
-    with pytest.raises(NonTerminationError):
-        resolve(load_cover("prop51"), max_rounds=1)
+def test_resolve_round_budget_error(monkeypatch):
+    # prop51's tacnode takes two rounds: a budget of one ends in the error
+    # the command line prints, naming the point of the second round
+    import planecover.normalize as normalize_mod
+
+    monkeypatch.setattr(normalize_mod, "MAX_ROUNDS", 1)
+    with pytest.raises(NonTerminationError) as exc:
+        resolve(load_cover("prop51"))
+    message = str(exc.value)
+    assert message.startswith("resolution did not finish within 1 rounds; still singular at ")
+    assert [record.round for record in exc.value.trail] == [1]
 
 
 def test_resolve_handles_residual_same_inertia_points():
@@ -524,7 +534,7 @@ def _resolve_round_models(cover):
     models = [normalize(cover)]
 
     def spy(current, *points, crossings=()):
-        pulled = pull_back(current, *points, crossings=crossings)
+        pulled = blow_up_model(current, *points, crossings=crossings)
         marked = add_marked_points(current, [(name, None, mults) for name, mults in crossings])
         models.extend([marked, pulled])
         return pulled
@@ -532,7 +542,7 @@ def _resolve_round_models(cover):
     try:
         reference_stepwise_resolve(cover, pull_back=spy)
     except NonTerminationError:
-        pass  # two curves crossing more than max_rounds times: one crossing per round
+        pass  # two curves crossing more than MAX_ROUNDS times: one crossing per round
     return models
 
 
@@ -662,10 +672,14 @@ def _outcome(function, *args, **kwargs):
 
 
 def _pull_back_or_reference(cover, points, crossings):
-    return (
-        _outcome(pull_back, cover, *points, crossings=crossings),
-        _outcome(marked_total_transform_pull_back, cover, *points, crossings=crossings),
+    """``pull_back`` at the points, or ``blow_up`` with the crossings too,
+    and the reference."""
+    got = (
+        _outcome(blow_up_model, cover, *points, crossings=crossings)
+        if crossings
+        else _outcome(pull_back, cover, *points)
     )
+    return got, _outcome(marked_total_transform_pull_back, cover, *points, crossings=crossings)
 
 
 def _plane_inputs():
@@ -677,7 +691,7 @@ def _plane_inputs():
 
 
 def _resolve_inputs():
-    """(model, max_rounds): the plane inputs, seeded random covers, and line
+    """(model, budget): the plane inputs, seeded random covers, and line
     and Ceva arrangements."""
     from test_invariants import ceva_arrangement, line_arrangement
 
@@ -702,15 +716,15 @@ def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(mon
 
     def recording(cover, *points, crossings=()):
         calls.append((cover, points, tuple(crossings)))
-        return pull_back(cover, *points, crossings=crossings)
+        return blow_up_model(cover, *points, crossings=crossings)
 
     def recording_move(cover, *based):
         moves.append((cover, based))
         return quadratic_move(cover, *based)
 
     monkeypatch.setattr(classify_mod, "quadratic_move", recording_move)
-    for model, max_rounds in _resolve_inputs():
-        _outcome(reference_stepwise_resolve, model, max_rounds, pull_back=recording)
+    for model, budget in _resolve_inputs():
+        _outcome(reference_stepwise_resolve, model, budget, pull_back=recording)
     for model in _plane_inputs():
         _outcome(reference_cremona_reduce, model)
     monkeypatch.undo()
@@ -803,15 +817,15 @@ def test_pull_back_equals_normalized_total_transform_on_random_calls():
 def test_resolve_matches_reference_loop():
     # the same cover, rounds and trail, or the same NonTerminationError and trail
     failures = 0
-    for model, max_rounds in _resolve_inputs():
-        got = _outcome(resolve, model, max_rounds)
-        assert got == _outcome(reference_resolve, model, max_rounds)
+    for model, budget in _resolve_inputs():
+        got = _outcome(resolve_within, model, budget)
+        assert got == _outcome(reference_resolve, model, budget)
         failures += isinstance(got, tuple)
     assert failures >= 2
 
 
 def _stepwise_inputs():
-    """(model, max_rounds): the plane inputs and the arrangements of
+    """(model, budget): the plane inputs and the arrangements of
     ``_resolve_inputs``, and 300 seeded random covers, each with a budget of
     6 and of 20 rounds."""
     rng = random.Random(6060)
@@ -824,9 +838,9 @@ def test_resolve_matches_the_stepwise_reference():
     # the rounds chained on records give the model, rounds and trail of the
     # loop that built a model per round, or the same NonTerminationError
     outcomes = Counter()
-    for model, max_rounds in _stepwise_inputs():
-        got = _outcome(resolve, model, max_rounds)
-        assert got == _outcome(reference_stepwise_resolve, model, max_rounds)
+    for model, budget in _stepwise_inputs():
+        got = _outcome(resolve_within, model, budget)
+        assert got == _outcome(reference_stepwise_resolve, model, budget)
         outcomes[got.rounds if isinstance(got, ResolveResult) else got[0]] += 1
     assert outcomes[NonTerminationError] >= 50
     assert all(outcomes[rounds] >= 20 for rounds in (0, 1, 2)), outcomes
@@ -850,9 +864,9 @@ def test_resolve_builds_no_model_and_its_cover_once(monkeypatch):
     inputs.append((line_arrangement(8), 6))
     monkeypatch.setattr(CoverModel, "__post_init__", counting)
     seen = Counter()
-    for model, max_rounds in inputs:
+    for model, budget in inputs:
         builds.clear()
-        got = _outcome(resolve, model, max_rounds)
+        got = _outcome(resolve_within, model, budget)
         assert builds == []
         if isinstance(got, ResolveResult):
             cover = got.cover
@@ -877,6 +891,6 @@ def test_every_resolve_output_passes_the_reference_smoothness_check():
     models += [random_valid_cover(rng) for _ in range(200)]
     assert len(models) == 336
     for model in models:
-        resolved = resolve(model, max_rounds=30).cover
+        resolved = resolve_within(model, 30).cover
         assert singularity_reference(resolved) is None
         assert all(point_is_ripe(resolved, m.name) for m in resolved.marked)
