@@ -11,7 +11,11 @@ A ``CoverModel`` is the validated type at the boundary: a document, a plane
 configuration, a matcher's argument and a reduction's result.  Inside, the
 engine works on a ``ModelRecord``, the model as plain dicts: ``resolve``,
 the matchers, the Cremona recipes, the invariant report and the census
-read and chain records and build no model.  Each index over a model has
+read and chain records and build no model.  New points enter a record by
+one function, ``mark_points``, which claims each name before it reads the
+curves through the point; the Cremona recipes mark their auxiliary points
+with it, and a resolve's crossings are marked with it only when its
+resolved model is asked for.  Each index over a model has
 one implementation, on a record's maps, next to ``ModelRecord``: the
 curves through each point (``curves_through``), the points infinitely near
 each point (``children_by_parent``), each curve's carrier (``carriers``),
@@ -479,7 +483,12 @@ def mark_points(
     in_use = names_in_use(record)
     for name, parent, at in points:
         at = dict(at or {})
-        claim_point(name, at, in_use, mults)
+        if name in in_use:
+            raise DomainError(f"point name {name!r} is already in use")
+        unknown = sorted(at.keys() - mults.keys())
+        if unknown:
+            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
+        in_use.add(name)
         for cid in exceptional.get(parent, ()):
             at.setdefault(cid, 1)
         for cid, m in at.items():
@@ -489,20 +498,6 @@ def mark_points(
             mults[cid].append((name, m))
         marked[name] = Center(name, parent)
     return record._replace(marked=marked, mults=mults)
-
-
-def claim_point(name: str, at: Mapping[str, int], in_use: set[str], curves: Mapping) -> None:
-    """Claim a new point through the curves ``at`` names: add its name to
-    ``in_use``.  DomainError when the name is in use already, else
-    DanglingReferenceError when ``at`` names a curve that is not in
-    ``curves``."""
-    if name in in_use:
-        raise DomainError(f"point name {name!r} is already in use")
-    for cid in at:  # a loop: faster than a subset test of two keys views
-        if cid not in curves:
-            unknown = sorted(at.keys() - curves.keys())
-            raise DanglingReferenceError(f"unknown components in mults: {unknown}")
-    in_use.add(name)
 
 
 def surface_of(record: ModelRecord) -> BlownPlane:

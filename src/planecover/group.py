@@ -167,6 +167,7 @@ def _extend(basis: list[int], m: int) -> bool:
 
 def _basis(els: Iterable[GroupElement], r: int) -> list[int]:
     """An echelon basis of the span of elements of rank r, as masks."""
+    _check_rank(r)
     basis: list[int] = []
     for g in els:
         if g.r != r:

@@ -25,8 +25,8 @@ rationality, by Castelnuovo) when it cannot be effective: negative degree,
 or a negative multiple of an exceptional class.
 
 ``invariant_report`` builds no model, no K, no [D_g] and no intersection:
-one sweep over the nonzero coefficients of the curves of the resolved
-record (``cover.branch_classes``) gives each D_g, the sum of the curves with
+one sweep over the nonzero coefficients of the curves of the record before
+the crossing rounds (``cover.branch_classes``) gives each D_g, the sum of the curves with
 carrier g (so sum D_g^2), and D, and the curves give sum C_i^2.  Parity is
 read off the D_g (``cover.odd_character``): mod 2, the XOR of the g whose
 D_g has an odd coefficient at a slot is that of the carriers of the curves
@@ -50,14 +50,25 @@ D.K - N and N = (D^2 - sum C_i^2) / 2, since D = sum C_i on a normalized
 model; both sides are compared times 4, which makes them integers for r = 1
 too.  This is not a second computation of chi: chi, K_S^2 and N are read
 from the same classes, and the algebra gives 12 chi - K_S^2 - e(S) = 2^r
-(3/4) sum C_i.C_j over the pairs of components of one inertia.  So the
-check holds exactly when those pairs have zero total intersection, which
-``resolve`` establishes before it returns; it guards the hypothesis of the
+(3/4) sum C_i.C_j over the pairs of components of one inertia.  On a smooth
+model that sum is 0; the report reads the record before the crossing
+rounds, where it is the sum of the residual crossing numbers of
+``normalize.singular_residual_pairs``, one per crossing ``resolve`` counted.
+Blowing up such a crossing, a node of one D_g, changes neither chi nor
+K^2: the exceptional curve leaves the branch (inertia g + g = 0), D_g^2 and
+D^2 fall by 4, D.K rises by 2, and K + D/2 pulls back to itself, so B
+keeps its coefficients and gets 0 at the new slot.  It lowers that
+pair's C_i.C_j by 1 and raises e(S) by 3 * 2^(r-2).  So the check adds
+3 * 2^r per crossing to 4 e(S): it holds exactly when the classes and the
+pair search's residual counts agree, and it guards the hypothesis of the
 chi formula, not its arithmetic.
 
 The chi formula holds only on a smooth model, so ``invariant_report``
 takes a ``ResolveResult``: ``resolve`` returns one only for a model it has
-proven smooth, and nothing here checks smoothness again.  K^2 and the
+proven smooth once its crossings are blown up, and nothing here checks
+smoothness again.  The report's numbers are those of that resolved model;
+its bicanonical class and its surface are on the resolved surface, the
+record's blown up at the crossings.  K^2 and the
 bicanonical class are defined on every model, so ``canonical_square`` and
 ``bicanonical_pullback`` take any ``CoverModel``.  They share the report's
 sweep, over the model's branch entries (``cover.model_entries``): a curve
@@ -68,10 +79,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverModel, branch_classes, model_entries, surface_of
+from .cover import CoverModel, branch_classes, model_entries
 from .cover import odd_character, raise_odd_character
 from .errors import DomainError, InconsistencyError
-from .lattice import BlownPlane, DivisorClass
+from .lattice import BlownPlane, Center, DivisorClass
 from .normalize import ResolveResult
 
 
@@ -100,7 +111,7 @@ class InvariantReport:
 
 def canonical_square(cover: CoverModel) -> int:
     """K^2 of the covering surface over the current model."""
-    _, b2, _ = _bicanonical(cover.surface, branch_classes(model_entries(cover))[1])
+    _, b2, _ = _bicanonical(cover.surface.rank, branch_classes(model_entries(cover))[1])
     return _k_squared(cover.r, b2)
 
 
@@ -113,22 +124,24 @@ def _k_squared(r: int, bicanonical_square: int) -> int:
 
 def bicanonical_pullback(cover: CoverModel) -> DivisorClass:
     """The base class 2K + sum D_g, whose pullback is 2K of the cover."""
-    return _bicanonical(cover.surface, branch_classes(model_entries(cover))[1])[0]
+    support, _, _ = _bicanonical(cover.surface.rank, branch_classes(model_entries(cover))[1])
+    return DivisorClass.from_support(cover.surface, support)
 
 
-def _bicanonical(surface: BlownPlane, total: dict[int, int]) -> tuple[DivisorClass, int, int]:
-    """B = 2K + D, formed slot by slot from the coefficients of D, with B^2
-    and B.K read as it is formed."""
+def _bicanonical(rank: int, total: dict[int, int]) -> tuple[dict[int, int], int, int]:
+    """The nonzero coefficients of B = 2K + D on the plane blown up
+    rank - 1 times, formed slot by slot from those of D, with B^2 and B.K
+    read as it is formed."""
     b0 = total.get(0, 0) - 6
     support = {0: b0} if b0 else {}
     b2, bk = b0 * b0, -3 * b0
-    for slot in range(1, surface.rank):
+    for slot in range(1, rank):
         b = total.get(slot, 0) + 2
         if b:
             support[slot] = b
             b2 -= b * b
             bk -= b
-    return DivisorClass.from_support(surface, support), b2, bk
+    return support, b2, bk
 
 
 def _negative_exceptional_multiple(cls: DivisorClass) -> bool:
@@ -151,18 +164,19 @@ def _verdict(chi: int, bicanonical: DivisorClass) -> tuple[str, tuple[str, ...]]
 
 def invariant_report(resolved: ResolveResult) -> InvariantReport:
     """Every invariant of the model ``resolve`` returned, read in one sweep
-    over the coefficients of the curves of its record (formulas in the
-    module docstring) and checked by Noether's formula; the verdict is
-    conservative: "rational" or "inconclusive", never "irrational"."""
-    record = resolved.record
-    r, surface = record.r, surface_of(record)
+    over the coefficients of the curves of its record before the crossing
+    rounds (formulas in the module docstring) and checked by Noether's
+    formula with the crossings counted; the verdict is conservative:
+    "rational" or "inconclusive", never "irrational"."""
+    record, crossings = resolved.record, resolved.crossings
+    r, rank = record.r, 1 + len(record.centers)
     coeffs = record.coeffs
     by_g, total = branch_classes((g, 1, coeffs[cid]) for cid, g in record.carrier.items())
     raise_odd_character(odd_character(r, by_g.items()))
     c2 = sum(_square(coeffs[cid]) for cid in record.carrier)  # sum C_i^2
     squares = sum(_square(d_g) for d_g in by_g.values())  # sum D_g^2
-    bicanonical, b2, bk = _bicanonical(surface, total)
-    k2 = 10 - surface.rank  # K^2 = 9 - n on the plane blown up n times
+    support, b2, bk = _bicanonical(rank, total)
+    k2 = 10 - rank  # K^2 = 9 - n on the plane blown up n times
     dk = bk - 2 * k2
     d2 = b2 - 4 * k2 - 4 * dk
     num = 2**r * (d2 + squares + 4 * dk)
@@ -170,7 +184,10 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
         raise InconsistencyError("building data give a non-integral Euler characteristic")
     chi = 2**r + num // 32
     k_squared = _k_squared(r, b2)
-    _check_noether(r, surface.rank, chi, k_squared, d2, dk, c2)
+    _check_noether(r, rank, chi, k_squared, d2, dk, c2, len(crossings))
+    # B has coefficient 2 - 1 - 1 = 0 at each crossing, so it keeps its support
+    surface = BlownPlane((*record.centers, *(Center(name) for name, _, _ in crossings)))
+    bicanonical = DivisorClass.from_support(surface, support)
     verdict, notes = _verdict(chi, bicanonical)
     return InvariantReport(
         chi=chi,
@@ -188,15 +205,18 @@ def _square(support: dict[int, int]) -> int:
 
 
 def _check_noether(
-    r: int, rank: int, chi: int, k_squared: int, d2: int, dk: int, c2: int
+    r: int, rank: int, chi: int, k_squared: int, d2: int, dk: int, c2: int, crossings: int
 ) -> None:
     """InconsistencyError unless 4 * 12 chi = 4 (K^2 + e(S)) on the smooth
-    model, that is, unless the components of each inertia have zero total
-    intersection (module docstring); c2 is sum C_i^2."""
+    model, read on the record before the crossing rounds: the crossings add
+    3 * 2^r each to 4 e(S), which must make up exactly for the total
+    intersection of the components of each inertia (module docstring); c2
+    is sum C_i^2."""
     nodes = (d2 - c2) // 2  # D = sum C_i on a normalized model, so d2 - c2 is even
     e_y = 2 + rank
     e_d = -c2 - dk - nodes
-    four_e = 2 ** (r + 2) * (e_y - e_d) + 2 ** (r + 1) * (e_d - nodes) + 2**r * nodes
+    four_e = 2 ** (r + 2) * (e_y - e_d) + 2 ** (r + 1) * (e_d - nodes)
+    four_e += 2**r * (nodes + 3 * crossings)
     if 48 * chi != 4 * k_squared + four_e:
         raise InconsistencyError(
             f"Noether's formula fails: 4 * 12 chi = {48 * chi} "

@@ -21,9 +21,12 @@ plain dicts, and returns one, so blow-ups and Cremona moves chain on
 records: ``cover.to_record`` reads a model, ``cover.mark_points`` adds
 marked points, and ``cover.build_model`` builds a model from a record.
 ``pull_back`` is one ``blow_up`` between the two.  ``resolve`` chains its
-rounds the same way: it reads the normalized input once, makes each round
-one ``blow_up`` (the crossings it finds included), decides smoothness on the
-record, and returns the record of its last round; the resolved model is
+rounds at marked points the same way: it reads the normalized input once,
+makes each such round one ``blow_up`` and decides smoothness on the record.
+The crossings of two curves of one inertia it counts instead, from one pair
+search: they are A1 points of the cover, whose blow-ups change neither chi
+nor K^2.  It returns the record before the crossing rounds with the
+crossings beside it; the resolved model, with every crossing blown up, is
 built only when a caller asks for ``ResolveResult.cover``.
 
 Singularity detection is combinatorial on declared incidence data: a point
@@ -44,11 +47,11 @@ from .cover import (
     build_model,
     carriers,
     children_by_parent,
-    claim_point,
     curves_through,
-    pair_sums,
     fresh_names,
+    mark_points,
     names_in_use,
+    pair_sums,
     to_record,
 )
 from .errors import (
@@ -104,20 +107,8 @@ def pull_back(cover: CoverModel, *points: str) -> CoverModel:
     return build_model(blow_up(to_record(cover), *points))
 
 
-def blow_up(
-    record: ModelRecord,
-    *points: str,
-    crossings: Iterable[tuple[str, Mapping[str, int]]] = (),
-) -> ModelRecord:
-    """The blow-ups of ``pull_back``, same errors, on a record, then those
-    at new crossing points.
-
-    ``crossings`` are ``(name, {cid: m})`` pairs: points not marked on the
-    record, with the multiplicities of the curves through them (``{cid: 1}``
-    for a transversal crossing).  They are blown up after ``points``, in the
-    order given, as if ``mark_points`` had marked them first, and each is
-    claimed as it claims a point (``claim_point``); a multiplicity below 1
-    is reported only once every crossing is claimed.
+def blow_up(record: ModelRecord, *points: str) -> ModelRecord:
+    """The blow-ups of ``pull_back``, same errors, on a record.
 
     Each curve goes straight into its carrier, the one D_g that normalization
     leaves it in (see ``normalize``): a component's carrier is the XOR of the
@@ -133,24 +124,13 @@ def blow_up(
     slot.  The cost follows the number of incidences and nonzero
     coefficients, not the Picard rank.
     """
+    if not points:
+        raise DomainError("pull_back needs at least one point")
     marked = dict(record.marked)
     centers = list(record.centers)
     center_names = {c.name for c in centers}
     through = curves_through(record.mults.items())
-    curves, in_use = record.coeffs, names_in_use(record)
-    new: list[str] = []
-    low: list[str] = []
-    for name, mults in crossings:
-        claim_point(name, mults, in_use, curves)
-        through[name] = at = mults.items()
-        for cid, m in at:
-            if m < 1:
-                low.append(cid)
-        new.append(name)
-    if low:
-        raise DomainError(f"component {min(low)!r} has a multiplicity below 1")
-    if not points and not new:
-        raise DomainError("pull_back needs at least one point")
+    in_use = names_in_use(record)
 
     # every curve some D_g holds, with the bit mask of its carrier (0 when the
     # XOR cancels); a curve with carrier 0 is not kept, but its exceptional
@@ -163,7 +143,7 @@ def blow_up(
     coeffs = {cid: dict(record.coeffs[cid]) for cid, g in carrier.items() if g}
     kept = {cid: record.kept[cid] for cid in coeffs}
     children = children_by_parent(marked)
-    for point in (*points, *new):
+    for point in points:
         if point in marked:
             center = marked.pop(point)
             if center.parent is not None and center.parent not in center_names:
@@ -271,16 +251,15 @@ def singular_points(record: ModelRecord) -> list[str]:
     ]
 
 
-def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
-    """Pairs of same-inertia curves crossing at undeclared points.
-
-    The residual crossing number of curves a and b is
+def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str, int]]:
+    """The pairs of same-inertia curves crossing at undeclared points, each
+    as ``(a, b, residual)``: its residual crossing number
 
         C_a.C_b - sum of m_a*m_b over the marked points both pass through,
-        C_a.C_b = d_a*d_b - sum of a_i*b_i over the exceptional slots both use,
+        C_a.C_b = d_a*d_b - sum of a_i*b_i over the exceptional slots both use.
 
-    and a pair is singular when its residual is at least 1 and both carry
-    the same inertia element.  A pair that shares no slot and no marked point
+    A pair is singular when its residual is at least 1 and both carry the
+    same inertia element.  A pair that shares no slot and no marked point
     has residual d_a*d_b >= 0, so only pairs sharing something are computed,
     and each raises InconsistencyError when its residual is negative.
 
@@ -317,7 +296,7 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
     n = len(cids)
     shared = pair_sums(through.values(), n)
     degree = [record.coeffs[cid].get(0, 0) for cid in cids]
-    pairs = []
+    pairs = []  # (key, residual)
     over = []
     for key, total in shared.items():
         i, j = divmod(key, n)
@@ -325,7 +304,7 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
         if residual < 0:
             over.append(key)
         elif residual and inertia[i] == inertia[j]:
-            pairs.append(key)
+            pairs.append((key, residual))
     if over:
         i, j = divmod(min(over), n)
         raise InconsistencyError(
@@ -341,8 +320,8 @@ def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str]]:
             base = i * n
             for j in members[a + 1 :]:
                 if base + j not in shared:
-                    pairs.append(base + j)
-    return [(cids[key // n], cids[key % n]) for key in sorted(pairs)]
+                    pairs.append((base + j, degree[i] * degree[j]))
+    return [(cids[key // n], cids[key % n], residual) for key, residual in sorted(pairs)]
 
 
 # -- resolution --------------------------------------------------------------
@@ -363,41 +342,44 @@ class RoundRecord:
 class ResolveResult:
     """A smooth model, as ``resolve`` proved it, with the rounds it took.
 
-    ``record`` is the record of the last round, normalized: each curve lies
-    in the D_g of its carrier, once.  ``normalized`` is the normalized input.
-    ``cover`` is built on first use, from ``record`` by ``build_model``;
-    with no round taken, it is ``normalized`` itself.
+    ``record`` is the record after the rounds at marked points, normalized:
+    each curve lies in the D_g of its carrier, once.  ``crossings`` are the
+    points of the crossing rounds as ``(name, a, b)``, in center order: the
+    resolved surface is the surface of ``record`` blown up at them, and a
+    and b are the two curves of one inertia that cross there.
+    ``normalized`` is the normalized input.  ``cover`` is built on first
+    use: ``mark_points`` marks the crossings on ``record``, one ``blow_up``
+    takes them, and ``build_model`` builds the result; with no round taken,
+    it is ``normalized`` itself.
     """
 
     record: ModelRecord
+    crossings: tuple[tuple[str, str, str], ...]
     rounds: int
     trail: tuple[RoundRecord, ...]
     normalized: CoverModel = field(compare=False, repr=False)
 
     @cached_property
     def cover(self) -> CoverModel:
-        return build_model(self.record) if self.rounds else self.normalized
+        if not self.rounds:
+            return self.normalized
+        record = self.record
+        if self.crossings:
+            marks = [(name, None, {a: 1, b: 1}) for name, a, b in self.crossings]
+            record = blow_up(mark_points(record, marks), *(name for name, _, _ in self.crossings))
+        return build_model(record)
 
 
 def _round_diff(before: ModelRecord, after: ModelRecord):
-    """The diff of a ``RoundRecord``, read off the carriers of two normalized
-    records: a curve is added to the D_g of its new carrier and removed from
-    that of its old one when the two differ."""
+    """The diff of a ``RoundRecord``, read off the curves a round adds: a
+    blow-up keeps every curve of a normalized record with its carrier, so
+    no round removes a curve from a D_g."""
     added: dict[int, list[str]] = {}
-    removed: dict[int, list[str]] = {}
     for cid, g in after.carrier.items():
-        if before.carrier.get(cid) != g:
+        if cid not in before.carrier:
             added.setdefault(g, []).append(cid)
-    for cid, g in before.carrier.items():
-        if after.carrier.get(cid) != g:
-            removed.setdefault(g, []).append(cid)
     return tuple(
-        (
-            str(GroupElement._of(before.r, g)),
-            tuple(sorted(added.get(g, ()))),
-            tuple(sorted(removed.get(g, ()))),
-        )
-        for g in sorted(added.keys() | removed.keys())
+        (str(GroupElement._of(before.r, g)), tuple(sorted(added[g])), ()) for g in sorted(added)
     )
 
 
@@ -405,53 +387,68 @@ def _round_diff(before: ModelRecord, after: ModelRecord):
 MAX_ROUNDS = 6
 
 
+def _give_up(blown: Iterable[str], trail: list[RoundRecord]) -> NonTerminationError:
+    """The error of a round past the budget, naming its points (in name order)."""
+    return NonTerminationError(
+        f"resolution did not finish within {MAX_ROUNDS} rounds; "
+        f"still singular at {', '.join(blown)}",
+        trail=tuple(trail),
+    )
+
+
 def resolve(cover: CoverModel) -> ResolveResult:
     """Blow up singular points until smooth, in at most ``MAX_ROUNDS`` rounds.
 
     Each round blows up every currently visible singular point (a child
     point only becomes visible once its parent is a center), so a tacnode
-    takes two rounds while two separate triple points take one.  When no
-    marked point is singular, the round blows up one new point ``sing<n>``
-    per same-inertia pair crossing off the marked points, passed to
-    ``blow_up`` as crossings in name order.
+    takes two rounds while two separate triple points take one.  These
+    rounds chain on records: the normalized input is read once by
+    ``to_record`` and each round is one ``blow_up``.
 
-    The rounds chain on records: the normalized input is read once by
-    ``to_record`` and each round is one ``blow_up``.  The result holds the
-    record of the last round and builds no model; its ``cover`` is built on
-    first use (see ``ResolveResult``).
+    When no marked point is singular, the crossings are counted, not blown
+    up: one pair search gives each same-inertia pair with its residual
+    crossing number, and crossing round j takes one new point ``sing<n>``
+    per pair whose residual is at least j.  The names come from one
+    ``fresh_names`` call, in pair order round after round, and each round
+    lists its points in name order, the order its blow-ups take.  A
+    crossing is an A1 point of the cover, whose resolution changes neither
+    chi nor K^2, so the result keeps the record before the crossing rounds
+    and the crossings beside it (see ``ResolveResult``); a crossing round
+    adds no curve to any D_g.
 
     This is the one place smoothness is decided: the loop returns only when
-    no ripe marked point is singular and no same-inertia pair crosses off
-    the marked points.  An unripe point is then smooth too: by proximity its
-    curves pass through its parent with at least its multiplicity, and a
-    smooth parent shares none of its directions between two curves.
+    no ripe marked point is singular and every same-inertia crossing off the
+    marked points is counted.  An unripe point is then smooth too: by
+    proximity its curves pass through its parent with at least its
+    multiplicity, and a smooth parent shares none of its directions between
+    two curves.
     """
     current = normalize(cover)
     record = to_record(current)
     rounds = 0
     trail: list[RoundRecord] = []
-    while True:
-        singulars = singular_points(record)
-        crossings: dict[str, dict[str, int]] = {}
-        if not singulars:
-            pairs = singular_residual_pairs(record)
-            if not pairs:
-                break
-            names = fresh_names(record, "sing", len(pairs))
-            crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
-            singulars = names
+    while singulars := singular_points(record):
         if rounds >= MAX_ROUNDS:
-            raise NonTerminationError(
-                f"resolution did not finish within {MAX_ROUNDS} rounds; "
-                f"still singular at {', '.join(sorted(singulars))}",
-                trail=tuple(trail),
-            )
+            raise _give_up(singulars, trail)
         rounds += 1
-        blown = tuple(sorted(singulars))
-        if crossings:
-            after = blow_up(record, crossings=[(name, crossings[name]) for name in blown])
-        else:
-            after = blow_up(record, *blown)
-        trail.append(RoundRecord(rounds, blown, _round_diff(record, after)))
+        after = blow_up(record, *singulars)
+        trail.append(RoundRecord(rounds, tuple(singulars), _round_diff(record, after)))
         record = after
-    return ResolveResult(record, rounds, tuple(trail), current)
+    pairs = singular_residual_pairs(record)
+    if not pairs:
+        return ResolveResult(record, (), rounds, tuple(trail), current)
+    # the crossing rounds up to the first one past the budget, which names its points
+    budget = MAX_ROUNDS - rounds + 1
+    names = iter(fresh_names(record, "sing", sum(min(k, budget) for _, _, k in pairs)))
+    crossings: list[tuple[str, str, str]] = []
+    for j in range(1, budget + 1):
+        batch = sorted((next(names), a, b) for a, b, k in pairs if k >= j)
+        if not batch:
+            break
+        blown = tuple(name for name, _, _ in batch)
+        if rounds >= MAX_ROUNDS:
+            raise _give_up(blown, trail)
+        rounds += 1
+        trail.append(RoundRecord(rounds, blown, ()))
+        crossings += batch
+    return ResolveResult(record, tuple(crossings), rounds, tuple(trail), current)

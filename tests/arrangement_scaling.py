@@ -1,12 +1,13 @@
 """Print how ``resolve`` + ``invariant_report`` scale on line arrangements.
 
-For k = 16, 32, 64: the 3k lines of an r = 2 cover, k in each D_g, with
-k declared triple points (line i of each D_g) and every other crossing
-general.  One line per k gives the Picard rank of the resolved surface and
-the best of five times of ``resolve`` followed by ``invariant_report``;
-the last line gives the least-squares slope of log(time) against log(k).
-The rank grows as k^2, so a cost linear in the Picard rank shows as a slope
-near 2.
+For k = 16, 32, 64, 128: the 3k lines of an r = 2 cover, k in each D_g,
+with k declared triple points (line i of each D_g) and every other
+crossing general.  One line per k gives the Picard rank of the resolved
+surface, the number of crossings ``resolve`` counted (3 * k(k-1)/2, each
+a center of that surface), and the best of five times of ``resolve``
+followed by ``invariant_report``; the last line gives the least-squares
+slope of log(time) against log(k).  The rank grows as k^2, so a cost
+linear in the Picard rank shows as a slope near 2.
 
     python3 tests/arrangement_scaling.py
 
@@ -28,7 +29,7 @@ from planecover.cover import plane_cover  # noqa: E402
 from planecover.invariants import invariant_report  # noqa: E402
 from planecover.normalize import resolve  # noqa: E402
 
-KS = (16, 32, 64)
+KS = (16, 32, 64, 128)
 REPEATS = 5
 
 
@@ -39,8 +40,9 @@ def line_arrangement(k: int):
     return plane_cover(2, comps, branch, marked=[(f"t{i}", None) for i in range(k)])
 
 
-def best_time(k: int) -> tuple[int, float]:
-    """(Picard rank, best of ``REPEATS`` times in seconds) for one k."""
+def best_time(k: int) -> tuple[int, int, float]:
+    """(resolved Picard rank, crossings, best of ``REPEATS`` times in
+    seconds) for one k."""
     model = line_arrangement(k)
     best = math.inf
     for _ in range(REPEATS):
@@ -48,7 +50,8 @@ def best_time(k: int) -> tuple[int, float]:
         result = resolve(model)
         invariant_report(result)
         best = min(best, time.perf_counter() - start)
-    return len(result.record.centers) + 1, best
+    crossings = len(result.crossings)
+    return 1 + len(result.record.centers) + crossings, crossings, best
 
 
 def slope(xs: list[float], ys: list[float]) -> float:
@@ -60,9 +63,12 @@ def slope(xs: list[float], ys: list[float]) -> float:
 def main() -> int:
     times = []
     for k in KS:
-        rank, seconds = best_time(k)
+        rank, crossings, seconds = best_time(k)
         times.append(seconds)
-        print(f"k={k:3d}  picard_rank={rank:5d}  best_of_{REPEATS}_s={seconds:.4f}")
+        print(
+            f"k={k:3d}  picard_rank={rank:5d}  crossings={crossings:5d}  "
+            f"best_of_{REPEATS}_s={seconds:.4f}"
+        )
     fit = slope([math.log(k) for k in KS], [math.log(t) for t in times])
     print(f"log-log slope in k: {fit:.2f}")
     return 0

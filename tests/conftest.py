@@ -19,7 +19,6 @@ from planecover.cover import (
     ModelRecord,
     add_marked_point,
     add_marked_points,
-    build_model,
     carriers,
     check_parity,
     derive_building_data,
@@ -45,7 +44,6 @@ from planecover.lattice import Center, DivisorClass
 from planecover.normalize import (
     ResolveResult,
     RoundRecord,
-    blow_up,
     normalize,
     pull_back,
     resolve,
@@ -113,8 +111,9 @@ def normalize_by_moves(cover, rng):
 def dense_singular_residual_pairs(cover):
     """Reference for ``normalize.singular_residual_pairs``: every pair of
     components, intersected over the full dense coefficient tuples, minus
-    m_a*m_b at every marked point, validated and then kept when both carry
-    the same inertia element and the residual is at least 1."""
+    m_a*m_b at every marked point, validated and then kept, with that
+    residual, when both carry the same inertia element and the residual is
+    at least 1."""
     pairs = []
     comps = list(cover.components)
     for i, a in enumerate(comps):
@@ -130,7 +129,7 @@ def dense_singular_residual_pairs(cover):
                     "exceed their intersection number"
                 )
             if same and total >= 1:
-                pairs.append((a.cid, b.cid))
+                pairs.append((a.cid, b.cid, total))
     return pairs
 
 
@@ -778,12 +777,6 @@ def total_transform_pull_back(cover, *points):
     )
 
 
-def blow_up_model(cover, *points, crossings=()):
-    """The model of ``blow_up`` on the record of ``cover``: ``pull_back``
-    at the points, then at the crossings."""
-    return build_model(blow_up(to_record(cover), *points, crossings=crossings))
-
-
 def resolve_within(cover, rounds):
     """``resolve`` with a budget of ``rounds`` rounds: ``normalize.MAX_ROUNDS``
     is patched for the one call."""
@@ -792,9 +785,9 @@ def resolve_within(cover, rounds):
 
 
 def marked_total_transform_pull_back(cover, *points, crossings=()):
-    """Reference for ``blow_up_model(cover, *points, crossings=...)``: mark
-    the crossings, pull back at the points and then at the crossings by
-    total transforms, and normalize."""
+    """Reference for ``pull_back`` at the points and then at the crossings,
+    ``(name, {cid: m})`` points not marked on ``cover``: mark the crossings,
+    pull back by total transforms, and normalize."""
     crossings = list(crossings)
     marked = add_marked_points(cover, [(name, None, mults) for name, mults in crossings])
     names = [name for name, _ in crossings]
@@ -861,7 +854,7 @@ def _reference_rounds(cover, budget, step):
             if not pairs:
                 break
             names = fresh_names(to_record(current), "sing", len(pairs))
-            crossings = {name: {a: 1, b: 1} for name, (a, b) in zip(names, pairs)}
+            crossings = {name: {a: 1, b: 1} for name, (a, b, _) in zip(names, pairs)}
             singulars = names
         if rounds >= budget:
             raise NonTerminationError(
@@ -874,19 +867,29 @@ def _reference_rounds(cover, budget, step):
         after = step(current, blown, crossings)
         trail.append(RoundRecord(rounds, blown, branch_diff(current, after)))
         current = after
-    return ResolveResult(to_record(current), rounds, tuple(trail), start)
+    # the record of the resolved model, with no crossing left to blow up
+    return ResolveResult(to_record(current), (), rounds, tuple(trail), start)
 
 
-def reference_stepwise_resolve(cover, budget=6, pull_back=blow_up_model):
+def resolved(outcome):
+    """What a resolve gives its caller, to compare the engine with the
+    references: the resolved model, the rounds and the trail of a
+    ``ResolveResult``; any other outcome, such as an error's, as it is."""
+    if isinstance(outcome, ResolveResult):
+        return outcome.cover, outcome.rounds, outcome.trail
+    return outcome
+
+
+def reference_stepwise_resolve(cover, budget=6, pull_back=pull_back):
     """Reference for ``normalize.resolve``: the loop as it was when every
-    round built its model, one ``blow_up_model`` per round.  A test may pass
-    its own ``pull_back``, of that signature, to see the model of every
-    round."""
+    round built its model, one ``pull_back`` per round, a crossing round
+    on the model with its crossings marked (``add_marked_points``).  A test
+    may pass its own ``pull_back``, of that signature, to see the model of
+    every round."""
 
     def step(current, blown, crossings):
-        if crossings:
-            return pull_back(current, crossings=[(name, crossings[name]) for name in blown])
-        return pull_back(current, *blown)
+        marks = [(name, None, crossings[name]) for name in blown if name in crossings]
+        return pull_back(add_marked_points(current, marks) if marks else current, *blown)
 
     return _reference_rounds(cover, budget, step)
 
@@ -913,7 +916,7 @@ def singularity_reference(cover):
             return reason
     pairs = singular_residual_pairs(to_record(cover))
     if pairs:
-        a, b = pairs[0]
+        a, b, _ = pairs[0]
         return f"{a} and {b} cross with equal inertia off declared points"
     return None
 

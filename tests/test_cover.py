@@ -36,10 +36,9 @@ from planecover.errors import (
 from planecover.group import Character, GroupElement
 from planecover.invariants import bicanonical_pullback, canonical_square, invariant_report
 from planecover.lattice import BlownPlane, Center, DivisorClass
-from planecover.normalize import ResolveResult, blow_up, pull_back, resolve
+from planecover.normalize import ResolveResult, pull_back, resolve
 
 from conftest import (
-    blow_up_model,
     check_prod_relations,
     FIXTURE_DIR,
     PERFBENCH_DIR,
@@ -619,7 +618,7 @@ def _report_parity(record):
     a hand-built result with this record, checking its text; None when it
     raises none."""
     try:
-        invariant_report(ResolveResult(record, 0, (), None))
+        invariant_report(ResolveResult(record, (), 0, (), None))
     except ParityError as exc:
         chi = exc.character
         assert str(exc) == f"branch data sum for character {chi} is not divisible by two"
@@ -696,7 +695,7 @@ def test_add_marked_points_rules_hold_per_point():
         with pytest.raises(DomainError, match="already in use"):
             add_marked_points(model, [("a", None, None), (name, None, None)])
         with pytest.raises(DomainError, match="already in use"):
-            blow_up(cov.to_record(model), crossings=[(name, {"conic": 1})])
+            cov.mark_points(cov.to_record(model), [(name, None, {"conic": 1})])
     with pytest.raises(DomainError):
         add_marked_points(model, [("a", None, None), ("a", None, None)])
     with pytest.raises(DanglingReferenceError):
@@ -776,19 +775,15 @@ def test_a_blown_up_marked_point_is_its_center():
 
 
 def models_pulled_back(monkeypatch, run):
-    """Every model that ``blow_up_model`` reads or returns while
-    ``run(pull_back)`` runs, each model with its crossing points marked, as
-    they are blown up, and every model that a quadratic move reads or
-    returns.  ``run`` resolves with ``reference_stepwise_resolve``, which
-    builds the model of every round, and passes it the recording
-    ``blow_up_model`` as its ``pull_back``."""
+    """Every model that ``pull_back`` reads or returns while
+    ``run(pull_back)`` runs, a crossing round's model with its crossing
+    points marked, and every model that a quadratic move reads or returns.
+    ``run`` resolves with ``reference_stepwise_resolve``, which builds the
+    model of every round, and passes it the recording ``pull_back``."""
     seen = []
 
-    def recording(cover, *points, crossings=()):
-        out = blow_up_model(cover, *points, crossings=crossings)
-        if crossings:
-            marks = [(name, None, mults) for name, mults in crossings]
-            seen.append(add_marked_points(cover, marks))
+    def recording(cover, *points):
+        out = pull_back(cover, *points)
         seen.extend((cover, out))
         return out
 

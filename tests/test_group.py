@@ -268,6 +268,10 @@ def test_elements_stay_frozen_and_keep_their_text():
         (lambda: GroupElement.parse("10101"), "rank must be between 1 and 4, got 5"),
         (lambda: group.zero(0), "rank must be between 1 and 4, got 0"),
         (lambda: list(group.elements(5)), "rank must be between 1 and 4, got 5"),
+        (lambda: group.span([], 0), "rank must be between 1 and 4, got 0"),
+        (lambda: group.span([], 5), "rank must be between 1 and 4, got 5"),
+        (lambda: group.complement_basis([], 5), "rank must be between 1 and 4, got 5"),
+        (lambda: group.rank([], 5), "rank must be between 1 and 4, got 5"),
     ],
 )
 def test_bad_bits_and_ranks_raise_the_same_domain_errors(make, message):

@@ -224,8 +224,9 @@ def test_line_arrangement_invariants(k, expected):
 
 
 def test_no_pair_search_after_resolve(monkeypatch):
-    # resolve's last round proves the model smooth with one pair search on
-    # its record; the invariants read its result and search no pair again
+    # resolve searches the pairs once, after its marked rounds, and counts
+    # its crossing rounds from that search; the invariants read its result
+    # and search no pair again
     import planecover.normalize as normalize_mod
 
     search = normalize_mod.singular_residual_pairs
@@ -240,9 +241,9 @@ def test_no_pair_search_after_resolve(monkeypatch):
     assert (len(table.rows), len(calls)) == (30, 30)
     calls.clear()
     result = resolve(line_arrangement(12))
-    assert (result.rounds, len(calls)) == (2, 2)
+    assert (result.rounds, len(calls)) == (2, 1)
     invariant_report(result)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # Closed forms, a second method for the r=2 arrangements (Hirzebruch 1983,
@@ -431,7 +432,7 @@ def doctored(model):
     """A hand-built ``ResolveResult`` for ``model``: ``invariant_report``
     reads the record ``to_record`` makes of it, the reference reads the
     model itself (its ``cover``, as no round was taken)."""
-    return ResolveResult(to_record(model), 0, (), model)
+    return ResolveResult(to_record(model), (), 0, (), model)
 
 
 def with_shifted_class(result, cid, shift):
@@ -594,44 +595,42 @@ def test_relabel_invariance_on_fixtures_and_census_patterns():
     assert relabelings == 580 and renamed >= 500
 
 
-def test_the_record_before_the_crossing_round_gives_the_report(monkeypatch):
-    # blowing up a transversal crossing of two curves of one D_g changes no
-    # number of the report (the exceptional curve leaves the branch, chi and
-    # B = 2K + D stay), so the report's formulas on the record before the
-    # first crossing round give the numbers of the resolved model; Noether's
-    # check is off for that record, which is not smooth yet
-    import planecover.invariants as invariants_mod
-    import planecover.normalize as normalize_mod
-
-    # the fixtures and the census candidates, and some line and Ceva
-    # arrangements, which have many crossings
+@functools.lru_cache(maxsize=None)
+def crossing_results():
+    """The results of ``resolve`` with a crossing round, on the fixtures,
+    the census candidates and the line and Ceva arrangements of the tests
+    here, which have many crossings: prop44_unreduced, the six pencil candidates with an odd
+    curve of multiplicity d - 1, the line arrangements and the odd Ceva
+    arrangements.  The d = 7 candidates with a 6-fold point take 7 rounds,
+    so the budget is 20."""
     models = [load_cover(name) for name in FIXTURE_NAMES]
     models += [m for r in (2, 3, 4) for m in census_candidates(r).values()]
-    models += [line_arrangement(k) for k in range(4, 9)]
-    models += [ceva_arrangement(k) for k in range(4, 8)]
-    # the d = 7 candidates with a 6-fold point take 7 rounds
-    monkeypatch.setattr(normalize_mod, "MAX_ROUNDS", 20)
-    first = []  # the record the first crossing round of a resolve starts from
-    blow_up = normalize_mod.blow_up
+    models += [line_arrangement(k) for k in range(4, 17)]
+    models += [ceva_arrangement(k) for k in range(4, 11)]
+    results = (resolve_within(check_cover(normalize(model)), 20) for model in models)
+    crossed = tuple(result for result in results if result.crossings)
+    assert len(crossed) == 1 + 6 + 13 + 3
+    return crossed
 
-    def spy(record, *points, crossings=()):
-        if crossings and not first:
-            first.append(record)
-        return blow_up(record, *points, crossings=crossings)
 
-    monkeypatch.setattr(normalize_mod, "blow_up", spy)
-    pairs = []
-    for model in models:
-        first.clear()
-        result = resolve(check_cover(normalize(model)))
-        if first:
-            pairs.append((first[0], invariant_report(result)))
-    monkeypatch.setattr(invariants_mod, "_check_noether", lambda *numbers: None)
-    for record, report in pairs:
-        early = invariant_report(ResolveResult(record, 0, (), None))
-        assert len(early.surface_centers) < len(report.surface_centers)
-        assert early.chi == report.chi and early.k_squared == report.k_squared
-        assert early.bicanonical_pullback.support == report.bicanonical_pullback.support
-    # prop44_unreduced, the six pencil candidates with an odd curve of
-    # multiplicity d - 1, the line arrangements and the odd Ceva arrangements
-    assert len(pairs) == 1 + 6 + 5 + 2
+def test_the_record_before_the_crossing_round_gives_the_report():
+    # blowing up a transversal crossing of two curves of one D_g changes no
+    # number of the report (the exceptional curve leaves the branch, chi and
+    # B = 2K + D stay), so the report, read on the record before the
+    # crossing rounds, equals the reference report on the resolved model,
+    # which has every crossing blown up; B lives on the resolved surface
+    for result in crossing_results():
+        report = invariant_report(result)
+        assert report == reference_invariant_report(result)
+        assert len(report.surface_centers) == len(result.record.centers) + len(result.crossings)
+        assert report.bicanonical_pullback.surface == result.cover.surface
+
+
+def test_noether_check_fails_without_the_crossing_term():
+    # on the record before the crossing rounds, Noether's formula holds only
+    # with the term 3 * 2^r per crossing: the same result with its crossings
+    # dropped fails the check, so the check ties the report to the pair
+    # search's residual counts
+    for result in crossing_results():
+        with pytest.raises(InconsistencyError, match="Noether's formula fails"):
+            invariant_report(replace(result, crossings=()))

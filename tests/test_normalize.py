@@ -13,6 +13,7 @@ from planecover.cover import (
     children_by_parent,
     curves_through,
     derive_building_data,
+    mark_points,
     plane_cover,
     to_record,
 )
@@ -38,7 +39,6 @@ from planecover.normalize import (
 
 from conftest import (
     FIXTURE_DIR,
-    blow_up_model,
     dense_singular_residual_pairs,
     embed,
     load_cover,
@@ -51,6 +51,7 @@ from conftest import (
     reference_singularity_over,
     reference_stepwise_resolve,
     resolve_within,
+    resolved,
     singularity_reference,
     strict_transform,
     total_transform_pull_back,
@@ -313,7 +314,7 @@ def test_residual_same_inertia_detection():
         [("A", 1, {}), ("B", 1, {}), ("Cc", 2, {})],
         {"10": [("A", 1), ("B", 1)], "01": [("Cc", 1)]},
     )
-    assert singular_residual_pairs(to_record(model)) == [("A", "B")]
+    assert singular_residual_pairs(to_record(model)) == [("A", "B", 1)]
     assert singularity_reference(model) == "A and B cross with equal inertia off declared points"
 
 
@@ -481,22 +482,25 @@ def test_pull_back_batch_exceptional_names_keep_serials():
     assert pulled == pull_back(pull_back(cover, "x"), "x2")
 
 
-def test_resolve_pulls_back_once_per_round(monkeypatch):
-    # a round is one blow_up on the record of the round before
+def test_resolve_blows_up_once_per_marked_round(monkeypatch):
+    # a round at marked points is one blow_up on the record of the round
+    # before; a crossing round is counted and blows nothing up, and its
+    # points are the crossings of the result, in center order
     import planecover.normalize as normalize_mod
     from test_invariants import line_arrangement
 
     calls = []
     blow_up = normalize_mod.blow_up
 
-    def spy(record, *points, crossings=()):
-        calls.append(points + tuple(name for name, _ in crossings))
-        return blow_up(record, *points, crossings=crossings)
+    def spy(record, *points):
+        calls.append(points)
+        return blow_up(record, *points)
 
     monkeypatch.setattr(normalize_mod, "blow_up", spy)
     result = normalize_mod.resolve(line_arrangement(8))
-    assert len(calls) == result.rounds == 2
-    assert [record.blown for record in result.trail] == calls
+    assert result.rounds == 2 and calls == [result.trail[0].blown]
+    assert [name for name, _, _ in result.crossings] == list(result.trail[1].blown)
+    assert len(result.crossings) == 3 * 28 and result.trail[1].diff == ()
 
 
 def test_is_normalized_flag():
@@ -533,10 +537,9 @@ def _resolve_round_models(cover):
     reference builds them."""
     models = [normalize(cover)]
 
-    def spy(current, *points, crossings=()):
-        pulled = blow_up_model(current, *points, crossings=crossings)
-        marked = add_marked_points(current, [(name, None, mults) for name, mults in crossings])
-        models.extend([marked, pulled])
+    def spy(current, *points):
+        pulled = pull_back(current, *points)
+        models.extend([current, pulled])
         return pulled
 
     try:
@@ -588,23 +591,23 @@ def test_sparse_pair_search_matches_dense_reference_on_arrangements():
 
 
 def test_crossing_errors_come_in_the_order_of_the_checks():
+    # ``ResolveResult.cover`` marks the crossings with ``mark_points``, which
+    # claims each point whole, name first, before the next
     from test_invariants import line_arrangement
 
     record = to_record(normalize(line_arrangement(4)))
     lines = {"L0_0": 1, "L0_1": 1}
     cases = [
-        # a multiplicity below 1 is checked after every crossing is claimed
-        ([("s1", {"L0_0": 0, "L0_1": 1}), ("t0", lines)], DomainError, "'t0' is already in use"),
-        ([("s1", {"L0_0": 0, "L0_1": 1}), ("s2", lines)], DomainError, "'L0_0' has a multiplicity"),
+        ([("s1", lines), ("t0", lines)], DomainError, "'t0' is already in use"),
         ([("s1", lines), ("s1", lines)], DomainError, "'s1' is already in use"),
-        # each crossing is claimed whole, name first, before the next
         ([("s1", {"nope": 1}), ("t0", lines)], DanglingReferenceError, r"\['nope'\]"),
         ([("t0", {"nope": 1}), ("s1", lines)], DomainError, "'t0' is already in use"),
-        ([], DomainError, "at least one point"),
     ]
     for crossings, error, message in cases:
         with pytest.raises(error, match=message):
-            blow_up(record, crossings=crossings)
+            mark_points(record, [(name, None, at) for name, at in crossings])
+    with pytest.raises(DomainError, match="at least one point"):
+        blow_up(record)
 
 
 def test_singularity_over_a_record_matches_the_model_reference():
@@ -672,13 +675,15 @@ def _outcome(function, *args, **kwargs):
 
 
 def _pull_back_or_reference(cover, points, crossings):
-    """``pull_back`` at the points, or ``blow_up`` with the crossings too,
-    and the reference."""
-    got = (
-        _outcome(blow_up_model, cover, *points, crossings=crossings)
-        if crossings
-        else _outcome(pull_back, cover, *points)
-    )
+    """``pull_back`` at the points and then at the crossings, on the model
+    with the crossings marked (``add_marked_points``), and the reference."""
+
+    def marked_pull_back():
+        marks = [(name, None, mults) for name, mults in crossings]
+        marked = add_marked_points(cover, marks) if crossings else cover
+        return pull_back(marked, *points, *(name for name, _ in crossings))
+
+    got = _outcome(marked_pull_back)
     return got, _outcome(marked_total_transform_pull_back, cover, *points, crossings=crossings)
 
 
@@ -706,7 +711,8 @@ def _resolve_inputs():
 def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(monkeypatch):
     # every round of the step-by-step resolve, on the inputs resolve gets:
     # pull_back must return normalize of the total transforms of the model
-    # with its crossing points marked (or raise the same error); every
+    # (a crossing round's with its crossing points marked), or raise the
+    # same error; every
     # quadratic move that a step-by-step reference recipe makes must equal
     # the reference move built on pull_back (the engine chains its rounds
     # and its moves on records)
@@ -714,9 +720,9 @@ def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(mon
 
     calls, moves = [], []
 
-    def recording(cover, *points, crossings=()):
-        calls.append((cover, points, tuple(crossings)))
-        return blow_up_model(cover, *points, crossings=crossings)
+    def recording(cover, *points):
+        calls.append((cover, points))
+        return pull_back(cover, *points)
 
     def recording_move(cover, *based):
         moves.append((cover, based))
@@ -729,11 +735,11 @@ def test_pull_back_equals_normalized_total_transform_along_resolve_and_moves(mon
         _outcome(reference_cremona_reduce, model)
     monkeypatch.undo()
     crossing_rounds = 0
-    for cover, points, crossings in calls:
-        got, expected = _pull_back_or_reference(cover, points, crossings)
+    for cover, points in calls:
+        got, expected = _pull_back_or_reference(cover, points, ())
         assert got == expected
         assert is_normalized(got)
-        crossing_rounds += bool(crossings)
+        crossing_rounds += points[0].startswith("sing")
     for cover, based in moves:
         got = _outcome(quadratic_move, cover, *based)
         assert got == _outcome(reference_quadratic_move, cover, *based)
@@ -819,7 +825,7 @@ def test_resolve_matches_reference_loop():
     failures = 0
     for model, budget in _resolve_inputs():
         got = _outcome(resolve_within, model, budget)
-        assert got == _outcome(reference_resolve, model, budget)
+        assert resolved(got) == resolved(_outcome(reference_resolve, model, budget))
         failures += isinstance(got, tuple)
     assert failures >= 2
 
@@ -835,20 +841,21 @@ def _stepwise_inputs():
 
 
 def test_resolve_matches_the_stepwise_reference():
-    # the rounds chained on records give the model, rounds and trail of the
-    # loop that built a model per round, or the same NonTerminationError
+    # the rounds chained on records, and the crossing rounds counted, give
+    # the model, rounds and trail of the loop that built a model per round,
+    # or the same NonTerminationError
     outcomes = Counter()
     for model, budget in _stepwise_inputs():
         got = _outcome(resolve_within, model, budget)
-        assert got == _outcome(reference_stepwise_resolve, model, budget)
+        assert resolved(got) == resolved(_outcome(reference_stepwise_resolve, model, budget))
         outcomes[got.rounds if isinstance(got, ResolveResult) else got[0]] += 1
     assert outcomes[NonTerminationError] >= 50
     assert all(outcomes[rounds] >= 20 for rounds in (0, 1, 2)), outcomes
 
 
 def test_resolve_builds_no_model_and_its_cover_once(monkeypatch):
-    # resolve returns the record of its last round and builds no model; the
-    # first ``cover`` builds the resolved model by the validating
+    # resolve returns the record before its crossing rounds and builds no
+    # model; the first ``cover`` builds the resolved model by the validating
     # constructors, the second builds nothing, and with no round taken the
     # cover is the normalized input itself
     from test_invariants import line_arrangement
