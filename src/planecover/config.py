@@ -9,12 +9,16 @@ elements written as bit strings.
 
 Reading is one pass over the lines, each clause read once.  All problems
 are raised as one ConfigError, with line and column, in line order; a
-missing ``r`` comes first, and a wrong-length branch key stands alone.
-Names match ``cover.NAME``, the pattern ``plane_cover`` checks too, and a
-number has at most ``MAX_DIGITS`` digits.
+missing ``r`` comes first, and a wrong-length branch key stands alone.  A
+problem is kept with its line and key, and the key's column is looked up
+only when the document is refused.  Names match ``cover.NAME``, the
+pattern ``plane_cover`` checks too, and a number has at most
+``MAX_DIGITS`` digits.
 
-The serializer emits a canonical form that parses back to the same
-document, byte for byte.
+There is one writer, ``ConfigDocument.serialize``, and it writes a
+document's parts in the order it holds them.  ``from_cover`` gives a plane
+model's document in canonical form, which parses back to the same model: a
+model keeps its parts in canonical order, so only the centers are sorted.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .cover import NAME, CoverModel
 #: longer number is a problem at its line, and a shorter one reads and prints.
 MAX_DIGITS = 300
 _SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
-_KEYVAL = re.compile(r"^(?P<key>[^=\s]+)\s*=\s*(?P<value>.*)$")
 _MULT = re.compile(rf"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]{{1,{MAX_DIGITS}}})$")
 
 
@@ -63,52 +66,60 @@ class ConfigDocument:
         )
 
     def serialize(self) -> str:
+        """The document's text, its parts in the order it holds them: the
+        one writer.  ``from_cover`` holds a model's parts in canonical order,
+        so a model's document is canonical, and a parsed document is written
+        in the order it was read."""
         lines = ["[cover]", f"r = {self.r}"]
         if self.pencil is not None:
             lines.append(f"pencil = {self.pencil}")
         lines.append("")
         lines.append("[centers]")
-        for name, parent in _topo_sorted(self.centers):
+        for name, parent in self.centers:
             lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
         lines.append("")
         lines.append("[components]")
-        for comp in sorted(self.components, key=lambda c: c.name):
-            parts = [f"degree {comp.degree}"]
-            parts += [f"mult({point}) = {mult}" for point, mult in sorted(comp.mults.items())]
-            if not comp.irreducible:
-                parts.append("reducible")
-            lines.append(f"{comp.name} = " + ", ".join(parts))
+        for comp in self.components:
+            line = f"{comp.name} = degree {comp.degree}"
+            for point, mult in comp.mults.items():
+                line += f", mult({point}) = {mult}"
+            lines.append(line if comp.irreducible else line + ", reducible")
         lines.append("")
         lines.append("[branch]")
-        for key in sorted(self.branch):
-            entries = ", ".join(
-                [name if mult == 1 else f"{name}*{mult}" for name, mult in sorted(self.branch[key])]
-            )
+        for key, entries in self.branch.items():
+            entries = ", ".join([name if mult == 1 else f"{name}*{mult}" for name, mult in entries])
             lines.append(f"{key} = {entries}")
         return "\n".join(lines) + "\n"
 
 
 def _topo_sorted(centers: list[tuple[str, str | None]]) -> list[tuple[str, str | None]]:
-    """Centers by (depth below a plane point, name), found without recursion."""
+    """Centers, given in name order, by (depth below a plane point, name);
+    the depths are found without recursion."""
     by_name = dict(centers)
     depth: dict[str | None, int] = {None: -1}
-    for name, _ in centers:
+    for name in by_name:
         chain = []
-        while name not in depth and len(chain) <= len(by_name):
+        while name not in depth:
             chain.append(name)
-            name = by_name.get(name)
+            name = by_name[name]
         for link in reversed(chain):
-            depth[link] = depth.get(name, -1) + 1
+            depth[link] = depth[name] + 1
             name = link
-    return sorted(centers, key=lambda item: (depth[item[0]], item[0]))
+    return sorted(centers, key=lambda item: depth[item[0]])
 
 
 def from_cover(model: CoverModel) -> ConfigDocument:
-    """Document form of a plane configuration (inverse of ``to_cover``)."""
+    """Document form of a plane configuration (inverse of ``to_cover``), in
+    canonical order.
+
+    A model keeps its parts in canonical order: components by id, each
+    curve's multiplicities by point, the D_g by element and each D_g's
+    entries by id.  So only the centers are sorted here; the rest is taken
+    over in the order the model holds it."""
     if model.surface.rank != 1:
         raise ConfigError([(1, 1, "only plane configurations can be serialized")])
     doc = ConfigDocument(r=model.r, pencil=model.pencil)
-    doc.centers = [(m.name, m.parent) for m in model.marked]
+    doc.centers = _topo_sorted([(m.name, m.parent) for m in model.marked])
     doc.components = [
         ComponentSpec(c.cid, c.cls.degree, dict(c.mults), c.irreducible)
         for c in model.components
@@ -131,23 +142,27 @@ def _cut(text: str) -> str:
 
 
 def parse(text: str) -> ConfigDocument:
-    """Parse a document, collecting positioned errors before giving up."""
-    problems: list[tuple[int, int, str]] = []
+    """Parse a document, collecting positioned errors before giving up.
+
+    A problem is recorded with its line and the key it is at (None for
+    column 1); the key's column is found only when the document is refused."""
+    problems: list[tuple[int, str | None, str]] = []
     doc = ConfigDocument(r=0)
     section = None
     seen_names: set[str] = set()
     component_names: set[str] = set()
     center_names: set[str] = set()
     cover_keys: set[str] = set()
-    # (line, column, key, problems so far) per branch key whose length is not
-    # r when it is read; r is 0 until read, and [cover] may follow [branch],
-    # so the length is checked after the last line
-    wrong_length: list[tuple[int, int, str, int]] = []
+    # (line, key, problems so far) per branch key whose length is not r when
+    # it is read; r is 0 until read, and [cover] may follow [branch], so the
+    # length is checked after the last line
+    wrong_length: list[tuple[int, str, int]] = []
 
-    def err(lineno: int, col: int, message: str) -> None:
-        problems.append((lineno, col, message))
+    def err(lineno: int, key: str | None, message: str) -> None:
+        problems.append((lineno, key, message))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -156,77 +171,42 @@ def parse(text: str) -> ConfigDocument:
             if m:
                 section = m.group("name")
                 if section not in ("cover", "centers", "components", "branch"):
-                    err(lineno, 1, f"unknown section [{_cut(section)}]")
+                    err(lineno, None, f"unknown section [{_cut(section)}]")
                     section = None
                 continue
         if section is None:
-            err(lineno, 1, "content outside any section")
+            err(lineno, None, "content outside any section")
             continue
-        kv = _KEYVAL.match(line)
-        if not kv:
-            err(lineno, 1, "expected 'key = value'")
+        # the key runs to the first "=", and neither it nor the line has
+        # blanks at its ends; the blanks after "=" are not the value's
+        key, eq, value = line.partition("=")
+        key = key.rstrip()
+        if not eq or len(key.split()) != 1:
+            err(lineno, None, "expected 'key = value'")
             continue
-        # the line is stripped and the pattern eats the blanks around "="
-        key, value = kv.groups()
-        col = raw.index(key) + 1
+        value = value.lstrip()
 
-        if section == "cover":
-            if key in cover_keys:
-                err(lineno, col, f"duplicate [cover] key {_cut(key)!r}")
-            elif key == "r":
-                cover_keys.add(key)
-                if not _is_number(value) or not 1 <= int(value) <= 4:
-                    err(lineno, col, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
-                else:
-                    doc.r = int(value)
-            elif key == "pencil":
-                cover_keys.add(key)
-                doc.pencil = value
-            else:
-                err(lineno, col, f"unknown [cover] key {_cut(key)!r}")
-
-        elif section == "centers":
+        if section == "components":
             if not NAME.fullmatch(key):
-                err(lineno, col, f"invalid center name {_cut(key)!r}")
+                err(lineno, key, f"invalid component name {_cut(key)!r}")
                 continue
             if key in seen_names:
-                err(lineno, col, f"duplicate name {_cut(key)!r}")
-                continue
-            if value == "point":
-                parent = None
-            elif value.startswith("near "):
-                parent = value[5:].strip()
-                if parent not in center_names:
-                    err(lineno, col, f"unknown parent center {_cut(parent)!r}")
-                    continue
-            else:
-                err(lineno, col, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
-                continue
-            doc.centers.append((key, parent))
-            seen_names.add(key)
-            center_names.add(key)
-
-        elif section == "components":
-            if not NAME.fullmatch(key):
-                err(lineno, col, f"invalid component name {_cut(key)!r}")
-                continue
-            if key in seen_names:
-                err(lineno, col, f"duplicate name {_cut(key)!r}")
+                err(lineno, key, f"duplicate name {_cut(key)!r}")
                 continue
             degree, mults, irreducible = -1, {}, True
             ok = True
             # a repeated degree or mult(point) clause would overwrite the first
-            clauses: set[str] = set()
+            has_degree, points = False, set()
             for part in value.split(","):
                 part = part.strip()
                 if part.startswith("degree"):
-                    if "degree" in clauses:
-                        err(lineno, col, f"duplicate degree clause for component {_cut(key)!r}")
+                    if has_degree:
+                        err(lineno, key, f"duplicate degree clause for component {_cut(key)!r}")
                         continue
-                    clauses.add("degree")
+                    has_degree = True
                     rest = part[6:].strip()
                     if not _is_number(rest):
-                        err(lineno, col, f"bad degree {_cut(rest)!r} for component {_cut(key)!r}")
+                        err(lineno, key, f"bad degree {_cut(rest)!r} for component {_cut(key)!r}")
                         ok = False
                     else:
                         degree = int(rest)
@@ -235,32 +215,31 @@ def parse(text: str) -> ConfigDocument:
                                 f"degree must be at least 1 for component {_cut(key)!r}, "
                                 f"got {_cut(rest)}"
                             )
-                            err(lineno, col, message)
+                            err(lineno, key, message)
                             ok = False
-                elif part == "reducible":
-                    irreducible = False
                 elif mm := _MULT.match(part):
                     point, mult = mm.groups()
-                    clause = f"mult({point})"
-                    if clause in clauses:
-                        message = f"duplicate {_cut(clause)} clause for component {_cut(key)!r}"
-                        err(lineno, col, message)
+                    if point in points:
+                        clause = _cut(f"mult({point})")
+                        err(lineno, key, f"duplicate {clause} clause for component {_cut(key)!r}")
                         continue
-                    clauses.add(clause)
+                    points.add(point)
                     mult = int(mult)
                     if point not in center_names:
-                        err(lineno, col, f"multiplicity at undeclared center {_cut(point)!r}")
+                        err(lineno, key, f"multiplicity at undeclared center {_cut(point)!r}")
                         ok = False
                     elif mult < 1:
-                        err(lineno, col, f"multiplicity must be at least 1, got {_cut(str(mult))}")
+                        err(lineno, key, f"multiplicity must be at least 1, got {_cut(str(mult))}")
                         ok = False
                     else:
                         mults[point] = mult
+                elif part == "reducible":
+                    irreducible = False
                 else:
-                    err(lineno, col, f"cannot parse component clause {_cut(part)!r}")
+                    err(lineno, key, f"cannot parse component clause {_cut(part)!r}")
                     ok = False
             if degree < 0:
-                err(lineno, col, f"component {_cut(key)!r} is missing its degree")
+                err(lineno, key, f"component {_cut(key)!r} is missing its degree")
                 ok = False
             if ok:
                 doc.components.append(ComponentSpec(key, degree, mults, irreducible))
@@ -269,15 +248,15 @@ def parse(text: str) -> ConfigDocument:
 
         elif section == "branch":
             if key.strip("01"):
-                err(lineno, col, f"non-binary group element {_cut(key)!r}")
+                err(lineno, key, f"non-binary group element {_cut(key)!r}")
                 continue
             if len(key) != doc.r:
-                wrong_length.append((lineno, col, key, len(problems)))
+                wrong_length.append((lineno, key, len(problems)))
             if "1" not in key:
-                err(lineno, col, "branch data are indexed by nonzero group elements")
+                err(lineno, key, "branch data are indexed by nonzero group elements")
                 continue
             if key in doc.branch:
-                err(lineno, col, f"duplicate branch element {_cut(key)!r}")
+                err(lineno, key, f"duplicate branch element {_cut(key)!r}")
                 continue
             entries = []
             for part in value.split(","):
@@ -290,29 +269,66 @@ def parse(text: str) -> ConfigDocument:
                     name, mult_text = name.strip(), mult_text.strip()
                     mult = int(mult_text) if _is_number(mult_text) else 0
                     if mult < 1:
-                        err(lineno, col, f"bad multiplicity in branch entry {_cut(part)!r}")
+                        err(lineno, key, f"bad multiplicity in branch entry {_cut(part)!r}")
                         continue
                 if name not in component_names:
-                    err(lineno, col, f"branch references undeclared component {_cut(name)!r}")
+                    err(lineno, key, f"branch references undeclared component {_cut(name)!r}")
                     continue
                 entries.append((name, mult))
             if entries:
                 doc.branch[key] = entries
 
+        elif section == "centers":
+            if not NAME.fullmatch(key):
+                err(lineno, key, f"invalid center name {_cut(key)!r}")
+                continue
+            if key in seen_names:
+                err(lineno, key, f"duplicate name {_cut(key)!r}")
+                continue
+            if value == "point":
+                parent = None
+            elif value.startswith("near "):
+                parent = value[5:].strip()
+                if parent not in center_names:
+                    err(lineno, key, f"unknown parent center {_cut(parent)!r}")
+                    continue
+            else:
+                err(lineno, key, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
+                continue
+            doc.centers.append((key, parent))
+            seen_names.add(key)
+            center_names.add(key)
+
+        elif key in cover_keys:
+            err(lineno, key, f"duplicate [cover] key {_cut(key)!r}")
+        elif key == "r":
+            cover_keys.add(key)
+            if not _is_number(value) or not 1 <= int(value) <= 4:
+                err(lineno, key, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
+            else:
+                doc.r = int(value)
+        elif key == "pencil":
+            cover_keys.add(key)
+            doc.pencil = value
+        else:
+            err(lineno, key, f"unknown [cover] key {_cut(key)!r}")
+
     # a key of the wrong length reports only that, as if its line stopped there
-    for lineno, col, key, start in reversed(wrong_length):
+    for lineno, key, start in reversed(wrong_length):
         if doc.r and len(key) != doc.r:
             end = start
             while end < len(problems) and problems[end][0] == lineno:
                 end += 1
-            problems[start:end] = [
-                (lineno, col, f"group element {_cut(key)!r} has length {len(key)}, "
-                 f"expected {doc.r}")
-            ]
+            message = f"group element {_cut(key)!r} has length {len(key)}, expected {doc.r}"
+            problems[start:end] = [(lineno, key, message)]
     if "r" not in cover_keys:
-        problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
+        problems.insert(0, (1, None, "missing required key 'r' in [cover]"))
     if doc.pencil is not None and doc.pencil not in center_names:
-        problems.append((1, 1, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
+        problems.append((1, None, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
     if problems:
-        raise ConfigError(problems)
+        # the key is the first run of its characters on the line
+        raise ConfigError(
+            [(n, 1 if key is None else lines[n - 1].index(key) + 1, message)
+             for n, key, message in problems]
+        )
     return doc

@@ -25,16 +25,18 @@ its own: a component or a marked point by name, its rank and parity, and
 its record (``to_record``), each computed once per model.
 
 Building a model is the one validating pass, and it costs time in the size
-of its input.  ``plane_cover`` gives the curves of one degree one shared
-class, made from its support, and checks each curve in one sweep over its
-multiplicities (a proximity sum only for a curve through an infinitely near
-point), after checking that a document can write every name (``NAME``).
-``CurveComponent`` checks its multiplicities in one pass over them,
-sorted.  ``CoverModel`` merges the branch data and sorts each D_g once, in
-place, then checks every name by set lookups: component ids and marked
-names unique, marked names apart from the centers, every parent known and
-no cycle of parents, and every multiplicity, branch entry and pencil naming
-a known point or curve.  So a model that ``plane_cover`` accepts is one its
+of its input.  ``plane_cover`` checks that a document can write every name
+(``NAME``), gives the curves of one degree one shared class, made from its
+support, and checks each curve in one sweep over its multiplicities (a
+proximity sum only for a curve through an infinitely near point); the same
+sweep files each incidence under its point, and the Bezout sums are read
+off those groups (``pair_sums``).  ``CurveComponent`` checks its
+multiplicities in one pass over them, sorted, and sets each field once.
+``CoverModel`` merges the branch data and sorts each D_g once, in place,
+then checks every name by set lookups: component ids and marked names
+unique, marked names apart from the centers, every parent known and no
+cycle of parents, and every multiplicity, branch entry and pencil naming a
+known point or curve.  So a model that ``plane_cover`` accepts is one its
 document can write: ``config.from_cover`` inverts ``to_cover``.
 
 The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
@@ -76,7 +78,7 @@ from .lattice import PLANE, BlownPlane, Center, DivisorClass
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CurveComponent:
     """One irreducible-or-declared-reducible piece of the branch curve."""
 
@@ -86,29 +88,41 @@ class CurveComponent:
     mults: tuple[tuple[str, int], ...] = ()
     exceptional_of: str | None = None
 
-    def __post_init__(self):
-        support = self.cls.support
+    def __init__(
+        self,
+        cid: str,
+        cls: DivisorClass,
+        irreducible: bool = True,
+        mults: Iterable[tuple[str, int]] = (),
+        exceptional_of: str | None = None,
+    ):
+        """Checks the class and the incidences, then sets each field once,
+        the incidences sorted."""
+        support = cls.support
         degree = support.get(0, 0)
         if degree < 0:
-            raise DomainError(f"component {self.cid!r} has negative degree")
+            raise DomainError(f"component {cid!r} has negative degree")
         if degree == 0:
             lead = support[min(support)] if support else None
             if lead is None or lead < 0:
-                raise DomainError(
-                    f"degree-0 component {self.cid!r} must be an exceptional class"
-                )
+                raise DomainError(f"degree-0 component {cid!r} must be an exceptional class")
         # one pass over the sorted incidences: a repeated point sits next to
         # itself, and a multiplicity below 1 anywhere is reported first
-        mults = sorted(self.mults)
+        mults = sorted(mults)
         repeated, last = False, None
         for name, m in mults:
             if m < 1:
-                raise DomainError(f"component {self.cid!r} has a multiplicity below 1")
+                raise DomainError(f"component {cid!r} has a multiplicity below 1")
             repeated |= name == last
             last = name
         if repeated:
-            raise DomainError(f"component {self.cid!r} repeats a point in its multiplicities")
-        object.__setattr__(self, "mults", tuple(mults))
+            raise DomainError(f"component {cid!r} repeats a point in its multiplicities")
+        init = object.__setattr__  # the class is frozen
+        init(self, "cid", cid)
+        init(self, "cls", cls)
+        init(self, "irreducible", irreducible)
+        init(self, "mults", tuple(mults))
+        init(self, "exceptional_of", exceptional_of)
 
     def mult_at(self, point_name: str) -> int:
         for name, m in self.mults:
@@ -289,10 +303,10 @@ def plane_cover(
     arithmetic genus (d-1)(d-2)/2 (genus), and two curves' sum of m_a*m_b
     over the points they share may not exceed d_a*d_b (Bezout).
 
-    One sweep over each curve's multiplicities checks m against d and adds
-    into the curve's proximity and genus sums; then the point -> (cid, m)
-    index (``curves_through``) adds into the Bezout sum of each pair of
-    curves through each point.
+    One sweep over each curve's multiplicities checks m against d, adds into
+    the curve's proximity and genus sums and files (curve, m) under the
+    point; then ``pair_sums`` adds, per point, into the Bezout sum of each
+    pair of curves through it.
     Only the first broken rule is reported: a curve id, marked point name
     or pencil that a document cannot write (``NAME``) is a DomainError, the
     first in that order; then the pencil; then, curve by curve, m against d
@@ -310,29 +324,35 @@ def plane_cover(
     if parent_of.get(pencil) is not None:
         raise GeometryError(f"pencil point {pencil!r} is infinitely near {parent_of[pencil]!r}")
     degree_of: dict[str, int] = {}
+    index: dict[str, int] = {}  # cid -> its curve index for the Bezout sums, by first mention
     classes: dict[int, DivisorClass] = {}  # curves of one degree share their class
+    through: dict[str, list[tuple[int, int]]] = {}  # point -> [(curve index, m)]
     comps = []
     for cid, degree, mults in components:
         cls = classes.get(degree) or classes.setdefault(
             degree, DivisorClass.from_support(PLANE, {0: degree})
         )
         comp = CurveComponent(cid, cls, cid not in reducible, mults.items())
+        i = index.setdefault(cid, len(index))
         near: dict[str, int] = {}
         delta = 0
         for point, m in comp.mults:
-            if m > degree:
-                raise GeometryError(
-                    f"component {cid!r} of degree {degree} cannot have multiplicity {m} at {point!r}"
-                )
-            if m == degree >= 2 and comp.irreducible:
-                raise GeometryError(
-                    f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
-                    f"so it is {degree} lines; declare it reducible"
-                )
+            if m >= degree:
+                if m > degree:
+                    raise GeometryError(
+                        f"component {cid!r} of degree {degree} cannot have multiplicity {m} "
+                        f"at {point!r}"
+                    )
+                if degree >= 2 and comp.irreducible:
+                    raise GeometryError(
+                        f"component {cid!r} of degree {degree} has multiplicity {m} at {point!r}, "
+                        f"so it is {degree} lines; declare it reducible"
+                    )
             parent = parent_of.get(point)
             if parent is not None:
                 near[parent] = near.get(parent, 0) + m
             delta += m * (m - 1) // 2
+            through.setdefault(point, []).append((i, m))
         if near:
             broken = {point for point, total in near.items() if total > mults.get(point, 0)}
             if broken:
@@ -349,19 +369,19 @@ def plane_cover(
             )
         degree_of[cid] = degree
         comps.append(comp)
-    ids = sorted(degree_of)
-    n = len(ids)
-    index = {cid: i for i, cid in enumerate(ids)}
+    ids = list(index)
     degrees = [degree_of[cid] for cid in ids]
-    shared = pair_sums(curves_through((index[c.cid], c.mults) for c in comps).values(), n)
+    n = len(ids)
+    shared = pair_sums(through.values(), n)
     over = [key for key, total in shared.items() if total > degrees[key // n] * degrees[key % n]]
     if over:
-        key = min(over)
-        a, b = divmod(key, n)
+        # the offending pair least by its names
+        pairs = {tuple(sorted((ids[key // n], ids[key % n]))): shared[key] for key in over}
+        (a, b), total = min(pairs.items())
         raise GeometryError(
-            f"components {ids[a]!r} and {ids[b]!r} meet with multiplicity {shared[key]} "
+            f"components {a!r} and {b!r} meet with multiplicity {total} "
             f"at declared points, above the product of their degrees "
-            f"{degrees[a]}*{degrees[b]} (Bezout)"
+            f"{degree_of[a]}*{degree_of[b]} (Bezout)"
         )
     named = degree_of.keys() & parent_of.keys()
     if named:
@@ -523,21 +543,22 @@ def curves_through(
 
 
 def pair_sums(groups: Iterable[Sequence[tuple[int, int]]], n: int) -> dict[int, int]:
-    """i * n + j -> the sum of x * y over the groups in which (i, x) comes
-    before (j, y): per pair of curves, by their indexes below ``n``, the sum
-    over the points (or slots) they share of the product of their
-    multiplicities there.  The keys sort as the pairs (i, j) do, and a group
-    of two curves, as at every crossing, costs one update."""
+    """i * n + j -> the sum of x * y over the groups that hold (i, x) and
+    (j, y), in either order, with i <= j: per pair of curves, by their
+    indexes below ``n``, the sum over the points (or slots) they share of the
+    product of their multiplicities there.  The keys sort as the pairs
+    (i, j) do, and a group of two curves, as at every crossing, costs one
+    update."""
     sums: dict[int, int] = {}
     for members in groups:
         if len(members) == 2:
             (i, x), (j, y) = members
-            key = i * n + j
+            key = i * n + j if i <= j else j * n + i
             sums[key] = sums.get(key, 0) + x * y
             continue
         for a, (i, x) in enumerate(members):
             for j, y in members[a + 1 :]:
-                key = i * n + j
+                key = i * n + j if i <= j else j * n + i
                 sums[key] = sums.get(key, 0) + x * y
     return sums
 

@@ -83,9 +83,9 @@ def normalize(cover: CoverModel) -> CoverModel:
 def is_normalized(cover: CoverModel) -> bool:
     """True when ``normalize`` would return the cover unchanged: every branch
     entry has multiplicity 1 and every component lies in exactly one D_g."""
-    entries = [entry for _, bucket in cover.branch for entry in bucket]
-    cids = {cid for cid, _ in entries}
-    return all(k == 1 for _, k in entries) and len(entries) == len(cids) == len(cover.components)
+    ones = [cid for _, bucket in cover.branch for cid, k in bucket if k == 1]
+    entries = sum(len(bucket) for _, bucket in cover.branch)
+    return entries == len(ones) == len(set(ones)) == len(cover.components)
 
 
 # -- pullback ----------------------------------------------------------------

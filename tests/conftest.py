@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from planecover import classify, config, group, invariants, lattice
+from planecover import classify, cli, config, cover, group, invariants, lattice
 from planecover import normalize as normalize_mod
 from planecover.config import ComponentSpec, ConfigDocument
 from planecover.cover import (
@@ -1319,3 +1322,91 @@ def reference_element_parse(text: str) -> group.GroupElement:
         raise DomainError(f"non-binary group element {text!r}")
     group._check_rank(len(text))
     return group._INTERNED[len(text)][int(text, 2)]
+
+
+def _reference_topo_sorted(centers):
+    """Centers by (depth below a plane point, name), found without recursion."""
+    by_name = dict(centers)
+    depth = {None: -1}
+    for name, _ in centers:
+        chain = []
+        while name not in depth and len(chain) <= len(by_name):
+            chain.append(name)
+            name = by_name.get(name)
+        for link in reversed(chain):
+            depth[link] = depth.get(name, -1) + 1
+            name = link
+    return sorted(centers, key=lambda item: (depth[item[0]], item[0]))
+
+
+def reference_document_text(model: CoverModel) -> str:
+    """Reference for the document writer: a copy of the writer it replaced,
+    which copied the model into a ``ConfigDocument`` and then sorted every
+    part of it as it wrote."""
+    if model.surface.rank != 1:
+        raise ConfigError([(1, 1, "only plane configurations can be serialized")])
+    doc = ConfigDocument(r=model.r, pencil=model.pencil)
+    doc.centers = [(m.name, m.parent) for m in model.marked]
+    doc.components = [
+        ComponentSpec(c.cid, c.cls.degree, dict(c.mults), c.irreducible)
+        for c in model.components
+    ]
+    doc.branch = {str(g): list(entries) for g, entries in model.branch}
+    lines = ["[cover]", f"r = {doc.r}"]
+    if doc.pencil is not None:
+        lines.append(f"pencil = {doc.pencil}")
+    lines.append("")
+    lines.append("[centers]")
+    for name, parent in _reference_topo_sorted(doc.centers):
+        lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
+    lines.append("")
+    lines.append("[components]")
+    for comp in sorted(doc.components, key=lambda c: c.name):
+        parts = [f"degree {comp.degree}"]
+        parts += [f"mult({point}) = {mult}" for point, mult in sorted(comp.mults.items())]
+        if not comp.irreducible:
+            parts.append("reducible")
+        lines.append(f"{comp.name} = " + ", ".join(parts))
+    lines.append("")
+    lines.append("[branch]")
+    for key in sorted(doc.branch):
+        entries = ", ".join(
+            [name if mult == 1 else f"{name}*{mult}" for name, mult in sorted(doc.branch[key])]
+        )
+        lines.append(f"{key} = {entries}")
+    return "\n".join(lines) + "\n"
+
+
+# -- construction counts ----------------------------------------------------
+
+#: What ``construction_counts`` counts, in the order it returns them.
+COUNTED = ("parse", "CoverModel", "CurveComponent", "Center")
+
+
+def construction_counts(argv: list[str], stdin: str = "") -> tuple[int, ...]:
+    """The ``config.parse`` calls and the ``CoverModel``, ``CurveComponent``
+    and ``Center`` constructions of one ``cli.main`` call, in ``COUNTED``
+    order, counted by spies on ``config.parse`` and on the constructors."""
+    counts = Counter()
+
+    def spy(name, func):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(config, "parse", spy("parse", config.parse)))
+        for cls, method in (
+            (cover.CoverModel, "__post_init__"),
+            (cover.CurveComponent, "__init__"),
+            (lattice.Center, "__init__"),
+        ):
+            spied = spy(cls.__name__, getattr(cls, method))
+            stack.enter_context(mock.patch.object(cls, method, spied))
+        stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO(stdin)))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        cli.main(argv)
+    return tuple(counts[name] for name in COUNTED)

@@ -16,7 +16,7 @@ from planecover.classify import classify, cremona_reduce, match_del_pezzo
 from planecover.cli import main
 from planecover.errors import ParityError
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, fixture_text
+from conftest import COUNTED, FIXTURE_DIR, GOLDEN_DIR, construction_counts, fixture_text
 
 
 def run(capsys, *argv):
@@ -836,3 +836,16 @@ def test_readme_example_is_the_cli_output(capsys, monkeypatch):
         assert command.startswith("$ planecover ")
         got = run(capsys, *command.split()[2:])
         assert got == (0, "\n".join(expected) + "\n", ""), command
+
+
+def test_document_commands_build_no_more_than_recorded():
+    # construction counts, not timings, guard the read path: per fixture and
+    # document command, the parse calls and the models, components and
+    # centers built may not rise above the recorded counts
+    lines = (GOLDEN_DIR / "construction_counts.txt").read_text(encoding="utf-8").splitlines()
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    assert len(rows) == 12 * len(cli.COMMANDS)
+    for name, command, *recorded in rows:
+        counts = construction_counts([command, "--input", fixture(name)])
+        over = [what for what, n, limit in zip(COUNTED, counts, recorded) if n > int(limit)]
+        assert not over, (name, command, counts, recorded)

@@ -1,12 +1,21 @@
+import random
 import sys
 
 import pytest
 
 from planecover import config
+from planecover.classify import cremona_reduce
 from planecover.cli import main
-from planecover.errors import ConfigError
+from planecover.errors import ConfigError, CoverError
+from planecover.normalize import normalize
 
-from conftest import FIXTURE_DIR, fixture_text, reference_parse
+from conftest import (
+    FIXTURE_DIR,
+    PERFBENCH_DIR,
+    fixture_text,
+    reference_document_text,
+    reference_parse,
+)
 
 
 def test_round_trip_all_fixtures():
@@ -16,6 +25,32 @@ def test_round_trip_all_fixtures():
         assert doc.serialize() == text, path.name
         model = doc.to_cover()
         assert config.from_cover(model).serialize() == text, path.name
+
+
+def test_writer_equals_the_reference_writer():
+    # every fixture, normalized and reduced, and 1,000 seeded random
+    # documents after normalize: the same text as the writer that copied the
+    # model into a document and sorted it
+    models = []
+    for path in sorted(FIXTURE_DIR.glob("*.cfg")):
+        model = config.parse(path.read_text(encoding="utf-8")).to_cover()
+        models += [model, normalize(model)]
+        try:
+            models.append(cremona_reduce(model)[0])
+        except CoverError:
+            pass
+    assert len(models) > 30
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    try:
+        from workloads import BROKEN_EVERY, DOC_SIZES, random_document
+    finally:
+        sys.path.remove(str(PERFBENCH_DIR))
+    for seed in range(1000):
+        size, broken = DOC_SIZES[seed % len(DOC_SIZES)], seed % BROKEN_EVERY == 0
+        text = random_document(random.Random(f"write/{seed}"), size, broken)
+        models.append(normalize(config.parse(text).to_cover()))
+    for model in models:
+        assert config.from_cover(model).serialize() == reference_document_text(model)
 
 
 def test_parse_prop59_document():

@@ -14,18 +14,29 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planecover import classify as classify_mod
 from planecover import config
+from planecover import normalize as normalize_mod
 from planecover.cli import EXIT_CODES, main
-from planecover.cover import plane_cover
+from planecover.cover import NAME, plane_cover
 from planecover.errors import ConfigError, CoverError
-from planecover.normalize import normalize
+from planecover.normalize import MAX_ROUNDS, normalize
 
-from conftest import PERFBENCH_DIR, fixture_text, reference_parse
+from conftest import PERFBENCH_DIR, fixture_text, reference_document_text, reference_parse
+
+_saved = list(sys.path)
+try:
+    from outputs_digest import JUNK  # it puts src/ and perfbench/ first on the path
+finally:
+    sys.path[:] = _saved
 
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
@@ -33,8 +44,6 @@ CODED = re.compile(r"error\[([a-z-]+)\]: ")
 
 WRONG = ["0", "5", "-1", "²", "", "x", "y"]
 ALPHABET = "[]=*,#() \n01234rdegpointnearmultABpqx"
-#: Replacement text of a local corruption ("" drops a character).
-JUNK = ["", "=", "[", "]", "#", "*", ",", "\n", " ", "\x00", "é", "0"]
 
 
 def mostly(*valid):
@@ -251,8 +260,8 @@ def plane_cover_arguments(draw):
 @given(plane_cover_arguments())
 def test_every_plane_model_round_trips_through_its_document(args):
     # from_cover is the inverse of to_cover: whatever plane_cover accepts
-    # parses back to an equal model, and it accepts no name a document
-    # cannot write
+    # parses back to an equal model, from the text the reference writer
+    # gives, and it accepts no name a document cannot write
     _, components, _, marked, pencil, _ = args
     names = {cid for cid, _, _ in components} | {name for name, _ in marked} | {pencil}
     if names & UNWRITABLE:
@@ -264,6 +273,7 @@ def test_every_plane_model_round_trips_through_its_document(args):
     except CoverError:
         return
     text = config.from_cover(model).serialize()
+    assert text == reference_document_text(model)
     assert config.parse(text).to_cover() == model, text
 
 
@@ -290,3 +300,92 @@ def test_a_falsified_property_prints_its_example(tmp_path):
     output = result.stdout + result.stderr
     assert result.returncode == 1, output
     assert "Falsifying example" in output and "INTERNALERROR" not in output, output
+
+
+#: The kinds of adversarial document ``adversarial_documents`` draws.
+ADVERSARIAL = ("long number", "unwritable name", "deep chain", "high degree pair", "not UTF-8")
+CHAIN = 1000
+
+
+@st.composite
+def adversarial_documents(draw, kind):
+    """A document as bytes, of one ``ADVERSARIAL`` kind: a number longer
+    than ``MAX_DIGITS`` in any numeric field, a name no document can write
+    in any name field, a line through a chain of ``CHAIN`` infinitely near
+    points, two curves of degree 300 in one D_g, or a document with a byte
+    that is not UTF-8."""
+    template = (
+        "[cover]\nr = {r}\npencil = {pencil}\n[centers]\n{point} = point\n[components]\n"
+        "{curve} = degree {degree}, mult({point}) = {mult}\nB = degree 1\nC = degree 1\n"
+        "[branch]\n01 = {curve}*{k}\n10 = B\n11 = C\n"
+    )
+    fields = {"r": "2", "pencil": "p", "point": "p", "curve": "A", "degree": "1", "mult": "1",
+              "k": "1"}
+    if kind == "long number":
+        digits = draw(st.integers(config.MAX_DIGITS + 1, 5000))
+        fields[draw(st.sampled_from(["r", "degree", "mult", "k"]))] = "7" * digits
+    elif kind == "unwritable name":
+        name = draw(st.text(min_size=1, max_size=6).filter(lambda n: not NAME.fullmatch(n)))
+        fields[draw(st.sampled_from(["pencil", "point", "curve"]))] = name
+    elif kind == "deep chain":
+        # a line through every point of the chain, a second line through its
+        # first point or not, and a third line
+        chain = [f"p{i} = near p{i - 1}" for i in range(1, CHAIN)]
+        through = "".join(f", mult(p{i}) = 1" for i in range(CHAIN))
+        text = (
+            "[cover]\nr = 2\n[centers]\np0 = point\n" + "\n".join(chain) + "\n[components]\n"
+            f"A = degree 1{through}\nB = degree 1{draw(st.sampled_from(['', ', mult(p0) = 1']))}\n"
+            "C = degree 1\n[branch]\n01 = A\n10 = B\n11 = C\n"
+        )
+        return text.encode("utf-8")
+    elif kind == "high degree pair":
+        mult = draw(st.sampled_from(["", ", mult(p) = 1", ", mult(p) = 299"]))
+        text = (
+            f"[cover]\nr = 1\n[centers]\np = point\n[components]\nA = degree 300{mult}\n"
+            f"B = degree 300{mult}\n[branch]\n1 = A, B\n"
+        )
+        return text.encode("utf-8")
+    data = template.format(**fields).encode("utf-8")
+    if kind == "not UTF-8":
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe9t\xe9"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL)
+@settings(FUZZ, max_examples=4)
+@given(data=st.data())
+def test_adversarial_documents_end_in_a_result_or_a_coded_error(kind, data):
+    # every document command, with the document given as a file and through
+    # stdin, ends in exit 0 or a coded error, and takes at most MAX_ROUNDS
+    # blow-ups: a count bound, not a time bound
+    document = data.draw(adversarial_documents(kind))
+    errors = data.draw(st.sampled_from(["strict", "surrogateescape"]))
+    blow_ups = []
+    blow_up = normalize_mod.blow_up
+
+    def counted(*args):
+        blow_ups.append(args[1:])
+        return blow_up(*args)
+
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(normalize_mod, "blow_up", counted), \
+            mock.patch.object(classify_mod, "blow_up", counted):
+        path = Path(scratch) / "document.cfg"
+        path.write_bytes(document)
+        for command in COMMANDS:
+            for source in (str(path), "-"):
+                blow_ups.clear()
+                out, err = io.StringIO(), io.StringIO()
+                stdin = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8", errors=errors)
+                with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main([command, "--input", source])
+                assert len(blow_ups) <= MAX_ROUNDS, (command, source)
+                if code == 0:
+                    assert err.getvalue() == ""
+                    continue
+                match = CODED.match(err.getvalue())
+                assert match, (command, source, err.getvalue())
+                assert EXIT_CODES[match.group(1)] == code
