@@ -1382,11 +1382,13 @@ def reference_document_text(model: CoverModel) -> str:
 #: What ``construction_counts`` counts, in the order it returns them.
 COUNTED = ("parse", "CoverModel", "CurveComponent", "Center")
 
+#: What ``census_counts`` counts, in the order it returns them.
+CENSUS_COUNTED = ("CoverModel", "_basis", "blow_up", "_move")
 
-def construction_counts(argv: list[str], stdin: str = "") -> tuple[int, ...]:
-    """The ``config.parse`` calls and the ``CoverModel``, ``CurveComponent``
-    and ``Center`` constructions of one ``cli.main`` call, in ``COUNTED``
-    order, counted by spies on ``config.parse`` and on the constructors."""
+
+def _spied_main(argv: list[str], targets, stdin: str = "") -> Counter:
+    """The calls of one ``cli.main`` call to each ``(name, owner, attribute)``
+    of ``targets``, by name, counted by spies patched over the attributes."""
     counts = Counter()
 
     def spy(name, func):
@@ -1397,16 +1399,40 @@ def construction_counts(argv: list[str], stdin: str = "") -> tuple[int, ...]:
         return counted
 
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(config, "parse", spy("parse", config.parse)))
-        for cls, method in (
-            (cover.CoverModel, "__post_init__"),
-            (cover.CurveComponent, "__init__"),
-            (lattice.Center, "__init__"),
-        ):
-            spied = spy(cls.__name__, getattr(cls, method))
-            stack.enter_context(mock.patch.object(cls, method, spied))
+        for name, owner, attribute in targets:
+            spied = spy(name, getattr(owner, attribute))
+            stack.enter_context(mock.patch.object(owner, attribute, spied))
         stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO(stdin)))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         cli.main(argv)
+    return counts
+
+
+def construction_counts(argv: list[str], stdin: str = "") -> tuple[int, ...]:
+    """The ``config.parse`` calls and the ``CoverModel``, ``CurveComponent``
+    and ``Center`` constructions of one ``cli.main`` call, in ``COUNTED``
+    order, counted by spies on ``config.parse`` and on the constructors."""
+    targets = [
+        ("parse", config, "parse"),
+        ("CoverModel", cover.CoverModel, "__post_init__"),
+        ("CurveComponent", cover.CurveComponent, "__init__"),
+        ("Center", lattice.Center, "__init__"),
+    ]
+    counts = _spied_main(argv, targets, stdin)
     return tuple(counts[name] for name in COUNTED)
+
+
+def census_counts(r: int) -> tuple[int, ...]:
+    """The work of one ``census --r R --max-degree 7`` call, in
+    ``CENSUS_COUNTED`` order: the ``CoverModel`` builds, the ``group._basis``
+    eliminations, the ``blow_up`` calls of ``resolve`` (those through the
+    ``normalize`` module) and the ``classify._move`` calls."""
+    targets = [
+        ("CoverModel", cover.CoverModel, "__post_init__"),
+        ("_basis", group, "_basis"),
+        ("blow_up", normalize_mod, "blow_up"),
+        ("_move", classify, "_move"),
+    ]
+    counts = _spied_main(["census", "--r", str(r), "--max-degree", "7"], targets)
+    return tuple(counts[name] for name in CENSUS_COUNTED)

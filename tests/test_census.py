@@ -9,7 +9,7 @@ from planecover.classify import classify
 from planecover.cover import build_model, to_record
 from planecover.errors import DomainError
 
-from conftest import GOLDEN_DIR, reference_shape_key
+from conftest import CENSUS_COUNTED, GOLDEN_DIR, census_counts, reference_shape_key
 
 
 def test_census_r2_degree1_is_exactly_the_two_line_patterns():
@@ -92,3 +92,16 @@ def test_shape_key_of_a_record_matches_the_model_reference():
                 assert census_mod._shape_key(record) == reference_shape_key(build_model(record))
                 reduced += 1
     assert reduced == 6
+
+
+def test_census_does_no_more_work_than_recorded():
+    # counts, not timings, guard the census pipeline: per rank, the models
+    # built, the subgroup eliminations, resolve's blow-ups and the Cremona
+    # moves of one degree-7 census may not rise above the recorded counts
+    lines = (GOLDEN_DIR / "census_counts.txt").read_text(encoding="utf-8").splitlines()
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    assert [row[0] for row in rows] == ["2", "3", "4"]
+    for r, *recorded in rows:
+        counts = census_counts(int(r))
+        over = [what for what, n, limit in zip(CENSUS_COUNTED, counts, recorded) if n > int(limit)]
+        assert not over, (r, counts, recorded)
