@@ -11,7 +11,9 @@ their reduced normal forms and patterns are shapes, not moduli.
 
 A row builds one model, its plane model: the shape key reads the record a
 reduction recipe returns (or the plane model's record), and the invariants
-read the record ``resolve`` returns.
+read the record ``resolve`` returns.  The matcher works on the record's
+carrier masks, and the key groups the curves by mask and writes each
+element's text once.
 """
 
 from __future__ import annotations
@@ -110,15 +112,16 @@ def _parity_triples(max_degree: int):
 
 def _shape_key(record: ModelRecord) -> tuple:
     """r and, per nonzero g, the (degree, multiplicity at the pencil point)
-    of the curves of D_g, on a normalized record."""
+    of the curves of D_g, on a normalized record.  The profile runs in the
+    order of the masks, which for one r is that of the elements' text, so
+    each element's text is formatted once, for the key."""
     shapes: dict[int, list[tuple[int, int]]] = {}
     for cid, g in record.carrier.items():
         shape = (record.coeffs[cid].get(0, 0), record.mult_at(cid, record.pencil))
         shapes.setdefault(g, []).append(shape)
-    profile = (
-        (str(GroupElement._of(record.r, g)), tuple(sorted(shape))) for g, shape in shapes.items()
-    )
-    return (record.r, tuple(sorted(profile)))
+    r = record.r
+    profile = tuple((str(GroupElement._of(r, g)), tuple(sorted(shapes[g]))) for g in sorted(shapes))
+    return (r, profile)
 
 
 def census(r: int, max_degree: int) -> CensusTable:

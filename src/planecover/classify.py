@@ -17,7 +17,12 @@ normalized, then ``cover.check_cover``'s even parity and total
 ramification, the order the command line uses too.  Then it reads the
 model's record (``cover.ModelRecord``: the model as plain dicts) once;
 every predicate reads that record, and the recipe a match attaches takes
-it as its input.  Even parity, sum over g of (deg D_g mod 2)·g = 0, is
+it as its input.  The predicates work on carrier masks, the record's own
+ints: the pencil profiles and the D_g are keyed by the mask of g, the
+section, the sums of the pencil lines and of the three curves are XORs, and
+G' is one elimination, its rank read off the size of its span.  A
+``GroupElement`` is looked up only for G' itself, a label's recipe and the
+text of a message.  Even parity, sum over g of (deg D_g mod 2)·g = 0, is
 what makes 2L_chi = sum eps_chi(g) D_g solvable on the plane, and the
 matchers take the shape facts it decides from ``check_parity`` without
 testing them again: the G'-carrier of the G' = Z/2 families holds curves
@@ -43,10 +48,10 @@ whatever the number of moves, and the census reads the record itself.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import xor
 
 from . import group, lattice
 from .cover import (
@@ -156,9 +161,10 @@ def infer_g_prime(cover: CoverModel, pencil_point: str) -> GPrimeStructure:
 
 def _pencil_profiles(record: ModelRecord, p: str):
     """g -> (degree, multiplicity at p, curve ids) for each nonzero D_g of
-    the record of a plane, normalized model, in element order.  Checks, in
-    order, that p is not infinitely near another point and that no curve,
-    in element order and then id order, has negative fiber degree."""
+    the record of a plane, normalized model, by the mask of g, in element
+    order.  Checks, in order, that p is not infinitely near another point
+    and that no curve, in element order and then id order, has negative
+    fiber degree."""
     point = record.marked.get(p)
     if point is not None and point.parent is not None:
         raise PreconditionError(f"point {p!r} is infinitely near unblown point {point.parent!r}")
@@ -180,15 +186,20 @@ def _pencil_profiles(record: ModelRecord, p: str):
 def _g_prime(r: int, profiles) -> GPrimeStructure:
     """``infer_g_prime`` from the pencil profiles: D_g meets a general pencil
     line degree - multiplicity times, and the section E_p lies in D_s, s the
-    sum of the g whose D_g has odd multiplicity at p (nowhere when s = 0)."""
+    XOR of the g whose D_g has odd multiplicity at p (nowhere when s = 0).
+    One elimination spans the carriers, and the rank of G' is read off the
+    span's size."""
     carriers = [g for g, (degree, mult, _) in profiles.items() if degree > mult]
-    count = sum(degree - mult for degree, mult, _ in profiles.values())
-    section = sum((g for g, (_, mult, _) in profiles.items() if mult % 2), group.zero(r))
-    if not section.is_zero:
+    count = section = 0
+    for g, (degree, mult, _) in profiles.items():
+        count += degree - mult
+        if mult & 1:
+            section ^= g
+    if section:
         carriers.append(section)
         count += 1
-    subgroup = group.span(carriers, r)
-    s = group.rank(carriers, r)
+    subgroup = group.span([GroupElement._of(r, g) for g in carriers], r)
+    s = len(subgroup).bit_length() - 1
     expected = _EXPECTED_BRANCH_POINTS.get((r, s))
     if expected is None:
         raise MatchError(f"not an invariant-conic-bundle configuration: r={r} with G' of rank {s}")
@@ -197,16 +208,16 @@ def _g_prime(r: int, profiles) -> GPrimeStructure:
             f"not an invariant-conic-bundle configuration: {count} branch points "
             f"on a general pencil line, expected {expected} for r={r}, s={s}"
         )
-    return GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup)))
+    return GPrimeStructure(dimension=s, subgroup=tuple(sorted(subgroup, key=group.element_key)))
 
 
-def _elements(record: ModelRecord) -> dict[GroupElement, list[str]]:
-    """g -> the ids of the curves of D_g, for each nonzero D_g of a
-    normalized record, in element order and then id order."""
+def _elements(record: ModelRecord) -> dict[int, list[str]]:
+    """g -> the ids of the curves of D_g, by the mask of g, for each nonzero
+    D_g of a normalized record, in element order and then id order."""
     elements: dict[int, list[str]] = {}
     for cid in sorted(record.carrier):
         elements.setdefault(record.carrier[cid], []).append(cid)
-    return {GroupElement._of(record.r, g): elements[g] for g in sorted(elements)}
+    return {g: elements[g] for g in sorted(elements)}
 
 
 # -- shape helpers -----------------------------------------------------------
@@ -252,10 +263,10 @@ _TRIPLE_FAMILIES = {2: ("4.6", "C.22", None), 3: ("4.10", "C.221", "P1s.222"),
                     4: ("4.12", "C.22,22", "P1.2222")}
 
 
-def _require_pencil_lines(profiles, gs) -> None:
+def _require_pencil_lines(r: int, profiles, gs) -> None:
     for g in gs:
         if not _is_pencil_lines(profiles[g], 1):
-            raise MatchError(f"D_{g} must be a single line of the pencil")
+            raise MatchError(f"D_{GroupElement._of(r, g)} must be a single line of the pencil")
 
 
 def _four_line_model(profiles, nonzero) -> CaseLabel:
@@ -282,27 +293,28 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
     if s == 0:
         if len(nonzero) != 3:
             raise MatchError("all three branch divisors must be nonzero")
-        _require_pencil_lines(profiles, nonzero)
+        _require_pencil_lines(r, profiles, nonzero)
         return CaseLabel("4.2", "P1.221&P1.22.1")
 
     if s == 1:
         # r pencil lines whose elements sum to w, and one odd curve carrying w
         prop, deep, reducible = _ODD_CURVE_FAMILIES[r]
-        w = next(g for g in structure.subgroup if not g.is_zero)
+        carrier = structure.subgroup[1]  # the subgroup is 0 and w
+        w = carrier.mask
         verticals = [g for g in nonzero if g != w]
         if len(verticals) != r:
             count = ("two", "three")[r - 2]
             raise MatchError(f"exactly {count} branch divisors must be pencil lines")
-        _require_pencil_lines(profiles, verticals)
-        if sum(verticals, group.zero(r)) != w:
+        _require_pencil_lines(r, profiles, verticals)
+        if reduce(xor, verticals, 0) != w:
             raise MatchError("the pencil-line inertia elements must sum to the G'-carrier")
         degree, mult, cids = profiles[w]
         params = (("d", degree),)
-        if _odd_curve_form(record, w, degree, mult, cids, p) == "deep":
+        if _odd_curve_form(record, carrier, degree, mult, cids, p) == "deep":
             return CaseLabel(prop, deep, params)
         if degree == 1:
             return CaseLabel(prop, reducible, params)
-        recipe = partial(_reduce_odd_curve, record, p, w)
+        recipe = partial(_reduce_odd_curve, record, p, carrier)
         return CaseLabel(prop, reducible, params, ("needs-reduction",), reduce=recipe)
 
     # s == 2: three curves on a rank-2 subgroup, the other elements pencil lines
@@ -318,12 +330,12 @@ def match_conic_bundle(cover: CoverModel, pencil_point: str) -> CaseLabel:
         if len(nonzero) != 6:
             raise MatchError("need three pencil lines and three curves")
         singles = [g for g in nonzero if _is_pencil_lines(profiles[g], 1)]
-        trios = [t for t in itertools.combinations(singles, 3) if sum(t, group.zero(r)).is_zero]
+        trios = [t for t in itertools.combinations(singles, 3) if not reduce(xor, t, 0)]
         if not trios:
             raise MatchError("the pencil-line inertia elements must sum to zero")
         verticals = trios[-1]
     horizontals = [g for g in nonzero if g not in verticals]
-    if not sum(horizontals, group.zero(r)).is_zero:
+    if reduce(xor, horizontals, 0):
         raise MatchError("the three curve inertia elements must span a rank-2 subgroup")
     prop, curves, concurrent = _TRIPLE_FAMILIES[r]
     # each curve has a (d-1)-fold point at p, or, for at most one, a d-fold point
@@ -477,7 +489,7 @@ def match_del_pezzo(cover: CoverModel) -> CaseLabel:
                 if len(at) > 3:
                     raise MatchError(f"too many lines through {name}")
                 if len(at) == 3:
-                    ks = [cid for cid, _ in at if record.carrier[cid] == k.mask]
+                    ks = [cid for cid, _ in at if record.carrier[cid] == k]
                     if len(ks) != 1:
                         raise MatchError(f"triple point at {name} must mix both subgroup parts")
             return CaseLabel("5.5", "4.222", (), ("reduced-five-line-model",))
@@ -521,9 +533,12 @@ class MoveRecord:
         )
 
 
-def _purge_idle_marks(record: ModelRecord, curves_at: Mapping[str, int]) -> set[str]:
+def _purge_idle_marks(
+    record: ModelRecord, curves_at: Mapping[str, int], children: Mapping[str, list[str]]
+) -> set[str]:
     """The marked points of ``record`` that go idle when ``curves_at[name]``
-    curves pass through each: the names to drop.
+    curves pass through each: the names to drop.  ``children`` is the
+    record's ``children_by_parent``.
 
     A marked point is idle when it is not the pencil point, at most one
     curve passes through it, and every point infinitely near it is idle.
@@ -531,7 +546,6 @@ def _purge_idle_marks(record: ModelRecord, curves_at: Mapping[str, int]) -> set[
     are found from the childless ones up to their parents.
     """
     marked = record.marked
-    children = children_by_parent(marked)
 
     def idle(name: str) -> bool:
         return (
@@ -575,7 +589,8 @@ def _move(
     degree 0 are contracted (or stay exceptional) and leave the plane model;
     the next pull-back puts the new triangle's exceptionals back in their
     carriers, so no information is lost.  Marks left idle are dropped on the
-    reflected incidences.
+    reflected incidences, counted per point as the curves are reflected; the
+    index of infinitely near points that checks the base serves that too.
     """
     if record.centers:
         raise PreconditionError("quadratic moves operate on plane configurations")
@@ -604,34 +619,39 @@ def _move(
     order = sorted(based, key=lambda n: (depth[n], n))
     up = blow_up(record, *order)
     slots = tuple(1 + order.index(name) for name in based)  # the centers, in blow-up order
-    coeffs, mults, dropped, emitted = {}, {}, [], []
+    carrier, coeffs, kept, mults, dropped, emitted = {}, {}, {}, {}, [], []
+    curves_at: dict[str, int] = {}  # point -> the reflected curves through it
     for cid in sorted(up.coeffs):
         reflected = lattice.reflect_support(up.coeffs[cid], slots)
         if not reflected.get(0):
             dropped.append(cid)
             continue
-        at_base = [(name, -reflected.get(slot, 0)) for name, slot in zip(based, slots)]
-        if any(m < 0 for _, m in at_base):
-            raise GeometryError(
-                f"move produced a negative multiplicity on {cid}; invalid base triple"
-            )
-        coeffs[cid] = {0: reflected[0]}
-        mults[cid] = up.mults[cid] + [(n, m) for n, m in at_base if m]
-        if up.kept[cid][1] in based:
+        at = up.mults[cid]  # a list of the move's own blow-up, extended in place
+        for name, slot in zip(based, slots):
+            m = -reflected.get(slot, 0)
+            if m < 0:
+                raise GeometryError(
+                    f"move produced a negative multiplicity on {cid}; invalid base triple"
+                )
+            if m:
+                at.append((name, m))
+        for name, _ in at:
+            curves_at[name] = curves_at.get(name, 0) + 1
+        irreducible, of = up.kept[cid]
+        if of in based:
             emitted.append(cid)
+        carrier[cid] = up.carrier[cid]
+        coeffs[cid] = {0: reflected[0]}
+        kept[cid] = (irreducible, None)
+        mults[cid] = at
 
     # the moved model keeps every mark of the record, the based ones too, but the idle
-    gone = _purge_idle_marks(record, Counter(n for at in mults.values() for n, _ in at))
-    moved = ModelRecord(
-        record.r,
-        [],
-        {name: m for name, m in record.marked.items() if name not in gone},
-        record.pencil,
-        {cid: up.carrier[cid] for cid in coeffs},
-        coeffs,
-        {cid: (up.kept[cid][0], None) for cid in coeffs},
-        {cid: [(n, m) for n, m in at if n not in gone] for cid, at in mults.items()},
-    )
+    marked = record.marked
+    gone = _purge_idle_marks(record, curves_at, children)
+    if gone:
+        marked = {name: m for name, m in marked.items() if name not in gone}
+        mults = {cid: [(n, m) for n, m in at if n not in gone] for cid, at in mults.items()}
+    moved = ModelRecord(record.r, [], marked, record.pencil, carrier, coeffs, kept, mults)
     return moved, MoveRecord(based, tuple(dropped), tuple(emitted))
 
 

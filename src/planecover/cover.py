@@ -11,7 +11,8 @@ A ``CoverModel`` is the validated type at the boundary: a document, a plane
 configuration, a matcher's argument and a reduction's result.  Inside, the
 engine works on a ``ModelRecord``, the model as plain dicts: ``resolve``,
 the matchers, the Cremona recipes, the invariant report and the census
-read and chain records and build no model.  New points enter a record by
+read and chain records and build no model; the matchers work on its
+carrier masks, the ints of ``carrier``.  New points enter a record by
 one function, ``mark_points``, which claims each name before it reads the
 curves through the point; the Cremona recipes mark their auxiliary points
 with it, and a resolve's crossings are marked with it only when its
@@ -243,7 +244,7 @@ class CoverModel:
         return ModelRecord(
             self.r,
             list(self.surface.centers),
-            dict(self._by_point),
+            {m.name: m for m in self.marked},
             self.pencil,
             carriers(self.branch),
             {c.cid: c.cls.support for c in self.components},
@@ -276,8 +277,12 @@ class CoverModel:
 
     @cached_property
     def _odd_character(self) -> Character | None:
-        curves = carriers(self.branch).items()
-        return odd_character(self.r, ((g, self._by_cid[cid].cls.support) for cid, g in curves))
+        """The parity sweep over the branch entries of odd multiplicity."""
+        comps = self._by_cid
+        odd = (
+            (g.mask, comps[cid].cls.support) for g, pairs in self.branch for cid, k in pairs if k & 1
+        )
+        return odd_character(self.r, odd)
 
 
 # -- construction helpers -------------------------------------------------
@@ -453,7 +458,10 @@ class ModelRecord(NamedTuple):
 
     def mult_at(self, cid: str, point: str | None) -> int:
         """The multiplicity of curve ``cid`` at a marked point, 0 when it misses it."""
-        return next((m for name, m in self.mults[cid] if name == point), 0)
+        for name, m in self.mults[cid]:
+            if name == point:
+                return m
+        return 0
 
 
 def to_record(cover: CoverModel) -> ModelRecord:
@@ -587,12 +595,14 @@ def odd_character(r: int, curves: Iterable[tuple[int, Mapping[int, int]]]) -> Ch
     """The first character, in ``group.characters`` order, whose branch sum
     S_chi has an odd coefficient; None when every S_chi is even.
 
-    ``curves`` are (carrier, nonzero coefficients) pairs, one per curve
-    some D_g holds (``carriers``): mod 2, S_chi is the sum of
-    eps_chi(carrier) [C] over the curves C.  So S_chi at slot s is
-    eps_chi(v_s), where v_s is the XOR of the carriers of the curves with an
-    odd coefficient at s: one pass over the coefficients collects the v_s,
-    and S_chi is odd exactly when chi pairs oddly with one of them.
+    ``curves`` are (g mask, nonzero coefficients) pairs whose classes add up
+    to the branch data mod 2: one per curve some D_g holds, with its carrier
+    (``carriers``), or one per branch entry of odd multiplicity, with its g.
+    Mod 2, S_chi is the sum of eps_chi(g) [C] over the pairs (g, C).  So
+    S_chi at slot s is eps_chi(v_s), where v_s is the XOR of the g of the
+    pairs with an odd coefficient at s: one pass over the coefficients
+    collects the v_s, and S_chi is odd exactly when chi pairs oddly with one
+    of them.
     """
     at_slot: dict[int, int] = {}
     for mask, support in curves:

@@ -158,7 +158,8 @@ def _extend(basis: list[int], m: int) -> bool:
     lowers ``m``, so one pass leaves 0 for a mask in the span.
     """
     for b in basis:
-        m = min(m, m ^ b)
+        if m ^ b < m:
+            m ^= b
     if m:
         basis.append(m)
         basis.sort(reverse=True)

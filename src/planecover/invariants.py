@@ -173,8 +173,8 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
     coeffs = record.coeffs
     by_g, total = branch_classes((g, 1, coeffs[cid]) for cid, g in record.carrier.items())
     raise_odd_character(odd_character(r, by_g.items()))
-    c2 = sum(_square(coeffs[cid]) for cid in record.carrier)  # sum C_i^2
-    squares = sum(_square(d_g) for d_g in by_g.values())  # sum D_g^2
+    c2 = sum(map(_square, coeffs.values()))  # sum C_i^2: every curve is in one D_g
+    squares = sum(map(_square, by_g.values()))  # sum D_g^2
     support, b2, bk = _bicanonical(rank, total)
     k2 = 10 - rank  # K^2 = 9 - n on the plane blown up n times
     dk = bk - 2 * k2
@@ -201,7 +201,11 @@ def invariant_report(resolved: ResolveResult) -> InvariantReport:
 
 def _square(support: dict[int, int]) -> int:
     """The self-intersection of a class given by its nonzero coefficients."""
-    return 2 * support.get(0, 0) ** 2 - sum(value * value for value in support.values())
+    degree = support.get(0, 0)
+    square = 2 * degree * degree
+    for value in support.values():
+        square -= value * value
+    return square
 
 
 def _check_noether(

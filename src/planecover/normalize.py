@@ -239,16 +239,17 @@ def singular_points(record: ModelRecord) -> list[str]:
 
     A point is ripe once its parent, if it has one, is a center: a blow-up
     can take it now.  The test of ``singularity_over`` runs on indexes of the
-    incidences and of the infinitely near points built once for all points.
+    incidences and of the infinitely near points built once for all ripe
+    points, and not at all when none is ripe, as after a round that blew up
+    every marked point.
     """
     ripe_parents = {None} | {c.name for c in record.centers}
-    through, children = curves_through(record.mults.items()), children_by_parent(record.marked)
-    return [
-        name
-        for name in sorted(record.marked)
-        if record.marked[name].parent in ripe_parents
-        and _singularity(record, through, children, name) is not None
-    ]
+    marked = record.marked
+    ripe = [name for name in sorted(marked) if marked[name].parent in ripe_parents]
+    if not ripe:
+        return []
+    through, children = curves_through(record.mults.items()), children_by_parent(marked)
+    return [name for name in ripe if _singularity(record, through, children, name) is not None]
 
 
 def singular_residual_pairs(record: ModelRecord) -> list[tuple[str, str, int]]:

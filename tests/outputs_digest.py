@@ -22,7 +22,13 @@ the other commands make of such a cover are pinned as well.  Then
 ``ARGUMENT_FORMS``: argument lists that argparse reads although they are
 not ``--option value`` pairs (an abbreviation, ``--input=P``, a negative
 value), and a subcommand's usage errors and help.  The top-level usage and
-help are left out: their layout differs between Python versions.
+help are left out: their layout differs between Python versions.  Last,
+under the six document commands, one fixed document of each adversarial
+kind the fuzz tests draw (``ADVERSARIAL``): a number longer than
+``config.MAX_DIGITS``, a name no document can write, a line through a chain
+of 1,000 infinitely near points, two curves of degree 300 in one D_g, and a
+byte that is not UTF-8, which reaches stdin as the lone surrogate a
+``surrogateescape`` stream makes of it.
 
 The script exits 1, after printing every line, when a call ended in an
 uncaught exception (a traceback) rather than a result or ``error[code]``.
@@ -43,6 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from planecover.cli import main  # noqa: E402
+from planecover.config import MAX_DIGITS  # noqa: E402
 from workloads import (  # noqa: E402
     BROKEN_EVERY,
     DOC_COMMANDS,
@@ -90,6 +97,33 @@ ARGUMENT_FORMS = (
     "invariants --input P --format csv",
     "validate --help",
 )
+
+
+#: The adversarial documents' template: three lines, one through a marked
+#: pencil point, with ``A``'s entry in D_01 of multiplicity k.
+_TEMPLATE = (
+    "[cover]\nr = {r}\npencil = {pencil}\n[centers]\n{point} = point\n[components]\n"
+    "{curve} = degree {degree}, mult({point}) = {mult}\nB = degree 1\nC = degree 1\n"
+    "[branch]\n01 = {curve}*{k}\n10 = B\n11 = C\n"
+)
+_FIELDS = {"r": "2", "pencil": "p", "point": "p", "curve": "A", "degree": "1", "mult": "1", "k": "1"}
+_CHAIN = 1000
+
+#: kind -> one fixed document of each kind of ``test_fuzz.ADVERSARIAL``, as
+#: the text a ``surrogateescape`` stdin gives for its bytes
+ADVERSARIAL = {
+    "long number": _TEMPLATE.format(**{**_FIELDS, "degree": "7" * (MAX_DIGITS + 1)}),
+    "unwritable name": _TEMPLATE.format(**{**_FIELDS, "curve": "A-1"}),
+    "deep chain": "[cover]\nr = 2\n[centers]\np0 = point\n"
+    + "".join(f"p{i} = near p{i - 1}\n" for i in range(1, _CHAIN))
+    + "[components]\nA = degree 1"
+    + "".join(f", mult(p{i}) = 1" for i in range(_CHAIN))
+    + "\nB = degree 1\nC = degree 1\n[branch]\n01 = A\n10 = B\n11 = C\n",
+    "high degree pair": "[cover]\nr = 1\n[centers]\np = point\n[components]\n"
+    "A = degree 300\nB = degree 300\n[branch]\n1 = A, B\n",
+    # the byte 0xff after the pencil point's name
+    "not UTF-8": _TEMPLATE.format(**{**_FIELDS, "pencil": "p\udcff"}),
+}
 
 
 def mutant(text: str, rng: random.Random) -> tuple[str, str]:
@@ -151,6 +185,9 @@ def calls():
     path = str(FIXTURE_DIR / "prop51.cfg")
     for form in ARGUMENT_FORMS:
         yield f"argv {form}", [token.replace("P", path) for token in form.split()], None
+    for kind, document in ADVERSARIAL.items():
+        for command in DOC_COMMANDS:
+            yield f"adversarial {kind} {command}", [command, "--input", "-"], document
 
 
 def run(argv, stdin):

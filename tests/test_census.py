@@ -63,12 +63,25 @@ def test_census_r4_rows_carry_three_pencil_lines():
         assert row.label.startswith("Prop4.12/")
 
 
-def test_census_deduplicates_reduction_equivalent_patterns():
-    # the multiplicity-(d-1) shapes reduce to the d=1 normal form and are
-    # folded into a single row
-    table = census(2, 3)
+@pytest.mark.parametrize("r", [2, 3])
+def test_census_deduplicates_reduction_equivalent_patterns(r):
+    # the multiplicity-(d-1) odd curves reduce to the d=1 normal form: each
+    # recipe's record has the key of the d=1 pattern, so its pattern is
+    # folded into that single row
+    table = census(r, 7)
     d1_rows = [row for row in table.rows if "d=1" in row.label]
     assert len(d1_rows) == 1
+    patterns = {row.pattern for row in table.rows}
+    candidates = dict(census_mod._candidates(r, 7))
+    stem = {2: "pencil pair", 3: "pencil triple"}[r] + " + odd curve"
+    normal_form = f"{stem} d=1 mult=0"
+    assert normal_form in patterns
+    key = census_mod._shape_key(to_record(candidates[normal_form]))
+    for k in (3, 5, 7):
+        pattern = f"{stem} d={k} mult={k - 1}"
+        assert pattern not in patterns
+        label = classify(candidates[pattern])
+        assert census_mod._shape_key(label.reduce()[0]) == key, pattern
 
 
 def test_census_bounds():

@@ -28,6 +28,7 @@ from planecover.cover import (
     CurveComponent,
     add_marked_point,
     add_marked_points,
+    children_by_parent,
     derive_building_data,
     plane_cover,
 )
@@ -819,7 +820,10 @@ def test_purge_idle_marks_matches_one_at_a_time_reference():
                 names.append(f"t{n}")
             model = add_marked_points(base, points)
             curves_at = {m.name: len(scan_components_at(model, m.name)) for m in model.marked}
-            gone = classify_mod._purge_idle_marks(to_record(model), curves_at)
+            record = to_record(model)
+            gone = classify_mod._purge_idle_marks(
+                record, curves_at, children_by_parent(record.marked)
+            )
             comps = tuple(
                 replace(c, mults=tuple((n, k) for n, k in c.mults if n not in gone))
                 for c in model.components

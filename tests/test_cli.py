@@ -327,8 +327,8 @@ def test_resolve_and_invariants_check_parity_first(capsys, tmp_path):
 
 def test_cover_commands_stop_at_the_first_error_of_validate():
     # every document of the outputs digest (fixtures, 400 seeded random
-    # documents, the mutants of both and the documents that are not totally
-    # ramified) that validate rejects gets the same stderr line and exit code
+    # documents, the mutants of both, the documents that are not totally
+    # ramified and the adversarial ones) that validate rejects gets the same stderr line and exit code
     # from resolve, invariants, classify and reduce, with nothing on stdout
     import outputs_digest
 
@@ -348,10 +348,12 @@ def test_cover_commands_stop_at_the_first_error_of_validate():
         for command in ("resolve", "invariants", "classify", "reduce"):
             got = outputs_digest.run([command, "--input", "-"], stdin)
             assert got == (code, "", err, None), (description, command)
-    # 118 fixture mutants: two of the 120 drawn repeat an earlier one
-    assert len(documents) == 400 + 118 + 200 + 6
+    # 118 fixture mutants: two of the 120 drawn repeat an earlier one; the
+    # adversarial documents of a long number, an unwritable name and a byte
+    # that is not UTF-8 end in error[config]
+    assert len(documents) == 400 + 118 + 200 + 6 + 5
     assert rejected == {
-        ("error[config]", 2): 209,
+        ("error[config]", 2): 209 + 3,
         ("error[parity]", 3): 84,
         ("error[geometry]", 4): 26,
         ("error[no-match]", 5): 5,
@@ -362,7 +364,7 @@ def test_outputs_digest_calls_are_unique():
     import outputs_digest
 
     descriptions = [description for description, _, _ in outputs_digest.calls()]
-    assert len(descriptions) == len(set(descriptions)) == 4493
+    assert len(descriptions) == len(set(descriptions)) == 4493 + 30
 
 
 def test_digest_documents_that_are_not_totally_ramified():
