@@ -63,21 +63,21 @@ def test_census_r4_rows_carry_three_pencil_lines():
         assert row.label.startswith("Prop4.12/")
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_census_deduplicates_reduction_equivalent_patterns(r):
+@pytest.mark.parametrize(("r", "max_degree"), [(2, 3), (2, 7), (3, 7)])
+def test_census_deduplicates_reduction_equivalent_patterns(r, max_degree):
     # the multiplicity-(d-1) odd curves reduce to the d=1 normal form: each
     # recipe's record has the key of the d=1 pattern, so its pattern is
     # folded into that single row
-    table = census(r, 7)
+    table = census(r, max_degree)
     d1_rows = [row for row in table.rows if "d=1" in row.label]
     assert len(d1_rows) == 1
     patterns = {row.pattern for row in table.rows}
-    candidates = dict(census_mod._candidates(r, 7))
+    candidates = dict(census_mod._candidates(r, max_degree))
     stem = {2: "pencil pair", 3: "pencil triple"}[r] + " + odd curve"
     normal_form = f"{stem} d=1 mult=0"
     assert normal_form in patterns
     key = census_mod._shape_key(to_record(candidates[normal_form]))
-    for k in (3, 5, 7):
+    for k in range(3, max_degree + 1, 2):
         pattern = f"{stem} d={k} mult={k - 1}"
         assert pattern not in patterns
         label = classify(candidates[pattern])

@@ -328,8 +328,9 @@ def test_resolve_and_invariants_check_parity_first(capsys, tmp_path):
 def test_cover_commands_stop_at_the_first_error_of_validate():
     # every document of the outputs digest (fixtures, 400 seeded random
     # documents, the mutants of both, the documents that are not totally
-    # ramified and the adversarial ones) that validate rejects gets the same stderr line and exit code
-    # from resolve, invariants, classify and reduce, with nothing on stdout
+    # ramified and the adversarial ones) that validate rejects gets the same
+    # stderr line and exit code from resolve, invariants, classify and
+    # reduce, with nothing on stdout
     import outputs_digest
 
     documents = [
