@@ -2,11 +2,11 @@
 classify, reduce and census over the line-oriented document format.
 
 The six document commands are one table (``COMMANDS``): each runs the
-stages parse -> cover -> normalize -> checked -> resolve (``STAGES``) up
-to the last one it needs, once, and prints that stage's value.  ``checked``
-is ``cover.check_cover``, parity and then total ramification, so every
-command after ``normalize`` stops at the first error ``validate`` reports;
-``normalize`` checks neither.
+stages parse -> normalize -> checked -> resolve (``STAGES``) up to the last
+one it needs, once, and prints that stage's value.  ``parse`` reads the
+document into its plane model.  ``checked`` is ``cover.check_cover``, parity
+and then total ramification, so every command after ``normalize`` stops at
+the first error ``validate`` reports; ``normalize`` checks neither.
 
 Each command's options are declared once, in ``OPTIONS``.  ``main`` reads a
 plain argument list (``_read_plain``) straight from that table and hands any
@@ -43,7 +43,7 @@ EXIT_CODES = {
 }
 
 
-def _read_document(path: str) -> config.ConfigDocument:
+def _read_document(path: str) -> CoverModel:
     # utf-8-sig drops a leading byte-order mark, an artifact of the encoding
     try:
         if path == "-":
@@ -66,7 +66,6 @@ def _read_document(path: str) -> config.ConfigDocument:
 #: before it returned, starting from the ``--input`` path.
 STAGES = {
     "parse": _read_document,
-    "cover": config.ConfigDocument.to_cover,
     "normalize": normalize,
     "checked": check_cover,
     "resolve": resolve,
@@ -80,7 +79,7 @@ def _print_validate(model: CoverModel, args) -> None:
 
 
 def _print_document(model: CoverModel, args) -> None:
-    sys.stdout.write(config.from_cover(model).serialize())
+    sys.stdout.write(config.write(model))
 
 
 def _print_trail(result: ResolveResult, args) -> None:
@@ -121,7 +120,7 @@ def _print_reduced(model: CoverModel, args) -> None:
     reduced, moves = classify_mod.cremona_reduce(model)
     for i, move in enumerate(moves, start=1):
         print(f"# move {i}: {move.serialize()}")
-    sys.stdout.write(config.from_cover(reduced).serialize())
+    sys.stdout.write(config.write(reduced))
 
 
 #: document command -> (the last stage it runs, what it prints of that

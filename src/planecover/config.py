@@ -15,20 +15,18 @@ only when the document is refused.  Names match ``cover.NAME``, the
 pattern ``plane_cover`` checks too, and a number has at most
 ``MAX_DIGITS`` digits.
 
-There is one writer, ``ConfigDocument.serialize``, and it writes a
-document's parts in the order it holds them.  ``from_cover`` gives a plane
-model's document in canonical form, which parses back to the same model: a
-model keeps its parts in canonical order, so only the centers are sorted.
+``parse`` returns the document's plane model, which ``cover.plane_cover``
+builds from the lists it read.  There is one writer, ``write``, which gives
+a plane model's document in canonical form straight from the model; the
+document parses back to the same model.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from . import cover as cover_mod
-from .errors import ConfigError
-from .cover import NAME, CoverModel
+from .errors import ConfigError, PreconditionError
+from .cover import NAME, CoverModel, plane_cover
 
 #: The most digits a number may have, so that it and the squares the
 #: invariants make of it stay below 640 digits, the lowest limit Python's int
@@ -37,59 +35,6 @@ from .cover import NAME, CoverModel
 MAX_DIGITS = 300
 _SECTION = re.compile(r"^\[(?P<name>[a-z]+)\]$")
 _MULT = re.compile(rf"^mult\((?P<point>[^)]*)\)\s*=\s*(?P<value>-?[0-9]{{1,{MAX_DIGITS}}})$")
-
-
-@dataclass
-class ComponentSpec:
-    name: str
-    degree: int
-    mults: dict[str, int] = field(default_factory=dict)
-    irreducible: bool = True
-
-
-@dataclass
-class ConfigDocument:
-    r: int
-    pencil: str | None = None
-    centers: list[tuple[str, str | None]] = field(default_factory=list)
-    components: list[ComponentSpec] = field(default_factory=list)
-    branch: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-
-    def to_cover(self) -> CoverModel:
-        return cover_mod.plane_cover(
-            self.r,
-            [(c.name, c.degree, c.mults) for c in self.components],
-            self.branch,
-            marked=self.centers,
-            pencil=self.pencil,
-            reducible=[c.name for c in self.components if not c.irreducible],
-        )
-
-    def serialize(self) -> str:
-        """The document's text, its parts in the order it holds them: the
-        one writer.  ``from_cover`` holds a model's parts in canonical order,
-        so a model's document is canonical, and a parsed document is written
-        in the order it was read."""
-        lines = ["[cover]", f"r = {self.r}"]
-        if self.pencil is not None:
-            lines.append(f"pencil = {self.pencil}")
-        lines.append("")
-        lines.append("[centers]")
-        for name, parent in self.centers:
-            lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
-        lines.append("")
-        lines.append("[components]")
-        for comp in self.components:
-            line = f"{comp.name} = degree {comp.degree}"
-            for point, mult in comp.mults.items():
-                line += f", mult({point}) = {mult}"
-            lines.append(line if comp.irreducible else line + ", reducible")
-        lines.append("")
-        lines.append("[branch]")
-        for key, entries in self.branch.items():
-            entries = ", ".join([name if mult == 1 else f"{name}*{mult}" for name, mult in entries])
-            lines.append(f"{key} = {entries}")
-        return "\n".join(lines) + "\n"
 
 
 def _topo_sorted(centers: list[tuple[str, str | None]]) -> list[tuple[str, str | None]]:
@@ -108,24 +53,36 @@ def _topo_sorted(centers: list[tuple[str, str | None]]) -> list[tuple[str, str |
     return sorted(centers, key=lambda item: depth[item[0]])
 
 
-def from_cover(model: CoverModel) -> ConfigDocument:
-    """Document form of a plane configuration (inverse of ``to_cover``), in
-    canonical order.
+def write(model: CoverModel) -> str:
+    """The document of a plane configuration, in canonical form: the one
+    writer.
 
     A model keeps its parts in canonical order: components by id, each
     curve's multiplicities by point, the D_g by element and each D_g's
-    entries by id.  So only the centers are sorted here; the rest is taken
-    over in the order the model holds it."""
+    entries by id.  So only the centers are sorted here; the rest is written
+    in the order the model holds it."""
     if model.surface.rank != 1:
-        raise ConfigError([(1, 1, "only plane configurations can be serialized")])
-    doc = ConfigDocument(r=model.r, pencil=model.pencil)
-    doc.centers = _topo_sorted([(m.name, m.parent) for m in model.marked])
-    doc.components = [
-        ComponentSpec(c.cid, c.cls.degree, dict(c.mults), c.irreducible)
-        for c in model.components
-    ]
-    doc.branch = {str(g): list(entries) for g, entries in model.branch}
-    return doc
+        raise PreconditionError("only plane configurations can be written")
+    lines = ["[cover]", f"r = {model.r}"]
+    if model.pencil is not None:
+        lines.append(f"pencil = {model.pencil}")
+    lines.append("")
+    lines.append("[centers]")
+    for name, parent in _topo_sorted([(m.name, m.parent) for m in model.marked]):
+        lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
+    lines.append("")
+    lines.append("[components]")
+    for comp in model.components:
+        line = f"{comp.cid} = degree {comp.cls.degree}"
+        for point, mult in comp.mults:
+            line += f", mult({point}) = {mult}"
+        lines.append(line if comp.irreducible else line + ", reducible")
+    lines.append("")
+    lines.append("[branch]")
+    for g, entries in model.branch:
+        entries = ", ".join([name if mult == 1 else f"{name}*{mult}" for name, mult in entries])
+        lines.append(f"{g} = {entries}")
+    return "\n".join(lines) + "\n"
 
 
 def _is_number(text: str) -> bool:
@@ -141,13 +98,19 @@ def _cut(text: str) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
-def parse(text: str) -> ConfigDocument:
-    """Parse a document, collecting positioned errors before giving up.
+def parse(text: str) -> CoverModel:
+    """The plane model of a document, its problems collected before giving up.
 
     A problem is recorded with its line and the key it is at (None for
-    column 1); the key's column is found only when the document is refused."""
+    column 1); the key's column is found only when the document is refused.
+    A document without problems is built by ``cover.plane_cover``, which
+    checks its geometry."""
     problems: list[tuple[int, str | None, str]] = []
-    doc = ConfigDocument(r=0)
+    r, pencil = 0, None
+    centers: list[tuple[str, str | None]] = []
+    components: list[tuple[str, int, dict[str, int]]] = []
+    reducible: list[str] = []
+    branch: dict[str, list[tuple[str, int]]] = {}
     section = None
     seen_names: set[str] = set()
     component_names: set[str] = set()
@@ -242,7 +205,9 @@ def parse(text: str) -> ConfigDocument:
                 err(lineno, key, f"component {_cut(key)!r} is missing its degree")
                 ok = False
             if ok:
-                doc.components.append(ComponentSpec(key, degree, mults, irreducible))
+                components.append((key, degree, mults))
+                if not irreducible:
+                    reducible.append(key)
                 seen_names.add(key)
                 component_names.add(key)
 
@@ -250,12 +215,12 @@ def parse(text: str) -> ConfigDocument:
             if key.strip("01"):
                 err(lineno, key, f"non-binary group element {_cut(key)!r}")
                 continue
-            if len(key) != doc.r:
+            if len(key) != r:
                 wrong_length.append((lineno, key, len(problems)))
             if "1" not in key:
                 err(lineno, key, "branch data are indexed by nonzero group elements")
                 continue
-            if key in doc.branch:
+            if key in branch:
                 err(lineno, key, f"duplicate branch element {_cut(key)!r}")
                 continue
             entries = []
@@ -276,7 +241,7 @@ def parse(text: str) -> ConfigDocument:
                     continue
                 entries.append((name, mult))
             if entries:
-                doc.branch[key] = entries
+                branch[key] = entries
 
         elif section == "centers":
             if not NAME.fullmatch(key):
@@ -295,7 +260,7 @@ def parse(text: str) -> ConfigDocument:
             else:
                 err(lineno, key, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
                 continue
-            doc.centers.append((key, parent))
+            centers.append((key, parent))
             seen_names.add(key)
             center_names.add(key)
 
@@ -306,29 +271,29 @@ def parse(text: str) -> ConfigDocument:
             if not _is_number(value) or not 1 <= int(value) <= 4:
                 err(lineno, key, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
             else:
-                doc.r = int(value)
+                r = int(value)
         elif key == "pencil":
             cover_keys.add(key)
-            doc.pencil = value
+            pencil = value
         else:
             err(lineno, key, f"unknown [cover] key {_cut(key)!r}")
 
     # a key of the wrong length reports only that, as if its line stopped there
     for lineno, key, start in reversed(wrong_length):
-        if doc.r and len(key) != doc.r:
+        if r and len(key) != r:
             end = start
             while end < len(problems) and problems[end][0] == lineno:
                 end += 1
-            message = f"group element {_cut(key)!r} has length {len(key)}, expected {doc.r}"
+            message = f"group element {_cut(key)!r} has length {len(key)}, expected {r}"
             problems[start:end] = [(lineno, key, message)]
     if "r" not in cover_keys:
         problems.insert(0, (1, None, "missing required key 'r' in [cover]"))
-    if doc.pencil is not None and doc.pencil not in center_names:
-        problems.append((1, None, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
+    if pencil is not None and pencil not in center_names:
+        problems.append((1, None, f"pencil point {_cut(pencil)!r} is not a declared center"))
     if problems:
         # the key is the first run of its characters on the line
         raise ConfigError(
             [(n, 1 if key is None else lines[n - 1].index(key) + 1, message)
              for n, key, message in problems]
         )
-    return doc
+    return plane_cover(r, components, branch, marked=centers, pencil=pencil, reducible=reducible)

@@ -38,7 +38,7 @@ then checks every name by set lookups: component ids and marked names
 unique, marked names apart from the centers, every parent known and no
 cycle of parents, and every multiplicity, branch entry and pencil naming a
 known point or curve.  So a model that ``plane_cover`` accepts is one its
-document can write: ``config.from_cover`` inverts ``to_cover``.
+document can write: ``config.parse`` reads back what ``config.write`` wrote.
 
 The engine never builds L_chi.  Taking L_chi = S_chi / 2 makes every product
 relation hold, so all it needs to know is that each S_chi is divisible by

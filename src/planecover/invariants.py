@@ -244,7 +244,4 @@ def riemann_hurwitz_genus(
     total = sheets * (2 * base_genus - 2) + ram
     if total % 2 or total < -2:
         raise InconsistencyError(f"Riemann-Hurwitz total 2g-2 = {total} is not realizable")
-    g = (total + 2) // 2
-    if g < 0:
-        raise InconsistencyError(f"Riemann-Hurwitz data give negative genus {g}")
-    return g
+    return (total + 2) // 2

@@ -15,7 +15,6 @@ import pytest
 
 from planecover import classify, cli, config, cover, group, invariants, lattice
 from planecover import normalize as normalize_mod
-from planecover.config import ComponentSpec, ConfigDocument
 from planecover.cover import (
     CoverModel,
     CurveComponent,
@@ -77,7 +76,7 @@ def fixture_text(name: str) -> str:
 
 
 def load_cover(name: str):
-    return config.parse(fixture_text(name)).to_cover()
+    return config.parse(fixture_text(name))
 
 
 @pytest.fixture
@@ -1026,14 +1025,22 @@ def _cut(text: str) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
-def reference_parse(text: str) -> ConfigDocument:
+def reference_parse(text: str) -> tuple:
     """Reference for ``config.parse``: a copy of the line-by-line parser it
     replaced (a regex match per clause, a set per branch key), with three
     rules added since: a degree below 1 is a problem at its line, a number
     has at most ``config.MAX_DIGITS`` digits, and a message echoes at most 80
-    characters of a value, then ``...``."""
+    characters of a value, then ``...``.
+
+    It returns what it read as plain data, the arguments of
+    ``plane_cover(r, components, branch, marked, pencil, reducible)``; the
+    model is that call's."""
     problems: list[tuple[int, int, str]] = []
-    doc = ConfigDocument(r=0)
+    r, pencil = 0, None
+    marked: list[tuple[str, str | None]] = []
+    components: list[tuple[str, int, dict[str, int]]] = []
+    reducible: list[str] = []
+    branch: dict[str, list[tuple[str, int]]] = {}
     section = None
     seen_names: set[str] = set()
     component_names: set[str] = set()
@@ -1076,10 +1083,10 @@ def reference_parse(text: str) -> ConfigDocument:
                 if not _is_number(value) or not 1 <= int(value) <= 4:
                     err(lineno, col, f"r must be an integer between 1 and 4, got {_cut(value)!r}")
                 else:
-                    doc.r = int(value)
+                    r = int(value)
             elif key == "pencil":
                 cover_keys.add(key)
-                doc.pencil = value
+                pencil = value
             else:
                 err(lineno, col, f"unknown [cover] key {_cut(key)!r}")
 
@@ -1100,7 +1107,7 @@ def reference_parse(text: str) -> ConfigDocument:
             else:
                 err(lineno, col, f"center must be 'point' or 'near <center>', got {_cut(value)!r}")
                 continue
-            doc.centers.append((key, parent))
+            marked.append((key, parent))
             seen_names.add(key)
             center_names.add(key)
 
@@ -1111,7 +1118,7 @@ def reference_parse(text: str) -> ConfigDocument:
             if key in seen_names:
                 err(lineno, col, f"duplicate name {_cut(key)!r}")
                 continue
-            spec = ComponentSpec(key, degree=-1)
+            degree, mults, irreducible = -1, {}, True
             ok = True
             clauses: set[str] = set()
             for part in [p.strip() for p in value.split(",")]:
@@ -1132,9 +1139,9 @@ def reference_parse(text: str) -> ConfigDocument:
                         err(lineno, col, f"bad degree {_cut(rest)!r} for component {_cut(key)!r}")
                         ok = False
                     else:
-                        spec.degree = int(rest)
+                        degree = int(rest)
                         # added since the copy: a plane curve has degree at least 1
-                        if spec.degree < 1:
+                        if degree < 1:
                             message = (
                                 f"degree must be at least 1 for component {_cut(key)!r}, "
                                 f"got {_cut(rest)}"
@@ -1142,7 +1149,7 @@ def reference_parse(text: str) -> ConfigDocument:
                             err(lineno, col, message)
                             ok = False
                 elif part == "reducible":
-                    spec.irreducible = False
+                    irreducible = False
                 elif mm:
                     point, mult = mm.group("point"), int(mm.group("value"))
                     if point not in center_names:
@@ -1152,15 +1159,17 @@ def reference_parse(text: str) -> ConfigDocument:
                         err(lineno, col, f"multiplicity must be at least 1, got {_cut(str(mult))}")
                         ok = False
                     else:
-                        spec.mults[point] = mult
+                        mults[point] = mult
                 else:
                     err(lineno, col, f"cannot parse component clause {_cut(part)!r}")
                     ok = False
-            if spec.degree < 0:
+            if degree < 0:
                 err(lineno, col, f"component {_cut(key)!r} is missing its degree")
                 ok = False
             if ok:
-                doc.components.append(spec)
+                components.append((key, degree, mults))
+                if not irreducible:
+                    reducible.append(key)
                 seen_names.add(key)
                 component_names.add(key)
 
@@ -1168,12 +1177,12 @@ def reference_parse(text: str) -> ConfigDocument:
             if any(c not in "01" for c in key):
                 err(lineno, col, f"non-binary group element {_cut(key)!r}")
                 continue
-            if len(key) != doc.r:
+            if len(key) != r:
                 wrong_length.append((lineno, col, key, len(problems)))
             if set(key) == {"0"}:
                 err(lineno, col, "branch data are indexed by nonzero group elements")
                 continue
-            if key in doc.branch:
+            if key in branch:
                 err(lineno, col, f"duplicate branch element {_cut(key)!r}")
                 continue
             entries = []
@@ -1191,25 +1200,25 @@ def reference_parse(text: str) -> ConfigDocument:
                     continue
                 entries.append((name, mult))
             if entries:
-                doc.branch[key] = entries
+                branch[key] = entries
 
     # a key of the wrong length reports only that, as if its line stopped there
     for lineno, col, key, start in reversed(wrong_length):
-        if doc.r and len(key) != doc.r:
+        if r and len(key) != r:
             end = start
             while end < len(problems) and problems[end][0] == lineno:
                 end += 1
             problems[start:end] = [
                 (lineno, col, f"group element {_cut(key)!r} has length {len(key)}, "
-                 f"expected {doc.r}")
+                 f"expected {r}")
             ]
     if "r" not in cover_keys:
         problems.insert(0, (1, 1, "missing required key 'r' in [cover]"))
-    if doc.pencil is not None and doc.pencil not in center_names:
-        problems.append((1, 1, f"pencil point {_cut(doc.pencil)!r} is not a declared center"))
+    if pencil is not None and pencil not in center_names:
+        problems.append((1, 1, f"pencil point {_cut(pencil)!r} is not a declared center"))
     if problems:
         raise ConfigError(problems)
-    return doc
+    return r, components, branch, marked, pencil, reducible
 
 
 def reference_plane_cover(
@@ -1341,37 +1350,29 @@ def _reference_topo_sorted(centers):
 
 def reference_document_text(model: CoverModel) -> str:
     """Reference for the document writer: a copy of the writer it replaced,
-    which copied the model into a ``ConfigDocument`` and then sorted every
-    part of it as it wrote."""
+    which sorted every part of the model as it wrote."""
     if model.surface.rank != 1:
-        raise ConfigError([(1, 1, "only plane configurations can be serialized")])
-    doc = ConfigDocument(r=model.r, pencil=model.pencil)
-    doc.centers = [(m.name, m.parent) for m in model.marked]
-    doc.components = [
-        ComponentSpec(c.cid, c.cls.degree, dict(c.mults), c.irreducible)
-        for c in model.components
-    ]
-    doc.branch = {str(g): list(entries) for g, entries in model.branch}
-    lines = ["[cover]", f"r = {doc.r}"]
-    if doc.pencil is not None:
-        lines.append(f"pencil = {doc.pencil}")
+        raise PreconditionError("only plane configurations can be written")
+    lines = ["[cover]", f"r = {model.r}"]
+    if model.pencil is not None:
+        lines.append(f"pencil = {model.pencil}")
     lines.append("")
     lines.append("[centers]")
-    for name, parent in _reference_topo_sorted(doc.centers):
+    for name, parent in _reference_topo_sorted([(m.name, m.parent) for m in model.marked]):
         lines.append(f"{name} = point" if parent is None else f"{name} = near {parent}")
     lines.append("")
     lines.append("[components]")
-    for comp in sorted(doc.components, key=lambda c: c.name):
-        parts = [f"degree {comp.degree}"]
-        parts += [f"mult({point}) = {mult}" for point, mult in sorted(comp.mults.items())]
+    for comp in sorted(model.components, key=lambda c: c.cid):
+        parts = [f"degree {comp.cls.degree}"]
+        parts += [f"mult({point}) = {mult}" for point, mult in sorted(comp.mults)]
         if not comp.irreducible:
             parts.append("reducible")
-        lines.append(f"{comp.name} = " + ", ".join(parts))
+        lines.append(f"{comp.cid} = " + ", ".join(parts))
     lines.append("")
     lines.append("[branch]")
-    for key in sorted(doc.branch):
+    for key, entries in sorted((str(g), entries) for g, entries in model.branch):
         entries = ", ".join(
-            [name if mult == 1 else f"{name}*{mult}" for name, mult in sorted(doc.branch[key])]
+            [name if mult == 1 else f"{name}*{mult}" for name, mult in sorted(entries)]
         )
         lines.append(f"{key} = {entries}")
     return "\n".join(lines) + "\n"

@@ -26,11 +26,11 @@ def test_census_matches_golden_file(r, max_degree):
 
 def _candidate_listing() -> str:
     """One line per census candidate (r = 2..4, degree <= 7): r, the pattern and
-    the SHA-256 of the model's serialized document."""
+    the SHA-256 of the model's document."""
     lines = []
     for r in (2, 3, 4):
         for pattern, model in census_mod._candidates(r, 7):
-            digest = hashlib.sha256(config.from_cover(model).serialize().encode()).hexdigest()
+            digest = hashlib.sha256(config.write(model).encode()).hexdigest()
             lines.append(f"{r}\t{pattern}\t{digest}")
     return "\n".join(lines) + "\n"
 

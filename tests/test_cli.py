@@ -287,6 +287,11 @@ REPEATED_KEYS = {
     "mult": ("[cover]\nr = 2\n[centers]\np = point\n[components]\n"
              "A = degree 2, mult(p) = 2, mult(p) = 1\n[branch]\n10 = A\n",
              "6:1: duplicate mult(p) clause for component 'A'"),
+    "component": ("[cover]\nr = 2\n[components]\nA = degree 1\nA = degree 1\n[branch]\n10 = A\n",
+                  "5:1: duplicate name 'A'"),
+    "element": ("[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\nC = degree 1\n"
+                "[branch]\n10 = A\n01 = B\n11 = C\n11 = C\n",
+                "11:1: duplicate branch element '11'"),
 }
 
 
@@ -386,7 +391,7 @@ def test_digest_documents_that_are_not_totally_ramified():
                 )
         code, _, err, _ = outputs_digest.run(["normalize", "--input", "-"], document)
         assert (code, err) == (0, ""), name
-    model = config.parse(outputs_digest.NOT_TOTALLY_RAMIFIED["odd-line-in-11"]).to_cover()
+    model = config.parse(outputs_digest.NOT_TOTALLY_RAMIFIED["odd-line-in-11"])
     for match_or_reduce in (classify, match_del_pezzo, cremona_reduce):
         with pytest.raises(ParityError):
             match_or_reduce(model)
@@ -397,8 +402,8 @@ def test_resolve_and_invariants_build_only_the_document_model(capsys, tmp_path, 
     from test_invariants import line_arrangement
 
     doc = tmp_path / "arrangement.cfg"
-    doc.write_text(config.from_cover(line_arrangement(8)).serialize(), encoding="utf-8")
-    expected = config.parse(doc.read_text(encoding="utf-8")).to_cover()
+    doc.write_text(config.write(line_arrangement(8)), encoding="utf-8")
+    expected = config.parse(doc.read_text(encoding="utf-8"))
     builds = []
     post_init = CoverModel.__post_init__
 
@@ -573,7 +578,7 @@ def test_normalize_deep_chain_of_near_points(capsys, tmp_path):
     doc.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "normalize", "--input", str(doc))
     assert (code, err) == (0, "")
-    assert len(config.parse(out).centers) == 1100
+    assert len(config.parse(out).marked) == 1100
     doc.write_text(out, encoding="utf-8")
     assert run(capsys, "normalize", "--input", str(doc)) == (0, out, "")
 

@@ -6,8 +6,9 @@ import pytest
 from planecover import config
 from planecover.classify import cremona_reduce
 from planecover.cli import main
-from planecover.errors import ConfigError, CoverError
-from planecover.normalize import normalize
+from planecover.errors import ConfigError, CoverError, PreconditionError
+from planecover.group import GroupElement
+from planecover.normalize import normalize, pull_back
 
 from conftest import (
     FIXTURE_DIR,
@@ -21,19 +22,16 @@ from conftest import (
 def test_round_trip_all_fixtures():
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
         text = path.read_text(encoding="utf-8")
-        doc = config.parse(text)
-        assert doc.serialize() == text, path.name
-        model = doc.to_cover()
-        assert config.from_cover(model).serialize() == text, path.name
+        assert config.write(config.parse(text)) == text, path.name
 
 
 def test_writer_equals_the_reference_writer():
     # every fixture, normalized and reduced, and 1,000 seeded random
-    # documents after normalize: the same text as the writer that copied the
-    # model into a document and sorted it
+    # documents after normalize: the same text as the writer that sorted
+    # every part of the model
     models = []
     for path in sorted(FIXTURE_DIR.glob("*.cfg")):
-        model = config.parse(path.read_text(encoding="utf-8")).to_cover()
+        model = config.parse(path.read_text(encoding="utf-8"))
         models += [model, normalize(model)]
         try:
             models.append(cremona_reduce(model)[0])
@@ -48,16 +46,26 @@ def test_writer_equals_the_reference_writer():
     for seed in range(1000):
         size, broken = DOC_SIZES[seed % len(DOC_SIZES)], seed % BROKEN_EVERY == 0
         text = random_document(random.Random(f"write/{seed}"), size, broken)
-        models.append(normalize(config.parse(text).to_cover()))
+        models.append(normalize(config.parse(text)))
     for model in models:
-        assert config.from_cover(model).serialize() == reference_document_text(model)
+        assert config.write(model) == reference_document_text(model)
+
+
+def test_writer_takes_only_plane_models():
+    # a model with blown-up centers has no document
+    model = pull_back(config.parse(fixture_text("prop44_unreduced")), "p")
+    assert model.surface.rank == 2
+    with pytest.raises(PreconditionError, match="only plane configurations can be written"):
+        config.write(model)
+    with pytest.raises(PreconditionError, match="only plane configurations can be written"):
+        reference_document_text(model)
 
 
 def test_parse_prop59_document():
-    doc = config.parse(fixture_text("prop59"))
-    assert doc.r == 4
-    assert sorted(doc.branch) == ["0001", "0010", "0100", "1000", "1111"]
-    assert len(doc.components) == 5
+    model = config.parse(fixture_text("prop59"))
+    assert model.r == 4
+    assert [str(g) for g, _ in model.branch] == ["0001", "0010", "0100", "1000", "1111"]
+    assert len(model.components) == 5
 
 
 def test_non_binary_branch_key():
@@ -106,10 +114,9 @@ def test_branch_multiplicities_and_comments():
         "A = degree 1, mult(p) = 1\nB = degree 2, reducible\n\n"
         "[branch]\n10 = A\n01 = B, A*2\n"
     )
-    doc = config.parse(text)
-    assert doc.branch["01"] == [("B", 1), ("A", 2)]
-    assert not doc.components[1].irreducible
-    model = doc.to_cover()
+    model = config.parse(text)
+    assert dict(model.branch)[GroupElement.parse("01")] == (("A", 2), ("B", 1))
+    assert model.component("A").irreducible is True
     assert model.component("B").irreducible is False
 
 
@@ -147,8 +154,9 @@ def test_out_of_range_r_is_one_problem(value):
 
 
 def test_repeated_branch_entries_stay_legal():
+    # the model merges a repeated entry into one with the summed multiplicity
     text = "[cover]\nr = 2\n[components]\nA = degree 1\nB = degree 1\n[branch]\n10 = A, A\n01 = B\n"
-    assert config.parse(text).branch == {"10": [("A", 1), ("A", 1)], "01": [("B", 1)]}
+    assert config.write(config.parse(text)).endswith("[branch]\n01 = B\n10 = A*2\n")
 
 
 COMMANDS = ("validate", "normalize", "resolve", "invariants", "classify", "reduce")
@@ -248,9 +256,10 @@ def test_number_length_cap_for_every_number(digits):
             config.parse(text)
         assert [line for line, _, _ in err.value.problems] == [2, 6, 6, 6, 8]
     else:
-        doc = config.parse(text)
-        assert (doc.r, doc.components[0].degree) == (1, 2)
-        assert doc.components[0].mults == {"p": 1} and doc.branch == {"1": [("A", 1)]}
+        model = config.parse(text)
+        (curve,) = model.components
+        assert (model.r, curve.cid, curve.cls.degree, curve.mults) == (1, "A", 2, (("p", 1),))
+        assert [(str(g), entries) for g, entries in model.branch] == [("1", (("A", 1),))]
 
 
 def test_longest_numbers_read_and_print_under_the_lowest_int_limit(tmp_path, capsys):

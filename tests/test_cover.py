@@ -52,6 +52,7 @@ from conftest import (
     reference_component_mults,
     reference_cover_fields,
     reference_odd_character,
+    reference_parse,
     reference_plane_cover,
     reference_stepwise_resolve,
     resolve_within,
@@ -1135,9 +1136,10 @@ def _workload_documents():
     return list(dict.fromkeys(texts))
 
 
-def test_to_cover_equals_the_reference_on_workload_documents(monkeypatch):
-    # the build the benchmark times, on the documents it times: the same
-    # model or the same error as the reference builder, and no dense class
+def test_parse_builds_the_reference_model_on_workload_documents(monkeypatch):
+    # the read the benchmark times, on the documents it times: the same
+    # model or the same error as the reference builder on the reference
+    # parser's data, and no dense class
     dense = []
     init = DivisorClass.__init__
 
@@ -1151,20 +1153,12 @@ def test_to_cover_equals_the_reference_on_workload_documents(monkeypatch):
     built = errors = 0
     for text in texts:
         try:
-            doc = config.parse(text)
+            args = reference_parse(text)
         except ConfigError:
             continue
         dense.clear()
-        got = _model_or_error(doc.to_cover, ())
+        got = _model_or_error(config.parse, (text,))
         assert dense == []
-        args = (
-            doc.r,
-            [(c.name, c.degree, c.mults) for c in doc.components],
-            doc.branch,
-            doc.centers,
-            doc.pencil,
-            [c.name for c in doc.components if not c.irreducible],
-        )
         assert got == _model_or_error(reference_plane_cover, args), text
         built += isinstance(got, CoverModel)
         errors += not isinstance(got, CoverModel)

@@ -100,14 +100,18 @@ def fixture_mutants(draw):
 
 @settings(FUZZ, max_examples=60)
 @given(st.text(alphabet=ALPHABET, max_size=120) | documents())
-def test_parse_ends_in_a_document_or_config_error(text):
+def test_parse_ends_in_a_model_or_a_coded_error(text):
+    # a document's problems are positioned; one without any is a model, or
+    # the coded error plane_cover raises on its geometry
     try:
-        doc = config.parse(text)
+        model = config.parse(text)
     except ConfigError as exc:
         assert exc.problems
         assert all(line >= 1 and col >= 1 for line, col, _ in exc.problems)
+    except CoverError as exc:
+        assert exc.code in EXIT_CODES
     else:
-        assert 1 <= doc.r <= 4
+        assert 1 <= model.r <= 4
 
 
 def run_command(command, text):
@@ -136,11 +140,19 @@ def test_document_commands_end_in_a_result_or_a_coded_error(text):
 
 
 def parsed_or_problems(parse, text):
-    """The document, or the (line, column, message) problems in their order."""
+    """The model, the (line, column, message) problems in their order, or
+    the class and message of another coded error."""
     try:
         return parse(text)
     except ConfigError as exc:
         return exc.problems
+    except CoverError as exc:
+        return type(exc), exc.message
+
+
+def reference_model(text):
+    """The model of the reference parser's plain data."""
+    return plane_cover(*reference_parse(text))
 
 
 #: Line breaks, whitespace and lookalikes that ``splitlines``, ``strip`` and
@@ -195,7 +207,7 @@ def line_soup(draw):
     | st.lists(st.sampled_from([*ALPHABET, *SPECIAL, *WORDS]), max_size=80).map("".join)
 )
 def test_parse_equals_the_reference_parser(text):
-    assert parsed_or_problems(config.parse, text) == parsed_or_problems(reference_parse, text)
+    assert parsed_or_problems(config.parse, text) == parsed_or_problems(reference_model, text)
 
 
 def test_parse_equals_the_reference_parser_on_random_documents():
@@ -206,9 +218,9 @@ def test_parse_equals_the_reference_parser_on_random_documents():
         sys.path.remove(str(PERFBENCH_DIR))
     for seed in range(400):
         text = random_document(random.Random(seed), DOC_SIZES[seed % len(DOC_SIZES)], seed % 6 == 5)
-        normalized = config.from_cover(normalize(config.parse(text).to_cover())).serialize()
+        normalized = config.write(normalize(config.parse(text)))
         for document in (text, normalized):
-            assert config.parse(document) == reference_parse(document), seed
+            assert config.parse(document) == reference_model(document), seed
 
 
 POINTS, CURVES = ["p", "q", "x"], ["A", "B", "C"]
@@ -259,9 +271,9 @@ def plane_cover_arguments(draw):
 @settings(FUZZ, max_examples=300)
 @given(plane_cover_arguments())
 def test_every_plane_model_round_trips_through_its_document(args):
-    # from_cover is the inverse of to_cover: whatever plane_cover accepts
-    # parses back to an equal model, from the text the reference writer
-    # gives, and it accepts no name a document cannot write
+    # parse reads back what write wrote: whatever plane_cover accepts parses
+    # back to an equal model, from the text the reference writer gives, and
+    # it accepts no name a document cannot write
     _, components, _, marked, pencil, _ = args
     names = {cid for cid, _, _ in components} | {name for name, _ in marked} | {pencil}
     if names & UNWRITABLE:
@@ -272,9 +284,9 @@ def test_every_plane_model_round_trips_through_its_document(args):
         model = plane_cover(*args)
     except CoverError:
         return
-    text = config.from_cover(model).serialize()
+    text = config.write(model)
     assert text == reference_document_text(model)
-    assert config.parse(text).to_cover() == model, text
+    assert config.parse(text) == model, text
 
 
 def test_a_falsified_property_prints_its_example(tmp_path):

@@ -31,6 +31,8 @@ def test_pair_examples():
 def test_pair_length_mismatch():
     with pytest.raises(DimensionError):
         group.pair(chi("10"), g("100"))
+    with pytest.raises(DimensionError):
+        g("10") + g("100")
 
 
 def test_epsilon_examples():

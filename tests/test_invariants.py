@@ -141,6 +141,8 @@ def test_riemann_hurwitz_examples():
     # quadruple cover of a genus g' curve with twelve simple branch points
     for gp in (0, 1, 3, 5):
         assert riemann_hurwitz_genus(4, gp, [(2, 12)]) == 4 * gp + 3
+    # the boundary 2g - 2 = -2: one sheet over P^1, unramified
+    assert riemann_hurwitz_genus(1, 0, []) == 0
 
 
 def test_riemann_hurwitz_validation():
@@ -152,6 +154,8 @@ def test_riemann_hurwitz_validation():
         riemann_hurwitz_genus(0, 0, [])
     with pytest.raises(DomainError):
         riemann_hurwitz_genus(2, 0, [(1, 2)])
+    with pytest.raises(DomainError):
+        riemann_hurwitz_genus(2, -1, [])  # negative base genus
 
 
 def test_chi_invariant_under_extra_blow_ups():
@@ -579,17 +583,17 @@ def test_relabel_invariance_on_fixtures_and_census_patterns():
     # with its [branch] keys relabelled by five seeded elements of GL(r, F2)
     texts = [fixture_text(name) for name in FIXTURE_NAMES]
     for r in (2, 3, 4):
-        texts += [config.from_cover(m).serialize() for m in census_candidates(r).values()]
+        texts += [config.write(m) for m in census_candidates(r).values()]
     assert len(texts) == 116
     rng = random.Random(2026)
     relabelings = renamed = 0
     for text in texts:
-        model = config.parse(text).to_cover()
+        model = config.parse(text)
         expected = case_and_invariants(model)
         assert isinstance(expected[0], tuple)  # every model here matches a family
         for _ in range(5):
             relabeled = relabel_document(text, random_automorphism(rng, model.r))
-            assert case_and_invariants(config.parse(relabeled).to_cover()) == expected, relabeled
+            assert case_and_invariants(config.parse(relabeled)) == expected, relabeled
             relabelings += 1
             renamed += relabeled != text
     assert relabelings == 580 and renamed >= 500

@@ -10,6 +10,7 @@ from planecover.errors import (
 )
 from planecover.lattice import (
     PLANE,
+    BlownPlane,
     Center,
     DivisorClass,
     canonical,
@@ -17,6 +18,7 @@ from planecover.lattice import (
     exceptional,
     hyperplane,
     intersect,
+    linear_combination,
 )
 
 from conftest import parse_class
@@ -41,6 +43,8 @@ def test_intersection_examples():
 def test_intersect_surface_mismatch():
     with pytest.raises(DimensionError):
         intersect(hyperplane(PLANE), hyperplane(F1))
+    with pytest.raises(DimensionError):
+        linear_combination(PLANE, [(1, hyperplane(PLANE)), (1, hyperplane(F1))])
 
 
 def test_canonical_classes():
@@ -97,6 +101,10 @@ def test_blow_up_validation():
         PLANE.blow_up(Center("y", parent="x"))
     with pytest.raises(DomainError):
         F1.blow_up(Center("1"))
+    with pytest.raises(DomainError):
+        BlownPlane((Center("1"), Center("1")))
+    with pytest.raises(DanglingReferenceError):
+        BlownPlane((Center("y", parent="x"), Center("x")))
 
 
 THREE = TWO.blow_up(Center("3"))
